@@ -69,11 +69,7 @@ pub struct SimTimer {
     /// round, for [`SpanKind::ExchangeRound`] spans (full level only).
     round_bounds: Vec<(usize, usize, usize)>,
     // --- delivery-protocol scratch and per-phase fault counters ---
-    /// Undelivered messages of the current retry loop: `(original
-    /// injection index, attempts made so far)`.
-    pending: Vec<(usize, u32)>,
-    retry_msgs: Vec<Injection>,
-    retry_deliveries: Vec<Delivery>,
+    retry: RetryScratch,
     /// Resends performed in the phase most recently priced.
     phase_retries: u64,
     /// Transmissions lost in the phase most recently priced (each
@@ -126,9 +122,7 @@ impl SimTimer {
             reply_inbox: vec![Vec::new(); cfg.p],
             barrier_enter: Vec::with_capacity(cfg.p),
             round_bounds: Vec::new(),
-            pending: Vec::new(),
-            retry_msgs: Vec::new(),
-            retry_deliveries: Vec::new(),
+            retry: RetryScratch::default(),
             phase_retries: 0,
             phase_drops: 0,
             phase_bank_wait: Cycles::ZERO,
@@ -236,9 +230,7 @@ impl SimTimer {
                 self.cfg.net.faults,
                 &self.data_msgs,
                 &mut self.deliveries,
-                &mut self.pending,
-                &mut self.retry_msgs,
-                &mut self.retry_deliveries,
+                &mut self.retry,
                 &self.rec,
                 self.phase_idx,
             );
@@ -315,9 +307,7 @@ impl SimTimer {
                     self.cfg.net.faults,
                     &self.replies,
                     &mut self.reply_deliveries,
-                    &mut self.pending,
-                    &mut self.retry_msgs,
-                    &mut self.retry_deliveries,
+                    &mut self.retry,
                     &self.rec,
                     self.phase_idx,
                 );
@@ -588,29 +578,39 @@ fn inject_pair(
     }
 }
 
+/// Pooled buffers of the delivery protocol's retry loop, parallel to
+/// one another within a resend wave.
+#[derive(Default)]
+struct RetryScratch {
+    /// Undelivered messages: `(original injection index, attempts made
+    /// so far)`.
+    pending: Vec<(usize, u32)>,
+    msgs: Vec<Injection>,
+    keys: Vec<u64>,
+    deliveries: Vec<Delivery>,
+}
+
 /// Transmit a data-plane batch through the delivery protocol: send it
 /// via the fault-injecting path, then resend lost messages with
 /// bounded exponential backoff — resend `k` of a message becomes ready
 /// `retry_timeout · 2^(k-1)` cycles after its previous failed
 /// departure — until every message is delivered or a message exhausts
 /// `max_attempts` (a panic; the sweep executor degrades gracefully).
-/// Each message's final successful [`Delivery`] is written back into
-/// `deliveries`, so receiver-side processing observes the protocol's
-/// true visibility times. Without a fault configuration this is
-/// exactly the reliable path.
+/// A resend is the original message with a later `ready`: it queues at
+/// the same destination bank. Each message's final successful
+/// [`Delivery`] is written back into `deliveries`, so receiver-side
+/// processing observes the protocol's true visibility times. Without a
+/// fault configuration this is exactly the reliable path.
 ///
 /// Returns `(resends performed, transmissions lost)`. Takes the
 /// timer's fields piecewise so the pooled buffers borrow alongside
 /// the injected message list.
-#[allow(clippy::too_many_arguments)]
 fn transmit_reliably(
     net: &mut Network,
     faults: Option<FaultConfig>,
     msgs: &[Injection],
     deliveries: &mut Vec<Delivery>,
-    pending: &mut Vec<(usize, u32)>,
-    retry_msgs: &mut Vec<Injection>,
-    retry_deliveries: &mut Vec<Delivery>,
+    retry: &mut RetryScratch,
     rec: &Recorder,
     phase: u64,
 ) -> (u64, u64) {
@@ -625,15 +625,15 @@ fn transmit_reliably(
     // that differ only in probability.
     let base = net.next_fault_seq();
     net.transmit_into_faulty(msgs, deliveries);
+    let pending = &mut retry.pending;
     pending.clear();
     pending.extend(net.last_dropped().iter().enumerate().filter(|&(_, &d)| d).map(|(i, _)| (i, 1)));
     let mut retries = 0u64;
     let mut drops = pending.len() as u64;
     let mut wave = 0u32;
-    let mut retry_keys = Vec::new();
     while !pending.is_empty() {
-        retry_msgs.clear();
-        retry_keys.clear();
+        retry.msgs.clear();
+        retry.keys.clear();
         for &(i, attempts) in pending.iter() {
             assert!(
                 attempts < f.max_attempts,
@@ -650,20 +650,15 @@ fn transmit_reliably(
             );
             let backoff = f.retry_timeout * 2f64.powi((attempts - 1).min(60) as i32);
             let ready = deliveries[i].depart + Cycles::new(backoff);
-            retry_msgs.push(Injection::new(
-                msgs[i].src,
-                msgs[i].dst,
-                msgs[i].bytes,
-                ready,
-                msgs[i].kind,
-            ));
-            retry_keys.push(FaultConfig::retry_key(base + i as u64, attempts));
+            retry.msgs.push(Injection { ready, ..msgs[i] });
+            retry.keys.push(FaultConfig::retry_key(base + i as u64, attempts));
         }
-        net.transmit_into_faulty_keyed(retry_msgs, retry_deliveries, &retry_keys);
-        retries += retry_msgs.len() as u64;
+        net.transmit_into_faulty_keyed(&retry.msgs, &mut retry.deliveries, &retry.keys);
+        retries += retry.msgs.len() as u64;
         if rec.is_full() {
-            let start = retry_msgs.iter().map(|m| m.ready).fold(retry_msgs[0].ready, Cycles::min);
-            let end = retry_deliveries
+            let start = retry.msgs.iter().map(|m| m.ready).fold(retry.msgs[0].ready, Cycles::min);
+            let end = retry
+                .deliveries
                 .iter()
                 .zip(net.last_dropped())
                 .map(|(d, &lost)| if lost { d.arrive } else { d.visible })
@@ -682,7 +677,7 @@ fn transmit_reliably(
         let mut kept = 0;
         for j in 0..pending.len() {
             let (i, attempts) = pending[j];
-            deliveries[i] = retry_deliveries[j];
+            deliveries[i] = retry.deliveries[j];
             if lost[j] {
                 drops += 1;
                 pending[kept] = (i, attempts + 1);
@@ -1214,6 +1209,29 @@ mod tests {
         assert!(t.bank_wait() > Cycles::ZERO);
         t.price(&[100; 4], &CommMatrix::new(4), &[]);
         assert_eq!(t.bank_wait(), Cycles::ZERO);
+    }
+
+    #[test]
+    fn resent_puts_still_queue_at_their_bank() {
+        use qsm_simnet::{BankModel, FaultConfig};
+        // Banks and faults together: a put that is lost and resent
+        // must be served by its destination bank like any other, so
+        // the banks of node 0 end up having served every put exactly
+        // once — lost transmissions never reach a bank.
+        let service = 5_000.0;
+        let cfg = MachineConfig::paper_default(4)
+            .with_banks(BankModel::per_message(4, service))
+            .with_faults(FaultConfig::drops(0xBA2C, 0.5));
+        let puts = banked_puts_to_zero(|i| i, 100);
+        let mut t = SimTimer::new(cfg);
+        let phases = 8;
+        let mut retries = 0;
+        for _ in 0..phases {
+            t.price(&[0; 4], &puts, &[]);
+            retries += t.fault_counts().0;
+        }
+        assert!(retries > 0, "no put was resent at drop_prob 0.5");
+        assert_eq!(t.net.bank_busy_total(0), Cycles::new(service * 4.0 * phases as f64));
     }
 
     #[test]

@@ -214,13 +214,21 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.hists.is_empty()
     }
 
+    /// Fold a whole histogram into the named one. An empty `h` is a
+    /// no-op: a histogram exists only once something was observed.
+    pub fn merge_histogram(&mut self, name: &'static str, h: &Histogram) {
+        if h.count > 0 {
+            self.hists.entry(name).or_default().merge(h);
+        }
+    }
+
     /// Fold another registry into this one.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;
         }
         for (name, h) in &other.hists {
-            self.hists.entry(name).or_default().merge(h);
+            self.merge_histogram(name, h);
         }
     }
 

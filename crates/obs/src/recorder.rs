@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::span::{CounterSample, Span, SpanKind};
 use qsm_simnet::trace::TraceEvent;
 use qsm_simnet::Cycles;
@@ -181,6 +181,14 @@ impl Recorder {
         }
     }
 
+    /// Fold a locally accumulated histogram into the named one under
+    /// one lock — what a hot loop does instead of locking per
+    /// observation. Same registry state as observing each value.
+    pub fn merge_histogram(&self, name: &'static str, h: &Histogram) {
+        let Some(inner) = self.inner.as_deref() else { return };
+        inner.state.lock().unwrap().metrics.merge_histogram(name, h);
+    }
+
     /// Drain everything captured so far, leaving the recorder enabled
     /// and empty. `None` if the recorder is disabled.
     pub fn take(&self) -> Option<ObsData> {
@@ -272,6 +280,23 @@ mod tests {
         // take() drains: a second take sees an empty capture.
         let again = r.take().unwrap();
         assert!(again.spans.is_empty() && again.wire.is_empty());
+    }
+
+    #[test]
+    fn merging_a_histogram_equals_observing_its_values() {
+        let values = [0u64, 1, 7, 7, 4096, u64::MAX];
+        let each = Recorder::new(ObsLevel::Metrics, 400e6);
+        let mut local = Histogram::default();
+        for v in values {
+            each.observe("lat", v);
+            local.observe(v);
+        }
+        let once = Recorder::new(ObsLevel::Metrics, 400e6);
+        once.merge_histogram("lat", &local);
+        // Nothing observed, nothing created.
+        once.merge_histogram("never", &Histogram::default());
+        assert_eq!(once.take_metrics_json(), each.take_metrics_json());
+        Recorder::disabled().merge_histogram("lat", &local);
     }
 
     #[test]

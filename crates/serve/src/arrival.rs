@@ -52,13 +52,25 @@ pub struct Txn {
     pub is_get: bool,
 }
 
+/// The per-transaction key every field of transaction `i` draws from.
+#[inline]
+fn txn_key(cfg: &ServiceConfig, i: u64) -> u64 {
+    cfg.seed.wrapping_add(mix(i))
+}
+
+/// When transaction `i` arrives: [`txn`]`(cfg, i).arrival`, without
+/// deriving the other fields (what ordering the stream needs).
+pub fn arrival_time(cfg: &ServiceConfig, i: u64) -> Cycles {
+    Cycles::new(unit(mix(txn_key(cfg, i))) * cfg.window)
+}
+
 /// Derive transaction `i` of `cfg`'s keyed stream.
 pub fn txn(cfg: &ServiceConfig, i: u64) -> Txn {
     let p = cfg.machine.p;
     // Independent draws: re-key the index stream per field so no two
     // fields share a hash.
-    let key = cfg.seed.wrapping_add(mix(i));
-    let arrival = Cycles::new(unit(mix(key)) * cfg.window);
+    let key = txn_key(cfg, i);
+    let arrival = arrival_time(cfg, i);
     let client = mix(key ^ 0x00C1_1E57) % cfg.clients;
     let origin = (mix(client.wrapping_add(cfg.seed)) % p as u64) as usize;
     let shard_hash = mix(key ^ 0x0005_1AAD);
@@ -87,6 +99,9 @@ mod tests {
         }
         let other = cfg().with_seed(99);
         assert_ne!(txn(&c, 3), txn(&other, 3), "the seed must matter");
+        for i in 0..256 {
+            assert_eq!(arrival_time(&c, i), txn(&c, i).arrival);
+        }
     }
 
     #[test]

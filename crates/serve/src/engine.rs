@@ -2,12 +2,18 @@
 //!
 //! Where every earlier experiment drives the network from a *phase
 //! plan* (transmit a batch, barrier, repeat), this engine drives the
-//! same staged delivery pipeline from a seeded **event timeline**: an
-//! [`EventQueue`] pops arrivals, sends, and retries in global time
-//! order, and each message is injected the moment it is ready. The
-//! network's per-node FIFO timelines persist across events, so
-//! back-to-back transactions queue at NICs and banks exactly as a
-//! batch would — the pipeline arithmetic is shared, not re-derived.
+//! same staged delivery pipeline from a seeded **event timeline**:
+//! arrivals, sends, and retries pop in global time order, and each
+//! message is injected the moment it is ready
+//! ([`Network::send_one`]). The network's per-node FIFO timelines
+//! persist across events, so back-to-back transactions queue at NICs
+//! and banks exactly as a batch would — the pipeline arithmetic is
+//! shared, not re-derived.
+//!
+//! The timeline merges two sources (`Events`): the offered arrivals,
+//! known up front and sorted once into a stream, and an [`EventQueue`]
+//! of the sends in flight — a heap as deep as the machine is loaded,
+//! not as the run is long.
 //!
 //! A transaction's life:
 //!
@@ -38,10 +44,13 @@
 //! the drop schedule is independent of event interleaving and of how
 //! many retries any other transaction needed.
 
+use std::iter::Peekable;
+use std::vec::IntoIter;
+
 use qsm_obs::{Histogram, Recorder};
 use qsm_simnet::event::EventQueue;
 use qsm_simnet::time::Cycles;
-use qsm_simnet::{Delivery, FaultConfig, Injection, MsgKind, Network};
+use qsm_simnet::{FaultConfig, Injection, MsgKind, Network};
 
 use crate::arrival::{self, Txn};
 use crate::config::ServiceConfig;
@@ -55,13 +64,50 @@ enum Leg {
     Reply,
 }
 
-/// One pending engine event.
+/// A leg of transaction `i` (derived once, at its arrival, into `t`)
+/// is marshalled and ready for its NIC.
+#[derive(Debug, Clone, Copy)]
+struct Send {
+    i: u64,
+    t: Txn,
+    leg: Leg,
+    attempt: u32,
+}
+
+/// One engine event.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Transaction `i` arrives at its origin (admission happens here).
     Arrive(u64),
-    /// A leg of transaction `i` is marshalled and ready for its NIC.
-    Send { i: u64, leg: Leg, attempt: u32 },
+    Send(Send),
+}
+
+/// The engine's event timeline: the sorted arrival stream merged with
+/// the in-flight sends.
+struct Events {
+    /// Every offered `(arrival, i)` not yet popped, ascending.
+    arrivals: Peekable<IntoIter<(Cycles, u64)>>,
+    sends: EventQueue<Send>,
+}
+
+impl Events {
+    fn new(cfg: &ServiceConfig) -> Self {
+        let mut arrivals: Vec<(Cycles, u64)> =
+            (0..cfg.offered as u64).map(|i| (arrival::arrival_time(cfg, i), i)).collect();
+        arrivals.sort_unstable();
+        Self { arrivals: arrivals.into_iter().peekable(), sends: EventQueue::new() }
+    }
+
+    /// The earliest event. An arrival wins a tie with a send: the
+    /// arrivals are the older events (all known before any send was
+    /// scheduled), and ties break oldest first.
+    fn pop(&mut self) -> Option<(Cycles, Ev)> {
+        let send = self.sends.peek_time();
+        match self.arrivals.next_if(|&(at, _)| send.is_none_or(|t| at <= t)) {
+            Some((at, i)) => Some((at, Ev::Arrive(i))),
+            None => self.sends.pop().map(|(t, send)| (t, Ev::Send(send))),
+        }
+    }
 }
 
 /// Everything a serving run produced.
@@ -145,10 +191,7 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
     let faults: Option<FaultConfig> = cfg.machine.net.faults;
     let mut net = Network::new(p, cfg.machine.net);
 
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for i in 0..cfg.offered as u64 {
-        q.push(arrival::txn(cfg, i).arrival, Ev::Arrive(i));
-    }
+    let mut events = Events::new(cfg);
 
     let mut out = ServiceOutcome {
         offered: cfg.offered as u64,
@@ -165,9 +208,8 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
         bank_util: vec![0.0; p],
     };
     let mut last_completion = Cycles::ZERO;
-    let mut deliveries: Vec<Delivery> = Vec::with_capacity(1);
 
-    while let Some((now, ev)) = q.pop() {
+    while let Some((now, ev)) = events.pop() {
         match ev {
             Ev::Arrive(i) => {
                 let t = arrival::txn(cfg, i);
@@ -184,10 +226,11 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
                 }
                 out.admitted += 1;
                 let marshal = if t.is_get { sw.get_request } else { sw.put_marshal };
-                q.push(now + Cycles::new(marshal), Ev::Send { i, leg: Leg::Request, attempt: 1 });
+                let send = Send { i, t, leg: Leg::Request, attempt: 1 };
+                events.sends.push(now + Cycles::new(marshal), send);
             }
-            Ev::Send { i, leg, attempt } => {
-                let t = arrival::txn(cfg, i);
+            Ev::Send(send) => {
+                let Send { i, t, leg, attempt } = send;
                 let (req_bytes, rep_bytes) = leg_bytes(cfg, &t);
                 let msg = match (leg, t.is_get) {
                     (Leg::Request, true) => {
@@ -208,9 +251,8 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
                 };
                 let leg_ix = 2 * i + (leg == Leg::Reply) as u64;
                 let key = FaultConfig::retry_key(leg_ix, attempt);
-                net.transmit_into_faulty_keyed(&[msg], &mut deliveries, &[key]);
-                let d = deliveries[0];
-                if net.last_dropped()[0] {
+                let (d, dropped) = net.send_one(&msg, Some(key));
+                if dropped {
                     out.drops += 1;
                     // The fault config exists, else nothing drops.
                     let f = faults.expect("drops require a fault config");
@@ -219,33 +261,31 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
                     } else {
                         out.retries += 1;
                         let backoff = f.retry_timeout * 2f64.powi((attempt - 1).min(60) as i32);
-                        q.push(
+                        events.sends.push(
                             d.depart + Cycles::new(backoff),
-                            Ev::Send { i, leg, attempt: attempt + 1 },
+                            Send { attempt: attempt + 1, ..send },
                         );
                     }
                     continue;
                 }
+                let reply = Send { leg: Leg::Reply, attempt: 1, ..send };
                 match (leg, t.is_get) {
                     (Leg::Request, true) => {
                         // Shard node looks the item up, then its bank
                         // streams the value out.
                         let served = d.visible + Cycles::new(sw.get_serve);
                         let read = net.bank_service(t.node, t.bank, served, cfg.value_bytes);
-                        q.push(read.done, Ev::Send { i, leg: Leg::Reply, attempt: 1 });
+                        events.sends.push(read.done, reply);
                     }
                     (Leg::Request, false) => {
-                        let applied = d.visible + Cycles::new(sw.put_apply);
-                        q.push(applied, Ev::Send { i, leg: Leg::Reply, attempt: 1 });
+                        events.sends.push(d.visible + Cycles::new(sw.put_apply), reply);
                     }
                     (Leg::Reply, is_get) => {
                         let done =
                             if is_get { d.visible + Cycles::new(sw.get_apply) } else { d.visible };
                         out.completed += 1;
                         last_completion = last_completion.max(done);
-                        let lat = (done - t.arrival).get() as u64;
-                        out.latency.observe(lat);
-                        obs.observe("service_latency_cycles", lat);
+                        out.latency.observe((done - t.arrival).get() as u64);
                     }
                 }
             }
@@ -261,6 +301,7 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
         out.bank_util[node] = net.bank_busy_total(node).get() / (elapsed * banks);
     }
 
+    obs.merge_histogram("service_latency_cycles", &out.latency);
     obs.add("service_offered", out.offered);
     obs.add("service_admitted", out.admitted);
     obs.add("service_completed", out.completed);
@@ -285,6 +326,32 @@ mod tests {
 
     fn run_quiet(cfg: &ServiceConfig) -> ServiceOutcome {
         run(cfg, &Recorder::disabled())
+    }
+
+    #[test]
+    fn an_arrival_pops_before_a_send_at_the_same_instant() {
+        let cfg = ServiceConfig::new(machine(4)).with_offered(3);
+        let mut events = Events::new(&cfg);
+        let due: Vec<(Cycles, u64)> = events.arrivals.clone().collect();
+        assert!(due.windows(2).all(|w| w[0] < w[1]), "the stream is sorted: {due:?}");
+        // A send tied with the second arrival, and one after the last.
+        let send = |i| Send { i, t: arrival::txn(&cfg, i), leg: Leg::Request, attempt: 1 };
+        events.sends.push(due[1].0, send(due[0].1));
+        events.sends.push(due[2].0 + Cycles::new(1.0), send(due[1].1));
+        let popped: Vec<(Cycles, Option<u64>)> = std::iter::from_fn(|| events.pop())
+            .map(|(at, ev)| match ev {
+                Ev::Arrive(i) => (at, Some(i)),
+                Ev::Send(_) => (at, None),
+            })
+            .collect();
+        let expected = vec![
+            (due[0].0, Some(due[0].1)),
+            (due[1].0, Some(due[1].1)),
+            (due[1].0, None),
+            (due[2].0, Some(due[2].1)),
+            (due[2].0 + Cycles::new(1.0), None),
+        ];
+        assert_eq!(popped, expected);
     }
 
     #[test]

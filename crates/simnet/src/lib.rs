@@ -13,9 +13,9 @@
 //!   400 MHz node reduced to a cycles-per-operation rate), and the
 //!   shared-memory library's software cost constants.
 //! * [`network::Network`] — per-node send/receive engines with busy
-//!   timelines; [`network::Network::transmit`] delivers a batch of
-//!   messages and reports when each becomes visible to the receiving
-//!   node's software.
+//!   timelines; [`network::Network::send_one`] delivers one message
+//!   and [`network::Network::transmit`] a batch, each reporting when
+//!   a message becomes visible to the receiving node's software.
 //! * [`barrier`] — a dissemination barrier built *out of simulated
 //!   messages*, so that the measured barrier cost `L` (the paper
 //!   reports 25 500 cycles at p = 16) emerges from `l`, `o`, and
