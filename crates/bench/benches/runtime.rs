@@ -79,7 +79,8 @@ fn bench_put_stream(c: &mut Criterion) {
 fn bench_calibration(c: &mut Criterion) {
     c.bench_function("calibrate_effective_costs_p8", |b| {
         let cfg = MachineConfig::paper_default(8);
-        b.iter(|| EffectiveCosts::measure_with(std::hint::black_box(cfg), 1024))
+        // The uncached entry: `measure_with` would time a memo hit.
+        b.iter(|| EffectiveCosts::measure_uncached(std::hint::black_box(cfg), 1024))
     });
 }
 

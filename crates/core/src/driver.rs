@@ -368,34 +368,48 @@ impl AccessRanges {
 /// depth κ at any single location, and panics on a read/write overlap
 /// when `check_conflicts` is set. `events` is caller-provided scratch
 /// (cleared here) so per-phase sweeps don't allocate.
+///
+/// A range contributes two events, each packed into one `u64` as
+/// `pos << 2 | start << 1 | write`: integer order is then position
+/// order with the ends at a position before its starts (half-open
+/// ranges: adjacent ranges do not overlap). The sort is unstable
+/// because events sharing `key >> 1` are summed, in any order.
 fn sweep_kappa(
     name: &str,
     acc: &AccessRanges,
     check_conflicts: bool,
-    events: &mut Vec<(usize, bool, i64, i64)>,
+    events: &mut Vec<u64>,
 ) -> u64 {
-    // Events: (position, end-before-start flag, d_read, d_write).
+    const START: u64 = 0b10;
+    const WRITE: u64 = 0b01;
+    let key = |pos: usize, flags: u64| {
+        debug_assert!(pos as u64 >> 62 == 0, "position {pos} does not fit a packed event");
+        (pos as u64) << 2 | flags
+    };
     events.clear();
     for &(s, l) in &acc.reads {
-        events.push((s, false, 1, 0));
-        events.push((s + l, true, -1, 0));
+        events.push(key(s, START));
+        events.push(key(s + l, 0));
     }
     for &(s, l) in &acc.writes {
-        events.push((s, false, 0, 1));
-        events.push((s + l, true, 0, -1));
+        events.push(key(s, START | WRITE));
+        events.push(key(s + l, WRITE));
     }
-    events.sort_by_key(|&(pos, is_end, _, _)| (pos, !is_end));
+    events.sort_unstable();
     let (mut r, mut w, mut kappa) = (0i64, 0i64, 0i64);
     let mut i = 0;
     while i < events.len() {
-        let pos = events[i].0;
-        let end_flag = events[i].1;
-        while i < events.len() && events[i].0 == pos && events[i].1 == end_flag {
-            r += events[i].2;
-            w += events[i].3;
+        // One group: the ends, or the starts, at one position.
+        let group = events[i] >> 1;
+        let sign = if group & 1 != 0 { 1 } else { -1 };
+        while i < events.len() && events[i] >> 1 == group {
+            let write = (events[i] & WRITE) as i64;
+            r += sign * (1 - write);
+            w += sign * write;
             i += 1;
         }
         if check_conflicts && r > 0 && w > 0 {
+            let pos = group >> 1;
             panic!(
                 "bulk-synchrony violation: location {pos} of array '{name}' is both \
                  read and written in the same phase (the QSM phase contract forbids \
@@ -443,7 +457,7 @@ pub(crate) struct Driver {
     /// phase (so clearing skips untouched arrays).
     accesses: Vec<AccessRanges>,
     touched_arrays: Vec<u32>,
-    kappa_events: Vec<(usize, bool, i64, i64)>,
+    kappa_events: Vec<u64>,
     /// Banks per node when the backend models destination banks
     /// (0 = bank metering off; set once per run from the timer).
     banks: usize,
@@ -1125,6 +1139,10 @@ fn info_for_op<'a>(
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -1165,9 +1183,83 @@ mod tests {
         let mut events = Vec::new();
         let acc = AccessRanges { reads: vec![(0, 10), (5, 10)], writes: vec![] };
         assert_eq!(sweep_kappa("t", &acc, true, &mut events), 2);
-        // A stale buffer from a previous array must not leak in.
-        let acc2 = AccessRanges { reads: vec![(0, 1)], writes: vec![] };
+        assert_eq!(events.len(), 4);
+        let (buf, cap) = (events.as_ptr(), events.capacity());
+        // A stale buffer from a previous array must not leak in: the
+        // wider sweep's events would make this κ = 3 and, being reads,
+        // a conflict with the write.
+        let acc2 = AccessRanges { reads: vec![(0, 1)], writes: vec![(7, 1)] };
         assert_eq!(sweep_kappa("t", &acc2, true, &mut events), 1);
+        assert_eq!(events.len(), 4);
+        // ... and the smaller sweep ran in the same allocation.
+        assert_eq!((events.as_ptr(), events.capacity()), (buf, cap));
+    }
+
+    /// The tuple-sort kernel `sweep_kappa` replaced, kept verbatim as
+    /// the oracle for the packed one.
+    fn sweep_kappa_oracle(
+        name: &str,
+        acc: &AccessRanges,
+        check_conflicts: bool,
+        events: &mut Vec<(usize, bool, i64, i64)>,
+    ) -> u64 {
+        // Events: (position, end-before-start flag, d_read, d_write).
+        events.clear();
+        for &(s, l) in &acc.reads {
+            events.push((s, false, 1, 0));
+            events.push((s + l, true, -1, 0));
+        }
+        for &(s, l) in &acc.writes {
+            events.push((s, false, 0, 1));
+            events.push((s + l, true, 0, -1));
+        }
+        events.sort_by_key(|&(pos, is_end, _, _)| (pos, !is_end));
+        let (mut r, mut w, mut kappa) = (0i64, 0i64, 0i64);
+        let mut i = 0;
+        while i < events.len() {
+            let pos = events[i].0;
+            let end_flag = events[i].1;
+            while i < events.len() && events[i].0 == pos && events[i].1 == end_flag {
+                r += events[i].2;
+                w += events[i].3;
+                i += 1;
+            }
+            if check_conflicts && r > 0 && w > 0 {
+                panic!(
+                    "bulk-synchrony violation: location {pos} of array '{name}' is both \
+                     read and written in the same phase (the QSM phase contract forbids \
+                     this; split the accesses across a sync())"
+                );
+            }
+            kappa = kappa.max(r + w);
+        }
+        kappa as u64
+    }
+
+    /// κ, or the panic message of the conflict the sweep stopped at.
+    fn outcome(sweep: impl FnOnce() -> u64) -> Result<u64, String> {
+        catch_unwind(AssertUnwindSafe(sweep))
+            .map_err(|payload| *payload.downcast::<String>().expect("sweep panics with a String"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Positions from a universe of 24 and lengths from 0, so
+        /// zero-length, adjacent, nested and duplicate ranges — and
+        /// read/write overlaps — all occur in most cases.
+        #[test]
+        fn packed_sweep_matches_the_tuple_sort_oracle(
+            reads in proptest::collection::vec((0usize..24, 0usize..6), 0..8),
+            writes in proptest::collection::vec((0usize..24, 0usize..6), 0..8),
+            check_conflicts in proptest::bool::ANY,
+        ) {
+            let acc = AccessRanges { reads, writes };
+            let want = outcome(|| sweep_kappa_oracle("a", &acc, check_conflicts, &mut Vec::new()));
+            let got = outcome(|| sweep_kappa("a", &acc, check_conflicts, &mut Vec::new()));
+            prop_assert_eq!(&got, &want);
+            prop_assert!(check_conflicts || got.is_ok());
+        }
     }
 
     #[test]

@@ -23,20 +23,43 @@ use std::sync::Mutex;
 
 use crossbeam::channel::{bounded, unbounded};
 use qsm_models::ProgramProfile;
+use qsm_obs::Recorder;
 
 use crate::ctx::Ctx;
 use crate::driver::{Driver, PhaseRecord};
 use crate::machine::{Machine, PhaseTimer, RunResult};
 
-/// Run `program` on every processor of `machine` and price the run.
+/// Run `program` on every processor of `machine` and price the run,
+/// observed by the ambient recorder and the calling thread's tally.
 pub(crate) fn run<M, R, F>(machine: &M, program: F) -> RunResult<R>
 where
     M: Machine,
     R: Send,
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
+    // Ambient observability: emit into whatever recorder the harness
+    // installed (disabled — and free — by default).
+    let result = run_with(machine, program, crate::obs::recorder());
+    // Fold fault totals into the calling thread's tally (this is the
+    // thread that called `Machine::run` on both paths, which is what
+    // lets the bench sweep scope per-point deltas).
+    let (retries, drops) =
+        result.phases.iter().fold((0u64, 0u64), |(r, d), ph| (r + ph.retries, d + ph.dropped_msgs));
+    crate::tally::note_run(retries, drops);
+    result
+}
+
+/// [`run`] against an explicit recorder and outside the tally: the
+/// run touches no ambient state, so calibration (`crate::calibrate`)
+/// passes a disabled recorder and leaves no mark on any artifact.
+pub(crate) fn run_with<M, R, F>(machine: &M, program: F, rec: Recorder) -> RunResult<R>
+where
+    M: Machine,
+    R: Send,
+    F: Fn(&mut Ctx) -> R + Send + Sync,
+{
     if machine.uses_worker_pool() {
-        return run_spmd(machine, program);
+        return run_spmd(machine, program, rec);
     }
     let p = machine.nprocs();
     let (worker_tx, driver_rx) = unbounded();
@@ -48,10 +71,8 @@ where
         reply_rxs.push(rx);
     }
 
-    // Ambient observability: emit into whatever recorder the harness
-    // installed (disabled — and free — by default). Driver and timer
-    // share it, so both backends feed the same capture.
-    let rec = crate::obs::recorder();
+    // Driver and timer share the recorder, so both backends feed the
+    // same capture.
     let driver = Driver::new(p, machine.check_conflicts(), rec.clone());
     let mut timer = machine.make_timer(rec);
     let program = &program;
@@ -97,14 +118,13 @@ where
 /// exchange (`crate::spmd`): one job per processor, worker 0 doubles
 /// as the phase leader running the driver's plan/price/record stages
 /// inline.
-fn run_spmd<M, R, F>(machine: &M, program: F) -> RunResult<R>
+fn run_spmd<M, R, F>(machine: &M, program: F, rec: Recorder) -> RunResult<R>
 where
     M: Machine,
     R: Send,
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
     let p = machine.nprocs();
-    let rec = crate::obs::recorder();
     let mut driver = Driver::new(p, machine.check_conflicts(), rec.clone());
     let mut timer: Box<dyn PhaseTimer> = Box::new(machine.make_timer(rec.clone()));
     driver.begin_run(timer.as_ref());
@@ -197,12 +217,6 @@ where
 /// Backend-agnostic tail of every run: profile + cost report.
 fn assemble<M: Machine, R>(machine: &M, outputs: Vec<R>, phases: Vec<PhaseRecord>) -> RunResult<R> {
     let profile = ProgramProfile { phases: phases.iter().map(|r| r.profile).collect() };
-    // Fold fault totals into the calling thread's tally (always runs
-    // on the thread that called `Machine::run` on both paths, which
-    // is what lets the bench sweep scope per-point deltas).
-    let (retries, drops) =
-        phases.iter().fold((0u64, 0u64), |(r, d), ph| (r + ph.retries, d + ph.dropped_msgs));
-    crate::tally::note_run(retries, drops);
     let report = machine.make_report(&phases);
     RunResult { outputs, phases, profile, report }
 }

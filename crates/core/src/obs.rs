@@ -11,10 +11,14 @@
 //! disabled recorders and every record call is an inlined early
 //! return — the zero-overhead default.
 //!
-//! Calibration runs ([`crate::SimMachine::empty_sync_cost`] and the
-//! warm-up machines in [`crate::calibrate`]) are priced on
-//! *unobserved* timers so they never contaminate the capture of the
-//! run under study.
+//! Calibration never contaminates the capture of the run under study:
+//! [`crate::SimMachine::empty_sync_cost`] prices its empty phase on a
+//! timer of its own with a disabled recorder, and the microbenchmark
+//! runs of [`crate::calibrate`] enter the engine with a disabled
+//! recorder instead of the ambient one (and outside
+//! [`crate::tally`]). Since [`crate::calibrate`] remembers its
+//! results per process, anything else would make a capture depend on
+//! which figure happened to calibrate first.
 
 use std::sync::OnceLock;
 

@@ -3,10 +3,10 @@
 //! The bench sweep executor reports per-point fault telemetry
 //! (delivery retries, dropped transmissions) in its run journal
 //! without threading a side channel through every figure's closure:
-//! the engine's assembly step — which always executes on the thread
-//! that called `Machine::run` — folds each run's totals into these
-//! thread-locals, and the harness takes [`snapshot`] deltas around
-//! each sweep point it executes.
+//! the engine's `run` entry — which returns on the thread that called
+//! `Machine::run` — folds each run's totals into these thread-locals,
+//! and the harness takes [`snapshot`] deltas around each sweep point
+//! it executes. Calibration runs (`crate::calibrate`) bypass it.
 
 use std::cell::Cell;
 
