@@ -46,9 +46,9 @@ fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// Driver/exchange microbenchmark: many phases of dense small-block
 /// traffic, so nearly all host time is spent in the sync/exchange
-/// machinery rather than in user compute. On the sim backend that is
-/// `process_sync` + `simulate_exchange`; on the threads backend it is
-/// the barrier-bracketed SPMD exchange.
+/// machinery rather than in user compute: the barrier-bracketed SPMD
+/// exchange on both backends, plus `simulate_exchange` in the price
+/// stage on the sim backend.
 fn driver_phases<M: Machine>(machine: &M) {
     const PHASES: usize = 32;
     const BLOCK: usize = 64;

@@ -11,13 +11,20 @@ use qsm_algorithms::analysis::EffectiveParams;
 use qsm_models::nmin::{linear_fit, r_squared};
 use qsm_simnet::MachineConfig;
 
-use crate::figures::{fig4, samplesort_crossover};
+use crate::figures::{fig4, samplesort_crossover, CrossoverMemo, Crossovers};
 use crate::output::{csv, table};
 use crate::{Report, RunCfg};
 
-/// Compute the crossover points for every latency. Returns
-/// `(l, Some(n_cross))` rows.
+static SWEPT: CrossoverMemo = CrossoverMemo::new();
+
+/// The crossover points for every latency, as `(l, Some(n_cross))`
+/// rows: those [`run`] swept earlier in this process (`all` reaches
+/// `table4` after this figure), or of a sweep made now.
 pub fn crossovers(cfg: &RunCfg) -> Vec<(f64, Option<f64>)> {
+    SWEPT.get_or_sweep(cfg, || sweep(cfg))
+}
+
+fn sweep(cfg: &RunCfg) -> Crossovers {
     // The prediction band comes from the default machine and is the
     // same for every latency; each latency's doubling scan is then an
     // independent sweep point.
@@ -32,7 +39,7 @@ pub fn crossovers(cfg: &RunCfg) -> Vec<(f64, Option<f64>)> {
 pub fn run(cfg: &RunCfg) -> Report {
     crate::journal::set_figure("fig5", cfg);
     crate::backend::warn_sim_only("fig5");
-    let points = crossovers(cfg);
+    let points = SWEPT.sweep(cfg, || sweep(cfg));
     let mut rows = Vec::new();
     let mut fit_pts = Vec::new();
     for (l, cross) in &points {

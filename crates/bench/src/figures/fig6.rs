@@ -9,7 +9,7 @@ use qsm_algorithms::analysis::EffectiveParams;
 use qsm_models::nmin::{linear_fit, r_squared};
 use qsm_simnet::MachineConfig;
 
-use crate::figures::samplesort_crossover;
+use crate::figures::{samplesort_crossover, CrossoverMemo, Crossovers};
 use crate::output::{csv, table};
 use crate::{Report, RunCfg};
 
@@ -22,8 +22,15 @@ pub fn overheads(fast: bool) -> Vec<f64> {
     }
 }
 
-/// Compute the crossover points for every overhead value.
+static SWEPT: CrossoverMemo = CrossoverMemo::new();
+
+/// The crossover points for every overhead value: those [`run`] swept
+/// earlier in this process, or of a sweep made now (see `fig5`).
 pub fn crossovers(cfg: &RunCfg) -> Vec<(f64, Option<f64>)> {
+    SWEPT.get_or_sweep(cfg, || sweep(cfg))
+}
+
+fn sweep(cfg: &RunCfg) -> Crossovers {
     // Same structure as fig5: one prediction band, independent
     // doubling scans per overhead value.
     let params = EffectiveParams::measure(MachineConfig::paper_default(cfg.p));
@@ -37,7 +44,7 @@ pub fn crossovers(cfg: &RunCfg) -> Vec<(f64, Option<f64>)> {
 pub fn run(cfg: &RunCfg) -> Report {
     crate::journal::set_figure("fig6", cfg);
     crate::backend::warn_sim_only("fig6");
-    let points = crossovers(cfg);
+    let points = SWEPT.sweep(cfg, || sweep(cfg));
     let mut rows = Vec::new();
     let mut fit_pts = Vec::new();
     for (o, cross) in &points {

@@ -38,6 +38,8 @@ pub mod fig7;
 pub mod table3;
 pub mod table4;
 
+use std::sync::{Mutex, MutexGuard};
+
 use qsm_algorithms::analysis::EffectiveParams;
 use qsm_algorithms::{gen, samplesort};
 use qsm_core::SimMachine;
@@ -45,6 +47,55 @@ use qsm_simnet::MachineConfig;
 
 use crate::stats::{cross_interpolate, mean};
 use crate::RunCfg;
+
+/// The points of a crossover sweep: `(swept value, n_cross)`, `None`
+/// where the crossover lies beyond the sweep.
+pub(crate) type Crossovers = Vec<(f64, Option<f64>)>;
+
+/// What one crossover figure (`fig5`, `fig6`) swept so far in this
+/// process, for `table4`, which fits its model to the same points.
+/// The points are a pure function of the [`RunCfg`] (the machines are
+/// `paper_default` variants and every seed derives from the config),
+/// and a process sweeps a handful of configs: a linear scan, nothing
+/// evicted, in the manner of `qsm_core::calibrate`'s memo.
+pub(crate) struct CrossoverMemo(Mutex<Vec<(RunCfg, Crossovers)>>);
+
+impl CrossoverMemo {
+    pub(crate) const fn new() -> Self {
+        Self(Mutex::new(Vec::new()))
+    }
+
+    /// A push cannot tear the table, so a poisoned lock is recovered.
+    fn table(&self) -> MutexGuard<'_, Vec<(RunCfg, Crossovers)>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Sweep, and leave the points for later readers. The figure's own
+    /// `run` calls this and never reads the memo: a figure that is run
+    /// does its work, so its journal, its progress lines and its
+    /// timing are those of a sweep whatever the process ran before.
+    /// The lock is not held across the sweep.
+    pub(crate) fn sweep(&self, cfg: &RunCfg, sweep: impl FnOnce() -> Crossovers) -> Crossovers {
+        let points = sweep();
+        let mut table = self.table();
+        if !table.iter().any(|(c, _)| c == cfg) {
+            table.push((cfg.clone(), points.clone()));
+        }
+        points
+    }
+
+    /// The points of an earlier sweep at `cfg`, or of one made now.
+    pub(crate) fn get_or_sweep(
+        &self,
+        cfg: &RunCfg,
+        sweep: impl FnOnce() -> Crossovers,
+    ) -> Crossovers {
+        if let Some((_, points)) = self.table().iter().find(|(c, _)| c == cfg) {
+            return points.clone();
+        }
+        self.sweep(cfg, sweep)
+    }
+}
 
 /// Mean measured communication time of sample sort at size `n` over
 /// `reps` repetitions on `machine_cfg`.
@@ -98,4 +149,32 @@ pub(crate) fn samplesort_crossover(
         prev = Some((n as f64, diff));
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn memo_serves_readers_but_never_the_figure_itself() {
+        let memo = CrossoverMemo::new();
+        let cfg = RunCfg::fast();
+        let sweeps = std::cell::Cell::new(0u32);
+        let sweep = || {
+            sweeps.set(sweeps.get() + 1);
+            vec![(sweeps.get() as f64, None)]
+        };
+        // A reader with nothing remembered sweeps; the next one does not.
+        assert_eq!(memo.get_or_sweep(&cfg, sweep), vec![(1.0, None)]);
+        assert_eq!(memo.get_or_sweep(&cfg, sweep), vec![(1.0, None)]);
+        assert_eq!(sweeps.get(), 1);
+        // The figure's own run sweeps regardless, and readers keep the
+        // first remembered points (equal, for a real sweep).
+        assert_eq!(memo.sweep(&cfg, sweep), vec![(2.0, None)]);
+        assert_eq!(memo.get_or_sweep(&cfg, sweep), vec![(1.0, None)]);
+        // Every field of the config is in the key.
+        let other = RunCfg { reps: cfg.reps + 1, ..cfg.clone() };
+        assert_eq!(memo.get_or_sweep(&other, sweep), vec![(3.0, None)]);
+        assert_eq!(sweeps.get(), 3);
+    }
 }

@@ -4,11 +4,13 @@
 //! The model is fitted exactly as the paper describes: take the
 //! measured crossover on the default simulated machine, take the
 //! linear slopes of crossover-vs-l (Figure 5) and crossover-vs-o
-//! (Figure 6), and extrapolate `n_min(l, o, p, g)` to the other
-//! machines' parameters. The paper's own entries carry an unknown
-//! software factor `k` for the non-simulated rows; we print our
-//! absolute predictions next to the paper's `k`-coefficients so the
-//! *ordering and spread* can be compared.
+//! (Figure 6) — the points those figures swept if this process ran
+//! them, a sweep of its own otherwise — and extrapolate
+//! `n_min(l, o, p, g)` to the other machines' parameters. The paper's
+//! own entries carry an unknown software factor `k` for the
+//! non-simulated rows; we print our absolute predictions next to the
+//! paper's `k`-coefficients so the *ordering and spread* can be
+//! compared.
 
 use qsm_algorithms::analysis::EffectiveParams;
 use qsm_models::machine::{paper_k_coefficients, table4_machines};

@@ -62,7 +62,7 @@ use std::path::PathBuf;
 pub use qsm_core::knob::{env_usize, parse_usize_knob};
 
 /// Common sweep configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunCfg {
     /// Simulated processors (paper default: 16).
     pub p: usize,

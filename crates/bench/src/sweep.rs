@@ -11,8 +11,9 @@
 //!
 //! The pool is sized by the `QSM_JOBS` environment variable; the
 //! default is `available_parallelism() / p_sim` (minimum 1), because
-//! every measurement point itself spawns `p_sim` simulated-processor
-//! threads. `QSM_JOBS=1` recovers the serial executor exactly.
+//! every measurement point itself keeps `p_sim` pooled workers busy
+//! (concurrent points each lease their own from `qsm_core::pool`).
+//! `QSM_JOBS=1` recovers the serial executor exactly.
 //!
 //! Panics are handled per point: every point runs under
 //! `catch_unwind`, so one exploding configuration never poisons the

@@ -3,11 +3,11 @@
 //! A [`Ctx`] is what a QSM program sees: its processor id, typed
 //! shared-array registration, `put`/`get` enqueueing, a local window
 //! into block-distributed arrays, explicit local-operation charging,
-//! and `sync()`. One `Ctx` lives on each worker thread. On the
-//! simulated backend all communication with the machine's driver
-//! travels over channels, so that path contains no locks and no
-//! `unsafe`; the threads backend instead rendezvouses through the
-//! lock-free SPMD exchange area in `crate::spmd`.
+//! and `sync()`. One `Ctx` lives on each pooled worker for the length
+//! of a run and owns that processor's memory segments throughout. On
+//! every backend `sync()` is the same rendezvous through the lock-free
+//! exchange area in `crate::spmd`, which is also where all the
+//! `unsafe` of reading a peer's context lives; this file has none.
 //!
 //! ### Bulk-synchrony enforcement
 //!
@@ -28,25 +28,24 @@
 //!
 //! ### The allocation-free hot path
 //!
-//! Steady-state phases allocate nothing on the worker side: put
-//! payload buffers come from a per-processor raw-word pool (refilled
-//! by redeemed get results and the driver's hand-backs), the op and
-//! registration containers round-trip to the driver and come back
-//! drained, and get results live in a dense ticket-indexed
-//! `TicketTable` instead of a hash map.
+//! Steady-state phases allocate nothing in the runtime: put payload
+//! buffers come from a bounded per-processor raw-word pool (refilled
+//! by redeemed get results and by the worker's own put buffers, which
+//! it reclaims from its exchange slot two phases later), the op and
+//! registration containers are drained and reused in place, and get
+//! results live in a dense ticket-indexed `TicketTable` instead of a
+//! hash map.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
 
-use crossbeam::channel::{Receiver, Sender};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::addr::{block_range, ArrayId, Layout};
-use crate::driver::{DriverReply, SyncPayload, WorkerMsg};
 use crate::ops::{GetOp, GetTicket, PutOp, QueuedOps};
-use crate::shmem::{ArrayInfo, LocalStore, Registration, SharedArray};
+use crate::shmem::{LocalStore, Registration, SharedArray};
 use crate::word::Word;
 
 /// Upper bound on pooled raw-word buffers kept per processor, so a
@@ -110,22 +109,6 @@ impl TicketTable {
     }
 }
 
-/// How a [`Ctx`] reaches the rest of the machine at `sync()`.
-pub(crate) enum Runtime {
-    /// Channel rendezvous with a dedicated driver thread (the
-    /// simulated backend).
-    Channel {
-        tx: Sender<WorkerMsg>,
-        rx: Receiver<DriverReply>,
-        /// Drained result container handed back by the driver,
-        /// shipped with the next payload so replies never allocate.
-        spare_results: Vec<(u64, Vec<u64>)>,
-    },
-    /// Lock-free SPMD rendezvous through a shared exchange area (the
-    /// threads backend; see `crate::spmd`).
-    Spmd(crate::spmd::SpmdLink),
-}
-
 /// The per-processor execution context handed to QSM programs.
 pub struct Ctx {
     pub(crate) proc: usize,
@@ -144,14 +127,16 @@ pub struct Ctx {
     /// nothing here.
     pub(crate) raw_pool: Vec<Vec<u64>>,
     rng: SmallRng,
-    pub(crate) runtime: Runtime,
-    /// Per-worker span capture for the SPMD path; `None` (the
-    /// default, and always on the channel path) means no capture.
+    /// This run's exchange area, where `sync()` rendezvouses.
+    pub(crate) link: crate::spmd::SpmdLink,
+    /// Per-worker span capture; `None` (the default, and always on
+    /// the simulated machine) means no capture.
     pub(crate) spmd_obs: Option<Box<crate::spmd::SpmdObs>>,
 }
 
 impl Ctx {
-    fn with_runtime(proc: usize, nprocs: usize, seed: u64, runtime: Runtime) -> Self {
+    /// A context for processor `proc` of the run behind `link`.
+    pub(crate) fn new(proc: usize, nprocs: usize, seed: u64, link: crate::spmd::SpmdLink) -> Self {
         Self {
             proc,
             nprocs,
@@ -166,35 +151,9 @@ impl Ctx {
             tickets: TicketTable::default(),
             raw_pool: Vec::new(),
             rng: SmallRng::seed_from_u64(seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            runtime,
+            link,
             spmd_obs: None,
         }
-    }
-
-    /// A context on the channel path (driver-thread rendezvous).
-    pub(crate) fn new(
-        proc: usize,
-        nprocs: usize,
-        seed: u64,
-        tx: Sender<WorkerMsg>,
-        rx: Receiver<DriverReply>,
-    ) -> Self {
-        Self::with_runtime(
-            proc,
-            nprocs,
-            seed,
-            Runtime::Channel { tx, rx, spare_results: Vec::new() },
-        )
-    }
-
-    /// A context on the SPMD path (lock-free exchange-area rendezvous).
-    pub(crate) fn new_spmd(
-        proc: usize,
-        nprocs: usize,
-        seed: u64,
-        link: crate::spmd::SpmdLink,
-    ) -> Self {
-        Self::with_runtime(proc, nprocs, seed, Runtime::Spmd(link))
     }
 
     /// This processor's id in `0..nprocs()`.
@@ -380,87 +339,10 @@ impl Ctx {
         }
     }
 
-    /// Mirror the driver's phase-end bookkeeping locally: ids were
-    /// assigned in registration order starting from our own counter,
-    /// and the (drained) registration containers are kept for reuse.
-    pub(crate) fn apply_reg_mirror(
-        &mut self,
-        mut regs_back: Vec<Registration>,
-        mut unregs_back: Vec<ArrayId>,
-    ) {
-        let first_new = self.next_array_id - regs_back.len() as u32;
-        for (k, reg) in regs_back.drain(..).enumerate() {
-            let id = ArrayId(first_new + k as u32);
-            // The segment itself arrived positionally (reply segments
-            // on the channel path; installed in-place on SPMD).
-            self.store.set_info(ArrayInfo {
-                id,
-                name: reg.name,
-                len: reg.len,
-                elem_bytes: reg.elem_bytes,
-                layout: reg.layout,
-            });
-        }
-        for id in unregs_back.drain(..) {
-            self.store.remove(id);
-        }
-        self.pending_regs = regs_back;
-        self.pending_unregs = unregs_back;
-    }
-
     /// End the phase: exchange all queued operations, complete
     /// pending registrations, and synchronize with every other
     /// processor. Returns once the barrier releases this processor.
     pub fn sync(&mut self) {
-        if matches!(self.runtime, Runtime::Spmd(_)) {
-            crate::spmd::sync_phase(self);
-        } else {
-            self.sync_channel();
-        }
-    }
-
-    /// The channel-path `sync()`: rendezvous with the driver thread.
-    fn sync_channel(&mut self) {
-        let Runtime::Channel { tx, rx, spare_results } = &mut self.runtime else {
-            unreachable!("sync_channel on an SPMD context");
-        };
-        let payload = SyncPayload {
-            proc: self.proc,
-            charged: std::mem::take(&mut self.charged),
-            ops: self.queued.take(),
-            regs: std::mem::take(&mut self.pending_regs),
-            unregs: std::mem::take(&mut self.pending_unregs),
-            segments: std::mem::take(&mut self.store.segments),
-            spare_results: std::mem::take(spare_results),
-            // Captured last, just before the send: wall-clock
-            // backends read this as "compute for the phase ended
-            // here" (the price stage's compute/comm split).
-            arrived: std::time::Instant::now(),
-        };
-        tx.send(WorkerMsg::Sync(payload)).expect("driver hung up");
-        let reply = rx.recv().expect("driver hung up");
-        self.store.segments = reply.segments;
-        let mut results = reply.results;
-        for (ticket, data) in results.drain(..) {
-            self.tickets.fulfill(ticket, data);
-        }
-        *spare_results = results;
-        // The worker's own op containers come back drained; the put
-        // buffers themselves were reclaimed into the driver's pool.
-        self.queued = reply.recycle;
-        self.apply_reg_mirror(reply.regs_back, reply.unregs_back);
-        self.phase += 1;
-    }
-
-    /// Tear down: report this processor's final output to the driver.
-    pub(crate) fn finish(self) {
-        match &self.runtime {
-            Runtime::Channel { tx, .. } => {
-                tx.send(WorkerMsg::Finished { proc: self.proc }).expect("driver hung up");
-            }
-            // The SPMD engine runs its own finish rendezvous
-            // (`crate::spmd::epilogue`) before the context drops.
-            Runtime::Spmd(_) => unreachable!("finish() on an SPMD context"),
-        }
+        crate::spmd::sync_phase(self);
     }
 }

@@ -1,27 +1,25 @@
-//! The shared run engine: one pipeline for every backend.
+//! The shared run engine: one pipeline, one run loop, every backend.
 //!
 //! [`run`] is the only place in the workspace that launches QSM
 //! workers and drives the phase loop. A [`Machine`] contributes just
-//! its configuration and its [`PhaseTimer`]; the driver's
-//! plan/price/record stages, the ambient observability hookup, and
-//! the final profile/report assembly are identical across backends,
-//! which is what makes cross-backend comparisons of the resulting
-//! [`RunResult`]s meaningful.
+//! its configuration and its [`PhaseTimer`]; how a run executes is the
+//! same for all of them, which is what makes cross-backend comparisons
+//! of the resulting [`RunResult`]s meaningful.
 //!
-//! Two execution paths share those stages:
-//!
-//! * **channel path** (the simulated backend): per-run scoped worker
-//!   threads rendezvous with a dedicated driver thread over channels;
-//!   ownership transfer through the channels is the synchronization.
-//! * **SPMD path** ([`Machine::uses_worker_pool`]; the threads
-//!   backend): jobs run on the resident worker pool (`crate::pool`)
-//!   and synchronize through the lock-free exchange area
-//!   (`crate::spmd`) — no driver thread, no per-run thread spawns.
+//! A run is `p` jobs, one per processor, on workers leased from the
+//! resident pool (`crate::pool`): no thread is spawned for a run whose
+//! workers are idle in the pool. The jobs rendezvous through the
+//! lock-free exchange area (`crate::spmd`) twice per `sync()`; worker
+//! 0 doubles as the phase leader and runs the driver's plan / price /
+//! record stages inline, with the machine's timer as the price stage.
+//! On the simulated machine that timer is the network model, so
+//! simulated time advances on the leader while the other workers are
+//! already computing the next phase; on the threads machine it reads
+//! the host clock. Nothing else differs between backends.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use crossbeam::channel::{bounded, unbounded};
 use qsm_models::ProgramProfile;
 use qsm_obs::Recorder;
 
@@ -40,9 +38,9 @@ where
     // Ambient observability: emit into whatever recorder the harness
     // installed (disabled — and free — by default).
     let result = run_with(machine, program, crate::obs::recorder());
-    // Fold fault totals into the calling thread's tally (this is the
-    // thread that called `Machine::run` on both paths, which is what
-    // lets the bench sweep scope per-point deltas).
+    // Fold fault totals into the calling thread's tally (the thread
+    // that called `Machine::run`, which is what lets the bench sweep
+    // scope per-point deltas).
     let (retries, drops) =
         result.phases.iter().fold((0u64, 0u64), |(r, d), ph| (r + ph.retries, d + ph.dropped_msgs));
     crate::tally::note_run(retries, drops);
@@ -58,72 +56,6 @@ where
     R: Send,
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
-    if machine.uses_worker_pool() {
-        return run_spmd(machine, program, rec);
-    }
-    let p = machine.nprocs();
-    let (worker_tx, driver_rx) = unbounded();
-    let mut reply_txs = Vec::with_capacity(p);
-    let mut reply_rxs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = bounded(1);
-        reply_txs.push(tx);
-        reply_rxs.push(rx);
-    }
-
-    // Driver and timer share the recorder, so both backends feed the
-    // same capture.
-    let driver = Driver::new(p, machine.check_conflicts(), rec.clone());
-    let mut timer = machine.make_timer(rec);
-    let program = &program;
-    let seed = machine.seed();
-
-    let scope_result = crossbeam::thread::scope(move |scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (proc, rx) in reply_rxs.into_iter().enumerate() {
-            let tx = worker_tx.clone();
-            handles.push(scope.spawn(move |_| {
-                let panic_tx = tx.clone();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = Ctx::new(proc, p, seed, tx, rx);
-                    let out = program(&mut ctx);
-                    ctx.finish();
-                    out
-                }));
-                match result {
-                    Ok(out) => Some(out),
-                    Err(payload) => {
-                        let _ = panic_tx.send(crate::driver::WorkerMsg::Panicked(payload));
-                        None
-                    }
-                }
-            }));
-        }
-        drop(worker_tx);
-        let driver_result = driver.run(&driver_rx, &reply_txs, &mut timer);
-        drop(reply_txs); // release any workers still blocked in sync()
-        Driver::collect_outputs(handles, driver_result)
-    });
-    let (outputs, phases) = match scope_result {
-        Ok(v) => v,
-        // The driver panicked on the scope thread (e.g. a collective
-        // violation): re-raise with its own message.
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-
-    assemble(machine, outputs, phases)
-}
-
-/// Run `program` on the resident SPMD worker pool with the lock-free
-/// exchange (`crate::spmd`): one job per processor, worker 0 doubles
-/// as the phase leader running the driver's plan/price/record stages
-/// inline.
-fn run_spmd<M, R, F>(machine: &M, program: F, rec: Recorder) -> RunResult<R>
-where
-    M: Machine,
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Send + Sync,
-{
     let p = machine.nprocs();
     let mut driver = Driver::new(p, machine.check_conflicts(), rec.clone());
     let mut timer: Box<dyn PhaseTimer> = Box::new(machine.make_timer(rec.clone()));
@@ -131,7 +63,8 @@ where
     // Full-level capture: a timer that opts in (the wall-clock one)
     // hands over its epoch and the workers emit their own per-lane
     // spans against it (compute / barrier legs / serve / apply plus
-    // the leader's plan and price stages).
+    // the leader's plan and price stages). The simulated timer does
+    // not: its trace is in simulated cycles, from the price stage.
     let obs = if rec.is_full() {
         timer.spmd_span_epoch().map(|epoch| {
             rec.set_nprocs(p);
@@ -140,7 +73,7 @@ where
     } else {
         None
     };
-    let area = crate::spmd::ExchangeArea::new(p, driver, timer, obs);
+    let area = crate::spmd::ExchangeArea::new(p, driver, timer, obs, rec.is_full());
     let outputs: Vec<Mutex<Option<R>>> = (0..p).map(|_| Mutex::new(None)).collect();
     let seed = machine.seed();
     let program = &program;
@@ -173,15 +106,16 @@ where
                 }
             }
             crate::spmd::exit_rendezvous(area);
+            crate::spmd::retire(&mut ctx);
         };
         let stats = crate::pool::execute(p, &job);
 
-        if rec.is_enabled() {
-            // Pool placement telemetry. All deterministic for a given
-            // environment (the pool always grows to min(p, QSM_POOL)
-            // residents before placing, and spawns are attributed to
-            // runs under the pool lock), so metrics-level dumps stay
-            // byte-stable across QSM_JOBS.
+        if rec.is_full() {
+            // Pool placement and barrier backoff depend on what the
+            // process ran before (the first run spawns, the next does
+            // not) and on scheduling, so they are full-level only
+            // (single-run captures) and metrics-level dumps stay
+            // byte-stable across `QSM_JOBS` and process history.
             rec.add("pool_spawns", stats.spawned);
             rec.add("spmd_runs", 1);
             rec.add("pool_resident_jobs", stats.resident as u64);
@@ -191,16 +125,12 @@ where
             if crate::pool::pinning_requested() {
                 rec.add("pool_pinned_runs", 1);
             }
+            let (yields, sleeps) = area.barrier_transitions();
+            rec.add("spmd_barrier_yield_transitions", yields);
+            rec.add("spmd_barrier_sleep_transitions", sleeps);
         }
     }
 
-    if rec.is_full() {
-        // Barrier backoff escalations are scheduling-dependent, so
-        // they are full-level only (single-run captures).
-        let (yields, sleeps) = area.barrier_transitions();
-        rec.add("spmd_barrier_yield_transitions", yields);
-        rec.add("spmd_barrier_sleep_transitions", sleeps);
-    }
     let (phases, panic) = area.into_results();
     if let Some(payload) = panic {
         resume_unwind(payload);

@@ -3,9 +3,9 @@
 //! Every QSM backend is a [`Machine`]: a small configuration value
 //! that knows how many processors it has, how to build the
 //! [`PhaseTimer`] that prices each phase, and how to assemble the
-//! final [`CostReport`]. The run pipeline itself —
-//! **plan → exchange → price → record** — lives once in
-//! `crate::engine` and is shared by every backend, so the simulated
+//! final [`CostReport`]. The run loop and its pipeline —
+//! **plan → exchange → price → record** — live once in
+//! `crate::engine` and are shared by every backend, so the simulated
 //! and native machines produce the same [`PhaseRecord`] stream, the
 //! same profile, and feed the same observability recorder. That is
 //! the paper's methodology in code: identical programs, identical
@@ -92,8 +92,8 @@ pub trait PhaseTimer: Send {
         0.0
     }
 
-    /// Opt in to SPMD per-worker span capture. The engine calls this
-    /// once per SPMD run when full-level observability is on; a timer
+    /// Opt in to per-worker span capture. The engine calls this once
+    /// per run when full-level observability is on; a timer
     /// that returns the run's epoch instant takes over the timeline
     /// (workers then emit their own compute / barrier / serve / apply
     /// spans against it, and the timer must stop emitting its
@@ -113,9 +113,8 @@ pub trait PhaseTimer: Send {
 /// for a program running unmodified on both backends.
 pub trait Machine {
     /// The phase-pricing strategy this backend plugs into the engine.
-    /// (`'static` so the SPMD engine can hold it as a trait object
-    /// across the run; timers are configuration + counters, never
-    /// borrows.)
+    /// (`'static` so the engine can hold it as a trait object across
+    /// the run; timers are configuration + counters, never borrows.)
     type Timer: PhaseTimer + 'static;
 
     /// Number of processors.
@@ -136,15 +135,6 @@ pub trait Machine {
 
     /// Build the timer for one run, emitting into `rec`.
     fn make_timer(&self, rec: Recorder) -> Self::Timer;
-
-    /// Whether runs execute on the resident SPMD worker pool
-    /// (`crate::pool`) with the lock-free exchange instead of the
-    /// channel-path driver thread. Default: channel path. The
-    /// threads backend opts in; the simulated backend keeps the
-    /// deterministic driver pipeline.
-    fn uses_worker_pool(&self) -> bool {
-        false
-    }
 
     /// Assemble the run's cost report from its phase records.
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport;
@@ -375,13 +365,6 @@ impl Machine for AnyMachine {
         match self {
             AnyMachine::Sim(m) => AnyTimer(AnyTimerInner::Sim(Box::new(m.make_timer(rec)))),
             AnyMachine::Threads(m) => AnyTimer(AnyTimerInner::Wall(m.make_timer(rec))),
-        }
-    }
-
-    fn uses_worker_pool(&self) -> bool {
-        match self {
-            AnyMachine::Sim(m) => m.uses_worker_pool(),
-            AnyMachine::Threads(m) => m.uses_worker_pool(),
         }
     }
 

@@ -1,28 +1,41 @@
 //! Process-global pool of resident SPMD worker threads.
 //!
-//! The threads backend used to spawn a fresh `crossbeam::thread`
-//! scope of `p` workers on every `run()`. At large `p` (or many
-//! small runs) thread creation dominates, so this module keeps a
-//! process-global pool of **resident** workers that are spawned once
-//! and reused for every subsequent run: `execute` submits one job
-//! per processor to the resident workers and blocks until all report
-//! completion. Workers beyond the resident cap (knob `QSM_POOL`;
-//! default: grow to the largest `p` ever requested) are spawned
-//! per-run as overflow and do not persist.
+//! Every run of every backend is `p` jobs that rendezvous on
+//! barriers, one per processor, each on a thread of its own. Spawning
+//! those threads per run dominates short runs, so this module keeps
+//! **resident** workers that are spawned once and reused: `execute`
+//! *leases* `p` of them for the length of one run. Under a short lock
+//! it takes idle residents, lowest index first, and spawns new ones
+//! while fewer than `QSM_POOL` exist (default: no cap, so the pool
+//! grows to the largest number of workers ever in use at once); jobs
+//! it still cannot place run on per-run overflow threads that do not
+//! persist. The run itself holds no lock, so concurrent runs — the
+//! bench sweep at `QSM_JOBS` > 1 — each get workers of their own and
+//! proceed in parallel, while a lone run finds the residents of the
+//! previous one idle and spawns nothing.
+//!
+//! ### Why a leased worker never runs jobs of two runs at once
+//!
+//! SPMD jobs wait for each other on barriers, so a worker that held
+//! jobs of two runs would block the second behind the first and could
+//! deadlock both. A resident's inbox sender is *moved*: it is either
+//! in the pool's idle table (behind the mutex) or in exactly one
+//! `execute` frame's lease, never cloned. Only the lease holder can
+//! send to the worker, it sends exactly one job, and it puts the
+//! sender back only after all `p` of its jobs signalled completion.
+//! A run also never waits for a worker — what is not idle is spawned
+//! or overflowed — so leasing cannot deadlock either.
 //!
 //! With `QSM_PIN=1` each worker is pinned to host core
 //! `index % available_parallelism()` at spawn via a raw
 //! `sched_setaffinity` syscall (the workspace vendors no libc). On
 //! platforms where pinning is unsupported or fails, a single warning
 //! is printed and workers run unpinned.
-//!
-//! Concurrent `execute` calls serialize on the pool lock for the
-//! whole run: SPMD jobs rendezvous on barriers, so interleaving two
-//! runs' jobs across one set of workers would deadlock.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crossbeam::channel::{unbounded, Sender};
 
@@ -31,9 +44,10 @@ use crate::knob;
 /// A worker-thread panic payload, forwarded to `execute`'s caller.
 type Payload = Box<dyn std::any::Any + Send>;
 
-/// A lifetime-erased job: `execute` guarantees the underlying
-/// borrow outlives every use (it blocks until all done-signals are
-/// in), so the erased `'static` is never exercised.
+/// A lifetime-erased job. The `'static` is a fiction that `execute`
+/// makes harmless: it neither returns nor unwinds before every worker
+/// it handed the reference to has signalled completion (see the
+/// `SAFETY` comment at the transmute).
 type JobRef = &'static (dyn Fn(usize) + Sync);
 
 struct Job {
@@ -43,11 +57,22 @@ struct Job {
 }
 
 struct PoolState {
-    /// Job inboxes of resident workers; index = worker = processor id.
-    workers: Vec<Sender<Job>>,
+    /// Job inboxes of the residents no run holds, by worker index.
+    /// A leased worker's inbox is moved out, not cloned (module doc).
+    idle: BTreeMap<usize, Sender<Job>>,
+    /// Residents ever spawned, which is also the next worker index:
+    /// a resident never exits, so this is what `QSM_POOL` caps.
+    residents: usize,
 }
 
-static POOL: OnceLock<Mutex<PoolState>> = OnceLock::new();
+static POOL: Mutex<PoolState> = Mutex::new(PoolState { idle: BTreeMap::new(), residents: 0 });
+
+/// The pool table. Every update under the lock is one insert, one
+/// removal or one increment, so a poisoned lock still guards a valid
+/// table and is recovered.
+fn pool() -> MutexGuard<'static, PoolState> {
+    POOL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Every worker thread this module ever spawned (resident and
 /// overflow). Monotonic; never reset.
@@ -62,7 +87,7 @@ pub fn spawned_workers() -> u64 {
 }
 
 /// Resident-worker cap from `QSM_POOL` (default: unbounded, i.e. the
-/// pool grows to the largest `p` ever requested; `0` keeps no
+/// pool grows to the most workers ever in use at once; `0` keeps no
 /// resident workers at all). Read once per process.
 fn pool_cap() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
@@ -116,6 +141,10 @@ fn pin_to_core(core: usize) -> bool {
     }
     mask[core / 64] |= 1u64 << (core % 64);
     let ret: isize;
+    // SAFETY: `sched_setaffinity` only reads `size_of_val(&mask)` bytes
+    // at `mask`, which outlives the call; the x86-64 `syscall`
+    // instruction clobbers exactly rax (the result), rcx and r11, all
+    // declared, and touches no stack.
     unsafe {
         std::arch::asm!(
             "syscall",
@@ -140,6 +169,9 @@ fn pin_to_core(core: usize) -> bool {
     }
     mask[core / 64] |= 1u64 << (core % 64);
     let ret: isize;
+    // SAFETY: as on x86-64 — the kernel only reads the live `mask`;
+    // `svc 0` returns in x0 (declared) and preserves every other
+    // register, and touches no stack.
     unsafe {
         std::arch::asm!(
             "svc 0",
@@ -159,9 +191,10 @@ fn pin_to_core(_core: usize) -> bool {
 }
 
 /// Spawn resident worker `idx`: a detached process-lifetime thread
-/// that loops on its job inbox. The defensive `catch_unwind` keeps a
-/// panicking job from killing the resident worker (the SPMD engine
-/// catches its own panics, so this fires only for foreign jobs).
+/// that loops on its job inbox and exits only when its inbox sender is
+/// dropped, which a leased or idle sender never is. The `catch_unwind`
+/// keeps a panicking job from killing the worker (the engine catches
+/// its own panics, so this fires only for foreign jobs).
 fn spawn_resident(idx: usize) -> Sender<Job> {
     let (tx, rx) = unbounded::<Job>();
     SPAWNED.fetch_add(1, Ordering::AcqRel);
@@ -179,52 +212,78 @@ fn spawn_resident(idx: usize) -> Sender<Job> {
 }
 
 /// How one `execute` call placed its jobs: `resident + overflow == p`.
-/// Deterministic for a given environment — the growth loop always
-/// brings the pool to `min(p, QSM_POOL)` residents before placing —
-/// so these are safe to surface as metrics-level telemetry.
+/// With concurrent callers the split depends on who leased first, so
+/// the engine reports these at full level only (single-run captures).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecStats {
-    /// Jobs placed on resident (reused) pool workers.
+    /// Jobs placed on resident (leased) pool workers.
     pub(crate) resident: usize,
     /// Jobs placed on per-call overflow threads.
     pub(crate) overflow: usize,
     /// Worker threads spawned by this call (pool growth + overflow).
-    /// Counted under the pool lock — unlike a delta of the global
-    /// [`spawned_workers`] counter, concurrent `execute` calls can
-    /// never attribute one spawn to two runs, so per-run sums stay
-    /// identical for every caller interleaving.
     pub(crate) spawned: u64,
+}
+
+/// The residents one `execute` call holds, as `(worker index, inbox)`.
+/// Dropping the lease hands them back, so neither a re-raised job
+/// panic nor a failed spawn can shrink the pool.
+struct Lease(Vec<(usize, Sender<Job>)>);
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        pool().idle.extend(self.0.drain(..));
+    }
+}
+
+/// A pool invariant broke while workers may still be running a job
+/// that borrows `execute`'s caller: unwinding would free that frame
+/// under them, so the process stops instead.
+#[cold]
+fn die(what: &str) -> ! {
+    eprintln!("qsm-core pool: {what}; aborting");
+    std::process::abort()
 }
 
 /// Run `job(proc)` for every `proc` in `0..p`, each invocation on its
 /// own worker thread, and return once all `p` invocations completed.
 ///
-/// Processors `0..min(p, QSM_POOL)` run on resident pool workers
-/// (spawned on first use, reused ever after); any remainder runs on
-/// per-call overflow threads. If any job panicked, the first payload
-/// (by completion order) is re-raised after all jobs finished.
-/// Returns how the jobs were placed.
+/// The jobs run on leased residents — idle ones first, lowest index
+/// first, then newly spawned ones while fewer than `QSM_POOL` exist —
+/// and any remainder on per-call overflow threads. The pool lock is
+/// held only to take and to give back the lease. If any job panicked,
+/// the first payload (by completion order) is re-raised after all
+/// jobs finished. Returns how the jobs were placed.
 pub(crate) fn execute(p: usize, job: &(dyn Fn(usize) + Sync)) -> ExecStats {
-    let pool = POOL.get_or_init(|| Mutex::new(PoolState { workers: Vec::new() }));
-    // Held for the entire call — see the module doc on serialization.
-    let mut state = pool.lock().unwrap_or_else(|e| e.into_inner());
-    let resident_target = p.min(pool_cap());
+    let mut lease = Lease(Vec::with_capacity(p));
     let mut grown = 0u64;
-    while state.workers.len() < resident_target {
-        let idx = state.workers.len();
-        let tx = spawn_resident(idx);
-        state.workers.push(tx);
-        grown += 1;
+    {
+        let mut state = pool();
+        while lease.0.len() < p {
+            if let Some(worker) = state.idle.pop_first() {
+                lease.0.push(worker);
+            } else if state.residents < pool_cap() {
+                let idx = state.residents;
+                state.residents += 1;
+                lease.0.push((idx, spawn_resident(idx)));
+                grown += 1;
+            } else {
+                break;
+            }
+        }
     }
-    // SAFETY: the erased job reference is used only by resident
-    // workers (until their done-signal below) and overflow scope
-    // threads (joined before the scope ends); both complete before
-    // `execute` returns, so the borrow outlives every use.
+    let resident = lease.0.len();
+    // SAFETY: the erased reference is handed to exactly `p` workers —
+    // the leased residents, which use it only until the done-signal
+    // they send after their one job, and overflow scope threads, which
+    // are joined before the scope ends. `execute` leaves the scope
+    // only after receiving all `p` done-signals, and every failure in
+    // between aborts (`die`) instead of unwinding, so the borrow
+    // outlives every use. The lease invariant (module doc) means no
+    // other run can reach these workers meanwhile.
     let job_static: JobRef = unsafe { std::mem::transmute(job) };
     let (done_tx, done_rx) = unbounded::<Result<(), Payload>>();
-    let resident_used = p.min(state.workers.len());
     let first_panic = crossbeam::thread::scope(|scope| {
-        for proc in resident_used..p {
+        for proc in resident..p {
             SPAWNED.fetch_add(1, Ordering::AcqRel);
             let done = done_tx.clone();
             scope.spawn(move |_| {
@@ -233,28 +292,29 @@ pub(crate) fn execute(p: usize, job: &(dyn Fn(usize) + Sync)) -> ExecStats {
                 let _ = done.send(result);
             });
         }
-        for (proc, worker) in state.workers.iter().enumerate().take(resident_used) {
-            worker
-                .send(Job { f: job_static, proc, done: done_tx.clone() })
-                .expect("pool worker died");
+        for (proc, (_, inbox)) in lease.0.iter().enumerate() {
+            if inbox.send(Job { f: job_static, proc, done: done_tx.clone() }).is_err() {
+                die("a resident worker exited while leased");
+            }
         }
         let mut first_panic = None;
         for _ in 0..p {
-            if let Err(payload) = done_rx.recv().expect("worker hung up") {
-                first_panic.get_or_insert(payload);
+            match done_rx.recv() {
+                Ok(Ok(())) => {}
+                Ok(Err(payload)) => {
+                    first_panic.get_or_insert(payload);
+                }
+                Err(_) => die("a worker dropped its job without reporting"),
             }
         }
         first_panic
     })
     .expect("overflow worker panicked outside the job");
+    drop(lease);
     if let Some(payload) = first_panic {
         std::panic::resume_unwind(payload);
     }
-    ExecStats {
-        resident: resident_used,
-        overflow: p - resident_used,
-        spawned: grown + (p - resident_used) as u64,
-    }
+    ExecStats { resident, overflow: p - resident, spawned: grown + (p - resident) as u64 }
 }
 
 #[cfg(test)]
@@ -275,16 +335,30 @@ mod tests {
         assert_eq!(stats.resident + stats.overflow, 8, "every job placed exactly once");
     }
 
+    /// Both runs are forced in flight at once (each job waits for all
+    /// eight), which also shows that a run holds no pool lock. Reuse by
+    /// a lone run is pinned where the process is the test's own:
+    /// `tests/worker_pool.rs` and `tests/sim_on_pool.rs`.
     #[test]
-    fn repeated_execute_reuses_resident_workers() {
-        // Warm the pool to the largest p any test in this binary uses,
-        // so a concurrently running test cannot grow it mid-assert.
-        execute(8, &|_proc| {});
-        let before = spawned_workers();
-        for _ in 0..3 {
-            execute(8, &|_proc| {});
-        }
-        assert_eq!(spawned_workers(), before, "resident workers must be reused");
+    fn concurrent_runs_lease_disjoint_workers() {
+        let all_running = std::sync::Barrier::new(8);
+        let threads = Mutex::new(Vec::new());
+        let job = |_proc: usize| {
+            threads.lock().unwrap().push(std::thread::current().id());
+            all_running.wait();
+        };
+        std::thread::scope(|s| {
+            let runs = [s.spawn(|| execute(4, &job)), s.spawn(|| execute(4, &job))];
+            for run in runs {
+                let stats = run.join().expect("a run panicked");
+                assert_eq!(stats.resident + stats.overflow, 4);
+                assert!(stats.resident <= pool_cap());
+            }
+        });
+        let mut threads = threads.into_inner().unwrap();
+        threads.sort_by_key(|id| format!("{id:?}"));
+        threads.dedup();
+        assert_eq!(threads.len(), 8, "a worker ran jobs of two concurrent runs");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shared-array metadata and driver-side global memory.
+//! Shared-array metadata and per-processor segment storage.
 
 use std::marker::PhantomData;
 
@@ -81,20 +81,16 @@ pub type Segment = Vec<u64>;
 /// The per-processor view of shared memory: segment storage plus
 /// array metadata, both dense `Vec`s indexed by `ArrayId.0` (ids are
 /// assigned sequentially, so the tables stay small and lookup is a
-/// bounds check instead of a hash). Workers own this between syncs.
-/// On the channel path the driver owns the segments during exchanges
-/// (ownership travels through channels, which is that path's entire
-/// synchronization story — no locks, no unsafe); on the SPMD threads
-/// path workers keep their segments and peers read them only inside
-/// the barrier-bracketed window of `crate::spmd`.
+/// bounds check instead of a hash). Each worker owns its store for
+/// the whole run; peers read it only inside the barrier-bracketed
+/// window of `crate::spmd`.
 #[derive(Debug, Default)]
 pub struct LocalStore {
     /// Metadata for every array id ever assigned; `None` when the
     /// array is not (or no longer) live on this processor.
     pub infos: Vec<Option<ArrayInfo>>,
     /// This processor's block segment of each array; unregistered or
-    /// never-registered slots hold an empty `Vec`. The container
-    /// round-trips to the driver every `sync()`.
+    /// never-registered slots hold an empty `Vec`.
     pub segments: Vec<Segment>,
 }
 
@@ -140,16 +136,6 @@ impl LocalStore {
             self.segments.resize_with(idx + 1, Segment::new);
         }
         self.segments[idx] = segment;
-        self.infos[idx] = Some(info);
-    }
-
-    /// Record metadata for an id whose segment is already in place
-    /// (the driver delivers segments positionally in its reply).
-    pub fn set_info(&mut self, info: ArrayInfo) {
-        let idx = info.id.0 as usize;
-        if self.infos.len() <= idx {
-            self.infos.resize(idx + 1, None);
-        }
         self.infos[idx] = Some(info);
     }
 

@@ -2,12 +2,13 @@
 //!
 //! [`SimMachine`] executes a QSM program — an ordinary Rust closure
 //! receiving a [`Ctx`] — on `p` *simulated* processors, through the
-//! same engine as every other backend. Each simulated processor is
-//! an OS thread running the closure; simulated time advances only
-//! inside `sync()`, where the driver's price stage runs the
-//! configured [`MachineConfig`] through the `qsm-simnet` network
-//! model. Results are bit-exact reproducible for a given machine
-//! seed.
+//! same engine as every other backend. Each simulated processor is a
+//! pooled worker (`crate::pool`) running the closure: a run spawns no
+//! thread once the pool is warm. Simulated time advances in the
+//! leader's price stage, where worker 0 runs the phase's metered
+//! traffic through the `qsm-simnet` network model configured by the
+//! [`MachineConfig`]; host time and host scheduling never enter it,
+//! so results are bit-exact reproducible for a given machine seed.
 
 use qsm_obs::Recorder;
 use qsm_simnet::{Cycles, MachineConfig};

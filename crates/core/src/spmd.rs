@@ -1,10 +1,10 @@
-//! The SPMD threads engine: a lock-free, double-buffered `sync()`.
+//! The SPMD exchange: a lock-free, double-buffered `sync()`.
 //!
-//! On the threads backend no driver thread exists. Every worker
-//! publishes its phase contribution (charged ops, queued puts/gets,
-//! registrations, and a pointer to its own memory segments) into a
-//! per-processor **slot** of a shared [`ExchangeArea`], then crosses
-//! two barriers per phase:
+//! Every run of every backend rendezvouses here; no driver thread
+//! exists. Every worker publishes its phase contribution (charged
+//! ops, queued puts/gets, registrations, and a pointer to its own
+//! memory segments) into a per-processor **slot** of a shared
+//! [`ExchangeArea`], then crosses two barriers per phase:
 //!
 //! ```text
 //!   publish slot[phase % 2]          (each worker, its own slot)
@@ -24,13 +24,15 @@
 //! happen before the leader finished phase *k* (the leader only
 //! reaches the *k+1* barriers after recording *k*).
 //!
-//! The plan/price/record stages are literally the driver's
-//! (`Driver::plan_stage` & co., generic over
-//! [`PhaseInput`]), so both execution paths meter and price phases
-//! with the same code; only the *exchange* differs — workers serve
+//! The plan/price/record stages are the driver's
+//! (`Driver::plan_stage` & co., reading the slots through the
+//! accessors of [`Slot`]); the *exchange* stage is here — workers serve
 //! their own gets from peers' frozen stores between the barriers and
-//! apply the puts that land in their own block right after B2, in the
-//! same deterministic processor-then-issue order as the driver.
+//! apply the puts that land in their own block right after B2, in
+//! processor-then-issue order, so the outcome of a phase does not
+//! depend on how the host schedules the workers. That is what lets
+//! the simulated machine, whose results must be bit-reproducible, ride
+//! the same exchange as the wall-clock one.
 //!
 //! ### Memory-safety windows
 //!
@@ -55,7 +57,7 @@
 //! dropped while a peer could still read it — and the engine re-raises
 //! the first real payload.
 
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -64,11 +66,11 @@ use qsm_obs::{Recorder, Span, SpanKind};
 use qsm_simnet::Cycles;
 
 use crate::addr::{block_range, for_each_owner_run, ArrayId, Layout};
-use crate::ctx::{Ctx, Runtime};
-use crate::driver::{Driver, PhaseInput, PhasePlan, PhaseRecord};
+use crate::ctx::Ctx;
+use crate::driver::{Driver, PhasePlan, PhaseRecord};
 use crate::machine::PhaseTimer;
 use crate::ops::QueuedOps;
-use crate::shmem::{ArrayInfo, LocalStore, Registration};
+use crate::shmem::{ArrayInfo, LocalStore, Registration, Segment};
 
 /// Marker payload workers unwind with when a *peer* failed: the
 /// engine suppresses it in favor of the originating panic.
@@ -80,8 +82,9 @@ fn aborted() -> ! {
 }
 
 /// Adaptive wait: brief spin, then yield, then sleep — the host may
-/// have (many) fewer cores than workers, so unbounded spinning would
-/// starve the very thread being waited on.
+/// have (many) fewer cores than workers (a simulated p = 16 on two
+/// cores, times `QSM_JOBS`), so unbounded spinning would starve the
+/// very thread being waited on.
 fn backoff(spins: &mut u32) {
     *spins = spins.saturating_add(1);
     if *spins < 64 {
@@ -215,29 +218,43 @@ impl Slot {
     }
 }
 
-// SAFETY: every UnsafeCell in a Slot follows the single-writer
-// barrier-bracketed protocol documented on the module: the owner
-// writes only at publish time, peers read only inside the barrier
-// windows, and the barrier provides the required happens-before.
-impl PhaseInput for Slot {
-    fn charged(&self) -> u64 {
+/// The leader's view of a published slot. Only `leader_plan` (between
+/// B1 and B2) and `leader_finish` (after B2, before the leader enters
+/// the next phase's B1) call these, which is what every `SAFETY`
+/// comment below leans on: the owner wrote the slot before B1 of this
+/// phase and writes it next when it publishes two phases later, which
+/// the leader's own arrival at the next B1 precedes.
+impl Slot {
+    pub(crate) fn charged(&self) -> u64 {
+        // SAFETY: written by the owner before B1, read by the leader
+        // in `leader_finish`; no write until the owner's publish two
+        // phases on, after the leader is done with this one.
         unsafe { *self.charged.get() }
     }
-    fn arrived(&self) -> Instant {
+    pub(crate) fn arrived(&self) -> Instant {
+        // SAFETY: as `charged` — same writer, same window.
         unsafe { *self.arrived.get() }
     }
-    fn ops(&self) -> &QueuedOps {
+    pub(crate) fn ops(&self) -> &QueuedOps {
+        // SAFETY: moved in by the owner before B1 and frozen until it
+        // republishes at this parity two phases on; the leader reads
+        // it in `leader_plan`, inside B1..B2. The borrow ends with the
+        // plan stage.
         unsafe { &*self.ops.get() }
     }
-    fn regs(&self) -> &[Registration] {
+    pub(crate) fn regs(&self) -> &[Registration] {
+        // SAFETY: points into the owner's `pending_regs`, which the
+        // owner leaves untouched from its publish until after B2
+        // (`apply_exchange` drains it); read in `leader_plan`, B1..B2.
         unsafe { &**self.regs.get() }
     }
-    fn unregs(&self) -> &[ArrayId] {
+    pub(crate) fn unregs(&self) -> &[ArrayId] {
+        // SAFETY: as `regs`, for the owner's `pending_unregs`.
         unsafe { &**self.unregs.get() }
     }
 }
 
-/// Run-level observability handle for the SPMD path: the shared
+/// Run-level observability handle for worker-side capture: the shared
 /// recorder plus the timer's epoch instant every worker-side span
 /// timestamp is measured from (so worker lanes and the leader's
 /// machine track share one timeline). Created by the engine only
@@ -247,7 +264,7 @@ pub(crate) struct RunObs {
     pub(crate) epoch: Instant,
 }
 
-/// One worker's span capture across an SPMD run. Spans are buffered
+/// One worker's span capture across a run. Spans are buffered
 /// locally and flushed to the recorder at the exit epilogue — after
 /// every phase has been priced — so capture never perturbs measured
 /// timing (the "spans after measurement" discipline).
@@ -319,7 +336,7 @@ struct LeaderState {
     plan: Option<PhasePlan>,
 }
 
-/// The shared rendezvous structure of one SPMD run. Lives on the
+/// The shared rendezvous structure of one run. Lives on the
 /// engine's stack frame; workers borrow it for the run's duration
 /// (the exit rendezvous guarantees no worker outlives the borrow).
 pub(crate) struct ExchangeArea {
@@ -338,9 +355,17 @@ pub(crate) struct ExchangeArea {
     obs: Option<RunObs>,
 }
 
-// SAFETY: Slot access follows the single-writer barrier protocol
-// (see the module doc); `leader` is touched only by worker 0 during
-// the run and by the owning engine frame after every worker exited.
+// SAFETY: field by field. `slots`: every `UnsafeCell` in a `Slot` has
+// one writer, its owner, at publish time, and readers only inside the
+// barrier windows of the module doc; the barrier's release/acquire
+// pair orders the two. The raw pointers in a slot are dereferenced in
+// those windows only, while the `Ctx` they point into is alive and
+// frozen (a `Ctx` drops after the exit rendezvous). `leader`: touched
+// only by worker 0 during the run and by the owning engine frame after
+// every worker exited, which requires `Driver` and the boxed timer to
+// be `Send` (`PhaseTimer: Send`), not `Sync`. `obs`: a `Recorder`
+// (`Sync`) and an `Instant`. `barrier`, `exited`, `panics`: atomics
+// and a mutex.
 unsafe impl Sync for ExchangeArea {}
 
 impl ExchangeArea {
@@ -349,12 +374,13 @@ impl ExchangeArea {
         driver: Driver,
         timer: Box<dyn PhaseTimer>,
         obs: Option<RunObs>,
+        track_barrier: bool,
     ) -> Self {
         let mk = || (0..p).map(|_| Slot::new()).collect::<Vec<_>>().into_boxed_slice();
         Self {
             p,
             slots: [mk(), mk()],
-            barrier: SpinBarrier::new(p, obs.is_some()),
+            barrier: SpinBarrier::new(p, track_barrier),
             exited: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
             leader: UnsafeCell::new(LeaderState { driver, timer, records: Vec::new(), plan: None }),
@@ -363,7 +389,7 @@ impl ExchangeArea {
     }
 
     /// `(yield, sleep)` backoff escalations the barrier accumulated
-    /// over the run (zero unless capture was on).
+    /// over the run (zero unless tracking was requested).
     pub(crate) fn barrier_transitions(&self) -> (u64, u64) {
         self.barrier.transitions()
     }
@@ -397,10 +423,10 @@ pub(crate) struct SpmdLink {
     area: *const ExchangeArea,
 }
 
-/// Build the per-processor context for one SPMD worker (attaching a
-/// span buffer when the run captures at full level).
+/// Build the per-processor context for one worker (attaching a span
+/// buffer when the run captures worker lanes).
 pub(crate) fn make_ctx(proc: usize, nprocs: usize, seed: u64, area: &ExchangeArea) -> Ctx {
-    let mut ctx = Ctx::new_spmd(proc, nprocs, seed, SpmdLink { area });
+    let mut ctx = Ctx::new(proc, nprocs, seed, SpmdLink { area });
     if let Some(obs) = &area.obs {
         ctx.spmd_obs = Some(Box::new(SpmdObs::new(obs)));
     }
@@ -418,24 +444,25 @@ pub(crate) fn exit_rendezvous(area: &ExchangeArea) {
 }
 
 fn area_of(ctx: &Ctx) -> &'static ExchangeArea {
-    let link = match &ctx.runtime {
-        Runtime::Spmd(link) => *link,
-        Runtime::Channel { .. } => unreachable!("SPMD call on a channel-path Ctx"),
-    };
-    // SAFETY: the engine keeps the area alive until after the exit
-    // rendezvous, which strictly follows every use of this reference.
-    // (The 'static is a local fiction; the reference never escapes
-    // the sync/epilogue call that derived it.)
-    unsafe { &*link.area }
+    // SAFETY: the area lives on the engine frame that is blocked in
+    // `pool::execute` until every job returned, and a job returns only
+    // after the exit rendezvous, which strictly follows every use of
+    // this reference. (The 'static is a local fiction; the reference
+    // never escapes the sync/epilogue call that derived it.)
+    unsafe { &*ctx.link.area }
 }
 
 /// Move this phase's contribution into our slot at `parity`,
 /// reclaiming the buffers the slot still holds from phase-2.
 fn publish(ctx: &mut Ctx, area: &ExchangeArea, parity: usize, state: u8) {
     let slot = &area.slots[parity][ctx.proc];
-    // SAFETY: only the owner writes its slot, and the phase-(k-2)
-    // tenant is fully retired by the time phase k publishes (module
-    // doc); no reader may touch the slot until after B1.
+    // SAFETY: only the owner writes its slot. Its previous tenant is
+    // phase k-2, whose last reader is the leader's record(k-2); the
+    // leader then crossed B1 and B2 of phase k-1, and so did this
+    // worker before getting here. No reader touches the new contents
+    // until after B1(k), which follows the release-store below. The
+    // pointers stored are into `ctx`, which outlives the run's last
+    // barrier (exit rendezvous).
     unsafe {
         let ops_cell = &mut *slot.ops.get();
         let mut old = std::mem::replace(ops_cell, ctx.queued.take());
@@ -474,8 +501,8 @@ fn collective_violation(finished: usize, p: usize) -> ! {
 /// this parity is frozen.
 fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     let p = area.p;
-    // SAFETY: our own slot's ops are ours to read; peers' store
-    // pointers are valid and frozen until B2 (module doc).
+    // SAFETY: our own slot's ops: written by us at publish, and by
+    // nobody until we republish at this parity two phases on.
     let my_ops = unsafe { &*area.slots[parity][ctx.proc].ops.get() };
     for op in &my_ops.gets {
         let len = ctx.store.info(op.array).len;
@@ -483,7 +510,10 @@ fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
         out.clear();
         out.reserve(op.len);
         for_each_owner_run(Layout::Block, op.array, len, p, op.start, op.len, |owner, s, l| {
-            // SAFETY: see above — frozen peer store, valid until B2.
+            // SAFETY: we are between B1 and B2. The peer published the
+            // pointer to its `LocalStore` before B1 and mutates that
+            // store next in its own `apply_exchange`, after B2; its
+            // `Ctx` (the pointee) drops only after the exit rendezvous.
             let peer = unsafe { &*(*area.slots[parity][owner].store.get()) };
             let base = block_range(len, p, owner).start;
             let seg = peer.segment(op.array);
@@ -501,9 +531,10 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     let p = area.p;
     let me = ctx.proc;
     for src in 0..p {
-        // SAFETY: phase-k ops stay frozen until their owner
-        // republishes at k+2, which the barrier structure forbids
-        // before the leader records k (module doc).
+        // SAFETY: we are after B2 of phase k. `src` moved these ops in
+        // before B1(k) and replaces them when it publishes phase k+2,
+        // which it reaches only after B1 and B2 of k+1 — barriers we
+        // have not crossed yet while still applying phase k.
         let src_ops = unsafe { &*area.slots[parity][src].ops.get() };
         for op in &src_ops.puts {
             let len = ctx.store.info(op.array).len;
@@ -539,7 +570,7 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
                 elem_bytes: reg.elem_bytes,
                 layout: reg.layout,
             },
-            vec![0u64; seg_len],
+            new_segment(seg_len),
         );
     }
     ctx.pending_regs = regs;
@@ -550,11 +581,82 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     ctx.pending_unregs = unregs;
 }
 
+/// Segments shorter than this (512 KiB) are left to the allocator,
+/// whose size classes recycle them well. Measured: from 128 KiB up, the
+/// fast figure suite would hold 3–4 MiB of spares (+11 % peak RSS) for
+/// no fewer page faults.
+const SPARE_MIN_WORDS: usize = 1 << 16;
+
+/// Large segment buffers a worker thread keeps between runs.
+///
+/// A resident worker serves runs whose blocks differ in size (a
+/// `p` = 16 run, then a `p` = 4 one). An allocator arena that frees
+/// and regrows tens of megabytes per run is trimmed and faulted back in
+/// each time: 57 k minor faults per pass of three threads-backend
+/// kernels at n = 2^23, against 16–28 k when each backend had threads
+/// of its own, and +25 % host time. Keeping the buffers takes the
+/// runtime's share out of that churn. What a worker holds is bounded
+/// by `high_water`: never more than its biggest run needed.
+#[derive(Default)]
+struct Spare {
+    segments: Vec<Segment>,
+    /// Most words of large segments one run on this worker held.
+    high_water: usize,
+}
+
+thread_local! {
+    static SPARE: RefCell<Spare> = RefCell::new(Spare::default());
+}
+
+/// A zeroed segment of `len` words: the tightest spare buffer of this
+/// worker that holds it, else a fresh one.
+fn new_segment(len: usize) -> Segment {
+    if len < SPARE_MIN_WORDS {
+        return vec![0u64; len];
+    }
+    let spare = SPARE.with_borrow_mut(|spare| {
+        // Largest first (`retire`), so the last that fits is the tightest.
+        let fit = spare.segments.iter().rposition(|seg| seg.capacity() >= len)?;
+        Some(spare.segments.remove(fit))
+    });
+    match spare {
+        Some(mut seg) => {
+            seg.clear();
+            seg.resize(len, 0);
+            seg
+        }
+        None => vec![0u64; len],
+    }
+}
+
+/// The run is over on this worker (call after the exit rendezvous:
+/// peers read the store until then): its large segment buffers join
+/// the worker's spares, largest first, as far as `high_water` allows.
+/// Overflow threads free theirs as they exit.
+pub(crate) fn retire(ctx: &mut Ctx) {
+    SPARE.with_borrow_mut(|spare| {
+        let before = spare.segments.len();
+        spare
+            .segments
+            .extend(ctx.store.segments.drain(..).filter(|seg| seg.capacity() >= SPARE_MIN_WORDS));
+        let run: usize = spare.segments[before..].iter().map(Vec::capacity).sum();
+        spare.high_water = spare.high_water.max(run);
+        spare.segments.sort_unstable_by_key(|seg| std::cmp::Reverse(seg.capacity()));
+        let mut held = 0;
+        let budget = spare.high_water;
+        spare.segments.retain(|seg| {
+            held += seg.capacity();
+            held <= budget
+        });
+    });
+}
+
 /// Worker 0, between B1 and B2: run the driver's plan stage over the
 /// published slots (collective validation, id assignment, metering).
 fn leader_plan(area: &ExchangeArea, parity: usize) {
-    // SAFETY: worker 0 is the only accessor of the leader state
-    // during the run.
+    // SAFETY: only worker 0 calls this (`sync_phase` checks `proc`),
+    // so the `&mut` is unique; the engine frame reads the state only
+    // after `pool::execute` returned.
     let leader = unsafe { &mut *area.leader.get() };
     let plan = leader.driver.plan_stage(&area.slots[parity]);
     leader.plan = Some(plan);
@@ -563,7 +665,8 @@ fn leader_plan(area: &ExchangeArea, parity: usize) {
 /// Worker 0, after B2: price and record the phase (overlapping the
 /// peers' next compute), then retire the plan's metadata changes.
 fn leader_finish(area: &ExchangeArea, parity: usize) {
-    // SAFETY: as in `leader_plan`.
+    // SAFETY: as in `leader_plan` — worker 0 only, and its borrow
+    // there ended with that call.
     let leader = unsafe { &mut *area.leader.get() };
     let plan = leader.plan.take().expect("leader plan missing at phase end");
     let timing = leader.driver.price_stage(&area.slots[parity], leader.timer.as_mut());
@@ -575,7 +678,7 @@ fn leader_finish(area: &ExchangeArea, parity: usize) {
     leader.driver.finish_phase_meta(&plan);
 }
 
-/// One SPMD `sync()`: the publish / B1 / plan+serve / B2 / apply
+/// One `sync()`: the publish / B1 / plan+serve / B2 / apply
 /// pipeline described on the module.
 ///
 /// When span capture is on (`ctx.spmd_obs`), each stage boundary is
@@ -635,7 +738,7 @@ pub(crate) fn sync_phase(ctx: &mut Ctx) {
     ctx.phase += 1;
 }
 
-/// SPMD teardown: publish `FINISHED` and rendezvous one last time so
+/// Teardown: publish `FINISHED` and rendezvous one last time so
 /// a mismatched `sync()` elsewhere is diagnosed as a collective
 /// violation (every worker must return together). With capture on,
 /// the final compute leg and rendezvous wait are marked, then the

@@ -49,7 +49,7 @@ pub struct WallTimer {
     /// also runs on the native backend. Wall-clock timing itself is
     /// never adjusted — real hardware queues for real.
     banks: Option<qsm_simnet::BankModel>,
-    /// Set when the SPMD engine takes over per-worker span capture
+    /// Set when the engine takes over per-worker span capture
     /// (`spmd_span_epoch`): the workers then emit fine-grained lane
     /// spans themselves and this timer's coarser per-processor
     /// compute/barrier spans would double-cover the same lanes.
@@ -273,12 +273,6 @@ impl Machine for ThreadMachine {
 
     fn make_timer(&self, rec: Recorder) -> WallTimer {
         WallTimer::with_recorder(rec).with_banks(self.model_cfg.net.banks)
-    }
-
-    /// The native machine runs on the resident SPMD worker pool with
-    /// the lock-free exchange: no driver thread, no per-run spawns.
-    fn uses_worker_pool(&self) -> bool {
-        true
     }
 
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {

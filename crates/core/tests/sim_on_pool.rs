@@ -1,0 +1,306 @@
+//! The simulated machine on the resident pool and the SPMD exchange:
+//! no thread per run, concurrent runs that neither deadlock nor
+//! disturb each other's simulated results, no per-phase memory growth,
+//! and the diagnostics a misused phase contract always had.
+//!
+//! An integration test so that it owns its process: the pool's spawn
+//! counter and the counting allocator below are process-global. The
+//! tests take `SERIAL` so that they do not perturb each other either.
+
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard};
+use std::time::Duration;
+
+use qsm_core::{pool, Layout, PhaseRecord, SimMachine};
+use qsm_simnet::MachineConfig;
+
+/// Forwards to the system allocator, counting calls, calls for a
+/// large block, and live bytes.
+struct Counting;
+
+// Relaxed: all three are statistics and publish no other data.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// The runtime's own line between segments it recycles across runs
+/// and those it leaves to the allocator (`spmd.rs`, in bytes).
+const LARGE: usize = 512 << 10;
+
+fn count(size: usize, grown_by: i64) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    LARGE_ALLOCS.fetch_add(u64::from(size >= LARGE), Ordering::Relaxed);
+    LIVE_BYTES.fetch_add(grown_by, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter updates touch
+// no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        count(layout.size(), layout.size() as i64);
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
+        count(layout.size(), layout.size() as i64);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
+        count(new_size, new_size as i64 - layout.size() as i64);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+const P: usize = 16;
+const BLOCK: usize = 64;
+
+fn machine(p: usize) -> SimMachine {
+    SimMachine::new(MachineConfig::paper_default(p))
+}
+
+/// Every phase each processor puts a block to every peer and, when
+/// `gets` is set, reads one block back from a rotating peer. Returns a
+/// checksum per processor.
+fn exchange(m: &SimMachine, phases: usize, gets: bool) -> (Vec<u64>, Vec<PhaseRecord>) {
+    let run = m.run(|ctx| {
+        let (p, me) = (ctx.nprocs(), ctx.proc_id());
+        let src = ctx.register::<u32>("src", BLOCK * p, Layout::Block);
+        let dst = ctx.register::<u32>("dst", BLOCK * p * p, Layout::Block);
+        ctx.sync();
+        let mine = [me as u32; BLOCK];
+        ctx.local_write(&src, me * BLOCK, &mine);
+        let mut sum = 0u64;
+        for phase in 0..phases {
+            for peer in (0..p).filter(|&peer| peer != me) {
+                ctx.put(&dst, (peer * p + me) * BLOCK, &mine);
+            }
+            let ticket =
+                gets.then(|| ctx.get(&src, ((me + 1 + phase % (p - 1)) % p) * BLOCK, BLOCK));
+            ctx.sync();
+            if let Some(t) = ticket {
+                sum += ctx.take(t).iter().map(|&v| v as u64).sum::<u64>();
+            }
+        }
+        sum + ctx.local_vec(&dst).iter().map(|&v| v as u64).sum::<u64>()
+    });
+    (run.outputs, run.phases)
+}
+
+/// Residents `QSM_POOL` lets the pool keep (the knob's own default).
+fn pool_cap() -> usize {
+    std::env::var("QSM_POOL").ok().and_then(|v| v.parse().ok()).unwrap_or(usize::MAX)
+}
+
+#[test]
+fn a_second_sim_run_spawns_no_thread() {
+    let _serial = serial();
+    let m = machine(P);
+    let first = exchange(&m, 4, true);
+    let warm = pool::spawned_workers();
+    assert!(warm >= P as u64, "a simulated run's processors are pool workers");
+    let second = exchange(&m, 4, true);
+    // Residents are reused; only what `QSM_POOL` pushes to overflow
+    // threads (CI runs this file at 0 and 4 too) is spawned per run.
+    let overflow = (P - P.min(pool_cap())) as u64;
+    assert_eq!(pool::spawned_workers() - warm, overflow);
+    assert_eq!(first, second, "worker reuse must not change a simulated result");
+}
+
+#[test]
+fn concurrent_sim_runs_match_the_serial_run() {
+    let _serial = serial();
+    const CALLERS: usize = 4;
+    let serial_run = exchange(&machine(P), 24, true);
+    let (tx, rx) = mpsc::channel();
+    for _ in 0..CALLERS {
+        let tx = tx.clone();
+        // Detached, so that a deadlock fails the test below instead of
+        // hanging it in a join.
+        std::thread::spawn(move || {
+            for _ in 0..3 {
+                let _ = tx.send(exchange(&machine(P), 24, true));
+            }
+        });
+    }
+    for i in 0..CALLERS * 3 {
+        let got = rx
+            .recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|e| panic!("concurrent sim runs stalled after {i} of them: {e}"));
+        assert_eq!(got.0, serial_run.0, "outputs of run {i}");
+        assert_eq!(got.1, serial_run.1, "phase records of run {i}");
+    }
+}
+
+/// `QSM_POOL` is read once per process, so the all-overflow and the
+/// mixed (4 residents, the rest overflow, and whoever comes second
+/// gets no resident at all) placements each need a process.
+#[test]
+fn concurrent_sim_runs_match_under_overflow_and_mixed_placement() {
+    let _serial = serial();
+    for cap in ["0", "4"] {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "concurrent_sim_runs_match_the_serial_run"])
+            .env("QSM_POOL", cap)
+            .output()
+            .expect("cannot re-run this test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "QSM_POOL={cap}:\n{stdout}\n{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+    }
+}
+
+#[test]
+fn a_long_put_only_run_does_not_grow() {
+    let _serial = serial();
+    const PHASES: usize = 2000;
+    let sample = || (ALLOCS.load(Ordering::Relaxed), LIVE_BYTES.load(Ordering::Relaxed));
+    let run = machine(8).run(|ctx| {
+        let (p, me) = (ctx.nprocs(), ctx.proc_id());
+        let dst = ctx.register::<u32>("dst", BLOCK * p * p, Layout::Block);
+        ctx.sync();
+        let mine = [me as u32; BLOCK];
+        let mut samples = [(0u64, 0i64); 3];
+        for phase in 1..=PHASES {
+            for peer in (0..p).filter(|&peer| peer != me) {
+                ctx.put(&dst, (peer * p + me) * BLOCK, &mine);
+            }
+            ctx.sync();
+            // The leader's record list last doubles at phase 1024.
+            if let Some(k) = [1100, 1550, 2000].iter().position(|&at| at == phase) {
+                samples[k] = sample();
+            }
+        }
+        samples
+    });
+    let [(a0, live0), (a1, _), (a2, live2)] = run.outputs[0];
+    let (third, fourth) = (a1 - a0, a2 - a1);
+    // 56 put buffers a phase came fresh from the allocator, and stayed
+    // live, when put buffers drained into an uncapped driver-side pool;
+    // what is left is the price stage's handful. (The slack is for the
+    // test harness, which starts and reports other tests meanwhile.)
+    assert!(
+        third.abs_diff(fourth) < 45 && third < 20 * 450,
+        "allocations over 450 phases: {third}, then {fourth}; a steady run recycles its buffers"
+    );
+    assert!(
+        (live2 - live0).abs() < 64 << 10,
+        "live heap moved by {} bytes over 900 steady phases",
+        live2 - live0
+    );
+}
+
+#[test]
+fn a_warm_worker_hands_its_large_segments_to_its_next_run() {
+    let _serial = serial();
+    const P: usize = 4;
+    // Per processor; `u64` elements are one word each.
+    const WORDS: usize = 2 * LARGE / 8;
+    let run = |mark: u64| {
+        let run = machine(P).run(|ctx| {
+            let arr = ctx.register::<u64>("large", WORDS * P, Layout::Block);
+            ctx.sync();
+            let mine = ctx.local_range(&arr);
+            if mark != 0 {
+                ctx.local_write(&arr, mine.start, &[mark]);
+            }
+            ctx.sync();
+            ctx.local_read(&arr, mine.start, 1)[0]
+        });
+        run.outputs
+    };
+    let sample = || (LARGE_ALLOCS.load(Ordering::Relaxed), LIVE_BYTES.load(Ordering::Relaxed));
+    assert_eq!(run(7), [7; P]);
+    let (large0, live0) = sample();
+    // A recycled segment is a zeroed one.
+    assert_eq!(run(0), [0; P]);
+    assert_eq!(run(7), [7; P]);
+    let (large, live) = sample();
+    if pool_cap() >= P {
+        assert_eq!(large - large0, 0, "a warm worker allocated a large segment afresh");
+    }
+    // Spares are handed on, not piled up: what the workers hold after
+    // three runs is what they held after one.
+    assert!((live - live0).abs() < 64 << 10, "live heap moved by {} bytes", live - live0);
+}
+
+/// The panic message of a run that must fail.
+fn failure(run: impl FnOnce()) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("the run must panic");
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast::<&str>().map(|s| s.to_string()).expect("a string payload"),
+    }
+}
+
+#[test]
+fn violations_keep_their_exact_messages() {
+    let _serial = serial();
+    let conflict = failure(|| {
+        machine(4).run(|ctx| {
+            let arr = ctx.register::<u64>("ledger", 8, Layout::Block);
+            ctx.sync();
+            match ctx.proc_id() {
+                0 => ctx.put(&arr, 5, &[1]),
+                3 => drop(ctx.get(&arr, 4, 2)),
+                _ => {}
+            }
+            ctx.sync();
+        });
+    });
+    assert_eq!(
+        conflict,
+        "bulk-synchrony violation: location 5 of array 'ledger' is both read and written \
+         in the same phase (the QSM phase contract forbids this; split the accesses across \
+         a sync())"
+    );
+
+    let early_return = failure(|| {
+        machine(4).run(|ctx| {
+            if ctx.proc_id() != 2 {
+                ctx.sync();
+            }
+        });
+    });
+    assert_eq!(early_return, "collective violation: 1 processor(s) returned while 3 called sync()");
+
+    let mismatch = failure(|| {
+        machine(4).run(|ctx| {
+            let len = if ctx.proc_id() == 3 { 16 } else { 8 };
+            let _ = ctx.register::<u64>("a", len, Layout::Block);
+            ctx.sync();
+        });
+    });
+    assert_eq!(
+        mismatch,
+        "collective violation: processor 3 registered different arrays than processor 0 \
+         in the same phase"
+    );
+
+    // The pool survives all three: the next run is an ordinary one.
+    assert_eq!(exchange(&machine(4), 2, true), exchange(&machine(4), 2, true));
+}
