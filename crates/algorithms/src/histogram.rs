@@ -113,7 +113,7 @@ pub fn histogram_seq(input: &[u32], buckets: usize) -> Vec<u64> {
 /// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, input: &[u32], buckets: usize) -> HistogramRun {
     let run = machine.run(|ctx| program(ctx, input, buckets));
-    let counts = run.outputs.iter().flatten().copied().collect();
+    let counts = run.outputs.concat();
     HistogramRun { counts, run }
 }
 

@@ -96,10 +96,13 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     let my = ctx.local_range(&s_arr);
     ctx.local_write(&s_arr, my.start, &succ_in[my.clone()]);
     ctx.local_write(&p_arr, my.start, &pred_in[my.clone()]);
-    ctx.local_write(&w_arr, my.start, &vec![1u64; my.len()]);
+    ctx.local_mut(&w_arr).fill(1);
     ctx.sync();
 
     let is_local = |idx: usize| my.contains(&idx);
+    // Every n-element array shares `my`: global index `idx` of a local
+    // element is slot `at(idx)` of its window.
+    let at = |idx: usize| idx - my.start;
     let mut active: Vec<usize> = my.clone().collect();
     let mut removed_log: Vec<Vec<Removal>> = Vec::with_capacity(iters);
     let mut iter_stats: Vec<IterStats> = Vec::with_capacity(iters);
@@ -109,10 +112,10 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
         let mut stats = IterStats { active: active.len() as u64, ..Default::default() };
 
         // Phase A: flip generation (local writes only).
-        let mut flips = vec![0u32; active.len()];
-        for (k, &e) in active.iter().enumerate() {
-            flips[k] = ctx.rng().gen_range(0..2u32);
-            ctx.local_write(&f_arr, e, &[flips[k]]);
+        let flips: Vec<u32> = active.iter().map(|_| ctx.rng().gen_range(0..2u32)).collect();
+        let flip_window = ctx.local_mut(&f_arr);
+        for (&e, &flip) in active.iter().zip(&flips) {
+            flip_window[at(e)] = flip;
         }
         ctx.charge(8 * active.len() as u64); // rng + store per element
         ctx.sync();
@@ -132,14 +135,14 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
             if flips[k] != 1 {
                 continue;
             }
-            let sv = ctx.local_read(&s_arr, e, 1)[0];
-            let pv = ctx.local_read(&p_arr, e, 1)[0];
+            let sv = ctx.local(&s_arr)[at(e)];
+            let pv = ctx.local(&p_arr)[at(e)];
             if sv == NIL || pv == NIL {
                 continue; // head and tail never remove themselves
             }
             let succ = sv as usize;
             let flip = if is_local(succ) {
-                FlipSource::Local(ctx.local_read(&f_arr, succ, 1)[0])
+                FlipSource::Local(ctx.local(&f_arr)[at(succ)])
             } else {
                 stats.get_words += 1;
                 FlipSource::Remote(ctx.get(&f_arr, succ, 1))
@@ -172,24 +175,24 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
                 continue;
             }
             let e = active[c.k];
-            let pred = ctx.local_read(&p_arr, e, 1)[0] as usize;
-            let weight = ctx.local_read(&w_arr, e, 1)[0];
+            let pred = ctx.local(&p_arr)[at(e)] as usize;
+            let weight = ctx.local(&w_arr)[at(e)];
             let succ = c.succ;
             // Splice: S[pred] = succ, P[succ] = pred.
             if is_local(pred) {
-                ctx.local_write(&s_arr, pred, &[succ as u64]);
+                ctx.local_mut(&s_arr)[at(pred)] = succ as u64;
             } else {
                 stats.put_words += 2;
                 ctx.put(&s_arr, pred, &[succ as u64]);
             }
             if is_local(succ) {
-                ctx.local_write(&p_arr, succ, &[pred as u64]);
+                ctx.local_mut(&p_arr)[at(succ)] = pred as u64;
             } else {
                 stats.put_words += 2;
                 ctx.put(&p_arr, succ, &[pred as u64]);
             }
             let pred_weight = if is_local(pred) {
-                WeightSource::Local(ctx.local_read(&w_arr, pred, 1)[0])
+                WeightSource::Local(ctx.local(&w_arr)[at(pred)])
             } else {
                 stats.get_words += 2;
                 WeightSource::Remote(ctx.get(&w_arr, pred, 1))
@@ -209,7 +212,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
             };
             let new = old + q.weight;
             if is_local(q.pred) {
-                ctx.local_write(&w_arr, q.pred, &[new]);
+                ctx.local_mut(&w_arr)[at(q.pred)] = new;
             } else {
                 stats.put_words += 2;
                 ctx.put(&w_arr, q.pred, &[new]);
@@ -272,8 +275,8 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     let mut ship_w = Vec::with_capacity(active.len());
     let mut ship_id = Vec::with_capacity(active.len());
     for &e in &active {
-        ship_s.push(ctx.local_read(&s_arr, e, 1)[0]);
-        ship_w.push(ctx.local_read(&w_arr, e, 1)[0]);
+        ship_s.push(ctx.local(&s_arr)[at(e)]);
+        ship_w.push(ctx.local(&w_arr)[at(e)]);
         ship_id.push(e as u64);
     }
     ctx.charge(3 * active.len() as u64);
@@ -321,7 +324,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
         for k in 0..z {
             let e = sv_id[k] as usize;
             if is_local(e) {
-                ctx.local_write(&rank_arr, e, &[ranks[k]]);
+                ctx.local_mut(&rank_arr)[at(e)] = ranks[k];
             } else {
                 finish_words += 2;
                 ctx.put(&rank_arr, e, &[ranks[k]]);
@@ -344,10 +347,10 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
         // the post-write state.
         for (elem, weight, src) in pending.drain(..) {
             let succ_rank = match src {
-                RankSource::Local(s) => ctx.local_read(&rank_arr, s, 1)[0],
+                RankSource::Local(s) => ctx.local(&rank_arr)[at(s)],
                 RankSource::Remote(t) => ctx.take(t)[0],
             };
-            ctx.local_write(&rank_arr, elem, &[succ_rank + weight]);
+            ctx.local_mut(&rank_arr)[at(elem)] = succ_rank + weight;
         }
         let batch = &removed_log[it];
         for r in batch {
@@ -364,15 +367,10 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     }
     for (elem, weight, src) in pending.drain(..) {
         let succ_rank = match src {
-            RankSource::Local(s) => ctx.local_read(&rank_arr, s, 1)[0],
+            RankSource::Local(s) => ctx.local(&rank_arr)[at(s)],
             RankSource::Remote(t) => ctx.take(t)[0],
         };
-        ctx.local_write(&rank_arr, elem, &[succ_rank + weight]);
-    }
-    // Single-processor machines rank everything in phase H already.
-    if p == 1 {
-        let sv = ctx.local_read(&s_arr, 0, 0); // no-op, keeps shape
-        drop(sv);
+        ctx.local_mut(&rank_arr)[at(elem)] = succ_rank + weight;
     }
     ctx.sync();
 
@@ -433,7 +431,8 @@ fn iter_maxima(outcomes: &[ProcOutcome]) -> Vec<IterStats> {
 /// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, succ: &[u64], pred: &[u64]) -> ListRankRun {
     let run = machine.run(|ctx| program(ctx, succ, pred));
-    let ranks = run.outputs.iter().flat_map(|o| o.local_ranks.iter().copied()).collect();
+    let blocks: Vec<&[u64]> = run.outputs.iter().map(|o| o.local_ranks.as_slice()).collect();
+    let ranks = blocks.concat(); // sized once, then one copy per block
     let iter_maxima = iter_maxima(&run.outputs);
     let survivors = run.outputs.iter().map(|o| o.survivors).sum();
     ListRankRun { ranks, iter_maxima, survivors, run }

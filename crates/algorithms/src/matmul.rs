@@ -177,7 +177,7 @@ impl MatMulRun {
 pub fn run_on<M: Machine>(machine: &M, a: &Matrix, b: &Matrix) -> MatMulRun {
     let n = a.n;
     let run = machine.run(|ctx| program(ctx, a, b));
-    let data = run.outputs.iter().flatten().copied().collect();
+    let data = run.outputs.concat();
     MatMulRun { c: Matrix::new(n, data), run }
 }
 

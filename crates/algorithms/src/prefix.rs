@@ -20,13 +20,6 @@ pub const SETUP_PHASES: usize = 2;
 /// synchronization).
 pub const PAPER_PHASES: usize = 1;
 
-/// Elements per streamed chunk of the local passes (64 KiB of u64):
-/// the accumulate and offset loops touch each chunk while it is still
-/// cache-resident instead of making full-block passes. Purely a host
-/// locality choice — outputs, charges, and message patterns are
-/// unchanged.
-const CHUNK: usize = 8192;
-
 /// The QSM program: returns this processor's final local block.
 fn program(ctx: &mut Ctx, input: &[u64]) -> Vec<u64> {
     let n = input.len();
@@ -41,26 +34,16 @@ fn program(ctx: &mut Ctx, input: &[u64]) -> Vec<u64> {
     ctx.local_write(&a, r.start, &input[r.clone()]);
     ctx.sync();
 
-    // Step 1+2 (measured): local prefix sums streamed in cache-sized
-    // chunks (read, accumulate, and write back while the chunk is
-    // hot), then broadcast the block total.
-    let mut local = Vec::with_capacity(r.len());
+    // Step 1+2 (measured): local prefix sums, accumulated in place in
+    // the local window, then broadcast the block total.
     let mut acc = 0u64;
-    let mut pos = r.start;
-    while pos < r.end {
-        let len = CHUNK.min(r.end - pos);
-        let mut chunk = ctx.local_read(&a, pos, len);
-        for v in chunk.iter_mut() {
-            acc += *v;
-            *v = acc;
-        }
-        ctx.local_write(&a, pos, &chunk);
-        local.extend_from_slice(&chunk);
-        pos += len;
+    for v in ctx.local_mut(&a) {
+        acc += *v;
+        *v = acc;
     }
     // Load + add + store + loop ≈ 4 machine operations per element on
     // the Table 2 node (memory-bound streaming loop).
-    ctx.charge(4 * local.len() as u64);
+    ctx.charge(4 * r.len() as u64);
     for j in 0..p {
         if j != me {
             ctx.put(&sums, j * p + me, &[acc]);
@@ -70,24 +53,18 @@ fn program(ctx: &mut Ctx, input: &[u64]) -> Vec<u64> {
     ctx.sync();
 
     // Step 3 (measured): add the offset from preceding processors,
-    // again chunk-at-a-time so each chunk is written back while hot.
-    let row = ctx.local_vec(&sums);
+    // again in place.
+    let row = ctx.local(&sums);
     debug_assert_eq!(row.len(), p);
     let offset: u64 = row[..me].iter().sum();
     ctx.charge(p as u64);
-    let mut idx = 0;
-    while idx < local.len() {
-        let len = CHUNK.min(local.len() - idx);
-        for v in local[idx..idx + len].iter_mut() {
-            *v += offset;
-        }
-        ctx.local_write(&a, r.start + idx, &local[idx..idx + len]);
-        idx += len;
+    for v in ctx.local_mut(&a) {
+        *v += offset;
     }
-    ctx.charge(3 * local.len() as u64);
+    ctx.charge(3 * r.len() as u64);
     ctx.sync();
 
-    local
+    ctx.local_vec(&a)
 }
 
 /// Result of a prefix-sums run on any backend.
@@ -114,7 +91,7 @@ impl PrefixRun {
 /// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, input: &[u64]) -> PrefixRun {
     let run = machine.run(|ctx| program(ctx, input));
-    let output = run.outputs.iter().flatten().copied().collect();
+    let output = run.outputs.concat(); // sized once, then one copy per block
     PrefixRun { output, run }
 }
 

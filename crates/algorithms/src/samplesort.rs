@@ -68,14 +68,13 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
     ctx.sync();
 
     // --- Phase 2: sampling with replacement + broadcast. ---
-    let local = ctx.local_vec(&s);
     let mut my_samples = Vec::with_capacity(spp);
     for _ in 0..spp {
-        let v = if local.is_empty() {
+        let v = if my_range.is_empty() {
             0
         } else {
-            let k = ctx.rng().gen_range(0..local.len());
-            local[k]
+            let k = ctx.rng().gen_range(0..my_range.len());
+            ctx.local(&s)[k]
         };
         my_samples.push(v);
     }
@@ -102,6 +101,8 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
     // one binary search per element, ids saved for the scatter below
     // so no element is searched twice.
     let bucket_of = |v: u32| pivots.partition_point(|&pv| pv < v);
+    // Owned: the scatter below reads it while it holds `staged`'s window.
+    let local = ctx.local_vec(&s);
     let ids: Vec<u32> = local.iter().map(|&v| bucket_of(v) as u32).collect();
     let mut bucket_len = vec![0usize; p];
     for &b in &ids {
@@ -110,9 +111,8 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
     ctx.charge((3.0 * local.len() as f64 * log2n(p)) as u64); // binary search per element
 
     // Stage: bucket runs contiguous within my block of `staged`,
-    // built by a single cursor scatter into one flat buffer (source
-    // order within each bucket is preserved, exactly as the old
-    // per-bucket push produced).
+    // built by a single cursor scatter straight into its window
+    // (source order within each bucket is preserved).
     let mut run_start = Vec::with_capacity(p);
     let mut cursor = Vec::with_capacity(p);
     let mut at = 0usize;
@@ -121,13 +121,14 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
         cursor.push(at);
         at += len;
     }
-    let mut flat = vec![0u32; local.len()];
+    let window = ctx.local_mut(&staged);
     for (&v, &b) in local.iter().zip(&ids) {
-        flat[cursor[b as usize]] = v;
+        window[cursor[b as usize]] = v;
         cursor[b as usize] += 1;
     }
-    ctx.local_write(&staged, my_range.start, &flat);
     ctx.charge(2 * local.len() as u64);
+    // Two block-sized temporaries; the bucket takes their place.
+    drop((local, ids));
 
     // Tell bucket owner i where my contribution lives.
     for i in 0..p {
@@ -143,20 +144,19 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
 
     // --- Phase 4: fetch my bucket, broadcast its total. ---
     let my_counts = ctx.local_vec(&counts); // 2p entries
+    let bucket_size: u64 = my_counts.iter().step_by(2).sum();
     let mut tickets = Vec::with_capacity(p);
-    let mut own: Vec<u32> = Vec::new();
-    let mut bucket_size = 0u64;
+    let mut bucket: Vec<u32> = Vec::with_capacity(bucket_size as usize);
     for j in 0..p {
         let cnt = my_counts[2 * j] as usize;
         let start = my_counts[2 * j + 1] as usize;
-        bucket_size += cnt as u64;
         if j == me {
-            own = ctx.local_read(&staged, start, cnt);
+            bucket.extend_from_slice(&ctx.local(&staged)[start - my_range.start..][..cnt]);
         } else {
             tickets.push(ctx.get(&staged, start, cnt));
         }
     }
-    let own_contribution = own.len() as u64;
+    let own_contribution = bucket.len() as u64;
     for j in 0..p {
         if j == me {
             ctx.local_write(&btotals, me * p + me, &[bucket_size]);
@@ -167,21 +167,19 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
     ctx.sync();
 
     // --- Phase 5: sort the bucket, write it back into place. ---
-    let mut bucket = own;
-    bucket.reserve(bucket_size as usize - bucket.len());
     for t in tickets {
-        bucket.extend(ctx.take(t));
+        ctx.take_into(t, &mut bucket);
     }
     debug_assert_eq!(bucket.len() as u64, bucket_size);
     bucket.sort_unstable();
     ctx.charge((4.0 * bucket.len() as f64 * log2n(bucket.len().max(2))) as u64);
-    let totals = ctx.local_vec(&btotals); // p entries
-    let offset: usize = totals[..me].iter().map(|&b| b as usize).sum();
+    let offset: usize = ctx.local(&btotals)[..me].iter().map(|&b| b as usize).sum();
     ctx.charge(p as u64);
     if !bucket.is_empty() {
         ctx.put(&s, offset, &bucket);
     }
     ctx.charge(bucket.len() as u64);
+    drop(bucket); // queued by value; the sorted block below takes its place
     ctx.sync();
 
     ProcOutcome { local_sorted: ctx.local_vec(&s), bucket_size, own_contribution }
@@ -230,7 +228,8 @@ pub fn run_on<M: Machine>(machine: &M, input: &[u32]) -> SampleSortRun {
 /// Run on any [`Machine`] backend with oversampling constant `c`.
 pub fn run_on_with<M: Machine>(machine: &M, input: &[u32], c: f64) -> SampleSortRun {
     let run = machine.run(|ctx| program(ctx, input, c));
-    let output = run.outputs.iter().flat_map(|o| o.local_sorted.iter().copied()).collect();
+    let blocks: Vec<&[u32]> = run.outputs.iter().map(|o| o.local_sorted.as_slice()).collect();
+    let output = blocks.concat(); // sized once, then one copy per block
     let (b_max, r_max) = skews(&run.outputs);
     SampleSortRun { output, b_max, r_max, run }
 }

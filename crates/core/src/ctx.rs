@@ -26,15 +26,29 @@
 //! element). Host-side work done to *implement* the simulation (e.g.
 //! copying a local window out and back) costs nothing unless charged.
 //!
+//! ### Local windows
+//!
+//! A processor's block of a block-distributed array is stored packed
+//! at the element width (`crate::word`), so [`Ctx::local`] and
+//! [`Ctx::local_mut`] hand it out as a plain `&[T]` / `&mut [T]`: a
+//! kernel scans, accumulates or scatters in place, and nothing is
+//! copied. [`Ctx::local_read`], [`Ctx::local_vec`] and
+//! [`Ctx::local_write`] are `memcpy`s over those windows, for when the
+//! caller wants to own the data or must hold it across a call that
+//! needs `&mut Ctx`; likewise [`Ctx::take`] over [`Ctx::take_into`].
+//! A handle is checked against the width of the array it names on
+//! every use, so a handle kept from another run cannot reinterpret
+//! storage.
+//!
 //! ### The allocation-free hot path
 //!
 //! Steady-state phases allocate nothing in the runtime: put payload
-//! buffers come from a bounded per-processor raw-word pool (refilled
-//! by redeemed get results and by the worker's own put buffers, which
-//! it reclaims from its exchange slot two phases later), the op and
-//! registration containers are drained and reused in place, and get
-//! results live in a dense ticket-indexed `TicketTable` instead of a
-//! hash map.
+//! buffers come from a bounded per-processor storage-word pool, shared
+//! by every element type (refilled by redeemed get results and by the
+//! worker's own put buffers, which it reclaims from its exchange slot
+//! two phases later), the op and registration containers are drained
+//! and reused in place, and get results live in a dense ticket-indexed
+//! `TicketTable` instead of a hash map.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -45,10 +59,10 @@ use rand::SeedableRng;
 
 use crate::addr::{block_range, ArrayId, Layout};
 use crate::ops::{GetOp, GetTicket, PutOp, QueuedOps};
-use crate::shmem::{LocalStore, Registration, SharedArray};
-use crate::word::Word;
+use crate::shmem::{ArrayInfo, LocalStore, Registration, SharedArray};
+use crate::word::{self, Word};
 
-/// Upper bound on pooled raw-word buffers kept per processor, so a
+/// Upper bound on pooled storage-word buffers kept per processor, so a
 /// burst of tiny ops cannot pin unbounded memory.
 const RAW_POOL_CAP: usize = 4096;
 
@@ -58,7 +72,7 @@ enum TicketSlot {
     /// Issued; the fulfilling `sync()` has not run yet.
     #[default]
     Pending,
-    /// Fulfilled: raw result words await [`Ctx::take`].
+    /// Fulfilled: the packed result awaits [`Ctx::take_into`].
     Ready(Vec<u64>),
     /// Redeemed; kept only until the front of the table compacts past
     /// it (ids are dense and issued in order).
@@ -84,7 +98,7 @@ impl TicketTable {
         self.slots.push_back(slot);
     }
 
-    /// Deliver the raw result for `id`.
+    /// Deliver the packed result for `id`.
     pub(crate) fn fulfill(&mut self, id: u64, data: Vec<u64>) {
         let idx = (id - self.base) as usize;
         self.slots[idx] = TicketSlot::Ready(data);
@@ -122,9 +136,9 @@ pub struct Ctx {
     pub(crate) pending_regs: Vec<Registration>,
     pub(crate) pending_unregs: Vec<ArrayId>,
     pub(crate) tickets: TicketTable,
-    /// Recycled raw-word buffers: redeemed get results and drained
-    /// put payloads feed later puts, so steady-state phases allocate
-    /// nothing here.
+    /// Recycled storage-word buffers: redeemed get results and drained
+    /// put payloads feed later puts and gets of any element type, so
+    /// steady-state phases allocate nothing here.
     pub(crate) raw_pool: Vec<Vec<u64>>,
     rng: SmallRng,
     /// This run's exchange area, where `sync()` rendezvouses.
@@ -214,7 +228,7 @@ impl Ctx {
         if data.is_empty() {
             return;
         }
-        let info = self.store.info(arr.id); // liveness check
+        let info = self.info_of(arr);
         assert!(
             start + data.len() <= info.len,
             "put of {}..{} exceeds array '{}' (len {})",
@@ -223,18 +237,16 @@ impl Ctx {
             info.name,
             info.len
         );
-        let mut raw = self.raw_pool.pop().unwrap_or_default();
-        raw.clear();
-        raw.reserve(data.len());
-        raw.extend(data.iter().map(|v| v.to_raw()));
-        self.queued.puts.push(PutOp { array: arr.id, start, data: raw });
+        let mut raw = self.pooled_raw(word::storage_words(data.len(), T::BYTES));
+        word::elems_mut(&mut raw, data.len()).copy_from_slice(data);
+        self.queued.puts.push(PutOp { array: arr.id, start, len: data.len(), data: raw });
     }
 
     /// Queue a read of `len` elements starting at global index
     /// `start`. The returned ticket is redeemable via [`Ctx::take`]
     /// after the next [`Ctx::sync`].
     pub fn get<T: Word>(&mut self, arr: &SharedArray<T>, start: usize, len: usize) -> GetTicket<T> {
-        let info = self.store.info(arr.id);
+        let info = self.info_of(arr);
         assert!(
             start + len <= info.len,
             "get of {}..{} exceeds array '{}' (len {})",
@@ -254,11 +266,12 @@ impl Ctx {
         GetTicket { id: ticket, len, issued_phase: self.phase, _elem: PhantomData }
     }
 
-    /// Redeem a get ticket. Panics if called in the phase that issued
-    /// the get — that is precisely the bulk-synchrony rule QSM
-    /// enforces ("values returned by shared-memory reads issued in a
-    /// phase cannot be used in the same phase").
-    pub fn take<T: Word>(&mut self, ticket: GetTicket<T>) -> Vec<T> {
+    /// Redeem a get ticket, appending its result to `out`. Panics if
+    /// called in the phase that issued the get — that is precisely the
+    /// bulk-synchrony rule QSM enforces ("values returned by
+    /// shared-memory reads issued in a phase cannot be used in the same
+    /// phase").
+    pub fn take_into<T: Word>(&mut self, ticket: GetTicket<T>, out: &mut Vec<T>) {
         assert!(
             self.phase > ticket.issued_phase || ticket.len == 0,
             "bulk-synchrony violation on processor {}: take() of a get issued in \
@@ -267,13 +280,27 @@ impl Ctx {
             ticket.issued_phase
         );
         let raw = self.tickets.take(ticket.id);
-        debug_assert_eq!(raw.len(), ticket.len);
-        let out = raw.iter().map(|&r| T::from_raw(r)).collect();
+        out.extend_from_slice(word::elems(&raw, ticket.len));
         self.recycle_raw(raw);
+    }
+
+    /// Redeem a get ticket into a fresh `Vec` (see [`Ctx::take_into`]).
+    pub fn take<T: Word>(&mut self, ticket: GetTicket<T>) -> Vec<T> {
+        let mut out = Vec::with_capacity(ticket.len);
+        self.take_into(ticket, &mut out);
         out
     }
 
-    /// Return a raw-word buffer to the per-processor pool (bounded by
+    /// A zeroed buffer of `words` storage words, recycled if the pool
+    /// has one.
+    pub(crate) fn pooled_raw(&mut self, words: usize) -> Vec<u64> {
+        let mut buf = self.raw_pool.pop().unwrap_or_default();
+        buf.clear();
+        buf.resize(words, 0);
+        buf
+    }
+
+    /// Return a storage-word buffer to the per-processor pool (bounded by
     /// [`RAW_POOL_CAP`], so bursts cannot pin unbounded memory).
     pub(crate) fn recycle_raw(&mut self, mut buf: Vec<u64>) {
         if self.raw_pool.len() < RAW_POOL_CAP {
@@ -282,10 +309,27 @@ impl Ctx {
         }
     }
 
+    /// Metadata of the live array `arr` names, after checking that the
+    /// handle's element width is the array's: ids restart at 0 in every
+    /// run, so a handle kept from another run can name an array of
+    /// another type.
+    fn info_of<T: Word>(&self, arr: &SharedArray<T>) -> &ArrayInfo {
+        let info = self.store.info(arr.id);
+        assert!(
+            info.elem_bytes == T::BYTES,
+            "handle of {}-byte elements used on array '{}', which stores {}-byte elements \
+             (a handle from another run?)",
+            T::BYTES,
+            info.name,
+            info.elem_bytes
+        );
+        info
+    }
+
     /// The global index range of `arr` held in this processor's local
     /// window (block layout only).
     pub fn local_range<T: Word>(&self, arr: &SharedArray<T>) -> Range<usize> {
-        let info = self.store.info(arr.id);
+        let info = self.info_of(arr);
         assert_eq!(
             info.layout,
             Layout::Block,
@@ -295,9 +339,25 @@ impl Ctx {
         block_range(info.len, self.nprocs, self.proc)
     }
 
-    /// Read `len` elements starting at global index `start` from the
-    /// local window. Free of communication cost; sees values as of
-    /// the start of the phase plus this processor's own local writes.
+    /// This processor's local window of `arr`, borrowed in place:
+    /// element `i` is global index `local_range(arr).start + i`. Free of
+    /// communication cost and of any copy; sees values as of the start
+    /// of the phase plus this processor's own local writes.
+    pub fn local<T: Word>(&self, arr: &SharedArray<T>) -> &[T] {
+        let len = self.local_range(arr).len();
+        word::elems(self.store.segment(arr.id), len)
+    }
+
+    /// This processor's local window of `arr`, borrowed mutably in
+    /// place (see [`Ctx::local`]). Writes are local writes: free, and
+    /// visible to peers' gets from the next [`Ctx::sync`] on.
+    pub fn local_mut<T: Word>(&mut self, arr: &SharedArray<T>) -> &mut [T] {
+        let len = self.local_range(arr).len();
+        word::elems_mut(self.store.segment_mut(arr.id), len)
+    }
+
+    /// Copy `len` elements starting at global index `start` out of the
+    /// local window (see [`Ctx::local`]).
     pub fn local_read<T: Word>(&self, arr: &SharedArray<T>, start: usize, len: usize) -> Vec<T> {
         let range = self.local_range(arr);
         assert!(
@@ -308,21 +368,16 @@ impl Ctx {
             range,
             self.proc
         );
-        let seg = self.store.segment(arr.id);
-        seg[start - range.start..start - range.start + len]
-            .iter()
-            .map(|&r| T::from_raw(r))
-            .collect()
+        self.local(arr)[start - range.start..][..len].to_vec()
     }
 
     /// Copy the entire local window out.
     pub fn local_vec<T: Word>(&self, arr: &SharedArray<T>) -> Vec<T> {
-        let range = self.local_range(arr);
-        self.local_read(arr, range.start, range.len())
+        self.local(arr).to_vec()
     }
 
-    /// Write `data` into the local window starting at global index
-    /// `start`. Free of communication cost.
+    /// Copy `data` into the local window starting at global index
+    /// `start` (see [`Ctx::local_mut`]).
     pub fn local_write<T: Word>(&mut self, arr: &SharedArray<T>, start: usize, data: &[T]) {
         let range = self.local_range(arr);
         assert!(
@@ -333,10 +388,7 @@ impl Ctx {
             range,
             self.proc
         );
-        let seg = self.store.segment_mut(arr.id);
-        for (i, v) in data.iter().enumerate() {
-            seg[start - range.start + i] = v.to_raw();
-        }
+        self.local_mut(arr)[start - range.start..][..data.len()].copy_from_slice(data);
     }
 
     /// End the phase: exchange all queued operations, complete
@@ -344,5 +396,79 @@ impl Ctx {
     /// processor. Returns once the barrier releases this processor.
     pub fn sync(&mut self) {
         crate::spmd::sync_phase(self);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spmd::SpmdLink;
+
+    /// Processor `proc` of `p` with one live array of `len` elements,
+    /// installed as the registering `sync()` would have.
+    fn ctx_with<T: Word>(len: usize, p: usize, proc: usize) -> (Ctx, SharedArray<T>) {
+        let mut ctx = Ctx::new(proc, p, 0, SpmdLink::detached());
+        let arr = ctx.register::<T>("a", len, Layout::Block);
+        let reg = ctx.pending_regs.pop().expect("one registration");
+        let words = word::storage_words(block_range(len, p, proc).len(), reg.elem_bytes);
+        let info = ArrayInfo {
+            id: arr.id,
+            name: reg.name,
+            len,
+            elem_bytes: reg.elem_bytes,
+            layout: reg.layout,
+        };
+        ctx.store.install(info, vec![0; words]);
+        (ctx, arr)
+    }
+
+    #[test]
+    fn a_window_is_the_block_in_place() {
+        // Blocks of 10 over 3: 0..4, 4..7, 7..10.
+        let (mut ctx, arr) = ctx_with::<u32>(10, 3, 1);
+        assert_eq!(ctx.local_range(&arr), 4..7);
+        assert_eq!(ctx.store.segment(arr.id).len(), 2, "three u32s in two storage words");
+        ctx.local_mut(&arr).copy_from_slice(&[7, 8, 9]);
+        assert_eq!(ctx.local(&arr), [7, 8, 9]);
+        ctx.local_write(&arr, 5, &[80, 90]);
+        ctx.local_mut(&arr)[0] = u32::MAX;
+        assert_eq!(ctx.local_read(&arr, 4, 2), [u32::MAX, 80]);
+        assert_eq!(ctx.local_vec(&arr), [u32::MAX, 80, 90]);
+    }
+
+    #[test]
+    fn a_put_is_packed_at_the_element_width() {
+        let (mut ctx, arr) = ctx_with::<i32>(10, 3, 1);
+        ctx.put(&arr, 0, &[-1, 2, -3]);
+        let op = &ctx.queued.puts[0];
+        assert_eq!((op.start, op.len, op.data.len()), (0, 3, 2));
+        assert_eq!(word::elems::<i32>(&op.data, 3), [-1, 2, -3]);
+        ctx.put(&arr, 9, &[]);
+        assert_eq!(ctx.queued.puts.len(), 1, "an empty put queues nothing");
+    }
+
+    #[test]
+    fn take_into_appends_and_recycles_the_buffer() {
+        let (mut ctx, arr) = ctx_with::<f64>(10, 3, 1);
+        let ticket = ctx.get(&arr, 0, 2);
+        let nan = f64::from_bits(0x7ff8_0000_0000_beef);
+        ctx.tickets.fulfill(0, vec![nan.to_bits(), 2.5f64.to_bits()]);
+        ctx.phase += 1; // what the sync in between does
+        let mut out = vec![1.0];
+        ctx.take_into(ticket, &mut out);
+        assert_eq!(out[0], 1.0);
+        assert_eq!((out[1].to_bits(), out[2]), (nan.to_bits(), 2.5));
+        assert_eq!(ctx.raw_pool.len(), 1);
+        let empty = ctx.get(&arr, 3, 0);
+        assert!(ctx.take(empty).is_empty(), "an empty get is ready at once");
+    }
+
+    #[test]
+    #[should_panic(expected = "handle of 8-byte elements used on array 'a', which stores 4-byte")]
+    fn a_handle_of_another_width_is_refused() {
+        let (ctx, arr) = ctx_with::<u32>(10, 3, 1);
+        let stale =
+            SharedArray::<u64> { id: arr.id, len: 10, layout: Layout::Block, _elem: PhantomData };
+        let _ = ctx.local(&stale);
     }
 }

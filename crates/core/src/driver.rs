@@ -485,7 +485,7 @@ impl Driver {
                 if acc.is_empty() {
                     this.touched_arrays.push(op.array.0);
                 }
-                acc.writes.push((op.start, op.data.len()));
+                acc.writes.push((op.start, op.len));
                 let matrix = &mut this.matrix;
                 for_each_owner_run(
                     info.layout,
@@ -493,7 +493,7 @@ impl Driver {
                     info.len,
                     p,
                     op.start,
-                    op.data.len(),
+                    op.len,
                     |owner, s, l| {
                         let cell = matrix.at_mut(src, owner);
                         // The library is word-granular, as in the paper:
@@ -521,7 +521,7 @@ impl Driver {
                         }
                     },
                 );
-                this.m_rw[src] += op.data.len() as u64 * wpe;
+                this.m_rw[src] += op.len as u64 * wpe;
             }
             for op in &input.ops().gets {
                 let info = info_for_op(&this.infos, &new_arrays, op.array);

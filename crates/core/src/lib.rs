@@ -64,9 +64,10 @@ pub mod knob;
 pub mod machine;
 pub mod obs;
 pub mod ops;
-// The exchange area and the worker pool every run rides on are the two
-// audited exceptions (barrier-bracketed shared slots; the leased job
-// reference and raw-syscall core pinning).
+// Three audited exceptions: the exchange area (barrier-bracketed
+// shared slots), the worker pool every run rides on (the leased job
+// reference and raw-syscall core pinning), and the two casts that view
+// packed storage words as a slice of a sealed primitive type.
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod shmem;
@@ -76,6 +77,7 @@ mod sim_timer;
 mod spmd;
 pub mod tally;
 pub mod thread_runtime;
+#[allow(unsafe_code)]
 pub mod word;
 
 pub use accounting::{CostReport, ModelInputs};

@@ -19,7 +19,9 @@ pub struct PutOp {
     pub array: ArrayId,
     /// First global index written.
     pub start: usize,
-    /// Raw element payload (`data.len()` elements from `start`).
+    /// Number of elements written from `start`.
+    pub len: usize,
+    /// The `len` elements, packed at the array's element width.
     pub data: Vec<u64>,
 }
 
@@ -53,7 +55,7 @@ impl QueuedOps {
 
     /// Total elements written.
     pub fn put_elems(&self) -> u64 {
-        self.puts.iter().map(|p| p.data.len() as u64).sum()
+        self.puts.iter().map(|p| p.len as u64).sum()
     }
 
     /// Total elements read.
@@ -101,7 +103,8 @@ mod tests {
     fn queued_ops_counts() {
         let mut q = QueuedOps::default();
         assert!(q.is_empty());
-        q.puts.push(PutOp { array: ArrayId(0), start: 0, data: vec![1, 2, 3] });
+        // Three 4-byte elements in two storage words.
+        q.puts.push(PutOp { array: ArrayId(0), start: 0, len: 3, data: vec![1, 2] });
         q.gets.push(GetOp { array: ArrayId(0), start: 5, len: 7, ticket: 0 });
         assert!(!q.is_empty());
         assert_eq!(q.put_elems(), 3);
@@ -111,7 +114,7 @@ mod tests {
     #[test]
     fn take_leaves_empty() {
         let mut q = QueuedOps::default();
-        q.puts.push(PutOp { array: ArrayId(0), start: 0, data: vec![9] });
+        q.puts.push(PutOp { array: ArrayId(0), start: 0, len: 1, data: vec![9] });
         let t = q.take();
         assert_eq!(t.put_elems(), 1);
         assert!(q.is_empty());

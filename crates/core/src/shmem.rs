@@ -49,7 +49,7 @@ pub struct ArrayInfo {
     pub name: String,
     /// Element count.
     pub len: usize,
-    /// Wire bytes per element.
+    /// Bytes per element, in storage and on the wire.
     pub elem_bytes: u64,
     /// Cost layout.
     pub layout: Layout,
@@ -69,13 +69,16 @@ pub struct Registration {
     pub name: String,
     /// Element count.
     pub len: usize,
-    /// Wire bytes per element.
+    /// Bytes per element, in storage and on the wire.
     pub elem_bytes: u64,
     /// Cost layout.
     pub layout: Layout,
 }
 
-/// Storage for one processor's block segment of an array.
+/// Storage for one processor's block segment of an array: the block's
+/// elements packed at [`ArrayInfo::elem_bytes`] (see `crate::word`),
+/// in 8-byte-aligned words so every element type shares one kind of
+/// buffer.
 pub type Segment = Vec<u64>;
 
 /// The per-processor view of shared memory: segment storage plus

@@ -71,6 +71,7 @@ use crate::driver::{Driver, PhasePlan, PhaseRecord};
 use crate::machine::PhaseTimer;
 use crate::ops::QueuedOps;
 use crate::shmem::{ArrayInfo, LocalStore, Registration, Segment};
+use crate::word::{copy_packed, storage_words};
 
 /// Marker payload workers unwind with when a *peer* failed: the
 /// engine suppresses it in favor of the originating panic.
@@ -423,6 +424,14 @@ pub(crate) struct SpmdLink {
     area: *const ExchangeArea,
 }
 
+#[cfg(test)]
+impl SpmdLink {
+    /// A link to no run, for unit tests of a `Ctx` that never syncs.
+    pub(crate) fn detached() -> Self {
+        Self { area: std::ptr::null() }
+    }
+}
+
 /// Build the per-processor context for one worker (attaching a span
 /// buffer when the run captures worker lanes).
 pub(crate) fn make_ctx(proc: usize, nprocs: usize, seed: u64, area: &ExchangeArea) -> Ctx {
@@ -505,10 +514,10 @@ fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     // nobody until we republish at this parity two phases on.
     let my_ops = unsafe { &*area.slots[parity][ctx.proc].ops.get() };
     for op in &my_ops.gets {
-        let len = ctx.store.info(op.array).len;
-        let mut out = ctx.raw_pool.pop().unwrap_or_default();
-        out.clear();
-        out.reserve(op.len);
+        let info = ctx.store.info(op.array);
+        let (len, elem_bytes) = (info.len, info.elem_bytes);
+        let mut out = ctx.pooled_raw(storage_words(op.len, elem_bytes));
+        let mut off = 0usize;
         for_each_owner_run(Layout::Block, op.array, len, p, op.start, op.len, |owner, s, l| {
             // SAFETY: we are between B1 and B2. The peer published the
             // pointer to its `LocalStore` before B1 and mutates that
@@ -516,8 +525,8 @@ fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
             // `Ctx` (the pointee) drops only after the exit rendezvous.
             let peer = unsafe { &*(*area.slots[parity][owner].store.get()) };
             let base = block_range(len, p, owner).start;
-            let seg = peer.segment(op.array);
-            out.extend_from_slice(&seg[s - base..s - base + l]);
+            copy_packed(elem_bytes, peer.segment(op.array), s - base, &mut out, off, l);
+            off += l;
         });
         ctx.tickets.fulfill(op.ticket, out);
     }
@@ -537,24 +546,17 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
         // have not crossed yet while still applying phase k.
         let src_ops = unsafe { &*area.slots[parity][src].ops.get() };
         for op in &src_ops.puts {
-            let len = ctx.store.info(op.array).len;
+            let info = ctx.store.info(op.array);
+            let (len, elem_bytes) = (info.len, info.elem_bytes);
             let base = block_range(len, p, me).start;
             let seg = ctx.store.segment_mut(op.array);
             let mut off = 0usize;
-            for_each_owner_run(
-                Layout::Block,
-                op.array,
-                len,
-                p,
-                op.start,
-                op.data.len(),
-                |owner, s, l| {
-                    if owner == me {
-                        seg[s - base..s - base + l].copy_from_slice(&op.data[off..off + l]);
-                    }
-                    off += l;
-                },
-            );
+            for_each_owner_run(Layout::Block, op.array, len, p, op.start, op.len, |owner, s, l| {
+                if owner == me {
+                    copy_packed(elem_bytes, &op.data, off, seg, s - base, l);
+                }
+                off += l;
+            });
         }
     }
     let mut regs = std::mem::take(&mut ctx.pending_regs);
@@ -570,7 +572,7 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
                 elem_bytes: reg.elem_bytes,
                 layout: reg.layout,
             },
-            new_segment(seg_len),
+            new_segment(storage_words(seg_len, reg.elem_bytes)),
         );
     }
     ctx.pending_regs = regs;
@@ -581,11 +583,16 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     ctx.pending_unregs = unregs;
 }
 
-/// Segments shorter than this (512 KiB) are left to the allocator,
-/// whose size classes recycle them well. Measured: from 128 KiB up, the
-/// fast figure suite would hold 3–4 MiB of spares (+11 % peak RSS) for
-/// no fewer page faults.
-const SPARE_MIN_WORDS: usize = 1 << 16;
+/// Segments smaller than this are left to the allocator, whose size
+/// classes recycle them well. Measured: from 128 KiB up, the fast
+/// figure suite would hold 3–4 MiB of spares (+11 % peak RSS) for no
+/// fewer page faults.
+const SPARE_MIN_BYTES: usize = 512 << 10;
+
+/// Bytes of storage `seg` holds on to.
+fn held_bytes(seg: &Segment) -> usize {
+    seg.capacity() * std::mem::size_of::<u64>()
+}
 
 /// Large segment buffers a worker thread keeps between runs.
 ///
@@ -595,12 +602,14 @@ const SPARE_MIN_WORDS: usize = 1 << 16;
 /// each time: 57 k minor faults per pass of three threads-backend
 /// kernels at n = 2^23, against 16–28 k when each backend had threads
 /// of its own, and +25 % host time. Keeping the buffers takes the
-/// runtime's share out of that churn. What a worker holds is bounded
-/// by `high_water`: never more than its biggest run needed.
+/// runtime's share out of that churn. Segments are storage words
+/// whatever their element type, so one list serves them all. What a
+/// worker holds is bounded by `high_water`: never more than its
+/// biggest run needed.
 #[derive(Default)]
 struct Spare {
     segments: Vec<Segment>,
-    /// Most words of large segments one run on this worker held.
+    /// Most bytes of large segments one run on this worker held.
     high_water: usize,
 }
 
@@ -608,24 +617,24 @@ thread_local! {
     static SPARE: RefCell<Spare> = RefCell::new(Spare::default());
 }
 
-/// A zeroed segment of `len` words: the tightest spare buffer of this
-/// worker that holds it, else a fresh one.
-fn new_segment(len: usize) -> Segment {
-    if len < SPARE_MIN_WORDS {
-        return vec![0u64; len];
+/// A zeroed segment of `words` storage words: the tightest spare
+/// buffer of this worker that holds it, else a fresh one.
+fn new_segment(words: usize) -> Segment {
+    if words * std::mem::size_of::<u64>() < SPARE_MIN_BYTES {
+        return vec![0u64; words];
     }
     let spare = SPARE.with_borrow_mut(|spare| {
         // Largest first (`retire`), so the last that fits is the tightest.
-        let fit = spare.segments.iter().rposition(|seg| seg.capacity() >= len)?;
+        let fit = spare.segments.iter().rposition(|seg| seg.capacity() >= words)?;
         Some(spare.segments.remove(fit))
     });
     match spare {
         Some(mut seg) => {
             seg.clear();
-            seg.resize(len, 0);
+            seg.resize(words, 0);
             seg
         }
-        None => vec![0u64; len],
+        None => vec![0u64; words],
     }
 }
 
@@ -638,14 +647,14 @@ pub(crate) fn retire(ctx: &mut Ctx) {
         let before = spare.segments.len();
         spare
             .segments
-            .extend(ctx.store.segments.drain(..).filter(|seg| seg.capacity() >= SPARE_MIN_WORDS));
-        let run: usize = spare.segments[before..].iter().map(Vec::capacity).sum();
+            .extend(ctx.store.segments.drain(..).filter(|seg| held_bytes(seg) >= SPARE_MIN_BYTES));
+        let run: usize = spare.segments[before..].iter().map(held_bytes).sum();
         spare.high_water = spare.high_water.max(run);
         spare.segments.sort_unstable_by_key(|seg| std::cmp::Reverse(seg.capacity()));
         let mut held = 0;
         let budget = spare.high_water;
         spare.segments.retain(|seg| {
-            held += seg.capacity();
+            held += held_bytes(seg);
             held <= budget
         });
     });
