@@ -12,7 +12,7 @@
 //! `O(g·buckets)` per processor independent of `n` — a textbook
 //! example of the contract's "minimize κ by restructuring" advice.
 
-use qsm_core::{Ctx, Layout, Machine, RunResult, SimMachine, ThreadMachine, ThreadRunResult};
+use qsm_core::{Ctx, Layout, Machine, RunResult};
 
 use crate::analysis::{EffectiveParams, Prediction};
 
@@ -117,21 +117,6 @@ pub fn run_on<M: Machine>(machine: &M, input: &[u32], buckets: usize) -> Histogr
     HistogramRun { counts, run }
 }
 
-/// Run on the simulated machine.
-pub fn run_sim(machine: &SimMachine, input: &[u32], buckets: usize) -> HistogramRun {
-    run_on(machine, input, buckets)
-}
-
-/// Run on the native thread machine.
-pub fn run_threads(
-    machine: &ThreadMachine,
-    input: &[u32],
-    buckets: usize,
-) -> (Vec<u64>, ThreadRunResult<Vec<u64>>) {
-    let r = run_on(machine, input, buckets);
-    (r.counts, r.run)
-}
-
 /// QSM communication prediction: each processor ships ~`buckets`
 /// double-word counts (its partials, minus the range it owns) and
 /// the phase constants — independent of `n`.
@@ -146,6 +131,7 @@ pub fn predict(buckets: usize, params: &EffectiveParams) -> Prediction {
 mod tests {
     use super::*;
     use crate::gen::random_u32s;
+    use qsm_core::{SimMachine, ThreadMachine};
     use qsm_simnet::MachineConfig;
 
     fn machine(p: usize) -> SimMachine {
@@ -156,7 +142,7 @@ mod tests {
     fn matches_sequential_oracle() {
         let input = random_u32s(5000, 21);
         for (p, buckets) in [(4, 64), (8, 100), (3, 7), (1, 16)] {
-            let run = run_sim(&machine(p), &input, buckets);
+            let run = run_on(&machine(p), &input, buckets);
             assert_eq!(run.counts, histogram_seq(&input, buckets), "p={p} buckets={buckets}");
         }
     }
@@ -164,22 +150,22 @@ mod tests {
     #[test]
     fn buckets_fewer_than_processors() {
         let input = random_u32s(1000, 22);
-        let run = run_sim(&machine(8), &input, 3);
+        let run = run_on(&machine(8), &input, 3);
         assert_eq!(run.counts, histogram_seq(&input, 3));
     }
 
     #[test]
     fn counts_conserve_input_size() {
         let input = random_u32s(3000, 23);
-        let run = run_sim(&machine(4), &input, 50);
+        let run = run_on(&machine(4), &input, 50);
         assert_eq!(run.counts.iter().sum::<u64>(), 3000);
     }
 
     #[test]
     fn communication_independent_of_n() {
         let m = machine(8);
-        let small = run_sim(&m, &random_u32s(1 << 10, 24), 128).comm();
-        let large = run_sim(&m, &random_u32s(1 << 16, 24), 128).comm();
+        let small = run_on(&m, &random_u32s(1 << 10, 24), 128).comm();
+        let large = run_on(&m, &random_u32s(1 << 16, 24), 128).comm();
         assert!((large / small - 1.0).abs() < 0.2, "comm should be ~flat in n: {small} -> {large}");
     }
 
@@ -187,7 +173,7 @@ mod tests {
     fn kappa_stays_one() {
         // The whole point of owner-computes: no location is touched
         // twice in a phase.
-        let run = run_sim(&machine(4), &random_u32s(2000, 25), 64);
+        let run = run_on(&machine(4), &random_u32s(2000, 25), 64);
         for ph in &run.run.profile.phases {
             assert!(ph.kappa <= 1, "kappa = {}", ph.kappa);
         }
@@ -198,7 +184,7 @@ mod tests {
         // All keys identical: one bucket holds everything; the
         // exchange still routes partial counts, never raw elements.
         let input = vec![13u32; 4000];
-        let run = run_sim(&machine(8), &input, 64);
+        let run = run_on(&machine(8), &input, 64);
         assert_eq!(run.counts, histogram_seq(&input, 64));
         // And the traffic stays tiny despite extreme skew.
         let pred = predict(64, &EffectiveParams::fixed(8, 140.0, 25_500.0));
@@ -208,7 +194,7 @@ mod tests {
     #[test]
     fn native_threads_agree() {
         let input = random_u32s(2000, 26);
-        let (counts, _) = run_threads(&ThreadMachine::new(4), &input, 32);
-        assert_eq!(counts, histogram_seq(&input, 32));
+        let run = run_on(&ThreadMachine::new(4), &input, 32);
+        assert_eq!(run.counts, histogram_seq(&input, 32));
     }
 }

@@ -18,7 +18,7 @@
 //! Ranks are distances to the tail: `rank[tail] = 0`,
 //! `rank[e] = rank[succ[e]] + 1` on the original list.
 
-use qsm_core::{Ctx, Layout, Machine, RunResult, SimMachine, ThreadMachine, ThreadRunResult};
+use qsm_core::{Ctx, Layout, Machine, RunResult};
 use qsm_models::chernoff::binomial_upper_bound;
 use rand::Rng;
 
@@ -438,21 +438,6 @@ pub fn run_on<M: Machine>(machine: &M, succ: &[u64], pred: &[u64]) -> ListRankRu
     ListRankRun { ranks, iter_maxima, survivors, run }
 }
 
-/// Run on the simulated machine.
-pub fn run_sim(machine: &SimMachine, succ: &[u64], pred: &[u64]) -> ListRankRun {
-    run_on(machine, succ, pred)
-}
-
-/// Run on the native thread machine.
-pub fn run_threads(
-    machine: &ThreadMachine,
-    succ: &[u64],
-    pred: &[u64],
-) -> (Vec<u64>, ThreadRunResult<ProcOutcome>) {
-    let r = run_on(machine, succ, pred);
-    (r.ranks, r.run)
-}
-
 /// Expected per-iteration remote traffic for `x` active elements per
 /// processor with remote fraction `rho`: candidates (x/2) fetch a
 /// 1-word flip, removers (x/4) fetch a 2-word weight and write
@@ -521,6 +506,7 @@ pub fn predict_estimate(run: &ListRankRun, params: &EffectiveParams) -> Predicti
 mod tests {
     use super::*;
     use crate::gen::random_list;
+    use qsm_core::SimMachine;
     use qsm_simnet::MachineConfig;
 
     fn machine(p: usize) -> SimMachine {
@@ -529,7 +515,7 @@ mod tests {
 
     fn check(n: usize, p: usize, seed: u64) {
         let (succ, pred, head) = random_list(n, seed);
-        let run = run_sim(&machine(p), &succ, &pred);
+        let run = run_on(&machine(p), &succ, &pred);
         assert_eq!(run.ranks, seq::list_ranks(&succ, head), "n={n} p={p} seed={seed}");
     }
 
@@ -559,7 +545,7 @@ mod tests {
     fn contraction_actually_shrinks() {
         let n = 4096;
         let (succ, pred, _) = random_list(n, 7);
-        let run = run_sim(&machine(8), &succ, &pred);
+        let run = run_on(&machine(8), &succ, &pred);
         assert!(
             (run.survivors as usize) < n / 4,
             "survivors {} should be far below n {n}",
@@ -575,7 +561,7 @@ mod tests {
     fn phase_count_matches_structure() {
         let (succ, pred, _) = random_list(512, 8);
         let p = 4;
-        let run = run_sim(&machine(p), &succ, &pred);
+        let run = run_on(&machine(p), &succ, &pred);
         let iters = iterations(p);
         // 4 per contraction iteration + E,F,G,H + one per expansion
         // iteration + closing sync.
@@ -594,7 +580,7 @@ mod tests {
     fn estimate_tracks_measured_comm_shape() {
         let m = machine(8);
         let (succ, pred, _) = random_list(1 << 14, 9);
-        let run = run_sim(&m, &succ, &pred);
+        let run = run_on(&m, &succ, &pred);
         let params = EffectiveParams::measure(*m.config());
         let est = predict_estimate(&run, &params);
         let measured = run.comm();

@@ -13,7 +13,7 @@
 //! word-granular effective gap, small on machines with cheap bulk
 //! transfers). Phases: `p` rounds (one get + sync each).
 
-use qsm_core::{Ctx, Layout, Machine, RunResult, SimMachine, ThreadMachine, ThreadRunResult};
+use qsm_core::{Ctx, Layout, Machine, RunResult};
 
 use crate::analysis::{EffectiveParams, Prediction};
 
@@ -181,21 +181,6 @@ pub fn run_on<M: Machine>(machine: &M, a: &Matrix, b: &Matrix) -> MatMulRun {
     MatMulRun { c: Matrix::new(n, data), run }
 }
 
-/// Run on the simulated machine.
-pub fn run_sim(machine: &SimMachine, a: &Matrix, b: &Matrix) -> MatMulRun {
-    run_on(machine, a, b)
-}
-
-/// Run on the native thread machine.
-pub fn run_threads(
-    machine: &ThreadMachine,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, ThreadRunResult<Vec<f64>>) {
-    let r = run_on(machine, a, b);
-    (r.c, r.run)
-}
-
 /// QSM prediction: each processor fetches `n²·(p-1)/p` f64 elements
 /// (2 accounting words each) over `p` single-get phases.
 pub fn predict(n: usize, params: &EffectiveParams) -> Prediction {
@@ -207,6 +192,7 @@ pub fn predict(n: usize, params: &EffectiveParams) -> Prediction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsm_core::{SimMachine, ThreadMachine};
     use qsm_simnet::MachineConfig;
 
     fn machine(p: usize) -> SimMachine {
@@ -225,7 +211,7 @@ mod tests {
         for (n, p) in [(8, 2), (16, 4), (12, 3), (16, 1)] {
             let a = Matrix::random(n, 1);
             let b = Matrix::random(n, 2);
-            let run = run_sim(&machine(p), &a, &b);
+            let run = run_on(&machine(p), &a, &b);
             assert_close(&run.c, &matmul_seq(&a, &b));
         }
     }
@@ -238,7 +224,7 @@ mod tests {
         for i in 0..n {
             id[i * n + i] = 1.0;
         }
-        let run = run_sim(&machine(4), &a, &Matrix::new(n, id));
+        let run = run_on(&machine(4), &a, &Matrix::new(n, id));
         assert_close(&run.c, &a);
     }
 
@@ -247,7 +233,7 @@ mod tests {
         let n = 10; // 100 elements over 3 procs: ragged blocks
         let a = Matrix::random(n, 4);
         let b = Matrix::random(n, 5);
-        let run = run_sim(&machine(3), &a, &b);
+        let run = run_on(&machine(3), &a, &b);
         assert_close(&run.c, &matmul_seq(&a, &b));
     }
 
@@ -258,7 +244,7 @@ mod tests {
         let ratio = |n: usize| {
             let a = Matrix::random(n, 6);
             let b = Matrix::random(n, 7);
-            let run = run_sim(&machine(4), &a, &b);
+            let run = run_on(&machine(4), &a, &b);
             run.comm() / run.compute()
         };
         let small = ratio(16);
@@ -275,7 +261,7 @@ mod tests {
         let a = Matrix::random(n, 8);
         let b = Matrix::random(n, 9);
         let m = machine(4);
-        let run = run_sim(&m, &a, &b);
+        let run = run_on(&m, &a, &b);
         let params = EffectiveParams::measure(*m.config());
         let pred = predict(n, &params);
         let err = (run.comm() - pred.bsp).abs() / run.comm();
@@ -287,7 +273,7 @@ mod tests {
         let n = 16;
         let a = Matrix::random(n, 10);
         let b = Matrix::random(n, 11);
-        let (c, _) = run_threads(&ThreadMachine::new(4), &a, &b);
-        assert_close(&c, &matmul_seq(&a, &b));
+        let run = run_on(&ThreadMachine::new(4), &a, &b);
+        assert_close(&run.c, &matmul_seq(&a, &b));
     }
 }

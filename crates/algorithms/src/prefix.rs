@@ -8,7 +8,7 @@
 //! time; its QSM communication prediction is `g(p-1)` per-processor
 //! words (the paper's Figure 1 lines).
 
-use qsm_core::{Ctx, Layout, Machine, RunResult, SimMachine, ThreadMachine, ThreadRunResult};
+use qsm_core::{Ctx, Layout, Machine, RunResult};
 
 use crate::analysis::{EffectiveParams, Prediction};
 
@@ -95,20 +95,6 @@ pub fn run_on<M: Machine>(machine: &M, input: &[u64]) -> PrefixRun {
     PrefixRun { output, run }
 }
 
-/// Run on the simulated machine.
-pub fn run_sim(machine: &SimMachine, input: &[u64]) -> PrefixRun {
-    run_on(machine, input)
-}
-
-/// Run on the native thread machine.
-pub fn run_threads(
-    machine: &ThreadMachine,
-    input: &[u64],
-) -> (Vec<u64>, ThreadRunResult<Vec<u64>>) {
-    let r = run_on(machine, input);
-    (r.output, r.run)
-}
-
 /// The paper's prediction for communication time: QSM charges
 /// `g(p-1)` per-processor remote words (×2 because our sums are
 /// 8-byte values), BSP adds one `L`.
@@ -123,6 +109,7 @@ mod tests {
     use super::*;
     use crate::gen::random_u64s;
     use crate::seq;
+    use qsm_core::{SimMachine, ThreadMachine};
     use qsm_simnet::MachineConfig;
 
     fn machine(p: usize) -> SimMachine {
@@ -132,28 +119,28 @@ mod tests {
     #[test]
     fn matches_sequential_oracle() {
         let input = random_u64s(1000, 42);
-        let run = run_sim(&machine(4), &input);
+        let run = run_on(&machine(4), &input);
         assert_eq!(run.output, seq::prefix_sums(&input));
     }
 
     #[test]
     fn works_when_n_smaller_than_p() {
         let input = random_u64s(3, 1);
-        let run = run_sim(&machine(8), &input);
+        let run = run_on(&machine(8), &input);
         assert_eq!(run.output, seq::prefix_sums(&input));
     }
 
     #[test]
     fn works_on_single_processor() {
         let input = random_u64s(64, 2);
-        let run = run_sim(&machine(1), &input);
+        let run = run_on(&machine(1), &input);
         assert_eq!(run.output, seq::prefix_sums(&input));
     }
 
     #[test]
     fn phase_count_is_setup_plus_two() {
         let input = random_u64s(256, 3);
-        let run = run_sim(&machine(4), &input);
+        let run = run_on(&machine(4), &input);
         assert_eq!(run.run.num_phases(), SETUP_PHASES + 2);
     }
 
@@ -162,8 +149,8 @@ mod tests {
         // The paper's Figure 1: prefix communication does not grow
         // with problem size (only p-1 words per processor move).
         let m = machine(8);
-        let small = run_sim(&m, &random_u64s(1 << 10, 4)).comm();
-        let large = run_sim(&m, &random_u64s(1 << 16, 4)).comm();
+        let small = run_on(&m, &random_u64s(1 << 10, 4)).comm();
+        let large = run_on(&m, &random_u64s(1 << 16, 4)).comm();
         let ratio = large / small;
         assert!((0.8..1.2).contains(&ratio), "comm should be flat in n: {small} -> {large}");
     }
@@ -174,7 +161,7 @@ mod tests {
         // o and l dominate this tiny communication; QSM (no L term)
         // sits lowest.
         let m = machine(16);
-        let run = run_sim(&m, &random_u64s(1 << 14, 5));
+        let run = run_on(&m, &random_u64s(1 << 14, 5));
         let params = EffectiveParams::measure(*m.config());
         let pred = predict(&params);
         assert!(pred.qsm < pred.bsp);
@@ -184,15 +171,15 @@ mod tests {
     #[test]
     fn native_threads_agree_with_simulator() {
         let input = random_u64s(2048, 6);
-        let (out, run) = run_threads(&ThreadMachine::new(4), &input);
-        assert_eq!(out, seq::prefix_sums(&input));
-        assert_eq!(run.phases.len(), SETUP_PHASES + 2);
+        let r = run_on(&ThreadMachine::new(4), &input);
+        assert_eq!(r.output, seq::prefix_sums(&input));
+        assert_eq!(r.run.phases.len(), SETUP_PHASES + 2);
     }
 
     #[test]
     fn profile_records_broadcast_volume() {
         let m = machine(4);
-        let run = run_sim(&m, &random_u64s(512, 7));
+        let run = run_on(&m, &random_u64s(512, 7));
         // The broadcast phase moves (p-1) u64s = 6 words per proc.
         let bcast = &run.run.phases[SETUP_PHASES].profile;
         assert_eq!(bcast.m_rw, 6);

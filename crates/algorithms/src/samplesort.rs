@@ -12,7 +12,7 @@
 //! analysis: `B` (largest bucket) and `r` (largest fraction of a
 //! bucket fetched from remote contributors).
 
-use qsm_core::{Ctx, Layout, Machine, RunResult, SimMachine, ThreadMachine, ThreadRunResult};
+use qsm_core::{Ctx, Layout, Machine, RunResult};
 use qsm_models::chernoff::sample_sort_bucket_bound;
 use rand::Rng;
 
@@ -234,25 +234,6 @@ pub fn run_on_with<M: Machine>(machine: &M, input: &[u32], c: f64) -> SampleSort
     SampleSortRun { output, b_max, r_max, run }
 }
 
-/// Run on the simulated machine with the default oversampling.
-pub fn run_sim(machine: &SimMachine, input: &[u32]) -> SampleSortRun {
-    run_on(machine, input)
-}
-
-/// Run on the simulated machine with oversampling constant `c`.
-pub fn run_sim_with(machine: &SimMachine, input: &[u32], c: f64) -> SampleSortRun {
-    run_on_with(machine, input, c)
-}
-
-/// Run on the native thread machine.
-pub fn run_threads(
-    machine: &ThreadMachine,
-    input: &[u32],
-) -> (Vec<u32>, ThreadRunResult<ProcOutcome>) {
-    let r = run_on(machine, input);
-    (r.output, r.run)
-}
-
 /// The QSM communication formula with explicit load-balance inputs
 /// `B` and `r` (the paper's `4(p-1)g log n + 3(p-1)g + gBr + gB`,
 /// with each term priced by its primitive's effective gap).
@@ -305,6 +286,7 @@ mod tests {
     use super::*;
     use crate::gen::{nearly_sorted_u32s, random_u32s};
     use crate::seq;
+    use qsm_core::{SimMachine, ThreadMachine};
     use qsm_simnet::MachineConfig;
 
     fn machine(p: usize) -> SimMachine {
@@ -314,42 +296,42 @@ mod tests {
     #[test]
     fn sorts_random_input() {
         let input = random_u32s(4000, 17);
-        let run = run_sim(&machine(4), &input);
+        let run = run_on(&machine(4), &input);
         assert_eq!(run.output, seq::sorted(&input));
     }
 
     #[test]
     fn sorts_input_with_heavy_duplicates() {
         let input: Vec<u32> = (0..3000).map(|i| (i % 7) as u32).collect();
-        let run = run_sim(&machine(4), &input);
+        let run = run_on(&machine(4), &input);
         assert_eq!(run.output, seq::sorted(&input));
     }
 
     #[test]
     fn sorts_nearly_sorted_input() {
         let input = nearly_sorted_u32s(2000, 3);
-        let run = run_sim(&machine(8), &input);
+        let run = run_on(&machine(8), &input);
         assert_eq!(run.output, seq::sorted(&input));
     }
 
     #[test]
     fn sorts_on_single_processor() {
         let input = random_u32s(500, 23);
-        let run = run_sim(&machine(1), &input);
+        let run = run_on(&machine(1), &input);
         assert_eq!(run.output, seq::sorted(&input));
     }
 
     #[test]
     fn exactly_five_measured_phases() {
         let input = random_u32s(2048, 5);
-        let run = run_sim(&machine(4), &input);
+        let run = run_on(&machine(4), &input);
         assert_eq!(run.run.num_phases() - SETUP_PHASES, PAPER_PHASES);
     }
 
     #[test]
     fn skews_are_sane() {
         let input = random_u32s(8192, 11);
-        let run = run_sim(&machine(8), &input);
+        let run = run_on(&machine(8), &input);
         // B at least the average, at most all of n.
         assert!(run.b_max >= (8192 / 8) as u64);
         assert!(run.b_max < 8192);
@@ -387,7 +369,7 @@ mod tests {
         let m = machine(8);
         let n = 1 << 15;
         let input = random_u32s(n, 29);
-        let run = run_sim(&m, &input);
+        let run = run_on(&m, &input);
         let params = EffectiveParams::measure(*m.config());
         let best = predict_best(n, DEFAULT_OVERSAMPLING, &params);
         let whp = predict_whp(n, DEFAULT_OVERSAMPLING, &params);
@@ -408,7 +390,7 @@ mod tests {
     fn estimate_uses_measured_skews() {
         let m = machine(4);
         let input = random_u32s(4096, 31);
-        let run = run_sim(&m, &input);
+        let run = run_on(&m, &input);
         let params = EffectiveParams::fixed(4, 140.0, 25_500.0);
         let est = predict_estimate(4096, &run, DEFAULT_OVERSAMPLING, &params);
         let best = predict_best(4096, DEFAULT_OVERSAMPLING, &params);
@@ -419,8 +401,8 @@ mod tests {
     #[test]
     fn native_threads_sort_correctly() {
         let input = random_u32s(3000, 41);
-        let (out, run) = run_threads(&ThreadMachine::new(4), &input);
-        assert_eq!(out, seq::sorted(&input));
-        assert_eq!(run.phases.len() - SETUP_PHASES, PAPER_PHASES);
+        let r = run_on(&ThreadMachine::new(4), &input);
+        assert_eq!(r.output, seq::sorted(&input));
+        assert_eq!(r.run.phases.len() - SETUP_PHASES, PAPER_PHASES);
     }
 }

@@ -1,66 +1,15 @@
-//! Criterion benches of the three QSM algorithms on the *native*
-//! thread machine (real parallel execution) against their sequential
+//! Criterion benches of the two extra kernels on the *native* thread
+//! machine (real parallel execution) against their sequential
 //! baselines — the "is the parallel code actually worth running"
-//! sanity check that complements the simulated-figure harness.
+//! sanity check. The three paper kernels are timed by the repo
+//! benchmark instead (`algorithms.*_threads_s`, `algorithms.seq_*_s`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qsm_algorithms::matmul::Matrix;
-use qsm_algorithms::{gen, histogram, listrank, matmul, prefix, samplesort, seq};
+use qsm_algorithms::{gen, histogram, matmul};
 use qsm_core::ThreadMachine;
 
 const N: usize = 1 << 16;
-
-fn bench_prefix(c: &mut Criterion) {
-    let mut g = c.benchmark_group("prefix_sums");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(N as u64));
-    let input = gen::random_u64s(N, 1);
-    g.bench_function(BenchmarkId::new("sequential", N), |b| {
-        b.iter(|| seq::prefix_sums(std::hint::black_box(&input)))
-    });
-    for p in [2usize, 4] {
-        let machine = ThreadMachine::new(p);
-        g.bench_function(BenchmarkId::new(format!("qsm_threads_p{p}"), N), |b| {
-            b.iter(|| prefix::run_threads(std::hint::black_box(&machine), &input))
-        });
-    }
-    g.finish();
-}
-
-fn bench_samplesort(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sample_sort");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(N as u64));
-    let input = gen::random_u32s(N, 2);
-    g.bench_function(BenchmarkId::new("sequential", N), |b| {
-        b.iter(|| seq::sorted(std::hint::black_box(&input)))
-    });
-    for p in [2usize, 4] {
-        let machine = ThreadMachine::new(p);
-        g.bench_function(BenchmarkId::new(format!("qsm_threads_p{p}"), N), |b| {
-            b.iter(|| samplesort::run_threads(std::hint::black_box(&machine), &input))
-        });
-    }
-    g.finish();
-}
-
-fn bench_listrank(c: &mut Criterion) {
-    let mut g = c.benchmark_group("list_ranking");
-    g.sample_size(10);
-    let n = 1 << 14;
-    g.throughput(Throughput::Elements(n as u64));
-    let (succ, pred, head) = gen::random_list(n, 3);
-    g.bench_function(BenchmarkId::new("sequential", n), |b| {
-        b.iter(|| seq::list_ranks(std::hint::black_box(&succ), head))
-    });
-    for p in [2usize, 4] {
-        let machine = ThreadMachine::new(p);
-        g.bench_function(BenchmarkId::new(format!("qsm_threads_p{p}"), n), |b| {
-            b.iter(|| listrank::run_threads(std::hint::black_box(&machine), &succ, &pred))
-        });
-    }
-    g.finish();
-}
 
 fn bench_histogram(c: &mut Criterion) {
     let mut g = c.benchmark_group("histogram");
@@ -72,7 +21,7 @@ fn bench_histogram(c: &mut Criterion) {
     });
     let machine = ThreadMachine::new(4);
     g.bench_function(BenchmarkId::new("qsm_threads_p4", N), |b| {
-        b.iter(|| histogram::run_threads(std::hint::black_box(&machine), &input, 256))
+        b.iter(|| histogram::run_on(std::hint::black_box(&machine), &input, 256))
     });
     g.finish();
 }
@@ -89,17 +38,10 @@ fn bench_matmul(c: &mut Criterion) {
     });
     let machine = ThreadMachine::new(4);
     g.bench_function(BenchmarkId::new("qsm_threads_p4", n), |b| {
-        b.iter(|| matmul::run_threads(std::hint::black_box(&machine), &a, &b_mat))
+        b.iter(|| matmul::run_on(std::hint::black_box(&machine), &a, &b_mat))
     });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_prefix,
-    bench_samplesort,
-    bench_listrank,
-    bench_histogram,
-    bench_matmul
-);
+criterion_group!(benches, bench_histogram, bench_matmul);
 criterion_main!(benches);

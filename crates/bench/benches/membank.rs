@@ -1,23 +1,9 @@
-//! Criterion benches of the memory-bank study: the bank-queue
-//! simulator's host-side throughput and the native (real atomics)
-//! microbenchmark across patterns.
+//! Criterion bench of the memory-bank study's native (real atomics)
+//! microbenchmark across patterns. The bank-queue simulator's host
+//! cost is the repo benchmark's `membank.sim_ns_per_access`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qsm_membank::{platform, run_native, simulate, Pattern};
-
-fn bench_bank_sim(c: &mut Criterion) {
-    let mut g = c.benchmark_group("membank_sim");
-    let accesses = 10_000;
-    g.throughput(Throughput::Elements(accesses as u64));
-    for m in [platform::smp_native(), platform::cray_t3e()] {
-        for pat in Pattern::all() {
-            g.bench_function(BenchmarkId::new(m.name, pat.label()), |b| {
-                b.iter(|| simulate(std::hint::black_box(&m), pat, accesses, 7))
-            });
-        }
-    }
-    g.finish();
-}
+use qsm_membank::{run_native, Pattern};
 
 fn bench_native_patterns(c: &mut Criterion) {
     let mut g = c.benchmark_group("membank_native");
@@ -32,5 +18,5 @@ fn bench_native_patterns(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_bank_sim, bench_native_patterns);
+criterion_group!(benches, bench_native_patterns);
 criterion_main!(benches);

@@ -1,30 +1,12 @@
-//! Criterion benches of the runtime/simulator machinery itself:
-//! simulated-machine throughput (how fast the host can simulate
-//! phases and traffic) and the calibration microbenchmarks. These
-//! guard the harness against performance regressions that would make
-//! the figure sweeps impractically slow.
+//! Criterion benches of the runtime/simulator machinery itself, for
+//! what no per-layer probe of the repo benchmark (`benchmark/`) times:
+//! the simulated dissemination barrier, a streamed put phase, and one
+//! uncached calibration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qsm_core::{EffectiveCosts, Layout, SimMachine};
 use qsm_simnet::barrier::{BarrierModel, DisseminationBarrier};
-use qsm_simnet::{Cycles, Injection, MachineConfig, MsgKind, Network};
-
-fn bench_network_transmit(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simnet_transmit");
-    for msgs in [100usize, 10_000] {
-        g.throughput(Throughput::Elements(msgs as u64));
-        g.bench_function(BenchmarkId::new("all_to_all", msgs), |b| {
-            let injections: Vec<Injection> = (0..msgs)
-                .map(|i| Injection::new(i % 16, (i * 7 + 1) % 16, 64, Cycles::ZERO, MsgKind::Other))
-                .collect();
-            b.iter(|| {
-                let mut net = Network::new(16, MachineConfig::paper_default(16).net);
-                net.transmit(std::hint::black_box(&injections))
-            })
-        });
-    }
-    g.finish();
-}
+use qsm_simnet::{Cycles, MachineConfig, Network};
 
 fn bench_barrier(c: &mut Criterion) {
     c.bench_function("simnet_dissemination_barrier_p64", |b| {
@@ -35,21 +17,6 @@ fn bench_barrier(c: &mut Criterion) {
             DisseminationBarrier.run(&mut net, &cfg.sw, std::hint::black_box(&enter))
         })
     });
-}
-
-fn bench_empty_sync(c: &mut Criterion) {
-    let mut g = c.benchmark_group("machine");
-    g.sample_size(20);
-    g.bench_function("sim_machine_empty_sync_p16", |b| {
-        let machine = SimMachine::new(MachineConfig::paper_default(16));
-        b.iter(|| {
-            machine.run(|ctx| {
-                ctx.sync();
-                ctx.sync();
-            })
-        })
-    });
-    g.finish();
 }
 
 fn bench_put_stream(c: &mut Criterion) {
@@ -84,12 +51,5 @@ fn bench_calibration(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_network_transmit,
-    bench_barrier,
-    bench_empty_sync,
-    bench_put_stream,
-    bench_calibration
-);
+criterion_group!(benches, bench_barrier, bench_put_stream, bench_calibration);
 criterion_main!(benches);

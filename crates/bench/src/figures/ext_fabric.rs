@@ -49,7 +49,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         if let Some(f) = fabric {
             machine_cfg = machine_cfg.with_fabric(f);
         }
-        samplesort::run_sim(&SimMachine::new(machine_cfg), &input).comm()
+        samplesort::run_on(&SimMachine::new(machine_cfg), &input).comm()
     });
     let base = comms[0];
     let rows: Vec<Vec<String>> = gaps

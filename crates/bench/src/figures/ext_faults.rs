@@ -56,7 +56,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     let points = crate::sweep::map_surviving(cfg.p, DROP_PROBS.to_vec(), |_, drop_prob| {
         let machine_cfg =
             MachineConfig::paper_default(cfg.p).with_faults(FaultConfig::drops(seed, drop_prob));
-        let run = samplesort::run_sim(&SimMachine::new(machine_cfg), &input);
+        let run = samplesort::run_on(&SimMachine::new(machine_cfg), &input);
         let rep = &run.run.report;
         (
             drop_prob,

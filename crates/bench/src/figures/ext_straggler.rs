@@ -41,7 +41,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         if factor > 1.0 {
             machine_cfg = machine_cfg.with_straggler(0, factor);
         }
-        let run = samplesort::run_sim(&SimMachine::new(machine_cfg), &input);
+        let run = samplesort::run_on(&SimMachine::new(machine_cfg), &input);
         let measured = run.total();
         // The model's view of the run: BSP estimate on the measured
         // skews plus local work at nominal (homogeneous) speed —

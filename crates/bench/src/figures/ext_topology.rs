@@ -105,13 +105,13 @@ fn measure(algo: &str, topo: TopologyKind, n: usize, seed: u64) -> Measured {
     }
     let machine = SimMachine::new(cfg).with_seed(seed);
     let report = match algo {
-        "prefix" => prefix::run_sim(&machine, &gen::random_u64s(n, seed ^ 0xDA7A)).run.report,
+        "prefix" => prefix::run_on(&machine, &gen::random_u64s(n, seed ^ 0xDA7A)).run.report,
         "samplesort" => {
-            samplesort::run_sim(&machine, &gen::random_u32s(n, seed ^ 0xDA7A)).run.report
+            samplesort::run_on(&machine, &gen::random_u32s(n, seed ^ 0xDA7A)).run.report
         }
         "listrank" => {
             let (succ, pred, _) = gen::random_list(n / 4, seed ^ 0xDA7A);
-            listrank::run_sim(&machine, &succ, &pred).run.report
+            listrank::run_on(&machine, &succ, &pred).run.report
         }
         _ => unreachable!("ALGOS is fixed"),
     };

@@ -110,7 +110,7 @@ pub(crate) fn samplesort_comm(
             let seed = cfg.seed(point, rep);
             let machine = SimMachine::new(machine_cfg).with_seed(seed);
             let input = gen::random_u32s(n, seed ^ 0xDA7A);
-            samplesort::run_sim(&machine, &input).comm()
+            samplesort::run_on(&machine, &input).comm()
         })
         .collect();
     mean(&comms)

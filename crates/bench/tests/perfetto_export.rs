@@ -27,7 +27,7 @@ fn real_run_export_parses_and_comm_spans_sum_to_measured_comm() {
     // A 2-processor prefix-sums run exports a well-formed trace with
     // one named track per processor, carrying actual spans.
     let machine = SimMachine::new(MachineConfig::paper_default(2));
-    prefix::run_sim(&machine, &gen::random_u64s(1 << 10, 42));
+    prefix::run_on(&machine, &gen::random_u64s(1 << 10, 42));
     let data = rec.take().expect("recorder is installed");
     assert_eq!(data.nprocs, 2);
     let j = data.to_perfetto_json();
@@ -53,7 +53,7 @@ fn real_run_export_parses_and_comm_spans_sum_to_measured_comm() {
     // exactly: durations are copied verbatim from the phase timings
     // and summed in the same (phase) order as CostReport.
     let machine = SimMachine::new(MachineConfig::paper_default(8));
-    let r = prefix::run_sim(&machine, &gen::random_u64s(1 << 12, 7));
+    let r = prefix::run_on(&machine, &gen::random_u64s(1 << 12, 7));
     let data = rec.take().expect("recorder is installed");
     let measured = r.run.report.measured_comm.get();
     let sum: f64 =

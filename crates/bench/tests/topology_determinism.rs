@@ -7,13 +7,50 @@
 //! depend on worker count or completion order either.
 //!
 //! This file contains exactly one `#[test]` on purpose: it mutates
-//! the process-wide `QSM_JOBS` variable and installs the
+//! process-wide `QSM_*` variables and installs the
 //! process-global metrics recorder, and a sibling test running
 //! concurrently in the same binary could observe either.
 
+use qsm_bench::backend::Backend;
 use qsm_bench::figures::ext_topology;
 use qsm_bench::RunCfg;
 use qsm_core::obs::{self, ObsLevel, Recorder};
+use qsm_core::{Ctx, Layout, Machine, PhaseRecord, SimMachine};
+use qsm_simnet::MachineConfig;
+
+/// One registration phase, then every processor puts 64 words into
+/// its right neighbour's block: inter-node traffic for a fabric to
+/// price.
+fn put_phases<M: Machine>(machine: &M) -> Vec<PhaseRecord> {
+    let run = machine.run(|ctx: &mut Ctx| {
+        let p = ctx.nprocs();
+        let arr = ctx.register::<u32>("ring", 64 * p, Layout::Block);
+        ctx.sync();
+        ctx.put(&arr, 64 * ((ctx.proc_id() + 1) % p), &[7u32; 64]);
+        ctx.sync();
+    });
+    run.phases
+}
+
+/// `QSM_TOPOLOGY` fills in a topology only where the config chose
+/// none: a `with_fabric` config keeps its one shared link, a plain
+/// config gets the routed line.
+fn env_topology_yields_to_a_fabric_config() {
+    std::env::set_var("QSM_TOPOLOGY", "line");
+    let fabric = MachineConfig::paper_default(16).with_fabric(3.0);
+    assert_eq!(
+        put_phases(&Backend::Sim.machine(fabric, 5)),
+        put_phases(&SimMachine::new(fabric).with_seed(5)),
+        "a config that chose its own fabric wins over QSM_TOPOLOGY"
+    );
+    let plain = MachineConfig::paper_default(16);
+    assert_ne!(
+        put_phases(&Backend::Sim.machine(plain, 5)),
+        put_phases(&SimMachine::new(plain).with_seed(5)),
+        "QSM_TOPOLOGY=line must still route a config that chose no topology"
+    );
+    std::env::remove_var("QSM_TOPOLOGY");
+}
 
 #[test]
 fn ext_topology_is_byte_identical_across_job_counts_and_runs() {
@@ -65,4 +102,6 @@ fn ext_topology_is_byte_identical_across_job_counts_and_runs() {
         parallel_metrics, parallel_again_metrics,
         "repeat runs must replay the metrics registry exactly"
     );
+
+    env_topology_yields_to_a_fabric_config();
 }

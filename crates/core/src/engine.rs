@@ -2,9 +2,9 @@
 //!
 //! [`run`] is the only place in the workspace that launches QSM
 //! workers and drives the phase loop. A [`Machine`] contributes just
-//! its configuration and its [`PhaseTimer`]; how a run executes is the
-//! same for all of them, which is what makes cross-backend comparisons
-//! of the resulting [`RunResult`]s meaningful.
+//! its configuration and its boxed `PhaseTimer`; how a run executes is
+//! the same for all of them, which is what makes cross-backend
+//! comparisons of the resulting [`RunResult`]s meaningful.
 //!
 //! A run is `p` jobs, one per processor, on workers leased from the
 //! resident pool (`crate::pool`): no thread is spawned for a run whose
@@ -25,7 +25,7 @@ use qsm_obs::Recorder;
 
 use crate::ctx::Ctx;
 use crate::driver::{Driver, PhaseRecord};
-use crate::machine::{Machine, PhaseTimer, RunResult};
+use crate::machine::{Machine, RunResult};
 
 /// Run `program` on every processor of `machine` and price the run,
 /// observed by the ambient recorder and the calling thread's tally.
@@ -58,7 +58,7 @@ where
 {
     let p = machine.nprocs();
     let mut driver = Driver::new(p, machine.check_conflicts(), rec.clone());
-    let mut timer: Box<dyn PhaseTimer> = Box::new(machine.make_timer(rec.clone()));
+    let mut timer = machine.make_timer(rec.clone());
     driver.begin_run(timer.as_ref());
     // Full-level capture: a timer that opts in (the wall-clock one)
     // hands over its epoch and the workers emit their own per-lane

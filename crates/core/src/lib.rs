@@ -85,10 +85,10 @@ pub use addr::{ArrayId, Layout};
 pub use calibrate::EffectiveCosts;
 pub use ctx::Ctx;
 pub use driver::{CommMatrix, PairTraffic, PhaseRecord, PhaseTiming};
-pub use machine::{AnyMachine, AnyTimer, Machine, PhaseTimer, RunResult};
+pub use machine::{AnyMachine, Machine, PhaseTimer, RunResult};
 pub use ops::GetTicket;
 pub use shmem::SharedArray;
 pub use sim_runtime::SimMachine;
 pub use sim_timer::{empty_sync_cost, SimTimer};
-pub use thread_runtime::{ThreadMachine, ThreadRunResult, WallTimer};
+pub use thread_runtime::{ThreadMachine, WallTimer};
 pub use word::Word;

@@ -25,8 +25,7 @@ use crate::accounting::CostReport;
 use crate::ctx::Ctx;
 use crate::driver::{CommMatrix, PhaseRecord, PhaseTiming};
 use crate::sim_runtime::SimMachine;
-use crate::sim_timer::SimTimer;
-use crate::thread_runtime::{ThreadMachine, WallTimer};
+use crate::thread_runtime::ThreadMachine;
 use qsm_models::ProgramProfile;
 
 /// Prices one phase of a run: the **price** stage of the pipeline.
@@ -112,11 +111,6 @@ pub trait PhaseTimer: Send {
 /// workers through the shared engine. See the crate-level example
 /// for a program running unmodified on both backends.
 pub trait Machine {
-    /// The phase-pricing strategy this backend plugs into the engine.
-    /// (`'static` so the engine can hold it as a trait object across
-    /// the run; timers are configuration + counters, never borrows.)
-    type Timer: PhaseTimer + 'static;
-
     /// Number of processors.
     fn nprocs(&self) -> usize;
 
@@ -133,8 +127,11 @@ pub trait Machine {
     /// the simulated machine, `"ns"` for wall-clock backends).
     fn time_unit(&self) -> &'static str;
 
-    /// Build the timer for one run, emitting into `rec`.
-    fn make_timer(&self, rec: Recorder) -> Self::Timer;
+    /// Build the timer for one run, emitting into `rec`: the
+    /// phase-pricing strategy this backend plugs into the engine,
+    /// which holds it as a trait object across the run (timers are
+    /// configuration + counters, never borrows).
+    fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer>;
 
     /// Assemble the run's cost report from its phase records.
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport;
@@ -255,77 +252,7 @@ impl From<ThreadMachine> for AnyMachine {
     }
 }
 
-/// The [`AnyMachine`] timer: delegates to the wrapped backend's.
-pub struct AnyTimer(AnyTimerInner);
-
-enum AnyTimerInner {
-    // Boxed: the simulated timer carries the whole network state and
-    // dwarfs the wall-clock one; one allocation per run is free.
-    Sim(Box<SimTimer>),
-    Wall(WallTimer),
-}
-
-impl PhaseTimer for AnyTimer {
-    fn price(&mut self, charged: &[u64], matrix: &CommMatrix, arrivals: &[Instant]) -> PhaseTiming {
-        match &mut self.0 {
-            AnyTimerInner::Sim(t) => t.price(charged, matrix, arrivals),
-            AnyTimerInner::Wall(t) => t.price(charged, matrix, arrivals),
-        }
-    }
-
-    fn fault_counts(&self) -> (u64, u64) {
-        match &self.0 {
-            AnyTimerInner::Sim(t) => t.fault_counts(),
-            AnyTimerInner::Wall(t) => t.fault_counts(),
-        }
-    }
-
-    fn bank_model(&self) -> Option<qsm_simnet::BankModel> {
-        match &self.0 {
-            AnyTimerInner::Sim(t) => t.bank_model(),
-            AnyTimerInner::Wall(t) => t.bank_model(),
-        }
-    }
-
-    fn bank_wait(&self) -> Cycles {
-        match &self.0 {
-            AnyTimerInner::Sim(t) => t.bank_wait(),
-            AnyTimerInner::Wall(t) => t.bank_wait(),
-        }
-    }
-
-    fn link_count(&self) -> usize {
-        match &self.0 {
-            AnyTimerInner::Sim(t) => t.link_count(),
-            AnyTimerInner::Wall(t) => t.link_count(),
-        }
-    }
-
-    fn link_wait(&self) -> Cycles {
-        match &self.0 {
-            AnyTimerInner::Sim(t) => t.link_wait(),
-            AnyTimerInner::Wall(t) => t.link_wait(),
-        }
-    }
-
-    fn link_util(&self) -> f64 {
-        match &self.0 {
-            AnyTimerInner::Sim(t) => t.link_util(),
-            AnyTimerInner::Wall(t) => t.link_util(),
-        }
-    }
-
-    fn spmd_span_epoch(&mut self) -> Option<Instant> {
-        match &mut self.0 {
-            AnyTimerInner::Sim(t) => t.spmd_span_epoch(),
-            AnyTimerInner::Wall(t) => t.spmd_span_epoch(),
-        }
-    }
-}
-
 impl Machine for AnyMachine {
-    type Timer = AnyTimer;
-
     fn nprocs(&self) -> usize {
         match self {
             AnyMachine::Sim(m) => m.nprocs(),
@@ -361,10 +288,10 @@ impl Machine for AnyMachine {
         }
     }
 
-    fn make_timer(&self, rec: Recorder) -> AnyTimer {
+    fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer> {
         match self {
-            AnyMachine::Sim(m) => AnyTimer(AnyTimerInner::Sim(Box::new(m.make_timer(rec)))),
-            AnyMachine::Threads(m) => AnyTimer(AnyTimerInner::Wall(m.make_timer(rec))),
+            AnyMachine::Sim(m) => m.make_timer(rec),
+            AnyMachine::Threads(m) => m.make_timer(rec),
         }
     }
 

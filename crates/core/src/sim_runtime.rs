@@ -16,7 +16,7 @@ use qsm_simnet::{Cycles, MachineConfig};
 use crate::accounting::CostReport;
 use crate::ctx::Ctx;
 use crate::driver::PhaseRecord;
-use crate::machine::Machine;
+use crate::machine::{Machine, PhaseTimer};
 use crate::sim_timer::{empty_sync_cost, SimTimer};
 
 pub use crate::machine::RunResult;
@@ -70,8 +70,6 @@ impl SimMachine {
 }
 
 impl Machine for SimMachine {
-    type Timer = SimTimer;
-
     fn nprocs(&self) -> usize {
         self.cfg.p
     }
@@ -92,8 +90,8 @@ impl Machine for SimMachine {
         "cycles"
     }
 
-    fn make_timer(&self, rec: Recorder) -> SimTimer {
-        SimTimer::with_recorder(self.cfg, rec)
+    fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer> {
+        Box::new(SimTimer::with_recorder(self.cfg, rec))
     }
 
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {

@@ -591,11 +591,11 @@ struct RetryScratch {
 }
 
 /// Transmit a data-plane batch through the delivery protocol: send it
-/// via the fault-injecting path, then resend lost messages with
-/// bounded exponential backoff — resend `k` of a message becomes ready
-/// `retry_timeout · 2^(k-1)` cycles after its previous failed
-/// departure — until every message is delivered or a message exhausts
-/// `max_attempts` (a panic; the sweep executor degrades gracefully).
+/// via the fault-injecting path, then resend lost messages when
+/// [`FaultConfig::resend_ready`] says (bounded exponential backoff
+/// from the previous failed departure) until every message is
+/// delivered or a message exhausts `max_attempts` — this caller's
+/// give-up policy is a panic; the sweep executor degrades gracefully.
 /// A resend is the original message with a later `ready`: it queues at
 /// the same destination bank. Each message's final successful
 /// [`Delivery`] is written back into `deliveries`, so receiver-side
@@ -635,21 +635,20 @@ fn transmit_reliably(
         retry.msgs.clear();
         retry.keys.clear();
         for &(i, attempts) in pending.iter() {
-            assert!(
-                attempts < f.max_attempts,
-                "delivery protocol gave up: message {} -> {} ({} bytes, {:?}) still lost \
-                 after {} attempts at drop_prob {} (seed {}); raise max_attempts or \
-                 retry_timeout",
-                msgs[i].src,
-                msgs[i].dst,
-                msgs[i].bytes,
-                msgs[i].kind,
-                attempts,
-                f.drop_prob,
-                f.seed,
-            );
-            let backoff = f.retry_timeout * 2f64.powi((attempts - 1).min(60) as i32);
-            let ready = deliveries[i].depart + Cycles::new(backoff);
+            let Some(ready) = f.resend_ready(deliveries[i].depart, attempts) else {
+                panic!(
+                    "delivery protocol gave up: message {} -> {} ({} bytes, {:?}) still lost \
+                     after {} attempts at drop_prob {} (seed {}); raise max_attempts or \
+                     retry_timeout",
+                    msgs[i].src,
+                    msgs[i].dst,
+                    msgs[i].bytes,
+                    msgs[i].kind,
+                    attempts,
+                    f.drop_prob,
+                    f.seed,
+                );
+            };
             retry.msgs.push(Injection { ready, ..msgs[i] });
             retry.keys.push(FaultConfig::retry_key(base + i as u64, attempts));
         }

@@ -178,11 +178,6 @@ impl PhaseTimer for WallTimer {
     }
 }
 
-/// Result of one native run: the same [`RunResult`] every backend
-/// produces (timing fields in nanoseconds). Kept as an alias for the
-/// pre-unification spelling.
-pub type ThreadRunResult<R> = RunResult<R>;
-
 /// A native (host-thread) QSM machine.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadMachine {
@@ -249,8 +244,6 @@ impl ThreadMachine {
 }
 
 impl Machine for ThreadMachine {
-    type Timer = WallTimer;
-
     fn nprocs(&self) -> usize {
         self.p
     }
@@ -271,8 +264,8 @@ impl Machine for ThreadMachine {
         "ns"
     }
 
-    fn make_timer(&self, rec: Recorder) -> WallTimer {
-        WallTimer::with_recorder(rec).with_banks(self.model_cfg.net.banks)
+    fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer> {
+        Box::new(WallTimer::with_recorder(rec).with_banks(self.model_cfg.net.banks))
     }
 
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {

@@ -30,13 +30,6 @@ pub mod pattern;
 pub mod platform;
 pub mod sim;
 
-/// Deprecated spelling of [`platform`], kept as a re-export so
-/// existing `qsm_membank::machine::…` paths keep compiling.
-#[deprecated(since = "0.1.0", note = "renamed to `platform`")]
-pub mod machine {
-    pub use crate::platform::*;
-}
-
 pub use microbench::{run_all, run_pattern, BankBackend, Sample};
 pub use native::{run_native, run_native_all, NativeBank, NativeResult};
 pub use pattern::Pattern;

@@ -131,15 +131,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_machine_path_still_resolves() {
-        // The pre-rename `qsm_membank::machine` spelling must keep
-        // compiling until callers migrate to `platform`.
-        let m: crate::machine::BankMachine = crate::machine::smp_native();
-        assert_eq!(m, smp_native());
-    }
-
-    #[test]
     fn software_layers_slow_the_same_hardware() {
         let native = smp_native();
         let l2 = smp_bsplib_l2();

@@ -87,7 +87,6 @@ impl BankBackend for SimBank<'_> {
             send_overhead: m.overhead_ns,
             recv_overhead: 0.0,
             latency: m.transit_ns,
-            fabric_gap_per_byte: None,
             topology: qsm_simnet::TopologyKind::Flat,
             link_gap_per_byte: None,
             faults: None,

@@ -256,15 +256,12 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
                     out.drops += 1;
                     // The fault config exists, else nothing drops.
                     let f = faults.expect("drops require a fault config");
-                    if attempt >= f.max_attempts {
-                        out.timed_out += 1;
-                    } else {
-                        out.retries += 1;
-                        let backoff = f.retry_timeout * 2f64.powi((attempt - 1).min(60) as i32);
-                        events.sends.push(
-                            d.depart + Cycles::new(backoff),
-                            Send { attempt: attempt + 1, ..send },
-                        );
+                    match f.resend_ready(d.depart, attempt) {
+                        None => out.timed_out += 1,
+                        Some(ready) => {
+                            out.retries += 1;
+                            events.sends.push(ready, Send { attempt: attempt + 1, ..send });
+                        }
                     }
                     continue;
                 }

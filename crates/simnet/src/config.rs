@@ -97,25 +97,13 @@ pub struct NetConfig {
     pub recv_overhead: f64,
     /// Wire latency, cycles.
     pub latency: f64,
-    /// Optional shared-fabric serialization, cycles per byte across
-    /// *all* messages machine-wide.
-    ///
-    /// The paper's simulator "does not include network contention";
-    /// `None` (the default) reproduces that. `Some(gap)` adds a
-    /// single shared resource every message must traverse — an
-    /// extension used to test whether the omission matters for
-    /// bulk-synchronous programs (it does not, until the fabric's
-    /// aggregate bandwidth saturates; see the `ext_fabric`
-    /// experiment).
-    pub fabric_gap_per_byte: Option<f64>,
     /// Network topology of the staged link fabric (extension;
     /// [`TopologyKind::Flat`] — the default — reproduces the paper's
     /// structureless wire bit-exactly by skipping the link stage
-    /// entirely). Non-flat topologies forward every inter-node
+    /// entirely: the paper's simulator "does not include network
+    /// contention"). Non-flat topologies forward every inter-node
     /// message hop-by-hop over per-link FIFO queues; see
-    /// [`crate::topology`]. Mutually exclusive with the legacy
-    /// `fabric_gap_per_byte` scalar, which is internally a one-link
-    /// topology already.
+    /// [`crate::topology`].
     pub topology: TopologyKind,
     /// Per-directed-link serialization cost of a non-flat
     /// [`NetConfig::topology`], cycles per byte. `None` (the
@@ -145,7 +133,6 @@ impl NetConfig {
             send_overhead: 400.0,
             recv_overhead: 400.0,
             latency: 1600.0,
-            fabric_gap_per_byte: None,
             topology: TopologyKind::Flat,
             link_gap_per_byte: None,
             faults: None,
@@ -159,13 +146,6 @@ impl NetConfig {
         assert!(self.send_overhead >= 0.0 && self.send_overhead.is_finite());
         assert!(self.recv_overhead >= 0.0 && self.recv_overhead.is_finite());
         assert!(self.latency >= 0.0 && self.latency.is_finite());
-        if let Some(f) = self.fabric_gap_per_byte {
-            assert!(f >= 0.0 && f.is_finite());
-            assert!(
-                self.topology == TopologyKind::Flat,
-                "fabric_gap_per_byte is the one-link topology; pick it or a real topology, not both"
-            );
-        }
         if let Some(g) = self.link_gap_per_byte {
             assert!(g >= 0.0 && g.is_finite());
         }
@@ -398,11 +378,13 @@ impl MachineConfig {
     }
 
     /// Builder: enable shared-fabric contention at `gap` cycles/byte
-    /// machine-wide (extension; `None` in the paper's simulator).
-    pub fn with_fabric(mut self, gap: f64) -> Self {
-        self.net.fabric_gap_per_byte = Some(gap);
-        self.net.validate();
-        self
+    /// machine-wide — [`TopologyKind::OneLink`], a single resource
+    /// every inter-node message must traverse. An extension used to
+    /// test whether the paper's omission of network contention matters
+    /// for bulk-synchronous programs (it does not, until the fabric's
+    /// aggregate bandwidth saturates; see the `ext_fabric` experiment).
+    pub fn with_fabric(self, gap: f64) -> Self {
+        self.with_topology(TopologyKind::OneLink).with_link_gap(gap)
     }
 
     /// Builder: route messages through a network topology with

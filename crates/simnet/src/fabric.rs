@@ -8,16 +8,12 @@
 //! crossing it at `link_gap_per_byte` cycles per byte, and each
 //! traversed hop adds the topology's per-hop share of the wire
 //! latency. Messages are forwarded in deterministic
-//! `(depart, src, input index)` order — the same total order the
-//! legacy single-resource fabric used — so simulations replay
-//! exactly.
+//! `(depart, src, input index)` order, so simulations replay exactly.
 //!
-//! The legacy `fabric_gap_per_byte` extension is the special case of
+//! The shared-fabric experiment (`ext_fabric`) is the special case of
 //! a [`crate::topology::OneLink`] topology: one link, the full wire
-//! latency after it. The arithmetic below reproduces that path's
-//! original float operations in the original order, so enabling the
-//! staged fabric on a one-link topology is byte-identical to the old
-//! `fabric_free` scalar.
+//! latency after it. Its numbers are pinned by the fabric tests in
+//! `network.rs`, so the float operations below keep their order.
 
 use crate::config::NetConfig;
 use crate::message::Injection;
@@ -53,17 +49,10 @@ impl Fabric {
     /// contention-free wire (the delivery pipeline then skips the
     /// stage entirely — the exact original arithmetic).
     pub(crate) fn from_config(p: usize, cfg: &NetConfig) -> Option<Self> {
-        let (router, link_gap): (Box<dyn Topology>, f64) = match cfg.fabric_gap_per_byte {
-            // Legacy one-resource fabric: a one-link topology.
-            Some(gap) => (Box::new(crate::topology::OneLink::new(cfg.latency)), gap),
-            None => {
-                let router = cfg.topology.build(p, cfg.latency)?;
-                (router, cfg.link_gap_per_byte.unwrap_or(cfg.gap_per_byte))
-            }
-        };
+        let router = cfg.topology.build(p, cfg.latency)?;
         let links = router.links();
         Some(Self {
-            link_gap,
+            link_gap: cfg.link_gap_per_byte.unwrap_or(cfg.gap_per_byte),
             hop_latency: Cycles::new(router.hop_latency()),
             router,
             link_free: FifoTimeline::new(links),

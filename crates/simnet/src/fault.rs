@@ -29,9 +29,11 @@
 //! Faults apply to the bulk data exchange (puts, get requests and
 //! replies) — the control plane (communication plan, barrier) is
 //! modeled as reliable, as in real interconnects that reserve a
-//! protected virtual channel for control traffic. The retry protocol
-//! that re-delivers dropped data messages lives one layer up, in
-//! `qsm-core`'s exchange stage.
+//! protected virtual channel for control traffic. The loops that
+//! re-deliver dropped data messages live one layer up (`qsm-core`'s
+//! exchange stage, `qsm-serve`'s event loop); the rule they share —
+//! when a resend is ready, and when to stop — is
+//! [`FaultConfig::resend_ready`].
 
 use crate::time::Cycles;
 
@@ -91,10 +93,15 @@ pub struct FaultConfig {
     pub stall: Option<StallConfig>,
     /// Resend timeout in cycles: a lost transmission's resend becomes
     /// ready `retry_timeout · 2^(attempt-1)` after the failed depart
-    /// (bounded exponential backoff, applied by `qsm-core`).
+    /// (bounded exponential backoff, computed only by
+    /// [`FaultConfig::resend_ready`] for both retry loops: the batch
+    /// exchange in `qsm-core` and the event loop in `qsm-serve`).
     pub retry_timeout: f64,
-    /// Maximum delivery attempts per message before the retry layer
-    /// gives up (and panics — the sweep executor degrades gracefully).
+    /// Maximum delivery attempts per message before
+    /// [`FaultConfig::resend_ready`] returns `None`. What giving up
+    /// means is the caller's policy: `qsm-core`'s batch exchange panics
+    /// with the message's coordinates (the sweep executor degrades
+    /// gracefully), `qsm-serve` counts the transaction as `timed_out`.
     pub max_attempts: u32,
 }
 
@@ -183,6 +190,23 @@ impl FaultConfig {
         seq ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
+    /// The retry rule: when the next resend of a message becomes
+    /// ready, given that `attempts` (≥ 1) transmissions of it have
+    /// been lost and the last one departed at `failed_depart` —
+    /// `retry_timeout · 2^(attempts-1)` later. `None` once `attempts`
+    /// has reached `max_attempts`: the caller gives up, by its own
+    /// policy.
+    #[inline]
+    pub fn resend_ready(&self, failed_depart: Cycles, attempts: u32) -> Option<Cycles> {
+        if attempts >= self.max_attempts {
+            return None;
+        }
+        // The exponent is clamped so a huge `max_attempts` backs off
+        // by a finite 2^60 timeouts instead of overflowing to infinity.
+        let backoff = self.retry_timeout * 2f64.powi((attempts - 1).min(60) as i32);
+        Some(failed_depart + Cycles::new(backoff))
+    }
+
     /// `(latency_factor, gap_factor)` in effect at time `t`.
     #[inline]
     pub fn degrade_factors(&self, t: Cycles) -> (f64, f64) {
@@ -262,6 +286,35 @@ mod tests {
     #[should_panic(expected = "drop_prob")]
     fn certain_loss_rejected() {
         let _ = FaultConfig::drops(1, 1.0);
+    }
+
+    #[test]
+    fn resend_k_is_ready_a_doubling_timeout_after_the_failed_depart() {
+        let f = FaultConfig::drops(1, 0.1).with_retry_timeout(500.0);
+        let depart = Cycles::new(1_000.0);
+        for (k, backoff) in [(1, 500.0), (2, 1_000.0), (3, 2_000.0)] {
+            assert_eq!(f.resend_ready(depart, k), Some(Cycles::new(1_000.0 + backoff)), "k={k}");
+        }
+    }
+
+    #[test]
+    fn resend_gives_up_exactly_at_max_attempts() {
+        let f = FaultConfig::drops(1, 0.1);
+        assert!(f.resend_ready(Cycles::ZERO, f.max_attempts - 1).is_some());
+        assert_eq!(f.resend_ready(Cycles::ZERO, f.max_attempts), None);
+        assert_eq!(f.resend_ready(Cycles::ZERO, f.max_attempts + 1), None);
+        // One attempt allowed: the first loss is already final.
+        let once = FaultConfig { max_attempts: 1, ..f };
+        assert_eq!(once.resend_ready(Cycles::ZERO, 1), None);
+    }
+
+    #[test]
+    fn resend_backoff_exponent_is_clamped() {
+        let f = FaultConfig { max_attempts: u32::MAX, ..FaultConfig::drops(1, 0.1) };
+        let at_clamp = f.resend_ready(Cycles::ZERO, 61).expect("below max_attempts");
+        assert_eq!(at_clamp, Cycles::new(2f64.powi(60) * f.retry_timeout));
+        assert_eq!(f.resend_ready(Cycles::ZERO, 200), Some(at_clamp));
+        assert!(at_clamp.get().is_finite());
     }
 
     #[test]

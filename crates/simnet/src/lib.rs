@@ -51,11 +51,11 @@
 //! non-flat [`topology::TopologyKind`], every inter-node message is
 //! forwarded hop-by-hop along its route, each directed link a FIFO
 //! serializing at the link gap, each hop adding the topology's share
-//! of the wire latency (the internal `fabric` stage). The default `Flat` topology has
-//! no link stage at all — the `arrive` line above is the exact
-//! arithmetic — and the legacy machine-wide
-//! [`config::NetConfig::fabric_gap_per_byte`] extension is internally
-//! a one-link topology, so there is a single congestion code path.
+//! of the wire latency (the internal `fabric` stage). The default
+//! `Flat` topology has no link stage at all — the `arrive` line above
+//! is the exact arithmetic — and the machine-wide shared fabric
+//! ([`config::MachineConfig::with_fabric`]) is the one-link topology,
+//! so there is a single congestion code path.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -6,8 +6,7 @@
 //!    serializes the message and stamps its departure (and flat-wire
 //!    arrival).
 //! 2. **Route** (the internal `Fabric` stage, optional) — with a
-//!    non-flat [`crate::TopologyKind`] (or the legacy one-link
-//!    `fabric_gap_per_byte` extension) each inter-node message is
+//!    non-flat [`crate::TopologyKind`] each inter-node message is
 //!    forwarded hop-by-hop over per-directed-link FIFO queues,
 //!    rewriting its arrival time.
 //! 3. **Ingest** (`Network::ingest_one`) — the receiver's engine
@@ -735,8 +734,7 @@ mod tests {
 
     #[test]
     fn fabric_serializes_concurrent_flows() {
-        let cfg = NetConfig { fabric_gap_per_byte: Some(3.0), ..NetConfig::paper_default() };
-        let mut n = Network::new(4, cfg);
+        let mut n = fabric_net(4, 3.0);
         let d = n.transmit(&[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
         // Both occupy the shared fabric for 3000 cycles each; the
         // second flow's arrival is pushed back by the first's slot.
@@ -747,8 +745,7 @@ mod tests {
     fn generous_fabric_changes_nothing() {
         // A fabric faster than any single NIC never becomes the
         // bottleneck for a single flow.
-        let cfg = NetConfig { fabric_gap_per_byte: Some(0.01), ..NetConfig::paper_default() };
-        let mut with = Network::new(2, cfg);
+        let mut with = fabric_net(2, 0.01);
         let mut without = net(2);
         let a = with.transmit(&[inj(0, 1, 1000, 0.0)]);
         let b = without.transmit(&[inj(0, 1, 1000, 0.0)]);
@@ -968,8 +965,7 @@ mod tests {
 
     #[test]
     fn self_messages_skip_the_fabric() {
-        let cfg = NetConfig { fabric_gap_per_byte: Some(1e6), ..NetConfig::paper_default() };
-        let mut n = Network::new(2, cfg);
+        let mut n = fabric_net(2, 1e6);
         let d = n.transmit(&[inj(1, 1, 40, 0.0)]);
         assert_eq!(d[0].visible.get(), (400.0 + 120.0) * 2.0);
     }
@@ -978,6 +974,16 @@ mod tests {
 
     fn topo_net(p: usize, t: TopologyKind) -> Network {
         let cfg = NetConfig { topology: t, ..NetConfig::paper_default() };
+        Network::new(p, cfg)
+    }
+
+    /// The machine-wide shared fabric at `gap` cycles/byte.
+    fn fabric_net(p: usize, gap: f64) -> Network {
+        let cfg = NetConfig {
+            topology: TopologyKind::OneLink,
+            link_gap_per_byte: Some(gap),
+            ..NetConfig::paper_default()
+        };
         Network::new(p, cfg)
     }
 
@@ -998,12 +1004,10 @@ mod tests {
     }
 
     #[test]
-    fn one_link_fabric_is_the_legacy_fabric_arithmetic() {
-        // The fabric_gap extension now runs through the generic link
-        // pipeline; its numbers must match the pre-refactor scalar
-        // path, whose exact values the fabric tests above pin.
-        let cfg = NetConfig { fabric_gap_per_byte: Some(3.0), ..NetConfig::paper_default() };
-        let mut n = Network::new(4, cfg);
+    fn one_link_fabric_arithmetic_is_pinned() {
+        // The shared fabric runs through the generic link pipeline;
+        // its numbers are those of the scalar path it replaced.
+        let mut n = fabric_net(4, 3.0);
         assert_eq!(n.link_count(), 1);
         let d = n.transmit(&[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
         // First flow: depart 400+3000 = 3400, link busy 3000, arrive

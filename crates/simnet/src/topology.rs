@@ -11,9 +11,8 @@
 //! Concrete topologies:
 //!
 //! * [`Flat`] — no links at all; the paper's contention-free wire.
-//! * [`OneLink`] — every inter-node message crosses one shared link;
-//!   this is exactly the legacy `fabric_gap_per_byte` extension
-//!   re-expressed as a topology (see `ext_fabric`).
+//! * [`OneLink`] — every inter-node message crosses one shared link:
+//!   the machine-wide fabric of the `ext_fabric` experiment.
 //! * [`Line`] — nodes on a line, bidirectional neighbor links,
 //!   shortest-path routing. Worst diameter, bisection of one link.
 //! * [`Grid2d`] (`TopologyKind::Mesh2d` / `TopologyKind::Torus2d`) — 2-D grid with X-then-Y
@@ -88,8 +87,8 @@ impl Topology for Flat {
     }
 }
 
-/// One machine-wide shared link: the legacy `fabric_gap_per_byte`
-/// extension expressed as a topology. Every inter-node message
+/// One machine-wide shared link (what
+/// `MachineConfig::with_fabric` installs). Every inter-node message
 /// traverses link 0; the full wire latency is charged after it.
 #[derive(Debug)]
 pub struct OneLink {
@@ -355,6 +354,8 @@ pub enum TopologyKind {
     /// to the exact original delivery arithmetic).
     #[default]
     Flat,
+    /// [`OneLink`]: one shared link for the whole machine, any `p`.
+    OneLink,
     /// [`Line`] of `p` nodes.
     Line,
     /// [`Grid2d`] mesh; `rows * cols` must equal `p`.
@@ -409,6 +410,7 @@ impl TopologyKind {
     pub fn name(&self) -> &'static str {
         match self {
             TopologyKind::Flat => "flat",
+            TopologyKind::OneLink => "onelink",
             TopologyKind::Line => "line",
             TopologyKind::Mesh2d { .. } => "mesh2d",
             TopologyKind::Torus2d { .. } => "torus2d",
@@ -428,10 +430,11 @@ impl TopologyKind {
     }
 
     /// Network diameter in hops on a `p`-node machine (1 for the
-    /// flat wire: every route is the single direct hop).
+    /// flat wire and the one shared link: every route is a single
+    /// hop).
     pub fn diameter(&self, p: usize) -> usize {
         match *self {
-            TopologyKind::Flat => 1,
+            TopologyKind::Flat | TopologyKind::OneLink => 1,
             TopologyKind::Line => p.saturating_sub(1).max(1),
             TopologyKind::Mesh2d { rows, cols } => (rows - 1 + cols - 1).max(1),
             TopologyKind::Torus2d { rows, cols } => (rows / 2 + cols / 2).max(1),
@@ -457,6 +460,7 @@ impl TopologyKind {
         self.validate(p);
         match *self {
             TopologyKind::Flat => None,
+            TopologyKind::OneLink => Some(Box::new(OneLink::new(latency))),
             TopologyKind::Line => Some(Box::new(Line::new(p, latency))),
             TopologyKind::Mesh2d { rows, cols } => {
                 Some(Box::new(Grid2d::new(rows, cols, false, latency)))
@@ -560,6 +564,8 @@ mod tests {
     #[test]
     fn kind_metadata_is_stable() {
         assert_eq!(TopologyKind::Flat.name(), "flat");
+        assert_eq!(TopologyKind::OneLink.name(), "onelink");
+        assert_eq!(TopologyKind::OneLink.diameter(64), 1);
         assert_eq!(TopologyKind::torus(16).params(), "4x4");
         assert_eq!(TopologyKind::Line.diameter(8), 7);
         assert_eq!(TopologyKind::mesh(16).diameter(16), 6);

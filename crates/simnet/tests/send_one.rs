@@ -106,7 +106,10 @@ fn send_one_slices_and_reused_networks_agree_bit_for_bit() {
     type SetWire = fn(&mut NetConfig);
     let wires: [(&str, SetWire); 4] = [
         ("flat", |_| {}),
-        ("one-link", |c| c.fabric_gap_per_byte = Some(2.0)),
+        ("one-link", |c| {
+            c.topology = TopologyKind::OneLink;
+            c.link_gap_per_byte = Some(2.0);
+        }),
         ("torus", |c| c.topology = TopologyKind::torus(P)),
         ("fat-tree", |c| c.topology = TopologyKind::FatTree),
     ];

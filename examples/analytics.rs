@@ -29,17 +29,17 @@ fn main() {
     let samples: Vec<u32> = gen::random_u32s(n, 0xA11A).into_iter().map(|v| v % 100_000).collect();
 
     // Stage 1: histogram (owner-computes; comm independent of n).
-    let hist = histogram::run_sim(&machine, &samples, buckets);
+    let hist = histogram::run_on(&machine, &samples, buckets);
     assert_eq!(hist.counts, histogram::histogram_seq(&samples, buckets));
 
     // Stage 2: CDF via prefix sums over the bucket counts.
-    let cdf_run = prefix::run_sim(&machine, &hist.counts);
+    let cdf_run = prefix::run_on(&machine, &hist.counts);
     assert_eq!(cdf_run.output, seq::prefix_sums(&hist.counts));
     let cdf = &cdf_run.output;
     assert_eq!(*cdf.last().unwrap(), n as u64);
 
     // Stage 3: exact percentiles via a full distributed sort.
-    let sorted = samplesort::run_sim(&machine, &samples);
+    let sorted = samplesort::run_on(&machine, &samples);
     assert_eq!(sorted.output, seq::sorted(&samples));
     let pct = |q: f64| sorted.output[((n as f64 - 1.0) * q) as usize];
 

@@ -44,7 +44,7 @@ fn main() {
     // 2. Sanity: run an algorithm and compare model vs measured.
     let machine = SimMachine::new(cfg);
     let input = gen::random_u64s(1 << 16, 7);
-    let run = prefix::run_sim(&machine, &input);
+    let run = prefix::run_on(&machine, &input);
     let params = EffectiveParams::from_costs(cfg.p, costs);
     let pred = prefix::predict(&params);
     println!("\nprefix sums at n = 65536:");

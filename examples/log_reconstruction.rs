@@ -29,7 +29,7 @@ fn main() {
     let (succ, pred, head) = gen::random_list(n, 0xF7A6);
 
     println!("ranking {n} log fragments scattered over {p} nodes ...");
-    let run = listrank::run_sim(&machine, &succ, &pred);
+    let run = listrank::run_on(&machine, &succ, &pred);
     let oracle = seq::list_ranks(&succ, head);
     assert_eq!(run.ranks, oracle, "parallel ranks must match pointer chasing");
 

@@ -29,7 +29,7 @@ fn main() {
     let events = gen::random_u32s(n, 20260706);
 
     println!("sorting {n} events on {p} simulated nodes ...");
-    let run = samplesort::run_sim(&machine, &events);
+    let run = samplesort::run_on(&machine, &events);
     assert_eq!(run.output, seq::sorted(&events), "sorted output must match the oracle");
 
     let us = |cycles: f64| cycles / (cfg.cpu.clock_hz / 1e6);

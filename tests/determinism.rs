@@ -12,7 +12,7 @@ fn samplesort_runs_are_bit_identical() {
     let input = gen::random_u32s(4096, 11);
     let go = || {
         let m = SimMachine::new(MachineConfig::paper_default(8)).with_seed(99);
-        let r = samplesort::run_sim(&m, &input);
+        let r = samplesort::run_on(&m, &input);
         (r.output.clone(), r.b_max, r.comm(), r.run.profile.clone())
     };
     let a = go();
@@ -28,7 +28,7 @@ fn listrank_runs_are_bit_identical() {
     let (succ, pred, _) = gen::random_list(2048, 12);
     let go = || {
         let m = SimMachine::new(MachineConfig::paper_default(8)).with_seed(7);
-        let r = listrank::run_sim(&m, &succ, &pred);
+        let r = listrank::run_on(&m, &succ, &pred);
         (r.ranks.clone(), r.survivors, r.comm())
     };
     assert_eq!(go(), go());
@@ -39,7 +39,7 @@ fn different_seeds_change_randomized_behavior_not_results() {
     let input = gen::random_u32s(4096, 13);
     let run = |seed| {
         let m = SimMachine::new(MachineConfig::paper_default(8)).with_seed(seed);
-        samplesort::run_sim(&m, &input)
+        samplesort::run_on(&m, &input)
     };
     let a = run(1);
     let b = run(2);

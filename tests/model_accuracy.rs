@@ -34,7 +34,7 @@ fn samplesort_estimate_error_shrinks_with_n() {
             .map(|&seed| {
                 let m = SimMachine::new(cfg).with_seed(n as u64 ^ seed);
                 let input = gen::random_u32s(n, seed);
-                let run = samplesort::run_sim(&m, &input);
+                let run = samplesort::run_on(&m, &input);
                 let est = samplesort::predict_estimate(
                     n,
                     &run,
@@ -62,7 +62,7 @@ fn listrank_estimate_error_small_at_large_n() {
     let n = 1 << 16;
     let m = SimMachine::new(cfg);
     let (succ, pred, _) = gen::random_list(n, 2);
-    let run = listrank::run_sim(&m, &succ, &pred);
+    let run = listrank::run_on(&m, &succ, &pred);
     let est = listrank::predict_estimate(&run, &params);
     // BSP estimate (which includes the per-phase L the QSM line
     // deliberately omits) should track measured closely.
@@ -81,7 +81,7 @@ fn bulk_synchronous_programs_are_latency_insensitive_at_scale() {
     let input = gen::random_u32s(n, 3);
     let run = |l: f64| {
         let cfg = MachineConfig::paper_default(8).with_latency(l);
-        samplesort::run_sim(&SimMachine::new(cfg), &input).comm()
+        samplesort::run_on(&SimMachine::new(cfg), &input).comm()
     };
     let base = run(1600.0);
     let slow = run(6400.0);
@@ -95,7 +95,7 @@ fn overhead_is_amortized_by_batching_at_scale() {
     let input = gen::random_u32s(n, 4);
     let run = |o: f64| {
         let cfg = MachineConfig::paper_default(8).with_overhead(o);
-        samplesort::run_sim(&SimMachine::new(cfg), &input).comm()
+        samplesort::run_on(&SimMachine::new(cfg), &input).comm()
     };
     let base = run(400.0);
     let slow = run(1600.0);
@@ -113,7 +113,7 @@ fn small_problems_are_latency_sensitive() {
     let input = gen::random_u32s(1 << 10, 5);
     let run = |l: f64| {
         let cfg = MachineConfig::paper_default(8).with_latency(l);
-        samplesort::run_sim(&SimMachine::new(cfg), &input).comm()
+        samplesort::run_on(&SimMachine::new(cfg), &input).comm()
     };
     let slowdown = run(25_600.0) / run(1600.0);
     assert!(slowdown > 1.3, "latency should visibly hurt small problems: {slowdown}");
@@ -127,7 +127,7 @@ fn prefix_prediction_error_is_large_relative_small_absolute() {
     let m = SimMachine::new(cfg);
     let n = 1 << 20;
     let input = gen::random_u64s(n, 6);
-    let run = prefix::run_sim(&m, &input);
+    let run = prefix::run_on(&m, &input);
     let pred = prefix::predict(&params);
     // Relative error is large ...
     assert!(relative_error(run.comm(), pred.qsm) > 0.5);

@@ -23,7 +23,7 @@ proptest! {
         input in proptest::collection::vec(0u64..1_000_000, 1..400),
         p in 1usize..9,
     ) {
-        let run = prefix::run_sim(&sim(p), &input);
+        let run = prefix::run_on(&sim(p), &input);
         prop_assert_eq!(run.output, seq::prefix_sums(&input));
     }
 
@@ -34,7 +34,7 @@ proptest! {
         input in proptest::collection::vec(0u32..1000, 1..500),
         p in 1usize..9,
     ) {
-        let run = samplesort::run_sim(&sim(p), &input);
+        let run = samplesort::run_on(&sim(p), &input);
         prop_assert_eq!(run.output, seq::sorted(&input));
     }
 
@@ -43,7 +43,7 @@ proptest! {
     #[test]
     fn listrank_matches_pointer_chase(n in 1usize..300, seed in 0u64..1000, p in 1usize..9) {
         let (succ, pred, head) = gen::random_list(n, seed);
-        let run = listrank::run_sim(&sim(p), &succ, &pred);
+        let run = listrank::run_on(&sim(p), &succ, &pred);
         prop_assert_eq!(run.ranks, seq::list_ranks(&succ, head));
     }
 
@@ -112,8 +112,8 @@ proptest! {
         let worse_cfg = base_cfg
             .with_latency(base_cfg.net.latency + l_extra)
             .with_overhead(base_cfg.net.send_overhead + o_extra);
-        let base = samplesort::run_sim(&SimMachine::new(base_cfg), &input).comm();
-        let worse = samplesort::run_sim(&SimMachine::new(worse_cfg), &input).comm();
+        let base = samplesort::run_on(&SimMachine::new(base_cfg), &input).comm();
+        let worse = samplesort::run_on(&SimMachine::new(worse_cfg), &input).comm();
         prop_assert!(worse >= base * 0.999, "{} < {}", worse, base);
     }
 }
