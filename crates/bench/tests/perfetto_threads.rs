@@ -1,7 +1,8 @@
 //! End-to-end trace export from a real threads-backend (SPMD) run:
 //! every worker gets its own named track, and each worker's spans —
-//! compute, both barrier legs, serve-gets, apply-puts, plus the
-//! leader's plan/price stages — tile its timeline exactly (each span
+//! compute, both barrier legs, serve-gets, the κ sweep of its own
+//! block, apply-puts, plus the leader's plan/price stages — tile its
+//! timeline exactly (each span
 //! starts where the previous one ended, to the nanosecond), because
 //! the SPMD observer advances a single cursor per worker.
 //!
@@ -23,6 +24,7 @@ fn is_worker_kind(k: SpanKind) -> bool {
         SpanKind::Compute
             | SpanKind::BarrierWait
             | SpanKind::ServeGets
+            | SpanKind::OwnerKappa
             | SpanKind::ApplyPuts
             | SpanKind::LeaderPlan
             | SpanKind::LeaderPrice
@@ -70,6 +72,7 @@ fn threads_run_emits_one_tiled_track_per_worker() {
             assert_eq!(count(SpanKind::Compute), 1, "worker {lane} phase {phase}");
             assert_eq!(count(SpanKind::BarrierWait), 2, "worker {lane} phase {phase}");
             assert_eq!(count(SpanKind::ServeGets), 1, "worker {lane} phase {phase}");
+            assert_eq!(count(SpanKind::OwnerKappa), 1, "worker {lane} phase {phase}");
             assert_eq!(count(SpanKind::ApplyPuts), 1, "worker {lane} phase {phase}");
             let leader = usize::from(lane == 0);
             assert_eq!(count(SpanKind::LeaderPlan), leader, "worker {lane} phase {phase}");
@@ -104,5 +107,6 @@ fn threads_run_emits_one_tiled_track_per_worker() {
     assert!(j.contains("plan p"), "leader plan spans missing");
     assert!(j.contains("price p"), "leader price spans missing");
     assert!(j.contains("serve p"), "serve-gets spans missing");
+    assert!(j.contains("kappa p"), "owner κ spans missing");
     assert!(j.contains("apply p"), "apply-puts spans missing");
 }

@@ -98,9 +98,9 @@ pub fn bank_of(layout: Layout, id: ArrayId, banks: usize, idx: usize) -> usize {
 /// order. Block layouts need at most `min(banks, len)` visits
 /// (arithmetic on the interleave); hashed layouts walk per element.
 ///
-/// Like [`for_each_owner_run`] this is allocation-free: the driver's
-/// bank metering calls it once per owner run of every queued
-/// operation when a bank model is enabled.
+/// Like [`for_each_owner_run`] this is allocation-free: `put` / `get`
+/// call it once per owner run they meter when a bank model is
+/// enabled.
 pub fn for_each_bank_run(
     layout: Layout,
     id: ArrayId,
@@ -130,9 +130,9 @@ pub fn for_each_bank_run(
 /// `(owner, run_start, run_len)` calls. Block layouts yield at most
 /// `p` runs; hashed layouts typically yield per-element runs.
 ///
-/// This is the allocation-free core of [`split_by_owner`]; the
-/// driver's metering and put/get paths call it once per queued
-/// operation, so it must not build a `Vec` per call.
+/// This is the allocation-free core of [`split_by_owner`]; `put` /
+/// `get` (bucketing and metering) and the get server call it once per
+/// queued operation, so it must not build a `Vec` per call.
 pub fn for_each_owner_run(
     layout: Layout,
     id: ArrayId,
@@ -155,15 +155,17 @@ pub fn for_each_owner_run(
             }
         }
         Layout::Hashed => {
-            let mut i = start;
-            while i < start + len {
-                let o = owner(layout, id, array_len, p, i);
-                let mut j = i + 1;
-                while j < start + len && owner(layout, id, array_len, p, j) == o {
-                    j += 1;
+            // One hash an element: the owner that ends a run starts the
+            // next (`usize::MAX` ends the last).
+            let owner_at = |i| owner(layout, id, array_len, p, i);
+            let end = start + len;
+            let (mut run_start, mut run_owner) = (start, owner_at(start));
+            for i in start + 1..=end {
+                let o = if i < end { owner_at(i) } else { usize::MAX };
+                if o != run_owner {
+                    visit(run_owner, run_start, i - run_start);
+                    (run_start, run_owner) = (i, o);
                 }
-                visit(o, i, j - i);
-                i = j;
             }
         }
     }
@@ -413,6 +415,29 @@ mod proptests {
                 prop_assert!((*c as f64) <= bound,
                     "owner {} got {} of fair {:.1} (bound {:.1})", o, c, fair, bound);
             }
+        }
+
+        /// Every layout's runs are the naive element-by-element grouping.
+        #[test]
+        fn owner_runs_match_a_per_element_walk(
+            len in 1usize..600,
+            p in 1usize..20,
+            a in 0usize..600,
+            b in 0usize..600,
+            hashed in proptest::bool::ANY,
+        ) {
+            let start = a % len;
+            let l = b % (len - start + 1);
+            let layout = if hashed { Layout::Hashed } else { Layout::Block };
+            let mut want: Vec<(usize, usize, usize)> = Vec::new();
+            for i in start..start + l {
+                let o = owner(layout, ArrayId(7), len, p, i);
+                match want.last_mut() {
+                    Some(run) if run.0 == o => run.2 += 1,
+                    _ => want.push((o, i, 1)),
+                }
+            }
+            prop_assert_eq!(split_by_owner(layout, ArrayId(7), len, p, start, l), want);
         }
 
         #[test]

@@ -42,13 +42,15 @@
 //!
 //! ### The allocation-free hot path
 //!
-//! Steady-state phases allocate nothing in the runtime: put payload
-//! buffers come from a bounded per-processor storage-word pool, shared
-//! by every element type (refilled by redeemed get results and by the
-//! worker's own put buffers, which it reclaims from its exchange slot
-//! two phases later), the op and registration containers are drained
-//! and reused in place, and get results live in a dense ticket-indexed
-//! `TicketTable` instead of a hash map.
+//! Steady-state phases allocate nothing in the runtime: `put` packs
+//! its elements into the payload arena of the phase's `Outbox`
+//! (`crate::ops`) and files one 24-byte run per storage owner, `get`
+//! files runs only, and both meter into the outbox's traffic row. A
+//! worker's two outboxes (one filling, one published) are cleared by
+//! what they touched and keep their buffers; get results come from a
+//! bounded per-processor pool of storage-word buffers, refilled as they
+//! are redeemed, and wait in a dense ticket-indexed `TicketTable`
+//! instead of a hash map.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -58,12 +60,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::addr::{block_range, ArrayId, Layout};
-use crate::ops::{GetOp, GetTicket, PutOp, QueuedOps};
+use crate::driver::OwnerKappa;
+use crate::ops::{GetTicket, Outbox};
 use crate::shmem::{ArrayInfo, LocalStore, Registration, SharedArray};
+use crate::spmd::{SpmdLink, SpmdObs};
 use crate::word::{self, Word};
 
-/// Upper bound on pooled storage-word buffers kept per processor, so a
-/// burst of tiny ops cannot pin unbounded memory.
+/// Upper bound on pooled storage-word buffers kept per processor.
 const RAW_POOL_CAP: usize = 4096;
 
 /// One issued get's lifecycle in the [`TicketTable`].
@@ -132,25 +135,28 @@ pub struct Ctx {
     pub(crate) next_array_id: u32,
     next_ticket: u64,
     pub(crate) store: LocalStore,
-    pub(crate) queued: QueuedOps,
+    pub(crate) queued: Outbox,
+    /// Scratch of the κ sweep over the runs bound for this block.
+    pub(crate) kappa: OwnerKappa,
     pub(crate) pending_regs: Vec<Registration>,
     pub(crate) pending_unregs: Vec<ArrayId>,
     pub(crate) tickets: TicketTable,
-    /// Recycled storage-word buffers: redeemed get results and drained
-    /// put payloads feed later puts and gets of any element type, so
-    /// steady-state phases allocate nothing here.
+    /// Recycled storage-word buffers: redeemed get results feed later
+    /// gets of any element type, so steady-state phases allocate
+    /// nothing here.
     pub(crate) raw_pool: Vec<Vec<u64>>,
     rng: SmallRng,
     /// This run's exchange area, where `sync()` rendezvouses.
-    pub(crate) link: crate::spmd::SpmdLink,
+    pub(crate) link: SpmdLink,
     /// Per-worker span capture; `None` (the default, and always on
     /// the simulated machine) means no capture.
-    pub(crate) spmd_obs: Option<Box<crate::spmd::SpmdObs>>,
+    pub(crate) spmd_obs: Option<Box<SpmdObs>>,
 }
 
 impl Ctx {
-    /// A context for processor `proc` of the run behind `link`.
-    pub(crate) fn new(proc: usize, nprocs: usize, seed: u64, link: crate::spmd::SpmdLink) -> Self {
+    /// A context for processor `proc` of the run behind `link`, which
+    /// meters `banks` banks per node.
+    pub(crate) fn new(proc: usize, nprocs: usize, banks: usize, seed: u64, link: SpmdLink) -> Self {
         Self {
             proc,
             nprocs,
@@ -159,7 +165,8 @@ impl Ctx {
             next_array_id: 0,
             next_ticket: 0,
             store: LocalStore::default(),
-            queued: QueuedOps::default(),
+            queued: Outbox::new(nprocs, banks),
+            kappa: OwnerKappa::default(),
             pending_regs: Vec::new(),
             pending_unregs: Vec::new(),
             tickets: TicketTable::default(),
@@ -228,7 +235,7 @@ impl Ctx {
         if data.is_empty() {
             return;
         }
-        let info = self.info_of(arr);
+        let info = Self::info_of(&self.store, arr);
         assert!(
             start + data.len() <= info.len,
             "put of {}..{} exceeds array '{}' (len {})",
@@ -237,16 +244,14 @@ impl Ctx {
             info.name,
             info.len
         );
-        let mut raw = self.pooled_raw(word::storage_words(data.len(), T::BYTES));
-        word::elems_mut(&mut raw, data.len()).copy_from_slice(data);
-        self.queued.puts.push(PutOp { array: arr.id, start, len: data.len(), data: raw });
+        self.queued.put(info, start, data);
     }
 
     /// Queue a read of `len` elements starting at global index
     /// `start`. The returned ticket is redeemable via [`Ctx::take`]
     /// after the next [`Ctx::sync`].
     pub fn get<T: Word>(&mut self, arr: &SharedArray<T>, start: usize, len: usize) -> GetTicket<T> {
-        let info = self.info_of(arr);
+        let info = Self::info_of(&self.store, arr);
         assert!(
             start + len <= info.len,
             "get of {}..{} exceeds array '{}' (len {})",
@@ -258,7 +263,7 @@ impl Ctx {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         if len > 0 {
-            self.queued.gets.push(GetOp { array: arr.id, start, len, ticket });
+            self.queued.get(info, start, len, ticket);
             self.tickets.issue(ticket, TicketSlot::Pending);
         } else {
             self.tickets.issue(ticket, TicketSlot::Ready(Vec::new()));
@@ -279,9 +284,14 @@ impl Ctx {
             self.proc,
             ticket.issued_phase
         );
-        let raw = self.tickets.take(ticket.id);
+        let mut raw = self.tickets.take(ticket.id);
         out.extend_from_slice(word::elems(&raw, ticket.len));
-        self.recycle_raw(raw);
+        // Keep the buffer for a later get; bounded, so a burst of tiny
+        // gets cannot pin unbounded memory.
+        if self.raw_pool.len() < RAW_POOL_CAP {
+            raw.clear();
+            self.raw_pool.push(raw);
+        }
     }
 
     /// Redeem a get ticket into a fresh `Vec` (see [`Ctx::take_into`]).
@@ -300,21 +310,13 @@ impl Ctx {
         buf
     }
 
-    /// Return a storage-word buffer to the per-processor pool (bounded by
-    /// [`RAW_POOL_CAP`], so bursts cannot pin unbounded memory).
-    pub(crate) fn recycle_raw(&mut self, mut buf: Vec<u64>) {
-        if self.raw_pool.len() < RAW_POOL_CAP {
-            buf.clear();
-            self.raw_pool.push(buf);
-        }
-    }
-
     /// Metadata of the live array `arr` names, after checking that the
     /// handle's element width is the array's: ids restart at 0 in every
     /// run, so a handle kept from another run can name an array of
-    /// another type.
-    fn info_of<T: Word>(&self, arr: &SharedArray<T>) -> &ArrayInfo {
-        let info = self.store.info(arr.id);
+    /// another type. (Of the store, not of `self`: `put` and `get` fill
+    /// the outbox while they hold it.)
+    fn info_of<'a, T: Word>(store: &'a LocalStore, arr: &SharedArray<T>) -> &'a ArrayInfo {
+        let info = store.info(arr.id);
         assert!(
             info.elem_bytes == T::BYTES,
             "handle of {}-byte elements used on array '{}', which stores {}-byte elements \
@@ -329,7 +331,7 @@ impl Ctx {
     /// The global index range of `arr` held in this processor's local
     /// window (block layout only).
     pub fn local_range<T: Word>(&self, arr: &SharedArray<T>) -> Range<usize> {
-        let info = self.info_of(arr);
+        let info = Self::info_of(&self.store, arr);
         assert_eq!(
             info.layout,
             Layout::Block,
@@ -402,12 +404,11 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmd::SpmdLink;
 
     /// Processor `proc` of `p` with one live array of `len` elements,
     /// installed as the registering `sync()` would have.
     fn ctx_with<T: Word>(len: usize, p: usize, proc: usize) -> (Ctx, SharedArray<T>) {
-        let mut ctx = Ctx::new(proc, p, 0, SpmdLink::detached());
+        let mut ctx = Ctx::new(proc, p, 0, 0, SpmdLink::detached());
         let arr = ctx.register::<T>("a", len, Layout::Block);
         let reg = ctx.pending_regs.pop().expect("one registration");
         let words = word::storage_words(block_range(len, p, proc).len(), reg.elem_bytes);
@@ -440,11 +441,12 @@ mod tests {
     fn a_put_is_packed_at_the_element_width() {
         let (mut ctx, arr) = ctx_with::<i32>(10, 3, 1);
         ctx.put(&arr, 0, &[-1, 2, -3]);
-        let op = &ctx.queued.puts[0];
-        assert_eq!((op.start, op.len, op.data.len()), (0, 3, 2));
-        assert_eq!(word::elems::<i32>(&op.data, 3), [-1, 2, -3]);
+        let run = ctx.queued.runs_for(0)[0];
+        assert_eq!((run.start, run.len, run.src), (0, 3, 0));
+        assert_eq!(ctx.queued.payload.len(), 2);
+        assert_eq!(word::elems::<i32>(&ctx.queued.payload, 3), [-1, 2, -3]);
         ctx.put(&arr, 9, &[]);
-        assert_eq!(ctx.queued.puts.len(), 1, "an empty put queues nothing");
+        assert_eq!(ctx.queued.runs_for(2), [], "an empty put queues nothing");
     }
 
     #[test]

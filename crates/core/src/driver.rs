@@ -1,27 +1,31 @@
 //! The phase driver: what every `sync()` meters, prices and records.
 //!
-//! Each worker publishes its queued operations into its exchange-area
-//! [`Slot`] at `sync()` (`crate::spmd`); worker 0, the phase leader,
-//! then runs the stages of this module over all `p` slots. Every phase
-//! of every backend goes through the same four-stage pipeline:
+//! Each worker publishes its outbox — the phase's operations, bucketed
+//! by owner and metered into its own traffic row as they were queued
+//! (`crate::ops`) — into its exchange-area [`Slot`] at `sync()`
+//! (`crate::spmd`); worker 0, the phase leader, then runs the stages of
+//! this module over all `p` slots. Every phase of every backend goes
+//! through the same four-stage pipeline:
 //!
-//! 1. **plan** — validate collective calls, assign array ids, and
-//!    meter the phase: build the [`CommMatrix`], per-processor
-//!    counters, and the κ contention sweep.
+//! 1. **plan** — validate collective calls and gather the metering:
+//!    the `p` published rows copied into the [`CommMatrix`] (the leader
+//!    walks dirty pairs, never operations) and the per-processor
+//!    counters summed from it.
 //! 2. **exchange** — each worker serves its own gets from the peers'
-//!    frozen stores (the pre-put state) and applies the puts that land
-//!    in its own block (deterministically: processor order, then
-//!    issue order). Workers own their memory throughout, so this
+//!    frozen stores (the pre-put state), sweeps the runs bound for its
+//!    own block for κ and read/write conflicts ([`OwnerKappa`]), and
+//!    applies the puts among them (deterministically: processor order,
+//!    then issue order). Workers own their memory throughout, so this
 //!    stage lives in `crate::spmd`, between and after the barriers.
 //! 3. **price** — ask the backend's [`PhaseTimer`] what the phase
 //!    cost on the simulated (or real) machine.
 //! 4. **record** — emit observability spans/metrics and assemble the
 //!    [`PhaseRecord`] for the cost models.
 //!
-//! The [`Driver`] holds no program data: only array metadata and the
-//! metering scratch, cleared and reused from phase to phase. It is
-//! the same code for the simulated and the native machine; only the
-//! [`PhaseTimer`] handed to the price stage differs.
+//! The [`Driver`] holds no program data: only the metering scratch,
+//! cleared and reused from phase to phase. It is the same code for the
+//! simulated and the native machine; only the [`PhaseTimer`] handed to
+//! the price stage differs.
 
 use std::time::Instant;
 
@@ -29,9 +33,10 @@ use qsm_models::PhaseProfile;
 use qsm_obs::{Recorder, SpanKind};
 use qsm_simnet::Cycles;
 
-use crate::addr::{for_each_owner_run, ArrayId};
+use crate::addr::ArrayId;
 use crate::machine::PhaseTimer;
-use crate::shmem::ArrayInfo;
+use crate::ops::{Outbox, Run};
+use crate::shmem::LocalStore;
 use crate::spmd::Slot;
 
 /// Aggregate traffic from one source processor to one cost owner in a
@@ -262,17 +267,6 @@ struct AccessRanges {
     writes: Vec<(usize, usize)>,
 }
 
-impl AccessRanges {
-    fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
-    }
-}
-
 /// Sweep all access ranges of one array: returns the maximum queue
 /// depth κ at any single location, and panics on a read/write overlap
 /// when `check_conflicts` is set. `events` is caller-provided scratch
@@ -330,20 +324,67 @@ fn sweep_kappa(
     kappa as u64
 }
 
+/// One worker's κ sweep over the runs bound for its own block.
+/// Locations are partitioned by storage owner and a run never leaves
+/// its owner's block, so the deepest queue at any location of the
+/// machine is the maximum of the owners' answers, and a location both
+/// read and written is found by the one processor that stores it.
+#[derive(Default)]
+pub(crate) struct OwnerKappa {
+    /// Dense by `ArrayId.0`, paired with the ids touched this phase.
+    accesses: Vec<AccessRanges>,
+    touched: Vec<u32>,
+    events: Vec<u64>,
+}
+
+impl OwnerKappa {
+    /// Count `run` among this phase's accesses.
+    pub(crate) fn note(&mut self, run: &Run) {
+        let aid = run.array.0 as usize;
+        if self.accesses.len() <= aid {
+            self.accesses.resize_with(aid + 1, AccessRanges::default);
+        }
+        let acc = &mut self.accesses[aid];
+        if acc.reads.is_empty() && acc.writes.is_empty() {
+            self.touched.push(run.array.0);
+        }
+        let range = (run.start, run.len as usize);
+        if run.is_put() { &mut acc.writes } else { &mut acc.reads }.push(range);
+    }
+
+    /// κ over the runs noted since the last call, array by array in id
+    /// order; panics at the first read/write overlap when
+    /// `check_conflicts` is set. `store` names the arrays.
+    pub(crate) fn sweep(&mut self, store: &LocalStore, check_conflicts: bool) -> u64 {
+        let mut kappa = 0;
+        self.touched.sort_unstable();
+        for aid in self.touched.drain(..) {
+            let acc = &mut self.accesses[aid as usize];
+            let name = &store.info(ArrayId(aid)).name;
+            kappa = kappa.max(sweep_kappa(name, acc, check_conflicts, &mut self.events));
+            acc.reads.clear();
+            acc.writes.clear();
+        }
+        kappa
+    }
+}
+
 /// The driver's persistent state across phases.
 ///
 /// All per-phase working storage lives here and is reused from phase
-/// to phase: the metadata table is a dense `Vec` indexed by
-/// `ArrayId.0` (ids are sequential), and the metering scratch
-/// (matrix, counters, access ranges, κ event buffer) is cleared, not
+/// to phase: the metering scratch (matrix, counters) is cleared, not
 /// reallocated. In steady state the stages allocate nothing beyond
-/// the plan's (usually empty) registration lists.
+/// the plan's (usually empty) unregistration list. Array metadata
+/// stays with the workers, who meter and sweep; the leader only keeps
+/// count.
 pub(crate) struct Driver {
     p: usize,
-    next_array_id: u32,
-    /// Dense by `ArrayId.0`; `None` = never registered/unregistered.
-    infos: Vec<Option<ArrayInfo>>,
-    check_conflicts: bool,
+    /// Dense by `ArrayId.0` (ids are sequential): registered and not
+    /// yet unregistered.
+    live: Vec<bool>,
+    /// Whether a location both read and written in a phase is an
+    /// error (the owners' sweeps ask).
+    pub(crate) check_conflicts: bool,
     /// Observability sink (disabled unless a harness installed one).
     rec: Recorder,
     /// Accumulated machine time (simulated cycles, or host ns on
@@ -358,14 +399,10 @@ pub(crate) struct Driver {
     data_msgs_by: Vec<u64>,
     charged: Vec<u64>,
     arrivals: Vec<Instant>,
-    /// Dense by `ArrayId.0`, paired with the list of ids touched this
-    /// phase (so clearing skips untouched arrays).
-    accesses: Vec<AccessRanges>,
-    touched_arrays: Vec<u32>,
-    kappa_events: Vec<u64>,
     /// Banks per node when the backend models destination banks
-    /// (0 = bank metering off; set once per run from the timer).
-    banks: usize,
+    /// (0 = bank metering off; set once per run from the timer). Every
+    /// outbox of the run is built for it.
+    pub(crate) banks: usize,
     /// Directed fabric links when the backend routes messages over a
     /// non-flat topology (0 = link metrics off; set once per run
     /// from the timer).
@@ -379,9 +416,9 @@ pub(crate) struct Driver {
 /// Everything the plan stage decides about a phase before any data
 /// moves: the registration changes and the metered traffic totals.
 pub(crate) struct PhasePlan {
-    new_arrays: Vec<ArrayInfo>,
+    /// Arrays registered this phase; they take the next ids.
+    registered: usize,
     unregs: Vec<ArrayId>,
-    kappa: u64,
     /// Observed bank-κ (0 when bank metering is off).
     bank_kappa: u64,
     data_msgs: u64,
@@ -393,8 +430,7 @@ impl Driver {
         rec.set_nprocs(p);
         Self {
             p,
-            next_array_id: 0,
-            infos: Vec::new(),
+            live: Vec::new(),
             check_conflicts,
             rec,
             now: Cycles::ZERO,
@@ -406,9 +442,6 @@ impl Driver {
             data_msgs_by: vec![0; p],
             charged: vec![0; p],
             arrivals: Vec::with_capacity(p),
-            accesses: Vec::new(),
-            touched_arrays: Vec::new(),
-            kappa_events: Vec::new(),
             banks: 0,
             links: 0,
             bank_load: Vec::new(),
@@ -429,10 +462,21 @@ impl Driver {
         self.links = timer.link_count();
     }
 
-    /// **Stage 1 — plan.** Validate collective registration calls,
-    /// assign ids to new arrays, and meter the phase: the traffic
-    /// matrix, per-processor h/message counters, and the κ
-    /// contention sweep. No data moves yet. `inputs` is indexed by
+    /// Copy processor `src`'s published row into the traffic matrix.
+    fn merge_row(&mut self, src: usize, outbox: &Outbox) {
+        for (dst, bank, cell) in outbox.cells() {
+            *match bank {
+                None => self.matrix.at_mut(src, dst),
+                Some(bank) => self.matrix.at_bank_mut(src, dst, bank),
+            } = *cell;
+        }
+        self.m_rw[src] = outbox.m_rw;
+    }
+
+    /// **Stage 1 — plan.** Validate collective registration calls and
+    /// gather the metering the workers did as they queued: their rows
+    /// of the traffic matrix, then the per-processor h/message counters
+    /// and bank-κ off it. No data moves yet. `inputs` is indexed by
     /// processor id.
     pub(crate) fn plan_stage(&mut self, inputs: &[Slot]) -> PhasePlan {
         let this = &mut *self;
@@ -451,129 +495,20 @@ impl Driver {
                  than processor 0 in the same phase"
             );
         }
-        let new_arrays: Vec<ArrayInfo> = inputs[0]
-            .regs()
-            .iter()
-            .map(|reg| {
-                let id = ArrayId(this.next_array_id);
-                this.next_array_id += 1;
-                ArrayInfo {
-                    id,
-                    name: reg.name.clone(),
-                    len: reg.len,
-                    elem_bytes: reg.elem_bytes,
-                    layout: reg.layout,
-                }
-            })
-            .collect();
+        let registered = inputs[0].regs().len();
         let unregs = inputs[0].unregs().to_vec();
         for id in &unregs {
             assert!(
-                this.infos.get(id.0 as usize).is_some_and(Option::is_some),
+                this.live.get(id.0 as usize) == Some(&true),
                 "unregister of unknown array {id:?} (double unregister?)"
             );
         }
 
-        // --- Metering: comm matrix, per-proc counters, κ sweep ---
+        // --- Metering: the workers' rows, then per-proc counters ---
         debug_assert!(this.matrix.is_empty());
         let banks = this.banks;
         for (src, input) in inputs.iter().enumerate() {
-            for op in &input.ops().puts {
-                let info = info_for_op(&this.infos, &new_arrays, op.array);
-                let wpe = info.words_per_elem();
-                let acc = &mut this.accesses[op.array.0 as usize];
-                if acc.is_empty() {
-                    this.touched_arrays.push(op.array.0);
-                }
-                acc.writes.push((op.start, op.len));
-                let matrix = &mut this.matrix;
-                for_each_owner_run(
-                    info.layout,
-                    info.id,
-                    info.len,
-                    p,
-                    op.start,
-                    op.len,
-                    |owner, s, l| {
-                        let cell = matrix.at_mut(src, owner);
-                        // The library is word-granular, as in the paper:
-                        // every 4-byte word carries its own item header
-                        // and marshal/apply cost (this is why Table 3's
-                        // observed gap is an order of magnitude above the
-                        // hardware gap even for bulk transfers).
-                        cell.put_items += l as u64 * wpe;
-                        cell.put_words += l as u64 * wpe;
-                        cell.put_payload_bytes += l as u64 * info.elem_bytes;
-                        if banks > 0 {
-                            crate::addr::for_each_bank_run(
-                                info.layout,
-                                info.id,
-                                banks,
-                                s,
-                                l,
-                                |bank, cnt| {
-                                    let bc = matrix.at_bank_mut(src, owner, bank);
-                                    bc.put_items += cnt as u64 * wpe;
-                                    bc.put_words += cnt as u64 * wpe;
-                                    bc.put_payload_bytes += cnt as u64 * info.elem_bytes;
-                                },
-                            );
-                        }
-                    },
-                );
-                this.m_rw[src] += op.len as u64 * wpe;
-            }
-            for op in &input.ops().gets {
-                let info = info_for_op(&this.infos, &new_arrays, op.array);
-                let wpe = info.words_per_elem();
-                let acc = &mut this.accesses[op.array.0 as usize];
-                if acc.is_empty() {
-                    this.touched_arrays.push(op.array.0);
-                }
-                acc.reads.push((op.start, op.len));
-                let matrix = &mut this.matrix;
-                for_each_owner_run(
-                    info.layout,
-                    info.id,
-                    info.len,
-                    p,
-                    op.start,
-                    op.len,
-                    |owner, s, l| {
-                        let cell = matrix.at_mut(src, owner);
-                        cell.get_items += l as u64 * wpe; // word-granular, see above
-                        cell.get_words += l as u64 * wpe;
-                        cell.get_reply_payload_bytes += l as u64 * info.elem_bytes;
-                        if banks > 0 {
-                            crate::addr::for_each_bank_run(
-                                info.layout,
-                                info.id,
-                                banks,
-                                s,
-                                l,
-                                |bank, cnt| {
-                                    let bc = matrix.at_bank_mut(src, owner, bank);
-                                    bc.get_items += cnt as u64 * wpe;
-                                    bc.get_words += cnt as u64 * wpe;
-                                    bc.get_reply_payload_bytes += cnt as u64 * info.elem_bytes;
-                                },
-                            );
-                        }
-                    },
-                );
-                this.m_rw[src] += op.len as u64 * wpe;
-            }
-        }
-        let mut kappa = 0u64;
-        this.touched_arrays.sort_unstable();
-        for &aid in &this.touched_arrays {
-            let info = info_for_op(&this.infos, &new_arrays, ArrayId(aid));
-            kappa = kappa.max(sweep_kappa(
-                &info.name,
-                &this.accesses[aid as usize],
-                this.check_conflicts,
-                &mut this.kappa_events,
-            ));
+            this.merge_row(src, input.outbox());
         }
 
         // h and message counts from the matrix; only dirty pairs
@@ -627,7 +562,7 @@ impl Driver {
             touched.clear();
         }
 
-        PhasePlan { new_arrays, unregs, kappa, bank_kappa, data_msgs, payload_bytes }
+        PhasePlan { registered, unregs, bank_kappa, data_msgs, payload_bytes }
     }
 
     /// **Stage 3 — price.** Hand the metered phase to the backend's
@@ -646,11 +581,13 @@ impl Driver {
     }
 
     /// **Stage 4 — record.** Emit observability counters/spans and
-    /// assemble the [`PhaseRecord`] the cost models consume. Runs
-    /// identically on every backend; only the time unit differs.
+    /// assemble the [`PhaseRecord`] the cost models consume; `kappa` is
+    /// the maximum of the owners' sweeps. Runs identically on every
+    /// backend; only the time unit differs.
     pub(crate) fn record_stage(
         &mut self,
         plan: &PhasePlan,
+        kappa: u64,
         timing: PhaseTiming,
         (retries, dropped_msgs): (u64, u64),
         bank_wait: Cycles,
@@ -666,7 +603,7 @@ impl Driver {
             this.rec.add("phases", 1);
             this.rec.add("data_msgs", plan.data_msgs);
             this.rec.add("payload_bytes", plan.payload_bytes);
-            this.rec.observe("kappa", plan.kappa);
+            this.rec.observe("kappa", kappa);
             // Bank-κ and bank-wait exist only under a bank model;
             // emitting conditionally keeps bank-free metrics dumps
             // byte-identical to pre-bank builds.
@@ -690,7 +627,7 @@ impl Driver {
                     t0 + timing.compute,
                     timing.comm,
                 );
-                this.rec.counter("kappa", 0, t0 + timing.elapsed, plan.kappa as f64);
+                this.rec.counter("kappa", 0, t0 + timing.elapsed, kappa as f64);
                 if this.banks > 0 {
                     this.rec.span(
                         SpanKind::BankService,
@@ -718,7 +655,7 @@ impl Driver {
                 msgs: this.data_msgs_by[i],
             });
         }
-        profile.kappa = plan.kappa;
+        profile.kappa = kappa;
 
         PhaseRecord {
             profile,
@@ -734,49 +671,20 @@ impl Driver {
         }
     }
 
-    /// Phase-end bookkeeping: install metadata for the arrays the plan
-    /// registered, retire the ones it unregistered (workers install
-    /// and drop the segments themselves), and reset the pooled scratch.
+    /// Phase-end bookkeeping: count in the arrays the plan registered,
+    /// retire the ones it unregistered (workers install and drop the
+    /// segments, and keep the metadata, themselves), and reset the
+    /// pooled scratch.
     pub(crate) fn finish_phase_meta(&mut self, plan: &PhasePlan) {
-        for info in &plan.new_arrays {
-            debug_assert_eq!(info.id.0 as usize, self.infos.len());
-            self.infos.push(Some(info.clone()));
-            self.accesses.push(AccessRanges::default());
-        }
+        self.live.resize(self.live.len() + plan.registered, true);
         for id in &plan.unregs {
-            self.infos[id.0 as usize] = None;
+            self.live[id.0 as usize] = false;
         }
-        self.reset_scratch();
-    }
-
-    /// Reset the pooled per-phase metering scratch for the next
-    /// rendezvous.
-    fn reset_scratch(&mut self) {
-        self.matrix.clear();
-        self.m_rw.fill(0);
+        self.matrix.clear(); // `m_rw` is overwritten whole by the next merge
         self.h_in_words.fill(0);
         self.h_out_words.fill(0);
         self.data_msgs_by.fill(0);
-        for &aid in &self.touched_arrays {
-            self.accesses[aid as usize].clear();
-        }
-        self.touched_arrays.clear();
     }
-}
-
-/// Metadata lookup across the live table and this phase's fresh
-/// registrations (a free function so callers can hold disjoint
-/// mutable borrows of other [`Driver`] fields).
-fn info_for_op<'a>(
-    infos: &'a [Option<ArrayInfo>],
-    new_arrays: &'a [ArrayInfo],
-    id: ArrayId,
-) -> &'a ArrayInfo {
-    infos
-        .get(id.0 as usize)
-        .and_then(Option::as_ref)
-        .or_else(|| new_arrays.iter().find(|a| a.id == id))
-        .unwrap_or_else(|| panic!("operation on unknown array {id:?}"))
 }
 
 #[cfg(test)]
@@ -786,6 +694,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::shmem::ArrayInfo;
 
     #[test]
     fn sweep_counts_overlap_depth() {
@@ -901,6 +810,212 @@ mod tests {
             let got = outcome(|| sweep_kappa("a", &acc, check_conflicts, &mut Vec::new()));
             prop_assert_eq!(&got, &want);
             prop_assert!(check_conflicts || got.is_ok());
+        }
+    }
+
+    /// One operation of the flat per-processor lists the plan stage
+    /// used to walk.
+    #[derive(Debug, Clone)]
+    struct FlatOp {
+        src: usize,
+        array: usize,
+        put: bool,
+        start: usize,
+        len: usize,
+    }
+
+    /// The plan stage's metering as it was while the leader walked
+    /// every queued operation — the per-op loops, kept verbatim as the
+    /// oracle for rows metered at the sender and κ swept at the owner:
+    /// the traffic matrix, `m_rw`, and each array's whole access ranges.
+    fn meter_flat(
+        p: usize,
+        banks: usize,
+        infos: &[ArrayInfo],
+        ops: &[FlatOp],
+    ) -> (CommMatrix, Vec<u64>, Vec<AccessRanges>) {
+        let mut matrix = CommMatrix::new(p);
+        if banks > 0 {
+            matrix.enable_banks(banks);
+        }
+        let mut m_rw = vec![0u64; p];
+        let mut accesses: Vec<AccessRanges> =
+            infos.iter().map(|_| AccessRanges::default()).collect();
+        for op in ops {
+            let (src, info) = (op.src, &infos[op.array]);
+            let wpe = info.words_per_elem();
+            let acc = &mut accesses[op.array];
+            if op.put { &mut acc.writes } else { &mut acc.reads }.push((op.start, op.len));
+            let add = |c: &mut PairTraffic, n: usize| {
+                if op.put {
+                    c.put_items += n as u64 * wpe;
+                    c.put_words += n as u64 * wpe;
+                    c.put_payload_bytes += n as u64 * info.elem_bytes;
+                } else {
+                    c.get_items += n as u64 * wpe;
+                    c.get_words += n as u64 * wpe;
+                    c.get_reply_payload_bytes += n as u64 * info.elem_bytes;
+                }
+            };
+            crate::addr::for_each_owner_run(
+                info.layout,
+                info.id,
+                info.len,
+                p,
+                op.start,
+                op.len,
+                |owner, s, l| {
+                    add(matrix.at_mut(src, owner), l);
+                    if banks > 0 {
+                        crate::addr::for_each_bank_run(
+                            info.layout,
+                            info.id,
+                            banks,
+                            s,
+                            l,
+                            |bank, cnt| add(matrix.at_bank_mut(src, owner, bank), cnt),
+                        );
+                    }
+                },
+            );
+            m_rw[src] += op.len as u64 * wpe;
+        }
+        (matrix, m_rw, accesses)
+    }
+
+    /// Totals of a traffic matrix, cell by cell over all of it:
+    /// `(data_msgs, payload_bytes, bank_kappa)`.
+    fn totals(m: &CommMatrix) -> (u64, u64, u64) {
+        let (p, banks) = (m.nprocs(), m.banks());
+        let (mut msgs, mut bytes, mut bank_kappa) = (0, 0, 0);
+        for (src, dst) in (0..p).flat_map(|src| (0..p).map(move |dst| (src, dst))) {
+            let c = m.at(src, dst);
+            msgs += u64::from(c.put_items > 0) + 2 * u64::from(c.get_items > 0);
+            bytes += c.put_payload_bytes + c.get_reply_payload_bytes;
+        }
+        for (dst, bank) in (0..p).flat_map(|dst| (0..banks).map(move |bank| (dst, bank))) {
+            let load =
+                (0..p).map(|src| m.at_bank(src, dst, bank)).map(|c| c.put_words + c.get_words);
+            bank_kappa = bank_kappa.max(load.sum());
+        }
+        (msgs, bytes, bank_kappa)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Rows metered at the sender and merged by the leader, and the
+        /// maximum of the owners' sweeps, against the flat-list oracle.
+        /// Arrays are `(hashed, 8-byte, len)` and short, so a range of
+        /// up to 8 spans up to four of 16 owners, and duplicates and
+        /// read/write overlaps are common; an op is `(src, array, put,
+        /// start, len)` before reduction to the drawn `p` and lengths.
+        #[test]
+        fn rows_and_owner_kappa_match_the_flat_plan_stage(
+            p_idx in 0usize..5,
+            banks_on in proptest::bool::ANY,
+            check_conflicts in proptest::bool::ANY,
+            arrays in proptest::collection::vec(
+                (proptest::bool::ANY, proptest::bool::ANY, 1usize..40), 2),
+            raw_ops in proptest::collection::vec(
+                (0usize..16, 0usize..2, proptest::bool::ANY, 0usize..40, 1usize..9), 0..24),
+        ) {
+            let (p, banks) = ([1, 3, 4, 7, 16][p_idx], if banks_on { 4 } else { 0 });
+            let ops: Vec<FlatOp> = raw_ops
+                .iter()
+                .map(|&(src, array, put, at, len)| {
+                    let start = at % arrays[array].2;
+                    FlatOp { src: src % p, array, put, start, len: len.min(arrays[array].2 - start) }
+                })
+                .collect();
+            let infos: Vec<ArrayInfo> = arrays
+                .iter()
+                .enumerate()
+                .map(|(k, &(hashed, wide, len))| ArrayInfo {
+                    id: ArrayId(k as u32),
+                    name: format!("a{k}"),
+                    len,
+                    elem_bytes: if wide { 8 } else { 4 },
+                    layout: if hashed { crate::Layout::Hashed } else { crate::Layout::Block },
+                })
+                .collect();
+            let (want, want_m_rw, accesses) = meter_flat(p, banks, &infos, &ops);
+
+            // The senders: each queues its own operations, in order.
+            let mut outboxes: Vec<Outbox> = (0..p).map(|_| Outbox::new(p, banks)).collect();
+            for (k, op) in ops.iter().enumerate() {
+                let (out, info) = (&mut outboxes[op.src], &infos[op.array]);
+                match (op.put, info.elem_bytes) {
+                    (false, _) => out.get(info, op.start, op.len, k as u64),
+                    (true, 4) => out.put(info, op.start, &vec![0u32; op.len]),
+                    (true, _) => out.put(info, op.start, &vec![0u64; op.len]),
+                }
+            }
+            // The owners: each sweeps what is bound for its block.
+            let mut store = LocalStore::default();
+            infos.iter().for_each(|info| store.install(info.clone(), Vec::new()));
+            let owner_kappas: Vec<Result<u64, String>> = (0..p)
+                .map(|me| {
+                    let mut sweep = OwnerKappa::default();
+                    outboxes.iter().flat_map(|out| out.runs_for(me)).for_each(|run| sweep.note(run));
+                    outcome(|| sweep.sweep(&store, check_conflicts))
+                })
+                .collect();
+            // The leader: merges the rows.
+            let mut driver = Driver::new(p, check_conflicts, Recorder::disabled());
+            if banks > 0 {
+                driver.banks = banks;
+                driver.matrix.enable_banks(banks);
+                driver.bank_load = vec![0; p * banks];
+            }
+            let slots: Vec<Slot> = outboxes.into_iter().map(Slot::publishing).collect();
+            let plan = driver.plan_stage(&slots);
+
+            for (src, dst) in (0..p).flat_map(|src| (0..p).map(move |dst| (src, dst))) {
+                prop_assert_eq!(driver.matrix.at(src, dst), want.at(src, dst), "{}->{}", src, dst);
+                for bank in 0..banks {
+                    let (got, want) = (driver.matrix.at_bank(src, dst, bank), want.at_bank(src, dst, bank));
+                    prop_assert_eq!(got, want, "{}->{} bank {}", src, dst, bank);
+                }
+            }
+            prop_assert_eq!(&driver.m_rw, &want_m_rw);
+            prop_assert_eq!((plan.data_msgs, plan.payload_bytes, plan.bank_kappa), totals(&want));
+
+            // The flat sweep, array by array over whole ranges, as the
+            // leader ran it: its κ is the owners' maximum, and it stops
+            // at a conflict exactly when an owner does.
+            let sweep = |name: &str, acc: &AccessRanges| {
+                outcome(|| sweep_kappa(name, acc, check_conflicts, &mut Vec::new()))
+            };
+            let flat: Vec<_> = infos.iter().zip(&accesses).map(|(i, acc)| sweep(&i.name, acc)).collect();
+            // What reaches the user is the lowest processor's panic: its
+            // lowest array's, over the ranges clipped to its block.
+            let clip = |ranges: &[(usize, usize)], block: &std::ops::Range<usize>| {
+                let cut = ranges.iter().map(|&(s, l)| (s.max(block.start), (s + l).min(block.end)));
+                cut.filter(|(s, e)| s < e).map(|(s, e)| (s, e - s)).collect::<Vec<_>>()
+            };
+            let first_owner_failure = (0..p).find_map(|me| {
+                infos.iter().zip(&accesses).find_map(|(info, acc)| {
+                    let block = crate::addr::block_range(info.len, p, me);
+                    let mine =
+                        AccessRanges { reads: clip(&acc.reads, &block), writes: clip(&acc.writes, &block) };
+                    sweep(&info.name, &mine).err()
+                })
+            });
+            let failed = |rs: &[Result<u64, String>]| rs.iter().find_map(|r| r.clone().err());
+            prop_assert_eq!(failed(&owner_kappas), first_owner_failure.clone());
+            prop_assert_eq!(failed(&flat).is_some(), first_owner_failure.is_some());
+            match first_owner_failure {
+                None => prop_assert_eq!(
+                    owner_kappas.iter().flatten().max(),
+                    flat.iter().flatten().max()
+                ),
+                // One array in conflict: the flat sweep said the same.
+                Some(got) if flat.iter().filter(|r| r.is_err()).count() == 1 => {
+                    prop_assert_eq!(Some(got), failed(&flat))
+                }
+                Some(got) => prop_assert!(flat.contains(&Err(got))),
+            }
         }
     }
 

@@ -107,9 +107,11 @@ pub(crate) fn pinning_requested() -> bool {
     pinning()
 }
 
-/// Logical host cores (1 when undetectable).
+/// Logical host cores (1 when undetectable), read once: the query
+/// costs ~14 µs (affinity mask and cgroup quota) and every run asks.
 pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 fn warn_pin_failed_once() {

@@ -2,37 +2,40 @@
 //!
 //! Every run of every backend rendezvouses here; no driver thread
 //! exists. Every worker publishes its phase contribution (charged
-//! ops, queued puts/gets, registrations, and a pointer to its own
-//! memory segments) into a per-processor **slot** of a shared
-//! [`ExchangeArea`], then crosses two barriers per phase:
+//! ops, its outbox — puts and gets bucketed by owner, with their
+//! payload and its row of the traffic matrix — registrations, and a
+//! pointer to its own memory segments) into a per-processor **slot** of
+//! a shared [`ExchangeArea`], then crosses two barriers per phase:
 //!
 //! ```text
 //!   publish slot[phase % 2]          (each worker, its own slot)
 //!   ── B1 ──────────────────────────
-//!   leader: plan stage               (worker 0; reads all slots)
+//!   leader: plan stage               (worker 0; copies the p rows)
 //!   all:    serve own gets           (read peers' frozen stores)
+//!   all:    κ of own block           (read runs[me] of all p outboxes)
 //!   ── B2 ──────────────────────────
-//!   all:    apply puts to own block, install/retire arrays
-//!   leader: price + record stages    (overlaps peers' next compute)
+//!   all:    apply runs[me] of all p outboxes, install/retire arrays
+//!   leader: max κ, price + record    (overlaps peers' next compute)
 //! ```
 //!
 //! Slots are double-buffered by phase parity (the `active_buffer`
 //! idiom): phase *k* publishes into `slots[k % 2]`, so the leader's
 //! trailing price/record work on phase *k* can overlap the peers'
 //! publication of phase *k+1* without contention. A slot stays
-//! untouched until its owner republishes at phase *k+2*, which cannot
-//! happen before the leader finished phase *k* (the leader only
-//! reaches the *k+1* barriers after recording *k*).
+//! untouched until its owner republishes at phase *k+2* (but for its
+//! outbox, see below), which cannot happen before the leader finished
+//! phase *k* (it only reaches the *k+1* barriers after recording *k*).
 //!
 //! The plan/price/record stages are the driver's
 //! (`Driver::plan_stage` & co., reading the slots through the
 //! accessors of [`Slot`]); the *exchange* stage is here — workers serve
-//! their own gets from peers' frozen stores between the barriers and
-//! apply the puts that land in their own block right after B2, in
-//! processor-then-issue order, so the outcome of a phase does not
-//! depend on how the host schedules the workers. That is what lets
-//! the simulated machine, whose results must be bit-reproducible, ride
-//! the same exchange as the wall-clock one.
+//! their own gets from peers' frozen stores and sweep the runs bound
+//! for their own block for κ between the barriers, and apply the puts
+//! among those runs right after B2, in processor-then-issue order, so
+//! the outcome of a phase does not depend on how the host schedules
+//! the workers. That is what lets the simulated machine, whose results
+//! must be bit-reproducible, ride the same exchange as the wall-clock
+//! one.
 //!
 //! ### Memory-safety windows
 //!
@@ -41,6 +44,13 @@
 //!
 //! * a slot published for phase *k* is read by others only between
 //!   B1(*k*) and the leader's record(*k*);
+//! * of a published outbox, the row is read by the leader (B1..B2)
+//!   and `runs[w]` and the payload arena by worker *w*: from B1(*k*)
+//!   for κ until *w* has applied phase *k*, before it enters
+//!   B1(*k+1*); its owner takes the outbox back, to refill, after
+//!   B2(*k+1*) — two outboxes per worker, flipped at the barrier;
+//! * a worker writes its κ into its own slot between B1 and B2; the
+//!   leader reads all `p` after B2, in its finish(*k*);
 //! * each worker's [`LocalStore`] is frozen from its publish until
 //!   B2(*k*) (reads by any worker), and mutated only by its owner
 //!   afterwards;
@@ -69,7 +79,7 @@ use crate::addr::{block_range, for_each_owner_run, ArrayId, Layout};
 use crate::ctx::Ctx;
 use crate::driver::{Driver, PhasePlan, PhaseRecord};
 use crate::machine::PhaseTimer;
-use crate::ops::QueuedOps;
+use crate::ops::Outbox;
 use crate::shmem::{ArrayInfo, LocalStore, Registration, Segment};
 use crate::word::{copy_packed, storage_words};
 
@@ -82,15 +92,18 @@ fn aborted() -> ! {
     std::panic::panic_any(SpmdAborted);
 }
 
-/// Adaptive wait: brief spin, then yield, then sleep — the host may
-/// have (many) fewer cores than workers (a simulated p = 16 on two
-/// cores, times `QSM_JOBS`), so unbounded spinning would starve the
-/// very thread being waited on.
-fn backoff(spins: &mut u32) {
-    *spins = spins.saturating_add(1);
-    if *spins < 64 {
+/// Yields before a wait sleeps.
+const YIELDS: u32 = 192;
+
+/// Adaptive wait: `spin` spins, then yield, then sleep — the host may
+/// have (many) fewer cores than workers (a simulated p = 16 on two,
+/// times `QSM_JOBS`): unbounded spinning would starve the thread
+/// being waited on.
+fn backoff(waited: &mut u32, spin: u32) {
+    *waited = waited.saturating_add(1);
+    if *waited <= spin {
         std::hint::spin_loop();
-    } else if *spins < 256 {
+    } else if *waited <= spin + YIELDS {
         std::thread::yield_now();
     } else {
         std::thread::sleep(Duration::from_micros(50));
@@ -98,7 +111,7 @@ fn backoff(spins: &mut u32) {
 }
 
 /// A reusable, poisonable spin barrier (sense via a generation
-/// counter). `wait()` returns whether the barrier is poisoned;
+/// counter). `wait()` returns whether poison cut the crossing short;
 /// poisoned barriers release all current and future waiters
 /// immediately, which is how a panicking worker unblocks its peers.
 ///
@@ -108,13 +121,17 @@ fn backoff(spins: &mut u32) {
 /// but only requested when full-level observability is capturing.
 struct SpinBarrier {
     p: usize,
+    /// Spins before a wait's first yield: 64 when every worker can have
+    /// a core, none otherwise — the thread waited for is then most
+    /// likely not running, and a spin only keeps it off the core.
+    spin: u32,
     count: AtomicUsize,
     gen: AtomicUsize,
     poisoned: AtomicBool,
     track: bool,
-    /// Waits whose deepest backoff was `yield_now` (spun ≥ 64).
+    /// Waits whose deepest backoff was `yield_now`.
     yields: AtomicU64,
-    /// Waits that escalated all the way to sleeping (spun ≥ 256).
+    /// Waits that escalated all the way to sleeping.
     sleeps: AtomicU64,
 }
 
@@ -122,6 +139,7 @@ impl SpinBarrier {
     fn new(p: usize, track: bool) -> Self {
         Self {
             p,
+            spin: if p <= crate::pool::host_cores() { 64 } else { 0 },
             count: AtomicUsize::new(0),
             gen: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
@@ -139,12 +157,15 @@ impl SpinBarrier {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Block until all `p` workers arrived (or the barrier was
-    /// poisoned); returns `true` iff poisoned. The release-store of
-    /// `gen` by the last arriver and the acquire-loads by the
-    /// spinners (plus the AcqRel RMW chain on `count`) provide the
-    /// happens-before edge between everything published before the
-    /// barrier and everything read after it.
+    /// Block until all `p` workers arrived; returns `true` iff poison
+    /// kept the crossing from completing. One that completed counts
+    /// for every worker in it, however late it wakes and whatever a
+    /// peer it released did since: which workers run a stage, and so
+    /// which report a violation, must not depend on host scheduling.
+    /// The release-store of `gen` by the last arriver and the
+    /// acquire-loads by the spinners (plus the AcqRel RMW chain on
+    /// `count`) provide the happens-before edge between everything
+    /// published before the barrier and everything read after it.
     fn wait(&self) -> bool {
         if self.is_poisoned() {
             return true;
@@ -153,24 +174,25 @@ impl SpinBarrier {
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.p {
             self.count.store(0, Ordering::Relaxed);
             self.gen.store(g + 1, Ordering::Release);
-            self.is_poisoned()
         } else {
-            let mut spins = 0u32;
+            let mut waited = 0u32;
             while self.gen.load(Ordering::Acquire) == g {
                 if self.is_poisoned() {
-                    return true;
+                    // By a peer this very crossing released? Its poison
+                    // follows its own sight of the new `gen`.
+                    return self.gen.load(Ordering::Acquire) == g;
                 }
-                backoff(&mut spins);
+                backoff(&mut waited, self.spin);
             }
             if self.track {
-                if spins >= 256 {
+                if waited > self.spin + YIELDS {
                     self.sleeps.fetch_add(1, Ordering::Relaxed);
-                } else if spins >= 64 {
+                } else if waited > self.spin {
                     self.yields.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            self.is_poisoned()
         }
+        false
     }
 
     /// `(yield, sleep)` escalation counts accumulated so far (always
@@ -192,9 +214,11 @@ pub(crate) struct Slot {
     state: AtomicU8,
     charged: UnsafeCell<u64>,
     arrived: UnsafeCell<Instant>,
-    /// Queued ops, moved in at publish; put payload buffers are
-    /// reclaimed by the owner when it republishes two phases later.
-    ops: UnsafeCell<QueuedOps>,
+    /// The phase's outbox, swapped in at publish; the owner takes it
+    /// back to refill once the next phase's B2 is behind it.
+    outbox: UnsafeCell<Outbox>,
+    /// κ over the owner's own block (owner writes B1..B2; leader only).
+    kappa: UnsafeCell<u64>,
     /// The owner's pending registrations (valid B1..B2; leader only).
     regs: UnsafeCell<*const [Registration]>,
     /// The owner's pending unregistrations (valid B1..B2; leader only).
@@ -204,14 +228,15 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    fn new() -> Self {
+    fn new(p: usize, banks: usize) -> Self {
         const NO_REGS: &[Registration] = &[];
         const NO_UNREGS: &[ArrayId] = &[];
         Self {
             state: AtomicU8::new(STATE_EMPTY),
             charged: UnsafeCell::new(0),
             arrived: UnsafeCell::new(Instant::now()),
-            ops: UnsafeCell::new(QueuedOps::default()),
+            outbox: UnsafeCell::new(Outbox::new(p, banks)),
+            kappa: UnsafeCell::new(0),
             regs: UnsafeCell::new(NO_REGS as *const [Registration]),
             unregs: UnsafeCell::new(NO_UNREGS as *const [ArrayId]),
             store: UnsafeCell::new(std::ptr::null()),
@@ -236,12 +261,19 @@ impl Slot {
         // SAFETY: as `charged` — same writer, same window.
         unsafe { *self.arrived.get() }
     }
-    pub(crate) fn ops(&self) -> &QueuedOps {
-        // SAFETY: moved in by the owner before B1 and frozen until it
-        // republishes at this parity two phases on; the leader reads
-        // it in `leader_plan`, inside B1..B2. The borrow ends with the
+    pub(crate) fn outbox(&self) -> &Outbox {
+        // SAFETY: swapped in by the owner before B1 and frozen until it
+        // takes it back after B2 of the next phase; the leader reads
+        // its row in `leader_plan`, inside B1..B2, while the workers
+        // read its runs — shared reads all. The borrow ends with the
         // plan stage.
-        unsafe { &*self.ops.get() }
+        unsafe { &*self.outbox.get() }
+    }
+    pub(crate) fn kappa(&self) -> u64 {
+        // SAFETY: written by the owner between B1 and B2 of this phase
+        // and next in that window two phases on; read by the leader in
+        // `leader_finish`, after B2 and before it enters the next B1.
+        unsafe { *self.kappa.get() }
     }
     pub(crate) fn regs(&self) -> &[Registration] {
         // SAFETY: points into the owner's `pending_regs`, which the
@@ -354,11 +386,18 @@ pub(crate) struct ExchangeArea {
     /// Full-level capture handle; workers clone per-lane span buffers
     /// off it in `make_ctx`. `None` keeps the whole path span-free.
     obs: Option<RunObs>,
+    /// Banks per node the run meters, for the workers' outboxes.
+    banks: usize,
+    /// Whether an owner's κ sweep panics on a read/write overlap.
+    check_conflicts: bool,
 }
 
 // SAFETY: field by field. `slots`: every `UnsafeCell` in a `Slot` has
-// one writer, its owner, at publish time, and readers only inside the
-// barrier windows of the module doc; the barrier's release/acquire
+// one writer, its owner — at publish time, and for `kappa` between B1
+// and B2 — and readers only inside the barrier windows of the module
+// doc (for `outbox` they end when the last worker has applied the
+// phase, two barriers before the owner takes it back; for `kappa`
+// they are the leader's, after B2); the barrier's release/acquire
 // pair orders the two. The raw pointers in a slot are dereferenced in
 // those windows only, while the `Ctx` they point into is alive and
 // frozen (a `Ctx` drops after the exit rendezvous). `leader`: touched
@@ -366,7 +405,7 @@ pub(crate) struct ExchangeArea {
 // every worker exited, which requires `Driver` and the boxed timer to
 // be `Send` (`PhaseTimer: Send`), not `Sync`. `obs`: a `Recorder`
 // (`Sync`) and an `Instant`. `barrier`, `exited`, `panics`: atomics
-// and a mutex.
+// and a mutex. `banks`, `check_conflicts`: never written.
 unsafe impl Sync for ExchangeArea {}
 
 impl ExchangeArea {
@@ -377,9 +416,12 @@ impl ExchangeArea {
         obs: Option<RunObs>,
         track_barrier: bool,
     ) -> Self {
-        let mk = || (0..p).map(|_| Slot::new()).collect::<Vec<_>>().into_boxed_slice();
+        let (banks, check_conflicts) = (driver.banks, driver.check_conflicts);
+        let mk = || (0..p).map(|_| Slot::new(p, banks)).collect::<Vec<_>>().into_boxed_slice();
         Self {
             p,
+            banks,
+            check_conflicts,
             slots: [mk(), mk()],
             barrier: SpinBarrier::new(p, track_barrier),
             exited: AtomicUsize::new(0),
@@ -425,6 +467,17 @@ pub(crate) struct SpmdLink {
 }
 
 #[cfg(test)]
+impl Slot {
+    /// A slot that published `outbox` and nothing else, to drive the
+    /// plan stage without a run.
+    pub(crate) fn publishing(outbox: Outbox) -> Self {
+        let mut slot = Self::new(0, 0);
+        *slot.outbox.get_mut() = outbox;
+        slot
+    }
+}
+
+#[cfg(test)]
 impl SpmdLink {
     /// A link to no run, for unit tests of a `Ctx` that never syncs.
     pub(crate) fn detached() -> Self {
@@ -435,7 +488,7 @@ impl SpmdLink {
 /// Build the per-processor context for one worker (attaching a span
 /// buffer when the run captures worker lanes).
 pub(crate) fn make_ctx(proc: usize, nprocs: usize, seed: u64, area: &ExchangeArea) -> Ctx {
-    let mut ctx = Ctx::new(proc, nprocs, seed, SpmdLink { area });
+    let mut ctx = Ctx::new(proc, nprocs, area.banks, seed, SpmdLink { area });
     if let Some(obs) = &area.obs {
         ctx.spmd_obs = Some(Box::new(SpmdObs::new(obs)));
     }
@@ -446,9 +499,9 @@ pub(crate) fn make_ctx(proc: usize, nprocs: usize, seed: u64, area: &ExchangeAre
 /// returns, no peer will ever read this worker's `Ctx` again.
 pub(crate) fn exit_rendezvous(area: &ExchangeArea) {
     area.exited.fetch_add(1, Ordering::AcqRel);
-    let mut spins = 0u32;
+    let mut waited = 0u32;
     while area.exited.load(Ordering::Acquire) < area.p {
-        backoff(&mut spins);
+        backoff(&mut waited, area.barrier.spin);
     }
 }
 
@@ -461,8 +514,9 @@ fn area_of(ctx: &Ctx) -> &'static ExchangeArea {
     unsafe { &*ctx.link.area }
 }
 
-/// Move this phase's contribution into our slot at `parity`,
-/// reclaiming the buffers the slot still holds from phase-2.
+/// Move this phase's contribution into our slot at `parity`. The
+/// outbox goes in by swap: what comes out is the empty one
+/// `apply_exchange` left there when it took phase k-2's back.
 fn publish(ctx: &mut Ctx, area: &ExchangeArea, parity: usize, state: u8) {
     let slot = &area.slots[parity][ctx.proc];
     // SAFETY: only the owner writes its slot. Its previous tenant is
@@ -473,13 +527,7 @@ fn publish(ctx: &mut Ctx, area: &ExchangeArea, parity: usize, state: u8) {
     // pointers stored are into `ctx`, which outlives the run's last
     // barrier (exit rendezvous).
     unsafe {
-        let ops_cell = &mut *slot.ops.get();
-        let mut old = std::mem::replace(ops_cell, ctx.queued.take());
-        for put in old.puts.drain(..) {
-            ctx.recycle_raw(put.data);
-        }
-        old.gets.clear();
-        ctx.queued = old;
+        std::ptr::swap(slot.outbox.get(), &mut ctx.queued);
         *slot.charged.get() = std::mem::take(&mut ctx.charged);
         *slot.regs.get() = ctx.pending_regs.as_slice() as *const [Registration];
         *slot.unregs.get() = ctx.pending_unregs.as_slice() as *const [ArrayId];
@@ -510,10 +558,10 @@ fn collective_violation(finished: usize, p: usize) -> ! {
 /// this parity is frozen.
 fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     let p = area.p;
-    // SAFETY: our own slot's ops: written by us at publish, and by
-    // nobody until we republish at this parity two phases on.
-    let my_ops = unsafe { &*area.slots[parity][ctx.proc].ops.get() };
-    for op in &my_ops.gets {
+    // SAFETY: our own slot's outbox: swapped in by us at publish, and
+    // touched by nobody else until we take it back a phase on.
+    let mine = unsafe { &*area.slots[parity][ctx.proc].outbox.get() };
+    for op in &mine.gets {
         let info = ctx.store.info(op.array);
         let (len, elem_bytes) = (info.len, info.elem_bytes);
         let mut out = ctx.pooled_raw(storage_words(op.len, elem_bytes));
@@ -532,31 +580,52 @@ fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     }
 }
 
-/// After B2: apply every put that lands in this worker's block (in
-/// processor-then-issue order, exactly the driver's deterministic
-/// resolution), then install newly registered arrays zero-initialized
-/// and retire unregistered ones.
+/// Between B1 and B2: κ over the runs every source queued for this
+/// worker's block, left in its slot for the leader. A location both
+/// read and written panics here, on the processor that stores it.
+fn sweep_own_block(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
+    let me = ctx.proc;
+    for src in 0..area.p {
+        // SAFETY: we are after B1 of phase k. `src` swapped this outbox
+        // in before B1(k) and takes it back after B2(k+1) — barriers we
+        // have not crossed. Every concurrent access is a read.
+        let outbox = unsafe { &*area.slots[parity][src].outbox.get() };
+        for run in outbox.runs_for(me) {
+            ctx.kappa.note(run);
+        }
+    }
+    let kappa = ctx.kappa.sweep(&ctx.store, area.check_conflicts);
+    // SAFETY: our own slot's cell, which only we write, and only in
+    // this window; the leader reads it after B2 (`Slot::kappa`).
+    unsafe { *area.slots[parity][me].kappa.get() = kappa };
+}
+
+/// After B2: apply every put among the runs queued for this worker's
+/// block (in processor-then-issue order, exactly the driver's
+/// deterministic resolution), take back the outbox of the phase before
+/// to fill next — two per worker, flipped at the barrier — then install
+/// newly registered arrays zero-initialized and retire unregistered
+/// ones.
 fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     let p = area.p;
     let me = ctx.proc;
+    // SAFETY: our own slot of the other parity holds our outbox of
+    // phase k-1 (a fresh one when k = 0). Its readers were the leader's
+    // plan(k-1) and every worker's sweep and apply of k-1, each over
+    // before that worker entered B1(k); we are past B2(k), and only we
+    // write the slot.
+    unsafe { std::ptr::swap(area.slots[parity ^ 1][me].outbox.get(), &mut ctx.queued) };
+    ctx.queued.clear();
     for src in 0..p {
-        // SAFETY: we are after B2 of phase k. `src` moved these ops in
-        // before B1(k) and replaces them when it publishes phase k+2,
-        // which it reaches only after B1 and B2 of k+1 — barriers we
-        // have not crossed yet while still applying phase k.
-        let src_ops = unsafe { &*area.slots[parity][src].ops.get() };
-        for op in &src_ops.puts {
-            let info = ctx.store.info(op.array);
-            let (len, elem_bytes) = (info.len, info.elem_bytes);
-            let base = block_range(len, p, me).start;
-            let seg = ctx.store.segment_mut(op.array);
-            let mut off = 0usize;
-            for_each_owner_run(Layout::Block, op.array, len, p, op.start, op.len, |owner, s, l| {
-                if owner == me {
-                    copy_packed(elem_bytes, &op.data, off, seg, s - base, l);
-                }
-                off += l;
-            });
+        // SAFETY: as in `sweep_own_block`; we are after B2 of phase k,
+        // a phase short of `src` taking the outbox back.
+        let outbox = unsafe { &*area.slots[parity][src].outbox.get() };
+        for run in outbox.runs_for(me).iter().filter(|run| run.is_put()) {
+            let info = ctx.store.info(run.array);
+            let (elem_bytes, to) =
+                (info.elem_bytes, run.start - block_range(info.len, p, me).start);
+            let seg = ctx.store.segment_mut(run.array);
+            copy_packed(elem_bytes, &outbox.payload, run.src, seg, to, run.len as usize);
         }
     }
     let mut regs = std::mem::take(&mut ctx.pending_regs);
@@ -661,7 +730,7 @@ pub(crate) fn retire(ctx: &mut Ctx) {
 }
 
 /// Worker 0, between B1 and B2: run the driver's plan stage over the
-/// published slots (collective validation, id assignment, metering).
+/// published slots (collective validation, merge of the traffic rows).
 fn leader_plan(area: &ExchangeArea, parity: usize) {
     // SAFETY: only worker 0 calls this (`sync_phase` checks `proc`),
     // so the `&mut` is unique; the engine frame reads the state only
@@ -682,7 +751,8 @@ fn leader_finish(area: &ExchangeArea, parity: usize) {
     let faults = leader.timer.fault_counts();
     let bank_wait = leader.timer.bank_wait();
     let link = (leader.timer.link_wait(), leader.timer.link_util());
-    let record = leader.driver.record_stage(&plan, timing, faults, bank_wait, link);
+    let kappa = area.slots[parity].iter().map(Slot::kappa).max().unwrap_or(0);
+    let record = leader.driver.record_stage(&plan, kappa, timing, faults, bank_wait, link);
     leader.records.push(record);
     leader.driver.finish_phase_meta(&plan);
 }
@@ -692,10 +762,10 @@ fn leader_finish(area: &ExchangeArea, parity: usize) {
 ///
 /// When span capture is on (`ctx.spmd_obs`), each stage boundary is
 /// marked into the worker's lane buffer: compute (ending at publish),
-/// the B1 wait, the leader's plan, serving gets, the B2 wait,
-/// applying puts, and the leader's price/record tail. Marks append to
-/// a local `Vec` — nothing is flushed (or locked) until the exit
-/// epilogue, after all measurement.
+/// the B1 wait, the leader's plan, serving gets, the κ sweep of the
+/// own block, the B2 wait, applying puts, and the leader's
+/// price/record tail. Marks append to a local `Vec` — nothing is
+/// flushed (or locked) until the exit epilogue, after all measurement.
 pub(crate) fn sync_phase(ctx: &mut Ctx) {
     let area = area_of(ctx);
     let parity = (ctx.phase & 1) as usize;
@@ -726,6 +796,10 @@ pub(crate) fn sync_phase(ctx: &mut Ctx) {
     serve_own_gets(ctx, area, parity);
     if let Some(o) = obs.as_deref_mut() {
         o.mark(SpanKind::ServeGets, phase, lane);
+    }
+    sweep_own_block(ctx, area, parity);
+    if let Some(o) = obs.as_deref_mut() {
+        o.mark(SpanKind::OwnerKappa, phase, lane);
     }
     if area.barrier.wait() {
         aborted();
@@ -799,6 +873,29 @@ mod tests {
     }
 
     #[test]
+    fn an_oversubscribed_barrier_yields_its_way_through() {
+        assert_eq!(SpinBarrier::new(1, false).spin, 64, "a core each: spin first");
+        // Four waiters a core: none spins, and none starves the thread
+        // it waits for.
+        let p = 4 * crate::pool::host_cores();
+        let barrier = SpinBarrier::new(p, false);
+        assert_eq!(barrier.spin, 0);
+        let arrived = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..p {
+                scope.spawn(|| {
+                    for round in 1..=2000 {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        assert!(!barrier.wait());
+                        assert!(arrived.load(Ordering::SeqCst) >= p * round);
+                    }
+                });
+            }
+        });
+        assert_eq!(arrived.into_inner(), p * 2000);
+    }
+
+    #[test]
     fn poisoned_barrier_releases_waiters() {
         let barrier = SpinBarrier::new(2, false);
         crossbeam::thread::scope(|scope| {
@@ -823,8 +920,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(quiet.transitions(), (0, 0));
-        // A tracked waiter stuck for milliseconds escalates past the
-        // 64-spin threshold and records its deepest backoff state.
+        // A tracked waiter stuck for milliseconds escalates past its
+        // spins (64, or none) and records its deepest backoff state.
         let tracked = SpinBarrier::new(2, true);
         crossbeam::thread::scope(|scope| {
             scope.spawn(|_| {

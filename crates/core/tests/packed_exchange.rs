@@ -7,7 +7,10 @@
 //! both machines and must leave exactly what a plain `Vec<T>` holds
 //! under the documented phase semantics: local writes first, gets
 //! served from that state, then puts in processor-then-issue order.
-//! Values are compared by bit pattern (NaN payloads, `-1i32`).
+//! Values are compared by bit pattern (NaN payloads, `-1i32`). The
+//! same programs run over a `Hashed` array, which is stored in the same
+//! blocks and only charged elsewhere (it has no local window, so its
+//! scripts skip the local writes): a range is cut where storage is.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -98,12 +101,12 @@ fn bits<T: Elem>(values: &[T]) -> Vec<u64> {
     values.iter().map(|v| v.bits()).collect()
 }
 
-fn model<T: Elem>(seed: u64, phases: usize, p: usize, len: usize) -> Vec<Outcome> {
+fn model<T: Elem>(seed: u64, phases: usize, p: usize, len: usize, windows: bool) -> Vec<Outcome> {
     let mut mem = vec![T::default(); len];
     let mut got: Vec<Vec<Vec<u64>>> = vec![Vec::new(); p];
     for phase in 0..phases {
         let scripts: Vec<Script<T>> = (0..p).map(|i| script(seed, phase, i, len)).collect();
-        for (proc, sc) in scripts.iter().enumerate() {
+        for (proc, sc) in scripts.iter().enumerate().filter(|_| windows) {
             let mine = block_range(len, p, proc);
             for (at, data) in &sc.local {
                 let (at, data) = clip(mine.len(), *at, data);
@@ -122,18 +125,26 @@ fn model<T: Elem>(seed: u64, phases: usize, p: usize, len: usize) -> Vec<Outcome
     got.into_iter().map(|g| (g, bits(&mem))).collect()
 }
 
-fn run<T: Elem, M: Machine>(machine: &M, seed: u64, phases: usize, len: usize) -> Vec<Outcome> {
+fn run<T: Elem, M: Machine>(
+    machine: &M,
+    seed: u64,
+    phases: usize,
+    len: usize,
+    layout: Layout,
+) -> Vec<Outcome> {
     let run = machine.run(|ctx| {
         let (p, me) = (ctx.nprocs(), ctx.proc_id());
-        let arr = ctx.register::<T>("packed", len, Layout::Block);
+        let arr = ctx.register::<T>("packed", len, layout);
         ctx.sync();
         let mut got = Vec::new();
         for phase in 0..phases {
             let sc = script::<T>(seed, phase, me, len);
-            let window = ctx.local_mut(&arr);
-            for (at, data) in &sc.local {
-                let (at, data) = clip(window.len(), *at, data);
-                window[at..][..data.len()].copy_from_slice(data);
+            if layout == Layout::Block {
+                let window = ctx.local_mut(&arr);
+                for (at, data) in &sc.local {
+                    let (at, data) = clip(window.len(), *at, data);
+                    window[at..][..data.len()].copy_from_slice(data);
+                }
             }
             for (start, data) in &sc.puts {
                 ctx.put(&arr, *start, data);
@@ -148,19 +159,26 @@ fn run<T: Elem, M: Machine>(machine: &M, seed: u64, phases: usize, len: usize) -
         let all = ctx.get(&arr, 0, len);
         ctx.sync();
         let all = ctx.take(all);
-        assert_eq!(bits(&all[block_range(len, p, me)]), bits(ctx.local(&arr)));
+        if layout == Layout::Block {
+            assert_eq!(bits(&all[block_range(len, p, me)]), bits(ctx.local(&arr)));
+        }
         (got, bits(&all))
     });
     run.outputs
 }
 
 fn check<T: Elem>(seed: u64, phases: usize, p: usize, len: usize) -> Result<(), TestCaseError> {
-    let want = model::<T>(seed, phases, p, len);
-    let ty = std::any::type_name::<T>();
-    let sim = run::<T, _>(&SimMachine::new(MachineConfig::paper_default(p)), seed, phases, len);
-    prop_assert!(sim == want, "{ty} on sim, p = {p}, len = {len}, seed = {seed}");
-    let threads = run::<T, _>(&ThreadMachine::new(p), seed, phases, len);
-    prop_assert!(threads == want, "{ty} on threads, p = {p}, len = {len}, seed = {seed}");
+    for layout in [Layout::Block, Layout::Hashed] {
+        let want = model::<T>(seed, phases, p, len, layout == Layout::Block);
+        let at = format!(
+            "{}, {layout:?}, p = {p}, len = {len}, seed = {seed}",
+            std::any::type_name::<T>()
+        );
+        let sim = SimMachine::new(MachineConfig::paper_default(p));
+        prop_assert!(run::<T, _>(&sim, seed, phases, len, layout) == want, "sim: {at}");
+        let threads = ThreadMachine::new(p);
+        prop_assert!(run::<T, _>(&threads, seed, phases, len, layout) == want, "threads: {at}");
+    }
     Ok(())
 }
 
@@ -184,14 +202,19 @@ proptest! {
 }
 
 /// The values the old widened storage had to round-trip, placed so
-/// that 4-byte ones straddle storage words and owners (p = 3, n = 7:
-/// blocks of 3, 2, 2).
+/// that 4-byte ones straddle storage words and one put spans all three
+/// owners (p = 3, n = 7: blocks of 3, 2, 2), block- and hash-charged.
 #[test]
 fn edge_values_cross_owners_bit_exact() {
     fn through<T: Elem>(values: [T; 5]) {
-        for machine_is_sim in [true, false] {
+        for (machine_is_sim, layout) in [
+            (true, Layout::Block),
+            (false, Layout::Block),
+            (true, Layout::Hashed),
+            (false, Layout::Hashed),
+        ] {
             let program = |ctx: &mut qsm_core::Ctx| {
-                let arr = ctx.register::<T>("edge", 7, Layout::Block);
+                let arr = ctx.register::<T>("edge", 7, layout);
                 ctx.sync();
                 if ctx.proc_id() == 2 {
                     ctx.put(&arr, 1, &values);
@@ -208,7 +231,7 @@ fn edge_values_cross_owners_bit_exact() {
             };
             let mut want = vec![T::default().bits(); 7];
             want[1..6].copy_from_slice(&bits(&values));
-            assert_eq!(outputs, vec![want; 3], "{}", std::any::type_name::<T>());
+            assert_eq!(outputs, vec![want; 3], "{}, {layout:?}", std::any::type_name::<T>());
         }
     }
     through([-1i32, i32::MIN, 0, i32::MAX, -2]);

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use qsm_core::{pool, Layout, PhaseRecord, SimMachine};
+use qsm_core::{pool, Ctx, Layout, PhaseRecord, SimMachine, ThreadMachine};
 use qsm_simnet::MachineConfig;
 
 /// Forwards to the system allocator, counting calls, calls for a
@@ -212,6 +212,79 @@ fn a_long_put_only_run_does_not_grow() {
         "live heap moved by {} bytes over 900 steady phases",
         live2 - live0
     );
+}
+
+#[test]
+fn a_long_run_of_one_word_puts_reuses_its_arena_and_buckets() {
+    let _serial = serial();
+    const PUTS: usize = 3000 / 8;
+    let sample = || (ALLOCS.load(Ordering::Relaxed), LIVE_BYTES.load(Ordering::Relaxed));
+    let run = machine(8).run(|ctx| {
+        let (p, me) = (ctx.nprocs(), ctx.proc_id());
+        let dst = ctx.register::<u32>("dst", PUTS * p, Layout::Block);
+        ctx.sync();
+        let mut samples = [(0u64, 0i64); 2];
+        for phase in 1..=2000 {
+            // One word to each location of a stride: every owner's
+            // bucket fills, and the arena holds 375 words a phase.
+            for k in 0..PUTS {
+                ctx.put(&dst, k * p + (me + phase) % p, &[phase as u32]);
+            }
+            ctx.sync();
+            if let Some(k) = [10, 2000].iter().position(|&at| at == phase) {
+                samples[k] = sample();
+            }
+        }
+        samples
+    });
+    let [(a0, live0), (a1, live1)] = run.outputs[0];
+    // The leader's record list is the one thing that grows by design: it
+    // held 16 records at phase 10 and holds 2048 at phase 2000.
+    let records = ((2048 - 16) * std::mem::size_of::<PhaseRecord>()) as i64;
+    assert!(
+        (live1 - live0 - records).abs() < 64 << 10,
+        "live heap moved by {} bytes over 1990 phases of 3000 one-word puts, {records} of them \
+         records: an outbox that is cleared and refilled grows nothing",
+        live1 - live0
+    );
+    assert!(a1 - a0 < 20 * 1990, "{} allocations over 1990 steady phases", a1 - a0);
+}
+
+/// Two conflicts in one phase, each in another owner's block: what the
+/// user sees is the lowest processor's panic, on every run — owner 1's,
+/// over the higher array id, not owner 2's over the lower.
+#[test]
+fn of_two_conflicts_the_lowest_owners_is_reported() {
+    let _serial = serial();
+    // Blocks of 8 over 4: 0..2, 2..4, 4..6, 6..8.
+    let program = |ctx: &mut Ctx| {
+        let early = ctx.register::<u64>("early", 8, Layout::Block);
+        let late = ctx.register::<u32>("late", 8, Layout::Block);
+        ctx.sync();
+        match ctx.proc_id() {
+            0 => {
+                ctx.put(&early, 5, &[1]);
+                ctx.put(&late, 3, &[1]);
+            }
+            3 => {
+                drop(ctx.get(&early, 4, 2));
+                drop(ctx.get(&late, 2, 2));
+            }
+            _ => {}
+        }
+        ctx.sync();
+    };
+    let want = "bulk-synchrony violation: location 3 of array 'late' is both read and written \
+                in the same phase (the QSM phase contract forbids this; split the accesses \
+                across a sync())";
+    for run in 0..20 {
+        assert_eq!(failure(|| drop(machine(4).run(program))), want, "sim, run {run}");
+        assert_eq!(
+            failure(|| drop(ThreadMachine::new(4).run(program))),
+            want,
+            "threads, run {run}"
+        );
+    }
 }
 
 #[test]

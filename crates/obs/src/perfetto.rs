@@ -83,6 +83,7 @@ impl ObsData {
                 | SpanKind::CommBusy
                 | SpanKind::BarrierWait
                 | SpanKind::ServeGets
+                | SpanKind::OwnerKappa
                 | SpanKind::ApplyPuts
                 | SpanKind::LeaderPlan
                 | SpanKind::LeaderPrice => {

@@ -37,11 +37,16 @@ pub enum SpanKind {
     /// Processor lane: SPMD worker `lane` serving its own gets from
     /// the peers' frozen stores (between the phase's two barriers).
     ServeGets,
+    /// Processor lane: SPMD worker `lane` sweeping the runs bound for
+    /// its own block for κ and read/write conflicts (after serving its
+    /// gets, before B2).
+    OwnerKappa,
     /// Processor lane: SPMD worker `lane` applying the puts that land
     /// in its own block and retiring registrations (after B2).
     ApplyPuts,
     /// Processor lane: the SPMD leader running the driver's plan
-    /// stage over the published slots (between B1 and B2; lane 0).
+    /// stage over the published slots — registrations checked, the
+    /// workers' traffic rows merged (between B1 and B2; lane 0).
     LeaderPlan,
     /// Processor lane: the SPMD leader pricing and recording the
     /// phase after B2, overlapping the peers' next compute (lane 0).
@@ -61,6 +66,7 @@ impl SpanKind {
             SpanKind::RetryRound => "retry",
             SpanKind::BankService => "bank",
             SpanKind::ServeGets => "serve",
+            SpanKind::OwnerKappa => "kappa",
             SpanKind::ApplyPuts => "apply",
             SpanKind::LeaderPlan => "plan",
             SpanKind::LeaderPrice => "price",
