@@ -10,10 +10,15 @@
 //! and banks exactly as a batch would — the pipeline arithmetic is
 //! shared, not re-derived.
 //!
-//! The timeline merges two sources (`Events`): the offered arrivals,
-//! known up front and sorted once into a stream, and an [`EventQueue`]
-//! of the sends in flight — a heap as deep as the machine is loaded,
-//! not as the run is long.
+//! The timeline (`Events`) is ordered by integer keys
+//! ([`event_key`]), each computed once. The offered arrivals are known
+//! up front and sorted once, as plain `u128`s, into a stream. The
+//! sends in flight live in an [`EventQueue`]: a first request send is
+//! due a constant after its arrival, so it rides one of two FIFO lanes
+//! (puts, gets) and never enters the heap; replies and retries do — a
+//! heap as deep as the machine is loaded, not as the run is long, of
+//! 32-byte entries: a send names its transaction, and `arrival::txn`
+//! derives it again when the send pops.
 //!
 //! A transaction's life:
 //!
@@ -48,7 +53,7 @@ use std::iter::Peekable;
 use std::vec::IntoIter;
 
 use qsm_obs::{Histogram, Recorder};
-use qsm_simnet::event::EventQueue;
+use qsm_simnet::event::{event_key, split_key, EventQueue};
 use qsm_simnet::time::Cycles;
 use qsm_simnet::{FaultConfig, Injection, MsgKind, Network};
 
@@ -64,12 +69,10 @@ enum Leg {
     Reply,
 }
 
-/// A leg of transaction `i` (derived once, at its arrival, into `t`)
-/// is marshalled and ready for its NIC.
+/// A leg of transaction `i` is marshalled and ready for its NIC.
 #[derive(Debug, Clone, Copy)]
 struct Send {
     i: u64,
-    t: Txn,
     leg: Leg,
     attempt: u32,
 }
@@ -85,17 +88,38 @@ enum Ev {
 /// The engine's event timeline: the sorted arrival stream merged with
 /// the in-flight sends.
 struct Events {
-    /// Every offered `(arrival, i)` not yet popped, ascending.
-    arrivals: Peekable<IntoIter<(Cycles, u64)>>,
+    /// `event_key(arrival, i)` of every offered transaction not yet
+    /// popped, ascending.
+    arrivals: Peekable<IntoIter<u128>>,
+    /// Lane 0 the first sends of puts, lane 1 of gets.
     sends: EventQueue<Send>,
+    /// First sends their lane did not take.
+    #[cfg(test)]
+    lane_misses: u64,
 }
 
 impl Events {
     fn new(cfg: &ServiceConfig) -> Self {
-        let mut arrivals: Vec<(Cycles, u64)> =
-            (0..cfg.offered as u64).map(|i| (arrival::arrival_time(cfg, i), i)).collect();
+        let mut arrivals: Vec<u128> =
+            (0..cfg.offered as u64).map(|i| event_key(arrival::arrival_time(cfg, i), i)).collect();
         arrivals.sort_unstable();
-        Self { arrivals: arrivals.into_iter().peekable(), sends: EventQueue::new() }
+        Self {
+            arrivals: arrivals.into_iter().peekable(),
+            sends: EventQueue::with_lanes(2),
+            #[cfg(test)]
+            lane_misses: 0,
+        }
+    }
+
+    /// Schedule the first request send of an admitted transaction. The
+    /// arrivals pop in time order and `ready` is one constant per kind
+    /// after them, so each kind's lane sees non-decreasing times.
+    fn push_first(&mut self, is_get: bool, ready: Cycles, send: Send) {
+        let _rode = self.sends.push_lane(is_get as usize, ready, send);
+        #[cfg(test)]
+        {
+            self.lane_misses += u64::from(!_rode);
+        }
     }
 
     /// The earliest event. An arrival wins a tie with a send: the
@@ -103,7 +127,8 @@ impl Events {
     /// scheduled), and ties break oldest first.
     fn pop(&mut self) -> Option<(Cycles, Ev)> {
         let send = self.sends.peek_time();
-        match self.arrivals.next_if(|&(at, _)| send.is_none_or(|t| at <= t)) {
+        let due = |&a: &u128| send.is_none_or(|t| split_key(a).0 <= t);
+        match self.arrivals.next_if(due).map(split_key) {
             Some((at, i)) => Some((at, Ev::Arrive(i))),
             None => self.sends.pop().map(|(t, send)| (t, Ev::Send(send))),
         }
@@ -186,12 +211,15 @@ fn leg_bytes(cfg: &ServiceConfig, t: &Txn) -> (u64, u64) {
 /// `service_*` counters; pass [`Recorder::disabled`] to opt out.
 pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
     cfg.validate();
+    run_events(cfg, obs, &mut Events::new(cfg))
+}
+
+/// [`run`] on a given timeline.
+fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> ServiceOutcome {
     let p = cfg.machine.p;
     let sw = cfg.machine.sw;
     let faults: Option<FaultConfig> = cfg.machine.net.faults;
     let mut net = Network::new(p, cfg.machine.net);
-
-    let mut events = Events::new(cfg);
 
     let mut out = ServiceOutcome {
         offered: cfg.offered as u64,
@@ -226,11 +254,12 @@ pub fn run(cfg: &ServiceConfig, obs: &Recorder) -> ServiceOutcome {
                 }
                 out.admitted += 1;
                 let marshal = if t.is_get { sw.get_request } else { sw.put_marshal };
-                let send = Send { i, t, leg: Leg::Request, attempt: 1 };
-                events.sends.push(now + Cycles::new(marshal), send);
+                let send = Send { i, leg: Leg::Request, attempt: 1 };
+                events.push_first(t.is_get, now + Cycles::new(marshal), send);
             }
             Ev::Send(send) => {
-                let Send { i, t, leg, attempt } = send;
+                let Send { i, leg, attempt } = send;
+                let t = arrival::txn(cfg, i);
                 let (req_bytes, rep_bytes) = leg_bytes(cfg, &t);
                 let msg = match (leg, t.is_get) {
                     (Leg::Request, true) => {
@@ -314,7 +343,7 @@ mod tests {
     use super::*;
     use qsm_simnet::{BankModel, MachineConfig};
 
-    fn machine(p: usize) -> MachineConfig {
+    pub(super) fn machine(p: usize) -> MachineConfig {
         let mut m = MachineConfig::paper_default(p);
         m.net.banks =
             Some(BankModel { banks_per_node: 4, service_fixed: 0.0, service_per_byte: 12.0 });
@@ -325,30 +354,75 @@ mod tests {
         run(cfg, &Recorder::disabled())
     }
 
+    /// The timeline of `cfg` with every send through the heap.
+    pub(super) fn without_lanes(cfg: &ServiceConfig) -> Events {
+        Events { sends: EventQueue::new(), ..Events::new(cfg) }
+    }
+
     #[test]
     fn an_arrival_pops_before_a_send_at_the_same_instant() {
         let cfg = ServiceConfig::new(machine(4)).with_offered(3);
         let mut events = Events::new(&cfg);
-        let due: Vec<(Cycles, u64)> = events.arrivals.clone().collect();
+        let due: Vec<(Cycles, u64)> = events.arrivals.clone().map(split_key).collect();
         assert!(due.windows(2).all(|w| w[0] < w[1]), "the stream is sorted: {due:?}");
-        // A send tied with the second arrival, and one after the last.
-        let send = |i| Send { i, t: arrival::txn(&cfg, i), leg: Leg::Request, attempt: 1 };
-        events.sends.push(due[1].0, send(due[0].1));
-        events.sends.push(due[2].0 + Cycles::new(1.0), send(due[1].1));
-        let popped: Vec<(Cycles, Option<u64>)> = std::iter::from_fn(|| events.pop())
+        // Three sends tied with the second arrival — heap, lane, heap,
+        // in that order of scheduling — and one after the last arrival.
+        let send = |i| Send { i, leg: Leg::Request, attempt: 1 };
+        events.sends.push(due[1].0, send(10));
+        events.push_first(true, due[1].0, send(11));
+        events.sends.push(due[1].0, send(12));
+        events.sends.push(due[2].0 + Cycles::new(1.0), send(13));
+        assert_eq!(events.lane_misses, 0);
+        let popped: Vec<(Cycles, String)> = std::iter::from_fn(|| events.pop())
             .map(|(at, ev)| match ev {
-                Ev::Arrive(i) => (at, Some(i)),
-                Ev::Send(_) => (at, None),
+                Ev::Arrive(i) => (at, format!("arrive {i}")),
+                Ev::Send(s) => (at, format!("send {}", s.i)),
             })
             .collect();
         let expected = vec![
-            (due[0].0, Some(due[0].1)),
-            (due[1].0, Some(due[1].1)),
-            (due[1].0, None),
-            (due[2].0, Some(due[2].1)),
-            (due[2].0 + Cycles::new(1.0), None),
+            (due[0].0, format!("arrive {}", due[0].1)),
+            (due[1].0, format!("arrive {}", due[1].1)),
+            (due[1].0, "send 10".to_string()),
+            (due[1].0, "send 11".to_string()),
+            (due[1].0, "send 12".to_string()),
+            (due[2].0, format!("arrive {}", due[2].1)),
+            (due[2].0 + Cycles::new(1.0), "send 13".to_string()),
         ];
         assert_eq!(popped, expected);
+    }
+
+    #[test]
+    fn a_heap_entry_is_32_bytes() {
+        // The queue's entry is its `u128` key and the payload (simnet's
+        // `an_entry_is_its_key_and_its_payload`).
+        assert_eq!(std::mem::size_of::<(u128, Send)>(), 32);
+    }
+
+    /// A run of `cfg`, and how many of its first sends missed their
+    /// lane.
+    fn run_counting(cfg: &ServiceConfig) -> (ServiceOutcome, u64) {
+        let mut events = Events::new(cfg);
+        let out = run_events(cfg, &Recorder::disabled(), &mut events);
+        assert_eq!(out, run_quiet(cfg));
+        (out, events.lane_misses)
+    }
+
+    #[test]
+    fn every_first_send_rides_its_lane() {
+        // Fault-free and overloaded: a deep backlog, admission on.
+        let calm = ServiceConfig::new(machine(4)).with_window(100_000.0).with_offered(6_000);
+        for cfg in [calm.clone(), calm.with_admission(20_000.0)] {
+            let (out, misses) = run_counting(&cfg);
+            assert_eq!(out.completed, out.admitted);
+            assert_eq!(misses, 0, "a first send fell back to the heap");
+        }
+        // With drops the heap takes the retries beside the replies
+        // (`Events::sends.push`); the first sends still all ride.
+        let mut m = machine(4);
+        m.net.faults = Some(FaultConfig::drops(17, 0.05));
+        let (out, misses) = run_counting(&ServiceConfig::new(m).with_offered(3_000));
+        assert!(out.retries > 0);
+        assert_eq!(misses, 0, "a first send fell back to the heap");
     }
 
     #[test]
@@ -446,5 +520,68 @@ mod tests {
         assert!(json.contains("service_latency_cycles"));
         assert!(json.contains("\"service_completed\": 50"));
         assert_eq!(out.completed, 50);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use qsm_simnet::{MachineConfig, TopologyKind};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A lane is a hint: the run is the same with none.
+        #[test]
+        fn lanes_change_nothing_but_speed(
+            shape in (0usize..3, proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            gets in 0usize..4,
+            offered in 0usize..2_000,
+            seed in any::<u64>(),
+        ) {
+            let (p, torus, drops, admission) = shape;
+            let p = [2, 4, 16][p];
+            let mut m = super::tests::machine(p);
+            if torus {
+                m = m.with_topology(TopologyKind::torus(p));
+            }
+            if drops {
+                m.net.faults = Some(FaultConfig::drops(seed ^ 17, 0.2));
+            }
+            let mut cfg = ServiceConfig::new(m)
+                .with_seed(seed)
+                .with_window(150_000.0)
+                .with_offered(offered);
+            cfg.get_fraction = [0.0, 0.125, 0.875, 1.0][gets];
+            if admission {
+                cfg = cfg.with_admission(20_000.0);
+            }
+            cfg.validate();
+            let obs = Recorder::disabled();
+            let laned = run_events(&cfg, &obs, &mut Events::new(&cfg));
+            let mut heap_only = super::tests::without_lanes(&cfg);
+            let plain = run_events(&cfg, &obs, &mut heap_only);
+            prop_assert_eq!(heap_only.lane_misses, plain.admitted, "no lane, so none may ride");
+            prop_assert_eq!(laned, plain);
+        }
+
+        /// Sorting the packed keys is sorting the `(arrival, i)` pairs.
+        #[test]
+        fn the_key_sorted_stream_is_the_tuple_sorted_stream(
+            seed in any::<u64>(),
+            window in 1.0f64..1e9,
+            offered in 0usize..3_000,
+        ) {
+            let cfg = ServiceConfig::new(MachineConfig::paper_default(4))
+                .with_seed(seed)
+                .with_window(window)
+                .with_offered(offered);
+            let mut pairs: Vec<(Cycles, u64)> =
+                (0..offered as u64).map(|i| (arrival::arrival_time(&cfg, i), i)).collect();
+            pairs.sort_unstable();
+            let stream: Vec<(Cycles, u64)> = Events::new(&cfg).arrivals.map(split_key).collect();
+            prop_assert_eq!(stream, pairs);
+        }
     }
 }

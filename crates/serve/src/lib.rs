@@ -15,12 +15,13 @@
 //! * [`arrival`] — the seeded arrival process. Transaction `i` is a
 //!   pure SplitMix64 function of `(seed, i)`, so runs replay exactly
 //!   and raising the load strictly extends the transaction stream.
-//! * [`engine`] — the event-timeline engine: the sorted arrival
-//!   stream merged with an [`qsm_simnet::event::EventQueue`] of
-//!   in-flight sends drives the *same* staged delivery pipeline
-//!   ([`qsm_simnet::Network`]) the batch experiments use, message by
-//!   message, with keyed fault retries and per-transaction latency
-//!   measurement.
+//! * [`engine`] — the event-timeline engine: the arrival stream,
+//!   sorted once by integer key, merged with an
+//!   [`qsm_simnet::event::EventQueue`] of in-flight sends (first
+//!   sends on its FIFO lanes, replies and retries in its heap) drives
+//!   the *same* staged delivery pipeline ([`qsm_simnet::Network`]) the
+//!   batch experiments use, message by message, with keyed fault
+//!   retries and per-transaction latency measurement.
 //! * [`model`] — utilization-model predictions (`ρ_send`, `ρ_recv`,
 //!   `ρ_bank`, capacity) to plot against the measurements.
 //!

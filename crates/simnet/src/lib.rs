@@ -20,8 +20,11 @@
 //!   messages*, so that the measured barrier cost `L` (the paper
 //!   reports 25 500 cycles at p = 16) emerges from `l`, `o`, and
 //!   per-round software cost rather than being configured directly.
-//! * [`event::EventQueue`] — a deterministic priority queue reused by
-//!   other simulators in the workspace (e.g. `qsm-membank`).
+//! * [`event::EventQueue`] — the deterministic `(time, insertion)`
+//!   priority queue under the `qsm-serve` timeline: events are ordered
+//!   by one integer key computed at the push ([`event::event_key`]),
+//!   and a caller whose events come presorted can hint them onto FIFO
+//!   lanes that bypass the heap without changing the pop order.
 //! * [`timeline::FifoTimeline`] — the FIFO service-timeline primitive
 //!   every stage above is expressed on, with the busy/backlog
 //!   accounting that lets an *open-loop* caller (the `qsm-serve`
