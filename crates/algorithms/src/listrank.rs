@@ -18,7 +18,7 @@
 //! Ranks are distances to the tail: `rank[tail] = 0`,
 //! `rank[e] = rank[succ[e]] + 1` on the original list.
 
-use qsm_core::{Ctx, Layout, Machine, RunResult};
+use qsm_core::{Ctx, GetTicket, Layout, Machine, RunResult, Word};
 use qsm_models::chernoff::binomial_upper_bound;
 use rand::Rng;
 
@@ -78,6 +78,38 @@ struct Removal {
     weight_at_removal: u64,
 }
 
+/// Redeem a one-element get through `scratch`, which keeps its
+/// allocation from one ticket to the next.
+fn take_one<T: Word>(ctx: &mut Ctx, ticket: GetTicket<T>, scratch: &mut Vec<T>) -> T {
+    scratch.clear();
+    ctx.take_into(ticket, scratch);
+    scratch[0]
+}
+
+/// A candidate of phase B: active element `k` and its successor's flip.
+struct Cand {
+    k: usize,
+    succ: usize,
+    flip: FlipSource,
+}
+enum FlipSource {
+    Local(u32),
+    Remote(GetTicket<u32>),
+}
+
+/// A remover of phase C, waiting for its predecessor's weight.
+struct Pending {
+    k: usize,
+    succ: usize,
+    pred: usize,
+    weight: u64,
+    pred_weight: WeightSource,
+}
+enum WeightSource {
+    Local(u64),
+    Remote(GetTicket<u64>),
+}
+
 #[allow(clippy::too_many_lines)]
 fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     let n = succ_in.len();
@@ -106,13 +138,19 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     let mut active: Vec<usize> = my.clone().collect();
     let mut removed_log: Vec<Vec<Removal>> = Vec::with_capacity(iters);
     let mut iter_stats: Vec<IterStats> = Vec::with_capacity(iters);
+    // Kept across iterations and tickets, so that a steady iteration
+    // allocates its removal log and nothing else.
+    let (mut flips, mut cands, mut pend, mut keep) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut flip_of, mut word_of) = (Vec::with_capacity(1), Vec::with_capacity(1));
 
     // --- Contraction: 4 phases per iteration. ---
     for _ in 0..iters {
         let mut stats = IterStats { active: active.len() as u64, ..Default::default() };
 
         // Phase A: flip generation (local writes only).
-        let flips: Vec<u32> = active.iter().map(|_| ctx.rng().gen_range(0..2u32)).collect();
+        flips.clear();
+        flips.extend(active.iter().map(|_| ctx.rng().gen_range(0..2u32)));
         let flip_window = ctx.local_mut(&f_arr);
         for (&e, &flip) in active.iter().zip(&flips) {
             flip_window[at(e)] = flip;
@@ -121,16 +159,6 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
         ctx.sync();
 
         // Phase B: candidates load their successor's flip.
-        struct Cand {
-            k: usize,
-            succ: usize,
-            flip: FlipSource,
-        }
-        enum FlipSource {
-            Local(u32),
-            Remote(qsm_core::GetTicket<u32>),
-        }
-        let mut cands: Vec<Cand> = Vec::new();
         for (k, &e) in active.iter().enumerate() {
             if flips[k] != 1 {
                 continue;
@@ -154,22 +182,10 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
 
         // Phase C: removers splice themselves out and fetch their
         // predecessor's weight.
-        struct Pending {
-            k: usize,
-            succ: usize,
-            pred: usize,
-            weight: u64,
-            pred_weight: WeightSource,
-        }
-        enum WeightSource {
-            Local(u64),
-            Remote(qsm_core::GetTicket<u64>),
-        }
-        let mut pend: Vec<Pending> = Vec::new();
-        for c in cands {
+        for c in cands.drain(..) {
             let succ_flip = match c.flip {
                 FlipSource::Local(v) => v,
-                FlipSource::Remote(t) => ctx.take(t)[0],
+                FlipSource::Remote(t) => take_one(ctx, t, &mut flip_of),
             };
             if succ_flip != 0 {
                 continue;
@@ -204,11 +220,12 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
 
         // Phase D: fold weights into predecessors; log removals.
         let mut removed_now = Vec::with_capacity(pend.len());
-        let mut removed_idx: Vec<usize> = Vec::with_capacity(pend.len());
-        for q in pend {
+        keep.clear();
+        keep.resize(active.len(), true);
+        for q in pend.drain(..) {
             let old = match q.pred_weight {
                 WeightSource::Local(v) => v,
-                WeightSource::Remote(t) => ctx.take(t)[0],
+                WeightSource::Remote(t) => take_one(ctx, t, &mut word_of),
             };
             let new = old + q.weight;
             if is_local(q.pred) {
@@ -222,14 +239,10 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
                 succ_at_removal: q.succ,
                 weight_at_removal: q.weight,
             });
-            removed_idx.push(q.k);
+            keep[q.k] = false;
         }
         ctx.charge(8 * removed_now.len() as u64);
         // Compact the active list (preserving order).
-        let mut keep = vec![true; active.len()];
-        for &k in &removed_idx {
-            keep[k] = false;
-        }
         let mut w = 0;
         for k in 0..active.len() {
             if keep[k] {
@@ -337,7 +350,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     // --- Expansion: reverse iteration order, one phase each. ---
     enum RankSource {
         Local(usize),
-        Remote(qsm_core::GetTicket<u64>),
+        Remote(GetTicket<u64>),
     }
     let mut pending: Vec<(usize, u64, RankSource)> = Vec::new();
     for it in (0..iters).rev() {
@@ -348,7 +361,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
         for (elem, weight, src) in pending.drain(..) {
             let succ_rank = match src {
                 RankSource::Local(s) => ctx.local(&rank_arr)[at(s)],
-                RankSource::Remote(t) => ctx.take(t)[0],
+                RankSource::Remote(t) => take_one(ctx, t, &mut word_of),
             };
             ctx.local_mut(&rank_arr)[at(elem)] = succ_rank + weight;
         }
@@ -368,7 +381,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     for (elem, weight, src) in pending.drain(..) {
         let succ_rank = match src {
             RankSource::Local(s) => ctx.local(&rank_arr)[at(s)],
-            RankSource::Remote(t) => ctx.take(t)[0],
+            RankSource::Remote(t) => take_one(ctx, t, &mut word_of),
         };
         ctx.local_mut(&rank_arr)[at(elem)] = succ_rank + weight;
     }

@@ -30,30 +30,78 @@ pub enum Layout {
     Hashed,
 }
 
+/// The even block partition of `len` elements over `p` processors (the
+/// first `len mod p` blocks hold one element more), divided once and
+/// kept with the array's metadata: bounds multiply, an owner divides once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockGeom {
+    len: usize,
+    /// Elements in each of the last `p - rem` blocks.
+    base: usize,
+    /// Leading blocks of `base + 1` elements.
+    rem: usize,
+    /// `rem * (base + 1)`: first index of the blocks of `base`.
+    boundary: usize,
+}
+
+impl BlockGeom {
+    pub(crate) fn new(len: usize, p: usize) -> Self {
+        let (base, rem) = (len / p, len % p);
+        Self { len, base, rem, boundary: rem * (base + 1) }
+    }
+
+    /// First global index of `proc`'s block; `len` for `proc == p`.
+    pub(crate) fn start(&self, proc: usize) -> usize {
+        proc * self.base + proc.min(self.rem)
+    }
+
+    /// The global index range of `proc`'s block.
+    pub(crate) fn range(&self, proc: usize) -> std::ops::Range<usize> {
+        self.start(proc)..self.start(proc + 1)
+    }
+
+    /// Which processor's block holds global index `idx`.
+    pub(crate) fn owner(&self, idx: usize) -> usize {
+        assert!(idx < self.len, "index {idx} out of bounds {}", self.len);
+        if idx < self.boundary {
+            idx / (self.base + 1)
+        } else {
+            // `base > 0` here: with `base == 0` the boundary is `len`.
+            self.rem + (idx - self.boundary) / self.base
+        }
+    }
+
+    /// Visit the maximal single-block runs of `start..start + len` in
+    /// ascending order, as `(owner, run_start, run_len)` calls.
+    pub(crate) fn for_each_run(
+        &self,
+        start: usize,
+        len: usize,
+        mut visit: impl FnMut(usize, usize, usize),
+    ) {
+        let end = start + len;
+        assert!(end <= self.len, "range {start}+{len} exceeds array {}", self.len);
+        let (mut owner, mut i) = (if len > 0 { self.owner(start) } else { 0 }, start);
+        while i < end {
+            let run_end = end.min(self.start(owner + 1));
+            visit(owner, i, run_end - i);
+            (owner, i) = (owner + 1, run_end);
+        }
+    }
+}
+
 /// Block partition: the global index range owned by `proc` in an
 /// array of `len` elements across `p` processors. The first
 /// `len mod p` processors receive one extra element.
 pub fn block_range(len: usize, p: usize, proc: usize) -> std::ops::Range<usize> {
     assert!(proc < p);
-    let base = len / p;
-    let rem = len % p;
-    let start = proc * base + proc.min(rem);
-    let extent = base + usize::from(proc < rem);
-    start..(start + extent).min(len)
+    BlockGeom::new(len, p).range(proc)
 }
 
 /// Inverse of [`block_range`]: which processor's block contains
 /// global index `idx`.
 pub fn block_owner(len: usize, p: usize, idx: usize) -> usize {
-    assert!(idx < len, "index {idx} out of bounds {len}");
-    let base = len / p;
-    let rem = len % p;
-    let boundary = rem * (base + 1);
-    if idx < boundary {
-        idx / (base + 1)
-    } else {
-        rem + (idx - boundary) / base.max(1)
-    }
+    BlockGeom::new(len, p).owner(idx)
 }
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) used for hashed
@@ -130,9 +178,9 @@ pub fn for_each_bank_run(
 /// `(owner, run_start, run_len)` calls. Block layouts yield at most
 /// `p` runs; hashed layouts typically yield per-element runs.
 ///
-/// This is the allocation-free core of [`split_by_owner`]; `put` /
-/// `get` (bucketing and metering) and the get server call it once per
-/// queued operation, so it must not build a `Vec` per call.
+/// Allocation-free: `put` / `get` meter a `Hashed` array through it
+/// once per queued operation. (Storage is bucketed through the array's
+/// own `BlockGeom`, which the `Block` arm builds afresh.)
 pub fn for_each_owner_run(
     layout: Layout,
     id: ArrayId,
@@ -142,21 +190,12 @@ pub fn for_each_owner_run(
     len: usize,
     mut visit: impl FnMut(usize, usize, usize),
 ) {
-    assert!(start + len <= array_len, "range {start}+{len} exceeds array {array_len}");
     match layout {
-        Layout::Block => {
-            let mut i = start;
-            while i < start + len {
-                let o = block_owner(array_len, p, i);
-                let block_end = block_range(array_len, p, o).end;
-                let run_end = (start + len).min(block_end);
-                visit(o, i, run_end - i);
-                i = run_end;
-            }
-        }
+        Layout::Block => BlockGeom::new(array_len, p).for_each_run(start, len, visit),
         Layout::Hashed => {
             // One hash an element: the owner that ends a run starts the
             // next (`usize::MAX` ends the last).
+            assert!(start + len <= array_len, "range {start}+{len} exceeds array {array_len}");
             let owner_at = |i| owner(layout, id, array_len, p, i);
             let end = start + len;
             let (mut run_start, mut run_owner) = (start, owner_at(start));
@@ -171,10 +210,9 @@ pub fn for_each_owner_run(
     }
 }
 
-/// [`for_each_owner_run`] collected into a fresh `Vec`. Convenient
-/// for tests and one-off callers; hot paths should use the visitor
-/// form directly.
-pub fn split_by_owner(
+/// [`for_each_owner_run`] collected into a `Vec`.
+#[cfg(test)]
+fn split_by_owner(
     layout: Layout,
     id: ArrayId,
     array_len: usize,
@@ -182,7 +220,7 @@ pub fn split_by_owner(
     start: usize,
     len: usize,
 ) -> Vec<(usize, usize, usize)> {
-    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+    let mut runs = Vec::new();
     for_each_owner_run(layout, id, array_len, p, start, len, |o, s, l| runs.push((o, s, l)));
     runs
 }
@@ -352,7 +390,59 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The partition dealt out element by element, with no arithmetic
+    /// shared with [`BlockGeom`]: the owner of every index, in order.
+    fn owners_dealt_one_by_one(len: usize, p: usize) -> Vec<usize> {
+        let mut sizes = vec![0usize; p];
+        (0..len).for_each(|i| sizes[i % p] += 1);
+        sizes.iter().enumerate().flat_map(|(proc, &n)| std::iter::repeat_n(proc, n)).collect()
+    }
+
     proptest! {
+        /// `BlockGeom` against the per-element reference at the edges
+        /// the divided forms special-cased: `len < p`, `len == 0`,
+        /// `p == 1`, a run ending on a block boundary, the last block.
+        #[test]
+        fn block_geom_matches_the_per_element_partition(
+            len in 0usize..200,
+            p in 1usize..20,
+            a in 0usize..200,
+            b in 0usize..200,
+        ) {
+            let geom = BlockGeom::new(len, p);
+            let owners = owners_dealt_one_by_one(len, p);
+            for (idx, &o) in owners.iter().enumerate() {
+                prop_assert_eq!(geom.owner(idx), o, "owner of {}", idx);
+                prop_assert_eq!(block_owner(len, p, idx), o);
+            }
+            for proc in 0..p {
+                let want: Vec<usize> = (0..len).filter(|&i| owners[i] == proc).collect();
+                let range = geom.range(proc);
+                prop_assert_eq!(range.clone().collect::<Vec<_>>(), want, "block of {}", proc);
+                prop_assert_eq!(geom.start(proc), range.start);
+                prop_assert_eq!(block_range(len, p, proc), range);
+            }
+            prop_assert_eq!(geom.start(p), len);
+            // Any run, and the ones that end exactly where a block does.
+            let start = a % (len + 1);
+            let mut ends = vec![start + b % (len - start + 1)];
+            if let Some(&o) = owners.get(start) {
+                ends.extend([geom.start(o + 1), geom.start((o + 2).min(p)), len]);
+            }
+            for end in ends {
+                let mut want: Vec<(usize, usize, usize)> = Vec::new();
+                for (i, &o) in owners.iter().enumerate().take(end).skip(start) {
+                    match want.last_mut() {
+                        Some(run) if run.0 == o => run.2 += 1,
+                        _ => want.push((o, i, 1)),
+                    }
+                }
+                let mut got = Vec::new();
+                geom.for_each_run(start, end - start, |o, s, l| got.push((o, s, l)));
+                prop_assert_eq!(got, want, "runs of {}..{}", start, end);
+            }
+        }
+
         #[test]
         fn block_owner_total(len in 1usize..10_000, p in 1usize..64, seed in 0usize..10_000) {
             let idx = seed % len;

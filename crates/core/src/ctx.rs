@@ -42,15 +42,18 @@
 //!
 //! ### The allocation-free hot path
 //!
-//! Steady-state phases allocate nothing in the runtime: `put` packs
-//! its elements into the payload arena of the phase's `Outbox`
-//! (`crate::ops`) and files one 24-byte run per storage owner, `get`
-//! files runs only, and both meter into the outbox's traffic row. A
-//! worker's two outboxes (one filling, one published) are cleared by
-//! what they touched and keep their buffers; get results come from a
-//! bounded per-processor pool of storage-word buffers, refilled as they
-//! are redeemed, and wait in a dense ticket-indexed `TicketTable`
-//! instead of a hash map.
+//! Steady-state phases allocate nothing in the runtime, and an
+//! operation is filed once: one 24-byte run per storage owner in the
+//! phase's `Outbox` (`crate::ops`), found through the array's
+//! `BlockGeom` (one division a call) and metered into the outbox's
+//! traffic row. A put's run names its elements in the outbox's payload
+//! arena; a get's names the words `get` reserved in the phase's
+//! `Results` buffer, which `sync()` fills (`Ctx::serve_gets`), a
+//! [`GetTicket`] indexes and [`Ctx::take_into`] copies out of. Both
+//! kinds of buffer are reused: a worker's two outboxes are cleared by
+//! what they touched, and a `Results` is recycled when the last ticket
+//! of its phase is redeemed — a pipelined loop holds two, whatever the
+//! number of gets.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -59,70 +62,30 @@ use std::ops::Range;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::addr::{block_range, ArrayId, Layout};
+use crate::addr::{ArrayId, Layout};
 use crate::driver::OwnerKappa;
 use crate::ops::{GetTicket, Outbox};
 use crate::shmem::{ArrayInfo, LocalStore, Registration, SharedArray};
 use crate::spmd::{SpmdLink, SpmdObs};
 use crate::word::{self, Word};
 
-/// Upper bound on pooled storage-word buffers kept per processor.
-const RAW_POOL_CAP: usize = 4096;
-
-/// One issued get's lifecycle in the [`TicketTable`].
+/// The results of one phase's gets.
 #[derive(Default)]
-enum TicketSlot {
-    /// Issued; the fulfilling `sync()` has not run yet.
-    #[default]
-    Pending,
-    /// Fulfilled: the packed result awaits [`Ctx::take_into`].
-    Ready(Vec<u64>),
-    /// Redeemed; kept only until the front of the table compacts past
-    /// it (ids are dense and issued in order).
-    Taken,
+struct Results {
+    /// The phase that issued the gets.
+    phase: u64,
+    /// Every result, packed at its array's width in issue order; each
+    /// starts on a storage word.
+    words: Vec<u64>,
+    /// Tickets of the phase not yet redeemed; none marks a buffer that
+    /// waits for reuse.
+    outstanding: usize,
 }
 
-/// Dense ticket-indexed get-result table.
-///
-/// Ticket ids are assigned sequentially, so results live in a
-/// `VecDeque` indexed by `ticket - base` instead of a `HashMap`;
-/// redeemed front entries are compacted away, keeping the table as
-/// short as the window of outstanding tickets.
-#[derive(Default)]
-pub(crate) struct TicketTable {
-    base: u64,
-    slots: VecDeque<TicketSlot>,
-}
-
-impl TicketTable {
-    /// Record the issue of ticket `id` (ids must arrive in order).
-    fn issue(&mut self, id: u64, slot: TicketSlot) {
-        debug_assert_eq!(id, self.base + self.slots.len() as u64);
-        self.slots.push_back(slot);
-    }
-
-    /// Deliver the packed result for `id`.
-    pub(crate) fn fulfill(&mut self, id: u64, data: Vec<u64>) {
-        let idx = (id - self.base) as usize;
-        self.slots[idx] = TicketSlot::Ready(data);
-    }
-
-    /// Redeem `id`, compacting redeemed entries off the front.
-    fn take(&mut self, id: u64) -> Vec<u64> {
-        let idx = id
-            .checked_sub(self.base)
-            .map(|d| d as usize)
-            .filter(|&d| d < self.slots.len())
-            .expect("get result missing (ticket already taken?)");
-        let slot = std::mem::replace(&mut self.slots[idx], TicketSlot::Taken);
-        let TicketSlot::Ready(data) = slot else {
-            panic!("get result missing (ticket already taken?)");
-        };
-        while matches!(self.slots.front(), Some(TicketSlot::Taken)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        data
+impl Results {
+    /// Whether tickets issued in `phase` wait on this buffer.
+    fn serves(&self, phase: u64) -> bool {
+        self.phase == phase && self.outstanding > 0
     }
 }
 
@@ -133,18 +96,15 @@ pub struct Ctx {
     pub(crate) phase: u64,
     pub(crate) charged: u64,
     pub(crate) next_array_id: u32,
-    next_ticket: u64,
     pub(crate) store: LocalStore,
     pub(crate) queued: Outbox,
     /// Scratch of the κ sweep over the runs bound for this block.
     pub(crate) kappa: OwnerKappa,
     pub(crate) pending_regs: Vec<Registration>,
     pub(crate) pending_unregs: Vec<ArrayId>,
-    pub(crate) tickets: TicketTable,
-    /// Recycled storage-word buffers: redeemed get results feed later
-    /// gets of any element type, so steady-state phases allocate
-    /// nothing here.
-    pub(crate) raw_pool: Vec<Vec<u64>>,
+    /// Result arenas: those waiting for reuse at the front, then those
+    /// with tickets outstanding in phase order.
+    results: VecDeque<Results>,
     rng: SmallRng,
     /// This run's exchange area, where `sync()` rendezvouses.
     pub(crate) link: SpmdLink,
@@ -163,14 +123,12 @@ impl Ctx {
             phase: 0,
             charged: 0,
             next_array_id: 0,
-            next_ticket: 0,
             store: LocalStore::default(),
             queued: Outbox::new(nprocs, banks),
             kappa: OwnerKappa::default(),
             pending_regs: Vec::new(),
             pending_unregs: Vec::new(),
-            tickets: TicketTable::default(),
-            raw_pool: Vec::new(),
+            results: VecDeque::new(),
             rng: SmallRng::seed_from_u64(seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             link,
             spmd_obs: None,
@@ -260,15 +218,18 @@ impl Ctx {
             info.name,
             info.len
         );
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        if len > 0 {
-            self.queued.get(info, start, len, ticket);
-            self.tickets.issue(ticket, TicketSlot::Pending);
-        } else {
-            self.tickets.issue(ticket, TicketSlot::Ready(Vec::new()));
+        if !self.results.back().is_some_and(|r| r.serves(self.phase)) {
+            // The phase's first get: take a buffer that waits.
+            let free = self.results.front().is_some_and(|r| r.outstanding == 0);
+            let recycled = if free { self.results.pop_front() } else { None };
+            self.results.push_back(Results { phase: self.phase, ..recycled.unwrap_or_default() });
         }
-        GetTicket { id: ticket, len, issued_phase: self.phase, _elem: PhantomData }
+        let arena = self.results.back_mut().expect("pushed above");
+        let at = arena.words.len();
+        arena.words.resize(at + word::storage_words(len, T::BYTES), 0);
+        arena.outstanding += 1;
+        self.queued.get(info, start, len, at * (8 / T::BYTES as usize));
+        GetTicket { at, len, issued_phase: self.phase, _elem: PhantomData }
     }
 
     /// Redeem a get ticket, appending its result to `out`. Panics if
@@ -284,13 +245,16 @@ impl Ctx {
             self.proc,
             ticket.issued_phase
         );
-        let mut raw = self.tickets.take(ticket.id);
-        out.extend_from_slice(word::elems(&raw, ticket.len));
-        // Keep the buffer for a later get; bounded, so a burst of tiny
-        // gets cannot pin unbounded memory.
-        if self.raw_pool.len() < RAW_POOL_CAP {
-            raw.clear();
-            self.raw_pool.push(raw);
+        let of_ticket = |r: &Results| r.serves(ticket.issued_phase);
+        let idx = self.results.iter().position(of_ticket).expect("get result missing");
+        let arena = &mut self.results[idx];
+        out.extend_from_slice(word::elems(&arena.words[ticket.at..], ticket.len));
+        arena.outstanding -= 1;
+        if arena.outstanding == 0 {
+            // The phase's last ticket: its buffer waits at the front.
+            let mut arena = self.results.remove(idx).expect("found above");
+            arena.words.clear();
+            self.results.push_front(arena);
         }
     }
 
@@ -301,13 +265,28 @@ impl Ctx {
         out
     }
 
-    /// A zeroed buffer of `words` storage words, recycled if the pool
-    /// has one.
-    pub(crate) fn pooled_raw(&mut self, words: usize) -> Vec<u64> {
-        let mut buf = self.raw_pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(words, 0);
-        buf
+    /// Serve the gets this processor queued in `mine`, its published
+    /// outbox of the phase, into the phase's result arena: owner by
+    /// owner, from the block in the store that `store_of` names.
+    pub(crate) fn serve_gets<'a>(
+        &mut self,
+        mine: &Outbox,
+        store_of: impl Fn(usize) -> &'a LocalStore,
+    ) {
+        let Some(arena) = self.results.back_mut().filter(|r| r.serves(self.phase)) else {
+            return; // no get this phase
+        };
+        for owner in 0..self.nprocs {
+            for run in mine.runs_for(owner).iter().filter(|run| !run.is_put()) {
+                // Named per get, not per owner: a slot's cache line also
+                // holds the κ its owner writes meanwhile, and looking at
+                // all `p` cost a 16-processor exchange phase 2–6 %.
+                let (info, peer) = (self.store.info(run.array), store_of(owner));
+                let from = run.start - info.geom.start(owner);
+                let (seg, n) = (peer.segment(run.array), run.len as usize);
+                word::copy_packed(info.elem_bytes, seg, from, &mut arena.words, run.offset(), n);
+            }
+        }
     }
 
     /// Metadata of the live array `arr` names, after checking that the
@@ -338,7 +317,7 @@ impl Ctx {
             "array '{}' is hash-distributed and has no local window",
             info.name
         );
-        block_range(info.len, self.nprocs, self.proc)
+        info.geom.range(self.proc)
     }
 
     /// This processor's local window of `arr`, borrowed in place:
@@ -404,6 +383,11 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::block_range;
+
+    fn reg<T: Word>(len: usize) -> Registration {
+        Registration { name: "a".into(), len, elem_bytes: T::BYTES, layout: Layout::Block }
+    }
 
     /// Processor `proc` of `p` with one live array of `len` elements,
     /// installed as the registering `sync()` would have.
@@ -412,15 +396,29 @@ mod tests {
         let arr = ctx.register::<T>("a", len, Layout::Block);
         let reg = ctx.pending_regs.pop().expect("one registration");
         let words = word::storage_words(block_range(len, p, proc).len(), reg.elem_bytes);
-        let info = ArrayInfo {
-            id: arr.id,
-            name: reg.name,
-            len,
-            elem_bytes: reg.elem_bytes,
-            layout: reg.layout,
-        };
-        ctx.store.install(info, vec![0; words]);
+        ctx.store.install(ArrayInfo::new(arr.id, reg, p), vec![0; words]);
         (ctx, arr)
+    }
+
+    /// The `p` frozen stores a `sync()` would serve from: element `i`
+    /// of the one array holds `value(i)`.
+    fn stores<T: Word>(len: usize, p: usize, value: impl Fn(usize) -> T) -> Vec<LocalStore> {
+        let store_of = |proc| {
+            let block: Vec<T> = block_range(len, p, proc).map(&value).collect();
+            let mut seg = vec![0; word::storage_words(block.len(), T::BYTES)];
+            word::elems_mut(&mut seg, block.len()).copy_from_slice(&block);
+            let mut store = LocalStore::default();
+            store.install(ArrayInfo::new(ArrayId(0), reg::<T>(len), p), seg);
+            store
+        };
+        (0..p).map(store_of).collect()
+    }
+
+    /// What a `sync()` does to the gets `ctx` queued, without a run.
+    fn sync(ctx: &mut Ctx, peers: &[LocalStore]) {
+        let mine = std::mem::replace(&mut ctx.queued, Outbox::new(ctx.nprocs, 0));
+        ctx.serve_gets(&mine, |owner| &peers[owner]);
+        ctx.phase += 1;
     }
 
     #[test]
@@ -442,7 +440,7 @@ mod tests {
         let (mut ctx, arr) = ctx_with::<i32>(10, 3, 1);
         ctx.put(&arr, 0, &[-1, 2, -3]);
         let run = ctx.queued.runs_for(0)[0];
-        assert_eq!((run.start, run.len, run.src), (0, 3, 0));
+        assert_eq!((run.start, run.len, run.offset(), run.is_put()), (0, 3, 0, true));
         assert_eq!(ctx.queued.payload.len(), 2);
         assert_eq!(word::elems::<i32>(&ctx.queued.payload, 3), [-1, 2, -3]);
         ctx.put(&arr, 9, &[]);
@@ -451,18 +449,94 @@ mod tests {
 
     #[test]
     fn take_into_appends_and_recycles_the_buffer() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_beef);
+        let peers = stores(10, 3, |i| if i == 0 { nan } else { i as f64 + 0.5 });
         let (mut ctx, arr) = ctx_with::<f64>(10, 3, 1);
         let ticket = ctx.get(&arr, 0, 2);
-        let nan = f64::from_bits(0x7ff8_0000_0000_beef);
-        ctx.tickets.fulfill(0, vec![nan.to_bits(), 2.5f64.to_bits()]);
-        ctx.phase += 1; // what the sync in between does
+        sync(&mut ctx, &peers);
+        let arena = ctx.results[0].words.as_ptr();
         let mut out = vec![1.0];
         ctx.take_into(ticket, &mut out);
         assert_eq!(out[0], 1.0);
-        assert_eq!((out[1].to_bits(), out[2]), (nan.to_bits(), 2.5));
-        assert_eq!(ctx.raw_pool.len(), 1);
-        let empty = ctx.get(&arr, 3, 0);
-        assert!(ctx.take(empty).is_empty(), "an empty get is ready at once");
+        assert_eq!((out[1].to_bits(), out[2]), (nan.to_bits(), 1.5));
+        // Its last ticket redeemed, the buffer serves the next phase.
+        assert_eq!((ctx.results.len(), ctx.results[0].outstanding), (1, 0));
+        let next = ctx.get(&arr, 8, 1);
+        assert_eq!((ctx.results.len(), ctx.results[0].words.as_ptr()), (1, arena));
+        sync(&mut ctx, &peers);
+        assert_eq!(ctx.take(next), [8.5]);
+    }
+
+    #[test]
+    fn an_empty_get_is_ready_at_once_and_moves_nothing() {
+        let (mut ctx, arr) = ctx_with::<u32>(10, 3, 1);
+        let (empty, full) = (ctx.get(&arr, 10, 0), ctx.get(&arr, 9, 1));
+        assert!(empty.is_empty() && ctx.results[0].words.len() == 1);
+        assert_eq!((0..3).map(|owner| ctx.queued.runs_for(owner).len()).sum::<usize>(), 1);
+        assert_eq!(ctx.queued.m_rw, 1);
+        assert!(ctx.take(empty).is_empty(), "in the phase that issued it");
+        assert_eq!(ctx.results[0].outstanding, 1);
+        drop(full);
+    }
+
+    #[test]
+    fn tickets_are_redeemed_in_any_order_and_any_later_phase() {
+        let peers = stores(10, 3, |i| 100 + i as u32);
+        let (mut ctx, arr) = ctx_with::<u32>(10, 3, 1);
+        let (a0, b0) = (ctx.get(&arr, 0, 3), ctx.get(&arr, 9, 1));
+        sync(&mut ctx, &peers);
+        let (a1, b1) = (ctx.get(&arr, 4, 1), ctx.get(&arr, 5, 2));
+        sync(&mut ctx, &peers);
+        let a2 = ctx.get(&arr, 7, 2);
+        assert_eq!(ctx.results.len(), 3, "an arena a phase with tickets outstanding");
+        sync(&mut ctx, &peers);
+        // Interleaved across phases, last issued first, two phases late.
+        assert_eq!(ctx.take(b1), [105, 106]);
+        assert_eq!(ctx.take(b0), [109]);
+        assert_eq!(ctx.take(a2), [107, 108]);
+        assert_eq!(ctx.results[0].outstanding, 0, "phase 2 is redeemed in full");
+        assert_eq!(ctx.take(a0), [100, 101, 102]);
+        assert_eq!(ctx.take(a1), [104]);
+        assert!(ctx.results.iter().all(|r| r.outstanding == 0 && r.words.is_empty()));
+    }
+
+    #[test]
+    fn a_get_over_three_owners_is_one_stretch_of_the_arena() {
+        // Blocks of 7 over 3: 0..3, 3..5, 5..7.
+        let peers = stores(7, 3, |i| 10 * i as u64);
+        let (mut ctx, arr) = ctx_with::<u64>(7, 3, 2);
+        let first = ctx.get(&arr, 6, 1);
+        let wide = ctx.get(&arr, 2, 4);
+        assert_eq!((first.at, wide.at), (0, 1));
+        sync(&mut ctx, &peers);
+        assert_eq!(ctx.results[0].words, [60, 20, 30, 40, 50]);
+        assert_eq!((ctx.take(wide), ctx.take(first)), (vec![20, 30, 40, 50], vec![60]));
+    }
+
+    #[test]
+    fn a_dropped_ticket_holds_its_own_phase_and_no_other() {
+        let peers = stores(10, 3, |i| i as u32);
+        let (mut ctx, arr) = ctx_with::<u32>(10, 3, 1);
+        drop((ctx.get(&arr, 0, 1), ctx.get(&arr, 1, 1)));
+        for phase in 1..50 {
+            sync(&mut ctx, &peers);
+            let tickets: Vec<_> = (0..8).map(|i| ctx.get(&arr, i, 1)).collect();
+            sync(&mut ctx, &peers);
+            for (i, t) in tickets.into_iter().enumerate() {
+                assert_eq!(ctx.take(t), [i as u32], "phase {phase}");
+            }
+            // The dropped phase's arena, and one that is recycled.
+            assert_eq!(ctx.results.len(), 2, "phase {phase}");
+        }
+        assert_eq!((ctx.results[1].phase, ctx.results[1].outstanding), (0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "take() of a get issued in phase 0 before any sync()")]
+    fn a_ticket_is_not_redeemable_in_its_own_phase() {
+        let (mut ctx, arr) = ctx_with::<u32>(10, 3, 1);
+        let ticket = ctx.get(&arr, 0, 1);
+        let _ = ctx.take(ticket);
     }
 
     #[test]

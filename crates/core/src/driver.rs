@@ -260,67 +260,67 @@ pub struct PhaseRecord {
     pub link_util: f64,
 }
 
-/// Per-array access ranges used for κ and conflict detection.
-#[derive(Default)]
-struct AccessRanges {
-    reads: Vec<(usize, usize)>,
-    writes: Vec<(usize, usize)>,
+/// Kinds of a packed κ event, in the order they take effect at one
+/// position: ranges are half-open, so ends leave before starts arrive,
+/// and a one-element range counts there and nowhere else.
+const END: u64 = 0;
+const START: u64 = 1;
+const POINT: u64 = 2;
+
+/// File the access `start..start + len` among `events`, each packed
+/// into one `u64` as `pos << 3 | kind << 1 | write`: a start and an
+/// end, or the single point of a one-element range.
+fn note_range(events: &mut Vec<u64>, start: usize, len: usize, write: bool) {
+    let key = |pos: usize, kind: u64| {
+        debug_assert!(pos as u64 >> 61 == 0, "position {pos} does not fit a packed event");
+        (pos as u64) << 3 | kind << 1 | u64::from(write)
+    };
+    if len == 1 {
+        events.push(key(start, POINT));
+    } else {
+        events.push(key(start, START));
+        events.push(key(start + len, END));
+    }
 }
 
-/// Sweep all access ranges of one array: returns the maximum queue
-/// depth κ at any single location, and panics on a read/write overlap
-/// when `check_conflicts` is set. `events` is caller-provided scratch
-/// (cleared here) so per-phase sweeps don't allocate.
-///
-/// A range contributes two events, each packed into one `u64` as
-/// `pos << 2 | start << 1 | write`: integer order is then position
-/// order with the ends at a position before its starts (half-open
-/// ranges: adjacent ranges do not overlap). The sort is unstable
-/// because events sharing `key >> 1` are summed, in any order.
-fn sweep_kappa(
-    name: &str,
-    acc: &AccessRanges,
-    check_conflicts: bool,
-    events: &mut Vec<u64>,
-) -> u64 {
-    const START: u64 = 0b10;
-    const WRITE: u64 = 0b01;
-    let key = |pos: usize, flags: u64| {
-        debug_assert!(pos as u64 >> 62 == 0, "position {pos} does not fit a packed event");
-        (pos as u64) << 2 | flags
-    };
-    events.clear();
-    for &(s, l) in &acc.reads {
-        events.push(key(s, START));
-        events.push(key(s + l, 0));
-    }
-    for &(s, l) in &acc.writes {
-        events.push(key(s, START | WRITE));
-        events.push(key(s + l, WRITE));
-    }
+/// Sweep the accesses to one array filed by [`note_range`], leaving
+/// `events` empty: returns the maximum queue depth κ at any single
+/// location, and panics on a read/write overlap when `check_conflicts`
+/// is set. Integer order is position order with the kinds in theirs at
+/// each position; the sort is unstable because the events of one group
+/// — one kind at one position — are summed, in any order.
+fn sweep_kappa(name: &str, events: &mut Vec<u64>, check_conflicts: bool) -> u64 {
     events.sort_unstable();
+    // Ranges of two elements or more that cover the position swept.
     let (mut r, mut w, mut kappa) = (0i64, 0i64, 0i64);
     let mut i = 0;
     while i < events.len() {
-        // One group: the ends, or the starts, at one position.
         let group = events[i] >> 1;
-        let sign = if group & 1 != 0 { 1 } else { -1 };
+        let (mut reads, mut writes) = (0i64, 0i64);
         while i < events.len() && events[i] >> 1 == group {
-            let write = (events[i] & WRITE) as i64;
-            r += sign * (1 - write);
-            w += sign * write;
+            let write = (events[i] & 1) as i64;
+            reads += 1 - write;
+            writes += write;
             i += 1;
         }
-        if check_conflicts && r > 0 && w > 0 {
-            let pos = group >> 1;
+        let (pos, kind) = (group >> 2, group & 0b11);
+        let (r_here, w_here) = match kind {
+            END => (r - reads, w - writes),
+            _ => (r + reads, w + writes),
+        };
+        if kind != POINT {
+            (r, w) = (r_here, w_here);
+        }
+        if check_conflicts && r_here > 0 && w_here > 0 {
             panic!(
                 "bulk-synchrony violation: location {pos} of array '{name}' is both \
                  read and written in the same phase (the QSM phase contract forbids \
                  this; split the accesses across a sync())"
             );
         }
-        kappa = kappa.max(r + w);
+        kappa = kappa.max(r_here + w_here);
     }
+    events.clear();
     kappa as u64
 }
 
@@ -331,25 +331,24 @@ fn sweep_kappa(
 /// read and written is found by the one processor that stores it.
 #[derive(Default)]
 pub(crate) struct OwnerKappa {
-    /// Dense by `ArrayId.0`, paired with the ids touched this phase.
-    accesses: Vec<AccessRanges>,
+    /// Packed events, dense by `ArrayId.0`, paired with the ids touched
+    /// this phase.
+    events: Vec<Vec<u64>>,
     touched: Vec<u32>,
-    events: Vec<u64>,
 }
 
 impl OwnerKappa {
     /// Count `run` among this phase's accesses.
     pub(crate) fn note(&mut self, run: &Run) {
         let aid = run.array.0 as usize;
-        if self.accesses.len() <= aid {
-            self.accesses.resize_with(aid + 1, AccessRanges::default);
+        if self.events.len() <= aid {
+            self.events.resize_with(aid + 1, Vec::new);
         }
-        let acc = &mut self.accesses[aid];
-        if acc.reads.is_empty() && acc.writes.is_empty() {
+        let events = &mut self.events[aid];
+        if events.is_empty() {
             self.touched.push(run.array.0);
         }
-        let range = (run.start, run.len as usize);
-        if run.is_put() { &mut acc.writes } else { &mut acc.reads }.push(range);
+        note_range(events, run.start, run.len as usize, run.is_put());
     }
 
     /// κ over the runs noted since the last call, array by array in id
@@ -359,11 +358,9 @@ impl OwnerKappa {
         let mut kappa = 0;
         self.touched.sort_unstable();
         for aid in self.touched.drain(..) {
-            let acc = &mut self.accesses[aid as usize];
             let name = &store.info(ArrayId(aid)).name;
-            kappa = kappa.max(sweep_kappa(name, acc, check_conflicts, &mut self.events));
-            acc.reads.clear();
-            acc.writes.clear();
+            let events = &mut self.events[aid as usize];
+            kappa = kappa.max(sweep_kappa(name, events, check_conflicts));
         }
         kappa
     }
@@ -694,7 +691,22 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::shmem::ArrayInfo;
+    use crate::shmem::{ArrayInfo, Registration};
+
+    /// Whole access ranges of one array, `(start, len)`: what the
+    /// oracles below sweep, and [`sweep`] files range by range.
+    #[derive(Default)]
+    struct AccessRanges {
+        reads: Vec<(usize, usize)>,
+        writes: Vec<(usize, usize)>,
+    }
+
+    fn sweep(name: &str, acc: &AccessRanges, check_conflicts: bool) -> u64 {
+        let mut events = Vec::new();
+        acc.reads.iter().for_each(|&(s, l)| note_range(&mut events, s, l, false));
+        acc.writes.iter().for_each(|&(s, l)| note_range(&mut events, s, l, true));
+        sweep_kappa(name, &mut events, check_conflicts)
+    }
 
     #[test]
     fn sweep_counts_overlap_depth() {
@@ -702,46 +714,63 @@ mod tests {
             reads: vec![(0, 10), (5, 10), (7, 1)],
             writes: vec![(20, 5), (20, 5), (20, 5)],
         };
-        assert_eq!(sweep_kappa("t", &acc, true, &mut Vec::new()), 3);
+        assert_eq!(sweep("t", &acc, true), 3);
     }
 
     #[test]
     fn adjacent_ranges_do_not_conflict() {
         let acc = AccessRanges { reads: vec![(0, 5)], writes: vec![(5, 5)] };
-        assert_eq!(sweep_kappa("t", &acc, true, &mut Vec::new()), 1);
+        assert_eq!(sweep("t", &acc, true), 1);
+        // Nor does one element at a range's open end, on either side.
+        let acc = AccessRanges { reads: vec![(3, 3), (3, 3)], writes: vec![(6, 1), (2, 1)] };
+        assert_eq!(sweep("t", &acc, true), 2);
     }
 
     #[test]
-    #[should_panic(expected = "bulk-synchrony violation")]
+    #[should_panic(expected = "bulk-synchrony violation: location 9 of array 't'")]
     fn read_write_overlap_detected() {
         let acc = AccessRanges { reads: vec![(0, 10)], writes: vec![(9, 1)] };
-        sweep_kappa("t", &acc, true, &mut Vec::new());
+        sweep("t", &acc, true);
     }
 
     #[test]
     fn overlap_tolerated_when_check_disabled() {
         let acc = AccessRanges { reads: vec![(0, 10)], writes: vec![(9, 1)] };
-        assert_eq!(sweep_kappa("t", &acc, false, &mut Vec::new()), 2);
+        assert_eq!(sweep("t", &acc, false), 2);
     }
 
     #[test]
     fn empty_access_set_has_zero_kappa() {
-        assert_eq!(sweep_kappa("t", &AccessRanges::default(), true, &mut Vec::new()), 0);
+        assert_eq!(sweep("t", &AccessRanges::default(), true), 0);
+    }
+
+    #[test]
+    fn a_one_element_access_is_one_event_counted_where_it_is() {
+        let mut events = Vec::new();
+        note_range(&mut events, 7, 1, true);
+        note_range(&mut events, 7, 1, true);
+        note_range(&mut events, 7, 2, true);
+        assert_eq!(events.len(), 4);
+        // Two points on a range at 7; at 8 the range is alone again.
+        note_range(&mut events, 8, 1, true);
+        assert_eq!(sweep_kappa("t", &mut events, true), 3);
     }
 
     #[test]
     fn sweep_reuses_event_buffer() {
         let mut events = Vec::new();
-        let acc = AccessRanges { reads: vec![(0, 10), (5, 10)], writes: vec![] };
-        assert_eq!(sweep_kappa("t", &acc, true, &mut events), 2);
+        note_range(&mut events, 0, 10, false);
+        note_range(&mut events, 5, 10, false);
         assert_eq!(events.len(), 4);
         let (buf, cap) = (events.as_ptr(), events.capacity());
-        // A stale buffer from a previous array must not leak in: the
-        // wider sweep's events would make this κ = 3 and, being reads,
-        // a conflict with the write.
-        let acc2 = AccessRanges { reads: vec![(0, 1)], writes: vec![(7, 1)] };
-        assert_eq!(sweep_kappa("t", &acc2, true, &mut events), 1);
-        assert_eq!(events.len(), 4);
+        assert_eq!(sweep_kappa("t", &mut events, true), 2);
+        // The sweep leaves the buffer empty: were the wider sweep's
+        // events to leak into the next, this κ would be 3 and, being
+        // reads, a conflict with the write.
+        assert!(events.is_empty());
+        note_range(&mut events, 0, 1, false);
+        note_range(&mut events, 7, 1, true);
+        assert_eq!(sweep_kappa("t", &mut events, true), 1);
         // ... and the smaller sweep ran in the same allocation.
         assert_eq!((events.as_ptr(), events.capacity()), (buf, cap));
     }
@@ -798,16 +827,22 @@ mod tests {
 
         /// Positions from a universe of 24 and lengths from 0, so
         /// zero-length, adjacent, nested and duplicate ranges — and
-        /// read/write overlaps — all occur in most cases.
+        /// read/write overlaps — all occur in most cases. Every other
+        /// range is cut to one element: duplicates at one position, a
+        /// unit write inside a read range and a unit read at a range's
+        /// open end are then as common.
         #[test]
         fn packed_sweep_matches_the_tuple_sort_oracle(
-            reads in proptest::collection::vec((0usize..24, 0usize..6), 0..8),
-            writes in proptest::collection::vec((0usize..24, 0usize..6), 0..8),
+            reads in proptest::collection::vec((0usize..24, 0usize..6, proptest::bool::ANY), 0..8),
+            writes in proptest::collection::vec((0usize..24, 0usize..6, proptest::bool::ANY), 0..8),
             check_conflicts in proptest::bool::ANY,
         ) {
-            let acc = AccessRanges { reads, writes };
+            let cut = |ranges: Vec<(usize, usize, bool)>| -> Vec<(usize, usize)> {
+                ranges.into_iter().map(|(s, l, unit)| (s, if unit { 1 } else { l })).collect()
+            };
+            let acc = AccessRanges { reads: cut(reads), writes: cut(writes) };
             let want = outcome(|| sweep_kappa_oracle("a", &acc, check_conflicts, &mut Vec::new()));
-            let got = outcome(|| sweep_kappa("a", &acc, check_conflicts, &mut Vec::new()));
+            let got = outcome(|| sweep("a", &acc, check_conflicts));
             prop_assert_eq!(&got, &want);
             prop_assert!(check_conflicts || got.is_ok());
         }
@@ -909,7 +944,8 @@ mod tests {
         /// Arrays are `(hashed, 8-byte, len)` and short, so a range of
         /// up to 8 spans up to four of 16 owners, and duplicates and
         /// read/write overlaps are common; an op is `(src, array, put,
-        /// start, len)` before reduction to the drawn `p` and lengths.
+        /// start, len, one element only)` before reduction to the drawn
+        /// `p` and lengths, so at least half the runs are one element.
         #[test]
         fn rows_and_owner_kappa_match_the_flat_plan_stage(
             p_idx in 0usize..5,
@@ -918,25 +954,24 @@ mod tests {
             arrays in proptest::collection::vec(
                 (proptest::bool::ANY, proptest::bool::ANY, 1usize..40), 2),
             raw_ops in proptest::collection::vec(
-                (0usize..16, 0usize..2, proptest::bool::ANY, 0usize..40, 1usize..9), 0..24),
+                (0usize..16, 0usize..2, proptest::bool::ANY, 0usize..40, 1usize..9,
+                 proptest::bool::ANY), 0..24),
         ) {
             let (p, banks) = ([1, 3, 4, 7, 16][p_idx], if banks_on { 4 } else { 0 });
             let ops: Vec<FlatOp> = raw_ops
                 .iter()
-                .map(|&(src, array, put, at, len)| {
-                    let start = at % arrays[array].2;
+                .map(|&(src, array, put, at, len, unit)| {
+                    let (start, len) = (at % arrays[array].2, if unit { 1 } else { len });
                     FlatOp { src: src % p, array, put, start, len: len.min(arrays[array].2 - start) }
                 })
                 .collect();
             let infos: Vec<ArrayInfo> = arrays
                 .iter()
                 .enumerate()
-                .map(|(k, &(hashed, wide, len))| ArrayInfo {
-                    id: ArrayId(k as u32),
-                    name: format!("a{k}"),
-                    len,
-                    elem_bytes: if wide { 8 } else { 4 },
-                    layout: if hashed { crate::Layout::Hashed } else { crate::Layout::Block },
+                .map(|(k, &(hashed, wide, len))| {
+                    let (name, elem_bytes) = (format!("a{k}"), if wide { 8 } else { 4 });
+                    let layout = if hashed { crate::Layout::Hashed } else { crate::Layout::Block };
+                    ArrayInfo::new(ArrayId(k as u32), Registration { name, len, elem_bytes, layout }, p)
                 })
                 .collect();
             let (want, want_m_rw, accesses) = meter_flat(p, banks, &infos, &ops);
@@ -946,7 +981,7 @@ mod tests {
             for (k, op) in ops.iter().enumerate() {
                 let (out, info) = (&mut outboxes[op.src], &infos[op.array]);
                 match (op.put, info.elem_bytes) {
-                    (false, _) => out.get(info, op.start, op.len, k as u64),
+                    (false, _) => out.get(info, op.start, op.len, 8 * k),
                     (true, 4) => out.put(info, op.start, &vec![0u32; op.len]),
                     (true, _) => out.put(info, op.start, &vec![0u64; op.len]),
                 }
@@ -984,9 +1019,7 @@ mod tests {
             // The flat sweep, array by array over whole ranges, as the
             // leader ran it: its κ is the owners' maximum, and it stops
             // at a conflict exactly when an owner does.
-            let sweep = |name: &str, acc: &AccessRanges| {
-                outcome(|| sweep_kappa(name, acc, check_conflicts, &mut Vec::new()))
-            };
+            let sweep = |name: &str, acc: &AccessRanges| outcome(|| sweep(name, acc, check_conflicts));
             let flat: Vec<_> = infos.iter().zip(&accesses).map(|(i, acc)| sweep(&i.name, acc)).collect();
             // What reaches the user is the lowest processor's panic: its
             // lowest array's, over the ranges clipped to its block.

@@ -8,11 +8,14 @@
 //! phase cannot be used in the same phase" is enforced at runtime.
 //!
 //! Requests are batched **per destination on the requesting node**, as
-//! they are issued: an `Outbox` holds one bucket of runs per storage
-//! owner, one arena with every put's payload, and the requester's own
-//! row of the phase's traffic matrix. At `sync()` an owner sweeps (κ)
-//! and applies only the buckets addressed to it and the leader copies
-//! rows; nobody walks a flat list of operations.
+//! they are issued, and each is filed once: an `Outbox` holds one
+//! bucket of `Run`s per storage owner, one arena with every put's
+//! payload, and the requester's own row of the phase's traffic matrix.
+//! A run names where its elements sit on the requesting side (that
+//! arena for a put, the phase's result arena of `crate::ctx` for a
+//! get), so at `sync()` the requester serves its gets from its own
+//! buckets, an owner sweeps (κ) and applies only the buckets addressed
+//! to it, and the leader copies rows; nobody walks a flat list.
 
 use std::marker::PhantomData;
 
@@ -21,18 +24,8 @@ use crate::driver::PairTraffic;
 use crate::shmem::ArrayInfo;
 use crate::word::{elems_mut, storage_words, Word};
 
-/// A queued remote read of `len` elements at global index `start`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct GetOp {
-    pub(crate) array: ArrayId,
-    pub(crate) start: usize,
-    pub(crate) len: usize,
-    /// Ticket this read fulfills.
-    pub(crate) ticket: u64,
-}
-
-/// [`Run::src`] of a get, which carries no payload.
-const GET: usize = usize::MAX;
+/// Tag bit of [`Run::src`]: set on a get's run.
+const GET: usize = 1 << (usize::BITS - 1);
 
 /// The part of one queued put or get that lies in one processor's
 /// block of storage.
@@ -43,14 +36,21 @@ pub(crate) struct Run {
     pub(crate) len: u32,
     /// First global index.
     pub(crate) start: usize,
-    /// A put's first element in its source's payload arena, counted in
-    /// elements of the array's width; [`GET`] for a get.
-    pub(crate) src: usize,
+    /// Where the run's first element sits on the requesting side,
+    /// counted in elements of the array's width: a put's in its
+    /// source's payload arena, a get's, under [`GET`], in its
+    /// requester's result arena of the phase.
+    src: usize,
 }
 
 impl Run {
     pub(crate) fn is_put(&self) -> bool {
-        self.src != GET
+        self.src & GET == 0
+    }
+
+    /// [`Run::src`] without its tag.
+    pub(crate) fn offset(&self) -> usize {
+        self.src & !GET
     }
 }
 
@@ -70,8 +70,6 @@ pub(crate) struct Outbox {
     /// Every put's elements, packed at its array's width; each put
     /// starts on a storage word.
     pub(crate) payload: Vec<u64>,
-    /// Whole gets in issue order, which their issuer serves itself.
-    pub(crate) gets: Vec<GetOp>,
     /// This processor's row of the traffic matrix by *cost* owner (all
     /// the metering a `Hashed` array needs too), `banks + 1` cells an
     /// owner: the pair's total, then one per bank. `dirty` lists the
@@ -96,10 +94,10 @@ impl Outbox {
         self.push(info, start, data.len(), at * (8 / T::BYTES as usize));
     }
 
-    /// Queue a read of `len` elements at `start` of `info`'s array.
-    pub(crate) fn get(&mut self, info: &ArrayInfo, start: usize, len: usize, ticket: u64) {
-        self.gets.push(GetOp { array: info.id, start, len, ticket });
-        self.push(info, start, len, GET);
+    /// Queue a read of `len` elements at `start` of `info`'s array, to
+    /// land at element `at` of the requester's result arena.
+    pub(crate) fn get(&mut self, info: &ArrayInfo, start: usize, len: usize, at: usize) {
+        self.push(info, start, len, GET | at);
     }
 
     /// Bucket `start..start + len` by storage owner (always the block
@@ -111,15 +109,14 @@ impl Outbox {
             self.touched.reserve(self.p);
             self.dirty.reserve(self.p);
         }
-        let put = src != GET;
-        for_each_owner_run(Layout::Block, info.id, info.len, self.p, start, len, |dst, s, l| {
+        let put = src & GET == 0;
+        info.geom.for_each_run(start, len, |dst, s, l| {
             let bucket = &mut self.runs[dst];
             if bucket.is_empty() {
                 self.touched.push(dst as u32);
             }
             let len = u32::try_from(l).expect("a run of 2^32 elements or more");
-            let src = if put { src + (s - start) } else { GET };
-            bucket.push(Run { array: info.id, len, start: s, src });
+            bucket.push(Run { array: info.id, len, start: s, src: src + (s - start) });
             if info.layout == Layout::Block {
                 self.meter(info, put, dst, s, l);
             }
@@ -172,7 +169,6 @@ impl Outbox {
             self.cells[idx as usize] = PairTraffic::default();
         }
         self.payload.clear();
-        self.gets.clear();
         self.m_rw = 0;
     }
 
@@ -195,11 +191,15 @@ impl Outbox {
 /// `sync()`.
 ///
 /// The ticket is intentionally **not** `Copy`/`Clone`: redeeming it
-/// consumes it, so a result can be taken exactly once.
+/// consumes it, so a result can be taken exactly once. The results of
+/// one phase's gets share one buffer, recycled when the last of their
+/// tickets is redeemed: a ticket dropped un-redeemed keeps its own
+/// phase's results, and nothing else, allocated until the run ends.
 #[derive(Debug, PartialEq, Eq)]
 #[must_use = "a get() that is never take()n moves data for nothing"]
 pub struct GetTicket<T: Word> {
-    pub(crate) id: u64,
+    /// First storage word of the result in its phase's arena.
+    pub(crate) at: usize,
     pub(crate) len: usize,
     pub(crate) issued_phase: u64,
     pub(crate) _elem: PhantomData<fn() -> T>,
@@ -221,10 +221,12 @@ impl<T: Word> GetTicket<T> {
 mod tests {
     use super::*;
     use crate::addr::{bank_of, block_owner, owner};
+    use crate::shmem::Registration;
     use crate::word::elems;
 
-    fn info(elem_bytes: u64, len: usize, layout: Layout) -> ArrayInfo {
-        ArrayInfo { id: ArrayId(3), name: "a".into(), len, elem_bytes, layout }
+    /// An array of `len` elements over `p` processors.
+    fn info(elem_bytes: u64, len: usize, layout: Layout, p: usize) -> ArrayInfo {
+        ArrayInfo::new(ArrayId(3), Registration { name: "a".into(), len, elem_bytes, layout }, p)
     }
 
     #[test]
@@ -235,19 +237,33 @@ mod tests {
     #[test]
     fn a_put_is_split_and_bucketed_by_storage_owner() {
         // Blocks of 7 over 3: 0..3, 3..5, 5..7.
-        let a = info(4, 7, Layout::Block);
+        let a = info(4, 7, Layout::Block, 3);
         let mut out = Outbox::new(3, 0);
         out.put(&a, 1, &[10u32, 11, 12, 13, 14]);
         out.put(&a, 4, &[20u32]);
-        out.get(&a, 2, 2, 9);
+        out.get(&a, 2, 2, 8);
         let run = |start, len, src| Run { array: a.id, len, start, src };
-        assert_eq!(out.runs_for(0), [run(1, 2, 0), run(2, 1, GET)]);
+        assert_eq!(out.runs_for(0), [run(1, 2, 0), run(2, 1, GET | 8)]);
         // Five u32 fill three storage words: the next put is element 6.
-        assert_eq!(out.runs_for(1), [run(3, 2, 2), run(4, 1, 6), run(3, 1, GET)]);
+        assert_eq!(out.runs_for(1), [run(3, 2, 2), run(4, 1, 6), run(3, 1, GET | 9)]);
         assert_eq!(out.runs_for(2), [run(5, 1, 4)]);
         assert_eq!(elems::<u32>(&out.payload, 7), [10, 11, 12, 13, 14, 0, 20]);
-        assert_eq!(out.gets, [GetOp { array: a.id, start: 2, len: 2, ticket: 9 }]);
-        assert!(out.runs_for(0)[0].is_put() && !out.runs_for(0)[1].is_put());
+        let [put, get] = out.runs_for(0) else { panic!("two runs") };
+        assert!(put.is_put() && !get.is_put());
+        assert_eq!((put.offset(), get.offset()), (0, 8));
+    }
+
+    #[test]
+    fn a_get_over_three_owners_lands_contiguously() {
+        // Blocks of 7 over 3: 0..3, 3..5, 5..7.
+        let a = info(8, 7, Layout::Block, 3);
+        let mut out = Outbox::new(3, 0);
+        out.get(&a, 2, 4, 40);
+        let run = |start, len, at| Run { array: a.id, len, start, src: GET | at };
+        assert_eq!(out.runs_for(0), [run(2, 1, 40)]);
+        assert_eq!(out.runs_for(1), [run(3, 2, 41)]);
+        assert_eq!(out.runs_for(2), [run(5, 1, 43)]);
+        assert!(out.payload.is_empty(), "a get carries no payload");
     }
 
     #[test]
@@ -256,7 +272,7 @@ mod tests {
             [(Layout::Block, 0), (Layout::Hashed, 0), (Layout::Block, 4), (Layout::Hashed, 4)]
         {
             let (p, len) = (4, 50);
-            let a = info(8, len, layout);
+            let a = info(8, len, layout, p);
             let mut out = Outbox::new(p, banks);
             out.put(&a, 5, &[7u64; 30]);
             out.get(&a, 40, 10, 0);
@@ -304,14 +320,14 @@ mod tests {
 
     #[test]
     fn clear_visits_what_was_touched_and_keeps_the_buffers() {
-        let a = info(4, 64, Layout::Block);
+        let a = info(4, 64, Layout::Block, 8);
         let mut out = Outbox::new(8, 2);
         assert!(out.runs_for(5).is_empty(), "an outbox never used has no buckets");
         out.put(&a, 8, &[1u32, 2, 3]);
         let (bucket, arena) = (out.runs_for(1).as_ptr(), out.payload.as_ptr());
         out.clear();
         assert!((0..8).all(|dst| out.runs_for(dst).is_empty()));
-        assert!(out.payload.is_empty() && out.gets.is_empty());
+        assert!(out.payload.is_empty());
         assert_eq!((out.cells().count(), out.m_rw), (0, 0));
         assert_eq!(out.cells, vec![PairTraffic::default(); 8 * 3]);
         // Only bucket 1 was ever allocated, and refilling reuses it.
@@ -323,7 +339,7 @@ mod tests {
 
     #[test]
     fn ticket_reports_len() {
-        let t = GetTicket::<u32> { id: 1, len: 4, issued_phase: 0, _elem: PhantomData };
+        let t = GetTicket::<u32> { at: 1, len: 4, issued_phase: 0, _elem: PhantomData };
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
     }

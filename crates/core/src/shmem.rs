@@ -2,7 +2,7 @@
 
 use std::marker::PhantomData;
 
-use crate::addr::{block_range, ArrayId, Layout};
+use crate::addr::{ArrayId, BlockGeom, Layout};
 use crate::word::Word;
 
 /// A typed handle to a registered shared array.
@@ -53,9 +53,17 @@ pub struct ArrayInfo {
     pub elem_bytes: u64,
     /// Cost layout.
     pub layout: Layout,
+    /// The block partition of its storage over the run's processors.
+    pub(crate) geom: BlockGeom,
 }
 
 impl ArrayInfo {
+    /// The array `reg` asks for, `id`-th of a run of `p` processors.
+    pub(crate) fn new(id: ArrayId, reg: Registration, p: usize) -> Self {
+        let Registration { name, len, elem_bytes, layout } = reg;
+        Self { id, name, len, elem_bytes, layout, geom: BlockGeom::new(len, p) }
+    }
+
     /// 4-byte accounting words per element.
     pub fn words_per_elem(&self) -> u64 {
         self.elem_bytes.div_ceil(4)
@@ -111,12 +119,6 @@ impl LocalStore {
         })
     }
 
-    /// This processor's global index range of `id` (block partition).
-    pub fn local_range(&self, id: ArrayId, p: usize, proc: usize) -> std::ops::Range<usize> {
-        let info = self.info(id);
-        block_range(info.len, p, proc)
-    }
-
     /// This processor's segment of `id` (liveness already verified by
     /// the caller through [`LocalStore::info`]).
     pub fn segment(&self, id: ArrayId) -> &Segment {
@@ -153,11 +155,6 @@ impl LocalStore {
             *seg = Segment::new();
         }
     }
-
-    /// True when no array is live.
-    pub fn is_empty(&self) -> bool {
-        self.infos.iter().all(Option::is_none)
-    }
 }
 
 #[cfg(test)]
@@ -165,13 +162,9 @@ mod tests {
     use super::*;
 
     fn info(id: u32, len: usize) -> ArrayInfo {
-        ArrayInfo {
-            id: ArrayId(id),
-            name: format!("a{id}"),
-            len,
-            elem_bytes: 8,
-            layout: Layout::Block,
-        }
+        let reg =
+            Registration { name: format!("a{id}"), len, elem_bytes: 8, layout: Layout::Block };
+        ArrayInfo::new(ArrayId(id), reg, 4)
     }
 
     #[test]
@@ -179,10 +172,10 @@ mod tests {
         let mut s = LocalStore::default();
         s.install(info(1, 100), vec![0; 25]);
         assert_eq!(s.info(ArrayId(1)).len, 100);
-        assert_eq!(s.local_range(ArrayId(1), 4, 2), 50..75);
+        assert_eq!(s.info(ArrayId(1)).geom.range(2), 50..75);
         assert_eq!(s.segment(ArrayId(1)).len(), 25);
         s.remove(ArrayId(1));
-        assert!(s.is_empty());
+        assert!(s.infos[1].is_none());
         // The slot persists (ids are never reused) but holds nothing.
         assert!(s.segments[1].is_empty());
     }

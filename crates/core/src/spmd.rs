@@ -2,7 +2,7 @@
 //!
 //! Every run of every backend rendezvouses here; no driver thread
 //! exists. Every worker publishes its phase contribution (charged
-//! ops, its outbox — puts and gets bucketed by owner, with their
+//! ops, its outbox — puts and gets bucketed by owner, with the puts'
 //! payload and its row of the traffic matrix — registrations, and a
 //! pointer to its own memory segments) into a per-processor **slot** of
 //! a shared [`ExchangeArea`], then crosses two barriers per phase:
@@ -11,7 +11,7 @@
 //!   publish slot[phase % 2]          (each worker, its own slot)
 //!   ── B1 ──────────────────────────
 //!   leader: plan stage               (worker 0; copies the p rows)
-//!   all:    serve own gets           (read peers' frozen stores)
+//!   all:    serve own gets           (own runs; peers' frozen stores)
 //!   all:    κ of own block           (read runs[me] of all p outboxes)
 //!   ── B2 ──────────────────────────
 //!   all:    apply runs[me] of all p outboxes, install/retire arrays
@@ -28,14 +28,15 @@
 //!
 //! The plan/price/record stages are the driver's
 //! (`Driver::plan_stage` & co., reading the slots through the
-//! accessors of [`Slot`]); the *exchange* stage is here — workers serve
-//! their own gets from peers' frozen stores and sweep the runs bound
-//! for their own block for κ between the barriers, and apply the puts
-//! among those runs right after B2, in processor-then-issue order, so
-//! the outcome of a phase does not depend on how the host schedules
-//! the workers. That is what lets the simulated machine, whose results
-//! must be bit-reproducible, ride the same exchange as the wall-clock
-//! one.
+//! accessors of [`Slot`]); the *exchange* stage is here. Between the
+//! barriers a worker serves its own gets (the get runs of its own
+//! published outbox, owner by owner, from that owner's frozen store
+//! into its result arena of the phase) and sweeps the runs bound for
+//! its own block for κ; right after B2 it applies the puts among those,
+//! in processor-then-issue order, so the outcome of a phase does not
+//! depend on how the host schedules the workers: the simulated machine,
+//! whose results must be bit-reproducible, rides the same exchange as
+//! the wall-clock one.
 //!
 //! ### Memory-safety windows
 //!
@@ -44,16 +45,17 @@
 //!
 //! * a slot published for phase *k* is read by others only between
 //!   B1(*k*) and the leader's record(*k*);
-//! * of a published outbox, the row is read by the leader (B1..B2)
-//!   and `runs[w]` and the payload arena by worker *w*: from B1(*k*)
-//!   for κ until *w* has applied phase *k*, before it enters
-//!   B1(*k+1*); its owner takes the outbox back, to refill, after
-//!   B2(*k+1*) — two outboxes per worker, flipped at the barrier;
+//! * of a published outbox, the row is read by the leader (B1..B2),
+//!   all of `runs` by its owner as it serves (B1..B2), and `runs[w]`
+//!   and the payload arena by worker *w*: from B1(*k*) for κ until *w*
+//!   has applied phase *k*, before it enters B1(*k+1*); its owner
+//!   takes the outbox back, to refill, after B2(*k+1*) — two outboxes
+//!   per worker, flipped at the barrier;
 //! * a worker writes its κ into its own slot between B1 and B2; the
 //!   leader reads all `p` after B2, in its finish(*k*);
 //! * each worker's [`LocalStore`] is frozen from its publish until
 //!   B2(*k*) (reads by any worker), and mutated only by its owner
-//!   afterwards;
+//!   afterwards (a result arena is its owner's alone throughout);
 //! * registration slices published by pointer are read only by the
 //!   leader between B1 and B2; owners clear them after B2.
 //!
@@ -75,7 +77,7 @@ use std::time::{Duration, Instant};
 use qsm_obs::{Recorder, Span, SpanKind};
 use qsm_simnet::Cycles;
 
-use crate::addr::{block_range, for_each_owner_run, ArrayId, Layout};
+use crate::addr::ArrayId;
 use crate::ctx::Ctx;
 use crate::driver::{Driver, PhasePlan, PhaseRecord};
 use crate::machine::PhaseTimer;
@@ -554,30 +556,19 @@ fn collective_violation(finished: usize, p: usize) -> ! {
 }
 
 /// Serve this worker's own queued gets from the peers' published
-/// (pre-put) stores. Runs between B1 and B2, where every store at
+/// (pre-put) stores, into its result arena of the phase
+/// ([`Ctx::serve_gets`]). Runs between B1 and B2, where every store at
 /// this parity is frozen.
 fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
-    let p = area.p;
+    let slots = &area.slots[parity];
     // SAFETY: our own slot's outbox: swapped in by us at publish, and
-    // touched by nobody else until we take it back a phase on.
-    let mine = unsafe { &*area.slots[parity][ctx.proc].outbox.get() };
-    for op in &mine.gets {
-        let info = ctx.store.info(op.array);
-        let (len, elem_bytes) = (info.len, info.elem_bytes);
-        let mut out = ctx.pooled_raw(storage_words(op.len, elem_bytes));
-        let mut off = 0usize;
-        for_each_owner_run(Layout::Block, op.array, len, p, op.start, op.len, |owner, s, l| {
-            // SAFETY: we are between B1 and B2. The peer published the
-            // pointer to its `LocalStore` before B1 and mutates that
-            // store next in its own `apply_exchange`, after B2; its
-            // `Ctx` (the pointee) drops only after the exit rendezvous.
-            let peer = unsafe { &*(*area.slots[parity][owner].store.get()) };
-            let base = block_range(len, p, owner).start;
-            copy_packed(elem_bytes, peer.segment(op.array), s - base, &mut out, off, l);
-            off += l;
-        });
-        ctx.tickets.fulfill(op.ticket, out);
-    }
+    // only read, by us and by peers, until we take it back a phase on.
+    let mine = unsafe { &*slots[ctx.proc].outbox.get() };
+    // SAFETY: we are between B1 and B2. The peer published the pointer
+    // to its `LocalStore` before B1 and mutates that store next in its
+    // own `apply_exchange`, after B2; its `Ctx` (the pointee) drops
+    // only after the exit rendezvous.
+    ctx.serve_gets(mine, |owner| unsafe { &*(*slots[owner].store.get()) });
 }
 
 /// Between B1 and B2: κ over the runs every source queued for this
@@ -622,27 +613,17 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
         let outbox = unsafe { &*area.slots[parity][src].outbox.get() };
         for run in outbox.runs_for(me).iter().filter(|run| run.is_put()) {
             let info = ctx.store.info(run.array);
-            let (elem_bytes, to) =
-                (info.elem_bytes, run.start - block_range(info.len, p, me).start);
+            let (elem_bytes, to) = (info.elem_bytes, run.start - info.geom.start(me));
             let seg = ctx.store.segment_mut(run.array);
-            copy_packed(elem_bytes, &outbox.payload, run.src, seg, to, run.len as usize);
+            copy_packed(elem_bytes, &outbox.payload, run.offset(), seg, to, run.len as usize);
         }
     }
     let mut regs = std::mem::take(&mut ctx.pending_regs);
     let first_new = ctx.next_array_id - regs.len() as u32;
     for (k, reg) in regs.drain(..).enumerate() {
-        let id = ArrayId(first_new + k as u32);
-        let seg_len = block_range(reg.len, p, me).len();
-        ctx.store.install(
-            ArrayInfo {
-                id,
-                name: reg.name,
-                len: reg.len,
-                elem_bytes: reg.elem_bytes,
-                layout: reg.layout,
-            },
-            new_segment(storage_words(seg_len, reg.elem_bytes)),
-        );
+        let info = ArrayInfo::new(ArrayId(first_new + k as u32), reg, p);
+        let words = storage_words(info.geom.range(me).len(), info.elem_bytes);
+        ctx.store.install(info, new_segment(words));
     }
     ctx.pending_regs = regs;
     let mut unregs = std::mem::take(&mut ctx.pending_unregs);

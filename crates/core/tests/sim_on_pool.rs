@@ -250,6 +250,49 @@ fn a_long_run_of_one_word_puts_reuses_its_arena_and_buckets() {
     assert!(a1 - a0 < 20 * 1990, "{} allocations over 1990 steady phases", a1 - a0);
 }
 
+/// A ticket dropped un-redeemed keeps its own phase's results and
+/// nothing else: while get results waited in a table compacted from
+/// the front, one such ticket kept every later slot of the run.
+#[test]
+fn a_dropped_ticket_pins_only_its_own_phase() {
+    let _serial = serial();
+    const GETS: usize = 512;
+    let sample = || LIVE_BYTES.load(Ordering::Relaxed);
+    let run = machine(2).run(|ctx| {
+        let (p, me) = (ctx.nprocs(), ctx.proc_id());
+        let src = ctx.register::<u32>("src", GETS * p, Layout::Block);
+        ctx.sync();
+        let mine = ctx.local_range(&src);
+        let values: Vec<u32> = mine.clone().map(|i| i as u32).collect();
+        ctx.local_write(&src, mine.start, &values);
+        drop(ctx.get(&src, 0, 1));
+        ctx.sync();
+        let peer = (me + 1) % p * GETS;
+        let (mut live, mut got) = ([0i64; 2], Vec::with_capacity(GETS));
+        for phase in 1..=1000 {
+            let tickets: Vec<_> = (0..GETS).map(|k| ctx.get(&src, peer + k, 1)).collect();
+            ctx.sync();
+            got.clear();
+            tickets.into_iter().for_each(|t| ctx.take_into(t, &mut got));
+            assert!(got.iter().enumerate().all(|(k, &v)| v as usize == peer + k), "phase {phase}");
+            if let Some(k) = [10, 1000].iter().position(|&at| at == phase) {
+                live[k] = sample();
+            }
+        }
+        live
+    });
+    let [live0, live1] = run.outputs[0];
+    // The leader's record list grows by design: 16 records at phase 10
+    // of the loop, 1024 at phase 1000.
+    let records = ((1024 - 16) * std::mem::size_of::<PhaseRecord>()) as i64;
+    assert!(
+        (live1 - live0 - records).abs() < 64 << 10,
+        "live heap moved by {} bytes over 990 phases of 512 one-word gets after a dropped \
+         ticket, {records} of them records",
+        live1 - live0
+    );
+}
+
 /// Two conflicts in one phase, each in another owner's block: what the
 /// user sees is the lowest processor's panic, on every run — owner 1's,
 /// over the higher array id, not owner 2's over the lower.
