@@ -7,7 +7,43 @@
 //! (extract the result after the caller's `sync()`), so the caller
 //! stays in control of phase structure.
 
+use std::sync::{Mutex, PoisonError};
+
+use qsm_core::addr::block_range;
 use qsm_core::{Ctx, Layout, SharedArray, Word};
+
+/// A block-distributed result on its way out of the machine: the
+/// caller's output vector, split at `block_range`. Each worker copies
+/// its window into its own part after its last `sync()`, so the copy
+/// and the first touch of the output's pages run on every core, and no
+/// per-block `Vec` exists in between.
+pub(crate) struct Gather<'a, T>(Vec<Mutex<&'a mut [T]>>);
+
+impl<'a, T: Copy> Gather<'a, T> {
+    /// Split `out` into the `p` parts `block_range(out.len(), p, i)`.
+    pub(crate) fn new(mut out: &'a mut [T], p: usize) -> Self {
+        let n = out.len();
+        let part = |i| {
+            let (part, rest) = std::mem::take(&mut out).split_at_mut(block_range(n, p, i).len());
+            out = rest;
+            Mutex::new(part)
+        };
+        Self((0..p).map(part).collect())
+    }
+
+    /// Processor `proc` writes its whole block, under a lock only it
+    /// takes. A poisoned lock is recovered: the panic that poisoned it
+    /// stays the one the run reports.
+    pub(crate) fn write(&self, proc: usize, block: &[T]) {
+        let mut part = self.0[proc].lock().unwrap_or_else(PoisonError::into_inner);
+        let (got, want) = (block.len(), part.len());
+        assert!(
+            got == want,
+            "processor {proc} gathers a block of {got} elements into a part of {want}"
+        );
+        part.copy_from_slice(block);
+    }
+}
 
 /// Register the `p × p` exchange board used by the gather/all-gather
 /// collectives. Must be completed by a `sync()` before first use.
@@ -116,6 +152,44 @@ mod tests {
 
     fn machine(p: usize) -> SimMachine {
         SimMachine::new(MachineConfig::paper_default(p))
+    }
+
+    #[test]
+    fn gathered_blocks_are_their_concatenation() {
+        // Covers n < p, n % p != 0 and empty parts.
+        for n in 0..40usize {
+            for p in 1..9 {
+                let blocks: Vec<Vec<u32>> =
+                    (0..p).map(|i| block_range(n, p, i).map(|k| k as u32 + 1).collect()).collect();
+                let mut out = vec![0u32; n];
+                let gather = Gather::new(&mut out, p);
+                // Any order: a worker's part is its own.
+                for (i, block) in blocks.iter().enumerate().rev() {
+                    gather.write(i, block);
+                }
+                assert_eq!(out, blocks.concat(), "n={n} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "processor 1 gathers a block of 2 elements into a part of 3")]
+    fn gathering_a_block_of_the_wrong_length_names_it() {
+        let mut out = vec![0u64; 10];
+        Gather::new(&mut out, 4).write(1, &[7, 7]);
+    }
+
+    #[test]
+    fn a_poisoned_part_still_takes_its_block() {
+        let mut out = vec![0u64; 4];
+        let gather = Gather::new(&mut out, 2);
+        let wrong = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gather.write(0, &[1]);
+        }));
+        assert!(wrong.is_err() && gather.0[0].is_poisoned());
+        gather.write(0, &[1, 2]);
+        gather.write(1, &[3, 4]);
+        assert_eq!(out, [1, 2, 3, 4]);
     }
 
     #[test]

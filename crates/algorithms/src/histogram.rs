@@ -49,8 +49,7 @@ fn program(ctx: &mut Ctx, input: &[u32], buckets: usize) -> Vec<u64> {
     let local = ctx.local_vec(&data);
     let mut partial = vec![0u64; padded];
     for &k in &local {
-        let b = (k as usize) % buckets.max(1);
-        partial[b] += 1;
+        partial[k as usize % buckets] += 1;
     }
     ctx.charge(3 * local.len() as u64);
     for j in 0..p {
@@ -101,17 +100,19 @@ impl HistogramRun {
     }
 }
 
-/// Sequential oracle.
+/// Sequential oracle. Panics if `buckets` is 0.
 pub fn histogram_seq(input: &[u32], buckets: usize) -> Vec<u64> {
+    assert!(buckets > 0, "histogram_seq: {} keys need at least one bucket, got 0", input.len());
     let mut counts = vec![0u64; buckets];
     for &k in input {
-        counts[(k as usize) % buckets.max(1)] += 1;
+        counts[k as usize % buckets] += 1;
     }
     counts
 }
 
-/// Run on any [`Machine`] backend.
+/// Run on any [`Machine`] backend. Panics if `buckets` is 0.
 pub fn run_on<M: Machine>(machine: &M, input: &[u32], buckets: usize) -> HistogramRun {
+    assert!(buckets > 0, "histogram: {} keys need at least one bucket, got 0", input.len());
     let run = machine.run(|ctx| program(ctx, input, buckets));
     let counts = run.outputs.concat();
     HistogramRun { counts, run }

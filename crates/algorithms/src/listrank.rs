@@ -23,6 +23,7 @@ use qsm_models::chernoff::binomial_upper_bound;
 use rand::Rng;
 
 use crate::analysis::{EffectiveParams, Prediction, WHP_DELTA};
+use crate::collectives::Gather;
 use crate::gen::NIL;
 use crate::seq;
 
@@ -61,8 +62,6 @@ pub struct IterStats {
 /// Per-processor outcome of the parallel program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcOutcome {
-    /// Final ranks of this processor's block.
-    pub local_ranks: Vec<u64>,
     /// Per-iteration traffic measurements.
     pub iters: Vec<IterStats>,
     /// Survivors this processor shipped to processor 0.
@@ -111,7 +110,7 @@ enum WeightSource {
 }
 
 #[allow(clippy::too_many_lines)]
-fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
+fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64>) -> ProcOutcome {
     let n = succ_in.len();
     let p = ctx.nprocs();
     let me = ctx.proc_id();
@@ -387,12 +386,8 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64]) -> ProcOutcome {
     }
     ctx.sync();
 
-    ProcOutcome {
-        local_ranks: ctx.local_vec(&rank_arr),
-        iters: iter_stats,
-        survivors: active.len() as u64,
-        finish_words,
-    }
+    out.write(me, ctx.local(&rank_arr));
+    ProcOutcome { iters: iter_stats, survivors: active.len() as u64, finish_words }
 }
 
 /// Result of a list-ranking run on any backend.
@@ -441,11 +436,14 @@ fn iter_maxima(outcomes: &[ProcOutcome]) -> Vec<IterStats> {
         .collect()
 }
 
-/// Run on any [`Machine`] backend.
+/// Run on any [`Machine`] backend. Panics if `succ` and `pred` differ
+/// in length.
 pub fn run_on<M: Machine>(machine: &M, succ: &[u64], pred: &[u64]) -> ListRankRun {
-    let run = machine.run(|ctx| program(ctx, succ, pred));
-    let blocks: Vec<&[u64]> = run.outputs.iter().map(|o| o.local_ranks.as_slice()).collect();
-    let ranks = blocks.concat(); // sized once, then one copy per block
+    let (n, n_pred) = (succ.len(), pred.len());
+    assert!(n == n_pred, "listrank: succ has {n} elements but pred has {n_pred}");
+    let mut ranks = vec![0; n]; // untouched pages: the workers fault them in
+    let out = Gather::new(&mut ranks, machine.nprocs());
+    let run = machine.run(|ctx| program(ctx, succ, pred, &out));
     let iter_maxima = iter_maxima(&run.outputs);
     let survivors = run.outputs.iter().map(|o| o.survivors).sum();
     ListRankRun { ranks, iter_maxima, survivors, run }

@@ -173,9 +173,11 @@ impl MatMulRun {
     }
 }
 
-/// Run on any [`Machine`] backend.
+/// Run on any [`Machine`] backend. Panics if `a` and `b` differ in
+/// dimension.
 pub fn run_on<M: Machine>(machine: &M, a: &Matrix, b: &Matrix) -> MatMulRun {
     let n = a.n;
+    assert!(b.n == n, "matmul: a is {n}×{n} but b is {0}×{0}", b.n);
     let run = machine.run(|ctx| program(ctx, a, b));
     let data = run.outputs.concat();
     MatMulRun { c: Matrix::new(n, data), run }

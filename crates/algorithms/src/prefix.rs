@@ -11,6 +11,7 @@
 use qsm_core::{Ctx, Layout, Machine, RunResult};
 
 use crate::analysis::{EffectiveParams, Prediction};
+use crate::collectives::Gather;
 
 /// Number of setup phases (array registration + input distribution)
 /// that precede the measured phases.
@@ -20,8 +21,8 @@ pub const SETUP_PHASES: usize = 2;
 /// synchronization).
 pub const PAPER_PHASES: usize = 1;
 
-/// The QSM program: returns this processor's final local block.
-fn program(ctx: &mut Ctx, input: &[u64]) -> Vec<u64> {
+/// The QSM program: leaves this processor's final local block in `out`.
+fn program(ctx: &mut Ctx, input: &[u64], out: &Gather<'_, u64>) {
     let n = input.len();
     let p = ctx.nprocs();
     let me = ctx.proc_id();
@@ -64,16 +65,16 @@ fn program(ctx: &mut Ctx, input: &[u64]) -> Vec<u64> {
     ctx.charge(3 * r.len() as u64);
     ctx.sync();
 
-    ctx.local_vec(&a)
+    out.write(me, ctx.local(&a));
 }
 
 /// Result of a prefix-sums run on any backend.
 #[derive(Debug)]
 pub struct PrefixRun {
-    /// The complete prefix-sums output (concatenated blocks).
+    /// The complete prefix-sums output.
     pub output: Vec<u64>,
     /// The raw run (phases `SETUP_PHASES..` are the measured ones).
-    pub run: RunResult<Vec<u64>>,
+    pub run: RunResult<()>,
 }
 
 impl PrefixRun {
@@ -90,8 +91,9 @@ impl PrefixRun {
 
 /// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, input: &[u64]) -> PrefixRun {
-    let run = machine.run(|ctx| program(ctx, input));
-    let output = run.outputs.concat(); // sized once, then one copy per block
+    let mut output = vec![0; input.len()]; // untouched pages: the workers fault them in
+    let out = Gather::new(&mut output, machine.nprocs());
+    let run = machine.run(|ctx| program(ctx, input, &out));
     PrefixRun { output, run }
 }
 

@@ -17,6 +17,7 @@ use qsm_models::chernoff::sample_sort_bucket_bound;
 use rand::Rng;
 
 use crate::analysis::{log2n, EffectiveParams, Prediction, WHP_DELTA};
+use crate::collectives::Gather;
 
 /// Number of setup phases (input registration + distribution)
 /// preceding the five measured phases.
@@ -28,11 +29,9 @@ pub const PAPER_PHASES: usize = 5;
 /// Default oversampling constant `c` in `c·log n` samples/processor.
 pub const DEFAULT_OVERSAMPLING: f64 = 2.0;
 
-/// Per-processor outcome: final local block plus skew measurements.
+/// Per-processor outcome: the skew measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcOutcome {
-    /// This processor's final block of the sorted array.
-    pub local_sorted: Vec<u32>,
     /// Size of the bucket this processor sorted.
     pub bucket_size: u64,
     /// How many bucket elements were already local (its own
@@ -45,7 +44,44 @@ pub fn samples_per_proc(n: usize, c: f64) -> usize {
     ((c * log2n(n)).ceil() as usize).max(1)
 }
 
-fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
+/// Below this many keys [`radix_sort`] is `sort_unstable`: its passes
+/// over 4 × 256 counters cost more than the comparisons they save.
+const RADIX_MIN: usize = 4096;
+
+/// Sort `keys` ascending. Compute is charged (`4·B·log B`), never
+/// timed, so the host sorts however is fastest: LSD radix sort on
+/// bytes, all four histograms filled in one pass, and no pass for a
+/// byte every key shares (a bucket's keys often share their top one).
+fn radix_sort(keys: &mut Vec<u32>) {
+    let n = keys.len();
+    if n < RADIX_MIN {
+        return keys.sort_unstable();
+    }
+    let mut counts = [[0usize; 256]; 4];
+    for &k in keys.iter() {
+        for (byte, count) in k.to_le_bytes().into_iter().zip(&mut counts) {
+            count[byte as usize] += 1;
+        }
+    }
+    let mut scratch = vec![0u32; n];
+    for (shift, count) in (0..32).step_by(8).zip(&mut counts) {
+        if count.contains(&n) {
+            continue;
+        }
+        let mut at = 0;
+        for c in count.iter_mut() {
+            at += std::mem::replace(c, at);
+        }
+        for &k in keys.iter() {
+            let slot = &mut count[(k >> shift) as usize & 0xff];
+            scratch[*slot] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+    }
+}
+
+fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcOutcome {
     let n = input.len();
     let p = ctx.nprocs();
     let me = ctx.proc_id();
@@ -171,7 +207,7 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
         ctx.take_into(t, &mut bucket);
     }
     debug_assert_eq!(bucket.len() as u64, bucket_size);
-    bucket.sort_unstable();
+    radix_sort(&mut bucket);
     ctx.charge((4.0 * bucket.len() as f64 * log2n(bucket.len().max(2))) as u64);
     let offset: usize = ctx.local(&btotals)[..me].iter().map(|&b| b as usize).sum();
     ctx.charge(p as u64);
@@ -179,16 +215,17 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64) -> ProcOutcome {
         ctx.put(&s, offset, &bucket);
     }
     ctx.charge(bucket.len() as u64);
-    drop(bucket); // queued by value; the sorted block below takes its place
+    drop(bucket); // queued by value
     ctx.sync();
 
-    ProcOutcome { local_sorted: ctx.local_vec(&s), bucket_size, own_contribution }
+    out.write(me, ctx.local(&s));
+    ProcOutcome { bucket_size, own_contribution }
 }
 
 /// Result of a sample-sort run on any backend.
 #[derive(Debug)]
 pub struct SampleSortRun {
-    /// The sorted output (concatenated blocks).
+    /// The sorted output.
     pub output: Vec<u32>,
     /// Largest bucket size `B`.
     pub b_max: u64,
@@ -227,9 +264,9 @@ pub fn run_on<M: Machine>(machine: &M, input: &[u32]) -> SampleSortRun {
 
 /// Run on any [`Machine`] backend with oversampling constant `c`.
 pub fn run_on_with<M: Machine>(machine: &M, input: &[u32], c: f64) -> SampleSortRun {
-    let run = machine.run(|ctx| program(ctx, input, c));
-    let blocks: Vec<&[u32]> = run.outputs.iter().map(|o| o.local_sorted.as_slice()).collect();
-    let output = blocks.concat(); // sized once, then one copy per block
+    let mut output = vec![0; input.len()]; // untouched pages: the workers fault them in
+    let out = Gather::new(&mut output, machine.nprocs());
+    let run = machine.run(|ctx| program(ctx, input, c, &out));
     let (b_max, r_max) = skews(&run.outputs);
     SampleSortRun { output, b_max, r_max, run }
 }
@@ -286,6 +323,7 @@ mod tests {
     use super::*;
     use crate::gen::{nearly_sorted_u32s, random_u32s};
     use crate::seq;
+    use proptest::prelude::*;
     use qsm_core::{SimMachine, ThreadMachine};
     use qsm_simnet::MachineConfig;
 
@@ -300,18 +338,62 @@ mod tests {
         assert_eq!(run.output, seq::sorted(&input));
     }
 
+    // Each at a size whose buckets stay under `RADIX_MIN`, and at one
+    // whose buckets take the radix passes.
+
     #[test]
     fn sorts_input_with_heavy_duplicates() {
-        let input: Vec<u32> = (0..3000).map(|i| (i % 7) as u32).collect();
-        let run = run_on(&machine(4), &input);
-        assert_eq!(run.output, seq::sorted(&input));
+        for n in [3000, 1 << 16] {
+            let input: Vec<u32> = (0..n).map(|i| (i % 7) as u32).collect();
+            let run = run_on(&machine(4), &input);
+            assert!(n < RADIX_MIN || run.b_max >= RADIX_MIN as u64);
+            assert_eq!(run.output, seq::sorted(&input), "n={n}");
+        }
     }
 
     #[test]
     fn sorts_nearly_sorted_input() {
-        let input = nearly_sorted_u32s(2000, 3);
-        let run = run_on(&machine(8), &input);
-        assert_eq!(run.output, seq::sorted(&input));
+        for n in [2000, 1 << 16] {
+            let input = nearly_sorted_u32s(n, 3);
+            let run = run_on(&machine(8), &input);
+            assert!(n < RADIX_MIN || run.b_max >= RADIX_MIN as u64);
+            assert_eq!(run.output, seq::sorted(&input), "n={n}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Against the comparison sort, over lengths on both sides of
+        /// `RADIX_MIN` and keys that differ in a chosen 1–4 of their
+        /// bytes and share `base` in the others, so that every pattern
+        /// of skipped passes runs.
+        #[test]
+        fn radix_sort_matches_sort_unstable(
+            len in 0usize..20_000,
+            varying in 1u32..16,
+            base in any::<u32>(),
+            order in 0u8..4,
+            extremes in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mask = (0..4).filter(|b| varying >> b & 1 == 1).fold(0u32, |m, b| m | 0xff << (8 * b));
+            let mut keys: Vec<u32> =
+                random_u32s(len, seed).iter().map(|&k| base & !mask | k & mask).collect();
+            if extremes {
+                keys.extend([0, u32::MAX]);
+            }
+            match order {
+                0 => {}
+                1 => keys.sort_unstable(),
+                2 => keys.sort_unstable_by(|a, b| b.cmp(a)),
+                _ => keys.fill(base),
+            }
+            let mut want = keys.clone();
+            want.sort_unstable();
+            radix_sort(&mut keys);
+            prop_assert!(keys == want, "len {} mask {:#010x} order {}", keys.len(), mask, order);
+        }
     }
 
     #[test]

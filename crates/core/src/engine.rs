@@ -106,7 +106,6 @@ where
                 }
             }
             crate::spmd::exit_rendezvous(area);
-            crate::spmd::retire(&mut ctx);
         };
         let stats = crate::pool::execute(p, &job);
 

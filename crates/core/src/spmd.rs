@@ -69,7 +69,7 @@
 //! dropped while a peer could still read it — and the engine re-raises
 //! the first real payload.
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -82,7 +82,7 @@ use crate::ctx::Ctx;
 use crate::driver::{Driver, PhasePlan, PhaseRecord};
 use crate::machine::PhaseTimer;
 use crate::ops::Outbox;
-use crate::shmem::{ArrayInfo, LocalStore, Registration, Segment};
+use crate::shmem::{ArrayInfo, LocalStore, Registration};
 use crate::word::{copy_packed, storage_words};
 
 /// Marker payload workers unwind with when a *peer* failed: the
@@ -623,7 +623,7 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     for (k, reg) in regs.drain(..).enumerate() {
         let info = ArrayInfo::new(ArrayId(first_new + k as u32), reg, p);
         let words = storage_words(info.geom.range(me).len(), info.elem_bytes);
-        ctx.store.install(info, new_segment(words));
+        ctx.store.install(info, vec![0u64; words]);
     }
     ctx.pending_regs = regs;
     let mut unregs = std::mem::take(&mut ctx.pending_unregs);
@@ -631,83 +631,6 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
         ctx.store.remove(id);
     }
     ctx.pending_unregs = unregs;
-}
-
-/// Segments smaller than this are left to the allocator, whose size
-/// classes recycle them well. Measured: from 128 KiB up, the fast
-/// figure suite would hold 3–4 MiB of spares (+11 % peak RSS) for no
-/// fewer page faults.
-const SPARE_MIN_BYTES: usize = 512 << 10;
-
-/// Bytes of storage `seg` holds on to.
-fn held_bytes(seg: &Segment) -> usize {
-    seg.capacity() * std::mem::size_of::<u64>()
-}
-
-/// Large segment buffers a worker thread keeps between runs.
-///
-/// A resident worker serves runs whose blocks differ in size (a
-/// `p` = 16 run, then a `p` = 4 one). An allocator arena that frees
-/// and regrows tens of megabytes per run is trimmed and faulted back in
-/// each time: 57 k minor faults per pass of three threads-backend
-/// kernels at n = 2^23, against 16–28 k when each backend had threads
-/// of its own, and +25 % host time. Keeping the buffers takes the
-/// runtime's share out of that churn. Segments are storage words
-/// whatever their element type, so one list serves them all. What a
-/// worker holds is bounded by `high_water`: never more than its
-/// biggest run needed.
-#[derive(Default)]
-struct Spare {
-    segments: Vec<Segment>,
-    /// Most bytes of large segments one run on this worker held.
-    high_water: usize,
-}
-
-thread_local! {
-    static SPARE: RefCell<Spare> = RefCell::new(Spare::default());
-}
-
-/// A zeroed segment of `words` storage words: the tightest spare
-/// buffer of this worker that holds it, else a fresh one.
-fn new_segment(words: usize) -> Segment {
-    if words * std::mem::size_of::<u64>() < SPARE_MIN_BYTES {
-        return vec![0u64; words];
-    }
-    let spare = SPARE.with_borrow_mut(|spare| {
-        // Largest first (`retire`), so the last that fits is the tightest.
-        let fit = spare.segments.iter().rposition(|seg| seg.capacity() >= words)?;
-        Some(spare.segments.remove(fit))
-    });
-    match spare {
-        Some(mut seg) => {
-            seg.clear();
-            seg.resize(words, 0);
-            seg
-        }
-        None => vec![0u64; words],
-    }
-}
-
-/// The run is over on this worker (call after the exit rendezvous:
-/// peers read the store until then): its large segment buffers join
-/// the worker's spares, largest first, as far as `high_water` allows.
-/// Overflow threads free theirs as they exit.
-pub(crate) fn retire(ctx: &mut Ctx) {
-    SPARE.with_borrow_mut(|spare| {
-        let before = spare.segments.len();
-        spare
-            .segments
-            .extend(ctx.store.segments.drain(..).filter(|seg| held_bytes(seg) >= SPARE_MIN_BYTES));
-        let run: usize = spare.segments[before..].iter().map(held_bytes).sum();
-        spare.high_water = spare.high_water.max(run);
-        spare.segments.sort_unstable_by_key(|seg| std::cmp::Reverse(seg.capacity()));
-        let mut held = 0;
-        let budget = spare.high_water;
-        spare.segments.retain(|seg| {
-            held += held_bytes(seg);
-            held <= budget
-        });
-    });
 }
 
 /// Worker 0, between B1 and B2: run the driver's plan stage over the

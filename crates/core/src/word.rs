@@ -2,8 +2,8 @@
 //!
 //! Shared-array storage is **packed at the element width**: a segment,
 //! a put payload and a get result are each a `Vec<u64>` allocation (so
-//! one buffer pool and one spare-segment list serve every element type,
-//! and every buffer is 8-byte aligned) that holds `len × BYTES` bytes of
+//! one buffer pool serves every element type, and every buffer is
+//! 8-byte aligned) that holds `len × BYTES` bytes of
 //! elements in native layout. A `u32` array therefore occupies and
 //! moves 4 bytes an element, the paper's accounting word, and a local
 //! window is borrowed as `&[T]` rather than decoded element by element.

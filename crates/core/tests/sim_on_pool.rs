@@ -16,22 +16,15 @@ use std::time::Duration;
 use qsm_core::{pool, Ctx, Layout, PhaseRecord, SimMachine, ThreadMachine};
 use qsm_simnet::MachineConfig;
 
-/// Forwards to the system allocator, counting calls, calls for a
-/// large block, and live bytes.
+/// Forwards to the system allocator, counting calls and live bytes.
 struct Counting;
 
-// Relaxed: all three are statistics and publish no other data.
+// Relaxed: both are statistics and publish no other data.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
-/// The runtime's own line between segments it recycles across runs
-/// and those it leaves to the allocator (`spmd.rs`, in bytes).
-const LARGE: usize = 512 << 10;
-
-fn count(size: usize, grown_by: i64) {
+fn count(grown_by: i64) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
-    LARGE_ALLOCS.fetch_add(u64::from(size >= LARGE), Ordering::Relaxed);
     LIVE_BYTES.fetch_add(grown_by, Ordering::Relaxed);
 }
 
@@ -40,19 +33,19 @@ fn count(size: usize, grown_by: i64) {
 // no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        count(layout.size(), layout.size() as i64);
+        count(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
-        count(layout.size(), layout.size() as i64);
+        count(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        count(new_size, new_size as i64 - layout.size() as i64);
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -331,50 +324,10 @@ fn of_two_conflicts_the_lowest_owners_is_reported() {
 }
 
 #[test]
-fn a_warm_worker_hands_its_large_segments_to_its_next_run() {
-    let _serial = serial();
-    const P: usize = 4;
-    // Per processor; `u64` elements are one word each.
-    const WORDS: usize = 2 * LARGE / 8;
-    let run = |mark: u64| {
-        let run = machine(P).run(|ctx| {
-            let arr = ctx.register::<u64>("large", WORDS * P, Layout::Block);
-            ctx.sync();
-            let mine = ctx.local_range(&arr);
-            if mark != 0 {
-                ctx.local_write(&arr, mine.start, &[mark]);
-            }
-            ctx.sync();
-            ctx.local_read(&arr, mine.start, 1)[0]
-        });
-        run.outputs
-    };
-    let sample = || (LARGE_ALLOCS.load(Ordering::Relaxed), LIVE_BYTES.load(Ordering::Relaxed));
-    assert_eq!(run(7), [7; P]);
-    let (large0, live0) = sample();
-    // A recycled segment is a zeroed one.
-    assert_eq!(run(0), [0; P]);
-    assert_eq!(run(7), [7; P]);
-    let (large, live) = sample();
-    if pool_cap() >= P {
-        assert_eq!(large - large0, 0, "a warm worker allocated a large segment afresh");
-    }
-    // Spares are handed on, not piled up: what the workers hold after
-    // three runs is what they held after one. (An overflow thread
-    // frees its spares as it exits, which is after its run returned,
-    // so `QSM_POOL` below `P` leaves nothing stable to sample.)
-    if pool_cap() >= P {
-        assert!((live - live0).abs() < 64 << 10, "live heap moved by {} bytes", live - live0);
-    }
-}
-
-#[test]
 fn a_u32_array_keeps_four_bytes_an_element_live() {
     let _serial = serial();
     const P: usize = 4;
-    // 192 KiB a processor, and 384 KiB were it stored as `u64` words:
-    // under `LARGE` either way, so no spare from an earlier run serves
-    // it and the allocator sees the whole of it.
+    // 192 KiB a processor, and 384 KiB were it stored as `u64` words.
     const N: usize = P * 48 * 1024;
     let run = machine(P).run(|ctx| {
         ctx.sync();
@@ -395,12 +348,7 @@ fn a_u32_array_keeps_four_bytes_an_element_live() {
         grown <= want + slack,
         "registering {N} u32 elements grew the live heap by {grown} bytes, more than {want}"
     );
-    // The other way round only where nothing else frees meanwhile: an
-    // overflow thread of an earlier run drops its spares as it exits,
-    // which is after that run returned.
-    if pool_cap() >= P {
-        assert!(grown >= want - slack, "the live heap grew by {grown} bytes, less than {want}");
-    }
+    assert!(grown >= want - slack, "the live heap grew by {grown} bytes, less than {want}");
 }
 
 #[test]

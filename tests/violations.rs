@@ -138,3 +138,32 @@ fn local_write_outside_block_panics() {
         ctx.sync();
     });
 }
+
+// Argument errors of the kernels: reported by name on the caller's
+// thread, before any worker runs.
+
+#[test]
+#[should_panic(expected = "listrank: succ has 2 elements but pred has 1")]
+fn listrank_rejects_lists_of_different_lengths() {
+    use qsm::algorithms::gen::NIL;
+    qsm::algorithms::listrank::run_on(&machine(2), &[1, NIL], &[NIL]);
+}
+
+#[test]
+#[should_panic(expected = "histogram: 3 keys need at least one bucket, got 0")]
+fn histogram_rejects_zero_buckets() {
+    qsm::algorithms::histogram::run_on(&machine(2), &[1, 2, 3], 0);
+}
+
+#[test]
+#[should_panic(expected = "histogram_seq: 3 keys need at least one bucket, got 0")]
+fn histogram_seq_rejects_zero_buckets() {
+    qsm::algorithms::histogram::histogram_seq(&[1, 2, 3], 0);
+}
+
+#[test]
+#[should_panic(expected = "matmul: a is 2×2 but b is 3×3")]
+fn matmul_rejects_matrices_of_different_dimensions() {
+    use qsm::algorithms::matmul::{run_on, Matrix};
+    run_on(&machine(2), &Matrix::random(2, 1), &Matrix::random(3, 2));
+}
