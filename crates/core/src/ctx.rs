@@ -3,7 +3,7 @@
 //! A [`Ctx`] is what a QSM program sees: its processor id, typed
 //! shared-array registration, `put`/`get` enqueueing, a local window
 //! into block-distributed arrays, explicit local-operation charging,
-//! and `sync()`. One `Ctx` lives on each pooled worker for the length
+//! and `sync()`. One `Ctx` lives on each processor's stack for the length
 //! of a run and owns that processor's memory segments throughout. On
 //! every backend `sync()` is the same rendezvous through the lock-free
 //! exchange area in `crate::spmd`, which is also where all the

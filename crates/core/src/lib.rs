@@ -17,8 +17,9 @@
 //! * [`SimMachine`] — `p` simulated processors priced by the
 //!   `qsm-simnet` network model; produces exact simulated cycle
 //!   counts plus QSM/s-QSM/BSP/LogP predictions per run.
-//! * [`ThreadMachine`] — `p` real host threads priced by the wall
-//!   clock (nanoseconds), for actually-parallel execution.
+//! * [`ThreadMachine`] — `p` processors on `min(p, cores)` real host
+//!   threads (a stack per processor), priced by the wall clock
+//!   (nanoseconds), for actually-parallel execution.
 //!
 //! ## Example: one program, two backends
 //!
@@ -60,14 +61,17 @@ pub mod calibrate;
 pub mod ctx;
 mod driver;
 mod engine;
+// Four audited exceptions: the stacks and the context switch of hosted
+// processors, the exchange area (barrier-bracketed shared slots), the
+// worker pool every run rides on (the leased job reference and
+// raw-syscall core pinning), and the two casts that view packed
+// storage words as a slice of a sealed primitive type.
+#[allow(unsafe_code)]
+mod fiber;
 pub mod knob;
 pub mod machine;
 pub mod obs;
 pub mod ops;
-// Three audited exceptions: the exchange area (barrier-bracketed
-// shared slots), the worker pool every run rides on (the leased job
-// reference and raw-syscall core pinning), and the two casts that view
-// packed storage words as a slice of a sealed primitive type.
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod shmem;

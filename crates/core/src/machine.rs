@@ -12,7 +12,7 @@
 //! measured quantities, different machines.
 //!
 //! Backends today: [`SimMachine`] (simulated cycles on the
-//! `qsm-simnet` model) and [`ThreadMachine`] (host threads,
+//! `qsm-simnet` model) and [`ThreadMachine`] (the host's cores,
 //! wall-clock nanoseconds). [`AnyMachine`] wraps both behind one
 //! runtime-selectable value (e.g. from `QSM_BACKEND`).
 

@@ -1,10 +1,11 @@
 //! Process-global pool of resident SPMD worker threads.
 //!
-//! Every run of every backend is `p` jobs that rendezvous on
-//! barriers, one per processor, each on a thread of its own. Spawning
+//! Every run of every backend is `k = min(p, host cores)` jobs that
+//! rendezvous on barriers, one per **carrier** of the run's `p`
+//! processors (`crate::engine`), each on a thread of its own. Spawning
 //! those threads per run dominates short runs, so this module keeps
 //! **resident** workers that are spawned once and reused: `execute`
-//! *leases* `p` of them for the length of one run. Under a short lock
+//! *leases* `k` of them for the length of one run. Under a short lock
 //! it takes idle residents, lowest index first, and spawns new ones
 //! while fewer than `QSM_POOL` exist (default: no cap, so the pool
 //! grows to the largest number of workers ever in use at once); jobs
@@ -213,9 +214,10 @@ fn spawn_resident(idx: usize) -> Sender<Job> {
     tx
 }
 
-/// How one `execute` call placed its jobs: `resident + overflow == p`.
-/// With concurrent callers the split depends on who leased first, so
-/// the engine reports these at full level only (single-run captures).
+/// How one `execute` call placed its jobs (a run's carriers, not its
+/// processors): `resident + overflow` is their number. With concurrent
+/// callers the split depends on who leased first, so the engine reports
+/// these at full level only (single-run captures).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecStats {
     /// Jobs placed on resident (leased) pool workers.
@@ -241,7 +243,7 @@ impl Drop for Lease {
 /// that borrows `execute`'s caller: unwinding would free that frame
 /// under them, so the process stops instead.
 #[cold]
-fn die(what: &str) -> ! {
+pub(crate) fn die(what: &str) -> ! {
     eprintln!("qsm-core pool: {what}; aborting");
     std::process::abort()
 }

@@ -2,9 +2,10 @@
 //!
 //! [`SimMachine`] executes a QSM program — an ordinary Rust closure
 //! receiving a [`Ctx`] — on `p` *simulated* processors, through the
-//! same engine as every other backend. Each simulated processor is a
-//! pooled worker (`crate::pool`) running the closure: a run spawns no
-//! thread once the pool is warm. Simulated time advances in the
+//! same engine as every other backend. Each simulated processor runs
+//! the closure on a stack of its own, hosted by one of `min(p, cores)`
+//! pooled carrier threads (`crate::pool`, `crate::fiber`): a run spawns
+//! no thread once the pool is warm. Simulated time advances in the
 //! leader's price stage, where worker 0 runs the phase's metered
 //! traffic through the `qsm-simnet` network model configured by the
 //! [`MachineConfig`]; host time and host scheduling never enter it,

@@ -1,7 +1,9 @@
 //! The SPMD exchange: a lock-free, double-buffered `sync()`.
 //!
 //! Every run of every backend rendezvouses here; no driver thread
-//! exists. Every worker publishes its phase contribution (charged
+//! exists. A worker is a processor: a fiber of one of the run's `k`
+//! carrier threads (`crate::fiber`), or that thread itself when it
+//! hosts one. Every worker publishes its phase contribution (charged
 //! ops, its outbox — puts and gets bucketed by owner, with the puts'
 //! payload and its row of the traffic matrix — registrations, and a
 //! pointer to its own memory segments) into a per-processor **slot** of
@@ -40,8 +42,9 @@
 //!
 //! ### Memory-safety windows
 //!
-//! All cross-thread access to slot contents is bracketed by the two
-//! barriers (which provide the happens-before edges):
+//! All cross-worker access to slot contents is bracketed by the two
+//! barriers (which provide the happens-before edges between carriers;
+//! the workers of one carrier run one at a time, in program order):
 //!
 //! * a slot published for phase *k* is read by others only between
 //!   B1(*k*) and the leader's record(*k*);
@@ -63,16 +66,17 @@
 //!
 //! A panicking worker (user program or a collective-violation check)
 //! poisons the shared barrier; every other worker observes the poison
-//! at its next (or current) wait and unwinds with a private
-//! [`SpmdAborted`] marker. All workers then meet at an exit
+//! at its next (or current) wait, paused or parked, and unwinds with a
+//! private [`SpmdAborted`] marker. All workers then meet at an exit
 //! rendezvous — no worker's `Ctx` (and thus no published store) is
 //! dropped while a peer could still read it — and the engine re-raises
 //! the first real payload.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
+use std::time::Instant;
 
 use qsm_obs::{Recorder, Span, SpanKind};
 use qsm_simnet::Cycles;
@@ -94,113 +98,173 @@ fn aborted() -> ! {
     std::panic::panic_any(SpmdAborted);
 }
 
-/// Yields before a wait sleeps.
-const YIELDS: u32 = 192;
+/// A carrier's wait spins this often, then yields this often, then
+/// parks. The yield leg has to outlast a phase's work on the other
+/// carriers: a parked thread pays a futex wake-up and a scheduler trip
+/// to come back (at 192 yields `figure_suite` `part2_s` read +7.7 % on
+/// the two-core host; a timed sleep oversleeps every phase longer than
+/// the leg).
+const SPINS: u32 = 64;
+const YIELDS: u32 = 4096;
 
-/// Adaptive wait: `spin` spins, then yield, then sleep — the host may
-/// have (many) fewer cores than workers (a simulated p = 16 on two,
-/// times `QSM_JOBS`): unbounded spinning would starve the thread
-/// being waited on.
-fn backoff(waited: &mut u32, spin: u32) {
-    *waited = waited.saturating_add(1);
-    if *waited <= spin {
-        std::hint::spin_loop();
-    } else if *waited <= spin + YIELDS {
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(Duration::from_micros(50));
-    }
+/// The processors carrier `c` of `k` hosts, of `p`: statically, since a
+/// program's locals across `sync()` need not be `Send`.
+pub(crate) fn hosted(c: usize, p: usize, k: usize) -> std::ops::Range<usize> {
+    c * p / k..(c + 1) * p / k
 }
 
-/// A reusable, poisonable spin barrier (sense via a generation
-/// counter). `wait()` returns whether poison cut the crossing short;
-/// poisoned barriers release all current and future waiters
-/// immediately, which is how a panicking worker unblocks its peers.
+/// What the processors of one carrier thread share.
+#[derive(Default)]
+#[repr(align(64))]
+struct Carrier {
+    hosted: usize,
+    /// Local arrivals at the crossing in progress, and the crossings
+    /// this carrier's last arriver saw completed.
+    count: Cell<usize>,
+    gen: Cell<usize>,
+    /// The thread, noted before it first parks, and whether it parked
+    /// or is about to: whoever ends its wait unparks it.
+    thread: OnceLock<Thread>,
+    parked: AtomicBool,
+}
+
+// SAFETY: the `Cell`s of carrier `c` are touched only in
+// `Barrier::wait(c)`, which only the processors `c` hosts call
+// (`SpmdLink::carrier`, from the engine): fibers of one thread, of
+// which one runs at a time. `thread` and `parked` are `Sync`.
+unsafe impl Sync for Carrier {}
+
+/// A reusable, poisonable two-level barrier for `p` processors on `k`
+/// carrier threads. A processor that is not its carrier's last arriver
+/// pauses (`fiber::pause`) until that one moves the carrier's
+/// generation; the last arrivers cross a `k`-party sense barrier (a
+/// generation counter), waiting by spin, yield, then park. `wait()`
+/// returns whether poison cut the crossing short; poisoned barriers
+/// release all current and future waiters immediately, which is how a
+/// panicking processor unblocks its peers.
 ///
-/// With `track` on, every wait that escalated past pure spinning
-/// bumps one of two relaxed telemetry counters (its deepest backoff
-/// state: yield or sleep) — cheap enough to leave in the wait path,
-/// but only requested when full-level observability is capturing.
-struct SpinBarrier {
-    p: usize,
-    /// Spins before a wait's first yield: 64 when every worker can have
-    /// a core, none otherwise — the thread waited for is then most
-    /// likely not running, and a spin only keeps it off the core.
-    spin: u32,
+/// With `track` on, every carrier wait that escalated past pure
+/// spinning bumps one of two relaxed telemetry counters (its deepest
+/// backoff state: yield or park) — cheap enough to leave in the wait
+/// path, but only requested when full-level observability is capturing.
+#[derive(Default)]
+struct Barrier {
+    carriers: Box<[Carrier]>,
     count: AtomicUsize,
+    /// `SeqCst`, like `poisoned`: a waiter stores `parked` and re-reads
+    /// the two, a waker stores one and reads `parked`, and one of them
+    /// must see the other's store.
     gen: AtomicUsize,
     poisoned: AtomicBool,
     track: bool,
-    /// Waits whose deepest backoff was `yield_now`.
+    /// Carrier waits whose deepest backoff was `yield_now`, and those
+    /// that escalated all the way to parking.
     yields: AtomicU64,
-    /// Waits that escalated all the way to sleeping.
-    sleeps: AtomicU64,
+    parks: AtomicU64,
 }
 
-impl SpinBarrier {
-    fn new(p: usize, track: bool) -> Self {
-        Self {
-            p,
-            spin: if p <= crate::pool::host_cores() { 64 } else { 0 },
-            count: AtomicUsize::new(0),
-            gen: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-            track,
-            yields: AtomicU64::new(0),
-            sleeps: AtomicU64::new(0),
-        }
+impl Barrier {
+    fn new(p: usize, k: usize, track: bool) -> Self {
+        let carrier = |c| Carrier { hosted: hosted(c, p, k).len(), ..Carrier::default() };
+        Self { carriers: (0..k).map(carrier).collect(), track, ..Self::default() }
     }
 
     fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.wake();
     }
 
     fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poisoned.load(Ordering::SeqCst)
     }
 
-    /// Block until all `p` workers arrived; returns `true` iff poison
-    /// kept the crossing from completing. One that completed counts
-    /// for every worker in it, however late it wakes and whatever a
-    /// peer it released did since: which workers run a stage, and so
-    /// which report a violation, must not depend on host scheduling.
-    /// The release-store of `gen` by the last arriver and the
-    /// acquire-loads by the spinners (plus the AcqRel RMW chain on
-    /// `count`) provide the happens-before edge between everything
-    /// published before the barrier and everything read after it.
-    fn wait(&self) -> bool {
+    /// Unpark every carrier that parked, or is about to, on what the
+    /// caller just stored.
+    fn wake(&self) {
+        for carrier in self.carriers.iter().filter(|c| c.parked.load(Ordering::SeqCst)) {
+            carrier.thread.get().expect("a carrier notes its thread before it parks").unpark();
+        }
+    }
+
+    /// Block the calling processor, hosted by carrier `c`, until all
+    /// `p` arrived; returns `true` iff poison kept the crossing from
+    /// completing. One that completed counts for every processor in
+    /// it, however late it wakes and whatever a peer it released did
+    /// since: which processors run a stage, and so which report a
+    /// violation, must not depend on host scheduling.
+    fn wait(&self, c: usize) -> bool {
         if self.is_poisoned() {
             return true;
         }
-        let g = self.gen.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.p {
-            self.count.store(0, Ordering::Relaxed);
-            self.gen.store(g + 1, Ordering::Release);
-        } else {
-            let mut waited = 0u32;
-            while self.gen.load(Ordering::Acquire) == g {
+        let carrier = &self.carriers[c];
+        let arrived = carrier.count.get() + 1;
+        if arrived < carrier.hosted {
+            carrier.count.set(arrived);
+            let g = carrier.gen.get();
+            while carrier.gen.get() == g {
+                // The last arriver blocks the thread while it crosses
+                // and moves `gen` if that completed: poison seen here
+                // is poison before the crossing.
                 if self.is_poisoned() {
-                    // By a peer this very crossing released? Its poison
-                    // follows its own sight of the new `gen`.
-                    return self.gen.load(Ordering::Acquire) == g;
+                    return true;
                 }
-                backoff(&mut waited, self.spin);
+                crate::fiber::pause();
             }
-            if self.track {
-                if waited > self.spin + YIELDS {
-                    self.sleeps.fetch_add(1, Ordering::Relaxed);
-                } else if waited > self.spin {
-                    self.yields.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            return false;
         }
-        false
+        carrier.count.set(0);
+        let cut = self.cross(carrier);
+        if !cut {
+            carrier.gen.set(carrier.gen.get().wrapping_add(1));
+        }
+        cut
     }
 
-    /// `(yield, sleep)` escalation counts accumulated so far (always
+    /// The `k`-party crossing of the carriers' last arrivers. The
+    /// store of `gen` by the last of them and the loads by the waiters
+    /// (plus the AcqRel RMW chain on `count`) provide the
+    /// happens-before edge between everything published before the
+    /// barrier and everything read after it, on any carrier: a
+    /// carrier's own processors run in program order.
+    fn cross(&self, carrier: &Carrier) -> bool {
+        let g = self.gen.load(Ordering::SeqCst);
+        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.carriers.len() {
+            self.count.store(0, Ordering::Relaxed);
+            self.gen.store(g + 1, Ordering::SeqCst);
+            self.wake();
+            return false;
+        }
+        let moved = || self.gen.load(Ordering::SeqCst) != g;
+        let done = || moved() || self.is_poisoned();
+        let mut waited = 0u32;
+        while !done() {
+            waited = waited.saturating_add(1);
+            if waited <= SPINS {
+                std::hint::spin_loop();
+            } else if waited <= SPINS + YIELDS {
+                std::thread::yield_now();
+            } else {
+                carrier.thread.get_or_init(std::thread::current);
+                carrier.parked.store(true, Ordering::SeqCst);
+                if !done() {
+                    std::thread::park();
+                }
+                carrier.parked.store(false, Ordering::SeqCst);
+            }
+        }
+        if self.track && waited > SPINS {
+            let deepest = if waited > SPINS + YIELDS { &self.parks } else { &self.yields };
+            deepest.fetch_add(1, Ordering::Relaxed);
+        }
+        // Poisoned by a peer this very crossing released? Its poison
+        // follows its own sight of the new `gen`.
+        !moved()
+    }
+
+    /// `(yield, park)` escalation counts accumulated so far (always
     /// zero unless tracking was requested at construction).
     fn transitions(&self) -> (u64, u64) {
-        (self.yields.load(Ordering::Relaxed), self.sleeps.load(Ordering::Relaxed))
+        (self.yields.load(Ordering::Relaxed), self.parks.load(Ordering::Relaxed))
     }
 }
 
@@ -378,10 +442,10 @@ pub(crate) struct ExchangeArea {
     p: usize,
     /// Double-buffered per-processor slots, indexed `[phase % 2][proc]`.
     slots: [Box<[Slot]>; 2],
-    barrier: SpinBarrier,
-    /// Exit rendezvous: workers count themselves out and spin until
-    /// everyone left, so no `Ctx` drops while a peer might read it.
-    exited: AtomicUsize,
+    barrier: Barrier,
+    /// Exit rendezvous: one more crossing, of a barrier nobody
+    /// poisons, so no `Ctx` drops while a peer might read it.
+    exit: Barrier,
     /// Real panic payloads, stashed by the engine's worker wrapper.
     panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>>,
     leader: UnsafeCell<LeaderState>,
@@ -406,13 +470,14 @@ pub(crate) struct ExchangeArea {
 // only by worker 0 during the run and by the owning engine frame after
 // every worker exited, which requires `Driver` and the boxed timer to
 // be `Send` (`PhaseTimer: Send`), not `Sync`. `obs`: a `Recorder`
-// (`Sync`) and an `Instant`. `barrier`, `exited`, `panics`: atomics
-// and a mutex. `banks`, `check_conflicts`: never written.
+// (`Sync`) and an `Instant`. `barrier`, `exit`: `Sync` (see `Carrier`).
+// `panics`: a mutex. `banks`, `check_conflicts`: never written.
 unsafe impl Sync for ExchangeArea {}
 
 impl ExchangeArea {
     pub(crate) fn new(
         p: usize,
+        k: usize,
         driver: Driver,
         timer: Box<dyn PhaseTimer>,
         obs: Option<RunObs>,
@@ -425,22 +490,22 @@ impl ExchangeArea {
             banks,
             check_conflicts,
             slots: [mk(), mk()],
-            barrier: SpinBarrier::new(p, track_barrier),
-            exited: AtomicUsize::new(0),
+            barrier: Barrier::new(p, k, track_barrier),
+            exit: Barrier::new(p, k, false),
             panics: Mutex::new(Vec::new()),
             leader: UnsafeCell::new(LeaderState { driver, timer, records: Vec::new(), plan: None }),
             obs,
         }
     }
 
-    /// `(yield, sleep)` backoff escalations the barrier accumulated
+    /// `(yield, park)` backoff escalations the barrier accumulated
     /// over the run (zero unless tracking was requested).
     pub(crate) fn barrier_transitions(&self) -> (u64, u64) {
         self.barrier.transitions()
     }
 
-    /// Release all workers blocked (now or later) on the barrier;
-    /// called by the engine's wrapper when any worker panics.
+    /// Release all processors blocked (now or later) on the barrier;
+    /// called by the engine's wrapper when any of them panics.
     pub(crate) fn poison(&self) {
         self.barrier.poison();
     }
@@ -460,12 +525,14 @@ impl ExchangeArea {
     }
 }
 
-/// A `Ctx`'s handle onto the exchange area. The raw pointer is
-/// dereferenced only while the engine's stack frame (which owns the
-/// area and blocks until every worker exits) is alive.
+/// A `Ctx`'s handle onto the exchange area, and the carrier that
+/// hosts it there. The raw pointer is dereferenced only while the
+/// engine's stack frame (which owns the area and blocks until every
+/// worker exits) is alive.
 #[derive(Clone, Copy)]
 pub(crate) struct SpmdLink {
     area: *const ExchangeArea,
+    carrier: usize,
 }
 
 #[cfg(test)]
@@ -483,28 +550,25 @@ impl Slot {
 impl SpmdLink {
     /// A link to no run, for unit tests of a `Ctx` that never syncs.
     pub(crate) fn detached() -> Self {
-        Self { area: std::ptr::null() }
+        Self { area: std::ptr::null(), carrier: 0 }
     }
 }
 
-/// Build the per-processor context for one worker (attaching a span
-/// buffer when the run captures worker lanes).
-pub(crate) fn make_ctx(proc: usize, nprocs: usize, seed: u64, area: &ExchangeArea) -> Ctx {
-    let mut ctx = Ctx::new(proc, nprocs, area.banks, seed, SpmdLink { area });
+/// Build the context of processor `proc`, hosted by `carrier`
+/// (attaching a span buffer when the run captures worker lanes).
+pub(crate) fn make_ctx(proc: usize, carrier: usize, seed: u64, area: &ExchangeArea) -> Ctx {
+    let mut ctx = Ctx::new(proc, area.p, area.banks, seed, SpmdLink { area, carrier });
     if let Some(obs) = &area.obs {
         ctx.spmd_obs = Some(Box::new(SpmdObs::new(obs)));
     }
     ctx
 }
 
-/// Count this worker out and wait until every worker did; after this
-/// returns, no peer will ever read this worker's `Ctx` again.
-pub(crate) fn exit_rendezvous(area: &ExchangeArea) {
-    area.exited.fetch_add(1, Ordering::AcqRel);
-    let mut waited = 0u32;
-    while area.exited.load(Ordering::Acquire) < area.p {
-        backoff(&mut waited, area.barrier.spin);
-    }
+/// Count this processor, hosted by carrier `c`, out and wait until
+/// every processor did; after this returns, no peer will ever read its
+/// `Ctx` again.
+pub(crate) fn exit_rendezvous(area: &ExchangeArea, c: usize) {
+    area.exit.wait(c);
 }
 
 fn area_of(ctx: &Ctx) -> &'static ExchangeArea {
@@ -681,7 +745,7 @@ pub(crate) fn sync_phase(ctx: &mut Ctx) {
     if let Some(o) = obs.as_deref_mut() {
         o.mark(SpanKind::Compute, phase, lane);
     }
-    if area.barrier.wait() {
+    if area.barrier.wait(ctx.link.carrier) {
         aborted();
     }
     if let Some(o) = obs.as_deref_mut() {
@@ -705,7 +769,7 @@ pub(crate) fn sync_phase(ctx: &mut Ctx) {
     if let Some(o) = obs.as_deref_mut() {
         o.mark(SpanKind::OwnerKappa, phase, lane);
     }
-    if area.barrier.wait() {
+    if area.barrier.wait(ctx.link.carrier) {
         aborted();
     }
     if let Some(o) = obs.as_deref_mut() {
@@ -740,7 +804,7 @@ pub(crate) fn epilogue(ctx: &mut Ctx) {
     if let Some(o) = obs.as_deref_mut() {
         o.mark(SpanKind::Compute, phase, lane);
     }
-    if area.barrier.wait() {
+    if area.barrier.wait(ctx.link.carrier) {
         aborted();
     }
     let finished = count_finished(area, parity);
@@ -756,44 +820,47 @@ pub(crate) fn epilogue(ctx: &mut Ctx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    #[test]
-    fn spin_barrier_synchronizes_and_reuses() {
-        let barrier = SpinBarrier::new(4, false);
-        let counter = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|_| {
-                    for round in 1..=3 {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        assert!(!barrier.wait());
-                        assert_eq!(counter.load(Ordering::SeqCst), 4 * round);
-                        assert!(!barrier.wait());
-                    }
-                });
+    /// `p` processors on `k` scoped carrier threads, each running
+    /// `body(carrier, proc)`.
+    fn on_carriers(p: usize, k: usize, body: impl Fn(usize, usize) + Sync) {
+        std::thread::scope(|scope| {
+            for c in 0..k {
+                let body = &body;
+                scope.spawn(move || crate::fiber::host(hosted(c, p, k), &|proc| body(c, proc)));
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]
+    fn spin_barrier_synchronizes_and_reuses() {
+        let barrier = Barrier::new(4, 4, false);
+        let counter = AtomicUsize::new(0);
+        on_carriers(4, 4, |c, _| {
+            for round in 1..=3 {
+                counter.fetch_add(1, Ordering::SeqCst);
+                assert!(!barrier.wait(c));
+                assert_eq!(counter.load(Ordering::SeqCst), 4 * round);
+                assert!(!barrier.wait(c));
+            }
+        });
+    }
+
+    /// Four processors a core on one carrier a core: the mates of a
+    /// carrier take turns, the carriers cross, and nobody starves.
+    #[test]
     fn an_oversubscribed_barrier_yields_its_way_through() {
-        assert_eq!(SpinBarrier::new(1, false).spin, 64, "a core each: spin first");
-        // Four waiters a core: none spins, and none starves the thread
-        // it waits for.
-        let p = 4 * crate::pool::host_cores();
-        let barrier = SpinBarrier::new(p, false);
-        assert_eq!(barrier.spin, 0);
+        let cores = crate::pool::host_cores();
+        let p = 4 * cores;
+        let k = if crate::fiber::HOSTS { cores } else { p };
+        let barrier = Barrier::new(p, k, false);
         let arrived = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..p {
-                scope.spawn(|| {
-                    for round in 1..=2000 {
-                        arrived.fetch_add(1, Ordering::SeqCst);
-                        assert!(!barrier.wait());
-                        assert!(arrived.load(Ordering::SeqCst) >= p * round);
-                    }
-                });
+        on_carriers(p, k, |c, _| {
+            for round in 1..=2000 {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                assert!(!barrier.wait(c));
+                assert!(arrived.load(Ordering::SeqCst) >= p * round);
             }
         });
         assert_eq!(arrived.into_inner(), p * 2000);
@@ -801,41 +868,52 @@ mod tests {
 
     #[test]
     fn poisoned_barrier_releases_waiters() {
-        let barrier = SpinBarrier::new(2, false);
-        crossbeam::thread::scope(|scope| {
-            let waiter = scope.spawn(|_| barrier.wait());
+        let barrier = Barrier::new(2, 2, false);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| barrier.wait(1));
             barrier.poison();
             assert!(waiter.join().unwrap(), "poison must release the waiter");
-        })
-        .unwrap();
-        assert!(barrier.wait(), "poisoned barriers release immediately");
+        });
+        assert!(barrier.wait(0), "poisoned barriers release immediately");
+    }
+
+    /// A carrier that waits for milliseconds parks, and both what
+    /// completes the crossing and poison bring it back.
+    #[test]
+    fn a_parked_carrier_is_woken_by_the_last_arriver_and_by_poison() {
+        for poison in [false, true] {
+            let barrier = Barrier::new(2, 2, true);
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| barrier.wait(1));
+                while !barrier.carriers[1].parked.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                if poison {
+                    barrier.poison();
+                } else {
+                    assert!(!barrier.wait(0));
+                }
+                assert_eq!(waiter.join().unwrap(), poison);
+            });
+            assert_eq!(barrier.transitions(), (0, 1), "one wait, which parked");
+        }
     }
 
     #[test]
     fn tracked_barrier_counts_backoff_escalations() {
-        // Untracked barriers never count, whatever the contention.
-        let quiet = SpinBarrier::new(2, false);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                std::thread::sleep(Duration::from_millis(5));
-                quiet.wait()
+        // Untracked barriers never count, whatever the contention; a
+        // tracked waiter stuck for milliseconds escalates past its
+        // spins and records its deepest backoff state.
+        for (track, barrier) in [false, true].map(|t| (t, Barrier::new(2, 2, t))) {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(5));
+                    barrier.wait(1)
+                });
+                barrier.wait(0);
             });
-            quiet.wait();
-        })
-        .unwrap();
-        assert_eq!(quiet.transitions(), (0, 0));
-        // A tracked waiter stuck for milliseconds escalates past its
-        // spins (64, or none) and records its deepest backoff state.
-        let tracked = SpinBarrier::new(2, true);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                std::thread::sleep(Duration::from_millis(5));
-                tracked.wait()
-            });
-            tracked.wait();
-        })
-        .unwrap();
-        let (yields, sleeps) = tracked.transitions();
-        assert!(yields + sleeps >= 1, "a millisecond wait must escalate: {yields}/{sleeps}");
+            let (yields, parks) = barrier.transitions();
+            assert_eq!(yields + parks, u64::from(track), "a millisecond wait must escalate");
+        }
     }
 }

@@ -1,6 +1,9 @@
 //! The native QSM machine: same programming model, real threads.
 //!
-//! [`ThreadMachine`] executes a QSM program on `p` host OS threads
+//! [`ThreadMachine`] executes a QSM program on the host's cores (its
+//! `p` processors on `min(p, cores)` carrier threads, a stack per
+//! processor: past `p = cores` it times the program and the exchange,
+//! not the OS time-slicer)
 //! with real wall-clock timing, through the identical engine, driver
 //! and context as [`crate::SimMachine`] — so every algorithm written
 //! once runs unmodified on both, produces the same
@@ -178,7 +181,7 @@ impl PhaseTimer for WallTimer {
     }
 }
 
-/// A native (host-thread) QSM machine.
+/// A native (host-core) QSM machine.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadMachine {
     p: usize,
@@ -188,7 +191,7 @@ pub struct ThreadMachine {
 }
 
 impl ThreadMachine {
-    /// Create a `p`-thread machine.
+    /// Create a `p`-processor machine.
     pub fn new(p: usize) -> Self {
         assert!(p >= 1);
         Self {

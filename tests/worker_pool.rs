@@ -28,12 +28,20 @@ fn rotate_phases(machine: &ThreadMachine, rounds: usize) -> Vec<u64> {
         .outputs
 }
 
+/// Carrier threads a run of `p` processors leases: one a host core
+/// where a thread can host several processors, one a processor elsewhere.
+fn carriers(p: usize) -> u64 {
+    let hosts = cfg!(all(target_arch = "x86_64", target_os = "linux"));
+    (if hosts { p.min(pool::host_cores()) } else { p }) as u64
+}
+
 #[test]
 fn second_run_spawns_no_threads() {
     let m = ThreadMachine::new(8);
+    let before = pool::spawned_workers();
     let first = rotate_phases(&m, 3);
     let spawned_after_first = pool::spawned_workers();
-    assert!(spawned_after_first >= 8, "first run must populate the pool");
+    assert_eq!(spawned_after_first - before, carriers(8), "first run must populate the pool");
     let second = rotate_phases(&m, 3);
     assert_eq!(
         pool::spawned_workers(),
@@ -42,11 +50,12 @@ fn second_run_spawns_no_threads() {
     );
     assert_eq!(first, second, "pool reuse must not change results");
 
-    // Many phases at heavy oversubscription: still zero spawns once
-    // the pool covers p (per-phase spawning would show up here).
+    // Many phases of many processors a carrier: the pool already
+    // covers the carriers of any p, and phases spawn nothing.
     let wide = ThreadMachine::new(64);
     let _ = rotate_phases(&wide, 2);
     let spawned_after_wide = pool::spawned_workers();
+    assert_eq!(spawned_after_wide - spawned_after_first, carriers(64) - carriers(8));
     let many = rotate_phases(&wide, 16);
     assert_eq!(
         pool::spawned_workers(),
