@@ -63,12 +63,16 @@ impl Json {
     }
 }
 
+/// Arrays and objects nested deeper than this are rejected: a level is
+/// a native stack frame, and journal records nest 2 deep.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one journal line as a JSON object. `None` on malformed or
-/// trailing input.
+/// trailing input, or nesting past [`MAX_DEPTH`].
 pub(crate) fn parse_object(line: &str) -> Option<Json> {
     let mut p = Parser { chars: line.chars().collect(), pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     (p.pos == p.chars.len() && matches!(v, Json::Obj(_))).then_some(v)
 }
@@ -106,12 +110,13 @@ impl Parser {
         Some(v)
     }
 
-    fn value(&mut self) -> Option<Json> {
+    /// A value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Option<Json> {
         self.skip_ws();
         match self.peek()? {
             '"' => self.string().map(Json::Str),
-            '{' => self.object(),
-            '[' => self.array(),
+            '{' if depth < MAX_DEPTH => self.object(depth + 1),
+            '[' if depth < MAX_DEPTH => self.array(depth + 1),
             't' => self.literal("true", Json::Bool(true)),
             'f' => self.literal("false", Json::Bool(false)),
             'n' => self.literal("null", Json::Null),
@@ -120,7 +125,7 @@ impl Parser {
         }
     }
 
-    fn object(&mut self) -> Option<Json> {
+    fn object(&mut self, depth: usize) -> Option<Json> {
         self.eat('{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -133,7 +138,7 @@ impl Parser {
             let key = self.string()?;
             self.skip_ws();
             self.eat(':')?;
-            let val = self.value()?;
+            let val = self.value(depth)?;
             members.push((key, val));
             self.skip_ws();
             match self.bump()? {
@@ -144,7 +149,7 @@ impl Parser {
         }
     }
 
-    fn array(&mut self) -> Option<Json> {
+    fn array(&mut self, depth: usize) -> Option<Json> {
         self.eat('[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -153,7 +158,7 @@ impl Parser {
             return Some(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump()? {
                 ',' => continue,
@@ -270,5 +275,52 @@ mod tests {
             _ => panic!("a should be an array"),
         }
         assert_eq!(rec.get("c"), Some(&Json::Obj(vec![])));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // A million open brackets once aborted the process.
+        assert_eq!(parse_object(&format!(r#"{{"a":{}"#, "[".repeat(1_000_000))), None);
+        let nested = |levels: usize| {
+            format!(r#"{{"a":{}{}}}"#, "[".repeat(levels - 1), "]".repeat(levels - 1))
+        };
+        assert!(parse_object(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(parse_object(&nested(MAX_DEPTH + 1)), None);
+    }
+
+    #[test]
+    fn arbitrary_bytes_give_an_object_or_none() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let record = br#"{"v":1,"kind":"sweep_point","p":16,"result":["1.0","x\"y"],"err":null}"#;
+        let alphabet = br#"{}[]":,.-+eE0123456789tfnrul\ u"#;
+        let mut rng = SmallRng::seed_from_u64(0x15_0A);
+        for _ in 0..20_000 {
+            let mut bytes = Vec::new();
+            if rng.gen_bool(0.5) {
+                // Text from JSON's own alphabet, with the odd stray byte.
+                for _ in 0..rng.gen_range(0..200) {
+                    let stray = rng.gen_bool(0.05);
+                    bytes.push(if stray {
+                        rng.gen()
+                    } else {
+                        alphabet[rng.gen_range(0..alphabet.len())]
+                    });
+                }
+            } else {
+                // A journal record with a few bytes overwritten, cut or doubled.
+                bytes.extend_from_slice(record);
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..bytes.len());
+                    match rng.gen_range(0..3) {
+                        0 => bytes[at] = rng.gen(),
+                        1 => bytes.truncate(at.max(1)),
+                        _ => bytes.insert(at, bytes[at]),
+                    }
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            let parsed = parse_object(&line);
+            assert!(parsed.is_none_or(|v| matches!(v, Json::Obj(_))), "{line:?}");
+        }
     }
 }

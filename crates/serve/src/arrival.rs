@@ -66,11 +66,15 @@ pub fn arrival_time(cfg: &ServiceConfig, i: u64) -> Cycles {
 
 /// Derive transaction `i` of `cfg`'s keyed stream.
 pub fn txn(cfg: &ServiceConfig, i: u64) -> Txn {
+    txn_at(cfg, i, arrival_time(cfg, i))
+}
+
+/// [`txn`], for a caller that holds `arrival_time(cfg, i)` already.
+pub(crate) fn txn_at(cfg: &ServiceConfig, i: u64, arrival: Cycles) -> Txn {
     let p = cfg.machine.p;
     // Independent draws: re-key the index stream per field so no two
     // fields share a hash.
     let key = txn_key(cfg, i);
-    let arrival = arrival_time(cfg, i);
     let client = mix(key ^ 0x00C1_1E57) % cfg.clients;
     let origin = (mix(client.wrapping_add(cfg.seed)) % p as u64) as usize;
     let shard_hash = mix(key ^ 0x0005_1AAD);

@@ -112,9 +112,15 @@ impl ServiceConfig {
         self
     }
 
-    /// Check invariants; panics on an unusable configuration.
+    /// Check invariants; panics on an unusable configuration. (The
+    /// engine carries an index in 32 bits, a node in 16, a bank in 8.)
     pub fn validate(&self) {
         assert!(self.clients >= 1, "need at least one client");
+        let (p, offered) = (self.machine.p, self.offered);
+        assert!(p <= 1 << 16, "p must be at most 65 536: {p}");
+        let banks = self.machine.net.banks.map_or(1, |b| b.banks_per_node);
+        assert!(banks <= 1 << 8, "banks_per_node must be at most 256: {banks}");
+        assert!(offered <= u32::MAX as usize, "offered must be at most u32::MAX: {offered}");
         assert!(
             self.shards >= self.machine.p,
             "shards ({}) must cover every node (p = {})",
@@ -140,6 +146,7 @@ impl ServiceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsm_simnet::BankModel;
 
     #[test]
     fn defaults_are_valid_and_scale_shards_with_p() {
@@ -159,5 +166,52 @@ mod tests {
     #[should_panic]
     fn non_finite_window_rejected() {
         let _ = ServiceConfig::new(MachineConfig::paper_default(2)).with_window(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one client")]
+    fn zero_clients_rejected() {
+        let _ = ServiceConfig::new(MachineConfig::paper_default(2)).with_clients(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "get_fraction must be a fraction: 1.5")]
+    fn get_fraction_above_one_rejected() {
+        let mut c = ServiceConfig::new(MachineConfig::paper_default(2));
+        c.get_fraction = 1.5;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "admission backlog must be non-negative: -1")]
+    fn negative_admission_backlog_rejected() {
+        let _ = ServiceConfig::new(MachineConfig::paper_default(2)).with_admission(-1.0);
+    }
+
+    #[test]
+    fn the_widest_machine_and_bank_count_are_accepted() {
+        let m = MachineConfig::paper_default(1 << 16).with_banks(BankModel::per_message(256, 0.0));
+        let c = ServiceConfig::new(m).with_offered(u32::MAX as usize);
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be at most 65 536: 65537")]
+    fn p_past_a_u16_node_rejected() {
+        let _ = ServiceConfig::new(MachineConfig::paper_default((1 << 16) + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "banks_per_node must be at most 256: 257")]
+    fn banks_past_a_u8_bank_rejected() {
+        let m = MachineConfig::paper_default(2).with_banks(BankModel::per_message(257, 0.0));
+        let _ = ServiceConfig::new(m);
+    }
+
+    #[test]
+    #[should_panic(expected = "offered must be at most u32::MAX: 4294967296")]
+    fn offered_past_a_u32_index_rejected() {
+        let c = ServiceConfig::new(MachineConfig::paper_default(2));
+        c.with_offered(u32::MAX as usize + 1).validate();
     }
 }

@@ -17,8 +17,8 @@
 //! due a constant after its arrival, so it rides one of two FIFO lanes
 //! (puts, gets) and never enters the heap; replies and retries do — a
 //! heap as deep as the machine is loaded, not as the run is long, of
-//! 32-byte entries: a send names its transaction, and `arrival::txn`
-//! derives it again when the send pops.
+//! 32-byte entries. A transaction is derived ([`arrival::txn`]) once,
+//! when it arrives: its sends carry what their legs read.
 //!
 //! A transaction's life:
 //!
@@ -69,12 +69,27 @@ enum Leg {
     Reply,
 }
 
-/// A leg of transaction `i` is marshalled and ready for its NIC.
+/// Attempt `attempt` (1 up to [`FaultConfig::max_attempts`]) at a leg
+/// of transaction `i`, marshalled and ready for its NIC, with what its
+/// legs read of the transaction: 16 bytes, as [`ServiceConfig::validate`]
+/// bounds `offered`, `p` and the banks per node to these widths.
 #[derive(Debug, Clone, Copy)]
 struct Send {
-    i: u64,
-    leg: Leg,
+    i: u32,
     attempt: u32,
+    origin: u16,
+    node: u16,
+    bank: u8,
+    is_get: bool,
+    leg: Leg,
+}
+
+impl Send {
+    /// The first request send of transaction `i`, derived as `t`.
+    fn first(i: u64, t: &Txn) -> Self {
+        let (origin, node, bank) = (t.origin as u16, t.node as u16, t.bank as u8);
+        Self { i: i as u32, attempt: 1, origin, node, bank, is_get: t.is_get, leg: Leg::Request }
+    }
 }
 
 /// One engine event.
@@ -96,6 +111,9 @@ struct Events {
     /// First sends their lane did not take.
     #[cfg(test)]
     lane_misses: u64,
+    /// Popped sends whose carried fields differ from `arrival::txn`'s.
+    #[cfg(test)]
+    txn_mismatches: u64,
 }
 
 impl Events {
@@ -108,6 +126,8 @@ impl Events {
             sends: EventQueue::with_lanes(2),
             #[cfg(test)]
             lane_misses: 0,
+            #[cfg(test)]
+            txn_mismatches: 0,
         }
     }
 
@@ -191,10 +211,10 @@ impl ServiceOutcome {
 }
 
 /// Wire bytes of each leg under `cfg` (request, reply), per op kind.
-fn leg_bytes(cfg: &ServiceConfig, t: &Txn) -> (u64, u64) {
+fn leg_bytes(cfg: &ServiceConfig, is_get: bool) -> (u64, u64) {
     let sw = &cfg.machine.sw;
     let hdr = sw.msg_header_bytes + sw.item_header_bytes;
-    if t.is_get {
+    if is_get {
         // Header-only request; the value rides the reply.
         (hdr, hdr + cfg.value_bytes)
     } else {
@@ -240,7 +260,8 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
     while let Some((now, ev)) = events.pop() {
         match ev {
             Ev::Arrive(i) => {
-                let t = arrival::txn(cfg, i);
+                // `now` is `arrival_time(cfg, i)`, decoded bit for bit.
+                let t = arrival::txn_at(cfg, i, now);
                 if let Some(limit) = cfg.admission_backlog {
                     // Reject when the queues this transaction would
                     // join are already deeper than the limit: its
@@ -254,31 +275,32 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
                 }
                 out.admitted += 1;
                 let marshal = if t.is_get { sw.get_request } else { sw.put_marshal };
-                let send = Send { i, leg: Leg::Request, attempt: 1 };
-                events.push_first(t.is_get, now + Cycles::new(marshal), send);
+                events.push_first(t.is_get, now + Cycles::new(marshal), Send::first(i, &t));
             }
             Ev::Send(send) => {
-                let Send { i, leg, attempt } = send;
-                let t = arrival::txn(cfg, i);
-                let (req_bytes, rep_bytes) = leg_bytes(cfg, &t);
-                let msg = match (leg, t.is_get) {
+                #[cfg(test)]
+                tests::check_carried(cfg, events, &send);
+                let Send { i, attempt, is_get, leg, .. } = send;
+                let (origin, node) = (usize::from(send.origin), usize::from(send.node));
+                let (req_bytes, rep_bytes) = leg_bytes(cfg, is_get);
+                let msg = match (leg, is_get) {
                     (Leg::Request, true) => {
-                        Injection::new(t.origin, t.node, req_bytes, now, MsgKind::GetRequest)
+                        Injection::new(origin, node, req_bytes, now, MsgKind::GetRequest)
                     }
                     // A put's value is written into its bank during
                     // ingestion — the pipeline's bank stage prices it.
                     (Leg::Request, false) => {
-                        Injection::new(t.origin, t.node, req_bytes, now, MsgKind::PutData)
-                            .with_bank(t.bank)
+                        Injection::new(origin, node, req_bytes, now, MsgKind::PutData)
+                            .with_bank(send.bank.into())
                     }
                     (Leg::Reply, true) => {
-                        Injection::new(t.node, t.origin, rep_bytes, now, MsgKind::GetReply)
+                        Injection::new(node, origin, rep_bytes, now, MsgKind::GetReply)
                     }
                     (Leg::Reply, false) => {
-                        Injection::new(t.node, t.origin, rep_bytes, now, MsgKind::Other)
+                        Injection::new(node, origin, rep_bytes, now, MsgKind::Other)
                     }
                 };
-                let leg_ix = 2 * i + (leg == Leg::Reply) as u64;
+                let leg_ix = 2 * u64::from(i) + (leg == Leg::Reply) as u64;
                 let key = FaultConfig::retry_key(leg_ix, attempt);
                 let (d, dropped) = net.send_one(&msg, Some(key));
                 if dropped {
@@ -295,12 +317,13 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
                     continue;
                 }
                 let reply = Send { leg: Leg::Reply, attempt: 1, ..send };
-                match (leg, t.is_get) {
+                match (leg, is_get) {
                     (Leg::Request, true) => {
                         // Shard node looks the item up, then its bank
                         // streams the value out.
                         let served = d.visible + Cycles::new(sw.get_serve);
-                        let read = net.bank_service(t.node, t.bank, served, cfg.value_bytes);
+                        let read =
+                            net.bank_service(node, send.bank.into(), served, cfg.value_bytes);
                         events.sends.push(read.done, reply);
                     }
                     (Leg::Request, false) => {
@@ -311,7 +334,8 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
                             if is_get { d.visible + Cycles::new(sw.get_apply) } else { d.visible };
                         out.completed += 1;
                         last_completion = last_completion.max(done);
-                        out.latency.observe((done - t.arrival).get() as u64);
+                        let arrival = arrival::arrival_time(cfg, u64::from(i));
+                        out.latency.observe((done - arrival).get() as u64);
                     }
                 }
             }
@@ -354,6 +378,14 @@ mod tests {
         run(cfg, &Recorder::disabled())
     }
 
+    /// The oracle of `run_events`: count `send` in `events` if its
+    /// carried fields are not what `arrival::txn` derives.
+    pub(super) fn check_carried(cfg: &ServiceConfig, events: &mut Events, send: &Send) {
+        let t = arrival::txn(cfg, u64::from(send.i));
+        let carried = (send.origin.into(), send.node.into(), send.bank.into(), send.is_get);
+        events.txn_mismatches += u64::from(carried != (t.origin, t.node, t.bank, t.is_get));
+    }
+
     /// The timeline of `cfg` with every send through the heap.
     pub(super) fn without_lanes(cfg: &ServiceConfig) -> Events {
         Events { sends: EventQueue::new(), ..Events::new(cfg) }
@@ -367,7 +399,7 @@ mod tests {
         assert!(due.windows(2).all(|w| w[0] < w[1]), "the stream is sorted: {due:?}");
         // Three sends tied with the second arrival — heap, lane, heap,
         // in that order of scheduling — and one after the last arrival.
-        let send = |i| Send { i, leg: Leg::Request, attempt: 1 };
+        let send = |i| Send { i, ..Send::first(0, &arrival::txn(&cfg, 0)) };
         events.sends.push(due[1].0, send(10));
         events.push_first(true, due[1].0, send(11));
         events.sends.push(due[1].0, send(12));
@@ -404,6 +436,7 @@ mod tests {
         let mut events = Events::new(cfg);
         let out = run_events(cfg, &Recorder::disabled(), &mut events);
         assert_eq!(out, run_quiet(cfg));
+        assert_eq!(events.txn_mismatches, 0, "a send carried another transaction");
         (out, events.lane_misses)
     }
 
@@ -512,6 +545,20 @@ mod tests {
     }
 
     #[test]
+    fn a_leg_counts_its_attempts_past_a_byte() {
+        // At 99.9 % drops a leg needs ~1000 attempts: a third of the
+        // legs deliver within 400, the rest give up exactly there (an
+        // attempt count that wrapped would never reach 400).
+        let mut m = machine(2);
+        let f = FaultConfig { max_attempts: 400, ..FaultConfig::drops(5, 0.999) };
+        m.net.faults = Some(f.with_retry_timeout(1.0));
+        let out = run_counting(&ServiceConfig::new(m).with_offered(40)).0;
+        assert!(out.completed > 0 && out.timed_out > 0, "{out:?}");
+        assert_eq!(out.retries, out.drops - out.timed_out);
+        assert_eq!(out.completed + out.timed_out, out.admitted);
+    }
+
+    #[test]
     fn recorder_sees_the_latency_histogram_and_counters() {
         let obs = Recorder::new(qsm_obs::ObsLevel::Metrics, 400e6);
         let cfg = ServiceConfig::new(machine(2)).with_offered(50);
@@ -559,11 +606,48 @@ mod proptests {
             }
             cfg.validate();
             let obs = Recorder::disabled();
-            let laned = run_events(&cfg, &obs, &mut Events::new(&cfg));
+            let mut with_lanes = Events::new(&cfg);
+            let laned = run_events(&cfg, &obs, &mut with_lanes);
             let mut heap_only = super::tests::without_lanes(&cfg);
             let plain = run_events(&cfg, &obs, &mut heap_only);
             prop_assert_eq!(heap_only.lane_misses, plain.admitted, "no lane, so none may ride");
+            // Every send carried its transaction as `arrival::txn` derives it.
+            prop_assert_eq!((with_lanes.txn_mismatches, heap_only.txn_mismatches), (0, 0));
             prop_assert_eq!(laned, plain);
+        }
+
+        /// No validated configuration reaches `event_key`'s panics (a
+        /// negative or NaN time), and every run conserves transactions.
+        #[test]
+        fn every_validated_config_runs_and_conserves(
+            shape in (0usize..3, proptest::bool::ANY, proptest::bool::ANY),
+            window_log2 in 0.0f64..40.0,
+            draws in (0usize..3, 0usize..3, 0usize..3, 0.0f64..1.0, 0.0f64..1e6),
+            offered in 0usize..400,
+            seed in any::<u64>(),
+        ) {
+            let (p, torus, drops) = shape;
+            let (gets, value, admission, fraction, backlog) = draws;
+            let p = [2, 4, 16][p];
+            let mut m = super::tests::machine(p);
+            if torus {
+                m = m.with_topology(TopologyKind::torus(p));
+            }
+            if drops {
+                m.net.faults = Some(FaultConfig::drops(seed, 0.5));
+            }
+            let mut cfg = ServiceConfig::new(m)
+                .with_seed(seed)
+                .with_window(window_log2.exp2())
+                .with_offered(offered);
+            cfg.get_fraction = [0.0, 1.0, fraction][gets];
+            cfg.value_bytes = [0, 1, 1 << 20][value];
+            cfg.admission_backlog = [None, Some(0.0), Some(backlog)][admission];
+            let out = run(&cfg, &Recorder::disabled());
+            prop_assert_eq!(out.admitted + out.rejected, out.offered);
+            prop_assert_eq!(out.completed + out.timed_out, out.admitted);
+            prop_assert_eq!(out.retries, out.drops - out.timed_out);
+            prop_assert_eq!(out.latency.count, out.completed);
         }
 
         /// Sorting the packed keys is sorting the `(arrival, i)` pairs.
