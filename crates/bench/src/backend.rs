@@ -9,10 +9,10 @@
 //! tables) always run on sim and say so on stderr when a different
 //! backend was requested.
 
-use std::sync::Mutex;
-
 use qsm_core::{AnyMachine, SimMachine, ThreadMachine};
 use qsm_simnet::{BankModel, CpuConfig, MachineConfig, TopologyKind};
+
+use crate::knob::warn_once;
 
 /// Which [`qsm_core::Machine`] the harness runs programs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,19 +196,6 @@ pub fn service_from_knobs(
     }
 }
 
-/// Knob names that already produced a warning, so broken topology
-/// knob values warn exactly once per process (the same discipline as
-/// [`qsm_core::knob::parse_usize_knob`]).
-static WARNED_TOPO_KNOBS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-fn warn_once(name: &'static str, msg: String) {
-    let mut warned = WARNED_TOPO_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    if !warned.contains(&name) {
-        warned.push(name);
-        eprintln!("warning: {msg}");
-    }
-}
-
 /// The fabric topology selected by the environment for a `p`-node
 /// machine: `QSM_TOPOLOGY` names the routing stage — `flat` (the
 /// default contention-free wire), `line`, `mesh`/`mesh2d`,
@@ -251,7 +238,7 @@ pub fn topology_from_knob(raw: Option<&str>, p: usize) -> Option<TopologyKind> {
     let Some(kind) = kind else {
         warn_once(
             "QSM_TOPOLOGY",
-            format!(
+            format_args!(
                 "ignoring unparseable QSM_TOPOLOGY={v:?} (want flat, line, \
                  mesh[:RxC], torus[:RxC], or fattree); using the flat wire"
             ),
@@ -262,7 +249,7 @@ pub fn topology_from_knob(raw: Option<&str>, p: usize) -> Option<TopologyKind> {
         if rows == 0 || cols == 0 || rows * cols != p {
             warn_once(
                 "QSM_TOPOLOGY",
-                format!(
+                format_args!(
                     "ignoring QSM_TOPOLOGY={v:?}: grid {rows}x{cols} does not tile \
                      p = {p} nodes; using the flat wire"
                 ),
@@ -288,7 +275,7 @@ pub fn env_link_gap() -> Option<f64> {
         _ => {
             warn_once(
                 "QSM_LINK_GAP",
-                format!(
+                format_args!(
                     "ignoring unparseable QSM_LINK_GAP={v:?} (expected a \
                      non-negative number of cycles per byte); using the NIC gap"
                 ),

@@ -32,14 +32,11 @@ use qsm_algorithms::{gen, listrank, prefix, samplesort};
 use qsm_bench::backend::Backend;
 use qsm_bench::obs::ObsSink;
 use qsm_bench::output::table;
+use qsm_bench::{env_usize, RunCfg};
 use qsm_core::obs::ObsLevel;
 use qsm_core::{CostReport, Machine, PhaseRecord};
 use qsm_obs::{ObsData, SpanKind};
 use qsm_simnet::{Cycles, MachineConfig};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
 
 fn run_algo<M: Machine>(
     algo: &str,
@@ -75,9 +72,8 @@ fn run_algo<M: Machine>(
 /// per-resource ρ so a disagreement is visible node by node.
 fn explain_service() {
     let sink = ObsSink::from_env();
-    let p = env_usize("QSM_P", 8);
-    let fast = std::env::var("QSM_FAST").map(|v| v != "0").unwrap_or(false);
-    let cfg = qsm_bench::RunCfg { p, reps: 1, fast };
+    let p = env_usize("QSM_P").unwrap_or(8);
+    let cfg = RunCfg { p, reps: 1, ..RunCfg::from_env() };
     let base = qsm_bench::figures::ext_service::base_config(&cfg);
 
     let load_pct = qsm_bench::backend::env_service().load_pct;
@@ -210,8 +206,8 @@ fn main() {
     // per-processor spans.
     let sink = ObsSink::with_level(Some(ObsLevel::Full));
     let backend = Backend::from_env();
-    let p = env_usize("QSM_P", 8);
-    let n = env_usize("QSM_N", 1 << 16);
+    let p = env_usize("QSM_P").unwrap_or(8);
+    let n = env_usize("QSM_N").unwrap_or(1 << 16);
     let machine = backend.machine(MachineConfig::paper_default(p), 0x1998_0021);
     let unit = machine.time_unit();
 

@@ -1,18 +1,28 @@
-//! Strict, warn-once parsing of `usize` environment knobs.
+//! Strict, warn-once parsing of environment knobs.
 //!
-//! Every `QSM_*` integer knob in the workspace funnels through
+//! Every `QSM_*` integer knob in the harness funnels through
 //! [`parse_usize_knob`]: absent or empty values mean "use the
-//! default", while a value that fails to parse warns on stderr —
-//! exactly once per knob name per process — instead of being silently
-//! swallowed or aborting the run. The bench harness re-exports these
-//! helpers, and the core runtime uses them directly for its own
-//! execution knobs (`QSM_PIN`, `QSM_POOL`).
+//! default", while a value that fails to parse warns on stderr instead
+//! of being silently swallowed or aborting the run. Every other knob
+//! that rejects a value (paths, topologies, link gaps) warns through
+//! [`warn_once`], the one registry that keeps a broken knob to a single
+//! warning per process however often a sweep re-reads it.
 
 use std::sync::Mutex;
 
-/// Knob names that already produced an unparseable-value warning, so
-/// repeated reads of the same broken knob warn exactly once.
+/// Knob names that already produced a warning, so repeated reads of
+/// the same broken knob warn exactly once.
 static WARNED_KNOBS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
+/// Print `warning: {msg}` on stderr unless knob `name` already warned
+/// in this process.
+pub(crate) fn warn_once(name: &'static str, msg: std::fmt::Arguments) {
+    let mut warned = WARNED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    if !warned.contains(&name) {
+        warned.push(name);
+        eprintln!("warning: {msg}");
+    }
+}
 
 /// Parse the raw value of a `usize` environment knob. `None` when the
 /// knob is absent or set to an empty/whitespace value (treated as
@@ -25,20 +35,17 @@ pub fn parse_usize_knob(name: &'static str, raw: Option<&str>) -> Option<usize> 
     if trimmed.is_empty() {
         return None;
     }
-    match trimmed.parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            let mut warned = WARNED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-            if !warned.contains(&name) {
-                warned.push(name);
-                eprintln!(
-                    "warning: ignoring unparseable {name}={trimmed:?} \
-                     (expected a non-negative integer); using the default"
-                );
-            }
-            None
-        }
+    let parsed = trimmed.parse::<usize>().ok();
+    if parsed.is_none() {
+        warn_once(
+            name,
+            format_args!(
+                "ignoring unparseable {name}={trimmed:?} \
+                 (expected a non-negative integer); using the default"
+            ),
+        );
     }
+    parsed
 }
 
 /// Read and parse a `usize` environment knob via [`parse_usize_knob`].
@@ -69,17 +76,5 @@ mod tests {
         assert_eq!(parse_usize_knob("QSM_TEST_KNOB_B", Some("abc")), None);
         let warned = WARNED_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
         assert_eq!(warned.iter().filter(|&&n| n == "QSM_TEST_KNOB_B").count(), 1);
-    }
-
-    #[test]
-    fn pool_and_pin_knobs_reject_garbage_values() {
-        // The runtime's own knobs ride the same strict path: broken
-        // values warn (once) and fall back to the default, never panic.
-        assert_eq!(parse_usize_knob("QSM_PIN", Some("yes")), None);
-        assert_eq!(parse_usize_knob("QSM_PIN", Some("1")), Some(1));
-        assert_eq!(parse_usize_knob("QSM_PIN", Some("0")), Some(0));
-        assert_eq!(parse_usize_knob("QSM_POOL", Some("64x")), None);
-        assert_eq!(parse_usize_knob("QSM_POOL", Some("2.5")), None);
-        assert_eq!(parse_usize_knob("QSM_POOL", Some("128")), Some(128));
     }
 }

@@ -48,6 +48,7 @@ pub mod backend;
 pub mod figures;
 pub mod journal;
 mod jsonl;
+mod knob;
 pub mod obs;
 pub mod output;
 pub mod replay;
@@ -56,10 +57,7 @@ pub mod sweep;
 
 use std::path::PathBuf;
 
-// The strict warn-once knob parsers moved into the core runtime (which
-// now has execution knobs of its own — `QSM_PIN`, `QSM_POOL`); the
-// bench-facing API is unchanged.
-pub use qsm_core::knob::{env_usize, parse_usize_knob};
+pub use knob::{env_usize, parse_usize_knob};
 
 /// Common sweep configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,10 +164,9 @@ mod tests {
 
     #[test]
     fn usize_knobs_parse_strictly_but_warn_not_panic() {
-        // The parsers now live in qsm-core (see [`qsm_core::knob`],
-        // which owns the exhaustive tests); this pins the re-exported
-        // bench-facing API. Fake knob names: the warned-once registry
-        // is process global.
+        // `knob` owns the exhaustive tests; this pins the crate-root
+        // API. Fake knob names: the warned-once registry is process
+        // global.
         assert_eq!(parse_usize_knob("QSM_TEST_KNOB_BENCH", Some("8")), Some(8));
         assert_eq!(parse_usize_knob("QSM_TEST_KNOB_BENCH", Some("abc")), None);
         assert_eq!(parse_usize_knob("QSM_TEST_KNOB_BENCH", None), None);

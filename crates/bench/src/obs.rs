@@ -27,7 +27,6 @@
 //! time unit (simulated cycles or host nanoseconds).
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use qsm_core::obs::{self, ObsData, ObsLevel, Recorder};
 
@@ -45,30 +44,26 @@ pub(crate) fn env_path(name: &str) -> Option<PathBuf> {
     std::env::var_os(name).filter(|v| !v.is_empty()).map(PathBuf::from)
 }
 
-/// Knob names already warned about (same once-per-process discipline
-/// as `parse_usize_knob`: a sweep must not repeat the warning per
-/// point, but silent capture loss is worse than noise).
-static WARNED_PATH_KNOBS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
 /// Read a path-valued knob and probe it for writability (open for
 /// appending, creating if absent). An unusable value — say a
 /// directory that does not exist — warns once with the offending
 /// value and disables that capture (`None`), instead of failing
 /// silently at finalize time after the measurement was already spent.
+/// (Once: a sweep must not repeat the warning per point, but silent
+/// capture loss is worse than noise.)
 pub(crate) fn checked_path(name: &'static str, what: &str) -> Option<PathBuf> {
     let path = env_path(name)?;
     match std::fs::OpenOptions::new().create(true).append(true).open(&path) {
         Ok(_) => Some(path),
         Err(e) => {
-            let mut warned = WARNED_PATH_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
-            if !warned.contains(&name) {
-                warned.push(name);
-                eprintln!(
-                    "warning: ignoring unusable {name}={:?} (cannot open for writing: {e}); \
+            crate::knob::warn_once(
+                name,
+                format_args!(
+                    "ignoring unusable {name}={:?} (cannot open for writing: {e}); \
                      {what} capture disabled",
                     path.display()
-                );
-            }
+                ),
+            );
             None
         }
     }

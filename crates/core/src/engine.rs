@@ -130,24 +130,18 @@ pub(crate) fn run_on_carriers<M: Machine, R: Send>(
                 processor(proc, carrier)
             });
         };
-        let stats = crate::pool::execute(k, &job);
+        let spawned = crate::pool::execute(k, &job);
 
         if rec.is_full() {
-            // Pool placement and barrier backoff depend on what the
+            // Pool growth and barrier backoff depend on what the
             // process ran before (the first run spawns, the next does
             // not) and on scheduling, so they are full-level only
             // (single-run captures) and metrics-level dumps stay
             // byte-stable across `QSM_JOBS` and process history.
             // The pool's jobs are the run's carriers, not its processors.
-            rec.add("pool_spawns", stats.spawned);
+            rec.add("pool_spawns", spawned);
             rec.add("spmd_runs", 1);
-            rec.add("pool_resident_jobs", stats.resident as u64);
-            if stats.overflow > 0 {
-                rec.add("pool_overflow_jobs", stats.overflow as u64);
-            }
-            if crate::pool::pinning_requested() {
-                rec.add("pool_pinned_runs", 1);
-            }
+            rec.add("pool_resident_jobs", k as u64);
             let (yields, parks) = area.barrier_transitions();
             rec.add("spmd_barrier_yield_transitions", yields);
             rec.add("spmd_barrier_sleep_transitions", parks);
@@ -181,6 +175,7 @@ mod tests {
     //! carrier-mates were doing when it happened.
 
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::{env, process::Command};
 
     use proptest::prelude::*;
     use qsm_simnet::MachineConfig;
@@ -395,12 +390,12 @@ mod tests {
     /// Whether this test has the process to itself (`--exact` names one
     /// test), so that the pool and the stack lists are its own.
     fn alone() -> bool {
-        std::env::args().any(|arg| arg == "--exact")
+        env::args().any(|arg| arg == "--exact")
     }
 
     /// This test binary again, running `test` alone.
-    fn alone_in_a_child(test: &str) -> std::process::Command {
-        let mut child = std::process::Command::new(std::env::current_exe().unwrap());
+    fn alone_in_a_child(test: &str) -> Command {
+        let mut child = Command::new(env::current_exe().unwrap());
         child.args(["--exact", test, "--include-ignored", "--test-threads=1"]);
         child
     }
@@ -451,8 +446,7 @@ mod tests {
             (after.0 - before.0, after.1 - before.1)
         };
         for k in [1, 2] {
-            // Nothing on resident carriers once they are warm; a run's
-            // own threads and their stacks under `QSM_POOL=0`.
+            // Nothing once the resident carriers are warm.
             let (_, warm) = (cost(k), cost(k));
             for (mates, want) in [
                 (Mates::AtB1, "processor 5 gave up"),

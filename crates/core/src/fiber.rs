@@ -141,6 +141,8 @@ mod imp {
             // SAFETY: exactly the mapping `map` made. Fibers drop with
             // their thread's list only, where no frame lives on them.
             unsafe { munmap(self.base, MAP_BYTES) };
+            #[cfg(test)]
+            super::UNMAPPED.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }
     }
 
@@ -240,6 +242,9 @@ mod imp {
 #[cfg(test)]
 static MAPPED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
+#[cfg(test)]
+static UNMAPPED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 /// Stacks this process ever mapped.
 #[cfg(test)]
 pub(crate) fn mapped_stacks() -> usize {
@@ -315,6 +320,17 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn a_thread_that_exits_unmaps_its_stacks() {
+        // A resident carrier never exits, so this is the one way to
+        // `Fiber::drop`: the stacks go with their thread's list.
+        use std::sync::atomic::Ordering::SeqCst;
+        let before = UNMAPPED.load(SeqCst);
+        std::thread::spawn(|| host(0..4, &|_proc| pause())).join().unwrap();
+        // Other tests' threads may exit meanwhile: a lower bound.
+        assert!(UNMAPPED.load(SeqCst) >= before + 4, "an exited thread kept its stacks");
     }
 
     #[test]

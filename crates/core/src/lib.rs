@@ -63,12 +63,11 @@ mod driver;
 mod engine;
 // Four audited exceptions: the stacks and the context switch of hosted
 // processors, the exchange area (barrier-bracketed shared slots), the
-// worker pool every run rides on (the leased job reference and
-// raw-syscall core pinning), and the two casts that view packed
-// storage words as a slice of a sealed primitive type.
+// worker pool every run rides on (the leased job reference), and the
+// two casts that view packed storage words as a slice of a sealed
+// primitive type.
 #[allow(unsafe_code)]
 mod fiber;
-pub mod knob;
 pub mod machine;
 pub mod obs;
 pub mod ops;

@@ -14,7 +14,7 @@ use qsm_obs::{Recorder, Span, SpanKind};
 use qsm_simnet::barrier::{BarrierModel, FixedBarrier};
 use qsm_simnet::config::{BarrierKind, ExchangeOrder};
 use qsm_simnet::{
-    Cycles, Delivery, DisseminationBarrier, FaultConfig, Injection, Keep, MachineConfig, MsgKind,
+    Cycles, Delivery, DisseminationBarrier, FaultConfig, Injection, MachineConfig, MsgKind,
     NetStats, Network,
 };
 
@@ -51,7 +51,8 @@ pub struct SimTimer {
     rec: Recorder,
     phase_idx: u64,
     /// Network statistics at the end of the previous phase, for
-    /// per-phase per-kind deltas (only maintained when recording).
+    /// per-phase deltas: per-link busy time always, the rest only
+    /// when recording.
     prev_stats: NetStats,
     // --- pooled per-phase scratch ---
     cpu: Vec<Cycles>,
@@ -84,9 +85,9 @@ pub struct SimTimer {
     /// Max per-link utilization (busy / elapsed) over the phase most
     /// recently priced (zero on the flat wire).
     phase_link_util: f64,
-    /// Per-link busy cycles at the end of the previous phase, for
-    /// utilization deltas (empty on the flat wire).
-    prev_link_busy: Vec<Cycles>,
+    /// Every link's utilization over the phase most recently priced
+    /// (empty on the flat wire and after a phase that took no time).
+    link_utils: Vec<f64>,
 }
 
 impl SimTimer {
@@ -100,7 +101,7 @@ impl SimTimer {
     pub fn with_recorder(cfg: MachineConfig, rec: Recorder) -> Self {
         let mut net = Network::new(cfg.p, cfg.net);
         if rec.is_full() {
-            net.enable_trace_keep(PHASE_TRACE_CAP, Keep::First);
+            net.enable_trace(PHASE_TRACE_CAP);
         }
         Self {
             net,
@@ -128,14 +129,8 @@ impl SimTimer {
             phase_bank_wait: Cycles::ZERO,
             phase_link_wait: Cycles::ZERO,
             phase_link_util: 0.0,
-            prev_link_busy: Vec::new(),
+            link_utils: Vec::new(),
         }
-    }
-
-    /// Total simulated time elapsed so far.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn now(&self) -> Cycles {
-        self.prev_release_max
     }
 
     /// Simulate one full sync. `local_finish[i]` is when processor
@@ -386,7 +381,6 @@ impl SimTimer {
         // Link-stage traffic exists only under a non-flat topology;
         // emitting conditionally keeps flat-wire metrics dumps
         // byte-identical to pre-topology builds.
-        let mut link_utils: Vec<f64> = Vec::new();
         if self.net.link_count() > 0 {
             let fwd_msgs =
                 stats.link_msgs.iter().sum::<u64>() - self.prev_stats.link_msgs.iter().sum::<u64>();
@@ -394,22 +388,6 @@ impl SimTimer {
                 - self.prev_stats.link_bytes.iter().sum::<u64>();
             self.rec.add("link_fwd_msgs", fwd_msgs);
             self.rec.add("link_fwd_bytes", fwd_bytes);
-            // Per-link busy fraction over this phase, for the
-            // full-level utilization counter tracks below.
-            let elapsed =
-                release.iter().copied().fold(Cycles::ZERO, Cycles::max) - self.prev_release_max;
-            if elapsed > Cycles::ZERO {
-                link_utils = stats
-                    .link_busy
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &b)| {
-                        let prev =
-                            self.prev_stats.link_busy.get(l).copied().unwrap_or(Cycles::ZERO);
-                        (b - prev).get() / elapsed.get()
-                    })
-                    .collect();
-            }
         }
         self.prev_stats = stats;
         // Fault counters only when faults actually fired, so the
@@ -508,9 +486,9 @@ impl SimTimer {
 
         // --- Per-link utilization counter samples, one track per
         // directed link, keyed at the phase end (non-flat only).
-        if !link_utils.is_empty() {
+        if !self.link_utils.is_empty() {
             let release_max = release.iter().copied().fold(Cycles::ZERO, Cycles::max);
-            for (l, &util) in link_utils.iter().enumerate() {
+            for (l, &util) in self.link_utils.iter().enumerate() {
                 self.rec.counter("link_util", l as u32, release_max, util);
             }
         }
@@ -521,7 +499,7 @@ impl SimTimer {
                 self.rec.add("wire_events_dropped", tr.dropped());
             }
             self.rec.wire(phase, tr.into_events());
-            self.net.enable_trace_keep(PHASE_TRACE_CAP, Keep::First);
+            self.net.enable_trace(PHASE_TRACE_CAP);
         }
     }
 }
@@ -720,17 +698,19 @@ impl PhaseTimer for SimTimer {
         let comm = elapsed - compute;
         if self.net.link_count() > 0 {
             // Per-link busy deltas against the previous phase, as a
-            // fraction of the phase's elapsed time; keep the hottest.
+            // fraction of the phase's elapsed time; the hottest is the
+            // phase's record, every one a full-level counter sample.
             let busy = &self.net.stats().link_busy;
-            self.prev_link_busy.resize(busy.len(), Cycles::ZERO);
+            let prev = &mut self.prev_stats.link_busy;
+            prev.resize(busy.len(), Cycles::ZERO);
+            self.link_utils.clear();
             if elapsed > Cycles::ZERO {
-                self.phase_link_util = busy
-                    .iter()
-                    .zip(self.prev_link_busy.iter())
-                    .map(|(&b, &prev)| (b - prev).get() / elapsed.get())
-                    .fold(0.0, f64::max);
+                let utils =
+                    busy.iter().zip(prev.iter()).map(|(&b, &p)| (b - p).get() / elapsed.get());
+                self.link_utils.extend(utils);
             }
-            self.prev_link_busy.copy_from_slice(busy);
+            prev.copy_from_slice(busy);
+            self.phase_link_util = self.link_utils.iter().copied().fold(0.0, f64::max);
         }
         if self.rec.is_enabled() {
             self.record_phase(&local_finish, matrix, &release);
@@ -895,12 +875,13 @@ mod tests {
         let cfg = MachineConfig::paper_default(4);
         let mut t = SimTimer::new(cfg);
         let m = CommMatrix::new(4);
-        let mut last = Cycles::ZERO;
+        let mut now = Cycles::ZERO;
         for k in 1..5u64 {
             let timing = t.price(&[k * 100; 4], &m, &[]);
             assert!(timing.elapsed.get() > 0.0);
-            assert!(t.now() > last);
-            last = t.now();
+            now += timing.elapsed;
+            let clock = t.prev_release_max.get();
+            assert!((now.get() - clock).abs() <= 1e-9 * clock, "phases tile the clock");
         }
     }
 

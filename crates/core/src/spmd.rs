@@ -535,25 +535,6 @@ pub(crate) struct SpmdLink {
     carrier: usize,
 }
 
-#[cfg(test)]
-impl Slot {
-    /// A slot that published `outbox` and nothing else, to drive the
-    /// plan stage without a run.
-    pub(crate) fn publishing(outbox: Outbox) -> Self {
-        let mut slot = Self::new(0, 0);
-        *slot.outbox.get_mut() = outbox;
-        slot
-    }
-}
-
-#[cfg(test)]
-impl SpmdLink {
-    /// A link to no run, for unit tests of a `Ctx` that never syncs.
-    pub(crate) fn detached() -> Self {
-        Self { area: std::ptr::null(), carrier: 0 }
-    }
-}
-
 /// Build the context of processor `proc`, hosted by `carrier`
 /// (attaching a span buffer when the run captures worker lanes).
 pub(crate) fn make_ctx(proc: usize, carrier: usize, seed: u64, area: &ExchangeArea) -> Ctx {
@@ -814,6 +795,25 @@ pub(crate) fn epilogue(ctx: &mut Ctx) {
     if let Some(mut o) = obs {
         o.mark(SpanKind::BarrierWait, phase, lane);
         o.flush();
+    }
+}
+
+#[cfg(test)]
+impl Slot {
+    /// A slot that published `outbox` and nothing else, to drive the
+    /// plan stage without a run.
+    pub(crate) fn publishing(outbox: Outbox) -> Self {
+        let mut slot = Self::new(0, 0);
+        *slot.outbox.get_mut() = outbox;
+        slot
+    }
+}
+
+#[cfg(test)]
+impl SpmdLink {
+    /// A link to no run, for unit tests of a `Ctx` that never syncs.
+    pub(crate) fn detached() -> Self {
+        Self { area: std::ptr::null(), carrier: 0 }
     }
 }
 

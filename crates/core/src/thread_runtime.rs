@@ -31,7 +31,7 @@
 
 use std::time::Instant;
 
-use qsm_obs::{Recorder, Span, SpanKind};
+use qsm_obs::Recorder;
 use qsm_simnet::{Cycles, MachineConfig};
 
 use crate::accounting::CostReport;
@@ -46,47 +46,29 @@ pub struct WallTimer {
     run_start: Instant,
     last_release: Instant,
     rec: Recorder,
-    phase_idx: u64,
     /// Bank model of the machine's reference configuration: reported
     /// to the driver so per-bank traffic metering (observed bank-κ)
     /// also runs on the native backend. Wall-clock timing itself is
     /// never adjusted — real hardware queues for real.
     banks: Option<qsm_simnet::BankModel>,
-    /// Set when the engine takes over per-worker span capture
-    /// (`spmd_span_epoch`): the workers then emit fine-grained lane
-    /// spans themselves and this timer's coarser per-processor
-    /// compute/barrier spans would double-cover the same lanes.
-    suppress_proc_spans: bool,
     /// Scratch for batching message-size observations under one
     /// recorder lock (reused across phases).
     msg_sizes: Vec<u64>,
 }
 
 impl WallTimer {
-    /// A fresh timer emitting per-processor spans into `rec` (when
-    /// the recorder captures at full level). Time zero is "now".
+    /// A fresh timer emitting metrics into `rec` (its per-processor
+    /// spans come from the workers, against [`PhaseTimer::spmd_span_epoch`]).
+    /// Time zero is "now".
     pub fn with_recorder(rec: Recorder) -> Self {
         let now = Instant::now();
-        Self {
-            run_start: now,
-            last_release: now,
-            rec,
-            phase_idx: 0,
-            banks: None,
-            suppress_proc_spans: false,
-            msg_sizes: Vec::new(),
-        }
+        Self { run_start: now, last_release: now, rec, banks: None, msg_sizes: Vec::new() }
     }
 
     /// Report `banks` to the driver as this machine's bank model.
     pub fn with_banks(mut self, banks: Option<qsm_simnet::BankModel>) -> Self {
         self.banks = banks;
         self
-    }
-
-    /// Nanoseconds from the run epoch to `t`, as a span timestamp.
-    fn ns_since_start(&self, t: Instant) -> Cycles {
-        Cycles::new(t.saturating_duration_since(self.run_start).as_nanos() as f64)
     }
 }
 
@@ -130,34 +112,6 @@ impl PhaseTimer for WallTimer {
             self.rec.observe_iter("msg_size_bytes", self.msg_sizes.drain(..));
         }
 
-        if self.rec.is_full() && !self.suppress_proc_spans && !arrivals.is_empty() {
-            let phase = self.phase_idx;
-            let release = self.ns_since_start(self.last_release);
-            let end = self.ns_since_start(now);
-            let spans = arrivals.iter().enumerate().flat_map(|(i, &a)| {
-                let lane = i as u32;
-                let arr = self.ns_since_start(a).max(release).min(end);
-                [
-                    // Per-processor lanes: local work until this
-                    // worker's own arrival, then waiting on the
-                    // exchange + barrier until the driver releases
-                    // everyone (there is no per-processor comm-busy
-                    // interval on this backend — the driver performs
-                    // the exchange centrally).
-                    Span {
-                        kind: SpanKind::Compute,
-                        phase,
-                        lane,
-                        start: release,
-                        dur: arr - release,
-                    },
-                    Span { kind: SpanKind::BarrierWait, phase, lane, start: arr, dur: end - arr },
-                ]
-            });
-            self.rec.spans(spans);
-        }
-
-        self.phase_idx += 1;
         self.last_release = now;
         PhaseTiming {
             elapsed: Cycles::new(elapsed),
@@ -172,11 +126,8 @@ impl PhaseTimer for WallTimer {
 
     /// The native backend opts in: hand the SPMD workers the run
     /// epoch so their spans share this timer's timeline (machine
-    /// track and worker lanes line up in the trace), and stop
-    /// emitting the coarse per-processor spans `price` would
-    /// otherwise derive from arrivals.
+    /// track and worker lanes line up in the trace).
     fn spmd_span_epoch(&mut self) -> Option<Instant> {
-        self.suppress_proc_spans = true;
         Some(self.run_start)
     }
 }
@@ -222,11 +173,6 @@ impl ThreadMachine {
         assert_eq!(cfg.p, self.p, "model config processor count must match the machine");
         self.model_cfg = cfg;
         self
-    }
-
-    /// The reference machine used for model predictions.
-    pub fn model_config(&self) -> &MachineConfig {
-        &self.model_cfg
     }
 
     /// Number of threads.
@@ -320,19 +266,6 @@ mod tests {
         // Without banks on the model config, the default stays off.
         let t = ThreadMachine::new(2).make_timer(Recorder::disabled());
         assert_eq!(t.bank_model(), None);
-    }
-
-    #[test]
-    fn wall_timer_emits_per_processor_spans_at_full_level() {
-        let rec = Recorder::new(qsm_obs::ObsLevel::Full, 1e9);
-        let mut t = WallTimer::with_recorder(rec.clone());
-        std::thread::sleep(Duration::from_millis(1));
-        let arrivals = [Instant::now(), Instant::now()];
-        let _ = t.price(&[0, 0], &CommMatrix::new(2), &arrivals);
-        let data = rec.take().unwrap();
-        for kind in [SpanKind::Compute, SpanKind::BarrierWait] {
-            assert_eq!(data.spans.iter().filter(|s| s.kind == kind).count(), 2, "{kind:?}");
-        }
     }
 
     #[test]

@@ -111,24 +111,15 @@ fn carriers(p: usize) -> usize {
     }
 }
 
-/// Residents `QSM_POOL` lets the pool keep (the knob's own default).
-fn pool_cap() -> usize {
-    std::env::var("QSM_POOL").ok().and_then(|v| v.parse().ok()).unwrap_or(usize::MAX)
-}
-
 #[test]
 fn a_second_sim_run_spawns_no_thread() {
     let _serial = serial();
     let m = machine(P);
     let first = exchange(&m, 4, true);
     let warm = pool::spawned_workers();
-    let k = carriers(P);
-    assert!(warm >= k as u64, "a simulated run's carriers are pool workers");
+    assert!(warm >= carriers(P) as u64, "a simulated run's carriers are pool workers");
     let second = exchange(&m, 4, true);
-    // Residents are reused; only what `QSM_POOL` pushes to overflow
-    // threads (CI runs this file at 0 and 4 too) is spawned per run.
-    let overflow = (k - k.min(pool_cap())) as u64;
-    assert_eq!(pool::spawned_workers() - warm, overflow);
+    assert_eq!(pool::spawned_workers(), warm, "the residents of the first run carry the second");
     assert_eq!(first, second, "worker reuse must not change a simulated result");
 }
 
@@ -154,27 +145,6 @@ fn concurrent_sim_runs_match_the_serial_run() {
             .unwrap_or_else(|e| panic!("concurrent sim runs stalled after {i} of them: {e}"));
         assert_eq!(got.0, serial_run.0, "outputs of run {i}");
         assert_eq!(got.1, serial_run.1, "phase records of run {i}");
-    }
-}
-
-/// `QSM_POOL` is read once per process, so the all-overflow and the
-/// mixed (4 residents, the rest overflow, and whoever comes second
-/// gets no resident at all) placements each need a process.
-#[test]
-fn concurrent_sim_runs_match_under_overflow_and_mixed_placement() {
-    let _serial = serial();
-    for cap in ["0", "4"] {
-        let child = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "concurrent_sim_runs_match_the_serial_run"])
-            .env("QSM_POOL", cap)
-            .output()
-            .expect("cannot re-run this test binary");
-        let stdout = String::from_utf8_lossy(&child.stdout);
-        assert!(
-            child.status.success() && stdout.contains("1 passed"),
-            "QSM_POOL={cap}:\n{stdout}\n{}",
-            String::from_utf8_lossy(&child.stderr)
-        );
     }
 }
 

@@ -115,11 +115,6 @@ impl ProgramProfile {
         self.phases.iter().map(|p| b.phase_comm_cost(p)).sum()
     }
 
-    /// Predicted total time under LogP.
-    pub fn logp_cost(&self, lp: &LogPParams) -> f64 {
-        self.phases.iter().map(|p| lp.phase_cost(p)).sum()
-    }
-
     /// Predicted communication time under LogP.
     pub fn logp_comm_cost(&self, lp: &LogPParams) -> f64 {
         self.phases.iter().map(|p| lp.phase_comm_cost(p)).sum()

@@ -87,4 +87,4 @@ pub use stats::NetStats;
 pub use time::Cycles;
 pub use timeline::{FifoTimeline, ServiceSlot};
 pub use topology::{LinkId, Topology, TopologyKind};
-pub use trace::{Keep, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};

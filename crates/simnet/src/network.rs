@@ -33,7 +33,7 @@ use crate::stats::NetStats;
 use crate::time::Cycles;
 use crate::timeline::{FifoTimeline, ServiceSlot};
 use crate::topology::Topology;
-use crate::trace::{Keep, Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent};
 
 /// Timing of one delivered message (all zero until stamped).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -159,11 +159,6 @@ impl Network {
         self.send_free.free_at(node)
     }
 
-    /// When `node`'s receive engine is next free.
-    pub fn recv_free_at(&self, node: usize) -> Cycles {
-        self.recv_free.free_at(node)
-    }
-
     /// Cycles `node`'s send engine has spent serving (overhead +
     /// serialization) since the last reset — the numerator of its
     /// NIC-egress utilization over any elapsed window.
@@ -250,15 +245,9 @@ impl Network {
     }
 
     /// Start capturing a bounded event trace keeping the first `cap`
-    /// events ([`Keep::First`]).
+    /// events.
     pub fn enable_trace(&mut self, cap: usize) {
-        self.enable_trace_keep(cap, Keep::First);
-    }
-
-    /// Start capturing a bounded event trace, choosing which end of
-    /// an over-capacity run to retain.
-    pub fn enable_trace_keep(&mut self, cap: usize, keep: Keep) {
-        self.trace = Some(Trace::with_capacity_keep(cap, keep));
+        self.trace = Some(Trace::with_capacity(cap));
     }
 
     /// Stop tracing and return what was captured.
@@ -700,21 +689,6 @@ mod tests {
         let ev = tr.iter().next().unwrap();
         assert_eq!(ev.src, 0);
         assert_eq!(ev.dst, 1);
-    }
-
-    #[test]
-    fn trace_keep_last_retains_the_tail() {
-        let mut n = net(2);
-        n.enable_trace_keep(2, Keep::Last);
-        let msgs: Vec<_> = (0..5).map(|i| inj(0, 1, 8 + i as u64, 0.0)).collect();
-        n.transmit(&msgs);
-        let tr = n.take_trace().unwrap();
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.dropped(), 3);
-        // The receiver ingests in arrival order, so the retained tail
-        // is the two largest (= latest-departing) messages.
-        let bytes: Vec<u64> = tr.iter().map(|e| e.bytes).collect();
-        assert_eq!(bytes, vec![11, 12]);
     }
 
     #[test]

@@ -22,45 +22,20 @@ pub struct TraceEvent {
     pub kind: MsgKind,
 }
 
-/// Which end of an over-capacity run a [`Trace`] retains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Keep {
-    /// Keep the first `cap` events and count the rest as dropped —
-    /// right when debugging startup behavior or when the trace is
-    /// drained every phase.
-    #[default]
-    First,
-    /// Keep the *last* `cap` events in a ring buffer — right for long
-    /// runs where the failure (and thus the interesting traffic) is
-    /// at the end.
-    Last,
-}
-
-/// A bounded in-memory trace buffer.
+/// A bounded in-memory trace buffer: it keeps the first `cap` events
+/// and counts the rest as dropped — right when the trace is drained
+/// every phase, as the simulated machine's recorder does.
 #[derive(Debug, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     cap: usize,
     dropped: u64,
-    keep: Keep,
-    /// In `Keep::Last` mode once full: index of the oldest retained
-    /// event (the next overwrite slot).
-    next: usize,
 }
 
 impl Trace {
-    /// Create a trace keeping at most `cap` events. Which end of an
-    /// over-long run survives depends on the mode: this constructor
-    /// keeps the first `cap` events ([`Keep::First`]); use
-    /// [`Trace::with_capacity_keep`] to keep the tail instead.
+    /// Create a trace keeping at most `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_keep(cap, Keep::First)
-    }
-
-    /// Create a trace keeping at most `cap` events, retaining the
-    /// chosen end of the run when capacity is exceeded.
-    pub fn with_capacity_keep(cap: usize, keep: Keep) -> Self {
-        Self { events: Vec::new(), cap, dropped: 0, keep, next: 0 }
+        Self { events: Vec::new(), cap, dropped: 0 }
     }
 
     /// Record an event, honoring the capacity bound.
@@ -69,10 +44,6 @@ impl Trace {
             self.events.push(ev);
         } else {
             self.dropped += 1;
-            if self.keep == Keep::Last && self.cap > 0 {
-                self.events[self.next] = ev;
-                self.next = (self.next + 1) % self.cap;
-            }
         }
     }
 
@@ -86,77 +57,19 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Retained events in chronological order.
+    /// Retained events in recording order.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (wrapped, head) = self.events.split_at(self.next.min(self.events.len()));
-        head.iter().chain(wrapped.iter())
+        self.events.iter()
     }
 
-    /// Consume the trace, returning retained events in chronological
-    /// order.
-    pub fn into_events(mut self) -> Vec<TraceEvent> {
-        let pivot = self.next.min(self.events.len());
-        self.events.rotate_left(pivot);
+    /// Consume the trace, returning retained events in recording order.
+    pub fn into_events(self) -> Vec<TraceEvent> {
         self.events
     }
 
-    /// Number of events that were evicted or did not fit.
+    /// Number of events that did not fit.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Render as Chrome trace-event JSON (load via `chrome://tracing`
-    /// or [Perfetto](https://ui.perfetto.dev)): one complete-event
-    /// span per message leg — sender NIC occupancy on the source
-    /// row, wire flight on a `wire` row, receive processing on the
-    /// destination row. Times are microseconds at `clock_hz`.
-    pub fn to_chrome_json(&self, clock_hz: f64) -> String {
-        let us = |c: Cycles| c.to_micros(clock_hz);
-        let mut spans = Vec::new();
-        for e in self.iter() {
-            let label = format!("{:?} {}->{} ({}B)", e.kind, e.src, e.dst, e.bytes);
-            // Sender leg: we only know the completion (depart), so
-            // anchor a zero-width instant there plus the two real
-            // spans we have endpoints for.
-            spans.push(format!(
-                r#"{{"name":"send {label}","ph":"i","ts":{:.3},"pid":0,"tid":{},"s":"t"}}"#,
-                us(e.depart),
-                e.src
-            ));
-            spans.push(format!(
-                r#"{{"name":"wire {label}","ph":"X","ts":{:.3},"dur":{:.3},"pid":1,"tid":0}}"#,
-                us(e.depart),
-                (us(e.arrive) - us(e.depart)).max(0.0)
-            ));
-            spans.push(format!(
-                r#"{{"name":"recv {label}","ph":"X","ts":{:.3},"dur":{:.3},"pid":0,"tid":{}}}"#,
-                us(e.arrive),
-                (us(e.visible) - us(e.arrive)).max(0.0),
-                e.dst
-            ));
-        }
-        format!("[{}]", spans.join(",\n"))
-    }
-
-    /// Render as a tab-separated table (header + one line per event).
-    pub fn render(&self) -> String {
-        let mut out = String::from("depart\tarrive\tvisible\tsrc\tdst\tbytes\tkind\n");
-        for e in self.iter() {
-            out.push_str(&format!(
-                "{:.0}\t{:.0}\t{:.0}\t{}\t{}\t{}\t{:?}\n",
-                e.depart.get(),
-                e.arrive.get(),
-                e.visible.get(),
-                e.src,
-                e.dst,
-                e.bytes,
-                e.kind
-            ));
-        }
-        if self.dropped > 0 {
-            out.push_str(&format!("... {} events dropped\n", self.dropped));
-        }
-        out
     }
 }
 
@@ -189,65 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn keep_last_retains_the_tail_in_order() {
-        let mut tr = Trace::with_capacity_keep(3, Keep::Last);
-        for t in 1..=7 {
-            tr.record(ev(t as f64));
-        }
-        assert_eq!(tr.len(), 3);
-        assert_eq!(tr.dropped(), 4);
-        let departs: Vec<f64> = tr.iter().map(|e| e.depart.get()).collect();
-        assert_eq!(departs, vec![5.0, 6.0, 7.0]);
-        assert_eq!(
-            tr.into_events().iter().map(|e| e.depart.get()).collect::<Vec<_>>(),
-            vec![5.0, 6.0, 7.0]
-        );
-    }
-
-    #[test]
-    fn keep_last_under_capacity_is_plain_order() {
-        let mut tr = Trace::with_capacity_keep(8, Keep::Last);
+    fn zero_capacity_drops_everything() {
+        let mut tr = Trace::with_capacity(0);
         tr.record(ev(1.0));
-        tr.record(ev(2.0));
-        let departs: Vec<f64> = tr.iter().map(|e| e.depart.get()).collect();
-        assert_eq!(departs, vec![1.0, 2.0]);
-        assert_eq!(tr.dropped(), 0);
-    }
-
-    #[test]
-    fn zero_capacity_drops_everything_in_both_modes() {
-        for keep in [Keep::First, Keep::Last] {
-            let mut tr = Trace::with_capacity_keep(0, keep);
-            tr.record(ev(1.0));
-            assert!(tr.is_empty());
-            assert_eq!(tr.dropped(), 1);
-        }
-    }
-
-    #[test]
-    fn chrome_json_is_parseable_shape() {
-        let mut tr = Trace::with_capacity(4);
-        tr.record(ev(400.0));
-        tr.record(ev(800.0));
-        let j = tr.to_chrome_json(400e6);
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        // 3 spans per event.
-        assert_eq!(j.matches("\"ph\"").count(), 6);
-        assert_eq!(j.matches("\"X\"").count(), 4);
-        // Balanced braces (cheap well-formedness check).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        // 400 cycles at 400 MHz = 1 microsecond.
-        assert!(j.contains("\"ts\":1.000"));
-    }
-
-    #[test]
-    fn render_includes_all_rows_and_drop_note() {
-        let mut tr = Trace::with_capacity(1);
-        tr.record(ev(1.0));
-        tr.record(ev(2.0));
-        let s = tr.render();
-        assert!(s.starts_with("depart\t"));
-        assert!(s.contains("1 events dropped"));
-        assert_eq!(s.lines().count(), 3);
+        assert!(tr.is_empty());
+        assert_eq!(tr.dropped(), 1);
     }
 }
