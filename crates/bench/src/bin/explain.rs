@@ -26,13 +26,13 @@
 //! `QSM_BACKEND=sim|threads` (default `sim`; measured columns switch
 //! from simulated cycles to host nanoseconds, model columns stay in
 //! cycles), plus the usual `QSM_TRACE=path.json` /
-//! `QSM_METRICS=path.json` outputs.
+//! `QSM_METRICS=path.json` outputs. The header prints every knob that
+//! decides a result, resolved.
 
 use qsm_algorithms::{gen, listrank, prefix, samplesort};
-use qsm_bench::backend::Backend;
 use qsm_bench::obs::ObsSink;
 use qsm_bench::output::table;
-use qsm_bench::{env_usize, RunCfg};
+use qsm_bench::{knobs, RunCfg};
 use qsm_core::obs::ObsLevel;
 use qsm_core::{CostReport, Machine, PhaseRecord};
 use qsm_obs::{ObsData, SpanKind};
@@ -72,11 +72,11 @@ fn run_algo<M: Machine>(
 /// per-resource ρ so a disagreement is visible node by node.
 fn explain_service() {
     let sink = ObsSink::from_env();
-    let p = env_usize("QSM_P").unwrap_or(8);
+    let p = knobs().p;
     let cfg = RunCfg { p, reps: 1, ..RunCfg::from_env() };
     let base = qsm_bench::figures::ext_service::base_config(&cfg);
 
-    let load_pct = qsm_bench::backend::env_service().load_pct;
+    let load_pct = knobs().result.service_load;
     let capacity = qsm_serve::predict(&base.clone().with_offered(1)).capacity;
     let offered = (capacity * base.window * load_pct as f64 / 100.0).round() as usize;
     let svc = base.with_offered(offered);
@@ -195,7 +195,7 @@ fn balance_by_phase(data: &ObsData, phases: &[PhaseRecord], p: usize) -> Vec<(f6
 }
 
 fn main() {
-    let algo = std::env::var("QSM_ALGO").unwrap_or_else(|_| "prefix".into());
+    let algo = knobs().algo.as_str();
     if algo == "service" {
         // The serving engine is counter-based, not span-based; it
         // neither needs nor uses the Full-level recorder.
@@ -205,14 +205,12 @@ fn main() {
     // Full level regardless of QSM_TRACE: the table itself needs the
     // per-processor spans.
     let sink = ObsSink::with_level(Some(ObsLevel::Full));
-    let backend = Backend::from_env();
-    let p = env_usize("QSM_P").unwrap_or(8);
-    let n = env_usize("QSM_N").unwrap_or(1 << 16);
-    let machine = backend.machine(MachineConfig::paper_default(p), 0x1998_0021);
+    let (p, n) = (knobs().p, knobs().n);
+    let machine = knobs().result.backend.machine(MachineConfig::paper_default(p), 0x1998_0021);
     let unit = machine.time_unit();
 
     sink.discard(); // nothing of interest captured yet; start clean
-    let (phases, report) = run_algo(&algo, &machine, n, 0x1998_0021);
+    let (phases, report) = run_algo(algo, &machine, n, 0x1998_0021);
     let data = sink.recorder().take().unwrap_or_else(|| {
         eprintln!("explain requires the observability recorder; another one is installed");
         std::process::exit(1);
@@ -264,10 +262,8 @@ fn main() {
         "bwait_pct",
     ];
 
-    let topo = qsm_bench::backend::env_topology(p).unwrap_or_default();
-    let banks = qsm_bench::backend::env_banks().map(|b| b.banks_per_node).unwrap_or(0);
     println!("== explain — {algo}, p = {p}, n = {n}, backend = {} ==", machine.backend_name());
-    println!("(topology = {} {}, banks = {banks})", topo.name(), topo.params());
+    println!("({:?})", knobs().result);
     println!(
         "(measured columns incl. bank_wait/link_wait in {unit}; model columns are per-phase \
          predicted communication in cycles; bank_kappa in 4-byte words; lutil_pct = hottest \

@@ -19,7 +19,7 @@
 
 use qsm_core::{Layout, SimMachine};
 use qsm_membank::{platform, Pattern};
-use qsm_simnet::MachineConfig;
+use qsm_simnet::{BankModel, MachineConfig};
 
 use crate::output::{csv, table, us_at_400mhz};
 use crate::replay::Replay;
@@ -92,8 +92,11 @@ fn target_index(
 /// Run `w` single-word gets per processor under `pattern` on a
 /// banked paper-default machine and pull the data phase's numbers.
 fn measure(pattern: Pattern, w: usize, seed: u64) -> Measured {
-    let banks = crate::backend::banks_from_knobs(Some(BANKS), crate::env_usize("QSM_BANK_SERVICE"))
-        .expect("bank count is pinned on");
+    let banks = BankModel {
+        banks_per_node: BANKS,
+        service_fixed: 0.0,
+        service_per_byte: crate::knobs().result.bank_service as f64,
+    };
     let machine =
         SimMachine::new(MachineConfig::paper_default(P).with_banks(banks)).with_seed(seed);
     let run = machine.run(move |ctx| {

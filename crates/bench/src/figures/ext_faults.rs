@@ -35,21 +35,13 @@ use crate::{Report, RunCfg};
 /// Per-message drop probabilities swept.
 pub const DROP_PROBS: [f64; 6] = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2];
 
-/// Default fault-schedule seed (overridable via `QSM_FAULT_SEED`).
-pub const DEFAULT_FAULT_SEED: u64 = 0x5EED_FA17;
-
-/// The fault-schedule seed: `QSM_FAULT_SEED` or the default.
-pub fn fault_seed() -> u64 {
-    crate::env_usize("QSM_FAULT_SEED").map(|n| n as u64).unwrap_or(DEFAULT_FAULT_SEED)
-}
-
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
     crate::journal::set_figure("ext_faults", cfg);
     crate::backend::warn_sim_only("ext_faults");
     let n = if cfg.fast { 1 << 14 } else { 1 << 17 };
     let input = gen::random_u32s(n, 0xFA17);
-    let seed = fault_seed();
+    let seed = crate::knobs().result.fault_seed;
     // Each drop probability is an independent simulation of the same
     // input under the same fault seed; rows are self-contained, so a
     // failed point degrades the artifact instead of losing it.

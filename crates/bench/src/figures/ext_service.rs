@@ -8,8 +8,7 @@
 //! logical client population, hash-sharded across the machine's
 //! nodes, at [`LOAD_POINTS`] evenly spaced offered loads up to
 //! `QSM_SERVICE_LOAD`% of the utilization model's predicted capacity
-//! (default [`crate::backend::DEFAULT_SERVICE_LOAD_PCT`]%, so the
-//! sweep straddles the knee).
+//! (default 200%, so the sweep straddles the knee).
 //!
 //! Expected shape — the classic throughput-vs-offered-load knee:
 //!
@@ -34,7 +33,7 @@
 use qsm_serve::{model, ServiceConfig};
 use qsm_simnet::{BankModel, MachineConfig};
 
-use crate::backend::DEFAULT_BANK_SERVICE;
+use crate::knobs::DEFAULT_BANK_SERVICE;
 use crate::output::{csv, table, us_at_400mhz};
 use crate::replay::Replay;
 use crate::{Report, RunCfg};
@@ -98,8 +97,8 @@ impl Replay for Measured {
 /// [`DEFAULT_BANK_SERVICE`] c/B — because a machine whose memory
 /// system is free can only ever knee on its NICs.
 pub fn base_config(cfg: &RunCfg) -> ServiceConfig {
-    let knobs = crate::backend::env_service();
-    let banks = crate::backend::env_banks().unwrap_or(BankModel {
+    let knobs = &crate::knobs().result;
+    let banks = knobs.bank_model().unwrap_or(BankModel {
         banks_per_node: 4,
         service_fixed: 0.0,
         service_per_byte: DEFAULT_BANK_SERVICE as f64,
@@ -108,9 +107,9 @@ pub fn base_config(cfg: &RunCfg) -> ServiceConfig {
     let window = if cfg.fast { (1u64 << 18) as f64 } else { (1u64 << 20) as f64 };
     let sc = ServiceConfig::new(machine)
         .with_window(window)
-        .with_clients(knobs.clients)
-        .with_shards(knobs.shards_per_node * cfg.p);
-    match knobs.admission {
+        .with_clients(knobs.service_clients)
+        .with_shards(knobs.service_shards * cfg.p);
+    match knobs.service_admission {
         Some(b) => sc.with_admission(b),
         None => sc,
     }
@@ -123,7 +122,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     let base = base_config(cfg);
     // Capacity is load-independent; probe it once to place the grid.
     let capacity = model::predict(&base.clone().with_offered(1)).capacity;
-    let max_pct = crate::backend::env_service().load_pct;
+    let max_pct = crate::knobs().result.service_load;
     let pcts: Vec<usize> = (1..=LOAD_POINTS).map(|k| max_pct * k / LOAD_POINTS).collect();
 
     let measured = crate::sweep::map(cfg.p, pcts.clone(), |_, pct| {

@@ -64,7 +64,7 @@ const P: usize = 16;
 /// software can feed it and link sharing actually queues (a link at
 /// or above the software's effective bandwidth can never be the
 /// bottleneck — see the module docs). The same rationale as
-/// [`crate::backend::DEFAULT_BANK_SERVICE`].
+/// [`crate::knobs::DEFAULT_BANK_SERVICE`].
 pub const LINK_GAP_FACTOR: f64 = 4.0;
 
 /// What one (algorithm, topology) pipeline run produced.
@@ -100,7 +100,7 @@ impl Replay for Measured {
 fn measure(algo: &str, topo: TopologyKind, n: usize, seed: u64) -> Measured {
     let mut cfg = MachineConfig::paper_default(P).with_topology(topo);
     if topo != TopologyKind::Flat {
-        let gap = crate::backend::env_link_gap().unwrap_or(cfg.net.gap_per_byte * LINK_GAP_FACTOR);
+        let gap = crate::knobs().result.link_gap.unwrap_or(cfg.net.gap_per_byte * LINK_GAP_FACTOR);
         cfg = cfg.with_link_gap(gap);
     }
     let machine = SimMachine::new(cfg).with_seed(seed);

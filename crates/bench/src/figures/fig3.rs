@@ -16,7 +16,7 @@ use crate::{Report, RunCfg};
 
 /// Run the experiment on the `QSM_BACKEND`-selected backend.
 pub fn run(cfg: &RunCfg) -> Report {
-    run_with(cfg, Backend::from_env())
+    run_with(cfg, crate::knobs().result.backend)
 }
 
 /// Run the experiment on an explicit backend. Measured columns are in

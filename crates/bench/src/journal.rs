@@ -23,16 +23,18 @@
 //! ```
 //!
 //! The `fingerprint` is a hash of everything that determines the
-//! sweep's results — figure, backend, `p`, reps, fast mode, the
-//! machine-extension knobs (topology, link gap, banks, fault seed),
-//! and the point count — and `result` is the point's result encoded
-//! via [`crate::replay::Replay`]. Together they make a completed
-//! point *detectably recoverable*: a rerun with `QSM_RESUME=1` loads
-//! the journal, replays the `ok` records whose fingerprint matches
-//! its own configuration bit-exactly, and re-runs everything else
-//! (failed points, unfinished points, and — on any fingerprint
-//! mismatch — the whole sweep, so a stale journal can never poison
-//! an artifact). Every line is written durably (see
+//! sweep's results — the figure, its [`crate::RunCfg`], the point
+//! count, the record schema, the crate version and every knob that
+//! decides a result ([`crate::knobs::ResultKnobs`], by its `Debug`
+//! form, so a new such knob joins it by construction) — and `result`
+//! is the point's result encoded via [`crate::replay::Replay`].
+//! Together they make a completed point *detectably recoverable*: a
+//! rerun with `QSM_RESUME=1` loads the journal, replays the `ok`
+//! records whose fingerprint matches its own configuration
+//! bit-exactly, and re-runs everything else (failed points,
+//! unfinished points, and — on any fingerprint mismatch — the whole
+//! sweep, so a stale journal can never poison an artifact). Every
+//! line is written durably (see
 //! [`qsm_obs::RunJournal`]: flush + `sync_data`, opt out with
 //! `QSM_JOURNAL_SYNC=0`), so the ledger survives exactly the crashes
 //! it exists for.
@@ -44,65 +46,34 @@
 //! line is valid JSON in any order, which is what the CI smoke jobs
 //! check.
 //!
-//! An unusable `QSM_RUN_LOG` value warns once with the offending
-//! value and disables journaling (the same discipline as
-//! `QSM_TRACE`/`QSM_METRICS`; see [`crate::obs`]). The journal's
-//! parent directory is created first if missing — a journal pointed
-//! into the `QSM_RESULTS_DIR` the run itself creates later must not
-//! be silently disabled for the whole process by winning that race.
+//! An unusable `QSM_RUN_LOG` warns and disables journaling when the
+//! knobs are parsed ([`mod@crate::knobs`]).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
 use qsm_obs::{json_escape, read_complete_lines, RunJournal};
 
 use crate::jsonl::{parse_object, Json};
+use crate::knobs::{knobs, ResultKnobs};
+use crate::RunCfg;
 
-/// Figure/sweep context the next records are attributed to.
-#[derive(Debug, Clone)]
-struct SweepCtx {
-    figure: &'static str,
-    p: usize,
-    reps: usize,
-    fast: bool,
-}
+/// Version of the journal's record layout; part of the fingerprint.
+const SCHEMA: u32 = 1;
 
-static CTX: Mutex<Option<SweepCtx>> = Mutex::new(None);
+/// Figure and run configuration the next records are attributed to.
+static CTX: Mutex<(&str, RunCfg)> = Mutex::new(("?", RunCfg { p: 0, reps: 0, fast: false }));
 static JOURNAL: OnceLock<Option<(RunJournal, PathBuf)>> = OnceLock::new();
-
-/// Open the journal at `path`, creating its parent directory if
-/// missing. The separate-from-env half of journal setup, so the
-/// parent-dir resolution is testable without racing on process-wide
-/// environment state.
-pub(crate) fn open_at(path: &Path) -> std::io::Result<RunJournal> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    RunJournal::open(path)
-}
 
 fn journal() -> Option<&'static (RunJournal, PathBuf)> {
     JOURNAL
         .get_or_init(|| {
-            // Resolve the parent directory *before* the writability
-            // probe: `QSM_RUN_LOG` often points into the results dir
-            // that `QSM_RESULTS_DIR` setup only creates later in the
-            // same run, and the `OnceLock` caches whatever this first
-            // open decides for the rest of the process.
-            let path = crate::obs::env_path("QSM_RUN_LOG")?;
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-            }
-            let path = crate::obs::checked_path("QSM_RUN_LOG", "run journal")?;
-            match open_at(&path) {
+            let path = knobs().run_log.clone()?;
+            match RunJournal::open_with(&path, knobs().journal_sync) {
                 Ok(j) => Some((j, path)),
                 Err(e) => {
-                    // `checked_path` probed writability, so this is a
-                    // race (e.g. the directory vanished); same loud
+                    // The knobs probed writability, so this is a race
+                    // (e.g. the directory vanished); same loud
                     // degradation.
                     eprintln!(
                         "warning: ignoring unusable QSM_RUN_LOG={:?} ({e}); \
@@ -122,40 +93,15 @@ pub(crate) fn active() -> bool {
     journal().is_some()
 }
 
-/// Whether the user asked for a resumed sweep (`QSM_RESUME` set to
-/// anything but `0`). Warns once if there is no journal to resume
-/// from — a resume that silently re-runs everything is the failure
-/// mode this knob exists to end.
-pub(crate) fn resume_requested() -> bool {
-    static WARNED: OnceLock<()> = OnceLock::new();
-    let requested = std::env::var("QSM_RESUME").map(|v| v != "0").unwrap_or(false);
-    if requested && !active() {
-        WARNED.get_or_init(|| {
-            eprintln!(
-                "warning: QSM_RESUME is set but QSM_RUN_LOG is not usable; \
-                 nothing to resume from — running the full sweep"
-            );
-        });
-        return false;
-    }
-    requested
-}
-
 /// Attribute subsequent sweep points to `figure` under `cfg`. Each
 /// figure's entry point calls this before running its sweeps; a
 /// binary running several figures (`all`) just re-points the context.
-pub fn set_figure(figure: &'static str, cfg: &crate::RunCfg) {
-    let mut ctx = CTX.lock().unwrap_or_else(|e| e.into_inner());
-    *ctx = Some(SweepCtx { figure, p: cfg.p, reps: cfg.reps, fast: cfg.fast });
+pub fn set_figure(figure: &'static str, cfg: &RunCfg) {
+    *CTX.lock().unwrap_or_else(|e| e.into_inner()) = (figure, cfg.clone());
 }
 
-fn current_ctx() -> SweepCtx {
-    CTX.lock().unwrap_or_else(|e| e.into_inner()).clone().unwrap_or(SweepCtx {
-        figure: "?",
-        p: 0,
-        reps: 0,
-        fast: false,
-    })
+fn current_ctx() -> (&'static str, RunCfg) {
+    CTX.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 /// FNV-1a over `s` — a stable, dependency-free content hash for the
@@ -172,37 +118,25 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// The identity every record of one sweep carries: a hash of the
-/// figure, backend, run configuration, machine-extension knobs, and
-/// the sweep's point count. Two runs share a fingerprint exactly
-/// when their journaled results are interchangeable — the property
-/// `QSM_RESUME` replay rests on. `QSM_PANIC_POINT` is deliberately
-/// excluded: the kill drill must not change the identity of the
-/// sweep it kills, or the resumed run could never match it.
-pub(crate) fn fingerprint(total: usize) -> String {
-    let ctx = current_ctx();
-    let topo = crate::backend::env_topology(ctx.p.max(1)).unwrap_or_default();
-    let banks = crate::backend::env_banks();
-    let knob = |name: &str| std::env::var(name).unwrap_or_default();
+/// figure, its run configuration, the sweep's point count, the record
+/// schema, the crate version and the knobs that decide a result. Two
+/// runs share a fingerprint exactly when their journaled results are
+/// interchangeable — the property `QSM_RESUME` replay rests on. Every
+/// other knob is left out: `QSM_PANIC_POINT`, say, must not change
+/// the identity of the sweep it kills, or the resumed run could never
+/// match it.
+pub(crate) fn fingerprint(figure: &str, cfg: &RunCfg, total: usize, knobs: &ResultKnobs) -> String {
     let key = format!(
-        "{}|{}|p={}|reps={}|fast={}|topo={}:{}|banks={}|bank_service={}|total={total}\
-         |fault_seed={}|link_gap={}|svc_load={}|svc_clients={}|svc_shards={}|svc_admission={}",
-        ctx.figure,
-        crate::backend::Backend::from_env().name(),
-        ctx.p,
-        ctx.reps,
-        ctx.fast,
-        topo.name(),
-        topo.params(),
-        banks.map(|b| b.banks_per_node).unwrap_or(0),
-        banks.map(|b| b.service_per_byte).unwrap_or(0.0),
-        knob("QSM_FAULT_SEED"),
-        knob("QSM_LINK_GAP"),
-        knob("QSM_SERVICE_LOAD"),
-        knob("QSM_SERVICE_CLIENTS"),
-        knob("QSM_SERVICE_SHARDS"),
-        knob("QSM_SERVICE_ADMISSION"),
+        "{figure}|{cfg:?}|total={total}|schema={SCHEMA}|{}|{knobs:?}",
+        env!("CARGO_PKG_VERSION")
     );
     format!("{:016x}", fnv1a(&key))
+}
+
+/// [`fingerprint`] of the current sweep.
+fn current_fingerprint(total: usize) -> String {
+    let (figure, cfg) = current_ctx();
+    fingerprint(figure, &cfg, total, &knobs().result)
 }
 
 /// Append a work-claim record for point `index` of a `total`-point
@@ -210,12 +144,11 @@ pub(crate) fn fingerprint(total: usize) -> String {
 /// claim without a later completion marks where a crashed run died.
 pub(crate) fn record_claim(index: usize, total: usize) {
     let Some((journal, _)) = journal() else { return };
-    let ctx = current_ctx();
     let line = format!(
         "{{\"v\":1,\"kind\":\"sweep_claim\",\"figure\":\"{}\",\"fingerprint\":\"{}\",\
          \"point\":{index},\"total\":{total}}}",
-        json_escape(ctx.figure),
-        fingerprint(total),
+        json_escape(current_ctx().0),
+        current_fingerprint(total),
     );
     if let Err(e) = journal.append(&line) {
         eprintln!("warning: cannot append to QSM_RUN_LOG: {e}");
@@ -240,12 +173,12 @@ pub(crate) struct PointRecord<'a> {
 /// Append `rec` to the journal (no-op when inactive).
 pub(crate) fn record_point(rec: &PointRecord<'_>) {
     let Some((journal, _)) = journal() else { return };
-    let ctx = current_ctx();
-    let (figure, p, reps, fast) = (ctx.figure, ctx.p, ctx.reps, ctx.fast);
+    let (figure, RunCfg { p, reps, fast }) = current_ctx();
     // The active fabric topology and bank count, so a journal line is
     // attributable to the exact machine extension knobs it ran under.
-    let topo = crate::backend::env_topology(p.max(1)).unwrap_or_default();
-    let banks = crate::backend::env_banks().map(|b| b.banks_per_node).unwrap_or(0);
+    let knobs = &knobs().result;
+    let topo = knobs.topology_at(p.max(1)).unwrap_or_default();
+    let banks = knobs.banks;
     let mut line = format!(
         "{{\"v\":1,\"kind\":\"sweep_point\",\"figure\":\"{}\",\"backend\":\"{}\",\
          \"p\":{p},\"reps\":{reps},\"fast\":{fast},\
@@ -254,10 +187,10 @@ pub(crate) fn record_point(rec: &PointRecord<'_>) {
          \"point\":{},\"total\":{},\"jobs\":{},\
          \"duration_ms\":{:.3},\"retries\":{},\"dropped_msgs\":{}",
         json_escape(figure),
-        crate::backend::Backend::from_env().name(),
+        knobs.backend.name(),
         topo.name(),
         topo.params(),
-        fingerprint(rec.total),
+        current_fingerprint(rec.total),
         rec.index,
         rec.total,
         rec.jobs,
@@ -305,7 +238,7 @@ pub(crate) fn load_replay(total: usize) -> std::collections::HashMap<usize, Vec<
             return out;
         }
     };
-    let want = fingerprint(total);
+    let want = current_fingerprint(total);
     for line in &lines {
         let Some(rec) = parse_object(line) else { continue };
         if rec.get("kind").and_then(Json::as_str) != Some("sweep_point")
@@ -329,39 +262,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn open_at_creates_missing_parent_directories() {
-        // The transient-open-failure fix: a journal pointed into a
-        // directory that does not exist yet must come up writable,
-        // not be disabled for the whole process.
-        let dir = std::env::temp_dir()
-            .join(format!("qsm-bench-journal-{}", std::process::id()))
-            .join("nested")
-            .join("deeper");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("run.jsonl");
-        let j = open_at(&path).expect("open_at should create parent dirs");
-        j.append(r#"{"v":1,"kind":"probe"}"#).unwrap();
-        assert_eq!(read_complete_lines(&path).unwrap().len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn fingerprint_is_stable_and_sensitive() {
-        // Same context twice: identical. (The context is process
-        // global; use a dedicated figure name so concurrent tests
-        // cannot interleave half an update.)
-        let cfg = crate::RunCfg { p: 16, reps: 3, fast: false };
-        set_figure("fingerprint_test", &cfg);
-        let a = fingerprint(10);
-        assert_eq!(a, fingerprint(10));
+        let knobs = crate::knobs::tests::parse(&[]).result;
+        let cfg = RunCfg { p: 16, reps: 3, fast: false };
+        let a = fingerprint("fig1", &cfg, 10, &knobs);
+        assert_eq!(a, fingerprint("fig1", &cfg, 10, &knobs));
         assert_eq!(a.len(), 16, "zero-padded 64-bit hex");
-        // Any identity-relevant change moves it.
-        assert_ne!(a, fingerprint(11), "point count must be part of the identity");
-        let cfg2 = crate::RunCfg { p: 16, reps: 4, fast: false };
-        set_figure("fingerprint_test", &cfg2);
-        assert_ne!(a, fingerprint(10), "reps must be part of the identity");
-        set_figure("fingerprint_test", &cfg);
-        assert_eq!(a, fingerprint(10), "restoring the config restores the fingerprint");
+        // Any identity-relevant change moves it (the knobs' share is
+        // `knobs::tests::the_fingerprint_hashes_exactly_the_result_knobs`).
+        assert_ne!(a, fingerprint("fig2", &cfg, 10, &knobs), "figure");
+        assert_ne!(a, fingerprint("fig1", &cfg, 11, &knobs), "point count");
+        let more_reps = RunCfg { reps: 4, ..cfg.clone() };
+        assert_ne!(a, fingerprint("fig1", &more_reps, 10, &knobs), "reps");
     }
 
     #[test]

@@ -12,33 +12,8 @@
 //! QSM_FAST=1 cargo run --release -p qsm-bench --bin all
 //! ```
 //!
-//! Environment knobs: `QSM_FAST=1` shrinks sweeps for smoke runs,
-//! `QSM_REPS=k` overrides the repetition count (default 3; the paper
-//! used 10), `QSM_RESULTS_DIR` redirects the CSV output directory
-//! (default `./results`), and `QSM_JOBS=k` sizes the [`sweep`] worker
-//! pool that runs independent measurement points concurrently
-//! (default `available_parallelism() / p`; `QSM_JOBS=1` is fully
-//! serial). Results are identical for every `QSM_JOBS` value.
-//! `QSM_BACKEND=sim|threads` (see [`backend`]) selects the
-//! [`qsm_core::Machine`] the algorithm figures run on — the
-//! deterministic simulator (default) or real host threads.
-//! `QSM_BANKS=b` puts `b` FIFO memory banks on every node of the
-//! simulated machine and `QSM_BANK_SERVICE=c` tunes their per-byte
-//! service cost in cycles (see [`backend::env_banks`]; unset or `0`
-//! banks keeps the exact bank-free arithmetic, so all default CSVs
-//! are unchanged).
-//!
-//! Observability knobs (see [`obs`]): `QSM_TRACE=path.json` captures
-//! a Perfetto trace of the run, `QSM_METRICS=path.json` dumps the
-//! run-wide metrics registry (byte-stable across `QSM_JOBS`),
-//! `QSM_PROGRESS=1` reports per-point sweep durations (with a running
-//! ETA) on stderr, and `QSM_RUN_LOG=path.jsonl` keeps a durable
-//! per-point run journal (see [`journal`]): claim + completion
-//! records with each point's [`replay::Replay`]-encoded result.
-//! `QSM_RESUME=1` turns a rerun against the same journal into a
-//! crash resume — completed points replay from the ledger bit-exactly
-//! and only unfinished points execute — and `QSM_JOURNAL_SYNC=0`
-//! trades the journal's per-record `fdatasync` durability for speed.
+//! Every `QSM_*` environment knob is parsed once, by [`knobs()`]: see
+//! [`knobs::Knobs`] for what each selects and README for the table.
 //! The `explain` binary prints a phase-by-phase measured-vs-predicted
 //! breakdown for one algorithm configuration.
 
@@ -48,16 +23,14 @@ pub mod backend;
 pub mod figures;
 pub mod journal;
 mod jsonl;
-mod knob;
+pub mod knobs;
 pub mod obs;
 pub mod output;
 pub mod replay;
 pub mod stats;
 pub mod sweep;
 
-use std::path::PathBuf;
-
-pub use knob::{env_usize, parse_usize_knob};
+pub use knobs::knobs;
 
 /// Common sweep configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,11 +44,9 @@ pub struct RunCfg {
 }
 
 impl RunCfg {
-    /// Read configuration from the environment.
+    /// The configuration `QSM_FAST` and `QSM_REPS` select.
     pub fn from_env() -> Self {
-        let fast = std::env::var("QSM_FAST").map(|v| v != "0").unwrap_or(false);
-        let reps = env_usize("QSM_REPS").unwrap_or(if fast { 1 } else { 3 });
-        Self { p: 16, reps, fast }
+        knobs().run.clone()
     }
 
     /// A fast configuration for tests.
@@ -95,11 +66,6 @@ impl RunCfg {
     }
 }
 
-/// Directory CSV artifacts are written into.
-pub fn results_dir() -> PathBuf {
-    std::env::var("QSM_RESULTS_DIR").map(PathBuf::from).unwrap_or_else(|_| PathBuf::from("results"))
-}
-
 /// A rendered experiment: human-readable text plus a CSV artifact.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -115,12 +81,12 @@ pub struct Report {
 
 impl Report {
     /// Print the report and persist the CSV under
-    /// [`results_dir`]`/<id>.csv`. IO errors are reported, not fatal.
+    /// `QSM_RESULTS_DIR/<id>.csv`. IO errors are reported, not fatal.
     pub fn emit(&self) {
         println!("== {} — {} ==", self.id, self.title);
         println!("{}", self.text);
-        let dir = results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+        let dir = &knobs().results_dir;
+        if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: cannot create {}: {e}", dir.display());
             return;
         }
@@ -164,11 +130,12 @@ mod tests {
 
     #[test]
     fn usize_knobs_parse_strictly_but_warn_not_panic() {
-        // `knob` owns the exhaustive tests; this pins the crate-root
-        // API. Fake knob names: the warned-once registry is process
-        // global.
-        assert_eq!(parse_usize_knob("QSM_TEST_KNOB_BENCH", Some("8")), Some(8));
-        assert_eq!(parse_usize_knob("QSM_TEST_KNOB_BENCH", Some("abc")), None);
-        assert_eq!(parse_usize_knob("QSM_TEST_KNOB_BENCH", None), None);
+        // `QSM_REPS` sets the repetitions; a typo warns and leaves the
+        // mode's default rather than panicking.
+        let reps =
+            |fast, reps| knobs::tests::parse(&[("QSM_FAST", fast), ("QSM_REPS", reps)]).run.reps;
+        assert_eq!(reps("0", "8"), 8);
+        assert_eq!(reps("0", "abc"), 3);
+        assert_eq!(reps("1", "abc"), 1);
     }
 }

@@ -15,10 +15,8 @@
 //!   `path.json` on finalize. Metrics are commutative, so the dump is
 //!   byte-identical for every `QSM_JOBS` value.
 //!
-//! Unusable knob values — an unwritable or uncreatable path — are
-//! rejected up front with a one-time warning naming the offending
-//! value (the `parse_usize_knob` discipline), rather than silently
-//! losing the capture at finalize time.
+//! An unusable path is rejected with a warning when the knobs are
+//! parsed ([`mod@crate::knobs`]), not discovered at finalize time.
 //!
 //! The recorder is installed into the process-global slot read by
 //! every [`qsm_core::Machine`] backend ([`qsm_core::obs::install`]
@@ -26,47 +24,14 @@
 //! needed. Timestamps are in the `QSM_BACKEND`-selected backend's
 //! time unit (simulated cycles or host nanoseconds).
 
-use std::path::PathBuf;
+use std::path::Path;
 
 use qsm_core::obs::{self, ObsData, ObsLevel, Recorder};
 
-/// Where captured data goes when the run finishes.
+/// The recorder a binary's runs emit into, written out when it ends.
 #[derive(Debug)]
 pub struct ObsSink {
     rec: Recorder,
-    trace: Option<PathBuf>,
-    metrics: Option<PathBuf>,
-}
-
-/// Read a path-valued knob without probing it (the journal resolves
-/// the parent directory before the [`checked_path`] probe).
-pub(crate) fn env_path(name: &str) -> Option<PathBuf> {
-    std::env::var_os(name).filter(|v| !v.is_empty()).map(PathBuf::from)
-}
-
-/// Read a path-valued knob and probe it for writability (open for
-/// appending, creating if absent). An unusable value — say a
-/// directory that does not exist — warns once with the offending
-/// value and disables that capture (`None`), instead of failing
-/// silently at finalize time after the measurement was already spent.
-/// (Once: a sweep must not repeat the warning per point, but silent
-/// capture loss is worse than noise.)
-pub(crate) fn checked_path(name: &'static str, what: &str) -> Option<PathBuf> {
-    let path = env_path(name)?;
-    match std::fs::OpenOptions::new().create(true).append(true).open(&path) {
-        Ok(_) => Some(path),
-        Err(e) => {
-            crate::knob::warn_once(
-                name,
-                format_args!(
-                    "ignoring unusable {name}={:?} (cannot open for writing: {e}); \
-                     {what} capture disabled",
-                    path.display()
-                ),
-            );
-            None
-        }
-    }
 }
 
 impl ObsSink {
@@ -81,11 +46,10 @@ impl ObsSink {
     /// `explain`, whose phase table needs Full-level spans regardless
     /// of whether a trace file was asked for.
     pub fn with_level(floor: Option<ObsLevel>) -> Self {
-        let trace = checked_path("QSM_TRACE", "trace");
-        let metrics = checked_path("QSM_METRICS", "metrics");
-        let level = if trace.is_some() || floor == Some(ObsLevel::Full) {
+        let knobs = crate::knobs();
+        let level = if knobs.trace.is_some() || floor == Some(ObsLevel::Full) {
             Some(ObsLevel::Full)
-        } else if metrics.is_some() || floor.is_some() {
+        } else if knobs.metrics.is_some() || floor.is_some() {
             Some(ObsLevel::Metrics)
         } else {
             None
@@ -94,7 +58,7 @@ impl ObsSink {
             Some(level) => {
                 // Timestamps carry the backend's time unit: simulated
                 // cycles at the model clock, or host nanoseconds.
-                let rec = Recorder::new(level, crate::backend::Backend::from_env().clock_hz());
+                let rec = Recorder::new(level, knobs.result.backend.clock_hz());
                 obs::install(rec.clone());
                 // If another recorder won the install race (tests), emit
                 // into the live one so finalize sees the real capture.
@@ -102,7 +66,7 @@ impl ObsSink {
             }
             None => Recorder::disabled(),
         };
-        Self { rec, trace, metrics }
+        Self { rec }
     }
 
     /// The recorder runs will emit into (disabled when inactive).
@@ -126,16 +90,16 @@ impl ObsSink {
     /// Write the requested artifacts from an already-drained capture
     /// (for callers that needed the [`ObsData`] themselves).
     pub fn write(&self, data: &ObsData) {
-        if let Some(path) = &self.trace {
+        if let Some(path) = &crate::knobs().trace {
             emit(path, &data.to_perfetto_json(), "trace");
         }
-        if let Some(path) = &self.metrics {
+        if let Some(path) = &crate::knobs().metrics {
             emit(path, &data.metrics_json(), "metrics");
         }
     }
 }
 
-fn emit(path: &PathBuf, payload: &str, what: &str) {
+fn emit(path: &Path, payload: &str, what: &str) {
     match std::fs::write(path, payload) {
         Ok(()) => eprintln!("[obs] {what} written to {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {what} to {}: {e}", path.display()),
@@ -145,39 +109,32 @@ fn emit(path: &PathBuf, payload: &str, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::tests::parse;
 
-    // Environment mutation is racy across in-process tests and the
-    // global recorder slot is first-call-wins, so the env-driven
-    // install paths are covered by the integration tests and the CI
-    // smoke run; here we only pin the inactive default.
+    // The global recorder slot is first-call-wins, so the install paths
+    // are covered by the integration tests and the CI smoke run; here
+    // we only pin the inactive default.
     #[test]
     fn no_env_means_disabled() {
         // Neither knob is set under `cargo test`.
-        if std::env::var_os("QSM_TRACE").is_none() && std::env::var_os("QSM_METRICS").is_none() {
+        if crate::knobs().trace.is_none() && crate::knobs().metrics.is_none() {
             let sink = ObsSink::from_env();
             assert!(!sink.recorder().is_enabled());
             sink.finalize(); // no-op, must not panic
         }
     }
 
-    // These use dedicated env var names no other test touches, so
-    // the env-mutation race above does not apply.
     #[test]
     fn unusable_path_knob_is_rejected_loudly_but_once() {
-        std::env::set_var("QSM_TEST_BAD_SINK", "/nonexistent-dir/out.json");
-        assert!(checked_path("QSM_TEST_BAD_SINK", "test").is_none());
-        // Still rejected on re-read; the warning itself is deduped
-        // via the once-per-knob registry.
-        assert!(checked_path("QSM_TEST_BAD_SINK", "test").is_none());
-        std::env::remove_var("QSM_TEST_BAD_SINK");
+        let knobs = parse(&[("QSM_TRACE", "/dev/null/out.json")]);
+        assert_eq!(knobs.trace, None);
     }
 
     #[test]
     fn writable_path_knob_passes_the_probe() {
         let path = std::env::temp_dir().join(format!("qsm-obs-probe-{}.json", std::process::id()));
-        std::env::set_var("QSM_TEST_GOOD_SINK", &path);
-        assert_eq!(checked_path("QSM_TEST_GOOD_SINK", "test"), Some(path.clone()));
-        std::env::remove_var("QSM_TEST_GOOD_SINK");
+        let knobs = parse(&[("QSM_METRICS", path.to_str().unwrap())]);
+        assert_eq!(knobs.metrics, Some(path.clone()));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -9,8 +9,8 @@
 //! point's index), so tables and CSVs are byte-identical to a serial
 //! run regardless of completion order or worker count.
 //!
-//! The pool is sized by the `QSM_JOBS` environment variable; the
-//! default is `available_parallelism() / p_sim` (minimum 1), because
+//! The pool is sized by the `QSM_JOBS` knob; the default is
+//! `available_parallelism() / p_sim` (minimum 1), because
 //! every measurement point itself keeps `p_sim` pooled workers busy
 //! (concurrent points each lease their own from `qsm_core::pool`).
 //! `QSM_JOBS=1` recovers the serial executor exactly.
@@ -53,14 +53,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::knobs::{knobs, Knobs};
 use crate::replay::Replay;
 
 /// Worker-pool size for sweeps whose points each simulate `p_sim`
-/// processors: `QSM_JOBS` if set (minimum 1), else
-/// `available_parallelism() / p_sim`, minimum 1. An unparseable
-/// `QSM_JOBS` warns on stderr (once) and falls back to the default.
-pub fn jobs(p_sim: usize) -> usize {
-    if let Some(n) = crate::env_usize("QSM_JOBS") {
+/// processors: the `QSM_JOBS` knob if set (minimum 1), else
+/// `available_parallelism() / p_sim`, minimum 1.
+fn jobs(knob: Option<usize>, p_sim: usize) -> usize {
+    if let Some(n) = knob {
         return n.max(1);
     }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -68,8 +68,8 @@ pub fn jobs(p_sim: usize) -> usize {
 }
 
 /// Per-point duration/progress telemetry for one sweep, reporting to
-/// stderr when `QSM_PROGRESS` is set (to anything but `0`). Inactive
-/// it is a single boolean test per completed point.
+/// stderr when `enabled` (the `QSM_PROGRESS` knob). Inactive it is a
+/// single boolean test per completed point.
 struct Progress {
     enabled: bool,
     total: usize,
@@ -83,8 +83,7 @@ struct Progress {
 }
 
 impl Progress {
-    fn new(total: usize, workers: usize) -> Self {
-        let enabled = std::env::var("QSM_PROGRESS").map(|v| v != "0").unwrap_or(false);
+    fn new(enabled: bool, total: usize, workers: usize) -> Self {
         Self { enabled, total, workers, done: AtomicUsize::new(0), spent_us: AtomicU64::new(0) }
     }
 
@@ -168,29 +167,30 @@ pub fn exit_if_degraded() {
 
 /// Run `f` over every item under a per-point `catch_unwind`, in input
 /// order: `out[i]` is point `i`'s result or its captured panic. The
-/// machinery shared by [`map`] and [`map_surviving`].
+/// machinery shared by [`map`] and [`map_surviving`], which hand it
+/// the process's [`knobs()`]: `knobs` sizes the pool and switches
+/// progress, the panic drill and resume.
 ///
 /// With an active run journal and `QSM_RESUME=1`, points already
 /// completed under the same configuration fingerprint are replayed
 /// from the journal instead of executed (see [`crate::journal`]).
-pub fn try_map<I, T, F>(p_sim: usize, items: Vec<I>, f: F) -> Vec<Result<T, PointPanic>>
+fn try_map<I, T, F>(knobs: &Knobs, p_sim: usize, items: Vec<I>, f: F) -> Vec<Result<T, PointPanic>>
 where
     I: Send,
     T: Send + Replay,
     F: Fn(usize, I) -> T + Sync,
 {
     let n = items.len();
-    let workers = jobs(p_sim).min(n.max(1));
+    let workers = jobs(knobs.jobs, p_sim).min(n.max(1));
     let journal_on = crate::journal::active();
     // Resume: decode every replayable completed point before spending
     // any work. A record that fails to decode (schema drift from an
     // older build) is simply re-run — replay is an optimization, never
     // a correctness dependency.
-    // (`resume_requested` owns the journal check, so asking for a
-    // resume with no usable journal warns instead of silently
-    // re-running everything.)
+    // (The knobs warn when a resume was asked for with no usable
+    // journal, instead of silently re-running everything.)
     let mut replayed: HashMap<usize, T> = HashMap::new();
-    if crate::journal::resume_requested() {
+    if knobs.resume {
         for (i, fields) in crate::journal::load_replay(n) {
             if let Some(v) = T::decode_fields(&fields) {
                 replayed.insert(i, v);
@@ -201,8 +201,8 @@ where
             replayed.len()
         );
     }
-    let progress = Progress::new(n - replayed.len(), workers);
-    let drill = crate::env_usize("QSM_PANIC_POINT");
+    let progress = Progress::new(knobs.progress, n - replayed.len(), workers);
+    let drill = knobs.panic_point;
     let run_point = |i: usize, item: I| {
         // Timing and tally snapshots only when someone consumes them
         // (`QSM_PROGRESS` or `QSM_RUN_LOG`); the default path stays a
@@ -302,10 +302,10 @@ where
         .collect()
 }
 
-/// Run `f` over every item of the sweep grid on a pool of
-/// [`jobs`]`(p_sim)` worker threads and collect the results in input
-/// order. `f` receives `(index, item)`; any per-point seed must be
-/// derived from those (the figure modules use
+/// Run `f` over every item of the sweep grid on a pool of `QSM_JOBS`
+/// (default: cores / `p_sim`) worker threads and collect the results
+/// in input order. `f` receives `(index, item)`; any per-point seed
+/// must be derived from those (the figure modules use
 /// [`crate::RunCfg::seed`]), never from shared mutable state.
 ///
 /// With one worker (or one item) the items are executed inline on the
@@ -321,7 +321,7 @@ where
 {
     let mut out = Vec::new();
     let mut first_failure: Option<PointPanic> = None;
-    for r in try_map(p_sim, items, f) {
+    for r in try_map(knobs(), p_sim, items, f) {
         match r {
             Ok(t) => out.push(t),
             Err(p) => {
@@ -345,16 +345,16 @@ where
 /// fully independent rows, this turns one exploding configuration
 /// into a partial artifact instead of a lost run.
 ///
-/// `QSM_PANIC_POINT=i` (handled in [`try_map`], so it also covers
-/// [`map`]-based sweeps) injects an artificial panic at point `i`, a
-/// drill for this degradation path.
+/// `QSM_PANIC_POINT=i` (handled by the shared executor, so it also
+/// covers [`map`]-based sweeps) injects an artificial panic at point
+/// `i`, a drill for this degradation path.
 pub fn map_surviving<I, T, F>(p_sim: usize, items: Vec<I>, f: F) -> Vec<(usize, T)>
 where
     I: Send,
     T: Send + Replay,
     F: Fn(usize, I) -> T + Sync,
 {
-    let results = try_map(p_sim, items, f);
+    let results = try_map(knobs(), p_sim, items, f);
     let mut out = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
         match r {
@@ -390,39 +390,50 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// The executor's settings, as the knobs select them.
+    fn knobs_with(pairs: &[(&str, &str)]) -> Knobs {
+        crate::knobs::tests::parse(pairs)
+    }
+
     #[test]
     fn parallel_matches_serial() {
-        // Force a multi-worker pool regardless of host cores by going
-        // through the internal path `map` takes when jobs > 1: run
-        // with the env knob set in-process is racy across tests, so
-        // compare against the inline serial computation instead.
         let serial: Vec<u64> = (0..40u64).map(|x| x.wrapping_mul(0x9E37)).collect();
-        let parallel = map(1, (0..40u64).collect(), |_, x| x.wrapping_mul(0x9E37));
-        assert_eq!(serial, parallel);
+        for jobs in ["1", "4"] {
+            let knobs = knobs_with(&[("QSM_JOBS", jobs)]);
+            let parallel = try_map(&knobs, 1, (0..40u64).collect(), |_, x| x.wrapping_mul(0x9E37));
+            assert_eq!(serial, parallel.into_iter().map(Result::unwrap).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn jobs_is_at_least_one() {
-        assert!(jobs(1) >= 1);
-        assert!(jobs(1024) >= 1);
+        assert!(jobs(None, 1) >= 1);
+        assert!(jobs(None, 1024) >= 1);
+        assert_eq!(jobs(Some(0), 1), 1);
+        assert_eq!(jobs(Some(6), 1024), 6);
     }
 
     #[test]
     fn try_map_captures_panics_per_point() {
-        let results = try_map(1, (0..8).collect(), |_, x: i32| {
-            if x % 3 == 1 {
-                panic!("boom at {x}");
-            }
-            x * 2
-        });
-        assert_eq!(results.len(), 8);
-        for (i, r) in results.iter().enumerate() {
-            if i % 3 == 1 {
-                let p = r.as_ref().expect_err("point should have failed");
-                assert_eq!(p.index, i);
-                assert_eq!(p.message, format!("boom at {i}"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), (i as i32) * 2);
+        for jobs in ["1", "4"] {
+            let knobs = knobs_with(&[("QSM_JOBS", jobs)]);
+            let results = try_map(&knobs, 1, (0..8).collect(), |_, x: i32| {
+                if x % 3 == 1 {
+                    panic!("boom at {x}");
+                }
+                x * 2
+            });
+            assert_eq!(results.len(), 8);
+            for (i, r) in results.iter().enumerate() {
+                if i % 3 == 1 {
+                    // The point's own payload, never a poisoned lock.
+                    let p = r.as_ref().expect_err("point should have failed");
+                    assert_eq!(p.index, i);
+                    assert_eq!(p.message, format!("boom at {i}"));
+                    assert_eq!(p.payload.downcast_ref::<String>(), Some(&p.message));
+                } else {
+                    assert_eq!(*r.as_ref().unwrap(), (i as i32) * 2);
+                }
             }
         }
     }

@@ -3,40 +3,31 @@
 //! counts and across repeat runs — faults perturb the *simulated*
 //! machine, never the harness. A different seed must change the
 //! artifact (the knob is actually wired through).
-//!
-//! This file contains exactly one `#[test]` on purpose: it mutates
-//! the process-wide `QSM_JOBS` and `QSM_FAULT_SEED` variables, and a
-//! sibling test running concurrently in the same binary could observe
-//! either.
 
-use qsm_bench::figures::ext_faults;
-use qsm_bench::RunCfg;
+mod common;
+
+use common::{fresh_dir, read, run_figure};
 
 #[test]
 fn ext_faults_is_byte_identical_across_job_counts_and_runs() {
-    let cfg = RunCfg::fast();
-
-    std::env::set_var("QSM_JOBS", "1");
-    let serial = ext_faults::run(&cfg);
-
-    std::env::set_var("QSM_JOBS", "4");
-    let parallel = ext_faults::run(&cfg);
-    let parallel_again = ext_faults::run(&cfg);
-
-    assert_eq!(serial.csv, parallel.csv, "fault sweep must not depend on worker count");
-    assert_eq!(parallel.csv, parallel_again.csv, "fault sweep must replay exactly");
+    let dir = fresh_dir("faults");
+    let run = |tag: &str, knobs: &[(&str, &str)]| {
+        run_figure(env!("CARGO_BIN_EXE_ext_faults"), &dir.join(tag), knobs);
+        read(&dir.join(tag).join("ext_faults.csv"))
+    };
+    let serial = run("serial", &[("QSM_JOBS", "1")]);
+    let parallel = run("parallel", &[("QSM_JOBS", "4")]);
+    let parallel_again = run("again", &[("QSM_JOBS", "4")]);
+    assert_eq!(serial, parallel, "fault sweep must not depend on worker count");
+    assert_eq!(parallel, parallel_again, "fault sweep must replay exactly");
 
     // The seed knob is live: a different schedule moves the measured
     // columns (and only the measured columns — predictions are blind
     // to faults).
-    std::env::set_var("QSM_FAULT_SEED", "12345");
-    let reseeded = ext_faults::run(&cfg);
-    let reseeded_again = ext_faults::run(&cfg);
-    std::env::remove_var("QSM_FAULT_SEED");
-    std::env::remove_var("QSM_JOBS");
-
-    assert_ne!(serial.csv, reseeded.csv, "QSM_FAULT_SEED must change the schedule");
-    assert_eq!(reseeded.csv, reseeded_again.csv, "every seed must be reproducible");
+    let reseeded = run("reseeded", &[("QSM_JOBS", "4"), ("QSM_FAULT_SEED", "12345")]);
+    let reseeded_again = run("reseeded_again", &[("QSM_JOBS", "1"), ("QSM_FAULT_SEED", "12345")]);
+    assert_ne!(serial, reseeded, "QSM_FAULT_SEED must change the schedule");
+    assert_eq!(reseeded, reseeded_again, "every seed must be reproducible");
     let pred_cols = |csv: &str| -> Vec<String> {
         csv.lines()
             .skip(1)
@@ -46,5 +37,6 @@ fn ext_faults_is_byte_identical_across_job_counts_and_runs() {
             })
             .collect()
     };
-    assert_eq!(pred_cols(&serial.csv), pred_cols(&reseeded.csv));
+    assert_eq!(pred_cols(&serial), pred_cols(&reseeded));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,71 +5,44 @@
 //! histogram included. The metrics registry rides along: the service
 //! counters and the latency histogram merge commutatively, so the
 //! JSON dump must not depend on worker count or completion order.
-//!
-//! This file contains exactly one `#[test]` on purpose: it mutates
-//! the process-wide `QSM_JOBS` variable and installs the
-//! process-global metrics recorder, and a sibling test running
-//! concurrently in the same binary could observe either.
 
-use qsm_bench::figures::ext_service;
-use qsm_bench::RunCfg;
-use qsm_core::obs::{self, ObsLevel, Recorder};
+mod common;
+
+use common::{fresh_dir, read, run_figure};
 
 #[test]
 fn ext_service_is_byte_identical_across_job_counts_and_runs() {
-    let cfg = RunCfg::fast();
-
-    // The figure reads the QSM_SERVICE_* knobs and QSM_BANKS; pin all
-    // of them to their defaults so an ambient setting can't change
-    // what "identical" means here.
-    for knob in [
-        "QSM_SERVICE_LOAD",
-        "QSM_SERVICE_CLIENTS",
-        "QSM_SERVICE_SHARDS",
-        "QSM_SERVICE_ADMISSION",
-        "QSM_BANKS",
-    ] {
-        std::env::remove_var(knob);
-    }
-
-    assert!(obs::install(Recorder::new(ObsLevel::Metrics, 400e6)));
-    let rec = obs::recorder();
-    let drain = || rec.take_metrics_json().expect("recorder is installed");
-
-    std::env::set_var("QSM_JOBS", "1");
-    let serial = ext_service::run(&cfg);
-    let serial_metrics = drain();
-
-    std::env::set_var("QSM_JOBS", "4");
-    let parallel = ext_service::run(&cfg);
-    let parallel_metrics = drain();
-    let parallel_again = ext_service::run(&cfg);
-    let parallel_again_metrics = drain();
-    std::env::remove_var("QSM_JOBS");
+    let dir = fresh_dir("service");
+    let run = |tag: &str, jobs: &str| {
+        let (out, metrics) = (dir.join(tag), dir.join(format!("{tag}.json")));
+        let knobs = [("QSM_JOBS", jobs), ("QSM_METRICS", metrics.to_str().unwrap())];
+        run_figure(env!("CARGO_BIN_EXE_ext_service"), &out, &knobs);
+        (read(&out.join("ext_service.csv")), read(&metrics))
+    };
+    let serial = run("serial", "1");
+    let parallel = run("parallel", "4");
+    let parallel_again = run("again", "4");
 
     assert_eq!(
-        serial.csv, parallel.csv,
+        serial.0, parallel.0,
         "QSM_JOBS=4 must produce the byte-identical CSV of a serial run"
     );
-    assert_eq!(serial.text, parallel.text);
     assert_eq!(
-        parallel.csv, parallel_again.csv,
+        parallel.0, parallel_again.0,
         "repeat parallel runs must replay arrivals and service slots exactly"
     );
-
     // The engine actually fed the registry, and its histogram and
     // counters are as order-blind as the rest of it.
     assert!(
-        serial_metrics.contains("\"service_latency_cycles"),
-        "latency histogram missing from the metrics dump:\n{serial_metrics}"
+        serial.1.contains("\"service_latency_cycles"),
+        "latency histogram missing from the metrics dump:\n{}",
+        serial.1
     );
-    assert!(serial_metrics.contains("\"service_completed\""));
+    assert!(serial.1.contains("\"service_completed\""));
+    assert_eq!(serial.1, parallel.1, "metrics JSON must be byte-identical across QSM_JOBS");
     assert_eq!(
-        serial_metrics, parallel_metrics,
-        "metrics JSON must be byte-identical across QSM_JOBS"
-    );
-    assert_eq!(
-        parallel_metrics, parallel_again_metrics,
+        parallel.1, parallel_again.1,
         "repeat runs must replay the metrics registry exactly"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }

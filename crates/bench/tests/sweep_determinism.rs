@@ -4,15 +4,10 @@
 //! same simulated cycle counts exactly. The same holds for the
 //! metrics registry: its counters and histograms are commutative, so
 //! the JSON dump must not depend on worker count or completion order.
-//!
-//! This file contains exactly one `#[test]` on purpose: it mutates
-//! the process-wide `QSM_JOBS` variable and installs the
-//! process-global metrics recorder, and a sibling test running
-//! concurrently in the same binary could observe either.
 
-use qsm_bench::figures::fig4;
-use qsm_bench::RunCfg;
-use qsm_core::obs::{self, ObsLevel, Recorder};
+mod common;
+
+use common::{fresh_dir, read, run_figure};
 
 #[test]
 fn fig4_is_byte_identical_across_job_counts_and_runs() {
@@ -20,42 +15,30 @@ fn fig4_is_byte_identical_across_job_counts_and_runs() {
     // the randomized sample-sort path, and its seeds are keyed on the
     // sweep-point index — exactly what must not depend on which
     // worker executes which point.
-    let cfg = RunCfg::fast();
-
-    // Metrics-level recorder shared by every run below; drained to
-    // JSON after each so the dumps are directly comparable.
-    assert!(obs::install(Recorder::new(ObsLevel::Metrics, 400e6)));
-    let rec = obs::recorder();
-    let drain = || rec.take_metrics_json().expect("recorder is installed");
-
-    std::env::set_var("QSM_JOBS", "1");
-    let serial = fig4::run(&cfg);
-    let serial_metrics = drain();
-
-    std::env::set_var("QSM_JOBS", "4");
-    let parallel = fig4::run(&cfg);
-    let parallel_metrics = drain();
-    let parallel_again = fig4::run(&cfg);
-    let parallel_again_metrics = drain();
-    std::env::remove_var("QSM_JOBS");
+    let dir = fresh_dir("fig4");
+    let run = |tag: &str, jobs: &str| {
+        let (out, metrics) = (dir.join(tag), dir.join(format!("{tag}.json")));
+        let knobs = [("QSM_JOBS", jobs), ("QSM_METRICS", metrics.to_str().unwrap())];
+        run_figure(env!("CARGO_BIN_EXE_fig4_latency_sweep"), &out, &knobs);
+        (read(&out.join("fig4.csv")), read(&metrics))
+    };
+    let serial = run("serial", "1");
+    let parallel = run("parallel", "4");
+    let parallel_again = run("again", "4");
 
     assert_eq!(
-        serial.csv, parallel.csv,
+        serial.0, parallel.0,
         "QSM_JOBS=4 must produce the byte-identical CSV of a serial run"
     );
-    assert_eq!(serial.text, parallel.text);
     assert_eq!(
-        parallel.csv, parallel_again.csv,
+        parallel.0, parallel_again.0,
         "repeat parallel runs must replay simulated cycles exactly"
     );
-
-    assert!(serial_metrics.contains("\"phases\""), "metrics dump looks empty:\n{serial_metrics}");
+    assert!(serial.1.contains("\"phases\""), "metrics dump looks empty:\n{}", serial.1);
+    assert_eq!(serial.1, parallel.1, "metrics JSON must be byte-identical across QSM_JOBS");
     assert_eq!(
-        serial_metrics, parallel_metrics,
-        "metrics JSON must be byte-identical across QSM_JOBS"
-    );
-    assert_eq!(
-        parallel_metrics, parallel_again_metrics,
+        parallel.1, parallel_again.1,
         "repeat runs must replay the metrics registry exactly"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,65 +1,62 @@
 //! A panicking sweep point must never take down the executor with a
-//! misleading "lock poisoned" secondary panic: [`qsm_bench::sweep::map`]
-//! re-raises the *point's own payload* after completing every other
-//! point, and [`qsm_bench::sweep::map_surviving`] degrades to partial
-//! results instead. Both behaviours must hold in the serial executor
-//! and the worker pool alike.
-//!
-//! This file contains exactly one `#[test]` on purpose: it mutates
-//! the process-wide `QSM_JOBS` and `QSM_PANIC_POINT` variables, and a
-//! sibling test running concurrently in the same binary could observe
-//! either.
+//! misleading "lock poisoned" secondary panic: `sweep::map` re-raises
+//! the *point's own payload* after completing every other point, and
+//! `sweep::map_surviving` degrades to partial results instead. Both
+//! behaviours must hold in the serial executor and the worker pool
+//! alike. The `QSM_PANIC_POINT` drill fails the point without needing
+//! a broken figure.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
-use qsm_bench::sweep;
-
-fn crash_at_two(jobs: &str) -> (usize, String) {
-    std::env::set_var("QSM_JOBS", jobs);
-    let completed = AtomicUsize::new(0);
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        sweep::map(16, (0..5).collect(), |_, i: usize| {
-            if i == 2 {
-                panic!("point two exploded (jobs={jobs})");
-            }
-            completed.fetch_add(1, Ordering::Relaxed);
-            i * 10
-        })
-    }))
-    .expect_err("the sweep must re-raise the point's panic");
-    std::env::remove_var("QSM_JOBS");
-    let msg = err
-        .downcast_ref::<String>()
-        .expect("the original String payload must come through intact")
-        .clone();
-    (completed.load(Ordering::Relaxed), msg)
-}
+use common::{fresh_dir, read, run_bin, stderr};
 
 #[test]
 fn panicking_point_surfaces_its_own_payload_at_any_job_count() {
     for jobs in ["1", "4"] {
-        let (completed, msg) = crash_at_two(jobs);
+        let dir = fresh_dir(&format!("graceful-j{jobs}"));
+        let (results, log) = (dir.join("results"), dir.join("run.jsonl"));
+        let knobs = |panic_point| {
+            [
+                ("QSM_FAST", "1"),
+                ("QSM_JOBS", jobs),
+                ("QSM_PANIC_POINT", panic_point),
+                ("QSM_RESULTS_DIR", results.to_str().unwrap()),
+                ("QSM_RUN_LOG", log.to_str().unwrap()),
+            ]
+        };
+
+        // `ext_banks` sweeps its three patterns with `map`: the run
+        // dies on the point's own panic, after the other two finished.
+        let out = run_bin(env!("CARGO_BIN_EXE_ext_banks"), &knobs("1"));
+        let err = stderr(&out);
+        assert!(!out.status.success(), "the panic must end the run (jobs={jobs})");
         // Regression: this used to die in the executor itself with
         // `expect("sweep item lock poisoned")`, hiding the real error.
-        assert!(msg.contains("point two exploded"), "payload must be the point's own, got: {msg}");
-        assert!(!msg.contains("poisoned"), "must not surface lock poisoning: {msg}");
-        // The other four points still ran to completion.
-        assert_eq!(completed, 4, "surviving points must complete (jobs={jobs})");
-    }
+        assert!(
+            err.contains(
+                "error: sweep point 1 panicked: artificial failure injected by QSM_PANIC_POINT=1"
+            ),
+            "payload must be the point's own, got:\n{err}"
+        );
+        assert!(!err.contains("poisoned"), "must not surface lock poisoning:\n{err}");
+        let ledger = read(&log);
+        assert_eq!(
+            ledger.matches("\"status\":\"ok\"").count(),
+            2,
+            "surviving points must complete"
+        );
+        assert!(!results.join("ext_banks.csv").exists());
 
-    // The graceful executor instead drops the point, keeps the rest
-    // (with their original indices), and registers the failure for
-    // `exit_if_degraded`. The `QSM_PANIC_POINT` drill injects the
-    // failure without needing a broken figure.
-    std::env::set_var("QSM_PANIC_POINT", "1");
-    for jobs in ["1", "4"] {
-        std::env::set_var("QSM_JOBS", jobs);
-        let before = sweep::failed_points();
-        let got = sweep::map_surviving(16, vec![10usize, 20, 30], |_, v| v + 1);
-        assert_eq!(got, vec![(0, 11), (2, 31)], "jobs={jobs}");
-        assert_eq!(sweep::failed_points(), before + 1, "failure must be registered");
+        // `ext_faults` sweeps with `map_surviving`: it drops the point,
+        // keeps the rest, writes the partial artifact and exits 1.
+        let out = run_bin(env!("CARGO_BIN_EXE_ext_faults"), &knobs("1"));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "a degraded run exits 1 (jobs={jobs}):\n{err}");
+        assert!(err.contains("warning: sweep point 1 failed"), "{err}");
+        assert!(err.contains("1 sweep point(s) failed"), "{err}");
+        let csv = read(&results.join("ext_faults.csv"));
+        let drops: Vec<&str> = csv.lines().skip(1).map(|l| l.split(',').next().unwrap()).collect();
+        assert_eq!(drops, ["0.00", "0.02", "0.05", "0.10", "0.20"], "survivors keep their rows");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    std::env::remove_var("QSM_PANIC_POINT");
-    std::env::remove_var("QSM_JOBS");
 }

@@ -11,35 +11,27 @@
 //! replayed one does not.
 //!
 //! Everything runs in subprocesses (`CARGO_BIN_EXE_ext_topology`)
-//! with a fully scrubbed-and-explicit `QSM_*` environment: in-process
-//! env mutation is racy across tests (see `sweep_determinism.rs`),
-//! subprocess env is not.
+//! with a fully scrubbed-and-explicit `QSM_*` environment: a process
+//! parses its knobs once.
+
+mod common;
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Output;
 
-/// Run the `ext_topology` binary with exactly the given `QSM_*`
-/// knobs (every inherited `QSM_*` variable is scrubbed first).
+use common::{fresh_dir, run_bin};
+
+/// Run the `ext_topology` binary in fast mode with its results under
+/// `dir` and exactly the given `QSM_*` knobs besides.
 fn run_ext_topology(dir: &Path, knobs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ext_topology"));
-    for (k, _) in std::env::vars() {
-        if k.starts_with("QSM_") {
-            cmd.env_remove(k);
-        }
-    }
-    cmd.env("QSM_FAST", "1");
-    cmd.env("QSM_RESULTS_DIR", dir.join("results"));
-    for (k, v) in knobs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("ext_topology binary should spawn")
+    run_fast(env!("CARGO_BIN_EXE_ext_topology"), dir, knobs)
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qsm-sweep-resume-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn run_fast(exe: &str, dir: &Path, knobs: &[(&str, &str)]) -> Output {
+    let results = dir.join("results");
+    let mut all = vec![("QSM_FAST", "1"), ("QSM_RESULTS_DIR", results.to_str().unwrap())];
+    all.extend_from_slice(knobs);
+    run_bin(exe, &all)
 }
 
 fn csv(dir: &Path) -> PathBuf {
@@ -116,51 +108,67 @@ fn killed_sweep_resumes_to_a_byte_identical_csv_in_parallel() {
     kill_and_resume_roundtrip("4");
 }
 
-#[test]
-fn stale_journal_is_fully_rerun_never_replayed() {
-    let clean_dir = fresh_dir("stale-clean");
-    let stale_dir = fresh_dir("stale");
+/// A complete journal from a configuration that differs from the
+/// default in one knob that decides a result (`knob`), resumed under
+/// the default: every record has a stale fingerprint, so nothing may
+/// replay and the CSV must be the default one. A poisoned replay would
+/// smuggle the other configuration's rows into the default artifact.
+fn stale_journal_roundtrip(figure: &str, exe: &str, knob: (&str, &str), points: usize) {
+    let tag = format!("stale-{figure}");
+    let clean_dir = fresh_dir(&format!("{tag}-clean"));
+    let stale_dir = fresh_dir(&tag);
+    let csv_of = |dir: &Path| dir.join("results").join(format!("{figure}.csv"));
 
     // Oracle: default configuration, no journal.
-    let out = run_ext_topology(&clean_dir, &[("QSM_JOBS", "1")]);
+    let out = run_fast(exe, &clean_dir, &[("QSM_JOBS", "1")]);
     assert!(out.status.success());
-    let clean_csv = std::fs::read(csv(&clean_dir)).unwrap();
+    let clean_csv = std::fs::read(csv_of(&clean_dir)).unwrap();
 
-    // A *complete* journal from a different configuration: the link
-    // gap changes every non-flat row, and it is part of the
-    // fingerprint.
     let journal = stale_dir.join("run.jsonl");
     let journal_s = journal.to_str().unwrap();
-    let out = run_ext_topology(
-        &stale_dir,
-        &[("QSM_JOBS", "1"), ("QSM_RUN_LOG", journal_s), ("QSM_LINK_GAP", "100")],
-    );
+    let out = run_fast(exe, &stale_dir, &[("QSM_JOBS", "1"), ("QSM_RUN_LOG", journal_s), knob]);
     assert!(out.status.success());
-    let gap_csv = std::fs::read(csv(&stale_dir)).unwrap();
-    assert_ne!(gap_csv, clean_csv, "the link gap must actually change the results");
+    let other_csv = std::fs::read(csv_of(&stale_dir)).unwrap();
+    assert_ne!(other_csv, clean_csv, "{knob:?} must actually change the results");
 
-    // Resume under the *default* configuration: every journaled
-    // record has a stale fingerprint, so nothing may replay — a
-    // poisoned replay would smuggle gap-100 rows into the default
-    // artifact.
-    let out = run_ext_topology(
+    let out = run_fast(
+        exe,
         &stale_dir,
         &[("QSM_JOBS", "1"), ("QSM_RUN_LOG", journal_s), ("QSM_RESUME", "1")],
     );
     assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("resume: replaying 0/15 completed points"),
+        stderr.contains(&format!("resume: replaying 0/{points} completed points")),
         "a stale journal must replay nothing, got:\n{stderr}"
     );
-    assert_eq!(std::fs::read(csv(&stale_dir)).unwrap(), clean_csv);
+    assert_eq!(std::fs::read(csv_of(&stale_dir)).unwrap(), clean_csv);
     let ledger = std::fs::read_to_string(&journal).unwrap();
     assert_eq!(
         count_occurrences(&ledger, "\"kind\":\"sweep_claim\""),
-        30,
-        "the resume must have re-executed all 15 points"
+        2 * points,
+        "the resume must have re-executed all {points} points"
     );
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&stale_dir);
+}
+
+#[test]
+fn stale_journal_is_fully_rerun_never_replayed() {
+    // The link gap changes every non-flat row of `ext_topology`.
+    stale_journal_roundtrip(
+        "ext_topology",
+        env!("CARGO_BIN_EXE_ext_topology"),
+        ("QSM_LINK_GAP", "100"),
+        15,
+    );
+    // `ext_banks` pins its bank count but reads the service rate, which
+    // the fingerprint once saw only when `QSM_BANKS` was set.
+    stale_journal_roundtrip(
+        "ext_banks",
+        env!("CARGO_BIN_EXE_ext_banks"),
+        ("QSM_BANK_SERVICE", "40"),
+        3,
+    );
 }

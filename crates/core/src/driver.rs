@@ -214,7 +214,7 @@ impl CommMatrix {
 
 /// Wall-clock/simulated timing of one phase, as produced by the
 /// machine's timing strategy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTiming {
     /// Full phase duration (compute + communication).
     pub elapsed: Cycles,
@@ -222,6 +222,32 @@ pub struct PhaseTiming {
     pub compute: Cycles,
     /// `elapsed - compute`: time attributable to `sync()`.
     pub comm: Cycles,
+}
+
+/// What a [`crate::PhaseTimer`] knows about the phase it priced. A
+/// backend that injects no faults and simulates no banks or fabric
+/// fills in only the timing (`PhaseTiming::into`); the rest stays
+/// zero.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PhasePrice {
+    /// Measured timing.
+    pub timing: PhaseTiming,
+    /// [`PhaseRecord::retries`].
+    pub retries: u64,
+    /// [`PhaseRecord::dropped_msgs`].
+    pub dropped_msgs: u64,
+    /// [`PhaseRecord::bank_wait`].
+    pub bank_wait: Cycles,
+    /// [`PhaseRecord::link_wait`].
+    pub link_wait: Cycles,
+    /// [`PhaseRecord::link_util`].
+    pub link_util: f64,
+}
+
+impl From<PhaseTiming> for PhasePrice {
+    fn from(timing: PhaseTiming) -> Self {
+        PhasePrice { timing, ..PhasePrice::default() }
+    }
 }
 
 /// One completed phase: model-facing profile plus measured timing and
@@ -569,7 +595,7 @@ impl Driver {
         &mut self,
         inputs: &[Slot],
         timer: &mut dyn PhaseTimer,
-    ) -> PhaseTiming {
+    ) -> PhasePrice {
         self.charged.clear();
         self.charged.extend(inputs.iter().map(Slot::charged));
         self.arrivals.clear();
@@ -585,13 +611,11 @@ impl Driver {
         &mut self,
         plan: &PhasePlan,
         kappa: u64,
-        timing: PhaseTiming,
-        (retries, dropped_msgs): (u64, u64),
-        bank_wait: Cycles,
-        (link_wait, link_util): (Cycles, f64),
+        price: PhasePrice,
     ) -> PhaseRecord {
         let this = &mut *self;
         let p = this.p;
+        let PhasePrice { timing, retries, dropped_msgs, bank_wait, link_wait, link_util } = price;
 
         // --- Observability: phase spans on the machine track carry
         // the phase timing verbatim (dur, not endpoints), so the comm

@@ -87,7 +87,7 @@ pub use accounting::{CostReport, ModelInputs};
 pub use addr::{ArrayId, Layout};
 pub use calibrate::EffectiveCosts;
 pub use ctx::Ctx;
-pub use driver::{CommMatrix, PairTraffic, PhaseRecord, PhaseTiming};
+pub use driver::{CommMatrix, PairTraffic, PhasePrice, PhaseRecord, PhaseTiming};
 pub use machine::{AnyMachine, Machine, PhaseTimer, RunResult};
 pub use ops::GetTicket;
 pub use shmem::SharedArray;

@@ -23,7 +23,7 @@ use qsm_simnet::Cycles;
 
 use crate::accounting::CostReport;
 use crate::ctx::Ctx;
-use crate::driver::{CommMatrix, PhaseRecord, PhaseTiming};
+use crate::driver::{CommMatrix, PhasePrice, PhaseRecord};
 use crate::sim_runtime::SimMachine;
 use crate::thread_runtime::ThreadMachine;
 use qsm_models::ProgramProfile;
@@ -43,15 +43,10 @@ pub trait PhaseTimer: Send {
     /// which processor `i` entered `sync()` (wall-clock backends
     /// split compute from communication with it; simulated backends
     /// ignore it). `arrivals` may be empty in unit-test harnesses
-    /// that drive a timer directly.
-    fn price(&mut self, charged: &[u64], matrix: &CommMatrix, arrivals: &[Instant]) -> PhaseTiming;
-
-    /// `(resends, lost transmissions)` of the phase most recently
-    /// priced — the delivery protocol's work under fault injection.
-    /// Backends without fault injection report zeros.
-    fn fault_counts(&self) -> (u64, u64) {
-        (0, 0)
-    }
+    /// that drive a timer directly. Returns everything the backend
+    /// knows about the phase: its timing, plus the fault, bank and
+    /// link counters of backends that simulate them.
+    fn price(&mut self, charged: &[u64], matrix: &CommMatrix, arrivals: &[Instant]) -> PhasePrice;
 
     /// The destination-bank model this backend's machine is
     /// configured with, if any. The driver queries it once per run to
@@ -61,13 +56,6 @@ pub trait PhaseTimer: Send {
         None
     }
 
-    /// Summed destination-bank queuing of the phase most recently
-    /// priced (zero without a bank model, and on backends that do
-    /// not simulate banks).
-    fn bank_wait(&self) -> Cycles {
-        Cycles::ZERO
-    }
-
     /// Number of directed fabric links the backend's machine routes
     /// messages over — zero on the flat contention-free wire and on
     /// backends that do not simulate the fabric. The driver queries
@@ -75,20 +63,6 @@ pub trait PhaseTimer: Send {
     /// [`PhaseTimer::bank_model`].
     fn link_count(&self) -> usize {
         0
-    }
-
-    /// Summed fabric-link queuing of the phase most recently priced
-    /// (zero on the flat wire, and on backends that do not simulate
-    /// the fabric).
-    fn link_wait(&self) -> Cycles {
-        Cycles::ZERO
-    }
-
-    /// Busy fraction of the most-utilized fabric link over the phase
-    /// most recently priced (zero on the flat wire, and on backends
-    /// that do not simulate the fabric).
-    fn link_util(&self) -> f64 {
-        0.0
     }
 
     /// Opt in to per-worker span capture. The engine calls this once
@@ -123,7 +97,7 @@ pub trait Machine {
     /// Short stable name for harness output (`"sim"`, `"threads"`).
     fn backend_name(&self) -> &'static str;
 
-    /// Time unit of measured [`PhaseTiming`] values (`"cycles"` for
+    /// Time unit of measured [`crate::PhaseTiming`] values (`"cycles"` for
     /// the simulated machine, `"ns"` for wall-clock backends).
     fn time_unit(&self) -> &'static str;
 

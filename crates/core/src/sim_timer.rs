@@ -18,7 +18,7 @@ use qsm_simnet::{
     NetStats, Network,
 };
 
-use crate::driver::{CommMatrix, PairTraffic, PhaseTiming};
+use crate::driver::{CommMatrix, PairTraffic, PhasePrice, PhaseTiming};
 use crate::machine::PhaseTimer;
 
 /// Wire bytes of one plan entry (get count + put count for one pair).
@@ -69,22 +69,7 @@ pub struct SimTimer {
     /// `(round, first msg index, one-past-last)` per non-empty data
     /// round, for [`SpanKind::ExchangeRound`] spans (full level only).
     round_bounds: Vec<(usize, usize, usize)>,
-    // --- delivery-protocol scratch and per-phase fault counters ---
     retry: RetryScratch,
-    /// Resends performed in the phase most recently priced.
-    phase_retries: u64,
-    /// Transmissions lost in the phase most recently priced (each
-    /// later re-delivered by the retry protocol).
-    phase_drops: u64,
-    /// Summed destination-bank queuing over the data deliveries of
-    /// the phase most recently priced (zero without a bank model).
-    phase_bank_wait: Cycles,
-    /// Summed fabric-link queuing over the data and reply deliveries
-    /// of the phase most recently priced (zero on the flat wire).
-    phase_link_wait: Cycles,
-    /// Max per-link utilization (busy / elapsed) over the phase most
-    /// recently priced (zero on the flat wire).
-    phase_link_util: f64,
     /// Every link's utilization over the phase most recently priced
     /// (empty on the flat wire and after a phase that took no time).
     link_utils: Vec<f64>,
@@ -124,19 +109,20 @@ impl SimTimer {
             barrier_enter: Vec::with_capacity(cfg.p),
             round_bounds: Vec::new(),
             retry: RetryScratch::default(),
-            phase_retries: 0,
-            phase_drops: 0,
-            phase_bank_wait: Cycles::ZERO,
-            phase_link_wait: Cycles::ZERO,
-            phase_link_util: 0.0,
             link_utils: Vec::new(),
         }
     }
 
     /// Simulate one full sync. `local_finish[i]` is when processor
     /// `i`'s compute for the phase ended; returns each processor's
-    /// barrier release time.
-    fn simulate_exchange(&mut self, local_finish: &[Cycles], matrix: &CommMatrix) -> Vec<Cycles> {
+    /// barrier release time, and adds the delivery protocol's resends
+    /// and losses and the bank and link queuing to `out`.
+    fn simulate_exchange(
+        &mut self,
+        local_finish: &[Cycles],
+        matrix: &CommMatrix,
+        out: &mut PhasePrice,
+    ) -> Vec<Cycles> {
         let p = self.cfg.p;
         let sw = self.cfg.sw;
         self.cpu.clear();
@@ -229,13 +215,13 @@ impl SimTimer {
                 &self.rec,
                 self.phase_idx,
             );
-            self.phase_retries += r;
-            self.phase_drops += d;
+            out.retries += r;
+            out.dropped_msgs += d;
             if self.cfg.net.banks.is_some() {
-                self.phase_bank_wait += self.deliveries.iter().map(|d| d.bank_wait).sum::<Cycles>();
+                out.bank_wait += self.deliveries.iter().map(|d| d.bank_wait).sum::<Cycles>();
             }
             if self.net.link_count() > 0 {
-                self.phase_link_wait += self.deliveries.iter().map(|d| d.link_wait).sum::<Cycles>();
+                out.link_wait += self.deliveries.iter().map(|d| d.link_wait).sum::<Cycles>();
             }
 
             // --- Receiver-side processing in deterministic arrival order.
@@ -306,10 +292,10 @@ impl SimTimer {
                     &self.rec,
                     self.phase_idx,
                 );
-                self.phase_retries += r;
-                self.phase_drops += d;
+                out.retries += r;
+                out.dropped_msgs += d;
                 if self.net.link_count() > 0 {
-                    self.phase_link_wait +=
+                    out.link_wait +=
                         self.reply_deliveries.iter().map(|d| d.link_wait).sum::<Cycles>();
                 }
                 for q in self.reply_inbox.iter_mut() {
@@ -362,9 +348,15 @@ impl SimTimer {
     /// Emit this phase's spans, counter samples, wire events, and
     /// metrics into the attached recorder. Called once per `sync()`
     /// when the recorder is enabled; `release` is per-processor
-    /// barrier release, `release_max` the phase end on the global
-    /// clock. `self.phase_start` still holds the phase *start* times.
-    fn record_phase(&mut self, local_finish: &[Cycles], matrix: &CommMatrix, release: &[Cycles]) {
+    /// barrier release, `price` carries the phase's resends and
+    /// losses. `self.phase_start` still holds the phase *start* times.
+    fn record_phase(
+        &mut self,
+        local_finish: &[Cycles],
+        matrix: &CommMatrix,
+        release: &[Cycles],
+        price: &PhasePrice,
+    ) {
         let p = self.cfg.p;
         let phase = self.phase_idx;
         let exchanged = !matrix.is_empty();
@@ -393,11 +385,11 @@ impl SimTimer {
         // Fault counters only when faults actually fired, so the
         // metrics dump of a fault-free run is byte-identical to one
         // recorded before the delivery protocol existed.
-        if self.phase_drops > 0 {
-            self.rec.add("dropped_msgs", self.phase_drops);
+        if price.dropped_msgs > 0 {
+            self.rec.add("dropped_msgs", price.dropped_msgs);
         }
-        if self.phase_retries > 0 {
-            self.rec.add("retries", self.phase_retries);
+        if price.retries > 0 {
+            self.rec.add("retries", price.retries);
         }
         if exchanged {
             self.rec.observe_iter(
@@ -675,19 +667,15 @@ impl PhaseTimer for SimTimer {
         charged: &[u64],
         matrix: &CommMatrix,
         _arrivals: &[std::time::Instant],
-    ) -> PhaseTiming {
-        self.phase_retries = 0;
-        self.phase_drops = 0;
-        self.phase_bank_wait = Cycles::ZERO;
-        self.phase_link_wait = Cycles::ZERO;
-        self.phase_link_util = 0.0;
+    ) -> PhasePrice {
+        let mut out = PhasePrice::default();
         let local_finish: Vec<Cycles> = charged
             .iter()
             .zip(&self.phase_start)
             .enumerate()
             .map(|(i, (&ops, &start))| start + self.cfg.cpu.ops(ops) * self.cfg.cpu_factor(i))
             .collect();
-        let release = self.simulate_exchange(&local_finish, matrix);
+        let release = self.simulate_exchange(&local_finish, matrix, &mut out);
         let release_max = release.iter().copied().fold(Cycles::ZERO, Cycles::max);
         let compute = charged
             .iter()
@@ -710,39 +698,24 @@ impl PhaseTimer for SimTimer {
                 self.link_utils.extend(utils);
             }
             prev.copy_from_slice(busy);
-            self.phase_link_util = self.link_utils.iter().copied().fold(0.0, f64::max);
+            out.link_util = self.link_utils.iter().copied().fold(0.0, f64::max);
         }
         if self.rec.is_enabled() {
-            self.record_phase(&local_finish, matrix, &release);
+            self.record_phase(&local_finish, matrix, &release, &out);
         }
         self.phase_idx += 1;
         self.prev_release_max = release_max;
         self.phase_start = release;
-        PhaseTiming { elapsed, compute, comm }
-    }
-
-    fn fault_counts(&self) -> (u64, u64) {
-        (self.phase_retries, self.phase_drops)
+        out.timing = PhaseTiming { elapsed, compute, comm };
+        out
     }
 
     fn bank_model(&self) -> Option<qsm_simnet::BankModel> {
         self.cfg.net.banks
     }
 
-    fn bank_wait(&self) -> Cycles {
-        self.phase_bank_wait
-    }
-
     fn link_count(&self) -> usize {
         self.net.link_count()
-    }
-
-    fn link_wait(&self) -> Cycles {
-        self.phase_link_wait
-    }
-
-    fn link_util(&self) -> f64 {
-        self.phase_link_util
     }
 }
 
@@ -767,7 +740,7 @@ pub fn empty_sync_cost(cfg: MachineConfig) -> Cycles {
     let mut timer = SimTimer::new(cfg);
     let charged = vec![0u64; cfg.p];
     let matrix = CommMatrix::new(cfg.p);
-    timer.price(&charged, &matrix, &[]).elapsed
+    timer.price(&charged, &matrix, &[]).timing.elapsed
 }
 
 #[cfg(test)]
@@ -776,7 +749,7 @@ mod tests {
 
     fn timing(cfg: MachineConfig, charged: &[u64], matrix: &CommMatrix) -> PhaseTiming {
         let mut t = SimTimer::new(cfg);
-        t.price(charged, matrix, &[])
+        t.price(charged, matrix, &[]).timing
     }
 
     #[test]
@@ -877,7 +850,7 @@ mod tests {
         let m = CommMatrix::new(4);
         let mut now = Cycles::ZERO;
         for k in 1..5u64 {
-            let timing = t.price(&[k * 100; 4], &m, &[]);
+            let timing = t.price(&[k * 100; 4], &m, &[]).timing;
             assert!(timing.elapsed.get() > 0.0);
             now += timing.elapsed;
             let clock = t.prev_release_max.get();
@@ -919,7 +892,7 @@ mod tests {
             c.put_words = 10;
             c.put_payload_bytes = 40;
         }
-        let timing = t.price(&[1_000; 4], &m, &[]);
+        let timing = t.price(&[1_000; 4], &m, &[]).timing;
         let data = rec.take().unwrap();
         // One compute / comm-busy / barrier-wait lane span per proc.
         for kind in [SpanKind::Compute, SpanKind::CommBusy, SpanKind::BarrierWait] {
@@ -983,9 +956,10 @@ mod tests {
         let mut a = SimTimer::new(cfg);
         let mut b = SimTimer::new(cfg);
         for k in 1..4u64 {
-            assert_eq!(a.price(&[k * 100; 8], &m, &[]), b.price(&[k * 100; 8], &m, &[]));
+            let price = a.price(&[k * 100; 8], &m, &[]);
+            assert_eq!(price, b.price(&[k * 100; 8], &m, &[]));
+            assert_eq!((price.retries, price.dropped_msgs), (0, 0));
         }
-        assert_eq!(a.fault_counts(), (0, 0));
     }
 
     #[test]
@@ -1009,18 +983,19 @@ mod tests {
         }
         let mut clean = SimTimer::new(base);
         let mut faulty = SimTimer::new(faulted);
-        let t_clean = clean.price(&[0; 4], &m, &[]);
-        let t_faulty = faulty.price(&[0; 4], &m, &[]);
-        let (retries, drops) = faulty.fault_counts();
+        let p_clean = clean.price(&[0; 4], &m, &[]);
+        let p_faulty = faulty.price(&[0; 4], &m, &[]);
+        let (retries, drops) = (p_faulty.retries, p_faulty.dropped_msgs);
         assert!(drops > 0, "no transmissions lost at drop_prob 0.5");
         assert_eq!(retries, drops, "every loss must be matched by exactly one resend");
+        let (t_clean, t_faulty) = (p_clean.timing, p_faulty.timing);
         assert!(
             t_faulty.comm > t_clean.comm,
             "faulted comm {} should exceed clean {}",
             t_faulty.comm,
             t_clean.comm
         );
-        assert_eq!(clean.fault_counts(), (0, 0));
+        assert_eq!((p_clean.retries, p_clean.dropped_msgs), (0, 0));
     }
 
     #[test]
@@ -1038,7 +1013,7 @@ mod tests {
             }
             let mut out = Vec::new();
             for k in 1..5u64 {
-                out.push((t.price(&[k * 100; 4], &m, &[]), t.fault_counts()));
+                out.push(t.price(&[k * 100; 4], &m, &[]));
             }
             out
         };
@@ -1079,8 +1054,8 @@ mod tests {
             c.put_words = 40;
             c.put_payload_bytes = 160;
         }
-        t.price(&[0; 4], &m, &[]);
-        let (retries, drops) = t.fault_counts();
+        let price = t.price(&[0; 4], &m, &[]);
+        let (retries, drops) = (price.retries, price.dropped_msgs);
         assert!(drops > 0);
         let data = rec.take().unwrap();
         assert!(data.spans.iter().any(|s| s.kind == SpanKind::RetryRound));
@@ -1123,8 +1098,9 @@ mod tests {
         }
         let mut a = SimTimer::new(cfg);
         let mut b = SimTimer::new(cfg);
-        assert_eq!(a.price(&[0; 4], &banked, &[]), b.price(&[0; 4], &plain, &[]));
-        assert_eq!(a.bank_wait(), Cycles::ZERO);
+        let price = a.price(&[0; 4], &banked, &[]);
+        assert_eq!(price, b.price(&[0; 4], &plain, &[]));
+        assert_eq!(price.bank_wait, Cycles::ZERO);
         assert_eq!(a.bank_model(), None);
     }
 
@@ -1142,15 +1118,16 @@ mod tests {
         let spread = banked_puts_to_zero(|i| i, 500);
         let mut tc = SimTimer::new(cfg);
         let mut ts = SimTimer::new(cfg);
-        let conflict_comm = tc.price(&[0; 4], &conflict, &[]).comm;
-        let spread_comm = ts.price(&[0; 4], &spread, &[]).comm;
+        let conflicted = tc.price(&[0; 4], &conflict, &[]);
+        let spread_out = ts.price(&[0; 4], &spread, &[]);
+        let (conflict_comm, spread_comm) = (conflicted.timing.comm, spread_out.timing.comm);
         assert!(
             conflict_comm > spread_comm,
             "single-bank comm {conflict_comm} !> spread comm {spread_comm}"
         );
-        assert!(tc.bank_wait() > Cycles::ZERO);
+        assert!(conflicted.bank_wait > Cycles::ZERO);
         // Distinct banks drain in parallel: nothing queues.
-        assert_eq!(ts.bank_wait(), Cycles::ZERO);
+        assert_eq!(spread_out.bank_wait, Cycles::ZERO);
         assert_eq!(tc.bank_model(), Some(cfg.net.banks.unwrap()));
     }
 
@@ -1171,12 +1148,12 @@ mod tests {
             c.get_reply_payload_bytes = 200;
         }
         let mut t = SimTimer::new(cfg);
-        let timing = t.price(&[0; 4], &m, &[]);
-        assert!(timing.comm > Cycles::ZERO);
+        let price = t.price(&[0; 4], &m, &[]);
+        assert!(price.timing.comm > Cycles::ZERO);
         // Three get requests collide on bank 0 of node 0: the second
         // and third each queue behind ~50k cycles of service. The
         // replies come back unbanked, so all queuing is request-side.
-        assert!(t.bank_wait() > Cycles::new(50_000.0), "bank wait {}", t.bank_wait());
+        assert!(price.bank_wait > Cycles::new(50_000.0), "bank wait {}", price.bank_wait);
     }
 
     #[test]
@@ -1185,10 +1162,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(4, 5_000.0));
         let conflict = banked_puts_to_zero(|_| 0, 100);
         let mut t = SimTimer::new(cfg);
-        t.price(&[0; 4], &conflict, &[]);
-        assert!(t.bank_wait() > Cycles::ZERO);
-        t.price(&[100; 4], &CommMatrix::new(4), &[]);
-        assert_eq!(t.bank_wait(), Cycles::ZERO);
+        assert!(t.price(&[0; 4], &conflict, &[]).bank_wait > Cycles::ZERO);
+        assert_eq!(t.price(&[100; 4], &CommMatrix::new(4), &[]).bank_wait, Cycles::ZERO);
     }
 
     #[test]
@@ -1207,8 +1182,7 @@ mod tests {
         let phases = 8;
         let mut retries = 0;
         for _ in 0..phases {
-            t.price(&[0; 4], &puts, &[]);
-            retries += t.fault_counts().0;
+            retries += t.price(&[0; 4], &puts, &[]).retries;
         }
         assert!(retries > 0, "no put was resent at drop_prob 0.5");
         assert_eq!(t.net.bank_busy_total(0), Cycles::new(service * 4.0 * phases as f64));
@@ -1230,16 +1204,15 @@ mod tests {
             c.put_payload_bytes = 2000;
         }
         let mut t = SimTimer::new(cfg);
-        t.price(&[0; 4], &m, &[]);
-        assert!(t.link_wait() > Cycles::ZERO, "converging line traffic must queue at links");
-        let loaded_util = t.link_util();
-        assert!(loaded_util > 0.0);
+        let loaded = t.price(&[0; 4], &m, &[]);
+        assert!(loaded.link_wait > Cycles::ZERO, "converging line traffic must queue at links");
+        assert!(loaded.link_util > 0.0);
         // The next phase carries only the sync's own plan exchange:
         // its links stay warm (the plan messages route hop-by-hop
         // too) but the previous phase's queuing must not leak in.
-        t.price(&[100; 4], &CommMatrix::new(4), &[]);
-        assert_eq!(t.link_wait(), Cycles::ZERO);
-        assert!(t.link_util() < loaded_util, "util {} is phase-local", t.link_util());
+        let next = t.price(&[100; 4], &CommMatrix::new(4), &[]);
+        assert_eq!(next.link_wait, Cycles::ZERO);
+        assert!(next.link_util < loaded.link_util, "util {} is phase-local", next.link_util);
     }
 
     #[test]

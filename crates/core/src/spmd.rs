@@ -696,12 +696,9 @@ fn leader_finish(area: &ExchangeArea, parity: usize) {
     // there ended with that call.
     let leader = unsafe { &mut *area.leader.get() };
     let plan = leader.plan.take().expect("leader plan missing at phase end");
-    let timing = leader.driver.price_stage(&area.slots[parity], leader.timer.as_mut());
-    let faults = leader.timer.fault_counts();
-    let bank_wait = leader.timer.bank_wait();
-    let link = (leader.timer.link_wait(), leader.timer.link_util());
+    let price = leader.driver.price_stage(&area.slots[parity], leader.timer.as_mut());
     let kappa = area.slots[parity].iter().map(Slot::kappa).max().unwrap_or(0);
-    let record = leader.driver.record_stage(&plan, kappa, timing, faults, bank_wait, link);
+    let record = leader.driver.record_stage(&plan, kappa, price);
     leader.records.push(record);
     leader.driver.finish_phase_meta(&plan);
 }

@@ -36,7 +36,7 @@ use qsm_simnet::{Cycles, MachineConfig};
 
 use crate::accounting::CostReport;
 use crate::ctx::Ctx;
-use crate::driver::{CommMatrix, PhaseRecord, PhaseTiming};
+use crate::driver::{CommMatrix, PhasePrice, PhaseRecord, PhaseTiming};
 use crate::machine::{Machine, PhaseTimer, RunResult};
 use crate::sim_timer::empty_sync_cost;
 
@@ -73,12 +73,7 @@ impl WallTimer {
 }
 
 impl PhaseTimer for WallTimer {
-    fn price(
-        &mut self,
-        _charged: &[u64],
-        matrix: &CommMatrix,
-        arrivals: &[Instant],
-    ) -> PhaseTiming {
+    fn price(&mut self, _charged: &[u64], matrix: &CommMatrix, arrivals: &[Instant]) -> PhasePrice {
         // Called by the driver after all workers arrived and data has
         // been applied; "now" is effectively the end of the exchange.
         let now = Instant::now();
@@ -118,6 +113,7 @@ impl PhaseTimer for WallTimer {
             compute: Cycles::new(compute),
             comm: Cycles::new(elapsed - compute),
         }
+        .into()
     }
 
     fn bank_model(&self) -> Option<qsm_simnet::BankModel> {
@@ -234,7 +230,7 @@ mod tests {
         let release = t.last_release;
         std::thread::sleep(Duration::from_millis(5));
         let arrivals = [release + Duration::from_millis(2), Instant::now()];
-        let timing = t.price(&[0, 0], &CommMatrix::new(2), &arrivals);
+        let timing = t.price(&[0, 0], &CommMatrix::new(2), &arrivals).timing;
         assert!(timing.elapsed.get() > 0.0);
         assert!(timing.compute.get() > 0.0, "compute must not be booked as comm");
         assert!(timing.comm.get() >= 0.0);
@@ -249,7 +245,7 @@ mod tests {
     fn wall_timer_with_no_arrivals_books_all_as_comm() {
         let mut t = WallTimer::with_recorder(Recorder::disabled());
         std::thread::sleep(Duration::from_millis(1));
-        let timing = t.price(&[], &CommMatrix::new(1), &[]);
+        let timing = t.price(&[], &CommMatrix::new(1), &[]).timing;
         assert_eq!(timing.compute.get(), 0.0);
         assert_eq!(timing.comm, timing.elapsed);
     }
@@ -260,9 +256,10 @@ mod tests {
         let m = ThreadMachine::new(2).with_model_config(
             MachineConfig::paper_default(2).with_banks(BankModel::per_message(4, 100.0)),
         );
-        let t = m.make_timer(Recorder::disabled());
+        let mut t = m.make_timer(Recorder::disabled());
         assert_eq!(t.bank_model().unwrap().banks_per_node, 4);
-        assert_eq!(t.bank_wait(), Cycles::ZERO);
+        // Real hardware queues for real: no simulated bank wait.
+        assert_eq!(t.price(&[0, 0], &CommMatrix::new(2), &[]).bank_wait, Cycles::ZERO);
         // Without banks on the model config, the default stays off.
         let t = ThreadMachine::new(2).make_timer(Recorder::disabled());
         assert_eq!(t.bank_model(), None);

@@ -7,19 +7,20 @@
 use std::time::Instant;
 
 use qsm_core::{
-    AnyMachine, CommMatrix, CostReport, Ctx, Layout, Machine, PhaseRecord, PhaseTimer, PhaseTiming,
-    SimMachine,
+    AnyMachine, CommMatrix, CostReport, Ctx, Layout, Machine, PhasePrice, PhaseRecord, PhaseTimer,
+    PhaseTiming, SimMachine,
 };
 use qsm_obs::Recorder;
 use qsm_simnet::{Cycles, MachineConfig};
 
-/// Every phase costs one unit, all of it communication; the queried
-/// counters (`fault_counts`, `bank_model`, …) stay at their defaults.
+/// Every phase costs one unit, all of it communication; the fault,
+/// bank and link counters stay at their zero defaults.
 struct UnitTimer;
 
 impl PhaseTimer for UnitTimer {
-    fn price(&mut self, _: &[u64], _: &CommMatrix, _: &[Instant]) -> PhaseTiming {
+    fn price(&mut self, _: &[u64], _: &CommMatrix, _: &[Instant]) -> PhasePrice {
         PhaseTiming { elapsed: Cycles::new(1.0), compute: Cycles::ZERO, comm: Cycles::new(1.0) }
+            .into()
     }
 }
 

@@ -9,16 +9,16 @@
 //! (`QSM_RESUME`) depends on: a completed point whose record only
 //! reached the OS page cache would be silently re-run (or worse,
 //! half-parsed) after the very crashes the journal exists to
-//! survive. Set `QSM_JOURNAL_SYNC=0` to skip the per-record
-//! `sync_data` (for tests and throwaway telemetry runs where
-//! page-cache durability is enough).
+//! survive. The opener may skip the per-record `sync_data` (the
+//! harness's `QSM_JOURNAL_SYNC=0`, for tests and throwaway telemetry
+//! runs where page-cache durability is enough).
 //!
 //! The file is opened in append mode; several processes sharing one
 //! journal interleave whole lines, never fragments (POSIX `O_APPEND`
 //! writes of a line-sized buffer). A crash *can* still leave a torn
 //! final line — the write itself was cut short — so reads go through
 //! [`read_complete_lines`], which returns only newline-terminated
-//! records and drops a trailing fragment. [`RunJournal::open`]
+//! records and drops a trailing fragment. [`RunJournal::open_with`]
 //! additionally quarantines such a fragment by terminating it with a
 //! newline, so records appended after a crash never concatenate onto
 //! the torn tail.
@@ -37,27 +37,14 @@ use std::sync::Mutex;
 #[derive(Debug)]
 pub struct RunJournal {
     file: Mutex<File>,
-    /// Whether each append is followed by `sync_data` (default: yes;
-    /// `QSM_JOURNAL_SYNC=0` opts out).
+    /// Whether each append is followed by `sync_data`.
     sync: bool,
 }
 
-/// The `QSM_JOURNAL_SYNC` knob: per-record `sync_data` is on unless
-/// the variable is set to `0`.
-fn sync_from_env() -> bool {
-    std::env::var("QSM_JOURNAL_SYNC").map(|v| v != "0").unwrap_or(true)
-}
-
 impl RunJournal {
-    /// Open (creating if absent) the journal at `path` for appending,
-    /// with durability governed by `QSM_JOURNAL_SYNC`.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        Self::open_with(path, sync_from_env())
-    }
-
-    /// Open the journal with an explicit durability choice: `sync`
-    /// makes every [`append`](RunJournal::append) `sync_data` after
-    /// flushing.
+    /// Open (creating if absent) the journal at `path` for appending:
+    /// `sync` makes every [`append`](RunJournal::append) `sync_data`
+    /// after flushing.
     pub fn open_with(path: &Path, sync: bool) -> std::io::Result<Self> {
         let mut file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
         // Quarantine a torn final line left by a crash: terminate it
@@ -148,12 +135,12 @@ mod tests {
     fn appends_whole_lines_and_survives_reopen() {
         let path = temp_path("reopen");
         {
-            let j = RunJournal::open(&path).unwrap();
+            let j = RunJournal::open_with(&path, true).unwrap();
             j.append(r#"{"v":1,"kind":"a"}"#).unwrap();
         }
         {
             // Reopening appends after the existing record.
-            let j = RunJournal::open(&path).unwrap();
+            let j = RunJournal::open_with(&path, true).unwrap();
             j.append(r#"{"v":1,"kind":"b"}"#).unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
@@ -167,7 +154,7 @@ mod tests {
     fn reader_parses_all_complete_records_after_a_torn_write() {
         let path = temp_path("torn");
         {
-            let j = RunJournal::open(&path).unwrap();
+            let j = RunJournal::open_with(&path, true).unwrap();
             j.append(r#"{"v":1,"kind":"a"}"#).unwrap();
             j.append(r#"{"v":1,"kind":"b"}"#).unwrap();
             j.append(r#"{"v":1,"kind":"c"}"#).unwrap();
@@ -191,7 +178,7 @@ mod tests {
         let path = temp_path("quarantine");
         std::fs::write(&path, "{\"v\":1,\"kind\":\"a\"}\n{\"v\":1,\"ki").unwrap();
         {
-            let j = RunJournal::open(&path).unwrap();
+            let j = RunJournal::open_with(&path, true).unwrap();
             j.append(r#"{"v":1,"kind":"d"}"#).unwrap();
         }
         let lines = read_complete_lines(&path).unwrap();
@@ -213,7 +200,7 @@ mod tests {
 
     #[test]
     fn open_fails_loudly_on_unwritable_path() {
-        assert!(RunJournal::open(Path::new("/nonexistent-dir/run.jsonl")).is_err());
+        assert!(RunJournal::open_with(Path::new("/nonexistent-dir/run.jsonl"), true).is_err());
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! The size meter (non-test lines of a file = the lines before that
 //! attribute; `.claude/skills/verify/SKILL.md`, "Code size") relies on
 //! it: a test-only item in the middle of a file hides the code after it.
+//!
+//! And the environment is read in one place: only
+//! `crates/bench/src/knobs.rs` reads a variable, and no code or test
+//! writes one (a process parses its knobs once, so a test that wants
+//! other knobs runs another process).
 
 use std::path::{Path, PathBuf};
 
@@ -54,19 +59,40 @@ fn stray_items(src: &str) -> Vec<(usize, &str)> {
     stray
 }
 
-#[test]
-fn no_file_has_code_after_its_tests() {
+/// Every `.rs` file under `crates/*/<sub>` for each of `subs`.
+fn crate_files(subs: &[&str]) -> Vec<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut files = Vec::new();
     for krate in std::fs::read_dir(&root).unwrap() {
-        let src = krate.unwrap().path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
+        let krate = krate.unwrap().path();
+        for sub in subs {
+            if krate.join(sub).is_dir() {
+                rust_files(&krate.join(sub), &mut files);
+            }
         }
     }
     assert!(files.len() > 50, "found only {} source files under {}", files.len(), root.display());
+    files
+}
+
+/// `path:line: text` of every line of `files` that contains a needle.
+fn lines_with(files: &[PathBuf], needles: &[String]) -> String {
     let mut report = String::new();
     for file in files {
+        let src = std::fs::read_to_string(file).unwrap();
+        for (n, line) in src.lines().enumerate() {
+            if needles.iter().any(|needle| line.contains(needle.as_str())) {
+                report += &format!("{}:{}: {}\n", file.display(), n + 1, line.trim());
+            }
+        }
+    }
+    report
+}
+
+#[test]
+fn no_file_has_code_after_its_tests() {
+    let mut report = String::new();
+    for file in crate_files(&["src"]) {
         let src = std::fs::read_to_string(&file).unwrap();
         for (n, line) in stray_items(&src) {
             report += &format!("{}:{n}: {line}\n", file.display());
@@ -88,4 +114,27 @@ fn the_check_sees_what_it_must() {
     assert!(stray_items("#[cfg(test)]\nmod t {}\n#[cfg(not(test))]\nfn b() {}\n").len() == 1);
     assert!(stray_items("#[cfg(test)]\nmod t {}\n#[cfg(all(test, unix))]\nfn c() {}\n").is_empty());
     assert!(stray_items("#[cfg(test)]\nmod t {}\nthread_local! {}\n").len() == 1);
+}
+
+#[test]
+fn only_the_knobs_read_the_environment() {
+    // `env::var`, `var_os`, `vars`, `vars_os`; spelled in pieces so
+    // this file does not match itself.
+    let reads = [format!("env::{}", "var")];
+    let files: Vec<PathBuf> = crate_files(&["src"])
+        .into_iter()
+        .filter(|f| !f.ends_with("crates/bench/src/knobs.rs"))
+        .collect();
+    let report = lines_with(&files, &reads);
+    assert!(report.is_empty(), "read the knob through `qsm_bench::knobs()` instead:\n{report}");
+}
+
+#[test]
+fn nothing_writes_the_environment() {
+    let writes = ["set", "remove"].map(|w| format!("env::{w}_var"));
+    let mut files = crate_files(&["src", "tests", "benches", "examples"]);
+    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("tests"), &mut files);
+    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("examples"), &mut files);
+    let report = lines_with(&files, &writes);
+    assert!(report.is_empty(), "run a subprocess with its own knobs instead:\n{report}");
 }
