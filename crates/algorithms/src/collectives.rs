@@ -1,16 +1,13 @@
-//! Small reusable QSM collectives.
-//!
-//! The paper's algorithms hand-roll their communication to keep phase
-//! counts explicit; these helpers package the recurring idioms for
-//! examples and applications built on the library. Each collective is
-//! split into an *issue* half (queue the traffic) and a *read* half
-//! (extract the result after the caller's `sync()`), so the caller
-//! stays in control of phase structure.
+//! Collectives. The paper's algorithms hand-roll their communication
+//! to keep phase counts explicit, so what is shared is the last step
+//! of every kernel: `Gather`, which takes a block-distributed result
+//! out of the machine. The tests keep board-based all-gather,
+//! broadcast, gather and reduce helpers that exercise the same
+//! issue-then-`sync()`-then-read idiom.
 
 use std::sync::{Mutex, PoisonError};
 
 use qsm_core::addr::block_range;
-use qsm_core::{Ctx, Layout, SharedArray, Word};
 
 /// A block-distributed result on its way out of the machine: the
 /// caller's output vector, split at `block_range`. Each worker copies
@@ -45,113 +42,113 @@ impl<'a, T: Copy> Gather<'a, T> {
     }
 }
 
-/// Register the `p × p` exchange board used by the gather/all-gather
-/// collectives. Must be completed by a `sync()` before first use.
-pub fn register_board<T: Word>(ctx: &mut Ctx, name: &str) -> SharedArray<T> {
-    let p = ctx.nprocs();
-    ctx.register::<T>(name, p * p, Layout::Block)
-}
-
-/// Issue half of an all-gather: contribute `value` so that, after the
-/// next `sync()`, every processor can read all `p` contributions from
-/// its own row of `board`.
-pub fn all_gather_issue<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, value: T) {
-    let p = ctx.nprocs();
-    let me = ctx.proc_id();
-    for j in 0..p {
-        if j == me {
-            ctx.local_write(board, me * p + me, &[value]);
-        } else {
-            ctx.put(board, j * p + me, &[value]);
-        }
-    }
-}
-
-/// Read half of an all-gather: all `p` contributions, in processor
-/// order. Call after the `sync()` that followed
-/// [`all_gather_issue`].
-pub fn all_gather_read<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>) -> Vec<T> {
-    let p = ctx.nprocs();
-    let me = ctx.proc_id();
-    ctx.local_read(board, me * p, p)
-}
-
-/// Issue half of a broadcast from `root`: only the root contributes.
-pub fn broadcast_issue<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize, value: T) {
-    let p = ctx.nprocs();
-    let me = ctx.proc_id();
-    if me != root {
-        return;
-    }
-    for j in 0..p {
-        if j == me {
-            ctx.local_write(board, me * p + root, &[value]);
-        } else {
-            ctx.put(board, j * p + root, &[value]);
-        }
-    }
-}
-
-/// Read half of a broadcast from `root`.
-pub fn broadcast_read<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize) -> T {
-    let p = ctx.nprocs();
-    let me = ctx.proc_id();
-    ctx.local_read(board, me * p + root, 1)[0]
-}
-
-/// Exclusive prefix over all-gathered `u64` contributions: the sum of
-/// the values contributed by processors `0..me`. Call after the
-/// `sync()` following [`all_gather_issue`].
-pub fn exclusive_prefix(ctx: &mut Ctx, board: &SharedArray<u64>) -> u64 {
-    let me = ctx.proc_id();
-    let row = all_gather_read(ctx, board);
-    row[..me].iter().sum()
-}
-
-/// Read half of an all-reduce: fold every processor's contribution
-/// with `f`. Call after the `sync()` following [`all_gather_issue`];
-/// every processor obtains the same result (one phase, `p-1` remote
-/// words per processor — the QSM flat-tree reduction, optimal for
-/// `p ≤ sqrt(n)`).
-pub fn all_reduce_read<T: Word>(
-    ctx: &mut Ctx,
-    board: &SharedArray<T>,
-    init: T,
-    f: impl Fn(T, T) -> T,
-) -> T {
-    all_gather_read(ctx, board).into_iter().fold(init, f)
-}
-
-/// Issue half of a gather to `root`: contribute `value`; only the
-/// root will read it.
-pub fn gather_issue<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize, value: T) {
-    let p = ctx.nprocs();
-    let me = ctx.proc_id();
-    if me == root {
-        ctx.local_write(board, root * p + me, &[value]);
-    } else {
-        ctx.put(board, root * p + me, &[value]);
-    }
-}
-
-/// Read half of a gather: the root obtains all `p` contributions in
-/// processor order; other processors get `None`.
-pub fn gather_read<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize) -> Option<Vec<T>> {
-    if ctx.proc_id() == root {
-        Some(all_gather_read(ctx, board))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsm_core::SimMachine;
+    use qsm_core::{Ctx, Layout, SharedArray, SimMachine, Word};
     use qsm_simnet::MachineConfig;
 
     fn machine(p: usize) -> SimMachine {
         SimMachine::new(MachineConfig::paper_default(p))
+    }
+
+    /// Register the `p × p` exchange board used by the gather/all-gather
+    /// collectives. Must be completed by a `sync()` before first use.
+    fn register_board<T: Word>(ctx: &mut Ctx, name: &str) -> SharedArray<T> {
+        let p = ctx.nprocs();
+        ctx.register::<T>(name, p * p, Layout::Block)
+    }
+
+    /// Issue half of an all-gather: contribute `value` so that, after the
+    /// next `sync()`, every processor can read all `p` contributions from
+    /// its own row of `board`.
+    fn all_gather_issue<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, value: T) {
+        let p = ctx.nprocs();
+        let me = ctx.proc_id();
+        for j in 0..p {
+            if j == me {
+                ctx.local_write(board, me * p + me, &[value]);
+            } else {
+                ctx.put(board, j * p + me, &[value]);
+            }
+        }
+    }
+
+    /// Read half of an all-gather: all `p` contributions, in processor
+    /// order. Call after the `sync()` that followed
+    /// [`all_gather_issue`].
+    fn all_gather_read<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>) -> Vec<T> {
+        let p = ctx.nprocs();
+        let me = ctx.proc_id();
+        ctx.local_read(board, me * p, p)
+    }
+
+    /// Issue half of a broadcast from `root`: only the root contributes.
+    fn broadcast_issue<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize, value: T) {
+        let p = ctx.nprocs();
+        let me = ctx.proc_id();
+        if me != root {
+            return;
+        }
+        for j in 0..p {
+            if j == me {
+                ctx.local_write(board, me * p + root, &[value]);
+            } else {
+                ctx.put(board, j * p + root, &[value]);
+            }
+        }
+    }
+
+    /// Read half of a broadcast from `root`.
+    fn broadcast_read<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize) -> T {
+        let p = ctx.nprocs();
+        let me = ctx.proc_id();
+        ctx.local_read(board, me * p + root, 1)[0]
+    }
+
+    /// Exclusive prefix over all-gathered `u64` contributions: the sum of
+    /// the values contributed by processors `0..me`. Call after the
+    /// `sync()` following [`all_gather_issue`].
+    fn exclusive_prefix(ctx: &mut Ctx, board: &SharedArray<u64>) -> u64 {
+        let me = ctx.proc_id();
+        let row = all_gather_read(ctx, board);
+        row[..me].iter().sum()
+    }
+
+    /// Read half of an all-reduce: fold every processor's contribution
+    /// with `f`. Call after the `sync()` following [`all_gather_issue`];
+    /// every processor obtains the same result (one phase, `p-1` remote
+    /// words per processor — the QSM flat-tree reduction, optimal for
+    /// `p ≤ sqrt(n)`).
+    fn all_reduce_read<T: Word>(
+        ctx: &mut Ctx,
+        board: &SharedArray<T>,
+        init: T,
+        f: impl Fn(T, T) -> T,
+    ) -> T {
+        all_gather_read(ctx, board).into_iter().fold(init, f)
+    }
+
+    /// Issue half of a gather to `root`: contribute `value`; only the
+    /// root will read it.
+    fn gather_issue<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize, value: T) {
+        let p = ctx.nprocs();
+        let me = ctx.proc_id();
+        if me == root {
+            ctx.local_write(board, root * p + me, &[value]);
+        } else {
+            ctx.put(board, root * p + me, &[value]);
+        }
+    }
+
+    /// Read half of a gather: the root obtains all `p` contributions in
+    /// processor order; other processors get `None`.
+    fn gather_read<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize) -> Option<Vec<T>> {
+        if ctx.proc_id() == root {
+            Some(all_gather_read(ctx, board))
+        } else {
+            None
+        }
     }
 
     #[test]

@@ -24,20 +24,6 @@ pub fn random_u64s(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.gen::<u32>() as u64).collect()
 }
 
-/// A "sorted-ish" adversarial input for sample sort: nearly sorted
-/// with a sprinkle of inversions (stress for pivot quality).
-pub fn nearly_sorted_u32s(n: usize, seed: u64) -> Vec<u32> {
-    let mut v: Vec<u32> = (0..n as u32).collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let swaps = n / 16;
-    for _ in 0..swaps {
-        let i = rng.gen_range(0..n);
-        let j = rng.gen_range(0..n);
-        v.swap(i, j);
-    }
-    v
-}
-
 /// A random linked list over elements `0..n`.
 ///
 /// Returns `(succ, pred, head)`: `succ[e]` is the element after `e`
@@ -59,6 +45,21 @@ pub fn random_list(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>, usize) {
         pred[w[1]] = w[0] as u64;
     }
     (succ, pred, order[0])
+}
+
+/// A "sorted-ish" adversarial input for sample sort: nearly sorted
+/// with a sprinkle of inversions (stress for pivot quality).
+#[cfg(test)]
+pub(crate) fn nearly_sorted_u32s(n: usize, seed: u64) -> Vec<u32> {
+    let mut v: Vec<u32> = (0..n as u32).collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let swaps = n / 16;
+    for _ in 0..swaps {
+        let i = rng.gen_range(0..n);
+        let j = rng.gen_range(0..n);
+        v.swap(i, j);
+    }
+    v
 }
 
 #[cfg(test)]

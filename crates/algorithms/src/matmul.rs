@@ -61,22 +61,6 @@ impl Matrix {
     }
 }
 
-/// Sequential oracle: naive `O(n³)` multiply.
-pub fn matmul_seq(a: &Matrix, b: &Matrix) -> Matrix {
-    let n = a.n;
-    assert_eq!(b.n, n);
-    let mut c = vec![0.0f64; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let aik = a.at(i, k);
-            for j in 0..n {
-                c[i * n + j] += aik * b.at(k, j);
-            }
-        }
-    }
-    Matrix::new(n, c)
-}
-
 /// Rows owned by `proc` (padded row space: `rows_pp` each).
 fn row_span(n: usize, p: usize, proc: usize) -> (usize, usize) {
     let rows_pp = n.div_ceil(p);
@@ -189,6 +173,23 @@ pub fn predict(n: usize, params: &EffectiveParams) -> Prediction {
     let p = params.p as f64;
     let words = 2.0 * (n * n) as f64 * (p - 1.0) / p;
     Prediction::from_qsm(params.g_get * words, params.p, params)
+}
+
+/// Sequential oracle: naive `O(n³)` multiply.
+#[cfg(test)]
+fn matmul_seq(a: &Matrix, b: &Matrix) -> Matrix {
+    let n = a.n;
+    assert_eq!(b.n, n);
+    let mut c = vec![0.0f64; n * n];
+    for i in 0..n {
+        for k in 0..n {
+            let aik = a.at(i, k);
+            for j in 0..n {
+                c[i * n + j] += aik * b.at(k, j);
+            }
+        }
+    }
+    Matrix::new(n, c)
 }
 
 #[cfg(test)]

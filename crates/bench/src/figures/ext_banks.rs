@@ -132,8 +132,8 @@ fn measure(pattern: Pattern, w: usize, seed: u64) -> Measured {
 fn closed_loop_ratios(accesses: usize) -> Vec<(Pattern, f64)> {
     let results = qsm_membank::simulate_all(&platform::smp_native(), accesses, 0x1998);
     let noc =
-        results.iter().find(|r| r.pattern == Pattern::NoConflict).expect("all patterns ran").avg_ns;
-    results.iter().map(|r| (r.pattern, r.avg_ns / noc)).collect()
+        results.iter().find(|r| r.0 == Pattern::NoConflict).expect("all patterns ran").1.avg_ns;
+    results.iter().map(|(p, s)| (*p, s.avg_ns / noc)).collect()
 }
 
 /// Run the experiment.

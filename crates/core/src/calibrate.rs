@@ -19,7 +19,7 @@
 use std::sync::Mutex;
 
 use qsm_obs::Recorder;
-use qsm_simnet::{Cycles, MachineConfig};
+use qsm_simnet::MachineConfig;
 
 use crate::addr::Layout;
 use crate::ctx::Ctx;
@@ -85,7 +85,8 @@ impl EffectiveCosts {
     }
 
     /// [`EffectiveCosts::measure_with`] without the per-process memo:
-    /// always runs the microbenchmark. For benchmarks that time it.
+    /// always runs the microbenchmark (what a timing of the calibration
+    /// must call; a memo hit costs nothing).
     #[doc(hidden)]
     pub fn measure_uncached(cfg: MachineConfig, words: usize) -> Self {
         assert!(words > 0);
@@ -173,11 +174,6 @@ fn unobserved(machine: &SimMachine, program: impl Fn(&mut Ctx) + Send + Sync) ->
     crate::engine::run_with(machine, program, Recorder::disabled())
 }
 
-/// Measured empty-sync cost as a [`Cycles`] convenience.
-pub fn measured_l(cfg: MachineConfig) -> Cycles {
-    SimMachine::new(cfg).empty_sync_cost()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,7 +229,7 @@ mod tests {
     fn empty_sync_matches_machine_measure() {
         let cfg = MachineConfig::paper_default(8);
         let costs = EffectiveCosts::measure_with(cfg, 512);
-        assert_eq!(costs.empty_sync, measured_l(cfg).get());
+        assert_eq!(costs.empty_sync, SimMachine::new(cfg).empty_sync_cost().get());
     }
 
     #[test]

@@ -92,6 +92,6 @@ pub use machine::{AnyMachine, Machine, PhaseTimer, RunResult};
 pub use ops::GetTicket;
 pub use shmem::SharedArray;
 pub use sim_runtime::SimMachine;
-pub use sim_timer::{empty_sync_cost, SimTimer};
+pub use sim_timer::SimTimer;
 pub use thread_runtime::{ThreadMachine, WallTimer};
 pub use word::Word;

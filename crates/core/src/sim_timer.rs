@@ -11,11 +11,10 @@
 //! simulated by [`qsm_simnet::Network`].
 
 use qsm_obs::{Recorder, Span, SpanKind};
-use qsm_simnet::barrier::{BarrierModel, FixedBarrier};
-use qsm_simnet::config::{BarrierKind, ExchangeOrder};
+use qsm_simnet::barrier;
+use qsm_simnet::config::ExchangeOrder;
 use qsm_simnet::{
-    Cycles, Delivery, DisseminationBarrier, FaultConfig, Injection, MachineConfig, MsgKind,
-    NetStats, Network,
+    Cycles, Delivery, FaultConfig, Injection, MachineConfig, MsgKind, NetStats, Network,
 };
 
 use crate::driver::{CommMatrix, PairTraffic, PhasePrice, PhaseTiming};
@@ -224,62 +223,35 @@ impl SimTimer {
                 out.link_wait += self.deliveries.iter().map(|d| d.link_wait).sum::<Cycles>();
             }
 
-            // --- Receiver-side processing in deterministic arrival order.
-            for q in self.inbox.iter_mut() {
-                q.clear();
-            }
-            for (idx, m) in self.data_msgs.iter().enumerate() {
-                self.inbox[m.dst].push(idx);
-            }
+            // --- Receiver-side processing in deterministic arrival
+            // order: apply each put, serve each get into a reply.
             self.replies.clear();
             self.reply_metas.clear();
-            {
-                let deliveries = &self.deliveries;
-                let data_msgs = &self.data_msgs;
-                let metas = &self.metas;
-                let cpu = &mut self.cpu;
-                let replies = &mut self.replies;
-                let reply_metas = &mut self.reply_metas;
-                for (dst, msgs) in self.inbox.iter_mut().enumerate() {
-                    msgs.sort_by(|&a, &b| {
-                        deliveries[a]
-                            .visible
-                            .cmp(&deliveries[b].visible)
-                            .then_with(|| data_msgs[a].src.cmp(&data_msgs[b].src))
-                            .then_with(|| a.cmp(&b))
-                    });
-                    for &idx in msgs.iter() {
-                        let m = &data_msgs[idx];
-                        let meta = metas[idx];
-                        match m.kind {
-                            MsgKind::PutData => {
-                                let apply = sw.put_apply * meta.items as f64
-                                    + sw.copy_per_word_recv * meta.words as f64;
-                                cpu[dst] =
-                                    cpu[dst].max(deliveries[idx].visible) + Cycles::new(apply);
-                            }
-                            MsgKind::GetRequest => {
-                                let serve = sw.get_serve * meta.items as f64
-                                    + sw.copy_per_word_send * meta.words as f64;
-                                cpu[dst] =
-                                    cpu[dst].max(deliveries[idx].visible) + Cycles::new(serve);
-                                let bytes = sw.msg_header_bytes
-                                    + sw.item_header_bytes * meta.items
-                                    + meta.reply_payload_bytes;
-                                replies.push(Injection::new(
-                                    dst,
-                                    m.src,
-                                    bytes,
-                                    cpu[dst],
-                                    MsgKind::GetReply,
-                                ));
-                                reply_metas.push(meta);
-                            }
-                            _ => unreachable!("unexpected message kind in data exchange"),
-                        }
+            let (replies, reply_metas) = (&mut self.replies, &mut self.reply_metas);
+            receive(
+                &mut self.inbox,
+                &self.data_msgs,
+                &self.deliveries,
+                &self.metas,
+                &mut self.cpu,
+                |dst, m, meta, start| match m.kind {
+                    MsgKind::PutData => {
+                        sw.put_apply * meta.items as f64 + sw.copy_per_word_recv * meta.words as f64
                     }
-                }
-            }
+                    MsgKind::GetRequest => {
+                        let serve = sw.get_serve * meta.items as f64
+                            + sw.copy_per_word_send * meta.words as f64;
+                        let bytes = sw.msg_header_bytes
+                            + sw.item_header_bytes * meta.items
+                            + meta.reply_payload_bytes;
+                        let ready = start + Cycles::new(serve);
+                        replies.push(Injection::new(dst, m.src, bytes, ready, MsgKind::GetReply));
+                        reply_metas.push(meta);
+                        serve
+                    }
+                    _ => unreachable!("unexpected message kind in data exchange"),
+                },
+            );
 
             // --- Replies back to the requesters.
             if !self.replies.is_empty() {
@@ -298,31 +270,16 @@ impl SimTimer {
                     out.link_wait +=
                         self.reply_deliveries.iter().map(|d| d.link_wait).sum::<Cycles>();
                 }
-                for q in self.reply_inbox.iter_mut() {
-                    q.clear();
-                }
-                for (idx, m) in self.replies.iter().enumerate() {
-                    self.reply_inbox[m.dst].push(idx);
-                }
-                let reply_deliveries = &self.reply_deliveries;
-                let replies = &self.replies;
-                let reply_metas = &self.reply_metas;
-                let cpu = &mut self.cpu;
-                for (dst, msgs) in self.reply_inbox.iter_mut().enumerate() {
-                    msgs.sort_by(|&a, &b| {
-                        reply_deliveries[a]
-                            .visible
-                            .cmp(&reply_deliveries[b].visible)
-                            .then_with(|| replies[a].src.cmp(&replies[b].src))
-                            .then_with(|| a.cmp(&b))
-                    });
-                    for &idx in msgs.iter() {
-                        let meta = reply_metas[idx];
-                        let apply = sw.get_apply * meta.items as f64
-                            + sw.copy_per_word_recv * meta.words as f64;
-                        cpu[dst] = cpu[dst].max(reply_deliveries[idx].visible) + Cycles::new(apply);
-                    }
-                }
+                receive(
+                    &mut self.reply_inbox,
+                    &self.replies,
+                    &self.reply_deliveries,
+                    &self.reply_metas,
+                    &mut self.cpu,
+                    |_, _, meta, _| {
+                        sw.get_apply * meta.items as f64 + sw.copy_per_word_recv * meta.words as f64
+                    },
+                );
             }
         }
 
@@ -332,14 +289,7 @@ impl SimTimer {
             self.barrier_enter.push(self.cpu[i].max(self.net.send_free_at(i)));
         }
         if p > 1 {
-            match sw.barrier {
-                BarrierKind::Dissemination => {
-                    DisseminationBarrier.run(&mut self.net, &sw, &self.barrier_enter)
-                }
-                BarrierKind::Fixed(l) => {
-                    FixedBarrier(l).run(&mut self.net, &sw, &self.barrier_enter)
-                }
-            }
+            barrier::dissemination(&mut self.net, &sw, &self.barrier_enter)
         } else {
             self.barrier_enter.clone()
         }
@@ -548,6 +498,40 @@ fn inject_pair(
     }
 }
 
+/// Receiver-side processing of one delivered batch: queue each message
+/// at its destination, then drain every queue in `(visible, src,
+/// index)` order. A node's CPU takes a message once it is visible and
+/// the node's earlier work is done (`start`), and spends the cycles
+/// `work(dst, msg, meta, start)` returns on it.
+fn receive(
+    inbox: &mut [Vec<usize>],
+    msgs: &[Injection],
+    deliveries: &[Delivery],
+    metas: &[MsgMeta],
+    cpu: &mut [Cycles],
+    mut work: impl FnMut(usize, &Injection, MsgMeta, Cycles) -> f64,
+) {
+    for q in inbox.iter_mut() {
+        q.clear();
+    }
+    for (idx, m) in msgs.iter().enumerate() {
+        inbox[m.dst].push(idx);
+    }
+    for (dst, queue) in inbox.iter_mut().enumerate() {
+        queue.sort_by(|&a, &b| {
+            deliveries[a]
+                .visible
+                .cmp(&deliveries[b].visible)
+                .then_with(|| msgs[a].src.cmp(&msgs[b].src))
+                .then_with(|| a.cmp(&b))
+        });
+        for &idx in queue.iter() {
+            let start = cpu[dst].max(deliveries[idx].visible);
+            cpu[dst] = start + Cycles::new(work(dst, &msgs[idx], metas[idx], start));
+        }
+    }
+}
+
 /// Pooled buffers of the delivery protocol's retry loop, parallel to
 /// one another within a resend wave.
 #[derive(Default)]
@@ -736,7 +720,7 @@ fn kind_counter_names(kind: MsgKind) -> (&'static str, &'static str) {
 /// Cost of one completely empty `sync()` (plan all-to-all + barrier)
 /// on a fresh machine: the Table 3 "synchronization barrier L"
 /// microbenchmark, and the `L` used by BSP predictions.
-pub fn empty_sync_cost(cfg: MachineConfig) -> Cycles {
+pub(crate) fn empty_sync_cost(cfg: MachineConfig) -> Cycles {
     let mut timer = SimTimer::new(cfg);
     let charged = vec![0u64; cfg.p];
     let matrix = CommMatrix::new(cfg.p);
@@ -856,27 +840,6 @@ mod tests {
             let clock = t.prev_release_max.get();
             assert!((now.get() - clock).abs() <= 1e-9 * clock, "phases tile the clock");
         }
-    }
-
-    #[test]
-    fn fixed_barrier_pins_empty_sync_cost() {
-        use qsm_simnet::BarrierKind;
-        // With a BSP-style fixed barrier, the empty sync cost is the
-        // plan exchange plus exactly L.
-        let l = 10_000.0;
-        let diss = empty_sync_cost(MachineConfig::paper_default(8)).get();
-        let fixed =
-            empty_sync_cost(MachineConfig::paper_default(8).with_barrier(BarrierKind::Fixed(l)))
-                .get();
-        // Same plan cost in both; the barrier part differs.
-        assert_ne!(diss, fixed);
-        let plan_part = fixed - l;
-        assert!(plan_part > 0.0, "plan part {plan_part}");
-        // Fixed(0) isolates the plan exchange exactly.
-        let plan_only =
-            empty_sync_cost(MachineConfig::paper_default(8).with_barrier(BarrierKind::Fixed(0.0)))
-                .get();
-        assert!((plan_only - plan_part).abs() < 1e-6);
     }
 
     #[test]

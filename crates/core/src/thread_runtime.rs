@@ -11,7 +11,7 @@
 //! the same `CommMatrix` metering), feeds the same observability
 //! recorder, and yields a [`crate::CostReport`]. This is the
 //! workspace's "run on actual parallel hardware" backend (the
-//! paper's NOW/SMP role), used by the criterion benches.
+//! paper's NOW/SMP role), which the repo benchmark times.
 //!
 //! Timing units: the [`crate::PhaseTiming`] fields are
 //! **nanoseconds** here (the `Cycles` newtype is reused as a plain

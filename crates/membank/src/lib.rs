@@ -31,7 +31,7 @@ pub mod platform;
 pub mod sim;
 
 pub use microbench::{run_all, run_pattern, BankBackend, Sample};
-pub use native::{run_native, run_native_all, NativeBank, NativeResult};
+pub use native::NativeBank;
 pub use pattern::Pattern;
 pub use platform::BankMachine;
-pub use sim::{simulate, simulate_all, PatternResult, SimBank};
+pub use sim::{simulate_all, SimBank};

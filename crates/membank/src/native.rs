@@ -10,27 +10,16 @@
 //! [`NativeBank`] is the [`BankBackend`] half: the shared loop in
 //! [`crate::microbench`] pre-draws the per-thread target sequences
 //! (keeping RNG cost out of the measured region, as before), and
-//! this backend times the atomic accesses. [`run_native`] /
-//! [`run_native_all`] keep the original direct entry points.
+//! this backend times the atomic accesses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::microbench::{run_pattern, BankBackend, Sample};
-use crate::pattern::Pattern;
+use crate::microbench::{BankBackend, Sample};
 
 /// One cache-line-padded bank.
 #[repr(align(128))]
 struct Bank(AtomicU64);
-
-/// Result of a native run of one pattern.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NativeResult {
-    /// The pattern measured.
-    pub pattern: Pattern,
-    /// Average nanoseconds per access (across all threads).
-    pub avg_ns: f64,
-}
 
 /// The host machine as a [`BankBackend`]: `threads` workers hammering
 /// `banks` padded atomics.
@@ -85,29 +74,19 @@ impl BankBackend for NativeBank {
     }
 }
 
-/// Run `accesses` atomic accesses per thread under `pattern` with
-/// `threads` workers over `banks` padded atomics.
-pub fn run_native(threads: usize, banks: usize, pattern: Pattern, accesses: usize) -> NativeResult {
-    let s = run_pattern(&NativeBank { threads, banks }, pattern, accesses);
-    NativeResult { pattern, avg_ns: s.avg_ns }
-}
-
-/// Run all three patterns.
-pub fn run_native_all(threads: usize, banks: usize, accesses: usize) -> Vec<NativeResult> {
-    Pattern::all().iter().map(|&p| run_native(threads, banks, p, accesses)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microbench::{run_all, run_pattern};
+    use crate::pattern::Pattern;
 
     #[test]
     fn native_run_produces_positive_times() {
-        let rs = run_native_all(2, 4, 20_000);
+        let rs = run_all(&NativeBank { threads: 2, banks: 4 }, 20_000);
         assert_eq!(rs.len(), 3);
         for r in rs {
-            assert!(r.avg_ns > 0.0, "{:?}", r);
-            assert!(r.avg_ns < 1e7, "implausibly slow: {:?}", r);
+            assert!(r.1.avg_ns > 0.0, "{:?}", r);
+            assert!(r.1.avg_ns < 1e7, "implausibly slow: {:?}", r);
         }
     }
 
@@ -118,8 +97,9 @@ mod tests {
         // patterns are indistinguishable, so just require the runs to
         // complete with plausible timings there.
         let threads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-        let conflict = run_native(4, 8, Pattern::Conflict, 200_000).avg_ns;
-        let noconflict = run_native(4, 8, Pattern::NoConflict, 200_000).avg_ns;
+        let bank = NativeBank { threads: 4, banks: 8 };
+        let conflict = run_pattern(&bank, Pattern::Conflict, 200_000).avg_ns;
+        let noconflict = run_pattern(&bank, Pattern::NoConflict, 200_000).avg_ns;
         if threads >= 4 {
             assert!(conflict > 0.7 * noconflict, "conflict {conflict} vs noconflict {noconflict}");
         } else {
@@ -130,9 +110,9 @@ mod tests {
     #[test]
     fn single_thread_patterns_roughly_equal() {
         // Without concurrency there is no contention to observe.
-        let rs = run_native_all(1, 8, 200_000);
-        let max = rs.iter().map(|r| r.avg_ns).fold(0.0, f64::max);
-        let min = rs.iter().map(|r| r.avg_ns).fold(f64::INFINITY, f64::min);
+        let rs = run_all(&NativeBank { threads: 1, banks: 8 }, 200_000);
+        let max = rs.iter().map(|r| r.1.avg_ns).fold(0.0, f64::max);
+        let min = rs.iter().map(|r| r.1.avg_ns).fold(f64::INFINITY, f64::min);
         assert!(max / min < 4.0, "single-thread spread too wide: {rs:?}");
     }
 }

@@ -31,14 +31,6 @@ pub struct BankMachine {
     pub transit_ns: f64,
 }
 
-impl BankMachine {
-    /// Uncontended round-trip time of one access: overhead + two
-    /// transits + one bank service.
-    pub fn uncontended_ns(&self) -> f64 {
-        self.overhead_ns + 2.0 * self.transit_ns + self.bank_service_ns
-    }
-}
-
 /// SMP-NATIVE: 8-processor, 8-bank Sun UltraEnterprise (166 MHz),
 /// hardware cache-coherent shared memory; sequential 64-byte blocks
 /// interleave across banks.
@@ -113,6 +105,15 @@ pub fn cray_t3e() -> BankMachine {
 /// BSPlib optimization levels for the SMP, as in the paper).
 pub fn figure7_machines() -> Vec<BankMachine> {
     vec![smp_native(), smp_bsplib_l2(), smp_bsplib_l1(), now_bsplib(), cray_t3e()]
+}
+
+#[cfg(test)]
+impl BankMachine {
+    /// Uncontended round-trip time of one access: overhead + two
+    /// transits + one bank service.
+    pub(crate) fn uncontended_ns(&self) -> f64 {
+        self.overhead_ns + 2.0 * self.transit_ns + self.bank_service_ns
+    }
 }
 
 #[cfg(test)]

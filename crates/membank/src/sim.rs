@@ -25,25 +25,14 @@
 //! differs by up to ~1.6% on Random: wait spent behind the node's
 //! in-order message ingestion is now attributed to the NIC rather
 //! than the bank (`bank_wait` starts at `max(arrive, recv_free)`,
-//! the old loop's `queue` started at `arrive`). [`simulate`] /
-//! [`simulate_all`] keep the original direct entry points.
+//! the old loop's `queue` started at `arrive`). [`simulate_all`] is
+//! one Figure 7 panel through that loop.
 
 use qsm_simnet::{BankModel, Cycles, Delivery, Injection, MsgKind, NetConfig, Network};
 
-use crate::microbench::{run_pattern, BankBackend, Sample};
+use crate::microbench::{run_all, BankBackend, Sample};
 use crate::pattern::Pattern;
 use crate::platform::BankMachine;
-
-/// Outcome of simulating one (machine, pattern) cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PatternResult {
-    /// The pattern simulated.
-    pub pattern: Pattern,
-    /// Average nanoseconds per access across all processors.
-    pub avg_ns: f64,
-    /// Average time an access spent waiting in a bank queue.
-    pub avg_queue_ns: f64,
-}
 
 /// The queue simulator as a [`BankBackend`]: a platform profile plus
 /// the seed its per-processor target RNGs derive from.
@@ -140,59 +129,47 @@ impl BankBackend for SimBank<'_> {
     }
 }
 
-/// Simulate `accesses` accesses per processor under `pattern`.
+/// Simulate all three patterns on one machine (Figure 7, one panel),
+/// `accesses` accesses per processor each.
 ///
 /// The simulation is deterministic for a given seed. A short warmup
 /// (10% of the accesses) is excluded from the averages so queues
 /// reach steady state first.
-pub fn simulate(
-    machine: &BankMachine,
-    pattern: Pattern,
-    accesses: usize,
-    seed: u64,
-) -> PatternResult {
-    let s = run_pattern(&SimBank { machine, seed }, pattern, accesses);
-    PatternResult {
-        pattern,
-        avg_ns: s.avg_ns,
-        avg_queue_ns: s.avg_queue_ns.expect("simulator always observes queueing"),
-    }
-}
-
-/// Simulate all three patterns on one machine (Figure 7, one panel).
-pub fn simulate_all(machine: &BankMachine, accesses: usize, seed: u64) -> Vec<PatternResult> {
-    Pattern::all().iter().map(|&p| simulate(machine, p, accesses, seed)).collect()
+pub fn simulate_all(machine: &BankMachine, accesses: usize, seed: u64) -> Vec<(Pattern, Sample)> {
+    run_all(&SimBank { machine, seed }, accesses)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microbench::run_pattern;
     use crate::platform as machine;
 
     const N: usize = 4000;
 
+    /// `(avg_ns, avg_queue_ns)` of one pattern on one machine.
+    fn simulate(m: &BankMachine, pattern: Pattern, accesses: usize, seed: u64) -> (f64, f64) {
+        let s = run_pattern(&SimBank { machine: m, seed }, pattern, accesses);
+        (s.avg_ns, s.avg_queue_ns.expect("the simulator observes queueing"))
+    }
+
     #[test]
     fn noconflict_matches_uncontended_time() {
         let m = machine::smp_native();
-        let r = simulate(&m, Pattern::NoConflict, N, 1);
-        assert!(
-            (r.avg_ns - m.uncontended_ns()).abs() < 1.0,
-            "avg {} vs {}",
-            r.avg_ns,
-            m.uncontended_ns()
-        );
-        assert_eq!(r.avg_queue_ns, 0.0);
+        let (avg, queue) = simulate(&m, Pattern::NoConflict, N, 1);
+        assert!((avg - m.uncontended_ns()).abs() < 1.0, "avg {avg} vs {}", m.uncontended_ns());
+        assert_eq!(queue, 0.0);
     }
 
     #[test]
     fn conflict_serializes_on_one_bank() {
         let m = machine::smp_native();
-        let r = simulate(&m, Pattern::Conflict, N, 1);
+        let (avg, queue) = simulate(&m, Pattern::Conflict, N, 1);
         // Steady state: one access per bank_service per processor,
         // so ~procs x service per access (unless overhead dominates).
         let bound = (m.procs as f64) * m.bank_service_ns;
-        assert!(r.avg_ns > 0.9 * bound.max(m.uncontended_ns()), "avg {}", r.avg_ns);
-        assert!(r.avg_queue_ns > 0.0);
+        assert!(avg > 0.9 * bound.max(m.uncontended_ns()), "avg {avg}");
+        assert!(queue > 0.0);
     }
 
     #[test]
@@ -200,7 +177,7 @@ mod tests {
         // NoConflict <= Random <= Conflict on every platform.
         for m in machine::figure7_machines() {
             let rs = simulate_all(&m, N, 7);
-            let by = |p: Pattern| rs.iter().find(|r| r.pattern == p).unwrap().avg_ns;
+            let by = |p: Pattern| rs.iter().find(|r| r.0 == p).unwrap().1.avg_ns;
             let (rand, conf, noc) =
                 (by(Pattern::Random), by(Pattern::Conflict), by(Pattern::NoConflict));
             assert!(noc <= rand * 1.001, "{}: NoConflict {noc} > Random {rand}", m.name);
@@ -213,7 +190,7 @@ mod tests {
         // The paper: NoConflict beats Random by 0%..68%.
         for m in machine::figure7_machines() {
             let rs = simulate_all(&m, N, 3);
-            let by = |p: Pattern| rs.iter().find(|r| r.pattern == p).unwrap().avg_ns;
+            let by = |p: Pattern| rs.iter().find(|r| r.0 == p).unwrap().1.avg_ns;
             let slowdown = by(Pattern::Random) / by(Pattern::NoConflict);
             assert!((1.0..=1.9).contains(&slowdown), "{}: Random/NoConflict = {slowdown}", m.name);
         }
@@ -226,7 +203,7 @@ mod tests {
         // the ratio (overhead hides bank queuing).
         let m = machine::smp_native();
         let rs = simulate_all(&m, N, 5);
-        let by = |p: Pattern| rs.iter().find(|r| r.pattern == p).unwrap().avg_ns;
+        let by = |p: Pattern| rs.iter().find(|r| r.0 == p).unwrap().1.avg_ns;
         let ratio = by(Pattern::Conflict) / by(Pattern::NoConflict);
         assert!((2.0..=6.0).contains(&ratio), "Conflict/NoConflict = {ratio}");
     }
@@ -241,10 +218,10 @@ mod tests {
         let think = m.overhead_ns + 2.0 * m.transit_ns;
         let saturated = m.procs as f64 * m.bank_service_ns > think + m.bank_service_ns;
         assert!(saturated, "profile should saturate the bank for this check");
-        let r = simulate(&m, Pattern::Conflict, N, 2);
+        let (avg, _) = simulate(&m, Pattern::Conflict, N, 2);
         let theory = m.procs as f64 * m.bank_service_ns;
-        let err = (r.avg_ns - theory).abs() / theory;
-        assert!(err < 0.05, "measured {} vs closed-queue theory {theory}", r.avg_ns);
+        let err = (avg - theory).abs() / theory;
+        assert!(err < 0.05, "measured {avg} vs closed-queue theory {theory}");
     }
 
     #[test]
@@ -257,11 +234,10 @@ mod tests {
         let m = machine::smp_native();
         let rho = m.bank_service_ns / m.uncontended_ns();
         let wq_theory = rho * m.bank_service_ns / (2.0 * (1.0 - rho));
-        let r = simulate(&m, Pattern::Random, 20_000, 3);
+        let (_, queue) = simulate(&m, Pattern::Random, 20_000, 3);
         assert!(
-            r.avg_queue_ns > 0.2 * wq_theory && r.avg_queue_ns < 5.0 * wq_theory,
-            "queue {} vs M/D/1 approx {wq_theory}",
-            r.avg_queue_ns
+            queue > 0.2 * wq_theory && queue < 5.0 * wq_theory,
+            "queue {queue} vs M/D/1 approx {wq_theory}"
         );
     }
 

@@ -37,17 +37,12 @@ pub fn binomial_upper_bound(m: u64, q: f64, delta: f64) -> f64 {
     if mu == 0.0 {
         return 0.0;
     }
-    let t = (1.0 / delta).ln();
-    let eps = (t + (t * t + 8.0 * mu * t).sqrt()) / (2.0 * mu);
+    let eps = chernoff_epsilon(mu, delta);
     ((1.0 + eps) * mu).min(m as f64)
 }
 
 /// The ε satisfying `exp(−μ ε²/(2+ε)) = delta` for mean `mu`.
-///
-/// Exposed separately because the list-ranking analysis uses the
-/// relative inflation factor (`c1`, `c2`) rather than the absolute
-/// bound.
-pub fn chernoff_epsilon(mu: f64, delta: f64) -> f64 {
+fn chernoff_epsilon(mu: f64, delta: f64) -> f64 {
     assert!(mu > 0.0, "mean must be positive");
     assert!(delta > 0.0 && delta < 1.0);
     let t = (1.0 / delta).ln();
@@ -101,7 +96,8 @@ pub fn sample_sort_bucket_bound(n: u64, s_total: u64, spp: u64, delta: f64) -> f
 
 /// Split a total failure budget across `events` independent bad
 /// events (union bound): each event gets `delta_total / events`.
-pub fn union_budget(delta_total: f64, events: u64) -> f64 {
+#[cfg(test)]
+fn union_budget(delta_total: f64, events: u64) -> f64 {
     assert!(events > 0);
     assert!(delta_total > 0.0 && delta_total < 1.0);
     delta_total / events as f64

@@ -33,12 +33,6 @@ impl QsmParams {
         Self { p, g }
     }
 
-    /// Convert a gap quoted in cycles/byte into this model's
-    /// cycles/word unit.
-    pub fn gap_from_cycles_per_byte(p: usize, g_byte: f64) -> Self {
-        Self::new(p, g_byte * WORD_BYTES as f64)
-    }
-
     /// Cost of one phase: `max(m_op, g · m_rw, κ)`.
     pub fn phase_cost(&self, ph: &PhaseProfile) -> f64 {
         (ph.m_op as f64).max(self.g * ph.m_rw as f64).max(ph.kappa as f64)
@@ -157,6 +151,15 @@ impl LogPParams {
         let wire = self.g * ph.h() as f64;
         let tail_latency = if ph.msgs > 0 { self.l } else { 0.0 };
         msg_overhead + wire + tail_latency
+    }
+}
+
+#[cfg(test)]
+impl QsmParams {
+    /// Convert a gap quoted in cycles/byte into this model's
+    /// cycles/word unit.
+    fn gap_from_cycles_per_byte(p: usize, g_byte: f64) -> Self {
+        Self::new(p, g_byte * WORD_BYTES as f64)
     }
 }
 

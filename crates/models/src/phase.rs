@@ -35,11 +35,6 @@ impl PhaseProfile {
         self.h_in.max(self.h_out)
     }
 
-    /// A phase that only computes locally.
-    pub fn local_only(m_op: u64) -> Self {
-        Self { m_op, ..Self::default() }
-    }
-
     /// Merge another processor's per-phase counts into the maxima.
     pub fn merge_max(&mut self, other: &PhaseProfile) {
         self.m_op = self.m_op.max(other.m_op);
@@ -74,22 +69,6 @@ impl ProgramProfile {
         self.phases.push(ph);
     }
 
-    /// Total words of communication `W` (sum over phases of the
-    /// busiest processor's remote words).
-    pub fn total_comm_words(&self) -> u64 {
-        self.phases.iter().map(|p| p.m_rw).sum()
-    }
-
-    /// Total local operation count of the busiest processor per phase.
-    pub fn total_local_ops(&self) -> u64 {
-        self.phases.iter().map(|p| p.m_op).sum()
-    }
-
-    /// Predicted total time under QSM.
-    pub fn qsm_cost(&self, q: &QsmParams) -> f64 {
-        self.phases.iter().map(|p| q.phase_cost(p)).sum()
-    }
-
     /// Predicted communication time under QSM.
     pub fn qsm_comm_cost(&self, q: &QsmParams) -> f64 {
         self.phases.iter().map(|p| q.phase_comm_cost(p)).sum()
@@ -118,6 +97,33 @@ impl ProgramProfile {
     /// Predicted communication time under LogP.
     pub fn logp_comm_cost(&self, lp: &LogPParams) -> f64 {
         self.phases.iter().map(|p| lp.phase_comm_cost(p)).sum()
+    }
+}
+
+#[cfg(test)]
+impl PhaseProfile {
+    /// A phase that only computes locally.
+    fn local_only(m_op: u64) -> Self {
+        Self { m_op, ..Self::default() }
+    }
+}
+
+#[cfg(test)]
+impl ProgramProfile {
+    /// Total words of communication `W` (sum over phases of the
+    /// busiest processor's remote words).
+    fn total_comm_words(&self) -> u64 {
+        self.phases.iter().map(|p| p.m_rw).sum()
+    }
+
+    /// Total local operation count of the busiest processor per phase.
+    fn total_local_ops(&self) -> u64 {
+        self.phases.iter().map(|p| p.m_op).sum()
+    }
+
+    /// Predicted total time under QSM.
+    fn qsm_cost(&self, q: &QsmParams) -> f64 {
+        self.phases.iter().map(|p| q.phase_cost(p)).sum()
     }
 }
 

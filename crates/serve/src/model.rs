@@ -22,7 +22,6 @@
 //! the knee) is exactly the contention the QSM model abstracts away.
 
 use crate::config::ServiceConfig;
-use crate::engine::ServiceOutcome;
 
 /// Model-predicted utilizations and throughput at one offered load.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,20 +105,10 @@ pub fn predict(cfg: &ServiceConfig) -> Prediction {
     Prediction { lambda, rho_send, rho_recv, rho_bank, capacity, throughput: lambda.min(capacity) }
 }
 
-/// Relative error of the model's throughput prediction against a
-/// measured outcome (0 = perfect; `None` when nothing completed).
-pub fn throughput_error(pred: &Prediction, out: &ServiceOutcome) -> Option<f64> {
-    let measured = out.throughput();
-    if measured <= 0.0 {
-        return None;
-    }
-    Some((pred.throughput - measured).abs() / measured)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine;
+    use crate::engine::{self, ServiceOutcome};
     use qsm_obs::Recorder;
     use qsm_simnet::{BankModel, MachineConfig};
 
@@ -167,7 +156,9 @@ mod tests {
         assert!((send - pred.rho_send).abs() < 0.05, "send {send} vs {}", pred.rho_send);
         assert!((recv - pred.rho_recv).abs() < 0.05, "recv {recv} vs {}", pred.rho_recv);
         assert!((bank - pred.rho_bank).abs() < 0.05, "bank {bank} vs {}", pred.rho_bank);
-        let err = throughput_error(&pred, &out).expect("work completed");
+        let measured = out.throughput();
+        assert!(measured > 0.0, "work completed");
+        let err = (pred.throughput - measured).abs() / measured;
         assert!(err < 0.05, "throughput prediction off by {err}");
     }
 

@@ -8,9 +8,6 @@
 //! messages: in round `r` of `⌈log₂ p⌉`, node `i` sends a token to
 //! node `(i + 2^r) mod p` and proceeds once it has both finished its
 //! own send and ingested the token addressed to it.
-//!
-//! A [`FixedBarrier`] is provided for experiments that want to
-//! hard-code a BSP-style `L` instead.
 
 use crate::config::SoftwareConfig;
 use crate::message::{Injection, MsgKind};
@@ -20,80 +17,56 @@ use crate::time::Cycles;
 /// Wire payload of one barrier token (sequence number + round).
 pub const BARRIER_TOKEN_BYTES: u64 = 8;
 
-/// A barrier implementation over the simulated network.
-pub trait BarrierModel {
-    /// Given each node's arrival time at the barrier, return each
-    /// node's release time. Must be monotone: delaying any entry can
-    /// never release anyone earlier.
-    fn run(&self, net: &mut Network, sw: &SoftwareConfig, enter: &[Cycles]) -> Vec<Cycles>;
-}
-
-/// Dissemination barrier: `⌈log₂ p⌉` rounds of point-to-point tokens.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DisseminationBarrier;
-
-impl BarrierModel for DisseminationBarrier {
-    fn run(&self, net: &mut Network, sw: &SoftwareConfig, enter: &[Cycles]) -> Vec<Cycles> {
-        let p = net.nprocs();
-        assert_eq!(enter.len(), p, "one entry time per node");
-        if p == 1 {
-            return vec![enter[0]];
-        }
-        let rounds = usize::BITS as usize - (p - 1).leading_zeros() as usize; // ceil(log2 p)
-        let bytes = BARRIER_TOKEN_BYTES + sw.msg_header_bytes;
-        let mut ready: Vec<Cycles> =
-            enter.iter().map(|&t| t + Cycles::new(sw.barrier_round_sw)).collect();
-        for r in 0..rounds {
-            let dist = 1usize << r;
-            let msgs: Vec<Injection> = (0..p)
-                .map(|i| Injection::new(i, (i + dist) % p, bytes, ready[i], MsgKind::Barrier))
-                .collect();
-            let deliveries = net.transmit(&msgs);
-            let mut next = vec![Cycles::ZERO; p];
-            for i in 0..p {
-                // Node i continues when its own token has departed and
-                // the token from (i - 2^r) mod p is ingested.
-                let own_depart = deliveries[i].depart;
-                let from = (i + p - dist % p) % p;
-                let token_visible = deliveries[from].visible;
-                next[i] = own_depart.max(token_visible) + Cycles::new(sw.barrier_round_sw);
-            }
-            ready = next;
-        }
-        ready
+/// The dissemination barrier, `⌈log₂ p⌉` rounds of point-to-point
+/// tokens: given each node's arrival time at the barrier, return each
+/// node's release time. Monotone: delaying any entry never releases
+/// anyone earlier.
+pub fn dissemination(net: &mut Network, sw: &SoftwareConfig, enter: &[Cycles]) -> Vec<Cycles> {
+    let p = net.nprocs();
+    assert_eq!(enter.len(), p, "one entry time per node");
+    if p == 1 {
+        return vec![enter[0]];
     }
-}
-
-/// A BSP-style fixed-cost barrier: everyone is released `L` cycles
-/// after the last node arrives.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedBarrier(pub f64);
-
-impl BarrierModel for FixedBarrier {
-    fn run(&self, _net: &mut Network, _sw: &SoftwareConfig, enter: &[Cycles]) -> Vec<Cycles> {
-        assert!(self.0 >= 0.0);
-        let last = enter.iter().copied().fold(Cycles::ZERO, Cycles::max);
-        vec![last + Cycles::new(self.0); enter.len()]
+    let rounds = usize::BITS as usize - (p - 1).leading_zeros() as usize; // ceil(log2 p)
+    let bytes = BARRIER_TOKEN_BYTES + sw.msg_header_bytes;
+    let mut ready: Vec<Cycles> =
+        enter.iter().map(|&t| t + Cycles::new(sw.barrier_round_sw)).collect();
+    for r in 0..rounds {
+        let dist = 1usize << r;
+        let msgs: Vec<Injection> = (0..p)
+            .map(|i| Injection::new(i, (i + dist) % p, bytes, ready[i], MsgKind::Barrier))
+            .collect();
+        let mut deliveries = Vec::new();
+        net.transmit_into(&msgs, &mut deliveries);
+        let mut next = vec![Cycles::ZERO; p];
+        for i in 0..p {
+            // Node i continues when its own token has departed and
+            // the token from (i - 2^r) mod p is ingested.
+            let own_depart = deliveries[i].depart;
+            let from = (i + p - dist % p) % p;
+            let token_visible = deliveries[from].visible;
+            next[i] = own_depart.max(token_visible) + Cycles::new(sw.barrier_round_sw);
+        }
+        ready = next;
     }
-}
-
-/// Measure the cost of a barrier entered by all nodes simultaneously
-/// on an otherwise idle machine: the Table 3 "L" microbenchmark
-/// (without the plan exchange, which `qsm-core` adds for a full empty
-/// `sync()`).
-pub fn measure_barrier(net: &mut Network, sw: &SoftwareConfig) -> Cycles {
-    net.reset();
-    let enter = vec![Cycles::ZERO; net.nprocs()];
-    let exit = DisseminationBarrier.run(net, sw, &enter);
-    let t = exit.into_iter().fold(Cycles::ZERO, Cycles::max);
-    net.reset();
-    t
+    ready
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NetConfig;
+
+    /// The cost of a barrier entered by all nodes at once on an idle
+    /// machine (without the plan exchange `qsm-core` adds for a full
+    /// empty `sync()`).
+    fn measure_barrier(net: &mut Network, sw: &SoftwareConfig) -> Cycles {
+        net.reset();
+        let enter = vec![Cycles::ZERO; net.nprocs()];
+        let exit = dissemination(net, sw, &enter);
+        net.reset();
+        exit.into_iter().fold(Cycles::ZERO, Cycles::max)
+    }
 
     fn setup(p: usize) -> (Network, SoftwareConfig) {
         (Network::new(p, NetConfig::paper_default()), SoftwareConfig::calibrated())
@@ -102,7 +75,7 @@ mod tests {
     #[test]
     fn single_node_barrier_is_free() {
         let (mut net, sw) = setup(1);
-        let out = DisseminationBarrier.run(&mut net, &sw, &[Cycles::new(42.0)]);
+        let out = dissemination(&mut net, &sw, &[Cycles::new(42.0)]);
         assert_eq!(out, vec![Cycles::new(42.0)]);
     }
 
@@ -111,7 +84,7 @@ mod tests {
         // Correctness property of any barrier: release >= every entry.
         let (mut net, sw) = setup(8);
         let enter: Vec<Cycles> = (0..8).map(|i| Cycles::new(i as f64 * 1000.0)).collect();
-        let out = DisseminationBarrier.run(&mut net, &sw, &enter);
+        let out = dissemination(&mut net, &sw, &enter);
         let last_entry = Cycles::new(7000.0);
         for t in &out {
             assert!(*t >= last_entry, "{t} released before {last_entry}");
@@ -135,11 +108,11 @@ mod tests {
     #[test]
     fn delaying_one_entry_delays_release() {
         let (mut net, sw) = setup(4);
-        let base = DisseminationBarrier.run(&mut net, &sw, &[Cycles::ZERO; 4]);
+        let base = dissemination(&mut net, &sw, &[Cycles::ZERO; 4]);
         net.reset();
         let mut enter = vec![Cycles::ZERO; 4];
         enter[2] = Cycles::new(1e6);
-        let delayed = DisseminationBarrier.run(&mut net, &sw, &enter);
+        let delayed = dissemination(&mut net, &sw, &enter);
         for (b, d) in base.iter().zip(&delayed) {
             assert!(d >= b);
         }
@@ -160,18 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn fixed_barrier_releases_all_at_last_plus_l() {
-        let (mut net, sw) = setup(4);
-        let enter =
-            vec![Cycles::new(10.0), Cycles::new(500.0), Cycles::new(20.0), Cycles::new(30.0)];
-        let out = FixedBarrier(1000.0).run(&mut net, &sw, &enter);
-        assert_eq!(out, vec![Cycles::new(1500.0); 4]);
-    }
-
-    #[test]
     fn non_power_of_two_is_supported() {
         let (mut net, sw) = setup(7);
-        let out = DisseminationBarrier.run(&mut net, &sw, &[Cycles::ZERO; 7]);
+        let out = dissemination(&mut net, &sw, &[Cycles::ZERO; 7]);
         assert_eq!(out.len(), 7);
         // ceil(log2 7) = 3 rounds; everyone must end strictly later
         // than 3 x (latency) at the very least.
@@ -187,7 +151,7 @@ mod tests {
         // round x ceil(log2 p) rounds, all tagged MsgKind::Barrier.
         let (mut net, sw) = setup(8);
         net.enable_trace(1024);
-        DisseminationBarrier.run(&mut net, &sw, &[Cycles::ZERO; 8]);
+        dissemination(&mut net, &sw, &[Cycles::ZERO; 8]);
         let tr = net.take_trace().unwrap();
         assert_eq!(tr.len(), 8 * 3, "8 nodes x ceil(log2 8) rounds");
         assert!(tr.iter().all(|e| e.kind == MsgKind::Barrier));

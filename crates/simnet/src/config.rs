@@ -232,20 +232,6 @@ pub struct SoftwareConfig {
     pub sync_fixed: f64,
     /// Destination visit order during the data exchange.
     pub exchange_order: ExchangeOrder,
-    /// Barrier implementation ending every phase.
-    pub barrier: BarrierKind,
-}
-
-/// Which barrier implementation ends each phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum BarrierKind {
-    /// Dissemination barrier built from simulated messages (the
-    /// default; its cost emerges from `l`, `o`, and software cost).
-    #[default]
-    Dissemination,
-    /// BSP-style fixed cost: everyone released `L` cycles after the
-    /// last arrival (for experiments that want to pin `L` exactly).
-    Fixed(f64),
 }
 
 impl SoftwareConfig {
@@ -265,7 +251,6 @@ impl SoftwareConfig {
             plan_entry_cost: 30.0,
             sync_fixed: 500.0,
             exchange_order: ExchangeOrder::LatinSquare,
-            barrier: BarrierKind::Dissemination,
         }
     }
 
@@ -286,7 +271,6 @@ impl SoftwareConfig {
             plan_entry_cost: 0.0,
             sync_fixed: 0.0,
             exchange_order: ExchangeOrder::LatinSquare,
-            barrier: BarrierKind::Dissemination,
         }
     }
 }
@@ -403,12 +387,6 @@ impl MachineConfig {
     pub fn with_link_gap(mut self, gap: f64) -> Self {
         self.net.link_gap_per_byte = Some(gap);
         self.net.validate();
-        self
-    }
-
-    /// Builder: replace the barrier implementation.
-    pub fn with_barrier(mut self, kind: BarrierKind) -> Self {
-        self.sw.barrier = kind;
         self
     }
 

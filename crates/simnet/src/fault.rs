@@ -7,21 +7,17 @@
 //! asks for latency and overhead — is how far measured behavior
 //! drifts from the models' predictions as the fault rate grows.
 //!
-//! [`FaultConfig`] describes three fault axes:
+//! [`FaultConfig`] describes one fault: **message loss**. Each
+//! data-plane transmission is dropped with probability `drop_prob`; a
+//! dropped message still occupies its sender's NIC (and the fabric),
+//! but never reaches the receive engine. A send that is not lost is
+//! timed exactly as on a fault-free network.
 //!
-//! * **message drops** — each data-plane transmission is lost with
-//!   probability `drop_prob`;
-//! * **link degradation** — a transient window during which wire
-//!   latency and the NIC gap are multiplied by configured factors;
-//! * **node stalls** — periodic per-node bursts during which a node's
-//!   send engine is frozen (an OS hiccup, a GC pause).
-//!
-//! Every fault decision is a **pure function of the config seed** and
-//! stable message/burst coordinates, so a faulted run is
-//! byte-reproducible: the same seed yields the same drop schedule,
-//! the same degradation windows, and the same stalls, independent of
-//! host, thread count, or repetition. Drop decisions additionally use
-//! a *threshold* construction (one uniform draw per sequence number
+//! Every drop decision is a **pure function of the config seed** and
+//! a stable message coordinate, so a faulted run is byte-reproducible:
+//! the same seed yields the same drop schedule, independent of host,
+//! thread count, or repetition. Drop decisions additionally use a
+//! *threshold* construction (one uniform draw per sequence number
 //! compared against `drop_prob`), so raising the probability strictly
 //! grows the drop set for a fixed seed — sweeps over `drop_prob` are
 //! monotone by construction, not just in expectation.
@@ -52,33 +48,6 @@ fn unit(z: u64) -> f64 {
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// A transient link-degradation window: between `start` and `end`
-/// (simulated cycles), wire latency and the NIC gap are multiplied.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradeWindow {
-    /// Window start (inclusive), cycles.
-    pub start: f64,
-    /// Window end (exclusive), cycles.
-    pub end: f64,
-    /// Multiplier applied to the wire latency inside the window.
-    pub latency_factor: f64,
-    /// Multiplier applied to the NIC gap (cycles/byte) inside the
-    /// window.
-    pub gap_factor: f64,
-}
-
-/// Periodic per-node stall bursts: once per `period`, each node
-/// freezes its send engine for `duration` cycles. The burst's offset
-/// within its period is a seeded per-`(node, period-index)` jitter,
-/// so nodes do not stall in lockstep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StallConfig {
-    /// Cycle length between burst opportunities.
-    pub period: f64,
-    /// Burst duration, cycles (clamped to `period`).
-    pub duration: f64,
-}
-
 /// Seeded fault-injection configuration. See the module docs for the
 /// model; [`FaultConfig::validate`] for the invariants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,10 +56,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Per-transmission drop probability in `[0, 1)`.
     pub drop_prob: f64,
-    /// Optional transient link degradation.
-    pub degrade: Option<DegradeWindow>,
-    /// Optional periodic per-node stall bursts.
-    pub stall: Option<StallConfig>,
     /// Resend timeout in cycles: a lost transmission's resend becomes
     /// ready `retry_timeout · 2^(attempt-1)` after the failed depart
     /// (bounded exponential backoff, computed only by
@@ -108,30 +73,9 @@ pub struct FaultConfig {
 impl FaultConfig {
     /// A drop-only configuration with default retry parameters.
     pub fn drops(seed: u64, drop_prob: f64) -> Self {
-        let cfg = Self {
-            seed,
-            drop_prob,
-            degrade: None,
-            stall: None,
-            retry_timeout: 8_000.0,
-            max_attempts: 64,
-        };
+        let cfg = Self { seed, drop_prob, retry_timeout: 8_000.0, max_attempts: 64 };
         cfg.validate();
         cfg
-    }
-
-    /// Builder: add a transient link-degradation window.
-    pub fn with_degrade(mut self, w: DegradeWindow) -> Self {
-        self.degrade = Some(w);
-        self.validate();
-        self
-    }
-
-    /// Builder: add periodic per-node stall bursts.
-    pub fn with_stall(mut self, s: StallConfig) -> Self {
-        self.stall = Some(s);
-        self.validate();
-        self
     }
 
     /// Builder: replace the retry timeout (cycles).
@@ -155,15 +99,6 @@ impl FaultConfig {
         );
         assert!(self.retry_timeout > 0.0 && self.retry_timeout.is_finite());
         assert!(self.max_attempts >= 1);
-        if let Some(w) = self.degrade {
-            assert!(w.start >= 0.0 && w.end > w.start, "bad degrade window {w:?}");
-            assert!(w.latency_factor >= 1.0 && w.latency_factor.is_finite());
-            assert!(w.gap_factor >= 1.0 && w.gap_factor.is_finite());
-        }
-        if let Some(s) = self.stall {
-            assert!(s.period > 0.0 && s.period.is_finite());
-            assert!(s.duration >= 0.0 && s.duration.is_finite());
-        }
     }
 
     /// Whether the data-plane transmission with sequence number `seq`
@@ -205,36 +140,6 @@ impl FaultConfig {
         // by a finite 2^60 timeouts instead of overflowing to infinity.
         let backoff = self.retry_timeout * 2f64.powi((attempts - 1).min(60) as i32);
         Some(failed_depart + Cycles::new(backoff))
-    }
-
-    /// `(latency_factor, gap_factor)` in effect at time `t`.
-    #[inline]
-    pub fn degrade_factors(&self, t: Cycles) -> (f64, f64) {
-        match self.degrade {
-            Some(w) if t.get() >= w.start && t.get() < w.end => (w.latency_factor, w.gap_factor),
-            _ => (1.0, 1.0),
-        }
-    }
-
-    /// Earliest time at or after `t` at which `node`'s send engine is
-    /// not inside a stall burst. Identity when stalls are disabled or
-    /// `t` falls outside the current period's burst.
-    pub fn stall_release(&self, node: usize, t: Cycles) -> Cycles {
-        let Some(s) = self.stall else {
-            return t;
-        };
-        let dur = s.duration.min(s.period);
-        if dur <= 0.0 || t.get() < 0.0 {
-            return t;
-        }
-        let k = (t.get() / s.period).floor();
-        let jitter = unit(mix(self.seed ^ mix((node as u64) << 32 | k as u64)));
-        let burst_start = k * s.period + jitter * (s.period - dur);
-        if t.get() >= burst_start && t.get() < burst_start + dur {
-            Cycles::new(burst_start + dur)
-        } else {
-            t
-        }
     }
 }
 
@@ -315,58 +220,5 @@ mod tests {
         assert_eq!(at_clamp, Cycles::new(2f64.powi(60) * f.retry_timeout));
         assert_eq!(f.resend_ready(Cycles::ZERO, 200), Some(at_clamp));
         assert!(at_clamp.get().is_finite());
-    }
-
-    #[test]
-    fn degrade_factors_apply_only_inside_window() {
-        let cfg = FaultConfig::drops(1, 0.0).with_degrade(DegradeWindow {
-            start: 1_000.0,
-            end: 2_000.0,
-            latency_factor: 4.0,
-            gap_factor: 2.0,
-        });
-        assert_eq!(cfg.degrade_factors(Cycles::new(999.0)), (1.0, 1.0));
-        assert_eq!(cfg.degrade_factors(Cycles::new(1_000.0)), (4.0, 2.0));
-        assert_eq!(cfg.degrade_factors(Cycles::new(1_999.0)), (4.0, 2.0));
-        assert_eq!(cfg.degrade_factors(Cycles::new(2_000.0)), (1.0, 1.0));
-    }
-
-    #[test]
-    fn stall_release_is_deterministic_and_bounded() {
-        let cfg = FaultConfig::drops(5, 0.0)
-            .with_stall(StallConfig { period: 10_000.0, duration: 1_000.0 });
-        for node in 0..4 {
-            for step in 0..200 {
-                let t = Cycles::new(step as f64 * 317.0);
-                let a = cfg.stall_release(node, t);
-                let b = cfg.stall_release(node, t);
-                assert_eq!(a, b);
-                assert!(a >= t);
-                // A release never lands beyond the end of the
-                // current period's burst.
-                assert!(a.get() <= t.get() + 1_000.0 + 10_000.0);
-            }
-        }
-    }
-
-    #[test]
-    fn stall_bursts_jitter_across_nodes() {
-        let cfg = FaultConfig::drops(5, 0.0)
-            .with_stall(StallConfig { period: 10_000.0, duration: 2_000.0 });
-        // Scan a period finely; different nodes should not share the
-        // exact same burst placement.
-        let placement = |node: usize| {
-            (0..1000)
-                .map(|i| cfg.stall_release(node, Cycles::new(i as f64 * 10.0)).get())
-                .collect::<Vec<_>>()
-        };
-        assert_ne!(placement(0), placement(1));
-    }
-
-    #[test]
-    fn no_stall_config_is_identity() {
-        let cfg = FaultConfig::drops(5, 0.0);
-        let t = Cycles::new(123.0);
-        assert_eq!(cfg.stall_release(3, t), t);
     }
 }

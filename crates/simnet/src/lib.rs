@@ -14,8 +14,8 @@
 //!   shared-memory library's software cost constants.
 //! * [`network::Network`] — per-node send/receive engines with busy
 //!   timelines; [`network::Network::send_one`] delivers one message
-//!   and [`network::Network::transmit`] a batch, each reporting when
-//!   a message becomes visible to the receiving node's software.
+//!   and [`network::Network::transmit_into`] a batch, each reporting
+//!   when a message becomes visible to the receiving node's software.
 //! * [`barrier`] — a dissemination barrier built *out of simulated
 //!   messages*, so that the measured barrier cost `L` (the paper
 //!   reports 25 500 cycles at p = 16) emerges from `l`, `o`, and
@@ -76,11 +76,8 @@ pub mod timeline;
 pub mod topology;
 pub mod trace;
 
-pub use barrier::{BarrierModel, DisseminationBarrier};
-pub use config::{
-    BankModel, BarrierKind, CpuConfig, ExchangeOrder, MachineConfig, NetConfig, SoftwareConfig,
-};
-pub use fault::{DegradeWindow, FaultConfig, StallConfig};
+pub use config::{BankModel, CpuConfig, ExchangeOrder, MachineConfig, NetConfig, SoftwareConfig};
+pub use fault::FaultConfig;
 pub use message::{Injection, MsgKind};
 pub use network::{Delivery, Network};
 pub use stats::NetStats;

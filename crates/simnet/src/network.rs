@@ -27,7 +27,6 @@
 
 use crate::config::NetConfig;
 use crate::fabric::Fabric;
-use crate::fault::FaultConfig;
 use crate::message::Injection;
 use crate::stats::NetStats;
 use crate::time::Cycles;
@@ -87,7 +86,7 @@ pub struct Network {
     queues: Vec<Vec<usize>>,
     touched: Vec<usize>,
     /// Monotone sequence number for fault-eligible transmissions —
-    /// the coordinate [`FaultConfig::drop_at`] keys on.
+    /// the coordinate [`crate::FaultConfig::drop_at`] keys on.
     fault_seq: u64,
     /// Per-message drop flags of the most recent
     /// [`Network::transmit_into_faulty`] batch.
@@ -140,18 +139,6 @@ impl Network {
         self.stats.clear();
         self.fault_seq = 0;
         self.dropped.clear();
-    }
-
-    /// Declare that `node` is busy (e.g. computing) until `t`; its
-    /// engines will not start any work earlier.
-    pub fn node_busy_until(&mut self, node: usize, t: Cycles) {
-        self.send_free.advance(node, t);
-        self.recv_free.advance(node, t);
-    }
-
-    /// Earliest time every engine in the network is idle.
-    pub fn quiesce_time(&self) -> Cycles {
-        self.send_free.quiesce().max(self.recv_free.quiesce())
     }
 
     /// When `node`'s send engine is next free.
@@ -255,8 +242,12 @@ impl Network {
         self.trace.take()
     }
 
-    /// Transmit a batch of messages and return each one's
-    /// [`Delivery`], parallel to the input slice.
+    /// Transmit a batch of messages into `deliveries`, one
+    /// [`Delivery`] per message, parallel to the input slice. The
+    /// buffer's capacity (and the network's internal index queues) is
+    /// reused, so repeated exchanges allocate nothing in steady state.
+    /// Fault injection is **not** applied — this is the reliable
+    /// control-plane path.
     ///
     /// Per-sender FIFO order follows `(ready, input index)`; arrivals
     /// at each receiver are processed in `(arrive, src, input index)`
@@ -266,27 +257,17 @@ impl Network {
     /// Self-messages (`src == dst`) are legal and model a node moving
     /// data through its own library path; they pay send and receive
     /// overhead but no wire latency.
-    pub fn transmit(&mut self, msgs: &[Injection]) -> Vec<Delivery> {
-        let mut deliveries = Vec::new();
-        self.transmit_into(msgs, &mut deliveries);
-        deliveries
-    }
-
-    /// [`Network::transmit`] into a caller-provided buffer, reusing
-    /// its capacity (and the network's internal index queues) so that
-    /// repeated exchanges allocate nothing in steady state. Timing is
-    /// identical to `transmit`. Fault injection is **not** applied —
-    /// this is the reliable control-plane path.
     pub fn transmit_into(&mut self, msgs: &[Injection], deliveries: &mut Vec<Delivery>) {
         self.transmit_impl(msgs, deliveries, false, None);
     }
 
     /// Like [`Network::transmit_into`], but subject to the configured
-    /// [`FaultConfig`] (the data-plane path): each transmission may
-    /// be dropped, degraded, or stalled. Per-message drop flags are
-    /// readable via [`Network::last_dropped`] until the next faulty
-    /// transmission. Without a fault configuration this is exactly
-    /// `transmit_into` plus an all-false flag vector.
+    /// [`crate::FaultConfig`] (the data-plane path): each transmission
+    /// may be dropped. Per-message drop flags are readable via
+    /// [`Network::last_dropped`] until the next faulty transmission.
+    /// Without a fault configuration this is exactly `transmit_into`
+    /// plus an all-false flag vector, and a message that is not
+    /// dropped is timed exactly as `transmit_into` would time it.
     ///
     /// A dropped message occupies its sender's NIC (and the shared
     /// fabric, if modeled) — the bytes really departed — but never
@@ -333,25 +314,24 @@ impl Network {
     ///
     /// `fault_key: None` is the reliable control-plane path
     /// ([`Network::transmit_into`] of one message). `Some(key)` is the
-    /// data-plane path under the configured [`FaultConfig`], its drop
-    /// decision drawn from `key` as
+    /// data-plane path under the configured [`crate::FaultConfig`], its
+    /// drop decision drawn from `key` as
     /// [`Network::transmit_into_faulty_keyed`] draws it; the fault
     /// sequence stream is not consumed.
     ///
     /// [`Network::last_dropped`] describes batch calls only: `send_one`
     /// neither reads nor updates it — the returned flag is the answer.
     pub fn send_one(&mut self, msg: &Injection, fault_key: Option<u64>) -> (Delivery, bool) {
-        let faults = fault_key.and(self.cfg.faults);
-        let lost = faults.zip(fault_key).is_some_and(|(f, key)| f.drop_at(key));
-        (self.deliver_one(msg, &faults, lost), lost)
+        let lost = self.cfg.faults.zip(fault_key).is_some_and(|(f, key)| f.drop_at(key));
+        (self.deliver_one(msg, lost), lost)
     }
 
     /// The three stages in sequence, for a message that is a batch of
     /// its own (no ordering to establish).
-    fn deliver_one(&mut self, m: &Injection, faults: &Option<FaultConfig>, lost: bool) -> Delivery {
+    fn deliver_one(&mut self, m: &Injection, lost: bool) -> Delivery {
         self.check(m);
         let mut d = Delivery::default();
-        self.inject_one(m, faults, &mut d);
+        self.inject_one(m, &mut d);
         if let Some(fabric) = self.fabric.as_mut() {
             fabric.begin_batch(&mut self.stats);
             fabric.forward_one(m, &mut d, &mut self.stats);
@@ -375,9 +355,8 @@ impl Network {
         // the schedule is a pure function of the config seed and the
         // (deterministic) order of injections. Explicit keys bypass
         // the stream without advancing it.
-        let faults: Option<FaultConfig> = if faulty { self.cfg.faults } else { None };
         if faulty {
-            let base = self.fault_seq;
+            let (faults, base) = (self.cfg.faults, self.fault_seq);
             if faults.is_some() && keys.is_none() {
                 self.fault_seq += msgs.len() as u64;
             }
@@ -390,7 +369,7 @@ impl Network {
         deliveries.clear();
         if let [m] = msgs {
             // What `send_one` does, at what `send_one` costs.
-            deliveries.push(self.deliver_one(m, &faults, faulty && self.dropped[0]));
+            deliveries.push(self.deliver_one(m, faulty && self.dropped[0]));
             return;
         }
         deliveries.resize(msgs.len(), Delivery::default());
@@ -406,7 +385,7 @@ impl Network {
             let mut queue = std::mem::take(&mut self.queues[src]);
             queue.sort_by(|&a, &b| msgs[a].ready.cmp(&msgs[b].ready).then_with(|| a.cmp(&b)));
             for i in queue.drain(..) {
-                self.inject_one(&msgs[i], &faults, &mut deliveries[i]);
+                self.inject_one(&msgs[i], &mut deliveries[i]);
             }
             self.queues[src] = queue;
         }
@@ -468,29 +447,9 @@ impl Network {
     // judgement, the batch loops paid a call per message per stage
     // (measured +16–22 % on a full all-to-all batch).
     #[inline(always)]
-    fn inject_one(&mut self, m: &Injection, faults: &Option<FaultConfig>, d: &mut Delivery) {
-        // Faulted sends may start late (stall burst) and pay a
-        // degraded gap/latency; the fault-free arm is the exact
-        // original arithmetic, so zero-fault runs are byte-identical.
-        let (slot, lat) = match faults {
-            Some(f) => {
-                let start = f.stall_release(m.src, m.ready.max(self.send_free.free_at(m.src)));
-                let (lat_f, gap_f) = f.degrade_factors(start);
-                let busy = Cycles::new(
-                    self.cfg.send_overhead + self.cfg.gap_per_byte * gap_f * m.bytes as f64,
-                );
-                (
-                    self.send_free.serve_from(m.src, start, busy),
-                    Cycles::new(self.cfg.latency * lat_f),
-                )
-            }
-            None => (
-                self.send_free.serve(m.src, m.ready, self.cfg.send_busy(m.bytes)),
-                Cycles::new(self.cfg.latency),
-            ),
-        };
-        d.depart = slot.done;
-        d.arrive = if m.src == m.dst { d.depart } else { d.depart + lat };
+    fn inject_one(&mut self, m: &Injection, d: &mut Delivery) {
+        d.depart = self.send_free.serve(m.src, m.ready, self.cfg.send_busy(m.bytes)).done;
+        d.arrive = if m.src == m.dst { d.depart } else { d.depart + Cycles::new(self.cfg.latency) };
     }
 
     /// A message lost in the wire: the receive engine never sees it.
@@ -546,13 +505,35 @@ fn enqueue(queues: &mut [Vec<usize>], touched: &mut Vec<usize>, node: usize, i: 
 }
 
 #[cfg(test)]
+impl Network {
+    /// Declare that `node` is busy (e.g. computing) until `t`; its
+    /// engines will not start any work earlier.
+    fn node_busy_until(&mut self, node: usize, t: Cycles) {
+        self.send_free.advance(node, t);
+        self.recv_free.advance(node, t);
+    }
+
+    /// Earliest time every engine in the network is idle.
+    fn quiesce_time(&self) -> Cycles {
+        self.send_free.quiesce().max(self.recv_free.quiesce())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{DegradeWindow, StallConfig};
+    use crate::fault::FaultConfig;
     use crate::message::MsgKind;
 
     fn net(p: usize) -> Network {
         Network::new(p, NetConfig::paper_default())
+    }
+
+    /// A batch through the reliable path, its deliveries returned.
+    pub(super) fn transmit(n: &mut Network, msgs: &[Injection]) -> Vec<Delivery> {
+        let mut deliveries = Vec::new();
+        n.transmit_into(msgs, &mut deliveries);
+        deliveries
     }
 
     fn inj(src: usize, dst: usize, bytes: u64, ready: f64) -> Injection {
@@ -562,7 +543,7 @@ mod tests {
     #[test]
     fn single_message_timing_matches_equations() {
         let mut n = net(2);
-        let d = n.transmit(&[inj(0, 1, 100, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 100, 0.0)]);
         // depart = 0 + 400 + 300, arrive = +1600, visible = +400+300
         assert_eq!(d[0].depart.get(), 700.0);
         assert_eq!(d[0].arrive.get(), 2300.0);
@@ -572,7 +553,7 @@ mod tests {
     #[test]
     fn sender_serializes_back_to_back_messages() {
         let mut n = net(3);
-        let d = n.transmit(&[inj(0, 1, 0, 0.0), inj(0, 2, 0, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 0, 0.0), inj(0, 2, 0, 0.0)]);
         // Two zero-byte messages: each 400 cycles of send overhead.
         assert_eq!(d[0].depart.get(), 400.0);
         assert_eq!(d[1].depart.get(), 800.0);
@@ -584,7 +565,7 @@ mod tests {
         // latency, not 10 latencies — the QSM pipelining assumption.
         let mut n = net(2);
         let msgs: Vec<_> = (0..10).map(|_| inj(0, 1, 0, 0.0)).collect();
-        let d = n.transmit(&msgs);
+        let d = transmit(&mut n, &msgs);
         let last = d.iter().map(|x| x.visible).fold(Cycles::ZERO, Cycles::max);
         // send: 10*400; + l 1600; recv engine drains the backlog
         // concurrently with later sends, so the tail is one recv.
@@ -594,7 +575,7 @@ mod tests {
     #[test]
     fn receiver_serializes_simultaneous_arrivals() {
         let mut n = net(3);
-        let d = n.transmit(&[inj(0, 2, 0, 0.0), inj(1, 2, 0, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 2, 0, 0.0), inj(1, 2, 0, 0.0)]);
         // Both arrive at 2000; receiver ingests one after the other.
         let mut vis: Vec<f64> = d.iter().map(|x| x.visible.get()).collect();
         vis.sort_by(f64::total_cmp);
@@ -604,7 +585,7 @@ mod tests {
     #[test]
     fn self_message_skips_the_wire() {
         let mut n = net(2);
-        let d = n.transmit(&[inj(1, 1, 40, 0.0)]);
+        let d = transmit(&mut n, &[inj(1, 1, 40, 0.0)]);
         assert_eq!(d[0].arrive, d[0].depart);
         assert_eq!(d[0].visible.get(), (400.0 + 120.0) * 2.0);
     }
@@ -612,7 +593,7 @@ mod tests {
     #[test]
     fn ready_time_defers_injection() {
         let mut n = net(2);
-        let d = n.transmit(&[inj(0, 1, 0, 5000.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 0, 5000.0)]);
         assert_eq!(d[0].depart.get(), 5400.0);
     }
 
@@ -621,7 +602,7 @@ mod tests {
         let mut n = net(2);
         n.node_busy_until(0, Cycles::new(10_000.0));
         n.node_busy_until(1, Cycles::new(20_000.0));
-        let d = n.transmit(&[inj(0, 1, 0, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 0, 0.0)]);
         assert_eq!(d[0].depart.get(), 10_400.0);
         // arrive 12_000 < recv_free 20_000 -> visible 20_400
         assert_eq!(d[0].visible.get(), 20_400.0);
@@ -630,12 +611,12 @@ mod tests {
     #[test]
     fn timelines_persist_across_transmissions() {
         let mut n = net(2);
-        n.transmit(&[inj(0, 1, 0, 0.0)]);
-        let d = n.transmit(&[inj(0, 1, 0, 0.0)]);
+        transmit(&mut n, &[inj(0, 1, 0, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 0, 0.0)]);
         assert_eq!(d[0].depart.get(), 800.0);
         assert_eq!(n.stats().messages, 2);
         n.reset();
-        let d = n.transmit(&[inj(0, 1, 0, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 0, 0.0)]);
         assert_eq!(d[0].depart.get(), 400.0);
         assert_eq!(n.stats().messages, 1);
     }
@@ -646,10 +627,10 @@ mod tests {
         // message is far cheaper than 100 x 40-byte messages.
         let cfg = NetConfig::paper_default();
         let mut one = Network::new(2, cfg);
-        let big = one.transmit(&[inj(0, 1, 4000, 0.0)]);
+        let big = transmit(&mut one, &[inj(0, 1, 4000, 0.0)]);
         let mut many = Network::new(2, cfg);
         let msgs: Vec<_> = (0..100).map(|_| inj(0, 1, 40, 0.0)).collect();
-        let small = many.transmit(&msgs);
+        let small = transmit(&mut many, &msgs);
         let t_big = big[0].visible;
         let t_small = small.iter().map(|d| d.visible).fold(Cycles::ZERO, Cycles::max);
         assert!(t_small.get() > 2.0 * t_big.get(), "{t_small} !>> {t_big}");
@@ -662,7 +643,7 @@ mod tests {
             let msgs: Vec<_> = (0..50)
                 .map(|i| inj(i % 4, (i * 7 + 1) % 4, (i as u64 * 13) % 200, (i % 5) as f64))
                 .collect();
-            n.transmit(&msgs)
+            transmit(&mut n, &msgs)
         };
         assert_eq!(build(), build());
     }
@@ -670,10 +651,13 @@ mod tests {
     #[test]
     fn stats_count_bytes_and_kinds() {
         let mut n = net(2);
-        n.transmit(&[
-            Injection::new(0, 1, 100, Cycles::ZERO, MsgKind::PutData),
-            Injection::new(0, 1, 50, Cycles::ZERO, MsgKind::GetRequest),
-        ]);
+        transmit(
+            &mut n,
+            &[
+                Injection::new(0, 1, 100, Cycles::ZERO, MsgKind::PutData),
+                Injection::new(0, 1, 50, Cycles::ZERO, MsgKind::GetRequest),
+            ],
+        );
         assert_eq!(n.stats().bytes, 150);
         assert_eq!(n.stats().count(MsgKind::PutData), 1);
         assert_eq!(n.stats().count(MsgKind::GetRequest), 1);
@@ -683,7 +667,7 @@ mod tests {
     fn trace_captures_deliveries() {
         let mut n = net(2);
         n.enable_trace(16);
-        n.transmit(&[inj(0, 1, 8, 0.0)]);
+        transmit(&mut n, &[inj(0, 1, 8, 0.0)]);
         let tr = n.take_trace().unwrap();
         assert_eq!(tr.len(), 1);
         let ev = tr.iter().next().unwrap();
@@ -695,21 +679,21 @@ mod tests {
     #[should_panic]
     fn out_of_range_destination_rejected() {
         let mut n = net(2);
-        n.transmit(&[inj(0, 5, 8, 0.0)]);
+        transmit(&mut n, &[inj(0, 5, 8, 0.0)]);
     }
 
     #[test]
     fn fabric_off_matches_paper_simulator() {
         // Default config: two simultaneous flows do not interfere.
         let mut n = net(4);
-        let d = n.transmit(&[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
         assert_eq!(d[0].visible, d[1].visible);
     }
 
     #[test]
     fn fabric_serializes_concurrent_flows() {
         let mut n = fabric_net(4, 3.0);
-        let d = n.transmit(&[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
         // Both occupy the shared fabric for 3000 cycles each; the
         // second flow's arrival is pushed back by the first's slot.
         assert!(d[1].arrive > d[0].arrive + Cycles::new(2_000.0));
@@ -721,8 +705,8 @@ mod tests {
         // bottleneck for a single flow.
         let mut with = fabric_net(2, 0.01);
         let mut without = net(2);
-        let a = with.transmit(&[inj(0, 1, 1000, 0.0)]);
-        let b = without.transmit(&[inj(0, 1, 1000, 0.0)]);
+        let a = transmit(&mut with, &[inj(0, 1, 1000, 0.0)]);
+        let b = transmit(&mut without, &[inj(0, 1, 1000, 0.0)]);
         assert!((a[0].visible.get() - b[0].visible.get()).abs() < 11.0);
     }
 
@@ -732,7 +716,7 @@ mod tests {
             .map(|i| inj(i % 4, (i * 3 + 1) % 4, (i as u64 * 17) % 300, (i % 7) as f64))
             .collect();
         let mut a = net(4);
-        let da = a.transmit(&msgs);
+        let da = transmit(&mut a, &msgs);
         let mut b = net(4);
         let mut db = Vec::new();
         b.transmit_into_faulty(&msgs, &mut db);
@@ -793,52 +777,8 @@ mod tests {
         let mut with = Network::new(2, cfg);
         let mut without = net(2);
         let msgs: Vec<_> = (0..20).map(|_| inj(0, 1, 100, 0.0)).collect();
-        assert_eq!(with.transmit(&msgs), without.transmit(&msgs));
+        assert_eq!(transmit(&mut with, &msgs), transmit(&mut without, &msgs));
         assert_eq!(with.stats().dropped, 0);
-    }
-
-    #[test]
-    fn degradation_window_slows_sends_inside_it() {
-        let fc = FaultConfig::drops(1, 0.0).with_degrade(DegradeWindow {
-            start: 0.0,
-            end: 10_000.0,
-            latency_factor: 4.0,
-            gap_factor: 2.0,
-        });
-        let cfg = NetConfig { faults: Some(fc), ..NetConfig::paper_default() };
-        let mut n = Network::new(2, cfg);
-        let mut d = Vec::new();
-        // Starts at 0, inside the window: gap doubled, latency x4.
-        n.transmit_into_faulty(&[inj(0, 1, 100, 0.0)], &mut d);
-        assert_eq!(d[0].depart.get(), 400.0 + 2.0 * 300.0);
-        assert_eq!(d[0].arrive.get(), d[0].depart.get() + 4.0 * 1600.0);
-        // Starts after the window: baseline timing.
-        let mut late = Vec::new();
-        n.reset();
-        n.transmit_into_faulty(&[inj(0, 1, 100, 20_000.0)], &mut late);
-        assert_eq!(late[0].depart.get(), 20_000.0 + 700.0);
-        assert_eq!(late[0].arrive.get(), late[0].depart.get() + 1600.0);
-    }
-
-    #[test]
-    fn stall_burst_defers_the_send_engine() {
-        let fc =
-            FaultConfig::drops(1, 0.0).with_stall(StallConfig { period: 1e9, duration: 50_000.0 });
-        let cfg = NetConfig { faults: Some(fc), ..NetConfig::paper_default() };
-        let mut n = Network::new(2, cfg);
-        let mut d = Vec::new();
-        n.transmit_into_faulty(&[inj(0, 1, 0, 0.0)], &mut d);
-        let mut base = Vec::new();
-        let mut plain = net(2);
-        plain.transmit_into(&[inj(0, 1, 0, 0.0)], &mut base);
-        // Whether the (jittered) burst covers t=0 depends on the seed;
-        // either way the send never departs *earlier* than fault-free,
-        // and the same machine replays identically.
-        assert!(d[0].depart >= base[0].depart);
-        n.reset();
-        let mut d2 = Vec::new();
-        n.transmit_into_faulty(&[inj(0, 1, 0, 0.0)], &mut d2);
-        assert_eq!(d, d2);
     }
 
     #[test]
@@ -849,9 +789,9 @@ mod tests {
             (0..30).map(|i| inj(i % 4, (i * 3 + 1) % 4, (i as u64 * 17) % 300, 0.0)).collect();
         let tagged: Vec<_> = msgs.iter().map(|m| m.with_bank(0)).collect();
         let mut a = net(4);
-        let da = a.transmit(&msgs);
+        let da = transmit(&mut a, &msgs);
         let mut b = net(4);
-        let db = b.transmit(&tagged);
+        let db = transmit(&mut b, &tagged);
         assert_eq!(da, db);
         assert!(db.iter().all(|d| d.bank_wait == Cycles::ZERO));
     }
@@ -863,7 +803,7 @@ mod tests {
         let mut with = Network::new(4, cfg);
         let mut without = net(4);
         let msgs: Vec<_> = (0..30).map(|i| inj(i % 4, (i * 3 + 1) % 4, 64, 0.0)).collect();
-        assert_eq!(with.transmit(&msgs), without.transmit(&msgs));
+        assert_eq!(transmit(&mut with, &msgs), transmit(&mut without, &msgs));
     }
 
     #[test]
@@ -871,7 +811,7 @@ mod tests {
         let bank = crate::config::BankModel::per_message(2, 5_000.0);
         let cfg = NetConfig { banks: Some(bank), ..NetConfig::paper_default() };
         let mut n = Network::new(3, cfg);
-        let d = n.transmit(&[inj(0, 2, 0, 0.0).with_bank(1), inj(1, 2, 0, 0.0).with_bank(1)]);
+        let d = transmit(&mut n, &[inj(0, 2, 0, 0.0).with_bank(1), inj(1, 2, 0, 0.0).with_bank(1)]);
         // Both arrive at 2000; ingestion serializes them at 2400 and
         // 2800; the bank then services 5000 cycles each, so the
         // second queues behind the first: 2400+5000 = 7400, then
@@ -889,7 +829,7 @@ mod tests {
         let bank = crate::config::BankModel::per_message(2, 5_000.0);
         let cfg = NetConfig { banks: Some(bank), ..NetConfig::paper_default() };
         let mut n = Network::new(3, cfg);
-        let d = n.transmit(&[inj(0, 2, 0, 0.0).with_bank(0), inj(1, 2, 0, 0.0).with_bank(1)]);
+        let d = transmit(&mut n, &[inj(0, 2, 0, 0.0).with_bank(0), inj(1, 2, 0, 0.0).with_bank(1)]);
         // Ingestion still serializes (one receive engine), but the
         // banks overlap their service: 2400+5000 and 2800+5000.
         let mut vis: Vec<f64> = d.iter().map(|x| x.visible.get()).collect();
@@ -903,12 +843,12 @@ mod tests {
         let bank = crate::config::BankModel::per_message(1, 10_000.0);
         let cfg = NetConfig { banks: Some(bank), ..NetConfig::paper_default() };
         let mut n = Network::new(2, cfg);
-        let first = n.transmit(&[inj(0, 1, 0, 0.0).with_bank(0)]);
+        let first = transmit(&mut n, &[inj(0, 1, 0, 0.0).with_bank(0)]);
         // Second batch queues behind the first batch's service slot.
-        let second = n.transmit(&[inj(0, 1, 0, 0.0).with_bank(0)]);
+        let second = transmit(&mut n, &[inj(0, 1, 0, 0.0).with_bank(0)]);
         assert!(second[0].bank_wait > Cycles::ZERO);
         n.reset();
-        let replay = n.transmit(&[inj(0, 1, 0, 0.0).with_bank(0)]);
+        let replay = transmit(&mut n, &[inj(0, 1, 0, 0.0).with_bank(0)]);
         assert_eq!(replay, first);
     }
 
@@ -918,7 +858,7 @@ mod tests {
         let bank = crate::config::BankModel::per_message(2, 100.0);
         let cfg = NetConfig { banks: Some(bank), ..NetConfig::paper_default() };
         let mut n = Network::new(2, cfg);
-        n.transmit(&[inj(0, 1, 0, 0.0).with_bank(2)]);
+        transmit(&mut n, &[inj(0, 1, 0, 0.0).with_bank(2)]);
     }
 
     #[test]
@@ -930,7 +870,7 @@ mod tests {
         };
         let cfg = NetConfig { banks: Some(bank), ..NetConfig::paper_default() };
         let mut n = Network::new(2, cfg);
-        let d = n.transmit(&[inj(0, 1, 50, 0.0).with_bank(0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 50, 0.0).with_bank(0)]);
         // depart 400+150, arrive +1600, ingest +400+150, then the
         // bank: 100 + 2*50 = 200 cycles of service.
         assert_eq!(d[0].visible.get(), 2700.0 + 200.0);
@@ -940,7 +880,7 @@ mod tests {
     #[test]
     fn self_messages_skip_the_fabric() {
         let mut n = fabric_net(2, 1e6);
-        let d = n.transmit(&[inj(1, 1, 40, 0.0)]);
+        let d = transmit(&mut n, &[inj(1, 1, 40, 0.0)]);
         assert_eq!(d[0].visible.get(), (400.0 + 120.0) * 2.0);
     }
 
@@ -972,7 +912,7 @@ mod tests {
         assert!(flat.topology().is_none());
         assert_eq!(flat.link_count(), 0);
         let mut plain = net(4);
-        assert_eq!(flat.transmit(&msgs), plain.transmit(&msgs));
+        assert_eq!(transmit(&mut flat, &msgs), transmit(&mut plain, &msgs));
         assert_eq!(flat.stats(), plain.stats());
         assert!(flat.stats().link_msgs.is_empty());
     }
@@ -983,7 +923,7 @@ mod tests {
         // its numbers are those of the scalar path it replaced.
         let mut n = fabric_net(4, 3.0);
         assert_eq!(n.link_count(), 1);
-        let d = n.transmit(&[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
         // First flow: depart 400+3000 = 3400, link busy 3000, arrive
         // 6400+1600 = 8000. Second departs 3400 too but queues behind
         // the first's link slot: start 6400, arrive 9400+1600 = 11000.
@@ -1002,9 +942,9 @@ mod tests {
         // pays one link service + one hop latency; the far pair pays
         // three of each.
         let mut n = topo_net(4, TopologyKind::Line);
-        let near = n.transmit(&[inj(0, 1, 100, 0.0)]);
+        let near = transmit(&mut n, &[inj(0, 1, 100, 0.0)]);
         n.reset();
-        let far = n.transmit(&[inj(0, 3, 100, 0.0)]);
+        let far = transmit(&mut n, &[inj(0, 3, 100, 0.0)]);
         let hop = 300.0 + 1600.0 / 3.0; // link service + hop latency
         assert!((near[0].arrive.get() - (700.0 + hop)).abs() < 1e-6);
         assert!((far[0].arrive.get() - (700.0 + 3.0 * hop)).abs() < 1e-6);
@@ -1015,7 +955,7 @@ mod tests {
         // 0->2 and 1->2 share the directed link 1->2: the second
         // message queues behind the first's occupancy.
         let mut n = topo_net(3, TopologyKind::Line);
-        let d = n.transmit(&[inj(0, 2, 1000, 0.0), inj(1, 2, 1000, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 2, 1000, 0.0), inj(1, 2, 1000, 0.0)]);
         assert!(
             d[0].link_wait > Cycles::ZERO || d[1].link_wait > Cycles::ZERO,
             "shared line link must queue one of the flows: {d:?}"
@@ -1029,7 +969,7 @@ mod tests {
         // Full bisection: two disjoint flows see identical timing, as
         // on the flat wire (their routes share no links).
         let mut n = topo_net(4, TopologyKind::FatTree);
-        let d = n.transmit(&[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
+        let d = transmit(&mut n, &[inj(0, 1, 1000, 0.0), inj(2, 3, 1000, 0.0)]);
         assert_eq!(d[0].visible, d[1].visible);
         assert!(d.iter().all(|x| x.link_wait == Cycles::ZERO));
     }
@@ -1038,7 +978,7 @@ mod tests {
     fn torus_counters_conserve_hops() {
         let mut n = topo_net(4, TopologyKind::torus(4));
         let msgs: Vec<_> = (0..20).map(|i| inj(i % 4, (i + 1) % 4, 64, 0.0)).collect();
-        n.transmit(&msgs);
+        transmit(&mut n, &msgs);
         let topo = n.topology().expect("torus routes");
         let total_hops: u64 = msgs.iter().map(|m| topo.route(m.src, m.dst).len() as u64).sum();
         assert_eq!(n.stats().link_msgs.iter().sum::<u64>(), total_hops);
@@ -1110,43 +1050,109 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::transmit;
     use super::*;
+    use crate::config::BankModel;
+    use crate::fault::FaultConfig;
     use crate::message::MsgKind;
+    use crate::topology::TopologyKind;
     use proptest::prelude::*;
 
+    /// Up to 100 messages between random pairs, about four in five
+    /// tagged with one of four banks (a tag is ignored without a bank
+    /// model).
     fn arb_msgs(p: usize) -> impl Strategy<Value = Vec<Injection>> {
         proptest::collection::vec(
-            (0..p, 0..p, 0u64..10_000, 0.0f64..1e6)
-                .prop_map(|(s, d, b, r)| Injection::new(s, d, b, Cycles::new(r), MsgKind::Other)),
+            (0..p, 0..p, 0u64..10_000, 0.0f64..1e6, 0u32..5).prop_map(|(s, d, b, r, bank)| {
+                let m = Injection::new(s, d, b, Cycles::new(r), MsgKind::Other);
+                if bank < 4 {
+                    m.with_bank(bank)
+                } else {
+                    m
+                }
+            }),
             0..100,
         )
     }
 
+    /// The composed pipeline: every wire (flat, one shared link, line,
+    /// torus, fat tree) × banks {off, 4} × drop probability {0, 0.3},
+    /// at `p` nodes.
+    fn composed(p: usize) -> Vec<NetConfig> {
+        let wires = [
+            TopologyKind::Flat,
+            TopologyKind::OneLink,
+            TopologyKind::Line,
+            TopologyKind::torus(p),
+            TopologyKind::FatTree,
+        ];
+        let banks = BankModel { banks_per_node: 4, service_fixed: 200.0, service_per_byte: 2.0 };
+        let mut configs = Vec::new();
+        for topology in wires {
+            for banks in [None, Some(banks)] {
+                for drop in [0.0, 0.3] {
+                    let faults = Some(FaultConfig::drops(0xC0DE, drop));
+                    configs.push(NetConfig {
+                        topology,
+                        banks,
+                        faults,
+                        ..NetConfig::paper_default()
+                    });
+                }
+            }
+        }
+        configs
+    }
+
+    /// One faulty batch on a fresh `p`-node network: its deliveries,
+    /// drop flags and statistics.
+    fn faulty_batch(
+        p: usize,
+        cfg: NetConfig,
+        msgs: &[Injection],
+    ) -> (Vec<Delivery>, Vec<bool>, NetStats) {
+        let mut n = Network::new(p, cfg);
+        let mut d = Vec::new();
+        n.transmit_into_faulty(msgs, &mut d);
+        (d, n.last_dropped().to_vec(), n.stats().clone())
+    }
+
     proptest! {
-        /// Causality: visible >= arrive >= depart >= ready (+ minimum
-        /// costs), for every message.
+        /// Causality on every composed configuration: a message departs
+        /// after its send engine served it, arrives after it departs,
+        /// and — unless lost — becomes visible after its receive engine
+        /// and any bank queueing and service.
         #[test]
         fn causality_holds(msgs in arb_msgs(8)) {
-            let cfg = NetConfig::paper_default();
-            let mut n = Network::new(8, cfg);
-            let d = n.transmit(&msgs);
-            for (m, del) in msgs.iter().zip(&d) {
-                let send_busy = cfg.send_busy(m.bytes);
-                let recv_busy = cfg.recv_busy(m.bytes);
-                prop_assert!(del.depart >= m.ready + send_busy);
-                prop_assert!(del.arrive >= del.depart);
-                prop_assert!(del.visible >= del.arrive + recv_busy);
+            for cfg in composed(8) {
+                let (d, lost, _) = faulty_batch(8, cfg, &msgs);
+                for ((m, del), lost) in msgs.iter().zip(&d).zip(lost) {
+                    prop_assert!(del.depart >= m.ready + cfg.send_busy(m.bytes), "{cfg:?}");
+                    prop_assert!(del.arrive >= del.depart, "{cfg:?}");
+                    if !lost {
+                        let floor = del.arrive + cfg.recv_busy(m.bytes) + del.bank_wait;
+                        prop_assert!(del.visible >= floor, "{cfg:?}");
+                    }
+                }
             }
         }
 
-        /// Conservation: stats see exactly the injected messages and
-        /// bytes.
+        /// Conservation on every composed configuration: each injected
+        /// message is either delivered (and counted with its bytes) or
+        /// dropped; at drop probability 0 the faulty path times every
+        /// message exactly as the reliable one.
         #[test]
         fn conservation(msgs in arb_msgs(8)) {
-            let mut n = Network::new(8, NetConfig::paper_default());
-            n.transmit(&msgs);
-            prop_assert_eq!(n.stats().messages, msgs.len() as u64);
-            prop_assert_eq!(n.stats().bytes, msgs.iter().map(|m| m.bytes).sum::<u64>());
+            for cfg in composed(8) {
+                let (d, lost, stats) = faulty_batch(8, cfg, &msgs);
+                prop_assert_eq!(stats.messages + stats.dropped, msgs.len() as u64, "{:?}", cfg);
+                prop_assert_eq!(stats.dropped, lost.iter().filter(|&&l| l).count() as u64);
+                let delivered = msgs.iter().zip(&lost).filter(|(_, &l)| !l).map(|(m, _)| m.bytes);
+                prop_assert_eq!(stats.bytes, delivered.sum::<u64>(), "{:?}", cfg);
+                if cfg.faults.is_some_and(|f| f.drop_prob == 0.0) {
+                    prop_assert_eq!(d, transmit(&mut Network::new(8, cfg), &msgs), "{:?}", cfg);
+                }
+            }
         }
 
         /// Input order irrelevance: permuting the injection slice
@@ -1163,7 +1169,7 @@ mod proptests {
                 .map(|(i, m)| Injection { ready: m.ready + Cycles::new(i as f64 * 1e-3), ..*m })
                 .collect();
             let mut a = Network::new(6, NetConfig::paper_default());
-            a.transmit(&msgs);
+            transmit(&mut a, &msgs);
             let mut shuffled = msgs.clone();
             // Deterministic Fisher-Yates from the seed.
             let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1173,7 +1179,7 @@ mod proptests {
                 shuffled.swap(i, j);
             }
             let mut b = Network::new(6, NetConfig::paper_default());
-            b.transmit(&shuffled);
+            transmit(&mut b, &shuffled);
             prop_assert_eq!(a.quiesce_time(), b.quiesce_time());
         }
     }

@@ -52,11 +52,6 @@ impl Cycles {
     pub fn to_micros(self, clock_hz: f64) -> f64 {
         self.0 / clock_hz * 1e6
     }
-
-    /// Convert to nanoseconds at a given clock rate (Hz).
-    pub fn to_nanos(self, clock_hz: f64) -> f64 {
-        self.0 / clock_hz * 1e9
-    }
 }
 
 impl Eq for Cycles {}
@@ -174,7 +169,6 @@ mod tests {
         // "o = 400 cycles (1 us)" row).
         let c = Cycles::new(400.0);
         assert!((c.to_micros(400e6) - 1.0).abs() < 1e-12);
-        assert!((c.to_nanos(400e6) - 1000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -74,28 +74,12 @@ impl FifoTimeline {
         self.free[s]
     }
 
-    /// Push server `s`'s free time forward to at least `t` without
-    /// accruing busy time (the node-is-computing constraint).
-    #[inline]
-    pub fn advance(&mut self, s: usize, t: Cycles) {
-        self.free[s] = self.free[s].max(t);
-    }
-
     /// Serve one request on server `s`: service starts at
     /// `max(ready, free)`, holds the server for `busy`, and the
     /// server's busy total grows by `busy`.
     #[inline]
     pub fn serve(&mut self, s: usize, ready: Cycles, busy: Cycles) -> ServiceSlot {
         let start = ready.max(self.free[s]);
-        self.serve_from(s, start, busy)
-    }
-
-    /// Serve one request whose start time the caller has already
-    /// fixed (it must not precede the server's free time; the faulty
-    /// injection path computes starts through its stall model). The
-    /// server is held from `start` for `busy`.
-    #[inline]
-    pub fn serve_from(&mut self, s: usize, start: Cycles, busy: Cycles) -> ServiceSlot {
         let done = start + busy;
         self.free[s] = done;
         self.busy[s] += busy;
@@ -120,9 +104,18 @@ impl FifoTimeline {
             Cycles::ZERO
         }
     }
+}
+
+#[cfg(test)]
+impl FifoTimeline {
+    /// Push server `s`'s free time forward to at least `t` without
+    /// accruing busy time (the node-is-computing constraint).
+    pub(crate) fn advance(&mut self, s: usize, t: Cycles) {
+        self.free[s] = self.free[s].max(t);
+    }
 
     /// Latest free time across all servers (zero with no servers).
-    pub fn quiesce(&self) -> Cycles {
+    pub(crate) fn quiesce(&self) -> Cycles {
         self.free.iter().copied().fold(Cycles::ZERO, Cycles::max)
     }
 }

@@ -158,14 +158,14 @@ fn a_batch_after_single_sends_counts_only_its_own_link_demand() {
     let cfg = NetConfig { topology: TopologyKind::torus(P), ..NetConfig::paper_default() };
     let batch = all_to_all();
     let mut fresh = Network::new(P, cfg);
-    fresh.transmit(&batch);
+    fresh.transmit_into(&batch, &mut Vec::new());
     let peak = &fresh.stats().link_peak_demand;
     assert!(peak.iter().all(|&d| d > 1), "the all-to-all crosses every link: {peak:?}");
     let mut used = Network::new(P, cfg);
     for m in &sequence(7) {
         used.send_one(m, None);
     }
-    used.transmit(&batch);
+    used.transmit_into(&batch, &mut Vec::new());
     assert_eq!(&used.stats().link_peak_demand, peak);
 }
 

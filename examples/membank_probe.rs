@@ -9,7 +9,7 @@
 //! layout (Random) loses only modestly to a hand-placed ideal
 //! (NoConflict), while an unmanaged hot spot (Conflict) collapses.
 
-use qsm::membank::{platform, run_native_all, simulate_all, Pattern};
+use qsm::membank::{platform, run_all, simulate_all, NativeBank, Pattern};
 
 fn main() {
     println!("simulated platforms (closed-loop bank queues, avg ns/access):\n");
@@ -19,7 +19,7 @@ fn main() {
     );
     for m in platform::figure7_machines() {
         let results = simulate_all(&m, 20_000, 0x1998);
-        let by = |p: Pattern| results.iter().find(|r| r.pattern == p).unwrap().avg_ns;
+        let by = |p: Pattern| results.iter().find(|r| r.0 == p).unwrap().1.avg_ns;
         println!(
             "{:<28} {:>12.0} {:>12.0} {:>12.0} {:>17.2}x",
             m.name,
@@ -32,8 +32,8 @@ fn main() {
 
     let threads = std::thread::available_parallelism().map(|c| c.get().min(8)).unwrap_or(4);
     println!("\nthis host ({threads} threads, padded atomic banks, avg ns/access):\n");
-    let native = run_native_all(threads, 8, 500_000);
-    let by = |p: Pattern| native.iter().find(|r| r.pattern == p).unwrap().avg_ns;
+    let native = run_all(&NativeBank { threads, banks: 8 }, 500_000);
+    let by = |p: Pattern| native.iter().find(|r| r.0 == p).unwrap().1.avg_ns;
     println!(
         "{:<28} {:>12.1} {:>12.1} {:>12.1} {:>17.2}x",
         "host",

@@ -70,17 +70,17 @@ fn thread_machine_feeds_the_shared_recorder_path() {
 fn membank_backends_share_the_target_sequences() {
     // The membank unification mirrors the Machine one: both executors
     // are driven by the same generic loop, so a probe of the drawn
-    // targets must match what `simulate` consumed — the sim results
-    // stay bit-identical through the shared path.
-    use qsm::membank::{platform, simulate, BankBackend, SimBank};
+    // targets must match what the simulator consumed — the sim
+    // results stay bit-identical through the shared path.
+    use qsm::membank::{platform, run_pattern, BankBackend, SimBank};
 
     let m = platform::smp_native();
-    let direct = simulate(&m, Pattern::Random, 500, 9);
-    let again = simulate(&m, Pattern::Random, 500, 9);
+    let bank = SimBank { machine: &m, seed: 9 };
+    let direct = run_pattern(&bank, Pattern::Random, 500);
+    let again = run_pattern(&bank, Pattern::Random, 500);
     assert_eq!(direct, again, "shared drawing must stay deterministic");
 
     // The backend reports the same geometry the profile declares.
-    let bank = SimBank { machine: &m, seed: 9 };
     assert_eq!(bank.procs(), m.procs);
     assert_eq!(bank.banks(), m.banks);
 }

@@ -9,6 +9,9 @@
 //! `crates/bench/src/knobs.rs` reads a variable, and no code or test
 //! writes one (a process parses its knobs once, so a test that wants
 //! other knobs runs another process).
+//!
+//! And a vendored stand-in (`vendor/*`) lives only as long as some
+//! package depends on it.
 
 use std::path::{Path, PathBuf};
 
@@ -137,4 +140,67 @@ fn nothing_writes_the_environment() {
     rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("examples"), &mut files);
     let report = lines_with(&files, &writes);
     assert!(report.is_empty(), "run a subprocess with its own knobs instead:\n{report}");
+}
+
+/// The crates a manifest's dependency tables name: the key of every
+/// entry under a `[dependencies]`, `[dev-dependencies]` or
+/// `[build-dependencies]` header (target-specific ones included), but
+/// not `[workspace.dependencies]`, which only declares where a crate
+/// comes from.
+fn dependencies(manifest: &str) -> Vec<&str> {
+    let mut in_deps = false;
+    let mut names = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']');
+            in_deps = header.ends_with("dependencies") && !header.starts_with("workspace");
+        } else if in_deps {
+            let key = line.split(['=', '.', ' ']).next().unwrap_or("");
+            if !key.is_empty() && !key.starts_with('#') {
+                names.push(key);
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_vendored_crate_has_a_user() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: PathBuf| {
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let mut manifests =
+        vec![read(root.join("Cargo.toml")), read(root.join("benchmark/Cargo.toml"))];
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        manifests.push(read(krate.unwrap().path().join("Cargo.toml")));
+    }
+    let used: Vec<&str> = manifests.iter().flat_map(|m| dependencies(m)).collect();
+    let mut unused = Vec::new();
+    for vendored in std::fs::read_dir(root.join("vendor")).unwrap() {
+        let dir = vendored.unwrap().path();
+        let manifest = read(dir.join("Cargo.toml"));
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = "))
+            .map(|n| n.trim_matches('"').to_string())
+            .unwrap_or_else(|| panic!("{}: no package name", dir.display()));
+        if !used.contains(&name.as_str()) {
+            unused.push(format!("{} ({name})", dir.display()));
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "vendored crates no package depends on (delete them and their workspace entry):\n{}",
+        unused.join("\n")
+    );
+}
+
+#[test]
+fn dependency_tables_are_read_and_workspace_declarations_are_not() {
+    let manifest = "[workspace.dependencies]\nrand = { path = \"vendor/rand\" }\n\n\
+                    [package]\nname = \"x\"\n\n[dependencies]\nqsm-core.workspace = true\n\
+                    # a comment\n\n[dev-dependencies]\nproptest = { path = \"p\" }\n\n\
+                    [target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n\n[[bench]]\nname = \"b\"\n";
+    assert_eq!(dependencies(manifest), ["qsm-core", "proptest", "libc"]);
 }
