@@ -311,11 +311,11 @@ fn note_range(events: &mut Vec<u64>, start: usize, len: usize, write: bool) {
 
 /// Sweep the accesses to one array filed by [`note_range`], leaving
 /// `events` empty: returns the maximum queue depth κ at any single
-/// location, and panics on a read/write overlap when `check_conflicts`
-/// is set. Integer order is position order with the kinds in theirs at
-/// each position; the sort is unstable because the events of one group
-/// — one kind at one position — are summed, in any order.
-fn sweep_kappa(name: &str, events: &mut Vec<u64>, check_conflicts: bool) -> u64 {
+/// location, and panics on a read/write overlap. Integer order is
+/// position order with the kinds in theirs at each position; the sort
+/// is unstable because the events of one group — one kind at one
+/// position — are summed, in any order.
+fn sweep_kappa(name: &str, events: &mut Vec<u64>) -> u64 {
     events.sort_unstable();
     // Ranges of two elements or more that cover the position swept.
     let (mut r, mut w, mut kappa) = (0i64, 0i64, 0i64);
@@ -337,7 +337,7 @@ fn sweep_kappa(name: &str, events: &mut Vec<u64>, check_conflicts: bool) -> u64 
         if kind != POINT {
             (r, w) = (r_here, w_here);
         }
-        if check_conflicts && r_here > 0 && w_here > 0 {
+        if r_here > 0 && w_here > 0 {
             panic!(
                 "bulk-synchrony violation: location {pos} of array '{name}' is both \
                  read and written in the same phase (the QSM phase contract forbids \
@@ -378,15 +378,15 @@ impl OwnerKappa {
     }
 
     /// κ over the runs noted since the last call, array by array in id
-    /// order; panics at the first read/write overlap when
-    /// `check_conflicts` is set. `store` names the arrays.
-    pub(crate) fn sweep(&mut self, store: &LocalStore, check_conflicts: bool) -> u64 {
+    /// order; panics at the first read/write overlap. `store` names
+    /// the arrays.
+    pub(crate) fn sweep(&mut self, store: &LocalStore) -> u64 {
         let mut kappa = 0;
         self.touched.sort_unstable();
         for aid in self.touched.drain(..) {
             let name = &store.info(ArrayId(aid)).name;
             let events = &mut self.events[aid as usize];
-            kappa = kappa.max(sweep_kappa(name, events, check_conflicts));
+            kappa = kappa.max(sweep_kappa(name, events));
         }
         kappa
     }
@@ -405,9 +405,6 @@ pub(crate) struct Driver {
     /// Dense by `ArrayId.0` (ids are sequential): registered and not
     /// yet unregistered.
     live: Vec<bool>,
-    /// Whether a location both read and written in a phase is an
-    /// error (the owners' sweeps ask).
-    pub(crate) check_conflicts: bool,
     /// Observability sink (disabled unless a harness installed one).
     rec: Recorder,
     /// Accumulated machine time (simulated cycles, or host ns on
@@ -449,12 +446,11 @@ pub(crate) struct PhasePlan {
 }
 
 impl Driver {
-    pub(crate) fn new(p: usize, check_conflicts: bool, rec: Recorder) -> Self {
+    pub(crate) fn new(p: usize, rec: Recorder) -> Self {
         rec.set_nprocs(p);
         Self {
             p,
             live: Vec::new(),
-            check_conflicts,
             rec,
             now: Cycles::ZERO,
             phase_idx: 0,
@@ -725,11 +721,11 @@ mod tests {
         writes: Vec<(usize, usize)>,
     }
 
-    fn sweep(name: &str, acc: &AccessRanges, check_conflicts: bool) -> u64 {
+    fn sweep(name: &str, acc: &AccessRanges) -> u64 {
         let mut events = Vec::new();
         acc.reads.iter().for_each(|&(s, l)| note_range(&mut events, s, l, false));
         acc.writes.iter().for_each(|&(s, l)| note_range(&mut events, s, l, true));
-        sweep_kappa(name, &mut events, check_conflicts)
+        sweep_kappa(name, &mut events)
     }
 
     #[test]
@@ -738,34 +734,28 @@ mod tests {
             reads: vec![(0, 10), (5, 10), (7, 1)],
             writes: vec![(20, 5), (20, 5), (20, 5)],
         };
-        assert_eq!(sweep("t", &acc, true), 3);
+        assert_eq!(sweep("t", &acc), 3);
     }
 
     #[test]
     fn adjacent_ranges_do_not_conflict() {
         let acc = AccessRanges { reads: vec![(0, 5)], writes: vec![(5, 5)] };
-        assert_eq!(sweep("t", &acc, true), 1);
+        assert_eq!(sweep("t", &acc), 1);
         // Nor does one element at a range's open end, on either side.
         let acc = AccessRanges { reads: vec![(3, 3), (3, 3)], writes: vec![(6, 1), (2, 1)] };
-        assert_eq!(sweep("t", &acc, true), 2);
+        assert_eq!(sweep("t", &acc), 2);
     }
 
     #[test]
     #[should_panic(expected = "bulk-synchrony violation: location 9 of array 't'")]
     fn read_write_overlap_detected() {
         let acc = AccessRanges { reads: vec![(0, 10)], writes: vec![(9, 1)] };
-        sweep("t", &acc, true);
-    }
-
-    #[test]
-    fn overlap_tolerated_when_check_disabled() {
-        let acc = AccessRanges { reads: vec![(0, 10)], writes: vec![(9, 1)] };
-        assert_eq!(sweep("t", &acc, false), 2);
+        sweep("t", &acc);
     }
 
     #[test]
     fn empty_access_set_has_zero_kappa() {
-        assert_eq!(sweep("t", &AccessRanges::default(), true), 0);
+        assert_eq!(sweep("t", &AccessRanges::default()), 0);
     }
 
     #[test]
@@ -777,7 +767,7 @@ mod tests {
         assert_eq!(events.len(), 4);
         // Two points on a range at 7; at 8 the range is alone again.
         note_range(&mut events, 8, 1, true);
-        assert_eq!(sweep_kappa("t", &mut events, true), 3);
+        assert_eq!(sweep_kappa("t", &mut events), 3);
     }
 
     #[test]
@@ -787,14 +777,14 @@ mod tests {
         note_range(&mut events, 5, 10, false);
         assert_eq!(events.len(), 4);
         let (buf, cap) = (events.as_ptr(), events.capacity());
-        assert_eq!(sweep_kappa("t", &mut events, true), 2);
+        assert_eq!(sweep_kappa("t", &mut events), 2);
         // The sweep leaves the buffer empty: were the wider sweep's
         // events to leak into the next, this κ would be 3 and, being
         // reads, a conflict with the write.
         assert!(events.is_empty());
         note_range(&mut events, 0, 1, false);
         note_range(&mut events, 7, 1, true);
-        assert_eq!(sweep_kappa("t", &mut events, true), 1);
+        assert_eq!(sweep_kappa("t", &mut events), 1);
         // ... and the smaller sweep ran in the same allocation.
         assert_eq!((events.as_ptr(), events.capacity()), (buf, cap));
     }
@@ -804,7 +794,6 @@ mod tests {
     fn sweep_kappa_oracle(
         name: &str,
         acc: &AccessRanges,
-        check_conflicts: bool,
         events: &mut Vec<(usize, bool, i64, i64)>,
     ) -> u64 {
         // Events: (position, end-before-start flag, d_read, d_write).
@@ -828,7 +817,7 @@ mod tests {
                 w += events[i].3;
                 i += 1;
             }
-            if check_conflicts && r > 0 && w > 0 {
+            if r > 0 && w > 0 {
                 panic!(
                     "bulk-synchrony violation: location {pos} of array '{name}' is both \
                      read and written in the same phase (the QSM phase contract forbids \
@@ -859,16 +848,14 @@ mod tests {
         fn packed_sweep_matches_the_tuple_sort_oracle(
             reads in proptest::collection::vec((0usize..24, 0usize..6, proptest::bool::ANY), 0..8),
             writes in proptest::collection::vec((0usize..24, 0usize..6, proptest::bool::ANY), 0..8),
-            check_conflicts in proptest::bool::ANY,
         ) {
             let cut = |ranges: Vec<(usize, usize, bool)>| -> Vec<(usize, usize)> {
                 ranges.into_iter().map(|(s, l, unit)| (s, if unit { 1 } else { l })).collect()
             };
             let acc = AccessRanges { reads: cut(reads), writes: cut(writes) };
-            let want = outcome(|| sweep_kappa_oracle("a", &acc, check_conflicts, &mut Vec::new()));
-            let got = outcome(|| sweep("a", &acc, check_conflicts));
+            let want = outcome(|| sweep_kappa_oracle("a", &acc, &mut Vec::new()));
+            let got = outcome(|| sweep("a", &acc));
             prop_assert_eq!(&got, &want);
-            prop_assert!(check_conflicts || got.is_ok());
         }
     }
 
@@ -974,7 +961,6 @@ mod tests {
         fn rows_and_owner_kappa_match_the_flat_plan_stage(
             p_idx in 0usize..5,
             banks_on in proptest::bool::ANY,
-            check_conflicts in proptest::bool::ANY,
             arrays in proptest::collection::vec(
                 (proptest::bool::ANY, proptest::bool::ANY, 1usize..40), 2),
             raw_ops in proptest::collection::vec(
@@ -1017,11 +1003,11 @@ mod tests {
                 .map(|me| {
                     let mut sweep = OwnerKappa::default();
                     outboxes.iter().flat_map(|out| out.runs_for(me)).for_each(|run| sweep.note(run));
-                    outcome(|| sweep.sweep(&store, check_conflicts))
+                    outcome(|| sweep.sweep(&store))
                 })
                 .collect();
             // The leader: merges the rows.
-            let mut driver = Driver::new(p, check_conflicts, Recorder::disabled());
+            let mut driver = Driver::new(p, Recorder::disabled());
             if banks > 0 {
                 driver.banks = banks;
                 driver.matrix.enable_banks(banks);
@@ -1043,7 +1029,7 @@ mod tests {
             // The flat sweep, array by array over whole ranges, as the
             // leader ran it: its κ is the owners' maximum, and it stops
             // at a conflict exactly when an owner does.
-            let sweep = |name: &str, acc: &AccessRanges| outcome(|| sweep(name, acc, check_conflicts));
+            let sweep = |name: &str, acc: &AccessRanges| outcome(|| sweep(name, acc));
             let flat: Vec<_> = infos.iter().zip(&accesses).map(|(i, acc)| sweep(&i.name, acc)).collect();
             // What reaches the user is the lowest processor's panic: its
             // lowest array's, over the ranges clipped to its block.

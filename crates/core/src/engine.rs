@@ -75,7 +75,7 @@ pub(crate) fn run_on_carriers<M: Machine, R: Send>(
 ) -> RunResult<R> {
     let p = machine.nprocs();
     let k = if crate::fiber::HOSTS { k.clamp(1, p) } else { p };
-    let mut driver = Driver::new(p, machine.check_conflicts(), rec.clone());
+    let mut driver = Driver::new(p, rec.clone());
     let mut timer = machine.make_timer(rec.clone());
     driver.begin_run(timer.as_ref());
     // Full-level capture: a timer that opts in (the wall-clock one)

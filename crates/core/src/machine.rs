@@ -91,9 +91,6 @@ pub trait Machine {
     /// Seed for the per-processor deterministic RNGs.
     fn seed(&self) -> u64;
 
-    /// Whether the driver panics on same-phase read/write overlap.
-    fn check_conflicts(&self) -> bool;
-
     /// Short stable name for harness output (`"sim"`, `"threads"`).
     fn backend_name(&self) -> &'static str;
 
@@ -203,15 +200,6 @@ impl AnyMachine {
             AnyMachine::Threads(m) => AnyMachine::Threads(m.with_seed(seed)),
         }
     }
-
-    /// Disable the read/write-overlap phase check on the wrapped
-    /// machine (on by default).
-    pub fn with_conflict_check(self, check: bool) -> Self {
-        match self {
-            AnyMachine::Sim(m) => AnyMachine::Sim(m.with_conflict_check(check)),
-            AnyMachine::Threads(m) => AnyMachine::Threads(m.with_conflict_check(check)),
-        }
-    }
 }
 
 impl From<SimMachine> for AnyMachine {
@@ -238,13 +226,6 @@ impl Machine for AnyMachine {
         match self {
             AnyMachine::Sim(m) => m.seed(),
             AnyMachine::Threads(m) => m.seed(),
-        }
-    }
-
-    fn check_conflicts(&self) -> bool {
-        match self {
-            AnyMachine::Sim(m) => m.check_conflicts(),
-            AnyMachine::Threads(m) => m.check_conflicts(),
         }
     }
 

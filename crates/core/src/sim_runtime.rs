@@ -27,24 +27,17 @@ pub use crate::machine::RunResult;
 pub struct SimMachine {
     cfg: MachineConfig,
     seed: u64,
-    check_conflicts: bool,
 }
 
 impl SimMachine {
     /// Create a machine with the given configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        Self { cfg, seed: DEFAULT_SEED, check_conflicts: true }
+        Self { cfg, seed: DEFAULT_SEED }
     }
 
     /// Replace the RNG seed shared by the per-processor RNGs.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Disable the read/write-overlap phase check (on by default).
-    pub fn with_conflict_check(mut self, check: bool) -> Self {
-        self.check_conflicts = check;
         self
     }
 
@@ -77,10 +70,6 @@ impl Machine for SimMachine {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn check_conflicts(&self) -> bool {
-        self.check_conflicts
     }
 
     fn backend_name(&self) -> &'static str {

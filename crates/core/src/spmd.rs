@@ -454,8 +454,6 @@ pub(crate) struct ExchangeArea {
     obs: Option<RunObs>,
     /// Banks per node the run meters, for the workers' outboxes.
     banks: usize,
-    /// Whether an owner's κ sweep panics on a read/write overlap.
-    check_conflicts: bool,
 }
 
 // SAFETY: field by field. `slots`: every `UnsafeCell` in a `Slot` has
@@ -471,7 +469,7 @@ pub(crate) struct ExchangeArea {
 // every worker exited, which requires `Driver` and the boxed timer to
 // be `Send` (`PhaseTimer: Send`), not `Sync`. `obs`: a `Recorder`
 // (`Sync`) and an `Instant`. `barrier`, `exit`: `Sync` (see `Carrier`).
-// `panics`: a mutex. `banks`, `check_conflicts`: never written.
+// `panics`: a mutex. `banks`: never written.
 unsafe impl Sync for ExchangeArea {}
 
 impl ExchangeArea {
@@ -483,12 +481,11 @@ impl ExchangeArea {
         obs: Option<RunObs>,
         track_barrier: bool,
     ) -> Self {
-        let (banks, check_conflicts) = (driver.banks, driver.check_conflicts);
+        let banks = driver.banks;
         let mk = || (0..p).map(|_| Slot::new(p, banks)).collect::<Vec<_>>().into_boxed_slice();
         Self {
             p,
             banks,
-            check_conflicts,
             slots: [mk(), mk()],
             barrier: Barrier::new(p, k, track_barrier),
             exit: Barrier::new(p, k, false),
@@ -630,7 +627,7 @@ fn sweep_own_block(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
             ctx.kappa.note(run);
         }
     }
-    let kappa = ctx.kappa.sweep(&ctx.store, area.check_conflicts);
+    let kappa = ctx.kappa.sweep(&ctx.store);
     // SAFETY: our own slot's cell, which only we write, and only in
     // this window; the leader reads it after B2 (`Slot::kappa`).
     unsafe { *area.slots[parity][me].kappa.get() = kappa };

@@ -133,7 +133,6 @@ impl PhaseTimer for WallTimer {
 pub struct ThreadMachine {
     p: usize,
     seed: u64,
-    check_conflicts: bool,
     model_cfg: MachineConfig,
 }
 
@@ -141,23 +140,12 @@ impl ThreadMachine {
     /// Create a `p`-processor machine.
     pub fn new(p: usize) -> Self {
         assert!(p >= 1);
-        Self {
-            p,
-            seed: 0x1998_0021,
-            check_conflicts: true,
-            model_cfg: MachineConfig::paper_default(p),
-        }
+        Self { p, seed: 0x1998_0021, model_cfg: MachineConfig::paper_default(p) }
     }
 
     /// Replace the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Disable the read/write-overlap phase check.
-    pub fn with_conflict_check(mut self, check: bool) -> Self {
-        self.check_conflicts = check;
         self
     }
 
@@ -195,10 +183,6 @@ impl Machine for ThreadMachine {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn check_conflicts(&self) -> bool {
-        self.check_conflicts
     }
 
     fn backend_name(&self) -> &'static str {

@@ -35,9 +35,6 @@ impl Machine for UnitMachine {
     fn seed(&self) -> u64 {
         1
     }
-    fn check_conflicts(&self) -> bool {
-        true
-    }
     fn backend_name(&self) -> &'static str {
         "unit"
     }

@@ -3,7 +3,7 @@
 //!
 //! The delivery pipeline's routing stage. Between a message's NIC
 //! departure and its arrival at the receiver, the fabric walks the
-//! message along its [`crate::topology::Topology`] route: each
+//! message along its [`crate::topology::Routes`] route: each
 //! directed link is a FIFO resource that serializes the messages
 //! crossing it at `link_gap_per_byte` cycles per byte, and each
 //! traversed hop adds the topology's per-hop share of the wire
@@ -11,8 +11,8 @@
 //! `(depart, src, input index)` order, so simulations replay exactly.
 //!
 //! The shared-fabric experiment (`ext_fabric`) is the special case of
-//! a [`crate::topology::OneLink`] topology: one link, the full wire
-//! latency after it. Its numbers are pinned by the fabric tests in
+//! the [`crate::TopologyKind::OneLink`] route table: one link, the full
+//! wire latency after it. Its numbers are pinned by the fabric tests in
 //! `network.rs`, so the float operations below keep their order.
 
 use crate::config::NetConfig;
@@ -21,12 +21,12 @@ use crate::network::Delivery;
 use crate::stats::NetStats;
 use crate::time::Cycles;
 use crate::timeline::FifoTimeline;
-use crate::topology::Topology;
+use crate::topology::Routes;
 
 /// Per-link forwarding state for one [`crate::Network`].
 #[derive(Debug)]
 pub(crate) struct Fabric {
-    router: Box<dyn Topology>,
+    routes: Routes,
     /// Service cost per wire byte on every link, cycles.
     link_gap: f64,
     /// The topology's per-hop share of the wire latency.
@@ -49,12 +49,12 @@ impl Fabric {
     /// contention-free wire (the delivery pipeline then skips the
     /// stage entirely — the exact original arithmetic).
     pub(crate) fn from_config(p: usize, cfg: &NetConfig) -> Option<Self> {
-        let router = cfg.topology.build(p, cfg.latency)?;
-        let links = router.links();
+        let routes = cfg.topology.build(p, cfg.latency)?;
+        let links = routes.links();
         Some(Self {
             link_gap: cfg.link_gap_per_byte.unwrap_or(cfg.gap_per_byte),
-            hop_latency: Cycles::new(router.hop_latency()),
-            router,
+            hop_latency: Cycles::new(routes.hop_latency()),
+            routes,
             link_free: FifoTimeline::new(links),
             order: Vec::new(),
             demand: vec![(0, 0); links],
@@ -65,11 +65,6 @@ impl Fabric {
     /// Number of directed links.
     pub(crate) fn links(&self) -> usize {
         self.link_free.len()
-    }
-
-    /// The routing function.
-    pub(crate) fn router(&self) -> &dyn Topology {
-        self.router.as_ref()
     }
 
     /// Reset every link timeline to idle-at-zero.
@@ -126,7 +121,8 @@ impl Fabric {
         let occupy = Cycles::new(self.link_gap * m.bytes as f64);
         let mut at = d.depart;
         let mut wait = Cycles::ZERO;
-        for &l in self.router.route(m.src, m.dst) {
+        for &l in self.routes.route(m.src, m.dst) {
+            let l = l as usize;
             let slot = self.link_free.serve(l, at, occupy);
             wait += slot.start - at;
             at = slot.done + self.hop_latency;

@@ -50,15 +50,16 @@
 //! plane); without it — or for messages that name no bank — the
 //! arithmetic is bit-identical to the paper's bank-free simulator.
 //!
-//! A second opt-in stage sits between `depart` and `arrive`: with a
-//! non-flat [`topology::TopologyKind`], every inter-node message is
-//! forwarded hop-by-hop along its route, each directed link a FIFO
-//! serializing at the link gap, each hop adding the topology's share
-//! of the wire latency (the internal `fabric` stage). The default
-//! `Flat` topology has no link stage at all — the `arrive` line above
-//! is the exact arithmetic — and the machine-wide shared fabric
-//! ([`config::MachineConfig::with_fabric`]) is the one-link topology,
-//! so there is a single congestion code path.
+//! A second opt-in stage sits between `depart` and `arrive`: a
+//! non-flat [`topology::TopologyKind`] builds a [`topology::Routes`]
+//! table, and every inter-node message is forwarded hop-by-hop along
+//! its route, each directed link a FIFO serializing at the link gap,
+//! each hop adding the topology's share of the wire latency (the
+//! internal `fabric` stage). The default `Flat` topology builds no
+//! table and has no link stage at all — the `arrive` line above is
+//! the exact arithmetic — and the machine-wide shared fabric
+//! ([`config::MachineConfig::with_fabric`]) is the one-link table, so
+//! there is a single congestion code path.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -83,5 +84,5 @@ pub use network::{Delivery, Network};
 pub use stats::NetStats;
 pub use time::Cycles;
 pub use timeline::{FifoTimeline, ServiceSlot};
-pub use topology::{LinkId, Topology, TopologyKind};
+pub use topology::{LinkId, Routes, TopologyKind};
 pub use trace::{Trace, TraceEvent};

@@ -31,7 +31,6 @@ use crate::message::Injection;
 use crate::stats::NetStats;
 use crate::time::Cycles;
 use crate::timeline::{FifoTimeline, ServiceSlot};
-use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
 
 /// Timing of one delivered message (all zero until stamped).
@@ -217,12 +216,6 @@ impl Network {
     /// Accumulated statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// The active routing stage's topology, if any (`None` on the
-    /// paper's flat contention-free wire).
-    pub fn topology(&self) -> Option<&dyn Topology> {
-        self.fabric.as_ref().map(|f| f.router())
     }
 
     /// Number of directed links in the routing stage (0 on the flat
@@ -909,7 +902,6 @@ mod tests {
             .map(|i| inj(i % 4, (i * 3 + 1) % 4, (i as u64 * 17) % 300, (i % 5) as f64))
             .collect();
         let mut flat = topo_net(4, TopologyKind::Flat);
-        assert!(flat.topology().is_none());
         assert_eq!(flat.link_count(), 0);
         let mut plain = net(4);
         assert_eq!(transmit(&mut flat, &msgs), transmit(&mut plain, &msgs));
@@ -979,7 +971,7 @@ mod tests {
         let mut n = topo_net(4, TopologyKind::torus(4));
         let msgs: Vec<_> = (0..20).map(|i| inj(i % 4, (i + 1) % 4, 64, 0.0)).collect();
         transmit(&mut n, &msgs);
-        let topo = n.topology().expect("torus routes");
+        let topo = TopologyKind::torus(4).build(4, 1600.0).expect("torus routes");
         let total_hops: u64 = msgs.iter().map(|m| topo.route(m.src, m.dst).len() as u64).sum();
         assert_eq!(n.stats().link_msgs.iter().sum::<u64>(), total_hops);
         assert_eq!(n.stats().link_bytes.iter().sum::<u64>(), 64 * total_hops);

@@ -1,27 +1,12 @@
-//! Network topologies: pluggable routing for the staged fabric.
+//! Network topologies: route tables for the staged fabric.
 //!
 //! The paper's simulator has **no internal network structure** — the
 //! wire is a flat latency and contention exists only at endpoints.
 //! This module supplies the structure for the route-aware extension:
-//! a [`Topology`] answers, for every ordered node pair, the sequence
-//! of *directed links* a message traverses, and the
-//! internal `Fabric` stage charges per-link FIFO occupancy
-//! along that route.
-//!
-//! Concrete topologies:
-//!
-//! * [`Flat`] — no links at all; the paper's contention-free wire.
-//! * [`OneLink`] — every inter-node message crosses one shared link:
-//!   the machine-wide fabric of the `ext_fabric` experiment.
-//! * [`Line`] — nodes on a line, bidirectional neighbor links,
-//!   shortest-path routing. Worst diameter, bisection of one link.
-//! * [`Grid2d`] (`TopologyKind::Mesh2d` / `TopologyKind::Torus2d`) — 2-D grid with X-then-Y
-//!   dimension-order routing; the torus adds wrap-around links and
-//!   picks the shorter direction per axis.
-//! * [`FatTree`] — a two-level tree folded around an ideal
-//!   non-blocking core: every node owns one up-link and one
-//!   down-link, so the network itself never congests (full
-//!   bisection); only endpoint links serialize.
+//! a [`TopologyKind`] builds [`Routes`], which answer, for every
+//! ordered node pair, the sequence of *directed links* a message
+//! traverses, and the internal `Fabric` stage charges per-link FIFO
+//! occupancy along that route.
 //!
 //! Latency calibration: a topology splits the machine's wire latency
 //! `l` evenly over its diameter, so the *longest* route costs exactly
@@ -32,348 +17,145 @@
 //!
 //! Configuration travels as the small [`TopologyKind`] enum (so
 //! [`crate::NetConfig`] stays `Copy`); [`TopologyKind::build`]
-//! instantiates the routing tables when the [`crate::Network`] is
+//! instantiates the route table when the [`crate::Network`] is
 //! created.
 
 use std::collections::HashMap;
 
 /// Index of one *directed* link in a topology (dense, `0..links()`).
-pub type LinkId = usize;
+pub type LinkId = u32;
 
-/// A routing function over directed links.
+/// A topology's directed links and every ordered pair's route over
+/// them, precomputed so a route is an allocation-free slice lookup on
+/// the hot path.
 ///
-/// Invariants every implementation upholds (checked by the property
-/// tests in this module):
+/// Invariants (checked by the property tests in this module):
 ///
 /// * `route(a, b)` is empty **iff** `a == b`;
 /// * consecutive links in a route form a connected directed path —
 ///   each link's head is the next link's tail — starting at `a` and
 ///   ending at `b` (intermediate vertices may be switch nodes with
-///   ids `>= p`, as in [`FatTree`]'s core);
+///   ids `>= p`, as in the fat tree's core). The one-link fabric is
+///   the exception: its link is a synthetic self-loop on node 0;
 /// * every returned [`LinkId`] is `< links()`.
-pub trait Topology: std::fmt::Debug + Send + Sync {
-    /// The ordered directed links a message from `from` to `to`
-    /// traverses. Empty iff `from == to`.
-    fn route(&self, from: usize, to: usize) -> &[LinkId];
-    /// Number of directed links (link ids are `0..links()`).
-    fn links(&self) -> usize;
-    /// Wire latency charged per traversed link, cycles.
-    fn hop_latency(&self) -> f64;
-    /// The `(tail, head)` node pair of a directed link. Vertices
-    /// `>= p` are internal switches (e.g. the fat tree's core).
-    fn endpoints(&self, link: LinkId) -> (usize, usize);
-}
-
-/// The paper's flat wire: no links, no internal contention.
-///
-/// The [`crate::Network`] never consults a router for the flat
-/// default — this type exists so the trait's invariants have a
-/// trivial witness and tests can treat every kind uniformly.
-#[derive(Debug, Clone, Copy)]
-pub struct Flat;
-
-impl Topology for Flat {
-    fn route(&self, _from: usize, _to: usize) -> &[LinkId] {
-        &[]
-    }
-    fn links(&self) -> usize {
-        0
-    }
-    fn hop_latency(&self) -> f64 {
-        0.0
-    }
-    fn endpoints(&self, _link: LinkId) -> (usize, usize) {
-        (0, 0)
-    }
-}
-
-/// One machine-wide shared link (what
-/// `MachineConfig::with_fabric` installs). Every inter-node message
-/// traverses link 0; the full wire latency is charged after it.
 #[derive(Debug)]
-pub struct OneLink {
-    hop_latency: f64,
-    route: [LinkId; 1],
-}
-
-impl OneLink {
-    /// A one-link fabric whose single hop carries the full wire
-    /// latency `latency`.
-    pub fn new(latency: f64) -> Self {
-        Self { hop_latency: latency, route: [0] }
-    }
-}
-
-impl Topology for OneLink {
-    fn route(&self, from: usize, to: usize) -> &[LinkId] {
-        if from == to {
-            &[]
-        } else {
-            &self.route
-        }
-    }
-    fn links(&self) -> usize {
-        1
-    }
-    fn hop_latency(&self) -> f64 {
-        self.hop_latency
-    }
-    fn endpoints(&self, _link: LinkId) -> (usize, usize) {
-        // The shared fabric is not between any particular node pair;
-        // report a synthetic self-loop on node 0.
-        (0, 0)
-    }
-}
-
-/// Shared routing machinery: a dense `(from, to) -> route` table over
-/// an explicit directed-link registry, precomputed at construction so
-/// `route` is an allocation-free slice lookup on the hot path.
-#[derive(Debug)]
-struct RouteTable {
+pub struct Routes {
     p: usize,
+    hop_latency: f64,
     /// Directed links as `(tail, head)`, indexed by [`LinkId`].
     links: Vec<(usize, usize)>,
-    /// Link-id lookup used during construction only.
-    by_pair: HashMap<(usize, usize), LinkId>,
-    /// Routes, indexed `from * p + to`.
-    routes: Vec<Vec<LinkId>>,
-    hop_latency: f64,
+    /// The route of pair `i = from * p + to` is
+    /// `hops[start[i]..start[i + 1]]`.
+    start: Vec<u32>,
+    hops: Vec<LinkId>,
 }
 
-impl RouteTable {
-    fn new(p: usize, hop_latency: f64) -> Self {
-        Self {
-            p,
-            links: Vec::new(),
-            by_pair: HashMap::new(),
-            routes: vec![Vec::new(); p * p],
-            hop_latency,
-        }
-    }
-
-    /// The id of directed link `tail -> head`, registering it on
-    /// first use. Ids are dense in registration order, which is
-    /// deterministic because routes are built in `(from, to)` order.
-    fn link(&mut self, tail: usize, head: usize) -> LinkId {
-        if let Some(&id) = self.by_pair.get(&(tail, head)) {
-            return id;
-        }
-        let id = self.links.len();
-        self.links.push((tail, head));
-        self.by_pair.insert((tail, head), id);
-        id
-    }
-
-    /// Record the route for `(from, to)` as the link-by-link walk of
-    /// `path` (a vertex sequence starting at `from`, ending at `to`).
-    fn set_route(&mut self, from: usize, to: usize, path: &[usize]) {
-        let mut route = Vec::with_capacity(path.len().saturating_sub(1));
-        for w in path.windows(2) {
-            let id = self.link(w[0], w[1]);
-            route.push(id);
-        }
-        self.routes[from * self.p + to] = route;
-    }
-
-    fn route(&self, from: usize, to: usize) -> &[LinkId] {
-        &self.routes[from * self.p + to]
-    }
+/// `n` as a route-table index; a table past `u32` is a bug, not a
+/// machine this simulator can hold.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("route table outgrows u32 indices")
 }
 
-macro_rules! delegate_topology {
-    ($ty:ty) => {
-        impl Topology for $ty {
-            fn route(&self, from: usize, to: usize) -> &[LinkId] {
-                self.table.route(from, to)
-            }
-            fn links(&self) -> usize {
-                self.table.links.len()
-            }
-            fn hop_latency(&self) -> f64 {
-                self.table.hop_latency
-            }
-            fn endpoints(&self, link: LinkId) -> (usize, usize) {
-                self.table.links[link]
-            }
-        }
-    };
-}
-
-/// Nodes on a line with bidirectional neighbor links and
-/// shortest-path routing: diameter `p - 1`, bisection of one link
-/// each way — the harshest topology in the set.
-#[derive(Debug)]
-pub struct Line {
-    table: RouteTable,
-}
-
-impl Line {
-    /// A `p`-node line whose diameter-long route carries the full
-    /// wire latency `latency`.
-    pub fn new(p: usize, latency: f64) -> Self {
-        let diameter = p.saturating_sub(1).max(1);
-        let mut table = RouteTable::new(p, latency / diameter as f64);
-        for from in 0..p {
-            for to in 0..p {
-                if from == to {
-                    continue;
-                }
-                let path: Vec<usize> =
-                    if from < to { (from..=to).collect() } else { (to..=from).rev().collect() };
-                table.set_route(from, to, &path);
-            }
-        }
-        Self { table }
+impl Routes {
+    /// The ordered directed links a message from `from` to `to`
+    /// traverses. Empty iff `from == to`.
+    pub fn route(&self, from: usize, to: usize) -> &[LinkId] {
+        let i = from * self.p + to;
+        &self.hops[self.start[i] as usize..self.start[i + 1] as usize]
     }
-}
 
-delegate_topology!(Line);
-
-/// A 2-D grid (optionally wrapped into a torus) with X-then-Y
-/// dimension-order routing. Node `i` sits at row `i / cols`,
-/// column `i % cols`.
-#[derive(Debug)]
-pub struct Grid2d {
-    table: RouteTable,
-}
-
-impl Grid2d {
-    /// Build a `rows × cols` grid over `rows * cols` nodes. With
-    /// `wrap`, each axis closes into a ring and routes take the
-    /// shorter way around (ties break toward increasing coordinate).
-    /// The grid's diameter-long route carries the full `latency`.
-    pub fn new(rows: usize, cols: usize, wrap: bool, latency: f64) -> Self {
-        assert!(rows >= 1 && cols >= 1);
-        let p = rows * cols;
-        let diameter =
-            if wrap { (rows / 2 + cols / 2).max(1) } else { (rows - 1 + cols - 1).max(1) };
-        let mut table = RouteTable::new(p, latency / diameter as f64);
-        let id = |r: usize, c: usize| r * cols + c;
-        // One signed step along an axis of length `len`, shortest way
-        // around (wrapped) or directly (unwrapped — the direct way is
-        // the only way on a mesh).
-        let step = |at: usize, target: usize, len: usize| -> usize {
-            if at == target {
-                return at;
-            }
-            let fwd = (target + len - at) % len; // hops going +1
-            if wrap {
-                if fwd * 2 <= len {
-                    (at + 1) % len
-                } else {
-                    (at + len - 1) % len
-                }
-            } else if target > at {
-                at + 1
-            } else {
-                at - 1
-            }
-        };
-        for from in 0..p {
-            for to in 0..p {
-                if from == to {
-                    continue;
-                }
-                let (fr, fc) = (from / cols, from % cols);
-                let (tr, tc) = (to / cols, to % cols);
-                let mut path = vec![from];
-                let (mut r, mut c) = (fr, fc);
-                while c != tc {
-                    c = step(c, tc, cols);
-                    path.push(id(r, c));
-                }
-                while r != tr {
-                    r = step(r, tr, rows);
-                    path.push(id(r, c));
-                }
-                table.set_route(from, to, &path);
-            }
-        }
-        Self { table }
+    /// Number of directed links (link ids are `0..links()`).
+    pub fn links(&self) -> usize {
+        self.links.len()
     }
-}
 
-delegate_topology!(Grid2d);
-
-/// A two-level fat tree folded around an ideal non-blocking core:
-/// node `i` owns up-link `i` (to the core, vertex id `p`) and
-/// down-link `p + i` (core to `i`). Every route is exactly two hops
-/// and no two distinct node pairs share a link beyond their own
-/// endpoints — full bisection bandwidth.
-#[derive(Debug)]
-pub struct FatTree {
-    p: usize,
-    hop_latency: f64,
-    /// `routes[from * p + to]` = `[up(from), down(to)]`.
-    routes: Vec<[LinkId; 2]>,
-}
-
-impl FatTree {
-    /// A `p`-node fat tree whose two-hop routes carry the full wire
-    /// latency `latency`.
-    pub fn new(p: usize, latency: f64) -> Self {
-        let mut routes = Vec::with_capacity(p * p);
-        for from in 0..p {
-            for to in 0..p {
-                routes.push([from, p + to]);
-            }
-        }
-        Self { p, hop_latency: latency / 2.0, routes }
-    }
-}
-
-impl Topology for FatTree {
-    fn route(&self, from: usize, to: usize) -> &[LinkId] {
-        if from == to {
-            &[]
-        } else {
-            &self.routes[from * self.p + to]
-        }
-    }
-    fn links(&self) -> usize {
-        2 * self.p
-    }
-    fn hop_latency(&self) -> f64 {
+    /// Wire latency charged per traversed link, cycles.
+    pub fn hop_latency(&self) -> f64 {
         self.hop_latency
     }
-    fn endpoints(&self, link: LinkId) -> (usize, usize) {
-        if link < self.p {
-            (link, self.p) // up-link into the core
-        } else {
-            (self.p, link - self.p) // down-link out of the core
+
+    /// The `(tail, head)` node pair of a directed link. Vertices
+    /// `>= p` are internal switches (the fat tree's core).
+    pub fn endpoints(&self, link: LinkId) -> (usize, usize) {
+        self.links[link as usize]
+    }
+
+    /// Append every ordered pair's route in `(from, to)` order;
+    /// `route(from, to, hops)` pushes the links of a pair `from != to`.
+    fn fill(&mut self, mut route: impl FnMut(usize, usize, &mut Vec<LinkId>)) {
+        self.start.reserve_exact(self.p * self.p + 1);
+        self.start.push(0);
+        for from in 0..self.p {
+            for to in 0..self.p {
+                if from != to {
+                    route(from, to, &mut self.hops);
+                }
+                self.start.push(index(self.hops.len()));
+            }
         }
+    }
+
+    /// [`Routes::fill`] from vertex walks: `walk(from, to, path)`
+    /// pushes the vertices from `from` to `to`, and each directed link
+    /// gets the next id at its first use — deterministic, because
+    /// pairs are walked in `(from, to)` order.
+    fn walk(&mut self, mut walk: impl FnMut(usize, usize, &mut Vec<usize>)) {
+        let mut links = std::mem::take(&mut self.links);
+        let mut ids = HashMap::new();
+        let mut path = Vec::new();
+        self.fill(|from, to, hops| {
+            path.clear();
+            walk(from, to, &mut path);
+            for w in path.windows(2) {
+                hops.push(*ids.entry((w[0], w[1])).or_insert_with(|| {
+                    links.push((w[0], w[1]));
+                    index(links.len() - 1)
+                }));
+            }
+        });
+        self.links = links;
     }
 }
 
 /// Which topology a [`crate::NetConfig`] asks for — a small `Copy`
-/// description; [`TopologyKind::build`] turns it into routing tables
-/// when the network is created.
+/// description; [`TopologyKind::build`] turns it into [`Routes`] when
+/// the network is created.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TopologyKind {
     /// The paper's flat contention-free wire (the default; compiles
-    /// to the exact original delivery arithmetic).
+    /// to the exact original delivery arithmetic): no links at all.
     #[default]
     Flat,
-    /// [`OneLink`]: one shared link for the whole machine, any `p`.
+    /// One machine-wide shared link, any `p`: every inter-node
+    /// message crosses link 0 and the full wire latency is charged
+    /// after it — the fabric of the `ext_fabric` experiment.
     OneLink,
-    /// [`Line`] of `p` nodes.
+    /// `p` nodes on a line with bidirectional neighbor links and
+    /// shortest-path routing: diameter `p - 1`, bisection of one link
+    /// each way — the harshest topology in the set.
     Line,
-    /// [`Grid2d`] mesh; `rows * cols` must equal `p`.
+    /// A 2-D grid with X-then-Y dimension-order routing; node `i`
+    /// sits at row `i / cols`, column `i % cols`, and `rows * cols`
+    /// must equal `p`.
     Mesh2d {
         /// Grid rows.
         rows: usize,
         /// Grid columns.
         cols: usize,
     },
-    /// [`Grid2d`] torus (wrap-around mesh); `rows * cols` must equal
-    /// `p`.
+    /// The [`TopologyKind::Mesh2d`] grid with each axis closed into a
+    /// ring: routes take the shorter way around (ties break toward
+    /// increasing coordinate).
     Torus2d {
         /// Grid rows.
         rows: usize,
         /// Grid columns.
         cols: usize,
     },
-    /// [`FatTree`] over `p` nodes.
+    /// A two-level fat tree folded around an ideal non-blocking core
+    /// (vertex `p`): node `i` owns up-link `i` and down-link `p + i`,
+    /// so every route is two hops and the network itself never
+    /// congests (full bisection); only endpoint links serialize.
     FatTree,
 }
 
@@ -453,23 +235,55 @@ impl TopologyKind {
         }
     }
 
-    /// Instantiate the routing tables for a `p`-node machine whose
-    /// wire latency is `latency` cycles. `None` for [`Flat`]: the
-    /// flat wire has no link stage at all.
-    pub fn build(&self, p: usize, latency: f64) -> Option<Box<dyn Topology>> {
+    /// Instantiate the route table for a `p`-node machine whose wire
+    /// latency is `latency` cycles. `None` for
+    /// [`TopologyKind::Flat`]: the flat wire has no link stage at all.
+    pub fn build(&self, p: usize, latency: f64) -> Option<Routes> {
         self.validate(p);
+        let hop_latency = latency / self.diameter(p) as f64;
+        let mut routes =
+            Routes { p, hop_latency, links: Vec::new(), start: Vec::new(), hops: Vec::new() };
         match *self {
-            TopologyKind::Flat => None,
-            TopologyKind::OneLink => Some(Box::new(OneLink::new(latency))),
-            TopologyKind::Line => Some(Box::new(Line::new(p, latency))),
-            TopologyKind::Mesh2d { rows, cols } => {
-                Some(Box::new(Grid2d::new(rows, cols, false, latency)))
+            TopologyKind::Flat => return None,
+            TopologyKind::OneLink => {
+                routes.links.push((0, 0));
+                routes.fill(|_, _, hops| hops.push(0));
             }
-            TopologyKind::Torus2d { rows, cols } => {
-                Some(Box::new(Grid2d::new(rows, cols, true, latency)))
+            TopologyKind::Line => routes.walk(|from, to, path| {
+                if from < to {
+                    path.extend(from..=to);
+                } else {
+                    path.extend((to..=from).rev());
+                }
+            }),
+            TopologyKind::Mesh2d { rows, cols } | TopologyKind::Torus2d { rows, cols } => {
+                let wrap = matches!(self, TopologyKind::Torus2d { .. });
+                // One step from `at` toward `target != at` along an
+                // axis of length `len`: the shorter way around on a
+                // torus, the only way on a mesh.
+                let step = |at: usize, target: usize, len: usize| {
+                    let up = if wrap { (target + len - at) % len * 2 <= len } else { target > at };
+                    (at + if up { 1 } else { len - 1 }) % len
+                };
+                routes.walk(|from, to, path| {
+                    let (mut r, mut c) = (from / cols, from % cols);
+                    path.push(from);
+                    while c != to % cols {
+                        c = step(c, to % cols, cols);
+                        path.push(r * cols + c);
+                    }
+                    while r != to / cols {
+                        r = step(r, to / cols, rows);
+                        path.push(r * cols + c);
+                    }
+                });
             }
-            TopologyKind::FatTree => Some(Box::new(FatTree::new(p, latency))),
+            TopologyKind::FatTree => {
+                routes.links = (0..p).map(|i| (i, p)).chain((0..p).map(|i| (p, i))).collect();
+                routes.fill(|from, to, hops| hops.extend([index(from), index(p + to)]));
+            }
         }
+        Some(routes)
     }
 }
 
@@ -480,11 +294,16 @@ mod tests {
     /// Every non-Flat kind at a given p, for uniform sweeps.
     fn kinds(p: usize) -> Vec<TopologyKind> {
         vec![
+            TopologyKind::OneLink,
             TopologyKind::Line,
             TopologyKind::mesh(p),
             TopologyKind::torus(p),
             TopologyKind::FatTree,
         ]
+    }
+
+    fn build(kind: TopologyKind, p: usize) -> Routes {
+        kind.build(p, 1600.0).expect("non-flat kinds build")
     }
 
     #[test]
@@ -498,7 +317,7 @@ mod tests {
 
     #[test]
     fn one_link_routes_everything_over_link_zero() {
-        let t = OneLink::new(1600.0);
+        let t = build(TopologyKind::OneLink, 4);
         assert_eq!(t.links(), 1);
         assert_eq!(t.route(0, 1), &[0]);
         assert_eq!(t.route(3, 2), &[0]);
@@ -508,7 +327,7 @@ mod tests {
 
     #[test]
     fn line_uses_shortest_paths() {
-        let t = Line::new(5, 1600.0);
+        let t = build(TopologyKind::Line, 5);
         assert_eq!(t.route(0, 4).len(), 4);
         assert_eq!(t.route(4, 0).len(), 4);
         assert_eq!(t.route(2, 3).len(), 1);
@@ -525,19 +344,17 @@ mod tests {
     #[test]
     fn mesh_routes_x_then_y() {
         // 2x4 mesh: node 1 = (0,1), node 6 = (1,2).
-        let t = Grid2d::new(2, 4, false, 1600.0);
+        let t = build(TopologyKind::Mesh2d { rows: 2, cols: 4 }, 8);
         let route = t.route(1, 6);
         assert_eq!(route.len(), 2); // one X hop, one Y hop
-        let (a0, a1) = t.endpoints(route[0]);
-        let (b0, b1) = t.endpoints(route[1]);
-        assert_eq!((a0, a1), (1, 2)); // X first: (0,1) -> (0,2)
-        assert_eq!((b0, b1), (2, 6)); // then Y: (0,2) -> (1,2)
+        assert_eq!(t.endpoints(route[0]), (1, 2)); // X first: (0,1) -> (0,2)
+        assert_eq!(t.endpoints(route[1]), (2, 6)); // then Y: (0,2) -> (1,2)
     }
 
     #[test]
     fn torus_wraps_the_short_way() {
         // 1x6 ring: 0 -> 5 is one wrap hop, not five forward hops.
-        let t = Grid2d::new(1, 6, true, 1600.0);
+        let t = build(TopologyKind::Torus2d { rows: 1, cols: 6 }, 6);
         assert_eq!(t.route(0, 5).len(), 1);
         assert_eq!(t.route(0, 3).len(), 3); // tie: exactly half
         assert_eq!(t.route(0, 2).len(), 2);
@@ -545,7 +362,7 @@ mod tests {
 
     #[test]
     fn fat_tree_is_always_two_hops() {
-        let t = FatTree::new(8, 1600.0);
+        let t = build(TopologyKind::FatTree, 8);
         for a in 0..8 {
             for b in 0..8 {
                 if a == b {
@@ -559,6 +376,28 @@ mod tests {
             }
         }
         assert_eq!(t.hop_latency(), 800.0);
+    }
+
+    /// Link ids are observable — trace lanes are `link_util/<id>` and
+    /// `NetStats::link_*` is indexed by id — so their numbering is
+    /// pinned: line and grid links are numbered at first use in
+    /// `(from, to)` order, the fat tree's arithmetically.
+    #[test]
+    fn link_numbering_is_pinned() {
+        // Link `l` as "<tail><head>", in id order (single-digit nodes).
+        let links = |kind: TopologyKind, p: usize| {
+            let t = kind.build(p, 1600.0).expect("non-flat kinds build");
+            let pair = |l: usize| format!("{}{}", t.endpoints(l as _).0, t.endpoints(l as _).1);
+            (0..t.links()).map(pair).collect::<Vec<_>>().join(" ")
+        };
+        assert_eq!(links(TopologyKind::OneLink, 4), "00");
+        assert_eq!(links(TopologyKind::Line, 4), "01 12 23 10 21 32");
+        // 2x3: node i sits at row i / 3, column i % 3.
+        let mesh = "01 12 03 14 25 10 21 30 34 41 45 52 43 54";
+        assert_eq!(links(TopologyKind::Mesh2d { rows: 2, cols: 3 }, 6), mesh);
+        let torus = "01 02 03 14 25 10 12 20 21 30 34 41 35 52 43 45 53 54";
+        assert_eq!(links(TopologyKind::Torus2d { rows: 2, cols: 3 }, 6), torus);
+        assert_eq!(links(TopologyKind::FatTree, 4), "04 14 24 34 40 41 42 43");
     }
 
     #[test]
@@ -584,18 +423,22 @@ mod tests {
         assert!(TopologyKind::Flat.build(8, 1600.0).is_none());
     }
 
-    /// Walk `route(a, b)` and check it is a connected directed path
+    /// Check `route(a, b)` is empty iff `a == b` and names links in
+    /// range; with `walk`, also that it is a connected directed path
     /// from `a` to `b` (switch vertices allowed in the middle).
-    fn assert_connected(t: &dyn Topology, a: usize, b: usize) {
+    fn assert_route(t: &Routes, a: usize, b: usize, walk: bool) {
         let route = t.route(a, b);
         if a == b {
             assert!(route.is_empty(), "route({a},{a}) must be empty");
             return;
         }
         assert!(!route.is_empty(), "route({a},{b}) must not be empty");
+        assert!(route.iter().all(|&l| (l as usize) < t.links()), "route({a},{b}) out of range");
+        if !walk {
+            return;
+        }
         let mut at = a;
         for &l in route {
-            assert!(l < t.links(), "link {l} out of range");
             let (tail, head) = t.endpoints(l);
             assert_eq!(tail, at, "route({a},{b}) disconnected at link {l}");
             at = head;
@@ -608,15 +451,17 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Every route on every topology is a connected directed
-            /// path from a to b, empty iff a == b.
+            /// Every route on every topology is empty iff a == b and a
+            /// connected directed path from a to b — bar the one-link
+            /// fabric's, whose link is a self-loop on node 0.
             #[test]
             fn routes_are_connected_paths(p in 1usize..20) {
                 for kind in kinds(p) {
-                    let t = kind.build(p, 1600.0).expect("non-flat kinds build");
+                    let t = build(kind, p);
+                    let walk = kind != TopologyKind::OneLink;
                     for a in 0..p {
                         for b in 0..p {
-                            assert_connected(t.as_ref(), a, b);
+                            assert_route(&t, a, b, walk);
                         }
                     }
                 }
@@ -629,8 +474,8 @@ mod tests {
                 rows in 1usize..6, cols in 1usize..6,
             ) {
                 let p = rows * cols;
-                let mesh = Grid2d::new(rows, cols, false, 1600.0);
-                let torus = Grid2d::new(rows, cols, true, 1600.0);
+                let mesh = build(TopologyKind::Mesh2d { rows, cols }, p);
+                let torus = build(TopologyKind::Torus2d { rows, cols }, p);
                 let ring = |a: usize, b: usize, len: usize| {
                     let fwd = (b + len - a) % len;
                     fwd.min(len - fwd)
@@ -652,7 +497,7 @@ mod tests {
             #[test]
             fn diameter_bounds_every_route(p in 2usize..20) {
                 for kind in kinds(p) {
-                    let t = kind.build(p, 1600.0).expect("non-flat kinds build");
+                    let t = build(kind, p);
                     let d = kind.diameter(p);
                     let mut max_seen = 0;
                     for a in 0..p {

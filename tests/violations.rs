@@ -36,30 +36,6 @@ fn read_write_overlap_in_one_phase_panics() {
 }
 
 #[test]
-fn read_write_overlap_allowed_when_check_disabled() {
-    // With the check off, the phase still executes deterministically
-    // (gets are served from the pre-put state).
-    let m = machine(2).with_conflict_check(false);
-    let run = m.run(|ctx| {
-        let arr = ctx.register::<u64>("a", 8, Layout::Block);
-        ctx.sync();
-        if ctx.proc_id() == 0 {
-            ctx.local_write(&arr, 3, &[7]);
-            ctx.sync();
-            ctx.put(&arr, 3, &[100]);
-            ctx.sync();
-            0
-        } else {
-            ctx.sync();
-            let t = ctx.get(&arr, 3, 1);
-            ctx.sync();
-            ctx.take(t)[0]
-        }
-    });
-    assert_eq!(run.outputs[1], 7, "get must see the pre-put value");
-}
-
-#[test]
 #[should_panic(expected = "collective violation")]
 fn mismatched_registration_panics() {
     machine(2).run(|ctx| {
