@@ -5,14 +5,14 @@
 //! broadcast, gather and reduce helpers that exercise the same
 //! issue-then-`sync()`-then-read idiom.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use qsm_core::addr::block_range;
 
 /// A block-distributed result on its way out of the machine: the
-/// caller's output vector, split at `block_range`. Each worker copies
-/// its window into its own part after its last `sync()`, so the copy
-/// and the first touch of the output's pages run on every core, and no
+/// caller's output vector, split at `block_range`. Each worker fills
+/// its own part (`write` after its last `sync()`, or computes in it), so
+/// the first touch of the output's pages runs on every core, and no
 /// per-block `Vec` exists in between.
 pub(crate) struct Gather<'a, T>(Vec<Mutex<&'a mut [T]>>);
 
@@ -28,11 +28,16 @@ impl<'a, T: Copy> Gather<'a, T> {
         Self((0..p).map(part).collect())
     }
 
-    /// Processor `proc` writes its whole block, under a lock only it
-    /// takes. A poisoned lock is recovered: the panic that poisoned it
-    /// stays the one the run reports.
+    /// Lend processor `proc` its part, under a lock only it takes. A
+    /// poisoned lock is recovered: the panic that poisoned it stays the
+    /// one the run reports.
+    pub(crate) fn part(&self, proc: usize) -> MutexGuard<'_, &'a mut [T]> {
+        self.0[proc].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Processor `proc` writes its whole block into its part.
     pub(crate) fn write(&self, proc: usize, block: &[T]) {
-        let mut part = self.0[proc].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut part = self.part(proc);
         let (got, want) = (block.len(), part.len());
         assert!(
             got == want,
@@ -153,7 +158,9 @@ mod tests {
 
     #[test]
     fn gathered_blocks_are_their_concatenation() {
-        // Covers n < p, n % p != 0 and empty parts.
+        // Covers n < p, n % p != 0 and empty parts. Odd processors fill
+        // the part they are lent, even ones write their block: both
+        // land at exactly `block_range`.
         for n in 0..40usize {
             for p in 1..9 {
                 let blocks: Vec<Vec<u32>> =
@@ -162,7 +169,11 @@ mod tests {
                 let gather = Gather::new(&mut out, p);
                 // Any order: a worker's part is its own.
                 for (i, block) in blocks.iter().enumerate().rev() {
-                    gather.write(i, block);
+                    if i % 2 == 1 {
+                        gather.part(i).copy_from_slice(block);
+                    } else {
+                        gather.write(i, block);
+                    }
                 }
                 assert_eq!(out, blocks.concat(), "n={n} p={p}");
             }
@@ -184,8 +195,13 @@ mod tests {
             gather.write(0, &[1]);
         }));
         assert!(wrong.is_err() && gather.0[0].is_poisoned());
+        let lent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _part = gather.part(1);
+            panic!("a worker panics while it holds its part");
+        }));
+        assert!(lent.is_err() && gather.0[1].is_poisoned());
         gather.write(0, &[1, 2]);
-        gather.write(1, &[3, 4]);
+        gather.part(1).copy_from_slice(&[3, 4]);
         assert_eq!(out, [1, 2, 3, 4]);
     }
 

@@ -12,7 +12,7 @@
 //! `O(g·buckets)` per processor independent of `n` — a textbook
 //! example of the contract's "minimize κ by restructuring" advice.
 
-use qsm_core::{Ctx, Layout, Machine, RunResult};
+use qsm_core::{addr::block_range, Ctx, Layout, Machine, RunResult};
 
 use crate::analysis::{EffectiveParams, Prediction};
 
@@ -30,12 +30,10 @@ fn program(ctx: &mut Ctx, input: &[u32], buckets: usize) -> Vec<u64> {
     // Pad the bucket space so every processor owns an equal range.
     let bpp = buckets.div_ceil(p);
     let padded = bpp * p;
+    let local = &input[block_range(n, p, me)]; // no peer reads it: read in place
 
-    // --- Setup (uncounted): input distribution. ---
-    let data = ctx.register::<u32>("hist.data", n, Layout::Block);
+    // --- Setup (uncounted): input distribution, which moves nothing. ---
     ctx.sync();
-    let my_range = ctx.local_range(&data);
-    ctx.local_write(&data, my_range.start, &input[my_range.clone()]);
     ctx.sync();
 
     // --- Phase 1: register the partial-exchange board. ---
@@ -46,9 +44,8 @@ fn program(ctx: &mut Ctx, input: &[u32], buckets: usize) -> Vec<u64> {
     ctx.sync();
 
     // --- Phase 2: local histogram + scatter partials to owners. ---
-    let local = ctx.local_vec(&data);
     let mut partial = vec![0u64; padded];
-    for &k in &local {
+    for &k in local {
         partial[k as usize % buckets] += 1;
     }
     ctx.charge(3 * local.len() as u64);

@@ -75,24 +75,22 @@ fn program(ctx: &mut Ctx, a: &Matrix, b: &Matrix) -> Vec<f64> {
     let me = ctx.proc_id();
 
     // Pad the row space so block ownership is row-aligned: the
-    // shared arrays hold `rows_pp · p` rows, the trailing ones zero.
+    // shared array holds `rows_pp · p` rows, the trailing ones zero.
     let rows_pp = n.div_ceil(p);
     let padded = rows_pp * p * n;
 
-    // --- Setup (uncounted): distribute A and B by row blocks. ---
-    let a_arr = ctx.register::<f64>("mm.a", padded, Layout::Block);
+    // --- Setup (uncounted): distribute B by row blocks. Only this
+    //     processor reads its rows of A: they are read where they lie. ---
     let b_arr = ctx.register::<f64>("mm.b", padded, Layout::Block);
     ctx.sync();
     let (r0, r1) = row_span(n, p, me);
     if r0 < r1 {
-        ctx.local_write(&a_arr, r0 * n, &a.data[r0 * n..r1 * n]);
         ctx.local_write(&b_arr, r0 * n, &b.data[r0 * n..r1 * n]);
     }
     ctx.sync();
 
     let my_rows = r1 - r0;
-    let a_local =
-        if my_rows > 0 { ctx.local_read(&a_arr, r0 * n, my_rows * n) } else { Vec::new() };
+    let a_local = &a.data[r0 * n..r1 * n];
     let mut c_local = vec![0.0f64; my_rows * n];
 
     // --- p rounds: fetch B's row block from owner (me + r) mod p

@@ -6,9 +6,10 @@
 //! after the barrier — adds the offset contributed by its
 //! predecessors to each of its local values. Runs in `O(n/p + g·p)`
 //! time; its QSM communication prediction is `g(p-1)` per-processor
-//! words (the paper's Figure 1 lines).
+//! words (the paper's Figure 1 lines). No peer reads a block, so it
+//! is read in place and scanned into its part of the output (`Gather`).
 
-use qsm_core::{Ctx, Layout, Machine, RunResult};
+use qsm_core::{addr::block_range, Ctx, Layout, Machine, RunResult};
 
 use crate::analysis::{EffectiveParams, Prediction};
 use crate::collectives::Gather;
@@ -21,30 +22,27 @@ pub const SETUP_PHASES: usize = 2;
 /// synchronization).
 pub const PAPER_PHASES: usize = 1;
 
-/// The QSM program: leaves this processor's final local block in `out`.
+/// The QSM program: leaves this processor's final block in its part of `out`.
 fn program(ctx: &mut Ctx, input: &[u64], out: &Gather<'_, u64>) {
-    let n = input.len();
-    let p = ctx.nprocs();
-    let me = ctx.proc_id();
+    let (p, me) = (ctx.nprocs(), ctx.proc_id());
+    let block = &input[block_range(input.len(), p, me)];
 
-    // Setup (uncounted): registration, then input distribution.
-    let a = ctx.register::<u64>("prefix.data", n, Layout::Block);
+    // Setup (uncounted): registration, then an input distribution that
+    // moves nothing (the block is read in place).
     let sums = ctx.register::<u64>("prefix.sums", p * p, Layout::Block);
     ctx.sync();
-    let r = ctx.local_range(&a);
-    ctx.local_write(&a, r.start, &input[r.clone()]);
     ctx.sync();
 
-    // Step 1+2 (measured): local prefix sums, accumulated in place in
-    // the local window, then broadcast the block total.
+    // Step 1+2 (measured): local prefix sums, then broadcast the
+    // block total.
     let mut acc = 0u64;
-    for v in ctx.local_mut(&a) {
-        acc += *v;
-        *v = acc;
+    for (o, &v) in out.part(me).iter_mut().zip(block) {
+        acc += v;
+        *o = acc;
     }
     // Load + add + store + loop ≈ 4 machine operations per element on
     // the Table 2 node (memory-bound streaming loop).
-    ctx.charge(4 * r.len() as u64);
+    ctx.charge(4 * block.len() as u64);
     for j in 0..p {
         if j != me {
             ctx.put(&sums, j * p + me, &[acc]);
@@ -53,19 +51,16 @@ fn program(ctx: &mut Ctx, input: &[u64], out: &Gather<'_, u64>) {
     ctx.local_write(&sums, me * p + me, &[acc]);
     ctx.sync();
 
-    // Step 3 (measured): add the offset from preceding processors,
-    // again in place.
+    // Step 3 (measured): add the offset from preceding processors.
     let row = ctx.local(&sums);
     debug_assert_eq!(row.len(), p);
     let offset: u64 = row[..me].iter().sum();
     ctx.charge(p as u64);
-    for v in ctx.local_mut(&a) {
+    for v in out.part(me).iter_mut() {
         *v += offset;
     }
-    ctx.charge(3 * r.len() as u64);
+    ctx.charge(3 * block.len() as u64);
     ctx.sync();
-
-    out.write(me, ctx.local(&a));
 }
 
 /// Result of a prefix-sums run on any backend.

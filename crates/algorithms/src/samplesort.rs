@@ -10,16 +10,18 @@
 //!
 //! The run reports the two load-balance quantities of the paper's
 //! analysis: `B` (largest bucket) and `r` (largest fraction of a
-//! bucket fetched from remote contributors).
+//! bucket fetched from remote contributors). No peer reads a key before
+//! it is staged, so keys are sampled and staged from the input in place;
+//! the sorted buckets go back into `ssort.staged`, which phase 4 has read.
 
-use qsm_core::{Ctx, Layout, Machine, RunResult};
+use qsm_core::{addr::block_range, Ctx, Layout, Machine, RunResult};
 use qsm_models::chernoff::sample_sort_bucket_bound;
 use rand::Rng;
 
 use crate::analysis::{log2n, EffectiveParams, Prediction, WHP_DELTA};
 use crate::collectives::Gather;
 
-/// Number of setup phases (input registration + distribution)
+/// Number of setup phases (registration + input distribution)
 /// preceding the five measured phases.
 pub const SETUP_PHASES: usize = 2;
 
@@ -87,12 +89,11 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcO
     let me = ctx.proc_id();
     let spp = samples_per_proc(n, c);
     let sample_total = p * spp;
+    let my_range = block_range(n, p, me);
+    let local = &input[my_range.clone()];
 
-    // --- Setup (uncounted): input array. ---
-    let s = ctx.register::<u32>("ssort.data", n, Layout::Block);
+    // --- Setup (uncounted): nothing to register or distribute. ---
     ctx.sync();
-    let my_range = ctx.local_range(&s);
-    ctx.local_write(&s, my_range.start, &input[my_range.clone()]);
     ctx.sync();
 
     // --- Phase 1 (measured): register temporaries, barrier. ---
@@ -106,11 +107,11 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcO
     // --- Phase 2: sampling with replacement + broadcast. ---
     let mut my_samples = Vec::with_capacity(spp);
     for _ in 0..spp {
-        let v = if my_range.is_empty() {
+        let v = if local.is_empty() {
             0
         } else {
-            let k = ctx.rng().gen_range(0..my_range.len());
-            ctx.local(&s)[k]
+            let k = ctx.rng().gen_range(0..local.len());
+            local[k]
         };
         my_samples.push(v);
     }
@@ -137,8 +138,6 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcO
     // one binary search per element, ids saved for the scatter below
     // so no element is searched twice.
     let bucket_of = |v: u32| pivots.partition_point(|&pv| pv < v);
-    // Owned: the scatter below reads it while it holds `staged`'s window.
-    let local = ctx.local_vec(&s);
     let ids: Vec<u32> = local.iter().map(|&v| bucket_of(v) as u32).collect();
     let mut bucket_len = vec![0usize; p];
     for &b in &ids {
@@ -163,8 +162,8 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcO
         cursor[b as usize] += 1;
     }
     ctx.charge(2 * local.len() as u64);
-    // Two block-sized temporaries; the bucket takes their place.
-    drop((local, ids));
+    // A block-sized temporary; the bucket takes its place.
+    drop(ids);
 
     // Tell bucket owner i where my contribution lives.
     for i in 0..p {
@@ -202,7 +201,7 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcO
     }
     ctx.sync();
 
-    // --- Phase 5: sort the bucket, write it back into place. ---
+    // --- Phase 5: sort the bucket, write it back into `staged`. ---
     for t in tickets {
         ctx.take_into(t, &mut bucket);
     }
@@ -212,13 +211,13 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcO
     let offset: usize = ctx.local(&btotals)[..me].iter().map(|&b| b as usize).sum();
     ctx.charge(p as u64);
     if !bucket.is_empty() {
-        ctx.put(&s, offset, &bucket);
+        ctx.put(&staged, offset, &bucket);
     }
     ctx.charge(bucket.len() as u64);
     drop(bucket); // queued by value
     ctx.sync();
 
-    out.write(me, ctx.local(&s));
+    out.write(me, ctx.local(&staged));
     ProcOutcome { bucket_size, own_contribution }
 }
 

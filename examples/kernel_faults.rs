@@ -9,10 +9,14 @@
 //!
 //! A run at these sizes is as much a test of the allocator as of this
 //! code: when a kernel's time moves and its code did not, read its
-//! fault count here before believing the time. In steady state
-//! `prefix` takes one fault a page of its 64 MiB output (16 385; the
-//! workers take them, `collectives::Gather`) and `samplesort` and
-//! `listrank` take none. Linux only: elsewhere the two counters print
+//! fault count here before believing the time. `peak MiB` is the
+//! process's resident high-water mark during the run alone (`VmHWM`,
+//! reset before it), so the benchmark's `peak_rss_mb` traces to one
+//! kernel. In steady state (rounds 1–2, two-core x86-64 host) `prefix`
+//! takes one fault a page of its 64 MiB output (16 385; the workers
+//! take them, `collectives::Gather`) and sets the peak, 318.5 MiB;
+//! `samplesort` takes up to 1 k faults in round 1 and under 100 in
+//! round 2, `listrank` none. Linux only: elsewhere the counters print
 //! as `-`.
 
 use std::time::Instant;
@@ -30,12 +34,18 @@ fn minor_faults() -> Option<u64> {
     after_comm.split_whitespace().nth(10 - 3)?.parse().ok()
 }
 
-/// Resident set in MiB: `VmRSS` of `/proc/self/status`.
-fn rss_mib() -> Option<f64> {
+/// Reset this process's resident high-water mark, `VmHWM`, to its
+/// resident set now; false where the kernel does not offer that.
+fn reset_peak() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// A `/proc/self/status` line such as `VmRSS:`, in MiB.
+fn status_mib(field: &str) -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kib: f64 = status
         .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))?
+        .find_map(|l| l.strip_prefix(field))?
         .split_whitespace()
         .next()?
         .parse()
@@ -55,16 +65,20 @@ fn measure<T: PartialEq>(
     want: &[T],
     run: impl FnOnce() -> Vec<T>,
 ) {
+    let reset = reset_peak();
     let faults = minor_faults();
     let start = Instant::now();
     let got = run();
     let ms = start.elapsed().as_secs_f64() * 1e3;
     let faults = minor_faults().zip(faults).map(|(after, before)| after - before);
+    let peak = if reset { status_mib("VmHWM:") } else { None };
     assert!(got == want, "{kernel} on {backend} differs from the sequential oracle");
+    let mib = |m: Option<f64>| or_dash(m.map(|m| format!("{m:.1}")));
     println!(
-        "{round:>5} {kernel:<11} {backend:<8} {ms:>9.1} {:>13} {:>9}",
+        "{round:>5} {kernel:<11} {backend:<8} {ms:>9.1} {:>13} {:>9} {:>9}",
         or_dash(faults),
-        or_dash(rss_mib().map(|m| format!("{m:.1}")))
+        mib(peak),
+        mib(status_mib("VmRSS:"))
     );
 }
 
@@ -109,8 +123,8 @@ fn main() {
 
     println!("round 0 is the warm-up: workers spawn and the allocator's arenas grow in it\n");
     println!(
-        "{:>5} {:<11} {:<8} {:>9} {:>13} {:>9}",
-        "round", "kernel", "backend", "ms", "minor faults", "RSS MiB"
+        "{:>5} {:<11} {:<8} {:>9} {:>13} {:>9} {:>9}",
+        "round", "kernel", "backend", "ms", "minor faults", "peak MiB", "RSS MiB"
     );
     for round in 0..=2 {
         kernels(round, "sim", &sim, &inputs);
