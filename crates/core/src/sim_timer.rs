@@ -11,7 +11,7 @@
 //! simulated by [`qsm_simnet::Network`].
 
 use qsm_obs::{Recorder, Span, SpanKind};
-use qsm_simnet::barrier;
+use qsm_simnet::barrier::{self, BarrierScratch};
 use qsm_simnet::config::ExchangeOrder;
 use qsm_simnet::{
     Cycles, Delivery, FaultConfig, Injection, MachineConfig, MsgKind, NetStats, Network,
@@ -39,9 +39,10 @@ struct MsgMeta {
 
 /// Simulated-machine timer: owns the network and the global clock.
 ///
-/// All per-phase working buffers (message lists, delivery tables,
-/// receiver inboxes) are pooled on the struct and reused, so a phase
-/// of the simulation allocates nothing in steady state.
+/// All per-phase working buffers (finish and release times, message
+/// lists, delivery tables, receiver inboxes, the barrier's tokens) are
+/// pooled on the struct and reused, so a phase of the simulation
+/// allocates nothing in steady state.
 pub struct SimTimer {
     cfg: MachineConfig,
     net: Network,
@@ -54,6 +55,10 @@ pub struct SimTimer {
     /// when recording.
     prev_stats: NetStats,
     // --- pooled per-phase scratch ---
+    local_finish: Vec<Cycles>,
+    /// The phase's barrier release times, which become the next
+    /// phase's `phase_start`; then the buffer the last one was.
+    release: Vec<Cycles>,
     cpu: Vec<Cycles>,
     plan_msgs: Vec<Injection>,
     data_msgs: Vec<Injection>,
@@ -65,6 +70,7 @@ pub struct SimTimer {
     reply_deliveries: Vec<Delivery>,
     reply_inbox: Vec<Vec<usize>>,
     barrier_enter: Vec<Cycles>,
+    barrier: BarrierScratch,
     /// `(round, first msg index, one-past-last)` per non-empty data
     /// round, for [`SpanKind::ExchangeRound`] spans (full level only).
     round_bounds: Vec<(usize, usize, usize)>,
@@ -95,6 +101,8 @@ impl SimTimer {
             rec,
             phase_idx: 0,
             prev_stats: NetStats::default(),
+            local_finish: Vec::with_capacity(cfg.p),
+            release: Vec::with_capacity(cfg.p),
             cpu: Vec::with_capacity(cfg.p),
             plan_msgs: Vec::new(),
             data_msgs: Vec::new(),
@@ -106,6 +114,7 @@ impl SimTimer {
             reply_deliveries: Vec::new(),
             reply_inbox: vec![Vec::new(); cfg.p],
             barrier_enter: Vec::with_capacity(cfg.p),
+            barrier: BarrierScratch::default(),
             round_bounds: Vec::new(),
             retry: RetryScratch::default(),
             link_utils: Vec::new(),
@@ -113,15 +122,17 @@ impl SimTimer {
     }
 
     /// Simulate one full sync. `local_finish[i]` is when processor
-    /// `i`'s compute for the phase ended; returns each processor's
-    /// barrier release time, and adds the delivery protocol's resends
-    /// and losses and the bank and link queuing to `out`.
+    /// `i`'s compute for the phase ended; fills `release` with each
+    /// processor's barrier release time, and adds the delivery
+    /// protocol's resends and losses and the bank and link queuing to
+    /// `out`.
     fn simulate_exchange(
         &mut self,
         local_finish: &[Cycles],
         matrix: &CommMatrix,
         out: &mut PhasePrice,
-    ) -> Vec<Cycles> {
+        release: &mut Vec<Cycles>,
+    ) {
         let p = self.cfg.p;
         let sw = self.cfg.sw;
         self.cpu.clear();
@@ -288,11 +299,7 @@ impl SimTimer {
         for i in 0..p {
             self.barrier_enter.push(self.cpu[i].max(self.net.send_free_at(i)));
         }
-        if p > 1 {
-            barrier::dissemination(&mut self.net, &sw, &self.barrier_enter)
-        } else {
-            self.barrier_enter.clone()
-        }
+        barrier::dissemination(&mut self.net, &sw, &self.barrier_enter, release, &mut self.barrier);
     }
 
     /// Emit this phase's spans, counter samples, wire events, and
@@ -653,13 +660,17 @@ impl PhaseTimer for SimTimer {
         _arrivals: &[std::time::Instant],
     ) -> PhasePrice {
         let mut out = PhasePrice::default();
-        let local_finish: Vec<Cycles> = charged
-            .iter()
-            .zip(&self.phase_start)
-            .enumerate()
-            .map(|(i, (&ops, &start))| start + self.cfg.cpu.ops(ops) * self.cfg.cpu_factor(i))
-            .collect();
-        let release = self.simulate_exchange(&local_finish, matrix, &mut out);
+        let mut local_finish = std::mem::take(&mut self.local_finish);
+        local_finish.clear();
+        local_finish.extend(
+            charged
+                .iter()
+                .zip(&self.phase_start)
+                .enumerate()
+                .map(|(i, (&ops, &start))| start + self.cfg.cpu.ops(ops) * self.cfg.cpu_factor(i)),
+        );
+        let mut release = std::mem::take(&mut self.release);
+        self.simulate_exchange(&local_finish, matrix, &mut out, &mut release);
         let release_max = release.iter().copied().fold(Cycles::ZERO, Cycles::max);
         let compute = charged
             .iter()
@@ -689,7 +700,8 @@ impl PhaseTimer for SimTimer {
         }
         self.phase_idx += 1;
         self.prev_release_max = release_max;
-        self.phase_start = release;
+        self.local_finish = local_finish;
+        self.release = std::mem::replace(&mut self.phase_start, release);
         out.timing = PhaseTiming { elapsed, compute, comm };
         out
     }

@@ -1,7 +1,8 @@
 //! What one offered transaction costs the host in the open-loop
 //! engine: nanoseconds per offered transaction, best of five runs in
-//! one process, at each load point of the repo benchmark's two serving
-//! scenarios — the open-loop counterpart of `examples/phase_cost`.
+//! one process, and the process's resident peak over those runs, at
+//! each load point of the repo benchmark's two serving scenarios — the
+//! open-loop counterpart of `examples/phase_cost`.
 //!
 //! ```text
 //! cargo run --release -p qsm-serve --example serve_cost            # seed 0x51EED001
@@ -17,6 +18,9 @@
 //!
 //! Every machine has 4 banks a node at 12 cycles a byte. Read it in
 //! alternation with another build's: a cold process reads slow.
+//! `peak MiB` is `VmHWM` over a load point's five runs, reset before
+//! them, so the benchmark's `peak_rss_mb` traces to one load point.
+//! Linux only: elsewhere it prints as `-`.
 
 use std::time::Instant;
 
@@ -38,7 +42,22 @@ fn at_load(base: &ServiceConfig, load: f64, admission: Option<f64>) -> ServiceCo
     }
 }
 
+/// Reset this process's resident high-water mark, `VmHWM`, to its
+/// resident set now; false where the kernel does not offer that.
+fn reset_peak() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// `VmHWM` from `/proc/self/status`, in MiB.
+fn peak_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().next()?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 fn measure(label: &str, cfg: &ServiceConfig) {
+    let reset = reset_peak();
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..5 {
@@ -48,8 +67,9 @@ fn measure(label: &str, cfg: &ServiceConfig) {
         out = Some(run);
     }
     let out = out.expect("five runs");
+    let peak = reset.then(peak_mib).flatten().map_or_else(|| "-".into(), |m| format!("{m:.1}"));
     println!(
-        "{label:<26} {:>9} {:>9} {:>8} {:>8} {:>8.1}",
+        "{label:<26} {:>9} {:>9} {:>8} {:>8} {:>8.1} {peak:>8}",
         out.offered,
         out.completed,
         out.retries,
@@ -68,8 +88,8 @@ fn main() {
         }
     };
     println!(
-        "{:<26} {:>9} {:>9} {:>8} {:>8} {:>8}",
-        "scenario", "offered", "done", "retries", "rejected", "ns/txn"
+        "{:<26} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8}",
+        "scenario", "offered", "done", "retries", "rejected", "ns/txn", "peak MiB"
     );
     for (p, window_log2) in [(16, 24), (256, 19)] {
         let machine = MachineConfig::paper_default(p).with_banks(BANKS);

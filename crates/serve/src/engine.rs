@@ -10,10 +10,13 @@
 //! and banks exactly as a batch would — the pipeline arithmetic is
 //! shared, not re-derived.
 //!
-//! The timeline (`Events`) is ordered by integer keys
-//! ([`event_key`]), each computed once. The offered arrivals are known
-//! up front and sorted once, as plain `u128`s, into a stream. The
-//! sends in flight live in an [`EventQueue`]: a first request send is
+//! The timeline (`Events`) merges two streams in time order, an
+//! arrival winning a tie. The offered arrivals are known up front: they
+//! are ordered once ([`arrival::order`]) into a stream of transaction
+//! indices, 4 bytes an offered transaction, and only the next one's
+//! time is held, recomputed from its index as it comes up. The sends
+//! in flight live in an [`EventQueue`], ordered by integer keys
+//! ([`qsm_simnet::event::event_key`]): a first request send is
 //! due a constant after its arrival, so it rides one of two FIFO lanes
 //! (puts, gets) and never enters the heap; replies and retries do — a
 //! heap as deep as the machine is loaded, not as the run is long, of
@@ -49,11 +52,8 @@
 //! the drop schedule is independent of event interleaving and of how
 //! many retries any other transaction needed.
 
-use std::iter::Peekable;
-use std::vec::IntoIter;
-
 use qsm_obs::{Histogram, Recorder};
-use qsm_simnet::event::{event_key, split_key, EventQueue};
+use qsm_simnet::event::EventQueue;
 use qsm_simnet::time::Cycles;
 use qsm_simnet::{FaultConfig, Injection, MsgKind, Network};
 
@@ -100,12 +100,15 @@ enum Ev {
     Send(Send),
 }
 
-/// The engine's event timeline: the sorted arrival stream merged with
-/// the in-flight sends.
-struct Events {
-    /// `event_key(arrival, i)` of every offered transaction not yet
-    /// popped, ascending.
-    arrivals: Peekable<IntoIter<u128>>,
+/// The engine's event timeline: the arrival stream merged with the
+/// in-flight sends.
+struct Events<'c> {
+    cfg: &'c ServiceConfig,
+    /// The offered transactions after `head`, in `(arrival, i)` order
+    /// ([`arrival::order`]).
+    arrivals: std::vec::IntoIter<u32>,
+    /// The next arrival and its time.
+    head: Option<(Cycles, u32)>,
     /// Lane 0 the first sends of puts, lane 1 of gets.
     sends: EventQueue<Send>,
     /// First sends their lane did not take.
@@ -116,19 +119,25 @@ struct Events {
     txn_mismatches: u64,
 }
 
-impl Events {
-    fn new(cfg: &ServiceConfig) -> Self {
-        let mut arrivals: Vec<u128> =
-            (0..cfg.offered as u64).map(|i| event_key(arrival::arrival_time(cfg, i), i)).collect();
-        arrivals.sort_unstable();
-        Self {
-            arrivals: arrivals.into_iter().peekable(),
+impl<'c> Events<'c> {
+    fn new(cfg: &'c ServiceConfig) -> Self {
+        let mut events = Self {
+            cfg,
+            arrivals: arrival::order(cfg).into_iter(),
+            head: None,
             sends: EventQueue::with_lanes(2),
             #[cfg(test)]
             lane_misses: 0,
             #[cfg(test)]
             txn_mismatches: 0,
-        }
+        };
+        events.advance();
+        events
+    }
+
+    /// Take the next arrival into `head`.
+    fn advance(&mut self) {
+        self.head = self.arrivals.next().map(|i| (arrival::arrival_time(self.cfg, i.into()), i));
     }
 
     /// Schedule the first request send of an admitted transaction. The
@@ -146,11 +155,12 @@ impl Events {
     /// arrivals are the older events (all known before any send was
     /// scheduled), and ties break oldest first.
     fn pop(&mut self) -> Option<(Cycles, Ev)> {
-        let send = self.sends.peek_time();
-        let due = |&a: &u128| send.is_none_or(|t| split_key(a).0 <= t);
-        match self.arrivals.next_if(due).map(split_key) {
-            Some((at, i)) => Some((at, Ev::Arrive(i))),
-            None => self.sends.pop().map(|(t, send)| (t, Ev::Send(send))),
+        match self.head {
+            Some((at, i)) if self.sends.peek_time().is_none_or(|t| at <= t) => {
+                self.advance();
+                Some((at, Ev::Arrive(i.into())))
+            }
+            _ => self.sends.pop().map(|(t, send)| (t, Ev::Send(send))),
         }
     }
 }
@@ -260,7 +270,7 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
     while let Some((now, ev)) = events.pop() {
         match ev {
             Ev::Arrive(i) => {
-                // `now` is `arrival_time(cfg, i)`, decoded bit for bit.
+                // `now` is `arrival_time(cfg, i)`.
                 let t = arrival::txn_at(cfg, i, now);
                 if let Some(limit) = cfg.admission_backlog {
                     // Reject when the queues this transaction would
@@ -387,15 +397,22 @@ mod tests {
     }
 
     /// The timeline of `cfg` with every send through the heap.
-    pub(super) fn without_lanes(cfg: &ServiceConfig) -> Events {
+    pub(super) fn without_lanes(cfg: &ServiceConfig) -> Events<'_> {
         Events { sends: EventQueue::new(), ..Events::new(cfg) }
+    }
+
+    /// The arrivals `events` has yet to pop, with their times.
+    pub(super) fn arrivals_of(events: &Events) -> Vec<(Cycles, u64)> {
+        let rest =
+            events.arrivals.clone().map(|i| (arrival::arrival_time(events.cfg, i.into()), i));
+        events.head.into_iter().chain(rest).map(|(at, i)| (at, u64::from(i))).collect()
     }
 
     #[test]
     fn an_arrival_pops_before_a_send_at_the_same_instant() {
         let cfg = ServiceConfig::new(machine(4)).with_offered(3);
         let mut events = Events::new(&cfg);
-        let due: Vec<(Cycles, u64)> = events.arrivals.clone().map(split_key).collect();
+        let due = arrivals_of(&events);
         assert!(due.windows(2).all(|w| w[0] < w[1]), "the stream is sorted: {due:?}");
         // Three sends tied with the second arrival — heap, lane, heap,
         // in that order of scheduling — and one after the last arrival.
@@ -650,22 +667,30 @@ mod proptests {
             prop_assert_eq!(out.latency.count, out.completed);
         }
 
-        /// Sorting the packed keys is sorting the `(arrival, i)` pairs.
+        /// The index stream, bucketed or in one bucket (where every tie
+        /// goes through the comparison sort), is the `(arrival, i)`
+        /// pairs sorted. A subnormal window rounds most arrivals onto a
+        /// handful of instants.
         #[test]
         fn the_key_sorted_stream_is_the_tuple_sorted_stream(
             seed in any::<u64>(),
-            window in 1.0f64..1e9,
-            offered in 0usize..3_000,
+            window in (proptest::bool::ANY, 1.0f64..1e9, 1u64..64),
+            offered in (0usize..4, 0usize..3_000),
         ) {
+            let window = if window.0 { window.1 } else { f64::from_bits(window.2) };
+            let offered = [0, 1, offered.1, offered.1][offered.0];
             let cfg = ServiceConfig::new(MachineConfig::paper_default(4))
                 .with_seed(seed)
                 .with_window(window)
                 .with_offered(offered);
-            let mut pairs: Vec<(Cycles, u64)> =
-                (0..offered as u64).map(|i| (arrival::arrival_time(&cfg, i), i)).collect();
+            let at = |i: u64| (arrival::arrival_time(&cfg, i), i);
+            let mut pairs: Vec<(Cycles, u64)> = (0..offered as u64).map(at).collect();
             pairs.sort_unstable();
-            let stream: Vec<(Cycles, u64)> = Events::new(&cfg).arrivals.map(split_key).collect();
-            prop_assert_eq!(stream, pairs);
+            let stream = super::tests::arrivals_of(&Events::new(&cfg));
+            prop_assert_eq!(&stream, &pairs);
+            let one_bucket: Vec<(Cycles, u64)> =
+                arrival::order_in(&cfg, 1).into_iter().map(|i| at(i.into())).collect();
+            prop_assert_eq!(one_bucket, pairs);
         }
     }
 }

@@ -15,8 +15,9 @@
 //! * [`arrival`] — the seeded arrival process. Transaction `i` is a
 //!   pure SplitMix64 function of `(seed, i)`, so runs replay exactly
 //!   and raising the load strictly extends the transaction stream.
-//! * [`engine`] — the event-timeline engine: the arrival stream,
-//!   sorted once by integer key, merged with an
+//! * [`engine`] — the event-timeline engine: the arrival stream (4
+//!   bytes of transaction index per offered transaction, ordered once
+//!   by [`arrival::order`]), merged with an
 //!   [`qsm_simnet::event::EventQueue`] of in-flight sends (first
 //!   sends on its FIFO lanes, replies and retries in its heap) drives
 //!   the *same* staged delivery pipeline ([`qsm_simnet::Network`]) the

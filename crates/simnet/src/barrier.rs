@@ -11,45 +11,62 @@
 
 use crate::config::SoftwareConfig;
 use crate::message::{Injection, MsgKind};
-use crate::network::Network;
+use crate::network::{Delivery, Network};
 use crate::time::Cycles;
 
 /// Wire payload of one barrier token (sequence number + round).
 pub const BARRIER_TOKEN_BYTES: u64 = 8;
 
+/// The token messages and their deliveries a [`dissemination`] barrier
+/// fills, kept by a caller that runs one every phase so that none
+/// allocates.
+#[derive(Debug, Default)]
+pub struct BarrierScratch {
+    msgs: Vec<Injection>,
+    deliveries: Vec<Delivery>,
+}
+
 /// The dissemination barrier, `⌈log₂ p⌉` rounds of point-to-point
-/// tokens: given each node's arrival time at the barrier, return each
-/// node's release time. Monotone: delaying any entry never releases
-/// anyone earlier.
-pub fn dissemination(net: &mut Network, sw: &SoftwareConfig, enter: &[Cycles]) -> Vec<Cycles> {
+/// tokens: given each node's arrival time at the barrier, fill
+/// `release` with each node's release time. Monotone: delaying any
+/// entry never releases anyone earlier.
+pub fn dissemination(
+    net: &mut Network,
+    sw: &SoftwareConfig,
+    enter: &[Cycles],
+    release: &mut Vec<Cycles>,
+    scratch: &mut BarrierScratch,
+) {
     let p = net.nprocs();
     assert_eq!(enter.len(), p, "one entry time per node");
+    release.clear();
     if p == 1 {
-        return vec![enter[0]];
+        release.push(enter[0]);
+        return;
     }
     let rounds = usize::BITS as usize - (p - 1).leading_zeros() as usize; // ceil(log2 p)
     let bytes = BARRIER_TOKEN_BYTES + sw.msg_header_bytes;
-    let mut ready: Vec<Cycles> =
-        enter.iter().map(|&t| t + Cycles::new(sw.barrier_round_sw)).collect();
+    let round_sw = Cycles::new(sw.barrier_round_sw);
+    // `release[i]` is when node `i` is ready for the next round.
+    release.extend(enter.iter().map(|&t| t + round_sw));
+    let BarrierScratch { msgs, deliveries } = scratch;
     for r in 0..rounds {
         let dist = 1usize << r;
-        let msgs: Vec<Injection> = (0..p)
-            .map(|i| Injection::new(i, (i + dist) % p, bytes, ready[i], MsgKind::Barrier))
-            .collect();
-        let mut deliveries = Vec::new();
-        net.transmit_into(&msgs, &mut deliveries);
-        let mut next = vec![Cycles::ZERO; p];
-        for i in 0..p {
+        msgs.clear();
+        let token = |(i, &ready): (usize, &Cycles)| {
+            Injection::new(i, (i + dist) % p, bytes, ready, MsgKind::Barrier)
+        };
+        msgs.extend(release.iter().enumerate().map(token));
+        net.transmit_into(msgs, deliveries);
+        for (i, ready) in release.iter_mut().enumerate() {
             // Node i continues when its own token has departed and
             // the token from (i - 2^r) mod p is ingested.
             let own_depart = deliveries[i].depart;
             let from = (i + p - dist % p) % p;
             let token_visible = deliveries[from].visible;
-            next[i] = own_depart.max(token_visible) + Cycles::new(sw.barrier_round_sw);
+            *ready = own_depart.max(token_visible) + round_sw;
         }
-        ready = next;
     }
-    ready
 }
 
 #[cfg(test)]
@@ -57,13 +74,20 @@ mod tests {
     use super::*;
     use crate::config::NetConfig;
 
+    /// Each node's release from a barrier entered at `enter`.
+    fn released(net: &mut Network, sw: &SoftwareConfig, enter: &[Cycles]) -> Vec<Cycles> {
+        let mut release = Vec::new();
+        dissemination(net, sw, enter, &mut release, &mut BarrierScratch::default());
+        release
+    }
+
     /// The cost of a barrier entered by all nodes at once on an idle
     /// machine (without the plan exchange `qsm-core` adds for a full
     /// empty `sync()`).
     fn measure_barrier(net: &mut Network, sw: &SoftwareConfig) -> Cycles {
         net.reset();
         let enter = vec![Cycles::ZERO; net.nprocs()];
-        let exit = dissemination(net, sw, &enter);
+        let exit = released(net, sw, &enter);
         net.reset();
         exit.into_iter().fold(Cycles::ZERO, Cycles::max)
     }
@@ -75,7 +99,7 @@ mod tests {
     #[test]
     fn single_node_barrier_is_free() {
         let (mut net, sw) = setup(1);
-        let out = dissemination(&mut net, &sw, &[Cycles::new(42.0)]);
+        let out = released(&mut net, &sw, &[Cycles::new(42.0)]);
         assert_eq!(out, vec![Cycles::new(42.0)]);
     }
 
@@ -84,7 +108,7 @@ mod tests {
         // Correctness property of any barrier: release >= every entry.
         let (mut net, sw) = setup(8);
         let enter: Vec<Cycles> = (0..8).map(|i| Cycles::new(i as f64 * 1000.0)).collect();
-        let out = dissemination(&mut net, &sw, &enter);
+        let out = released(&mut net, &sw, &enter);
         let last_entry = Cycles::new(7000.0);
         for t in &out {
             assert!(*t >= last_entry, "{t} released before {last_entry}");
@@ -108,11 +132,11 @@ mod tests {
     #[test]
     fn delaying_one_entry_delays_release() {
         let (mut net, sw) = setup(4);
-        let base = dissemination(&mut net, &sw, &[Cycles::ZERO; 4]);
+        let base = released(&mut net, &sw, &[Cycles::ZERO; 4]);
         net.reset();
         let mut enter = vec![Cycles::ZERO; 4];
         enter[2] = Cycles::new(1e6);
-        let delayed = dissemination(&mut net, &sw, &enter);
+        let delayed = released(&mut net, &sw, &enter);
         for (b, d) in base.iter().zip(&delayed) {
             assert!(d >= b);
         }
@@ -135,7 +159,7 @@ mod tests {
     #[test]
     fn non_power_of_two_is_supported() {
         let (mut net, sw) = setup(7);
-        let out = dissemination(&mut net, &sw, &[Cycles::ZERO; 7]);
+        let out = released(&mut net, &sw, &[Cycles::ZERO; 7]);
         assert_eq!(out.len(), 7);
         // ceil(log2 7) = 3 rounds; everyone must end strictly later
         // than 3 x (latency) at the very least.
@@ -151,7 +175,7 @@ mod tests {
         // round x ceil(log2 p) rounds, all tagged MsgKind::Barrier.
         let (mut net, sw) = setup(8);
         net.enable_trace(1024);
-        dissemination(&mut net, &sw, &[Cycles::ZERO; 8]);
+        released(&mut net, &sw, &[Cycles::ZERO; 8]);
         let tr = net.take_trace().unwrap();
         assert_eq!(tr.len(), 8 * 3, "8 nodes x ceil(log2 8) rounds");
         assert!(tr.iter().all(|e| e.kind == MsgKind::Barrier));

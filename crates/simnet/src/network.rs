@@ -457,8 +457,7 @@ impl Network {
     /// message then queues FIFO at its destination bank.
     #[inline(always)]
     fn ingest_one(&mut self, m: &Injection, d: &mut Delivery) {
-        let busy = self.cfg.recv_busy(m.bytes);
-        d.visible = self.recv_free.serve(m.dst, d.arrive, busy).done;
+        d.visible = self.recv_free.serve(m.dst, d.arrive, self.cfg.recv_busy(m.bytes)).done;
         // Opt-in bank stage: after the receive engine hands the
         // message off, it queues FIFO at its destination bank. The
         // engine itself is released at ingestion (its timeline
@@ -473,7 +472,7 @@ impl Network {
             d.bank_wait = svc.start - d.visible;
             d.visible = svc.done;
         }
-        self.stats.record(m.kind, m.bytes, self.cfg.send_busy(m.bytes), busy);
+        self.stats.record(m.kind, m.bytes);
         if let Some(tr) = self.trace.as_mut() {
             tr.record(TraceEvent {
                 depart: d.depart,

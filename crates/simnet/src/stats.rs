@@ -16,10 +16,6 @@ pub struct NetStats {
     pub messages: u64,
     /// Total wire bytes moved.
     pub bytes: u64,
-    /// Cycles all senders spent busy (overhead + serialization).
-    pub send_busy: Cycles,
-    /// Cycles all receivers spent busy (overhead + ingestion).
-    pub recv_busy: Cycles,
     /// Transmissions lost to fault injection (never delivered; not
     /// counted in `messages`). Always 0 on a fault-free network.
     pub dropped: u64,
@@ -44,11 +40,9 @@ pub struct NetStats {
 impl NetStats {
     /// Record one delivered message.
     #[inline]
-    pub fn record(&mut self, kind: MsgKind, bytes: u64, send_busy: Cycles, recv_busy: Cycles) {
+    pub fn record(&mut self, kind: MsgKind, bytes: u64) {
         self.messages += 1;
         self.bytes += bytes;
-        self.send_busy += send_busy;
-        self.recv_busy += recv_busy;
         self.by_kind[kind.index()] += 1;
         self.bytes_by_kind[kind.index()] += bytes;
     }
@@ -98,9 +92,9 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut s = NetStats::default();
-        s.record(MsgKind::PutData, 100, Cycles::new(10.0), Cycles::new(20.0));
-        s.record(MsgKind::PutData, 50, Cycles::new(5.0), Cycles::new(5.0));
-        s.record(MsgKind::Barrier, 8, Cycles::new(1.0), Cycles::new(1.0));
+        s.record(MsgKind::PutData, 100);
+        s.record(MsgKind::PutData, 50);
+        s.record(MsgKind::Barrier, 8);
         assert_eq!(s.messages, 3);
         assert_eq!(s.bytes, 158);
         assert_eq!(s.count(MsgKind::PutData), 2);
@@ -108,15 +102,13 @@ mod tests {
         assert_eq!(s.count(MsgKind::GetReply), 0);
         assert_eq!(s.bytes_of(MsgKind::PutData), 150);
         assert_eq!(s.bytes_of(MsgKind::Barrier), 8);
-        assert_eq!(s.send_busy.get(), 16.0);
-        assert_eq!(s.recv_busy.get(), 26.0);
     }
 
     #[test]
     fn by_kind_iterates_in_declaration_order_skipping_empty() {
         let mut s = NetStats::default();
-        s.record(MsgKind::Barrier, 8, Cycles::ZERO, Cycles::ZERO);
-        s.record(MsgKind::PutData, 100, Cycles::ZERO, Cycles::ZERO);
+        s.record(MsgKind::Barrier, 8);
+        s.record(MsgKind::PutData, 100);
         let rows: Vec<_> = s.by_kind().collect();
         assert_eq!(rows, vec![(MsgKind::PutData, 1, 100), (MsgKind::Barrier, 1, 8)]);
     }
@@ -124,7 +116,7 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let mut s = NetStats::default();
-        s.record(MsgKind::Other, 1, Cycles::ZERO, Cycles::ZERO);
+        s.record(MsgKind::Other, 1);
         s.clear();
         assert_eq!(s, NetStats::default());
     }
