@@ -8,9 +8,9 @@
 //! through the same four-stage pipeline:
 //!
 //! 1. **plan** — validate collective calls and gather the metering:
-//!    the `p` published rows copied into the [`CommMatrix`] (the leader
-//!    walks dirty pairs, never operations) and the per-processor
-//!    counters summed from it.
+//!    the per-processor counters summed off the [`CommMatrix`], a view
+//!    over the `p` published rows (the leader walks dirty pairs, never
+//!    operations, and copies no row).
 //! 2. **exchange** — each worker serves its own gets from the peers'
 //!    frozen stores (the pre-put state), sweeps the runs bound for its
 //!    own block for κ and read/write conflicts ([`OwnerKappa`]), and
@@ -18,7 +18,7 @@
 //!    then issue order). Workers own their memory throughout, so this
 //!    stage lives in `crate::spmd`, between and after the barriers.
 //! 3. **price** — ask the backend's [`PhaseTimer`] what the phase
-//!    cost on the simulated (or real) machine.
+//!    cost on the simulated (or real) machine, given the same view.
 //! 4. **record** — emit observability spans/metrics and assemble the
 //!    [`PhaseRecord`] for the cost models.
 //!
@@ -35,7 +35,7 @@ use qsm_simnet::Cycles;
 
 use crate::addr::ArrayId;
 use crate::machine::PhaseTimer;
-use crate::ops::{Outbox, Run};
+use crate::ops::Run;
 use crate::shmem::LocalStore;
 use crate::spmd::Slot;
 
@@ -64,149 +64,97 @@ impl PairTraffic {
     }
 }
 
-/// The per-phase (source, cost-owner) traffic matrix.
-///
-/// Maintains a dirty-pair list: [`CommMatrix::at_mut`] records each
-/// cell the first time it is borrowed mutably, so emptiness checks,
-/// whole-phase scans ([`CommMatrix::for_each_dirty`]) and
-/// [`CommMatrix::clear`] touch only the pairs a phase actually used
-/// instead of all `p²` cells. Most phases of real programs touch
-/// O(p) pairs.
-#[derive(Debug, Clone)]
-pub struct CommMatrix {
-    p: usize,
-    pairs: Vec<PairTraffic>,
-    touched: Vec<bool>,
-    dirty: Vec<u32>,
-    /// Optional per-bank refinement (enabled only when the backend's
-    /// machine models destination banks).
-    bank: Option<BankLayer>,
-}
+/// What a pair, or one bank of it, reads when its source queued
+/// nothing there.
+static NO_TRAFFIC: PairTraffic = PairTraffic {
+    put_items: 0,
+    put_words: 0,
+    put_payload_bytes: 0,
+    get_items: 0,
+    get_words: 0,
+    get_reply_payload_bytes: 0,
+};
 
-/// Per-bank refinement of the traffic matrix: one [`PairTraffic`]
-/// cell per `(src, dst, bank)`, with its own dirty list. Allocated
-/// only when a bank model is enabled, so bank-free runs pay nothing.
-#[derive(Debug, Clone)]
-struct BankLayer {
+/// The per-phase (source, cost-owner) traffic matrix: a read-only view
+/// over the rows the processors metered into their published outboxes
+/// as they queued (`crate::ops`), row `src` in processor `src`'s. A
+/// row is `banks + 1` cells an owner — the pair's total, then one per
+/// bank — and one that queued nothing reads zero. Each row lists its
+/// non-empty cells, so emptiness checks and whole-phase scans
+/// ([`CommMatrix::for_each_dirty`]) touch only the pairs a phase
+/// actually used instead of all `p²` cells. Most phases of real
+/// programs touch O(p) pairs.
+#[derive(Clone)]
+pub struct CommMatrix<'a> {
+    rows: &'a [Slot],
+    /// Banks per node the rows meter (0: no bank cells).
     banks: usize,
-    cells: Vec<PairTraffic>,
-    touched: Vec<bool>,
-    dirty: Vec<u32>,
 }
 
-impl CommMatrix {
-    /// An empty matrix for `p` processors.
-    pub fn new(p: usize) -> Self {
-        Self {
-            p,
-            pairs: vec![PairTraffic::default(); p * p],
-            touched: vec![false; p * p],
-            dirty: Vec::new(),
-            bank: None,
-        }
+impl<'a> CommMatrix<'a> {
+    /// The traffic `rows` published, metered for `banks` banks per
+    /// node; no rows at all is a phase that moved nothing.
+    pub(crate) fn new(rows: &'a [Slot], banks: usize) -> Self {
+        Self { rows, banks }
     }
 
-    /// Processor count.
-    pub fn nprocs(&self) -> usize {
-        self.p
+    fn cell(&self, src: usize, idx: usize) -> &'a PairTraffic {
+        self.rows[src].outbox().cells.get(idx).unwrap_or(&NO_TRAFFIC)
     }
 
     /// Traffic from `src` to owner `dst`.
-    pub fn at(&self, src: usize, dst: usize) -> &PairTraffic {
-        &self.pairs[src * self.p + dst]
-    }
-
-    /// Mutable traffic cell; marks the pair dirty.
-    pub fn at_mut(&mut self, src: usize, dst: usize) -> &mut PairTraffic {
-        let idx = src * self.p + dst;
-        if !self.touched[idx] {
-            self.touched[idx] = true;
-            self.dirty.push(idx as u32);
-        }
-        &mut self.pairs[idx]
+    pub fn at(&self, src: usize, dst: usize) -> &'a PairTraffic {
+        self.cell(src, dst * (self.banks + 1))
     }
 
     /// True when the whole phase moved no data. Scans only the dirty
-    /// pairs, so an untouched matrix answers in O(1).
+    /// cells, so a phase that queued nothing answers in O(p).
     pub fn is_empty(&self) -> bool {
-        self.dirty.iter().all(|&idx| self.pairs[idx as usize].is_empty())
+        self.dirty().all(|(_, _, _, c)| c.is_empty())
+    }
+
+    /// Every non-empty cell, `(src, dst, bank, traffic)`, source by
+    /// source and within a row in first-touch order; a pair's total
+    /// has no bank.
+    fn dirty(&self) -> impl Iterator<Item = (usize, usize, Option<usize>, &'a PairTraffic)> {
+        self.rows.iter().enumerate().flat_map(|(src, slot)| {
+            slot.outbox().cells().map(move |(dst, bank, c)| (src, dst, bank, c))
+        })
     }
 
     /// Visit every dirty `(src, dst, traffic)` cell. Visit order is
-    /// first-touch order, which varies with program structure — use
-    /// only for order-insensitive accumulation; ordered consumers
-    /// (the exchange simulation) must index with [`CommMatrix::at`].
+    /// source-major and first-touch within a row, which varies with
+    /// program structure — use only for order-insensitive
+    /// accumulation; ordered consumers (the exchange simulation) must
+    /// index with [`CommMatrix::at`].
     pub fn for_each_dirty(&self, mut visit: impl FnMut(usize, usize, &PairTraffic)) {
-        for &idx in &self.dirty {
-            let idx = idx as usize;
-            visit(idx / self.p, idx % self.p, &self.pairs[idx]);
-        }
-    }
-
-    /// Reset to the empty matrix, clearing only dirty cells.
-    pub fn clear(&mut self) {
-        for &idx in &self.dirty {
-            self.pairs[idx as usize] = PairTraffic::default();
-            self.touched[idx as usize] = false;
-        }
-        self.dirty.clear();
-        if let Some(layer) = &mut self.bank {
-            for &idx in &layer.dirty {
-                layer.cells[idx as usize] = PairTraffic::default();
-                layer.touched[idx as usize] = false;
+        for (src, dst, bank, c) in self.dirty() {
+            if bank.is_none() {
+                visit(src, dst, c);
             }
-            layer.dirty.clear();
         }
     }
 
-    /// Switch on the per-bank refinement with `banks` banks per node
-    /// (idempotent; reallocates only when the count changes).
-    pub fn enable_banks(&mut self, banks: usize) {
-        assert!(banks >= 1);
-        if self.bank.as_ref().is_some_and(|l| l.banks == banks) {
-            return;
-        }
-        let n = self.p * self.p * banks;
-        self.bank = Some(BankLayer {
-            banks,
-            cells: vec![PairTraffic::default(); n],
-            touched: vec![false; n],
-            dirty: Vec::new(),
-        });
-    }
-
-    /// Banks per node of the enabled refinement (0 when disabled).
+    /// Banks per node the rows meter (0 when the machine models none).
     pub fn banks(&self) -> usize {
-        self.bank.as_ref().map_or(0, |l| l.banks)
+        self.banks
     }
 
-    /// Traffic from `src` to bank `bank` of owner `dst` (requires an
-    /// enabled bank layer).
-    pub fn at_bank(&self, src: usize, dst: usize, bank: usize) -> &PairTraffic {
-        let layer = self.bank.as_ref().expect("bank layer not enabled");
-        &layer.cells[(src * self.p + dst) * layer.banks + bank]
+    /// Traffic from `src` to bank `bank` of owner `dst` (requires a
+    /// bank model).
+    pub fn at_bank(&self, src: usize, dst: usize, bank: usize) -> &'a PairTraffic {
+        assert!(bank < self.banks, "bank {bank} of a matrix metering {} banks", self.banks);
+        self.cell(src, dst * (self.banks + 1) + 1 + bank)
     }
 
-    /// Mutable per-bank traffic cell; marks it dirty.
-    pub fn at_bank_mut(&mut self, src: usize, dst: usize, bank: usize) -> &mut PairTraffic {
-        let layer = self.bank.as_mut().expect("bank layer not enabled");
-        let idx = (src * self.p + dst) * layer.banks + bank;
-        if !layer.touched[idx] {
-            layer.touched[idx] = true;
-            layer.dirty.push(idx as u32);
-        }
-        &mut layer.cells[idx]
-    }
-
-    /// Visit every dirty `(src, dst, bank, traffic)` cell of the bank
-    /// layer, in first-touch order (order-insensitive accumulation
-    /// only). No-op when the layer is disabled.
+    /// Visit every dirty `(src, dst, bank, traffic)` cell of the banks,
+    /// in the order of [`CommMatrix::for_each_dirty`]
+    /// (order-insensitive accumulation only). No-op without a bank
+    /// model.
     pub fn for_each_dirty_bank(&self, mut visit: impl FnMut(usize, usize, usize, &PairTraffic)) {
-        if let Some(layer) = &self.bank {
-            for &idx in &layer.dirty {
-                let idx = idx as usize;
-                let pair = idx / layer.banks;
-                visit(pair / self.p, pair % self.p, idx % layer.banks, &layer.cells[idx]);
+        for (src, dst, bank, c) in self.dirty() {
+            if let Some(bank) = bank {
+                visit(src, dst, bank, c);
             }
         }
     }
@@ -395,11 +343,11 @@ impl OwnerKappa {
 /// The driver's persistent state across phases.
 ///
 /// All per-phase working storage lives here and is reused from phase
-/// to phase: the metering scratch (matrix, counters) is cleared, not
-/// reallocated. In steady state the stages allocate nothing beyond
-/// the plan's (usually empty) unregistration list. Array metadata
-/// stays with the workers, who meter and sweep; the leader only keeps
-/// count.
+/// to phase: the per-processor counters are cleared, not reallocated
+/// (the traffic matrix is the workers' own rows). In steady state the
+/// stages allocate nothing beyond the plan's (usually empty)
+/// unregistration list. Array metadata stays with the workers, who
+/// meter and sweep; the leader only keeps count.
 pub(crate) struct Driver {
     p: usize,
     /// Dense by `ArrayId.0` (ids are sequential): registered and not
@@ -412,7 +360,6 @@ pub(crate) struct Driver {
     now: Cycles,
     phase_idx: u64,
     // --- pooled per-phase scratch ---
-    matrix: CommMatrix,
     m_rw: Vec<u64>,
     h_in_words: Vec<u64>,
     h_out_words: Vec<u64>,
@@ -454,7 +401,6 @@ impl Driver {
             rec,
             now: Cycles::ZERO,
             phase_idx: 0,
-            matrix: CommMatrix::new(p),
             m_rw: vec![0; p],
             h_in_words: vec![0; p],
             h_out_words: vec![0; p],
@@ -470,33 +416,21 @@ impl Driver {
 
     /// Once-per-run initialization: switch on bank metering when the
     /// backend's machine models destination banks, so bank-free runs
-    /// never touch the layer. The engine calls this before the first
+    /// meter no bank cells. The engine calls this before the first
     /// phase.
     pub(crate) fn begin_run(&mut self, timer: &dyn PhaseTimer) {
         if let Some(bm) = timer.bank_model() {
             self.banks = bm.banks_per_node;
-            self.matrix.enable_banks(self.banks);
             self.bank_load = vec![0; self.p * self.banks];
         }
         self.links = timer.link_count();
     }
 
-    /// Copy processor `src`'s published row into the traffic matrix.
-    fn merge_row(&mut self, src: usize, outbox: &Outbox) {
-        for (dst, bank, cell) in outbox.cells() {
-            *match bank {
-                None => self.matrix.at_mut(src, dst),
-                Some(bank) => self.matrix.at_bank_mut(src, dst, bank),
-            } = *cell;
-        }
-        self.m_rw[src] = outbox.m_rw;
-    }
-
     /// **Stage 1 — plan.** Validate collective registration calls and
-    /// gather the metering the workers did as they queued: their rows
-    /// of the traffic matrix, then the per-processor h/message counters
-    /// and bank-κ off it. No data moves yet. `inputs` is indexed by
-    /// processor id.
+    /// gather the metering the workers did as they queued: the
+    /// per-processor h/message counters and bank-κ off their rows of
+    /// the traffic matrix, read where they were published. No data
+    /// moves yet. `inputs` is indexed by processor id.
     pub(crate) fn plan_stage(&mut self, inputs: &[Slot]) -> PhasePlan {
         let this = &mut *self;
         let p = this.p;
@@ -523,11 +457,11 @@ impl Driver {
             );
         }
 
-        // --- Metering: the workers' rows, then per-proc counters ---
-        debug_assert!(this.matrix.is_empty());
+        // --- Metering: per-proc counters off the workers' rows ---
         let banks = this.banks;
-        for (src, input) in inputs.iter().enumerate() {
-            this.merge_row(src, input.outbox());
+        let matrix = CommMatrix::new(inputs, banks);
+        for (m_rw, input) in this.m_rw.iter_mut().zip(inputs) {
+            *m_rw = input.outbox().m_rw;
         }
 
         // h and message counts from the matrix; only dirty pairs
@@ -538,7 +472,7 @@ impl Driver {
             let data_msgs_by = &mut this.data_msgs_by;
             let h_in_words = &mut this.h_in_words;
             let h_out_words = &mut this.h_out_words;
-            this.matrix.for_each_dirty(|src, dst, c| {
+            matrix.for_each_dirty(|src, dst, c| {
                 if c.put_items > 0 {
                     data_msgs_by[src] += 1;
                     data_msgs += 1;
@@ -564,7 +498,7 @@ impl Driver {
         if banks > 0 {
             let load = &mut this.bank_load;
             let touched = &mut this.bank_load_touched;
-            this.matrix.for_each_dirty_bank(|_src, dst, bank, c| {
+            matrix.for_each_dirty_bank(|_src, dst, bank, c| {
                 let words = c.put_words + c.get_words;
                 if words > 0 {
                     let idx = dst * banks + bank;
@@ -596,7 +530,7 @@ impl Driver {
         self.charged.extend(inputs.iter().map(Slot::charged));
         self.arrivals.clear();
         self.arrivals.extend(inputs.iter().map(Slot::arrived));
-        timer.price(&self.charged, &self.matrix, &self.arrivals)
+        timer.price(&self.charged, &CommMatrix::new(inputs, self.banks), &self.arrivals)
     }
 
     /// **Stage 4 — record.** Emit observability counters/spans and
@@ -697,7 +631,7 @@ impl Driver {
         for id in &plan.unregs {
             self.live[id.0 as usize] = false;
         }
-        self.matrix.clear(); // `m_rw` is overwritten whole by the next merge
+        // `m_rw` is overwritten whole by the next plan.
         self.h_in_words.fill(0);
         self.h_out_words.fill(0);
         self.data_msgs_by.fill(0);
@@ -711,6 +645,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::ops::Outbox;
     use crate::shmem::{ArrayInfo, Registration};
 
     /// Whole access ranges of one array, `(start, len)`: what the
@@ -870,6 +805,13 @@ mod tests {
         len: usize,
     }
 
+    /// A dense traffic matrix, a row per source: `pairs[src][dst]`
+    /// and `banked[src][dst * banks + bank]`.
+    struct Dense {
+        pairs: Vec<Vec<PairTraffic>>,
+        banked: Vec<Vec<PairTraffic>>,
+    }
+
     /// The plan stage's metering as it was while the leader walked
     /// every queued operation — the per-op loops, kept verbatim as the
     /// oracle for rows metered at the sender and κ swept at the owner:
@@ -879,11 +821,11 @@ mod tests {
         banks: usize,
         infos: &[ArrayInfo],
         ops: &[FlatOp],
-    ) -> (CommMatrix, Vec<u64>, Vec<AccessRanges>) {
-        let mut matrix = CommMatrix::new(p);
-        if banks > 0 {
-            matrix.enable_banks(banks);
-        }
+    ) -> (Dense, Vec<u64>, Vec<AccessRanges>) {
+        let mut matrix = Dense {
+            pairs: vec![vec![PairTraffic::default(); p]; p],
+            banked: vec![vec![PairTraffic::default(); p * banks]; p],
+        };
         let mut m_rw = vec![0u64; p];
         let mut accesses: Vec<AccessRanges> =
             infos.iter().map(|_| AccessRanges::default()).collect();
@@ -911,7 +853,7 @@ mod tests {
                 op.start,
                 op.len,
                 |owner, s, l| {
-                    add(matrix.at_mut(src, owner), l);
+                    add(&mut matrix.pairs[src][owner], l);
                     if banks > 0 {
                         crate::addr::for_each_bank_run(
                             info.layout,
@@ -919,7 +861,7 @@ mod tests {
                             banks,
                             s,
                             l,
-                            |bank, cnt| add(matrix.at_bank_mut(src, owner, bank), cnt),
+                            |bank, cnt| add(&mut matrix.banked[src][owner * banks + bank], cnt),
                         );
                     }
                 },
@@ -929,19 +871,17 @@ mod tests {
         (matrix, m_rw, accesses)
     }
 
-    /// Totals of a traffic matrix, cell by cell over all of it:
-    /// `(data_msgs, payload_bytes, bank_kappa)`.
-    fn totals(m: &CommMatrix) -> (u64, u64, u64) {
-        let (p, banks) = (m.nprocs(), m.banks());
+    /// Totals of a dense traffic matrix of `banks` banks, cell by cell
+    /// over all of it: `(data_msgs, payload_bytes, bank_kappa)`.
+    fn totals(m: &Dense, banks: usize) -> (u64, u64, u64) {
+        let p = m.pairs.len();
         let (mut msgs, mut bytes, mut bank_kappa) = (0, 0, 0);
-        for (src, dst) in (0..p).flat_map(|src| (0..p).map(move |dst| (src, dst))) {
-            let c = m.at(src, dst);
+        for c in m.pairs.iter().flatten() {
             msgs += u64::from(c.put_items > 0) + 2 * u64::from(c.get_items > 0);
             bytes += c.put_payload_bytes + c.get_reply_payload_bytes;
         }
-        for (dst, bank) in (0..p).flat_map(|dst| (0..banks).map(move |bank| (dst, bank))) {
-            let load =
-                (0..p).map(|src| m.at_bank(src, dst, bank)).map(|c| c.put_words + c.get_words);
+        for cell in 0..p * banks {
+            let load = m.banked.iter().map(|row| row[cell]).map(|c| c.put_words + c.get_words);
             bank_kappa = bank_kappa.max(load.sum());
         }
         (msgs, bytes, bank_kappa)
@@ -950,8 +890,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Rows metered at the sender and merged by the leader, and the
-        /// maximum of the owners' sweeps, against the flat-list oracle.
+        /// Rows metered at the sender and read in place by the leader,
+        /// and the maximum of the owners' sweeps, against the flat-list
+        /// oracle.
         /// Arrays are `(hashed, 8-byte, len)` and short, so a range of
         /// up to 8 spans up to four of 16 owners, and duplicates and
         /// read/write overlaps are common; an op is `(src, array, put,
@@ -1006,25 +947,27 @@ mod tests {
                     outcome(|| sweep.sweep(&store))
                 })
                 .collect();
-            // The leader: merges the rows.
+            // The leader: reads the rows where they were published.
             let mut driver = Driver::new(p, Recorder::disabled());
             if banks > 0 {
                 driver.banks = banks;
-                driver.matrix.enable_banks(banks);
                 driver.bank_load = vec![0; p * banks];
             }
             let slots: Vec<Slot> = outboxes.into_iter().map(Slot::publishing).collect();
             let plan = driver.plan_stage(&slots);
 
+            let matrix = CommMatrix::new(&slots, banks);
             for (src, dst) in (0..p).flat_map(|src| (0..p).map(move |dst| (src, dst))) {
-                prop_assert_eq!(driver.matrix.at(src, dst), want.at(src, dst), "{}->{}", src, dst);
+                prop_assert_eq!(matrix.at(src, dst), &want.pairs[src][dst], "{}->{}", src, dst);
                 for bank in 0..banks {
-                    let (got, want) = (driver.matrix.at_bank(src, dst, bank), want.at_bank(src, dst, bank));
+                    let want = &want.banked[src][dst * banks + bank];
+                    let got = matrix.at_bank(src, dst, bank);
                     prop_assert_eq!(got, want, "{}->{} bank {}", src, dst, bank);
                 }
             }
             prop_assert_eq!(&driver.m_rw, &want_m_rw);
-            prop_assert_eq!((plan.data_msgs, plan.payload_bytes, plan.bank_kappa), totals(&want));
+            let totals = totals(&want, banks);
+            prop_assert_eq!((plan.data_msgs, plan.payload_bytes, plan.bank_kappa), totals);
 
             // The flat sweep, array by array over whole ranges, as the
             // leader ran it: its κ is the owners' maximum, and it stops
@@ -1062,57 +1005,103 @@ mod tests {
         }
     }
 
+    /// A phase over p = 3 with 2 banks, as its processors published it:
+    /// blocks of 6 are 0..2, 2..4 and 4..6, and the bank of index i is
+    /// i % 2. Processor 1 queues nothing; the rows in `cleared` are
+    /// emptied for reuse before they are published.
+    fn published_rows(cleared: &[usize]) -> Vec<Slot> {
+        let (p, banks) = (3, 2);
+        let reg =
+            Registration { name: "a".into(), len: 6, elem_bytes: 4, layout: crate::Layout::Block };
+        let a = ArrayInfo::new(ArrayId(0), reg, p);
+        let mut outboxes: Vec<Outbox> = (0..p).map(|_| Outbox::new(p, banks)).collect();
+        outboxes[0].get(&a, 5, 1, 0);
+        outboxes[0].put(&a, 1, &[7u32]);
+        outboxes[2].put(&a, 2, &[1u32, 2, 3]);
+        for &src in cleared {
+            outboxes[src].clear();
+        }
+        outboxes.into_iter().map(Slot::publishing).collect()
+    }
+
+    fn put_traffic(n: u64) -> PairTraffic {
+        PairTraffic {
+            put_items: n,
+            put_words: n,
+            put_payload_bytes: 4 * n,
+            ..PairTraffic::default()
+        }
+    }
+
+    fn get_traffic() -> PairTraffic {
+        PairTraffic {
+            get_items: 1,
+            get_words: 1,
+            get_reply_payload_bytes: 4,
+            ..PairTraffic::default()
+        }
+    }
+
+    /// The view reads each source's published row in place: the cells
+    /// its puts and gets metered, and zero where a row queued nothing.
     #[test]
     fn comm_matrix_indexing() {
-        let mut m = CommMatrix::new(3);
-        assert!(m.is_empty());
-        m.at_mut(1, 2).put_items = 4;
-        assert_eq!(m.at(1, 2).put_items, 4);
-        assert_eq!(m.at(2, 1).put_items, 0);
+        let slots = published_rows(&[]);
+        let m = CommMatrix::new(&slots, 2);
+        let (put, get) = (put_traffic, get_traffic());
+        assert_eq!((m.at(0, 2), m.at_bank(0, 2, 1)), (&get, &get));
+        assert_eq!(
+            (m.at(0, 0), m.at_bank(0, 0, 1), m.at_bank(0, 0, 0)),
+            (&put(1), &put(1), &PairTraffic::default())
+        );
+        assert_eq!(
+            (m.at(2, 1), m.at_bank(2, 1, 0), m.at_bank(2, 1, 1)),
+            (&put(2), &put(1), &put(1))
+        );
+        assert_eq!(m.at(2, 2), &put(1));
+        // Processor 1 queued nothing: its row was never sized.
+        assert!((0..3).all(|dst| m.at(1, dst).is_empty() && m.at_bank(1, dst, 1).is_empty()));
         assert!(!m.is_empty());
-        assert_eq!(m.nprocs(), 3);
+        assert!(CommMatrix::new(&[], 0).is_empty(), "no rows: a phase that moved nothing");
     }
 
+    /// The dirty walk visits the pair totals source by source, each row
+    /// in first-touch order; a row cleared for reuse reads zero and
+    /// drops out of it.
     #[test]
     fn comm_matrix_dirty_list_tracks_and_clears() {
-        let mut m = CommMatrix::new(4);
-        m.at_mut(0, 3).put_items = 1;
-        m.at_mut(2, 1).get_items = 2;
-        m.at_mut(0, 3).put_words = 7; // second borrow must not duplicate
-        let mut seen = Vec::new();
-        m.for_each_dirty(|s, d, c| seen.push((s, d, c.put_items, c.get_items)));
-        assert_eq!(seen, vec![(0, 3, 1, 0), (2, 1, 0, 2)]);
-        m.clear();
-        assert!(m.is_empty());
-        let mut count = 0;
-        m.for_each_dirty(|_, _, _| count += 1);
-        assert_eq!(count, 0);
-        assert_eq!(m.at(0, 3), &PairTraffic::default());
-        // A touched-but-empty cell still reads as empty overall.
-        let _ = m.at_mut(1, 1);
-        assert!(m.is_empty());
+        let totals = |cleared: &[usize]| {
+            let slots = published_rows(cleared);
+            let m = CommMatrix::new(&slots, 2);
+            let mut seen = Vec::new();
+            m.for_each_dirty(|src, dst, c| seen.push((src, dst, c.put_items + c.get_items)));
+            let row0_zero = (0..3).all(|dst| m.at(0, dst).is_empty());
+            (seen, row0_zero, m.is_empty())
+        };
+        assert_eq!(totals(&[]), (vec![(0, 2, 1), (0, 0, 1), (2, 1, 2), (2, 2, 1)], false, false));
+        assert_eq!(totals(&[0]), (vec![(2, 1, 2), (2, 2, 1)], true, false));
+        assert_eq!(totals(&[0, 2]), (vec![], true, true));
     }
 
+    /// The bank cells walk in the order of the pair totals, bank by
+    /// bank within a pair; a row cleared for reuse leaves no bank cell.
     #[test]
     fn comm_matrix_bank_layer_tracks_and_clears() {
-        let mut m = CommMatrix::new(2);
-        assert_eq!(m.banks(), 0);
-        m.enable_banks(4);
-        assert_eq!(m.banks(), 4);
-        m.at_bank_mut(0, 1, 2).put_words = 5;
-        m.at_bank_mut(1, 0, 0).get_words = 3;
-        m.at_bank_mut(0, 1, 2).put_items = 5; // second borrow: no dup
-        assert_eq!(m.at_bank(0, 1, 2).put_words, 5);
-        let mut seen = Vec::new();
-        m.for_each_dirty_bank(|s, d, b, c| seen.push((s, d, b, c.put_words + c.get_words)));
-        assert_eq!(seen, vec![(0, 1, 2, 5), (1, 0, 0, 3)]);
-        m.clear();
-        assert_eq!(m.at_bank(0, 1, 2), &PairTraffic::default());
-        let mut n = 0;
-        m.for_each_dirty_bank(|_, _, _, _| n += 1);
-        assert_eq!(n, 0);
-        // Re-enabling at the same count is a no-op.
-        m.enable_banks(4);
-        assert_eq!(m.banks(), 4);
+        let banked = |cleared: &[usize]| {
+            let slots = published_rows(cleared);
+            let m = CommMatrix::new(&slots, 2);
+            let mut seen = Vec::new();
+            m.for_each_dirty_bank(|src, dst, bank, c| {
+                seen.push((src, dst, bank, c.put_words + c.get_words))
+            });
+            let row2_zero = (0..3).all(|dst| (0..2).all(|b| m.at_bank(2, dst, b).is_empty()));
+            (seen, row2_zero)
+        };
+        assert_eq!(
+            banked(&[]),
+            (vec![(0, 2, 1, 1), (0, 0, 1, 1), (2, 1, 0, 1), (2, 1, 1, 1), (2, 2, 0, 1)], false)
+        );
+        assert_eq!(banked(&[2]), (vec![(0, 2, 1, 1), (0, 0, 1, 1)], true));
+        assert_eq!(banked(&[0, 2]), (vec![], true));
     }
 }

@@ -42,10 +42,12 @@ pub trait PhaseTimer: Send {
     /// the exchange moved, and `arrivals[i]` the host instant at
     /// which processor `i` entered `sync()` (wall-clock backends
     /// split compute from communication with it; simulated backends
-    /// ignore it). `arrivals` may be empty in unit-test harnesses
-    /// that drive a timer directly. Returns everything the backend
-    /// knows about the phase: its timing, plus the fault, bank and
-    /// link counters of backends that simulate them.
+    /// ignore it). `arrivals` is empty when no run is behind the
+    /// phase: every [`Machine::make_report`] prices an empty `sync()`
+    /// that way ([`SimMachine::empty_sync_cost`]), as do unit tests.
+    /// Returns everything the backend knows about the phase: its
+    /// timing, plus the fault, bank and link counters of backends
+    /// that simulate them.
     fn price(&mut self, charged: &[u64], matrix: &CommMatrix, arrivals: &[Instant]) -> PhasePrice;
 
     /// The destination-bank model this backend's machine is
@@ -66,13 +68,12 @@ pub trait PhaseTimer: Send {
     }
 
     /// Opt in to per-worker span capture. The engine calls this once
-    /// per run when full-level observability is on; a timer
-    /// that returns the run's epoch instant takes over the timeline
-    /// (workers then emit their own compute / barrier / serve / apply
-    /// spans against it, and the timer must stop emitting its
-    /// coarser per-processor spans to avoid double-covering lanes).
-    /// The default — and the simulated backend's behavior — is `None`:
-    /// no worker-side capture.
+    /// per run when full-level observability is on; a timer that
+    /// returns the run's epoch instant hands the processor lanes to
+    /// the workers, which emit their own compute / barrier / serve /
+    /// apply spans against it (so an opting-in timer emits no
+    /// per-processor span of its own). The default — and the simulated
+    /// backend's behavior — is `None`: no worker-side capture.
     fn spmd_span_epoch(&mut self) -> Option<Instant> {
         None
     }

@@ -15,7 +15,8 @@
 //! arena for a put, the phase's result arena of `crate::ctx` for a
 //! get), so at `sync()` the requester serves its gets from its own
 //! buckets, an owner sweeps (κ) and applies only the buckets addressed
-//! to it, and the leader copies rows; nobody walks a flat list.
+//! to it, and the leader reads the rows where they lie; nobody walks a
+//! flat list.
 
 use std::marker::PhantomData;
 
@@ -72,9 +73,9 @@ pub(crate) struct Outbox {
     pub(crate) payload: Vec<u64>,
     /// This processor's row of the traffic matrix by *cost* owner (all
     /// the metering a `Hashed` array needs too), `banks + 1` cells an
-    /// owner: the pair's total, then one per bank. `dirty` lists the
-    /// non-empty cells.
-    cells: Vec<PairTraffic>,
+    /// owner: the pair's total, then one per bank; empty until the
+    /// first operation. `dirty` lists the non-empty cells.
+    pub(crate) cells: Vec<PairTraffic>,
     dirty: Vec<u32>,
     /// 4-byte words this processor read or wrote (the `m_rw` term).
     pub(crate) m_rw: u64,
@@ -214,6 +215,20 @@ impl<T: Word> GetTicket<T> {
     /// True when the get was empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+#[cfg(test)]
+impl Outbox {
+    /// Set the cell of owner `dst` — its bank `bank`, or the pair's
+    /// total — to `traffic`, as if queuing had metered it so.
+    pub(crate) fn meter_cell(&mut self, dst: usize, bank: Option<usize>, traffic: PairTraffic) {
+        self.cells.resize(self.p * (self.banks + 1), PairTraffic::default());
+        let idx = dst * (self.banks + 1) + bank.map_or(0, |b| 1 + b);
+        if self.cells[idx].is_empty() {
+            self.dirty.push(idx as u32);
+        }
+        self.cells[idx] = traffic;
     }
 }
 

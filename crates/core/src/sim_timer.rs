@@ -735,17 +735,44 @@ fn kind_counter_names(kind: MsgKind) -> (&'static str, &'static str) {
 pub(crate) fn empty_sync_cost(cfg: MachineConfig) -> Cycles {
     let mut timer = SimTimer::new(cfg);
     let charged = vec![0u64; cfg.p];
-    let matrix = CommMatrix::new(cfg.p);
-    timer.price(&charged, &matrix, &[]).timing.elapsed
+    timer.price(&charged, &CommMatrix::new(&[], 0), &[]).timing.elapsed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Outbox;
+    use crate::spmd::Slot;
 
-    fn timing(cfg: MachineConfig, charged: &[u64], matrix: &CommMatrix) -> PhaseTiming {
+    /// The published slots of `p` processors whose rows hold exactly
+    /// `cells`, each `(src, dst, bank, traffic)` (a pair's total has no
+    /// bank), metered for `banks` banks: a phase to price without
+    /// queuing an operation.
+    fn metered(
+        p: usize,
+        banks: usize,
+        cells: impl IntoIterator<Item = (usize, usize, Option<usize>, PairTraffic)>,
+    ) -> Vec<Slot> {
+        let mut rows: Vec<Outbox> = (0..p).map(|_| Outbox::new(p, banks)).collect();
+        for (src, dst, bank, traffic) in cells {
+            rows[src].meter_cell(dst, bank, traffic);
+        }
+        rows.into_iter().map(Slot::publishing).collect()
+    }
+
+    fn puts(items: u64, words: u64, bytes: u64) -> PairTraffic {
+        let (put_items, put_words, put_payload_bytes) = (items, words, bytes);
+        PairTraffic { put_items, put_words, put_payload_bytes, ..PairTraffic::default() }
+    }
+
+    fn gets(items: u64, words: u64, bytes: u64) -> PairTraffic {
+        let (get_items, get_words, get_reply_payload_bytes) = (items, words, bytes);
+        PairTraffic { get_items, get_words, get_reply_payload_bytes, ..PairTraffic::default() }
+    }
+
+    fn timing(cfg: MachineConfig, charged: &[u64], rows: &[Slot]) -> PhaseTiming {
         let mut t = SimTimer::new(cfg);
-        t.price(charged, matrix, &[]).timing
+        t.price(charged, &CommMatrix::new(rows, 0), &[]).timing
     }
 
     #[test]
@@ -764,7 +791,7 @@ mod tests {
     #[test]
     fn compute_only_phase_has_tiny_comm() {
         let cfg = MachineConfig::paper_default(4);
-        let t = timing(cfg, &[1_000_000, 900_000, 800_000, 700_000], &CommMatrix::new(4));
+        let t = timing(cfg, &[1_000_000, 900_000, 800_000, 700_000], &[]);
         assert_eq!(t.compute.get(), 1_000_000.0);
         // comm = empty-sync overhead only.
         assert!(t.comm.get() < 30_000.0);
@@ -775,14 +802,7 @@ mod tests {
     fn put_traffic_increases_comm_linearly_in_words() {
         let cfg = MachineConfig::paper_default(4);
         let mk = |words: u64| {
-            let mut m = CommMatrix::new(4);
-            for i in 0..4usize {
-                let c = m.at_mut(i, (i + 1) % 4);
-                c.put_items = 1;
-                c.put_words = words;
-                c.put_payload_bytes = words * 4;
-            }
-            m
+            metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(1, words, words * 4))))
         };
         let small = timing(cfg, &[0; 4], &mk(1_000)).comm.get();
         let large = timing(cfg, &[0; 4], &mk(10_000)).comm.get();
@@ -796,20 +816,9 @@ mod tests {
     fn gets_cost_more_than_puts() {
         // Round trip + serve costs: the paper's 287 vs 35 cycles/byte.
         let cfg = MachineConfig::paper_default(4);
-        let mut puts = CommMatrix::new(4);
-        let mut gets = CommMatrix::new(4);
-        for i in 0..4usize {
-            let c = puts.at_mut(i, (i + 1) % 4);
-            c.put_items = 1000;
-            c.put_words = 1000;
-            c.put_payload_bytes = 4000;
-            let c = gets.at_mut(i, (i + 1) % 4);
-            c.get_items = 1000;
-            c.get_words = 1000;
-            c.get_reply_payload_bytes = 4000;
-        }
-        let tp = timing(cfg, &[0; 4], &puts).comm.get();
-        let tg = timing(cfg, &[0; 4], &gets).comm.get();
+        let mk = |traffic| metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, traffic)));
+        let tp = timing(cfg, &[0; 4], &mk(puts(1000, 1000, 4000))).comm.get();
+        let tg = timing(cfg, &[0; 4], &mk(gets(1000, 1000, 4000))).comm.get();
         assert!(tg > 2.0 * tp, "get comm {tg} !>> put comm {tp}");
     }
 
@@ -820,14 +829,7 @@ mod tests {
         let base = MachineConfig::paper_default(8);
         let slow = base.with_latency(16_000.0);
         let mk = |words: u64| {
-            let mut m = CommMatrix::new(8);
-            for i in 0..8usize {
-                let c = m.at_mut(i, (i + 3) % 8);
-                c.put_items = 1;
-                c.put_words = words;
-                c.put_payload_bytes = words * 4;
-            }
-            m
+            metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, puts(1, words, words * 4))))
         };
         let d_small =
             timing(slow, &[0; 8], &mk(100)).comm.get() - timing(base, &[0; 8], &mk(100)).comm.get();
@@ -843,7 +845,7 @@ mod tests {
     fn clock_advances_monotonically_across_phases() {
         let cfg = MachineConfig::paper_default(4);
         let mut t = SimTimer::new(cfg);
-        let m = CommMatrix::new(4);
+        let m = CommMatrix::new(&[], 0);
         let mut now = Cycles::ZERO;
         for k in 1..5u64 {
             let timing = t.price(&[k * 100; 4], &m, &[]).timing;
@@ -860,14 +862,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4);
         let rec = Recorder::new(ObsLevel::Full, cfg.cpu.clock_hz);
         let mut t = SimTimer::with_recorder(cfg, rec.clone());
-        let mut m = CommMatrix::new(4);
-        for i in 0..4usize {
-            let c = m.at_mut(i, (i + 1) % 4);
-            c.put_items = 10;
-            c.put_words = 10;
-            c.put_payload_bytes = 40;
-        }
-        let timing = t.price(&[1_000; 4], &m, &[]).timing;
+        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 10, 40))));
+        let timing = t.price(&[1_000; 4], &CommMatrix::new(&m, 0), &[]).timing;
         let data = rec.take().unwrap();
         // One compute / comm-busy / barrier-wait lane span per proc.
         for kind in [SpanKind::Compute, SpanKind::CommBusy, SpanKind::BarrierWait] {
@@ -903,13 +899,8 @@ mod tests {
         let mut plain = SimTimer::new(cfg);
         let rec = Recorder::new(qsm_obs::ObsLevel::Full, cfg.cpu.clock_hz);
         let mut observed = SimTimer::with_recorder(cfg, rec);
-        let mut m = CommMatrix::new(8);
-        for i in 0..8usize {
-            let c = m.at_mut(i, (i + 3) % 8);
-            c.get_items = 50;
-            c.get_words = 50;
-            c.get_reply_payload_bytes = 200;
-        }
+        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, gets(50, 50, 200))));
+        let m = CommMatrix::new(&rows, 0);
         for k in 1..4u64 {
             let a = plain.price(&[k * 500; 8], &m, &[]);
             let b = observed.price(&[k * 500; 8], &m, &[]);
@@ -921,13 +912,8 @@ mod tests {
     fn fault_free_config_is_byte_identical_with_protocol_installed() {
         // `faults: None` must take the exact pre-protocol code path.
         let cfg = MachineConfig::paper_default(8);
-        let mut m = CommMatrix::new(8);
-        for i in 0..8usize {
-            let c = m.at_mut(i, (i + 1) % 8);
-            c.put_items = 100;
-            c.put_words = 100;
-            c.put_payload_bytes = 400;
-        }
+        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 1) % 8, None, puts(100, 100, 400))));
+        let m = CommMatrix::new(&rows, 0);
         let mut a = SimTimer::new(cfg);
         let mut b = SimTimer::new(cfg);
         for k in 1..4u64 {
@@ -945,17 +931,17 @@ mod tests {
         // resends.
         let base = MachineConfig::paper_default(4);
         let faulted = base.with_faults(FaultConfig::drops(0xFA17, 0.5));
-        let mut m = CommMatrix::new(4);
-        for i in 0..4usize {
-            let c = m.at_mut(i, (i + 1) % 4);
-            c.put_items = 50;
-            c.put_words = 50;
-            c.put_payload_bytes = 200;
-            let c = m.at_mut(i, (i + 2) % 4);
-            c.get_items = 20;
-            c.get_words = 20;
-            c.get_reply_payload_bytes = 80;
-        }
+        let rows = metered(
+            4,
+            0,
+            (0..4).flat_map(|i| {
+                [
+                    (i, (i + 1) % 4, None, puts(50, 50, 200)),
+                    (i, (i + 2) % 4, None, gets(20, 20, 80)),
+                ]
+            }),
+        );
+        let m = CommMatrix::new(&rows, 0);
         let mut clean = SimTimer::new(base);
         let mut faulty = SimTimer::new(faulted);
         let p_clean = clean.price(&[0; 4], &m, &[]);
@@ -979,13 +965,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(7, 0.3));
         let run = || {
             let mut t = SimTimer::new(cfg);
-            let mut m = CommMatrix::new(4);
-            for i in 0..4usize {
-                let c = m.at_mut(i, (i + 1) % 4);
-                c.put_items = 30;
-                c.put_words = 30;
-                c.put_payload_bytes = 120;
-            }
+            let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(30, 30, 120))));
+            let m = CommMatrix::new(&rows, 0);
             let mut out = Vec::new();
             for k in 1..5u64 {
                 out.push(t.price(&[k * 100; 4], &m, &[]));
@@ -1003,13 +984,8 @@ mod tests {
         let fc = FaultConfig { max_attempts: 1, ..FaultConfig::drops(3, 0.9) };
         let cfg = MachineConfig::paper_default(4).with_faults(fc);
         let mut t = SimTimer::new(cfg);
-        let mut m = CommMatrix::new(4);
-        for i in 0..4usize {
-            let c = m.at_mut(i, (i + 1) % 4);
-            c.put_items = 10;
-            c.put_words = 10;
-            c.put_payload_bytes = 40;
-        }
+        let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 10, 40))));
+        let m = CommMatrix::new(&rows, 0);
         for _ in 0..20 {
             t.price(&[0; 4], &m, &[]);
         }
@@ -1022,14 +998,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(21, 0.4));
         let rec = Recorder::new(ObsLevel::Full, cfg.cpu.clock_hz);
         let mut t = SimTimer::with_recorder(cfg, rec.clone());
-        let mut m = CommMatrix::new(4);
-        for i in 0..4usize {
-            let c = m.at_mut(i, (i + 1) % 4);
-            c.put_items = 40;
-            c.put_words = 40;
-            c.put_payload_bytes = 160;
-        }
-        let price = t.price(&[0; 4], &m, &[]);
+        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(40, 40, 160))));
+        let price = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
         let (retries, drops) = (price.retries, price.dropped_msgs);
         assert!(drops > 0);
         let data = rec.take().unwrap();
@@ -1038,23 +1008,12 @@ mod tests {
         assert_eq!(data.metrics.counter("dropped_msgs"), drops);
     }
 
-    /// `p = 4` matrix with every processor putting `words` words to
-    /// processor 0, all landing in bank `bank(i)` of 4 (aggregate and
-    /// per-bank layers metered together, as the driver does).
-    fn banked_puts_to_zero(bank: impl Fn(usize) -> usize, words: u64) -> CommMatrix {
-        let mut m = CommMatrix::new(4);
-        m.enable_banks(4);
-        for i in 0..4usize {
-            let c = m.at_mut(i, 0);
-            c.put_items = 1;
-            c.put_words = words;
-            c.put_payload_bytes = words * 4;
-            let c = m.at_bank_mut(i, 0, bank(i));
-            c.put_items = 1;
-            c.put_words = words;
-            c.put_payload_bytes = words * 4;
-        }
-        m
+    /// `p = 4` rows of 4 banks with every processor putting `words`
+    /// words to processor 0, all landing in bank `bank(i)` (the pair's
+    /// total and its bank metered together, as queuing does).
+    fn banked_puts_to_zero(bank: impl Fn(usize) -> usize, words: u64) -> Vec<Slot> {
+        let c = puts(1, words, words * 4);
+        metered(4, 4, (0..4).flat_map(|i| [(i, 0, None, c), (i, 0, Some(bank(i)), c)]))
     }
 
     #[test]
@@ -1064,17 +1023,11 @@ mod tests {
         // the aggregate injection path is shared, banks untouched.
         let cfg = MachineConfig::paper_default(4);
         let banked = banked_puts_to_zero(|i| i, 500);
-        let mut plain = CommMatrix::new(4);
-        for i in 0..4usize {
-            let c = plain.at_mut(i, 0);
-            c.put_items = 1;
-            c.put_words = 500;
-            c.put_payload_bytes = 2000;
-        }
+        let plain = metered(4, 0, (0..4).map(|i| (i, 0, None, puts(1, 500, 2000))));
         let mut a = SimTimer::new(cfg);
         let mut b = SimTimer::new(cfg);
-        let price = a.price(&[0; 4], &banked, &[]);
-        assert_eq!(price, b.price(&[0; 4], &plain, &[]));
+        let price = a.price(&[0; 4], &CommMatrix::new(&banked, 4), &[]);
+        assert_eq!(price, b.price(&[0; 4], &CommMatrix::new(&plain, 0), &[]));
         assert_eq!(price.bank_wait, Cycles::ZERO);
         assert_eq!(a.bank_model(), None);
     }
@@ -1093,8 +1046,8 @@ mod tests {
         let spread = banked_puts_to_zero(|i| i, 500);
         let mut tc = SimTimer::new(cfg);
         let mut ts = SimTimer::new(cfg);
-        let conflicted = tc.price(&[0; 4], &conflict, &[]);
-        let spread_out = ts.price(&[0; 4], &spread, &[]);
+        let conflicted = tc.price(&[0; 4], &CommMatrix::new(&conflict, 4), &[]);
+        let spread_out = ts.price(&[0; 4], &CommMatrix::new(&spread, 4), &[]);
         let (conflict_comm, spread_comm) = (conflicted.timing.comm, spread_out.timing.comm);
         assert!(
             conflict_comm > spread_comm,
@@ -1110,20 +1063,10 @@ mod tests {
     fn banked_gets_price_and_reply_untagged() {
         use qsm_simnet::BankModel;
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(2, 50_000.0));
-        let mut m = CommMatrix::new(4);
-        m.enable_banks(2);
-        for i in 1..4usize {
-            let c = m.at_mut(i, 0);
-            c.get_items = 50;
-            c.get_words = 50;
-            c.get_reply_payload_bytes = 200;
-            let c = m.at_bank_mut(i, 0, 0);
-            c.get_items = 50;
-            c.get_words = 50;
-            c.get_reply_payload_bytes = 200;
-        }
+        let c = gets(50, 50, 200);
+        let m = metered(4, 2, (1..4).flat_map(|i| [(i, 0, None, c), (i, 0, Some(0), c)]));
         let mut t = SimTimer::new(cfg);
-        let price = t.price(&[0; 4], &m, &[]);
+        let price = t.price(&[0; 4], &CommMatrix::new(&m, 2), &[]);
         assert!(price.timing.comm > Cycles::ZERO);
         // Three get requests collide on bank 0 of node 0: the second
         // and third each queue behind ~50k cycles of service. The
@@ -1137,8 +1080,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(4, 5_000.0));
         let conflict = banked_puts_to_zero(|_| 0, 100);
         let mut t = SimTimer::new(cfg);
-        assert!(t.price(&[0; 4], &conflict, &[]).bank_wait > Cycles::ZERO);
-        assert_eq!(t.price(&[100; 4], &CommMatrix::new(4), &[]).bank_wait, Cycles::ZERO);
+        assert!(t.price(&[0; 4], &CommMatrix::new(&conflict, 4), &[]).bank_wait > Cycles::ZERO);
+        assert_eq!(t.price(&[100; 4], &CommMatrix::new(&[], 0), &[]).bank_wait, Cycles::ZERO);
     }
 
     #[test]
@@ -1157,7 +1100,7 @@ mod tests {
         let phases = 8;
         let mut retries = 0;
         for _ in 0..phases {
-            retries += t.price(&[0; 4], &puts, &[]).retries;
+            retries += t.price(&[0; 4], &CommMatrix::new(&puts, 4), &[]).retries;
         }
         assert!(retries > 0, "no put was resent at drop_prob 0.5");
         assert_eq!(t.net.bank_busy_total(0), Cycles::new(service * 4.0 * phases as f64));
@@ -1171,21 +1114,15 @@ mod tests {
         // phase after it must report a clean slate.
         let cfg =
             MachineConfig::paper_default(4).with_topology(TopologyKind::Line).with_link_gap(100.0);
-        let mut m = CommMatrix::new(4);
-        for i in 1..4usize {
-            let c = m.at_mut(i, 0);
-            c.put_items = 1;
-            c.put_words = 500;
-            c.put_payload_bytes = 2000;
-        }
+        let m = metered(4, 0, (1..4).map(|i| (i, 0, None, puts(1, 500, 2000))));
         let mut t = SimTimer::new(cfg);
-        let loaded = t.price(&[0; 4], &m, &[]);
+        let loaded = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
         assert!(loaded.link_wait > Cycles::ZERO, "converging line traffic must queue at links");
         assert!(loaded.link_util > 0.0);
         // The next phase carries only the sync's own plan exchange:
         // its links stay warm (the plan messages route hop-by-hop
         // too) but the previous phase's queuing must not leak in.
-        let next = t.price(&[100; 4], &CommMatrix::new(4), &[]);
+        let next = t.price(&[100; 4], &CommMatrix::new(&[], 0), &[]);
         assert_eq!(next.link_wait, Cycles::ZERO);
         assert!(next.link_util < loaded.link_util, "util {} is phase-local", next.link_util);
     }
@@ -1193,14 +1130,8 @@ mod tests {
     #[test]
     fn self_traffic_pays_library_but_not_latency() {
         let cfg = MachineConfig::paper_default(2);
-        let mut own = CommMatrix::new(2);
-        own.at_mut(0, 0).put_items = 100;
-        own.at_mut(0, 0).put_words = 100;
-        own.at_mut(0, 0).put_payload_bytes = 400;
-        let mut remote = CommMatrix::new(2);
-        remote.at_mut(0, 1).put_items = 100;
-        remote.at_mut(0, 1).put_words = 100;
-        remote.at_mut(0, 1).put_payload_bytes = 400;
+        let own = metered(2, 0, [(0, 0, None, puts(100, 100, 400))]);
+        let remote = metered(2, 0, [(0, 1, None, puts(100, 100, 400))]);
         let t_own = timing(cfg, &[0; 2], &own).comm.get();
         let t_remote = timing(cfg, &[0; 2], &remote).comm.get();
         assert!(t_own < t_remote, "self traffic {t_own} should undercut remote {t_remote}");

@@ -12,12 +12,12 @@
 //! ```text
 //!   publish slot[phase % 2]          (each worker, its own slot)
 //!   ── B1 ──────────────────────────
-//!   leader: plan stage               (worker 0; copies the p rows)
+//!   leader: plan stage               (worker 0; reads the p rows)
 //!   all:    serve own gets           (own runs; peers' frozen stores)
 //!   all:    κ of own block           (read runs[me] of all p outboxes)
 //!   ── B2 ──────────────────────────
 //!   all:    apply runs[me] of all p outboxes, install/retire arrays
-//!   leader: max κ, price + record    (overlaps peers' next compute)
+//!   leader: max κ, price + record    (the p rows again; overlaps peers' next compute)
 //! ```
 //!
 //! Slots are double-buffered by phase parity (the `active_buffer`
@@ -48,12 +48,13 @@
 //!
 //! * a slot published for phase *k* is read by others only between
 //!   B1(*k*) and the leader's record(*k*);
-//! * of a published outbox, the row is read by the leader (B1..B2),
-//!   all of `runs` by its owner as it serves (B1..B2), and `runs[w]`
-//!   and the payload arena by worker *w*: from B1(*k*) for κ until *w*
-//!   has applied phase *k*, before it enters B1(*k+1*); its owner
-//!   takes the outbox back, to refill, after B2(*k+1*) — two outboxes
-//!   per worker, flipped at the barrier;
+//! * of a published outbox, the row is read by the leader: in its plan
+//!   (B1..B2) and again in its finish(*k*), after B2(*k*) and before it
+//!   enters B1(*k+1*); all of `runs` by its owner as it serves
+//!   (B1..B2), and `runs[w]` and the payload arena by worker *w*: from
+//!   B1(*k*) for κ until *w* has applied phase *k*, before it enters
+//!   B1(*k+1*); its owner takes the outbox back, to refill, after
+//!   B2(*k+1*) — two outboxes per worker, flipped at the barrier;
 //! * a worker writes its κ into its own slot between B1 and B2; the
 //!   leader reads all `p` after B2, in its finish(*k*);
 //! * each worker's [`LocalStore`] is frozen from its publish until
@@ -331,8 +332,9 @@ impl Slot {
         // SAFETY: swapped in by the owner before B1 and frozen until it
         // takes it back after B2 of the next phase; the leader reads
         // its row in `leader_plan`, inside B1..B2, while the workers
-        // read its runs — shared reads all. The borrow ends with the
-        // plan stage.
+        // read its runs — shared reads all — and again in
+        // `leader_finish`, after B2 and before it enters the next B1.
+        // The borrow ends with the price stage.
         unsafe { &*self.outbox.get() }
     }
     pub(crate) fn kappa(&self) -> u64 {
@@ -460,8 +462,9 @@ pub(crate) struct ExchangeArea {
 // one writer, its owner — at publish time, and for `kappa` between B1
 // and B2 — and readers only inside the barrier windows of the module
 // doc (for `outbox` they end when the last worker has applied the
-// phase, two barriers before the owner takes it back; for `kappa`
-// they are the leader's, after B2); the barrier's release/acquire
+// phase and the leader has priced it, both before B1 of the next
+// phase and so two barriers before the owner takes it back; for
+// `kappa` they are the leader's, after B2); the barrier's release/acquire
 // pair orders the two. The raw pointers in a slot are dereferenced in
 // those windows only, while the `Ctx` they point into is alive and
 // frozen (a `Ctx` drops after the exit rendezvous). `leader`: touched
@@ -644,9 +647,9 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     let me = ctx.proc;
     // SAFETY: our own slot of the other parity holds our outbox of
     // phase k-1 (a fresh one when k = 0). Its readers were the leader's
-    // plan(k-1) and every worker's sweep and apply of k-1, each over
-    // before that worker entered B1(k); we are past B2(k), and only we
-    // write the slot.
+    // plan and price of k-1 and every worker's sweep and apply of k-1,
+    // each over before that worker entered B1(k); we are past B2(k),
+    // and only we write the slot.
     unsafe { std::ptr::swap(area.slots[parity ^ 1][me].outbox.get(), &mut ctx.queued) };
     ctx.queued.clear();
     for src in 0..p {
@@ -676,7 +679,7 @@ fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
 }
 
 /// Worker 0, between B1 and B2: run the driver's plan stage over the
-/// published slots (collective validation, merge of the traffic rows).
+/// published slots (collective validation, counters off the rows).
 fn leader_plan(area: &ExchangeArea, parity: usize) {
     // SAFETY: only worker 0 calls this (`sync_phase` checks `proc`),
     // so the `&mut` is unique; the engine frame reads the state only

@@ -214,7 +214,7 @@ mod tests {
         let release = t.last_release;
         std::thread::sleep(Duration::from_millis(5));
         let arrivals = [release + Duration::from_millis(2), Instant::now()];
-        let timing = t.price(&[0, 0], &CommMatrix::new(2), &arrivals).timing;
+        let timing = t.price(&[0, 0], &CommMatrix::new(&[], 0), &arrivals).timing;
         assert!(timing.elapsed.get() > 0.0);
         assert!(timing.compute.get() > 0.0, "compute must not be booked as comm");
         assert!(timing.comm.get() >= 0.0);
@@ -229,7 +229,7 @@ mod tests {
     fn wall_timer_with_no_arrivals_books_all_as_comm() {
         let mut t = WallTimer::with_recorder(Recorder::disabled());
         std::thread::sleep(Duration::from_millis(1));
-        let timing = t.price(&[], &CommMatrix::new(1), &[]).timing;
+        let timing = t.price(&[], &CommMatrix::new(&[], 0), &[]).timing;
         assert_eq!(timing.compute.get(), 0.0);
         assert_eq!(timing.comm, timing.elapsed);
     }
@@ -243,7 +243,7 @@ mod tests {
         let mut t = m.make_timer(Recorder::disabled());
         assert_eq!(t.bank_model().unwrap().banks_per_node, 4);
         // Real hardware queues for real: no simulated bank wait.
-        assert_eq!(t.price(&[0, 0], &CommMatrix::new(2), &[]).bank_wait, Cycles::ZERO);
+        assert_eq!(t.price(&[0, 0], &CommMatrix::new(&[], 0), &[]).bank_wait, Cycles::ZERO);
         // Without banks on the model config, the default stays off.
         let t = ThreadMachine::new(2).make_timer(Recorder::disabled());
         assert_eq!(t.bank_model(), None);
@@ -256,7 +256,7 @@ mod tests {
         let epoch = t.spmd_span_epoch().expect("native timer opts in");
         assert_eq!(epoch, t.run_start, "workers must share the timer's epoch");
         let arrivals = [Instant::now(), Instant::now()];
-        let _ = t.price(&[0, 0], &CommMatrix::new(2), &arrivals);
+        let _ = t.price(&[0, 0], &CommMatrix::new(&[], 0), &arrivals);
         let data = rec.take().unwrap();
         assert!(data.spans.is_empty(), "worker-side capture owns the lanes: {:?}", data.spans);
     }

@@ -1,7 +1,8 @@
 //! The simulated machine on the resident pool and the SPMD exchange:
 //! no thread per run, concurrent runs that neither deadlock nor
-//! disturb each other's simulated results, no per-phase memory growth
-//! and no allocation in an empty phase, and the diagnostics a misused phase contract always had.
+//! disturb each other's simulated results, no per-phase memory growth,
+//! no allocation in an empty phase and no per-run state quadratic in
+//! `p`, and the diagnostics a misused phase contract always had.
 //!
 //! An integration test so that it owns its process: the pool's spawn
 //! counter and the counting allocator below are process-global. The
@@ -13,8 +14,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use qsm_core::{pool, Ctx, Layout, Machine, PhaseRecord, SimMachine, ThreadMachine};
-use qsm_simnet::MachineConfig;
+use qsm_core::{pool, Ctx, Layout, Machine, PairTraffic, PhaseRecord, SimMachine, ThreadMachine};
+use qsm_simnet::{BankModel, MachineConfig};
 
 /// Forwards to the system allocator, counting calls and live bytes.
 struct Counting;
@@ -218,6 +219,34 @@ fn an_empty_phase_allocates_nothing() {
         assert_eq!(allocs_in_empty_phases(&machine(p)), 0, "sim, p = {p}");
         assert_eq!(allocs_in_empty_phases(&ThreadMachine::new(p)), 0, "threads, p = {p}");
     }
+}
+
+/// Live heap a run of `m` has grown by when processor 0 reaches its
+/// program's first line, after a warm-up run has leased the carriers.
+fn live_at_first_line<M: Machine>(m: &M) -> i64 {
+    m.run(|_| ());
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    m.run(|_| LIVE_BYTES.load(Ordering::Relaxed)).outputs[0] - before
+}
+
+/// The leader reads each phase's traffic in the rows the processors
+/// metered it into: a run sets up no `p × p` traffic matrix. At
+/// p = 256 with 4 banks, the matrix and bank layer it once copied the
+/// rows into (a 48-byte cell and a flag per pair and per bank of
+/// one) were 256² · 5 · 49 B ≈ 15.3 MiB before the first phase.
+#[test]
+fn a_run_sets_up_no_state_quadratic_in_p() {
+    let _serial = serial();
+    const P: usize = 256;
+    let cfg = MachineConfig::paper_default(P).with_banks(BankModel::per_message(4, 1_000.0));
+    let bound = (P * P * std::mem::size_of::<PairTraffic>()) as i64;
+    let sim = live_at_first_line(&SimMachine::new(cfg));
+    assert!(sim < bound, "sim, p = {P}: {sim} bytes live at the first line, {bound} allowed");
+    let threads = live_at_first_line(&ThreadMachine::new(P).with_model_config(cfg));
+    assert!(
+        threads < bound,
+        "threads, p = {P}: {threads} bytes live at the first line, {bound} allowed"
+    );
 }
 
 #[test]

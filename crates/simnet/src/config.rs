@@ -113,9 +113,12 @@ pub struct NetConfig {
     /// Optional deterministic fault injection (extension; `None` — a
     /// fault-free network — reproduces the paper's simulator
     /// bit-exactly). See [`crate::fault`] for the model; faults apply
-    /// only to transmissions submitted through
+    /// only to data-plane transmissions — a batch submitted through
     /// [`crate::Network::transmit_into_faulty`] (the bulk data
-    /// exchange), never to plan or barrier traffic.
+    /// exchange) or [`crate::Network::transmit_into_faulty_keyed`]
+    /// (its resends), or one message through
+    /// [`crate::Network::send_one`] with a fault key (every leg of the
+    /// serving engine) — never to plan or barrier traffic.
     pub faults: Option<FaultConfig>,
     /// Optional destination-side memory-bank stage (extension; `None`
     /// — the default — reproduces the paper's bank-free simulator

@@ -87,8 +87,8 @@ pub struct Network {
     /// Monotone sequence number for fault-eligible transmissions —
     /// the coordinate [`crate::FaultConfig::drop_at`] keys on.
     fault_seq: u64,
-    /// Per-message drop flags of the most recent
-    /// [`Network::transmit_into_faulty`] batch.
+    /// Per-message drop flags of the most recent faulty batch
+    /// ([`Network::transmit_into_faulty`] or its keyed form).
     dropped: Vec<bool>,
 }
 
@@ -257,7 +257,7 @@ impl Network {
     /// Like [`Network::transmit_into`], but subject to the configured
     /// [`crate::FaultConfig`] (the data-plane path): each transmission
     /// may be dropped. Per-message drop flags are readable via
-    /// [`Network::last_dropped`] until the next faulty transmission.
+    /// [`Network::last_dropped`] until the next faulty batch.
     /// Without a fault configuration this is exactly `transmit_into`
     /// plus an all-false flag vector, and a message that is not
     /// dropped is timed exactly as `transmit_into` would time it.
@@ -293,8 +293,11 @@ impl Network {
         self.fault_seq
     }
 
-    /// Drop flags of the most recent [`Network::transmit_into_faulty`]
-    /// batch, parallel to its input slice.
+    /// Drop flags of the most recent faulty batch —
+    /// [`Network::transmit_into_faulty`] or
+    /// [`Network::transmit_into_faulty_keyed`] — parallel to its input
+    /// slice. A keyed [`Network::send_one`] draws drops without
+    /// touching them.
     pub fn last_dropped(&self) -> &[bool] {
         &self.dropped
     }

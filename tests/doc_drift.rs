@@ -1,0 +1,164 @@
+//! Quoted API cannot drift from the source: every `` `Type::member` ``
+//! the user-facing documents quote names a type declared in
+//! `crates/*/src` or `benchmark/src` (a `struct`, `enum`, `trait`,
+//! `type` or `union`) and a member declared there — a `fn member`, a
+//! `member:` field (or constant), or an enum variant. `Type::{a, b}`
+//! quotes two members, and `Type::prefix_*` any member so named.
+//! Fenced code blocks are not quotes and are not checked.
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+const DOCS: [&str; 4] = ["README.md", "DESIGN.md", "TUTORIAL.md", "EXPERIMENTS.md"];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The identifiers of `text`, each with the byte offset it starts at.
+fn idents(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let starts = text.char_indices().filter(move |&(at, c)| {
+        (c.is_ascii_alphabetic() || c == '_') && !text[..at].ends_with(is_ident)
+    });
+    starts.map(move |(at, _)| {
+        let len = text[at..].find(|c: char| !is_ident(c)).unwrap_or(text.len() - at);
+        (at, &text[at..at + len])
+    })
+}
+
+/// What a source file declares: `(types, members)`.
+#[derive(Default)]
+struct Declared {
+    types: BTreeSet<String>,
+    members: BTreeSet<String>,
+}
+
+impl Declared {
+    fn scan(&mut self, src: &str) {
+        let mut prev = "";
+        for (at, word) in idents(src) {
+            let rest = src[at + word.len()..].trim_start_matches([' ', '\t']);
+            let field = rest.starts_with(':') && !rest.starts_with("::");
+            let line_start = src[..at].rfind('\n').map_or(0, |n| n + 1);
+            let first_on_line = src[line_start..at].trim().is_empty();
+            let variant = first_on_line
+                && word.starts_with(|c: char| c.is_ascii_uppercase())
+                && (rest.is_empty() || rest.starts_with([',', '(', '{', '=', '\n', '\r']));
+            if matches!(prev, "struct" | "enum" | "trait" | "type" | "union") {
+                self.types.insert(word.to_string());
+            } else if prev == "fn" || field || variant {
+                self.members.insert(word.to_string());
+            }
+            prev = word;
+        }
+    }
+
+    fn has_member(&self, member: &str) -> bool {
+        match member.strip_suffix('*') {
+            Some(prefix) => self.members.iter().any(|m| m.starts_with(prefix)),
+            None => self.members.contains(member),
+        }
+    }
+}
+
+/// Every `(type, member)` a line's inline code quotes as
+/// `Type::member`, `Type::{a, b}` or `Type::prefix_*`; a type that a
+/// path qualifies (`krate::Type::member`) counts too.
+fn quoted<'a>(line: &'a str) -> Vec<(&'a str, &'a str)> {
+    let mut out = Vec::new();
+    for span in line.split('`').skip(1).step_by(2) {
+        for (at, word) in idents(span) {
+            let Some(rest) = span[at + word.len()..].strip_prefix("::") else { continue };
+            if !word.starts_with(|c: char| c.is_ascii_uppercase()) {
+                continue;
+            }
+            // An identifier, and the `*` of a prefix after it.
+            let name = |m: &'a str| {
+                let len = m.find(|c: char| !is_ident(c)).unwrap_or(m.len());
+                &m[..len + usize::from(m[len..].starts_with('*'))]
+            };
+            match rest.strip_prefix('{') {
+                Some(group) => {
+                    let group = group.split('}').next().unwrap_or("");
+                    out.extend(group.split(',').map(|m| (word, name(m.trim()))));
+                }
+                None => out.push((word, name(rest))),
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn the_scanner_sees_what_it_must() {
+    let line = "`Ctx::local` / `EventQueue::{pop, push_lane}`, `qsm_core::Ctx::run(…)`, \
+                `NetStats::link_*`, `Cycles`, `a::b` and `Knobs::NAMES`";
+    assert_eq!(
+        quoted(line),
+        [
+            ("Ctx", "local"),
+            ("EventQueue", "pop"),
+            ("EventQueue", "push_lane"),
+            ("Ctx", "run"),
+            ("NetStats", "link_*"),
+            ("Knobs", "NAMES"),
+        ]
+    );
+    let mut declared = Declared::default();
+    declared.scan(
+        "pub enum Kind {\n    Put,\n    Get(u8),\n}\n\
+         pub struct S<'a> {\n    pub(crate) rows: u8,\n}\n\
+         impl S {\n    const NAMES: [u8; 0] = [];\n    fn at(&self) -> u8 { Kind::Put; 0 }\n}\n",
+    );
+    assert_eq!(declared.types, BTreeSet::from(["Kind".into(), "S".into()]));
+    for member in ["Put", "Get", "rows", "NAMES", "at", "ro*"] {
+        assert!(declared.has_member(member), "{member}");
+    }
+    assert!(!declared.has_member("u8") && !declared.has_member("self"));
+}
+
+#[test]
+fn every_quoted_type_and_member_is_declared() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        rust_files(&krate.unwrap().path().join("src"), &mut files);
+    }
+    rust_files(&root.join("benchmark/src"), &mut files);
+    let mut declared = Declared::default();
+    for file in &files {
+        declared.scan(&std::fs::read_to_string(file).unwrap());
+    }
+    assert!(declared.types.contains("CommMatrix") && declared.members.contains("for_each_dirty"));
+
+    let mut stale = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let mut fenced = false;
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+            }
+            if fenced {
+                continue;
+            }
+            for (ty, member) in quoted(line) {
+                if !declared.types.contains(ty) || !declared.has_member(member) {
+                    stale.push(format!("{doc}:{}: `{ty}::{member}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "quoted but not declared:\n{}", stale.join("\n"));
+}
