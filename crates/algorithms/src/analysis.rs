@@ -55,11 +55,6 @@ impl EffectiveParams {
             l_sync: costs.empty_sync,
         }
     }
-
-    /// Idealized parameters for unit tests (g_put = g_get = g, L).
-    pub fn fixed(p: usize, g: f64, l_sync: f64) -> Self {
-        Self { p, g_put: g, g_get: g, l_sync }
-    }
 }
 
 /// One prediction line evaluated at one problem size.
@@ -96,6 +91,14 @@ pub fn relative_error(measured: f64, predicted: f64) -> f64 {
 /// choice for power-of-two sweeps), at least 1.
 pub fn log2n(n: usize) -> f64 {
     (n.max(2) as f64).log2()
+}
+
+#[cfg(test)]
+impl EffectiveParams {
+    /// Idealized parameters for unit tests (g_put = g_get = g, L).
+    pub(crate) fn fixed(p: usize, g: f64, l_sync: f64) -> Self {
+        Self { p, g_put: g, g_get: g, l_sync }
+    }
 }
 
 #[cfg(test)]

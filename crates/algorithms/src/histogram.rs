@@ -14,14 +14,8 @@
 
 use qsm_core::{addr::block_range, Ctx, Layout, Machine, RunResult};
 
-use crate::analysis::{EffectiveParams, Prediction};
-
 /// Setup phases before the measured ones.
 pub const SETUP_PHASES: usize = 2;
-
-/// Measured phases: register temporaries / exchange partials /
-/// combine.
-pub const PHASES: usize = 3;
 
 fn program(ctx: &mut Ctx, input: &[u32], buckets: usize) -> Vec<u64> {
     let n = input.len();
@@ -115,16 +109,6 @@ pub fn run_on<M: Machine>(machine: &M, input: &[u32], buckets: usize) -> Histogr
     HistogramRun { counts, run }
 }
 
-/// QSM communication prediction: each processor ships ~`buckets`
-/// double-word counts (its partials, minus the range it owns) and
-/// the phase constants — independent of `n`.
-pub fn predict(buckets: usize, params: &EffectiveParams) -> Prediction {
-    let p = params.p as f64;
-    let bpp = (buckets as f64 / p).ceil();
-    let words = 2.0 * bpp * (p - 1.0); // u64 counts to p-1 owners
-    Prediction::from_qsm(params.g_put * words, PHASES, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,9 +168,6 @@ mod tests {
         let input = vec![13u32; 4000];
         let run = run_on(&machine(8), &input, 64);
         assert_eq!(run.counts, histogram_seq(&input, 64));
-        // And the traffic stays tiny despite extreme skew.
-        let pred = predict(64, &EffectiveParams::fixed(8, 140.0, 25_500.0));
-        assert!(pred.qsm < 1e6);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! (software-inclusive) gaps from [`analysis::EffectiveParams`].
 //!
 //! Beyond the paper's three, [`histogram`] (owner-computes
-//! reduction) and [`matmul`] (row-block dense multiply) show the
-//! library on combining and locality-bound workloads.
+//! reduction) shows the library on a combining workload.
 //!
 //! [`seq`] holds the sequential oracles, [`gen`] the workload
 //! generators, and [`collectives`] small reusable building blocks.
@@ -27,7 +26,6 @@ pub mod collectives;
 pub mod gen;
 pub mod histogram;
 pub mod listrank;
-pub mod matmul;
 pub mod prefix;
 pub mod samplesort;
 pub mod seq;

@@ -592,7 +592,7 @@ mod tests {
         let m = machine(8);
         let (succ, pred, _) = random_list(1 << 14, 9);
         let run = run_on(&m, &succ, &pred);
-        let params = EffectiveParams::measure(*m.config());
+        let params = EffectiveParams::measure(MachineConfig::paper_default(8));
         let est = predict_estimate(&run, &params);
         let measured = run.comm();
         // The estimate misses only the per-phase o/l/L constant, so it

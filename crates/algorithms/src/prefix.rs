@@ -159,7 +159,7 @@ mod tests {
         // sits lowest.
         let m = machine(16);
         let run = run_on(&m, &random_u64s(1 << 14, 5));
-        let params = EffectiveParams::measure(*m.config());
+        let params = EffectiveParams::measure(MachineConfig::paper_default(16));
         let pred = predict(&params);
         assert!(pred.qsm < pred.bsp);
         assert!(pred.bsp < run.comm(), "BSP {} !< measured {}", pred.bsp, run.comm());

@@ -451,7 +451,7 @@ mod tests {
         let n = 1 << 15;
         let input = random_u32s(n, 29);
         let run = run_on(&m, &input);
-        let params = EffectiveParams::measure(*m.config());
+        let params = EffectiveParams::measure(MachineConfig::paper_default(8));
         let best = predict_best(n, DEFAULT_OVERSAMPLING, &params);
         let whp = predict_whp(n, DEFAULT_OVERSAMPLING, &params);
         let measured = run.comm();

@@ -49,11 +49,6 @@ impl RunCfg {
         knobs().run.clone()
     }
 
-    /// A fast configuration for tests.
-    pub fn fast() -> Self {
-        Self { p: 8, reps: 1, fast: true }
-    }
-
     /// The problem-size sweep (powers of two, as in the figures).
     pub fn sizes(&self) -> Vec<usize> {
         let max_log = if self.fast { 16 } else { 21 };
@@ -96,6 +91,14 @@ impl Report {
         } else {
             println!("[csv written to {}]\n", path.display());
         }
+    }
+}
+
+#[cfg(test)]
+impl RunCfg {
+    /// A fast configuration for tests.
+    pub(crate) fn fast() -> Self {
+        Self { p: 8, reps: 1, fast: true }
     }
 }
 

@@ -75,20 +75,6 @@ pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Format a cycle count compactly (3 significant decimals, thousands
-/// groups unnecessary for CSV so only used in text tables).
-pub fn cyc(v: f64) -> String {
-    if v >= 1e9 {
-        format!("{:.2}G", v / 1e9)
-    } else if v >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.0}")
-    }
-}
-
 /// Microseconds at the paper's 400 MHz clock.
 pub fn us_at_400mhz(cycles: f64) -> f64 {
     cycles / 400.0
@@ -116,14 +102,6 @@ mod tests {
     fn csv_escapes_fields() {
         let c = csv(&["a", "b"], &[vec!["x,y".into(), "q\"r".into()]]);
         assert_eq!(c, "a,b\n\"x,y\",\"q\"\"r\"\n");
-    }
-
-    #[test]
-    fn cyc_scales() {
-        assert_eq!(cyc(500.0), "500");
-        assert_eq!(cyc(25_500.0), "25.5k");
-        assert_eq!(cyc(3_200_000.0), "3.20M");
-        assert_eq!(cyc(2.5e9), "2.50G");
     }
 
     #[test]

@@ -37,17 +37,6 @@ impl ModelInputs {
             logp: LogPParams::new(cfg.p, cfg.net.latency, cfg.net.send_overhead, g),
         }
     }
-
-    /// Parameters using an *effective* (software-inclusive) gap, as
-    /// measured by the Table 3 microbenchmarks.
-    pub fn effective(cfg: &MachineConfig, g_per_word: f64, l_barrier: f64) -> Self {
-        Self {
-            qsm: QsmParams::new(cfg.p, g_per_word),
-            sqsm: SQsmParams::new(cfg.p, g_per_word),
-            bsp: BspParams::new(cfg.p, g_per_word, l_barrier),
-            logp: LogPParams::new(cfg.p, cfg.net.latency, cfg.net.send_overhead, g_per_word),
-        }
-    }
 }
 
 /// Measured run summary plus model predictions.
@@ -95,11 +84,6 @@ pub struct CostReport {
     pub bsp_comm: f64,
     /// Predicted communication time under LogP.
     pub logp_comm: f64,
-    /// Predicted total time under s-QSM (the paper presents running
-    /// times under s-QSM).
-    pub sqsm_total: f64,
-    /// Predicted total time under BSP.
-    pub bsp_total: f64,
     /// Unit of the measured columns: `"cycles"` on the simulated
     /// machine, `"ns"` on wall-clock backends. Predictions are always
     /// in the model machine's cycles.
@@ -139,8 +123,6 @@ impl CostReport {
             sqsm_comm: profile.sqsm_comm_cost(&models.sqsm),
             bsp_comm: profile.bsp_comm_cost(&models.bsp),
             logp_comm: profile.logp_comm_cost(&models.logp),
-            sqsm_total: profile.sqsm_cost(&models.sqsm),
-            bsp_total: profile.bsp_cost(&models.bsp),
             measured_unit: "cycles",
         }
     }
@@ -287,19 +269,6 @@ mod tests {
         for needle in ["QSM", "s-QSM", "BSP", "LogP", "measured", "phases = 1"] {
             assert!(s.contains(needle), "missing {needle} in:\n{s}");
         }
-    }
-
-    #[test]
-    fn effective_inputs_scale_the_gap() {
-        let cfg = MachineConfig::paper_default(4);
-        let eff = ModelInputs::effective(&cfg, 140.0, 25_500.0);
-        assert_eq!(eff.qsm.g, 140.0);
-        assert_eq!(eff.bsp.g, 140.0);
-        assert_eq!(eff.bsp.l_barrier, 25_500.0);
-        // LogP keeps the hardware l and o, which the model charges
-        // explicitly rather than folding into g.
-        assert_eq!(eff.logp.l, 1600.0);
-        assert_eq!(eff.logp.o, 400.0);
     }
 
     #[test]

@@ -40,18 +40,15 @@ use crate::shmem::LocalStore;
 use crate::spmd::Slot;
 
 /// Aggregate traffic from one source processor to one cost owner in a
-/// single phase.
+/// single phase. Counts are in 4-byte words; the library is
+/// word-granular, each word an item with its own header.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairTraffic {
-    /// Number of put items (maximal single-owner runs).
-    pub put_items: u64,
-    /// Put payload in 4-byte accounting words.
+    /// Put payload in 4-byte words.
     pub put_words: u64,
     /// Put payload in wire bytes.
     pub put_payload_bytes: u64,
-    /// Number of get items requested.
-    pub get_items: u64,
-    /// Get reply payload in 4-byte accounting words.
+    /// Get reply payload in 4-byte words.
     pub get_words: u64,
     /// Get reply payload in wire bytes.
     pub get_reply_payload_bytes: u64,
@@ -60,20 +57,14 @@ pub struct PairTraffic {
 impl PairTraffic {
     /// True when no traffic flows on this pair.
     pub fn is_empty(&self) -> bool {
-        self.put_items == 0 && self.get_items == 0
+        self.put_words == 0 && self.get_words == 0
     }
 }
 
 /// What a pair, or one bank of it, reads when its source queued
 /// nothing there.
-static NO_TRAFFIC: PairTraffic = PairTraffic {
-    put_items: 0,
-    put_words: 0,
-    put_payload_bytes: 0,
-    get_items: 0,
-    get_words: 0,
-    get_reply_payload_bytes: 0,
-};
+static NO_TRAFFIC: PairTraffic =
+    PairTraffic { put_words: 0, put_payload_bytes: 0, get_words: 0, get_reply_payload_bytes: 0 };
 
 /// The per-phase (source, cost-owner) traffic matrix: a read-only view
 /// over the rows the processors metered into their published outboxes
@@ -473,18 +464,18 @@ impl Driver {
             let h_in_words = &mut this.h_in_words;
             let h_out_words = &mut this.h_out_words;
             matrix.for_each_dirty(|src, dst, c| {
-                if c.put_items > 0 {
+                if c.put_words > 0 {
                     data_msgs_by[src] += 1;
                     data_msgs += 1;
                 }
-                if c.get_items > 0 {
+                if c.get_words > 0 {
                     // Request from src, reply from dst.
                     data_msgs_by[src] += 1;
                     data_msgs_by[dst] += 1;
                     data_msgs += 2;
                 }
-                h_out_words[src] += c.put_words + c.get_items; // request ≈ 1 word/item
-                h_in_words[dst] += c.put_words + c.get_items;
+                h_out_words[src] += c.put_words + c.get_words; // request ≈ 1 word/item
+                h_in_words[dst] += c.put_words + c.get_words;
                 h_out_words[dst] += c.get_words;
                 h_in_words[src] += c.get_words;
                 payload_bytes += c.put_payload_bytes + c.get_reply_payload_bytes;
@@ -836,11 +827,9 @@ mod tests {
             if op.put { &mut acc.writes } else { &mut acc.reads }.push((op.start, op.len));
             let add = |c: &mut PairTraffic, n: usize| {
                 if op.put {
-                    c.put_items += n as u64 * wpe;
                     c.put_words += n as u64 * wpe;
                     c.put_payload_bytes += n as u64 * info.elem_bytes;
                 } else {
-                    c.get_items += n as u64 * wpe;
                     c.get_words += n as u64 * wpe;
                     c.get_reply_payload_bytes += n as u64 * info.elem_bytes;
                 }
@@ -877,7 +866,7 @@ mod tests {
         let p = m.pairs.len();
         let (mut msgs, mut bytes, mut bank_kappa) = (0, 0, 0);
         for c in m.pairs.iter().flatten() {
-            msgs += u64::from(c.put_items > 0) + 2 * u64::from(c.get_items > 0);
+            msgs += u64::from(c.put_words > 0) + 2 * u64::from(c.get_words > 0);
             bytes += c.put_payload_bytes + c.get_reply_payload_bytes;
         }
         for cell in 0..p * banks {
@@ -1025,21 +1014,11 @@ mod tests {
     }
 
     fn put_traffic(n: u64) -> PairTraffic {
-        PairTraffic {
-            put_items: n,
-            put_words: n,
-            put_payload_bytes: 4 * n,
-            ..PairTraffic::default()
-        }
+        PairTraffic { put_words: n, put_payload_bytes: 4 * n, ..PairTraffic::default() }
     }
 
     fn get_traffic() -> PairTraffic {
-        PairTraffic {
-            get_items: 1,
-            get_words: 1,
-            get_reply_payload_bytes: 4,
-            ..PairTraffic::default()
-        }
+        PairTraffic { get_words: 1, get_reply_payload_bytes: 4, ..PairTraffic::default() }
     }
 
     /// The view reads each source's published row in place: the cells
@@ -1074,7 +1053,7 @@ mod tests {
             let slots = published_rows(cleared);
             let m = CommMatrix::new(&slots, 2);
             let mut seen = Vec::new();
-            m.for_each_dirty(|src, dst, c| seen.push((src, dst, c.put_items + c.get_items)));
+            m.for_each_dirty(|src, dst, c| seen.push((src, dst, c.put_words + c.get_words)));
             let row0_zero = (0..3).all(|dst| m.at(0, dst).is_empty());
             (seen, row0_zero, m.is_empty())
         };

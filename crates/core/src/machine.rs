@@ -147,36 +147,9 @@ impl<R> RunResult<R> {
         self.report.measured_comm
     }
 
-    /// Total measured local-compute time.
-    pub fn compute(&self) -> Cycles {
-        self.report.measured_compute
-    }
-
     /// Number of phases executed.
     pub fn num_phases(&self) -> usize {
         self.phases.len()
-    }
-
-    /// Render a per-phase breakdown: measured timing plus the
-    /// profile quantities each cost model charges for.
-    pub fn phase_table(&self) -> String {
-        let mut out = String::from(
-            "phase     elapsed     compute        comm    m_op   m_rw  kappa   msgs  payload_B\n",
-        );
-        for (k, r) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "{k:>5} {:>11.0} {:>11.0} {:>11.0} {:>7} {:>6} {:>6} {:>6} {:>10}\n",
-                r.timing.elapsed.get(),
-                r.timing.compute.get(),
-                r.timing.comm.get(),
-                r.profile.m_op,
-                r.profile.m_rw,
-                r.profile.kappa,
-                r.profile.msgs,
-                r.payload_bytes,
-            ));
-        }
-        out
     }
 }
 
@@ -191,16 +164,6 @@ pub enum AnyMachine {
     Sim(SimMachine),
     /// The native host-thread machine ([`ThreadMachine`]).
     Threads(ThreadMachine),
-}
-
-impl AnyMachine {
-    /// Replace the RNG seed on the wrapped machine.
-    pub fn with_seed(self, seed: u64) -> Self {
-        match self {
-            AnyMachine::Sim(m) => AnyMachine::Sim(m.with_seed(seed)),
-            AnyMachine::Threads(m) => AnyMachine::Threads(m.with_seed(seed)),
-        }
-    }
 }
 
 impl From<SimMachine> for AnyMachine {

@@ -143,11 +143,9 @@ impl Outbox {
                 self.dirty.push(idx as u32);
             }
             if put {
-                cell.put_items += n as u64 * words;
                 cell.put_words += n as u64 * words;
                 cell.put_payload_bytes += n as u64 * bytes;
             } else {
-                cell.get_items += n as u64 * words;
                 cell.get_words += n as u64 * words;
                 cell.get_reply_payload_bytes += n as u64 * bytes;
             }
@@ -300,11 +298,9 @@ mod tests {
                 for cell in [Some(&mut want[o]), bank.map(|b| &mut want_banks[b])] {
                     let Some(cell) = cell else { continue };
                     if idx < 35 {
-                        cell.put_items += 2;
                         cell.put_words += 2;
                         cell.put_payload_bytes += 8;
                     } else {
-                        cell.get_items += 2;
                         cell.get_words += 2;
                         cell.get_reply_payload_bytes += 8;
                     }

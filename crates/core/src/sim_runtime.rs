@@ -41,11 +41,6 @@ impl SimMachine {
         self
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     /// Cost of an empty `sync()` on this machine (the BSP `L`).
     pub fn empty_sync_cost(&self) -> Cycles {
         empty_sync_cost(self.cfg)

@@ -28,11 +28,10 @@ const PLAN_ENTRY_BYTES: u64 = 16;
 /// this bounds a single phase, not the run).
 const PHASE_TRACE_CAP: usize = 65_536;
 
-/// Sidecar per data/reply message: item and word counts recovered via
-/// the parallel index into the injection buffer.
+/// Sidecar per data/reply message: word count recovered via the
+/// parallel index into the injection buffer.
 #[derive(Clone, Copy)]
 struct MsgMeta {
-    items: u64,
     words: u64,
     reply_payload_bytes: u64,
 }
@@ -247,13 +246,13 @@ impl SimTimer {
                 &mut self.cpu,
                 |dst, m, meta, start| match m.kind {
                     MsgKind::PutData => {
-                        sw.put_apply * meta.items as f64 + sw.copy_per_word_recv * meta.words as f64
+                        sw.put_apply * meta.words as f64 + sw.copy_per_word_recv * meta.words as f64
                     }
                     MsgKind::GetRequest => {
-                        let serve = sw.get_serve * meta.items as f64
+                        let serve = sw.get_serve * meta.words as f64
                             + sw.copy_per_word_send * meta.words as f64;
                         let bytes = sw.msg_header_bytes
-                            + sw.item_header_bytes * meta.items
+                            + sw.item_header_bytes * meta.words
                             + meta.reply_payload_bytes;
                         let ready = start + Cycles::new(serve);
                         replies.push(Injection::new(dst, m.src, bytes, ready, MsgKind::GetReply));
@@ -288,7 +287,7 @@ impl SimTimer {
                     &self.reply_metas,
                     &mut self.cpu,
                     |_, _, meta, _| {
-                        sw.get_apply * meta.items as f64 + sw.copy_per_word_recv * meta.words as f64
+                        sw.get_apply * meta.words as f64 + sw.copy_per_word_recv * meta.words as f64
                     },
                 );
             }
@@ -470,35 +469,30 @@ fn inject_pair(
     data_msgs: &mut Vec<Injection>,
     metas: &mut Vec<MsgMeta>,
 ) {
-    if traffic.put_items > 0 {
-        let marshal = sw.put_marshal * traffic.put_items as f64
+    if traffic.put_words > 0 {
+        let marshal = sw.put_marshal * traffic.put_words as f64
             + sw.copy_per_word_send * traffic.put_words as f64;
         cpu[i] += Cycles::new(marshal);
         let bytes = sw.msg_header_bytes
-            + sw.item_header_bytes * traffic.put_items
+            + sw.item_header_bytes * traffic.put_words
             + traffic.put_payload_bytes;
         let mut m = Injection::new(i, dst, bytes, cpu[i], MsgKind::PutData);
         if let Some(b) = bank {
             m = m.with_bank(b);
         }
         data_msgs.push(m);
-        metas.push(MsgMeta {
-            items: traffic.put_items,
-            words: traffic.put_words,
-            reply_payload_bytes: 0,
-        });
+        metas.push(MsgMeta { words: traffic.put_words, reply_payload_bytes: 0 });
     }
-    if traffic.get_items > 0 {
-        let marshal = sw.get_request * traffic.get_items as f64;
+    if traffic.get_words > 0 {
+        let marshal = sw.get_request * traffic.get_words as f64;
         cpu[i] += Cycles::new(marshal);
-        let bytes = sw.msg_header_bytes + sw.item_header_bytes * traffic.get_items;
+        let bytes = sw.msg_header_bytes + sw.item_header_bytes * traffic.get_words;
         let mut m = Injection::new(i, dst, bytes, cpu[i], MsgKind::GetRequest);
         if let Some(b) = bank {
             m = m.with_bank(b);
         }
         data_msgs.push(m);
         metas.push(MsgMeta {
-            items: traffic.get_items,
             words: traffic.get_words,
             reply_payload_bytes: traffic.get_reply_payload_bytes,
         });
@@ -760,14 +754,12 @@ mod tests {
         rows.into_iter().map(Slot::publishing).collect()
     }
 
-    fn puts(items: u64, words: u64, bytes: u64) -> PairTraffic {
-        let (put_items, put_words, put_payload_bytes) = (items, words, bytes);
-        PairTraffic { put_items, put_words, put_payload_bytes, ..PairTraffic::default() }
+    fn puts(words: u64, bytes: u64) -> PairTraffic {
+        PairTraffic { put_words: words, put_payload_bytes: bytes, ..PairTraffic::default() }
     }
 
-    fn gets(items: u64, words: u64, bytes: u64) -> PairTraffic {
-        let (get_items, get_words, get_reply_payload_bytes) = (items, words, bytes);
-        PairTraffic { get_items, get_words, get_reply_payload_bytes, ..PairTraffic::default() }
+    fn gets(words: u64, bytes: u64) -> PairTraffic {
+        PairTraffic { get_words: words, get_reply_payload_bytes: bytes, ..PairTraffic::default() }
     }
 
     fn timing(cfg: MachineConfig, charged: &[u64], rows: &[Slot]) -> PhaseTiming {
@@ -802,7 +794,7 @@ mod tests {
     fn put_traffic_increases_comm_linearly_in_words() {
         let cfg = MachineConfig::paper_default(4);
         let mk = |words: u64| {
-            metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(1, words, words * 4))))
+            metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(words, words * 4))))
         };
         let small = timing(cfg, &[0; 4], &mk(1_000)).comm.get();
         let large = timing(cfg, &[0; 4], &mk(10_000)).comm.get();
@@ -817,8 +809,8 @@ mod tests {
         // Round trip + serve costs: the paper's 287 vs 35 cycles/byte.
         let cfg = MachineConfig::paper_default(4);
         let mk = |traffic| metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, traffic)));
-        let tp = timing(cfg, &[0; 4], &mk(puts(1000, 1000, 4000))).comm.get();
-        let tg = timing(cfg, &[0; 4], &mk(gets(1000, 1000, 4000))).comm.get();
+        let tp = timing(cfg, &[0; 4], &mk(puts(1000, 4000))).comm.get();
+        let tg = timing(cfg, &[0; 4], &mk(gets(1000, 4000))).comm.get();
         assert!(tg > 2.0 * tp, "get comm {tg} !>> put comm {tp}");
     }
 
@@ -829,7 +821,7 @@ mod tests {
         let base = MachineConfig::paper_default(8);
         let slow = base.with_latency(16_000.0);
         let mk = |words: u64| {
-            metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, puts(1, words, words * 4))))
+            metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, puts(words, words * 4))))
         };
         let d_small =
             timing(slow, &[0; 8], &mk(100)).comm.get() - timing(base, &[0; 8], &mk(100)).comm.get();
@@ -862,7 +854,7 @@ mod tests {
         let cfg = MachineConfig::paper_default(4);
         let rec = Recorder::new(ObsLevel::Full, cfg.cpu.clock_hz);
         let mut t = SimTimer::with_recorder(cfg, rec.clone());
-        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 10, 40))));
+        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 40))));
         let timing = t.price(&[1_000; 4], &CommMatrix::new(&m, 0), &[]).timing;
         let data = rec.take().unwrap();
         // One compute / comm-busy / barrier-wait lane span per proc.
@@ -888,8 +880,9 @@ mod tests {
         // Metrics: per-kind counters and size/queue histograms.
         assert_eq!(data.metrics.counter("net_msgs_put_data"), 4);
         assert!(data.metrics.counter("net_bytes_barrier") > 0);
-        assert_eq!(data.metrics.histogram("msg_size_bytes").unwrap().count, 4);
-        assert!(data.metrics.histogram("dest_queue_depth").is_some());
+        let json = data.metrics.to_json();
+        assert!(json.contains("\"msg_size_bytes\": {\"count\":4,"), "{json}");
+        assert!(json.contains("\"dest_queue_depth\": {"), "{json}");
     }
 
     #[test]
@@ -899,7 +892,7 @@ mod tests {
         let mut plain = SimTimer::new(cfg);
         let rec = Recorder::new(qsm_obs::ObsLevel::Full, cfg.cpu.clock_hz);
         let mut observed = SimTimer::with_recorder(cfg, rec);
-        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, gets(50, 50, 200))));
+        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, gets(50, 200))));
         let m = CommMatrix::new(&rows, 0);
         for k in 1..4u64 {
             let a = plain.price(&[k * 500; 8], &m, &[]);
@@ -912,7 +905,7 @@ mod tests {
     fn fault_free_config_is_byte_identical_with_protocol_installed() {
         // `faults: None` must take the exact pre-protocol code path.
         let cfg = MachineConfig::paper_default(8);
-        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 1) % 8, None, puts(100, 100, 400))));
+        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 1) % 8, None, puts(100, 400))));
         let m = CommMatrix::new(&rows, 0);
         let mut a = SimTimer::new(cfg);
         let mut b = SimTimer::new(cfg);
@@ -935,10 +928,7 @@ mod tests {
             4,
             0,
             (0..4).flat_map(|i| {
-                [
-                    (i, (i + 1) % 4, None, puts(50, 50, 200)),
-                    (i, (i + 2) % 4, None, gets(20, 20, 80)),
-                ]
+                [(i, (i + 1) % 4, None, puts(50, 200)), (i, (i + 2) % 4, None, gets(20, 80))]
             }),
         );
         let m = CommMatrix::new(&rows, 0);
@@ -965,7 +955,7 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(7, 0.3));
         let run = || {
             let mut t = SimTimer::new(cfg);
-            let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(30, 30, 120))));
+            let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(30, 120))));
             let m = CommMatrix::new(&rows, 0);
             let mut out = Vec::new();
             for k in 1..5u64 {
@@ -984,7 +974,7 @@ mod tests {
         let fc = FaultConfig { max_attempts: 1, ..FaultConfig::drops(3, 0.9) };
         let cfg = MachineConfig::paper_default(4).with_faults(fc);
         let mut t = SimTimer::new(cfg);
-        let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 10, 40))));
+        let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 40))));
         let m = CommMatrix::new(&rows, 0);
         for _ in 0..20 {
             t.price(&[0; 4], &m, &[]);
@@ -998,7 +988,7 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(21, 0.4));
         let rec = Recorder::new(ObsLevel::Full, cfg.cpu.clock_hz);
         let mut t = SimTimer::with_recorder(cfg, rec.clone());
-        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(40, 40, 160))));
+        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(40, 160))));
         let price = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
         let (retries, drops) = (price.retries, price.dropped_msgs);
         assert!(drops > 0);
@@ -1012,7 +1002,7 @@ mod tests {
     /// words to processor 0, all landing in bank `bank(i)` (the pair's
     /// total and its bank metered together, as queuing does).
     fn banked_puts_to_zero(bank: impl Fn(usize) -> usize, words: u64) -> Vec<Slot> {
-        let c = puts(1, words, words * 4);
+        let c = puts(words, words * 4);
         metered(4, 4, (0..4).flat_map(|i| [(i, 0, None, c), (i, 0, Some(bank(i)), c)]))
     }
 
@@ -1023,7 +1013,7 @@ mod tests {
         // the aggregate injection path is shared, banks untouched.
         let cfg = MachineConfig::paper_default(4);
         let banked = banked_puts_to_zero(|i| i, 500);
-        let plain = metered(4, 0, (0..4).map(|i| (i, 0, None, puts(1, 500, 2000))));
+        let plain = metered(4, 0, (0..4).map(|i| (i, 0, None, puts(500, 2000))));
         let mut a = SimTimer::new(cfg);
         let mut b = SimTimer::new(cfg);
         let price = a.price(&[0; 4], &CommMatrix::new(&banked, 4), &[]);
@@ -1063,7 +1053,7 @@ mod tests {
     fn banked_gets_price_and_reply_untagged() {
         use qsm_simnet::BankModel;
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(2, 50_000.0));
-        let c = gets(50, 50, 200);
+        let c = gets(50, 200);
         let m = metered(4, 2, (1..4).flat_map(|i| [(i, 0, None, c), (i, 0, Some(0), c)]));
         let mut t = SimTimer::new(cfg);
         let price = t.price(&[0; 4], &CommMatrix::new(&m, 2), &[]);
@@ -1077,7 +1067,7 @@ mod tests {
     #[test]
     fn bank_wait_resets_each_phase() {
         use qsm_simnet::BankModel;
-        let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(4, 5_000.0));
+        let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(4, 50_000.0));
         let conflict = banked_puts_to_zero(|_| 0, 100);
         let mut t = SimTimer::new(cfg);
         assert!(t.price(&[0; 4], &CommMatrix::new(&conflict, 4), &[]).bank_wait > Cycles::ZERO);
@@ -1114,7 +1104,7 @@ mod tests {
         // phase after it must report a clean slate.
         let cfg =
             MachineConfig::paper_default(4).with_topology(TopologyKind::Line).with_link_gap(100.0);
-        let m = metered(4, 0, (1..4).map(|i| (i, 0, None, puts(1, 500, 2000))));
+        let m = metered(4, 0, (1..4).map(|i| (i, 0, None, puts(500, 2000))));
         let mut t = SimTimer::new(cfg);
         let loaded = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
         assert!(loaded.link_wait > Cycles::ZERO, "converging line traffic must queue at links");
@@ -1130,8 +1120,8 @@ mod tests {
     #[test]
     fn self_traffic_pays_library_but_not_latency() {
         let cfg = MachineConfig::paper_default(2);
-        let own = metered(2, 0, [(0, 0, None, puts(100, 100, 400))]);
-        let remote = metered(2, 0, [(0, 1, None, puts(100, 100, 400))]);
+        let own = metered(2, 0, [(0, 0, None, puts(100, 400))]);
+        let remote = metered(2, 0, [(0, 1, None, puts(100, 400))]);
         let t_own = timing(cfg, &[0; 2], &own).comm.get();
         let t_remote = timing(cfg, &[0; 2], &remote).comm.get();
         assert!(t_own < t_remote, "self traffic {t_own} should undercut remote {t_remote}");

@@ -30,23 +30,6 @@ pub struct MachineSpec {
     pub paper_nmin_per_p: Option<f64>,
 }
 
-impl MachineSpec {
-    /// Gap in cycles per 4-byte word.
-    pub fn g_per_word(&self) -> f64 {
-        self.g_per_byte * crate::params::WORD_BYTES as f64
-    }
-
-    /// LogP parameter bundle for this machine (gap per word).
-    pub fn logp(&self) -> crate::params::LogPParams {
-        crate::params::LogPParams::new(self.p, self.l, self.o, self.g_per_word())
-    }
-
-    /// QSM parameter bundle for this machine (gap per word).
-    pub fn qsm(&self) -> crate::params::QsmParams {
-        crate::params::QsmParams::new(self.p, self.g_per_word())
-    }
-}
-
 /// The default simulated machine of Table 3/Table 4 row 1:
 /// p=16, l=1600, o=400, g=3 cycles/byte, measured `n_min/p = 8000`.
 pub fn default_simulation() -> MachineSpec {
@@ -171,23 +154,6 @@ mod tests {
         assert_eq!(m.o, 400.0);
         assert_eq!(m.g_per_byte, 3.0);
         assert_eq!(m.paper_nmin_per_p, Some(8000.0));
-    }
-
-    #[test]
-    fn word_gap_is_four_times_byte_gap() {
-        let m = cray_t3e();
-        assert!((m.g_per_word() - 6.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parameter_bundles_are_consistent() {
-        let m = berkeley_now();
-        let lp = m.logp();
-        assert_eq!(lp.p, 32);
-        assert_eq!(lp.l, 830.0);
-        assert_eq!(lp.o, 481.0);
-        let q = m.qsm();
-        assert!((q.g - 17.2).abs() < 1e-12);
     }
 
     #[test]

@@ -130,12 +130,6 @@ impl LogPParams {
         Self { p, l, o, g }
     }
 
-    /// Capacity constraint: at most `ceil(l / g)` single-word messages
-    /// may be in flight to one destination.
-    pub fn capacity(&self) -> u64 {
-        (self.l / self.g).ceil().max(1.0) as u64
-    }
-
     /// Cost of a bulk-synchronous phase under a LogGP-style long
     /// message interpretation: the busiest processor pays send and
     /// receive overhead for each of its messages plus the gap for
@@ -227,12 +221,6 @@ mod tests {
     fn logp_silent_phase_costs_nothing() {
         let lp = LogPParams::new(16, 1600.0, 400.0, 12.0);
         assert_eq!(lp.phase_comm_cost(&ph(42, 0, 0)), 0.0);
-    }
-
-    #[test]
-    fn logp_capacity_is_l_over_g() {
-        let lp = LogPParams::new(16, 1600.0, 400.0, 12.0);
-        assert_eq!(lp.capacity(), (1600.0f64 / 12.0).ceil() as u64);
     }
 
     #[test]

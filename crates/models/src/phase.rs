@@ -54,21 +54,6 @@ pub struct ProgramProfile {
 }
 
 impl ProgramProfile {
-    /// Create an empty profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of phases π.
-    pub fn num_phases(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Append a phase.
-    pub fn push(&mut self, ph: PhaseProfile) {
-        self.phases.push(ph);
-    }
-
     /// Predicted communication time under QSM.
     pub fn qsm_comm_cost(&self, q: &QsmParams) -> f64 {
         self.phases.iter().map(|p| q.phase_comm_cost(p)).sum()
@@ -110,6 +95,21 @@ impl PhaseProfile {
 
 #[cfg(test)]
 impl ProgramProfile {
+    /// Create an empty profile.
+    fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of phases π.
+    fn num_phases(&self) -> usize {
+        self.phases.len()
+    }
+
+    /// Append a phase.
+    fn push(&mut self, ph: PhaseProfile) {
+        self.phases.push(ph);
+    }
+
     /// Total words of communication `W` (sum over phases of the
     /// busiest processor's remote words).
     fn total_comm_words(&self) -> u64 {

@@ -204,31 +204,11 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named histogram, if any observation has been recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.hists.is_empty()
-    }
-
     /// Fold a whole histogram into the named one. An empty `h` is a
     /// no-op: a histogram exists only once something was observed.
     pub fn merge_histogram(&mut self, name: &'static str, h: &Histogram) {
         if h.count > 0 {
             self.hists.entry(name).or_default().merge(h);
-        }
-    }
-
-    /// Fold another registry into this one.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in &other.hists {
-            self.merge_histogram(name, h);
         }
     }
 
@@ -325,24 +305,6 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         let j = a.to_json();
         assert!(j.find("\"alpha\"").unwrap() < j.find("\"zulu\"").unwrap());
-    }
-
-    #[test]
-    fn registry_merge_matches_direct_recording() {
-        let mut direct = MetricsRegistry::default();
-        direct.add("msgs", 3);
-        direct.observe("size", 4);
-        direct.observe("size", 9);
-        let mut part1 = MetricsRegistry::default();
-        part1.add("msgs", 1);
-        part1.observe("size", 9);
-        let mut part2 = MetricsRegistry::default();
-        part2.add("msgs", 2);
-        part2.observe("size", 4);
-        let mut merged = MetricsRegistry::default();
-        merged.merge(&part1);
-        merged.merge(&part2);
-        assert_eq!(merged.to_json(), direct.to_json());
     }
 
     #[test]

@@ -204,22 +204,6 @@ impl Recorder {
             metrics: st.metrics,
         })
     }
-
-    /// Render the current metrics registry as JSON without draining
-    /// spans. `None` if the recorder is disabled.
-    pub fn metrics_json(&self) -> Option<String> {
-        let inner = self.inner.as_deref()?;
-        Some(inner.state.lock().unwrap().metrics.to_json())
-    }
-
-    /// Drain the metrics registry, returning its JSON dump. `None` if
-    /// the recorder is disabled.
-    pub fn take_metrics_json(&self) -> Option<String> {
-        let inner = self.inner.as_deref()?;
-        let mut st = inner.state.lock().unwrap();
-        let m = std::mem::take(&mut st.metrics);
-        Some(m.to_json())
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +219,6 @@ mod tests {
         r.span(SpanKind::Compute, 0, 0, Cycles::ZERO, Cycles::new(1.0));
         assert!(!r.is_enabled());
         assert!(r.take().is_none());
-        assert!(r.metrics_json().is_none());
     }
 
     #[test]
@@ -249,8 +232,10 @@ mod tests {
         let data = r.take().unwrap();
         assert!(data.spans.is_empty());
         assert!(data.counters.is_empty());
-        assert_eq!(data.metrics.counter("phases"), 3);
-        assert_eq!(data.metrics.histogram("sizes").unwrap().count, 3);
+        let mut want = MetricsRegistry::default();
+        want.add("phases", 3);
+        (1..=3).for_each(|v| want.observe("sizes", v));
+        assert_eq!(data.metrics, want);
     }
 
     #[test]
@@ -295,7 +280,7 @@ mod tests {
         once.merge_histogram("lat", &local);
         // Nothing observed, nothing created.
         once.merge_histogram("never", &Histogram::default());
-        assert_eq!(once.take_metrics_json(), each.take_metrics_json());
+        assert_eq!(once.take().map(|d| d.metrics), each.take().map(|d| d.metrics));
         Recorder::disabled().merge_histogram("lat", &local);
     }
 
@@ -306,17 +291,5 @@ mod tests {
         r.add("n", 1);
         r2.add("n", 2);
         assert_eq!(r.take().unwrap().metrics.counter("n"), 3);
-    }
-
-    #[test]
-    fn take_metrics_json_drains_only_metrics() {
-        let r = Recorder::new(ObsLevel::Full, 400e6);
-        r.add("n", 7);
-        r.span(SpanKind::Compute, 0, 0, Cycles::ZERO, Cycles::new(1.0));
-        let j = r.take_metrics_json().unwrap();
-        assert!(j.contains("\"n\": 7"));
-        let data = r.take().unwrap();
-        assert_eq!(data.spans.len(), 1);
-        assert_eq!(data.metrics.counter("n"), 0);
     }
 }

@@ -567,8 +567,11 @@ mod tests {
         // legs deliver within 400, the rest give up exactly there (an
         // attempt count that wrapped would never reach 400).
         let mut m = machine(2);
-        let f = FaultConfig { max_attempts: 400, ..FaultConfig::drops(5, 0.999) };
-        m.net.faults = Some(f.with_retry_timeout(1.0));
+        m.net.faults = Some(FaultConfig {
+            max_attempts: 400,
+            retry_timeout: 1.0,
+            ..FaultConfig::drops(5, 0.999)
+        });
         let out = run_counting(&ServiceConfig::new(m).with_offered(40)).0;
         assert!(out.completed > 0 && out.timed_out > 0, "{out:?}");
         assert_eq!(out.retries, out.drops - out.timed_out);
@@ -580,7 +583,7 @@ mod tests {
         let obs = Recorder::new(qsm_obs::ObsLevel::Metrics, 400e6);
         let cfg = ServiceConfig::new(machine(2)).with_offered(50);
         let out = run(&cfg, &obs);
-        let json = obs.take_metrics_json().expect("metrics enabled");
+        let json = obs.take().expect("metrics enabled").metrics.to_json();
         assert!(json.contains("service_latency_cycles"));
         assert!(json.contains("\"service_completed\": 50"));
         assert_eq!(out.completed, 50);

@@ -176,9 +176,9 @@ mod tests {
         let (mut net, sw) = setup(8);
         net.enable_trace(1024);
         released(&mut net, &sw, &[Cycles::ZERO; 8]);
-        let tr = net.take_trace().unwrap();
-        assert_eq!(tr.len(), 8 * 3, "8 nodes x ceil(log2 8) rounds");
-        assert!(tr.iter().all(|e| e.kind == MsgKind::Barrier));
+        let events = net.take_trace().unwrap().into_events();
+        assert_eq!(events.len(), 8 * 3, "8 nodes x ceil(log2 8) rounds");
+        assert!(events.iter().all(|e| e.kind == MsgKind::Barrier));
         assert_eq!(net.stats().count(MsgKind::Barrier), 24);
         assert_eq!(
             net.stats().bytes_of(MsgKind::Barrier),

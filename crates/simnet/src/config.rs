@@ -256,26 +256,6 @@ impl SoftwareConfig {
             exchange_order: ExchangeOrder::LatinSquare,
         }
     }
-
-    /// An idealized zero-cost library (useful in unit tests where the
-    /// raw hardware model is under scrutiny).
-    pub fn zero() -> Self {
-        Self {
-            put_marshal: 0.0,
-            put_apply: 0.0,
-            get_request: 0.0,
-            get_serve: 0.0,
-            get_apply: 0.0,
-            copy_per_word_send: 0.0,
-            copy_per_word_recv: 0.0,
-            item_header_bytes: 0,
-            msg_header_bytes: 0,
-            barrier_round_sw: 0.0,
-            plan_entry_cost: 0.0,
-            sync_fixed: 0.0,
-            exchange_order: ExchangeOrder::LatinSquare,
-        }
-    }
 }
 
 /// A complete simulated machine.
@@ -451,14 +431,6 @@ mod tests {
         assert_eq!(c.ops(1000).get(), 1000.0);
         let slow = CpuConfig { cycles_per_op: 2.5, clock_hz: 400e6 };
         assert_eq!(slow.ops(4).get(), 10.0);
-    }
-
-    #[test]
-    fn zero_software_is_all_zero() {
-        let z = SoftwareConfig::zero();
-        assert_eq!(z.put_marshal, 0.0);
-        assert_eq!(z.item_header_bytes, 0);
-        assert_eq!(z.barrier_round_sw, 0.0);
     }
 
     #[test]

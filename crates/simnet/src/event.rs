@@ -161,16 +161,6 @@ impl<T> EventQueue<T> {
     pub fn peek_time(&self) -> Option<Cycles> {
         self.earliest().map(|(_, key)| split_key(key).0)
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -202,10 +192,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(Cycles::new(2.0), ());
         assert_eq!(q.peek_time(), Some(Cycles::new(2.0)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), Some((Cycles::new(2.0), ())));
         assert_eq!(q.peek_time(), None);
     }
 
@@ -287,11 +274,9 @@ mod tests {
         assert!(!q.push_lane(0, Cycles::new(1.0), "a"), "before the lane's back");
         assert!(q.push_lane(1, Cycles::new(3.0), "b"));
         assert!(!q.push_lane(2, Cycles::new(9.0), "d"), "no such lane");
-        assert_eq!(q.len(), 4);
         assert_eq!(q.peek_time(), Some(Cycles::new(1.0)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
         assert_eq!(order, vec!["a", "b", "c", "d"]);
-        assert!(q.is_empty());
     }
 }
 
@@ -352,8 +337,6 @@ mod proptests {
                     model.insert(at, (time, seq));
                     seq += 1;
                 }
-                prop_assert_eq!(q.len(), model.len());
-                prop_assert_eq!(q.is_empty(), model.is_empty());
                 prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
             }
             let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();

@@ -35,12 +35,6 @@ pub(crate) struct Fabric {
     link_free: FifoTimeline,
     /// Scratch: forwarding order of the current batch.
     order: Vec<usize>,
-    /// Scratch: per-link `(batch, messages)` demand. A count belongs
-    /// to the current batch only while its stamp equals `batch`, so
-    /// starting a batch touches no link at all.
-    demand: Vec<(u64, u64)>,
-    /// Stamp of the current batch.
-    batch: u64,
 }
 
 impl Fabric {
@@ -57,8 +51,6 @@ impl Fabric {
             routes,
             link_free: FifoTimeline::new(links),
             order: Vec::new(),
-            demand: vec![(0, 0); links],
-            batch: 0,
         })
     }
 
@@ -72,13 +64,6 @@ impl Fabric {
         self.link_free.reset();
     }
 
-    /// Open a transmitted batch (of one message or many): per-link
-    /// demand counts from here on, and `stats` has its link counters.
-    pub(crate) fn begin_batch(&mut self, stats: &mut NetStats) {
-        stats.ensure_links(self.link_free.len());
-        self.batch += 1;
-    }
-
     /// Forward one transmitted batch through the link pipeline in
     /// deterministic `(depart, src, input index)` order. Per-link
     /// counters accumulate into `stats`.
@@ -88,7 +73,6 @@ impl Fabric {
         deliveries: &mut [Delivery],
         stats: &mut NetStats,
     ) {
-        self.begin_batch(stats);
         let mut order = std::mem::take(&mut self.order);
         order.extend(0..msgs.len());
         order.sort_by(|&a, &b| {
@@ -104,11 +88,11 @@ impl Fabric {
         self.order = order;
     }
 
-    /// Walk one message of the open batch along its route, rewriting
-    /// its `arrive` and recording its accumulated `link_wait`: each
-    /// hop queues at the link's FIFO, occupies it for the message's
-    /// bytes, then pays the hop latency. Self-messages never enter
-    /// the fabric. Host cost is the route length, nothing else.
+    /// Walk one message along its route, rewriting its `arrive` and
+    /// recording its accumulated `link_wait`: each hop queues at the
+    /// link's FIFO, occupies it for the message's bytes, then pays the
+    /// hop latency. Self-messages never enter the fabric. Host cost is
+    /// the route length, nothing else.
     //
     // Never inlined: merged into the batch loop the hop walk compiled
     // 13–19 % slower (measured, torus p = 256) than as a function of
@@ -129,12 +113,6 @@ impl Fabric {
             stats.link_msgs[l] += 1;
             stats.link_bytes[l] += m.bytes;
             stats.link_busy[l] += occupy;
-            let demand = &mut self.demand[l];
-            if demand.0 != self.batch {
-                *demand = (self.batch, 0);
-            }
-            demand.1 += 1;
-            stats.link_peak_demand[l] = stats.link_peak_demand[l].max(demand.1);
         }
         d.arrive = at;
         d.link_wait = wait;

@@ -78,13 +78,6 @@ impl FaultConfig {
         cfg
     }
 
-    /// Builder: replace the retry timeout (cycles).
-    pub fn with_retry_timeout(mut self, t: f64) -> Self {
-        self.retry_timeout = t;
-        self.validate();
-        self
-    }
-
     /// Check invariants; panics on an invalid configuration.
     ///
     /// `drop_prob` must be strictly below 1: at probability 1 no
@@ -195,7 +188,7 @@ mod tests {
 
     #[test]
     fn resend_k_is_ready_a_doubling_timeout_after_the_failed_depart() {
-        let f = FaultConfig::drops(1, 0.1).with_retry_timeout(500.0);
+        let f = FaultConfig { retry_timeout: 500.0, ..FaultConfig::drops(1, 0.1) };
         let depart = Cycles::new(1_000.0);
         for (k, backoff) in [(1, 500.0), (2, 1_000.0), (3, 2_000.0)] {
             assert_eq!(f.resend_ready(depart, k), Some(Cycles::new(1_000.0 + backoff)), "k={k}");

@@ -41,18 +41,6 @@ impl MsgKind {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Stable lower-case label for dumps and metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            MsgKind::PutData => "put_data",
-            MsgKind::GetRequest => "get_request",
-            MsgKind::GetReply => "get_reply",
-            MsgKind::Plan => "plan",
-            MsgKind::Barrier => "barrier",
-            MsgKind::Other => "other",
-        }
-    }
 }
 
 /// One message to transmit: `bytes` from `src` to `dst`, becoming
@@ -102,7 +90,6 @@ mod tests {
             assert_eq!(k.index(), i);
         }
         assert_eq!(MsgKind::ALL.len(), MsgKind::COUNT);
-        assert_eq!(MsgKind::Barrier.label(), "barrier");
     }
 
     #[test]

@@ -98,13 +98,14 @@ impl Network {
         assert!(p >= 1);
         cfg.validate();
         let bank_slots = cfg.banks.map_or(0, |b| p * b.banks_per_node);
+        let fabric = Fabric::from_config(p, &cfg);
         Self {
             p,
             send_free: FifoTimeline::new(p),
             recv_free: FifoTimeline::new(p),
-            fabric: Fabric::from_config(p, &cfg),
+            stats: NetStats::with_links(fabric.as_ref().map_or(0, Fabric::links)),
+            fabric,
             bank_free: FifoTimeline::new(bank_slots),
-            stats: NetStats::default(),
             trace: None,
             queues: vec![Vec::new(); p],
             touched: Vec::new(),
@@ -117,11 +118,6 @@ impl Network {
     /// Number of nodes.
     pub fn nprocs(&self) -> usize {
         self.p
-    }
-
-    /// The network hardware parameters.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
     }
 
     /// Reset all engine timelines to zero and clear statistics (the
@@ -329,7 +325,6 @@ impl Network {
         let mut d = Delivery::default();
         self.inject_one(m, &mut d);
         if let Some(fabric) = self.fabric.as_mut() {
-            fabric.begin_batch(&mut self.stats);
             fabric.forward_one(m, &mut d, &mut self.stats);
         }
         if lost {
@@ -531,6 +526,12 @@ mod tests {
         deliveries
     }
 
+    /// Messages and wire bytes delivered: the sums of the per-kind
+    /// counts.
+    pub(super) fn delivered(stats: &NetStats) -> (u64, u64) {
+        stats.by_kind().fold((0, 0), |(n, b), (_, kn, kb)| (n + kn, b + kb))
+    }
+
     fn inj(src: usize, dst: usize, bytes: u64, ready: f64) -> Injection {
         Injection::new(src, dst, bytes, Cycles::new(ready), MsgKind::Other)
     }
@@ -609,11 +610,11 @@ mod tests {
         transmit(&mut n, &[inj(0, 1, 0, 0.0)]);
         let d = transmit(&mut n, &[inj(0, 1, 0, 0.0)]);
         assert_eq!(d[0].depart.get(), 800.0);
-        assert_eq!(n.stats().messages, 2);
+        assert_eq!(delivered(n.stats()).0, 2);
         n.reset();
         let d = transmit(&mut n, &[inj(0, 1, 0, 0.0)]);
         assert_eq!(d[0].depart.get(), 400.0);
-        assert_eq!(n.stats().messages, 1);
+        assert_eq!(delivered(n.stats()).0, 1);
     }
 
     #[test]
@@ -653,7 +654,7 @@ mod tests {
                 Injection::new(0, 1, 50, Cycles::ZERO, MsgKind::GetRequest),
             ],
         );
-        assert_eq!(n.stats().bytes, 150);
+        assert_eq!(delivered(n.stats()).1, 150);
         assert_eq!(n.stats().count(MsgKind::PutData), 1);
         assert_eq!(n.stats().count(MsgKind::GetRequest), 1);
     }
@@ -663,11 +664,9 @@ mod tests {
         let mut n = net(2);
         n.enable_trace(16);
         transmit(&mut n, &[inj(0, 1, 8, 0.0)]);
-        let tr = n.take_trace().unwrap();
-        assert_eq!(tr.len(), 1);
-        let ev = tr.iter().next().unwrap();
-        assert_eq!(ev.src, 0);
-        assert_eq!(ev.dst, 1);
+        let events = n.take_trace().unwrap().into_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].src, events[0].dst), (0, 1));
     }
 
     #[test]
@@ -733,7 +732,7 @@ mod tests {
         assert!(dropped > 50 && dropped < 150, "dropped {dropped}/200");
         assert_eq!(n.stats().dropped, dropped as u64);
         // Delivered count excludes drops.
-        assert_eq!(n.stats().messages, (200 - dropped) as u64);
+        assert_eq!(delivered(n.stats()).0, (200 - dropped) as u64);
         // A dropped message still departed but was never ingested.
         for (i, del) in d.iter().enumerate() {
             if n.last_dropped()[i] {
@@ -927,7 +926,6 @@ mod tests {
         assert_eq!(d[1].link_wait.get(), 3000.0);
         assert_eq!(n.stats().link_msgs, vec![2]);
         assert_eq!(n.stats().link_bytes, vec![2000]);
-        assert_eq!(n.stats().link_peak_demand, vec![2]);
     }
 
     #[test]
@@ -978,7 +976,6 @@ mod tests {
         assert_eq!(n.stats().link_msgs.iter().sum::<u64>(), total_hops);
         assert_eq!(n.stats().link_bytes.iter().sum::<u64>(), 64 * total_hops);
         assert!(n.stats().link_busy.iter().any(|&b| b > Cycles::ZERO));
-        assert!(n.stats().link_peak_demand.iter().any(|&d| d > 0));
     }
 
     #[test]
@@ -1001,7 +998,7 @@ mod tests {
             n.transmit_into_faulty(batch, &mut d);
             sent += batch.len() as u64;
             assert_eq!(d.len(), batch.len());
-            assert_eq!(n.stats().messages + n.stats().dropped, sent);
+            assert_eq!(delivered(n.stats()).0 + n.stats().dropped, sent);
             for ((m, del), &lost) in batch.iter().zip(&d).zip(n.last_dropped()) {
                 assert!(del.depart >= m.ready + cfg.send_busy(m.bytes));
                 assert!(del.arrive >= del.depart);
@@ -1032,7 +1029,7 @@ mod tests {
 
         n.reset();
         assert!(n.last_dropped().is_empty(), "drop flags must not survive reset");
-        assert_eq!(n.stats(), &NetStats::default());
+        assert_eq!(n.stats(), Network::new(4, cfg).stats(), "stats must read as a new network's");
 
         let mut d2 = Vec::new();
         n.transmit_into_faulty(&msgs, &mut d2);
@@ -1044,7 +1041,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::transmit;
+    use super::tests::{delivered, transmit};
     use super::*;
     use crate::config::BankModel;
     use crate::fault::FaultConfig;
@@ -1139,10 +1136,10 @@ mod proptests {
         fn conservation(msgs in arb_msgs(8)) {
             for cfg in composed(8) {
                 let (d, lost, stats) = faulty_batch(8, cfg, &msgs);
-                prop_assert_eq!(stats.messages + stats.dropped, msgs.len() as u64, "{:?}", cfg);
+                prop_assert_eq!(delivered(&stats).0 + stats.dropped, msgs.len() as u64, "{:?}", cfg);
                 prop_assert_eq!(stats.dropped, lost.iter().filter(|&&l| l).count() as u64);
-                let delivered = msgs.iter().zip(&lost).filter(|(_, &l)| !l).map(|(m, _)| m.bytes);
-                prop_assert_eq!(stats.bytes, delivered.sum::<u64>(), "{:?}", cfg);
+                let sent = msgs.iter().zip(&lost).filter(|(_, &l)| !l).map(|(m, _)| m.bytes);
+                prop_assert_eq!(delivered(&stats).1, sent.sum::<u64>(), "{:?}", cfg);
                 if cfg.faults.is_some_and(|f| f.drop_prob == 0.0) {
                     prop_assert_eq!(d, transmit(&mut Network::new(8, cfg), &msgs), "{:?}", cfg);
                 }

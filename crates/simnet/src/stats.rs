@@ -12,12 +12,8 @@ use crate::time::Cycles;
 /// so dumps are deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
-    /// Total messages delivered.
-    pub messages: u64,
-    /// Total wire bytes moved.
-    pub bytes: u64,
-    /// Transmissions lost to fault injection (never delivered; not
-    /// counted in `messages`). Always 0 on a fault-free network.
+    /// Transmissions lost to fault injection: never delivered, so in
+    /// no per-kind count. Always 0 on a fault-free network.
     pub dropped: u64,
     /// Messages forwarded over each directed link of the topology
     /// stage (empty — no links — on the flat contention-free wire).
@@ -27,10 +23,6 @@ pub struct NetStats {
     /// Cycles each directed link spent occupied serializing traffic
     /// (its utilization numerator; divide by elapsed time).
     pub link_busy: Vec<Cycles>,
-    /// Peak per-transmission demand on each directed link: the
-    /// largest number of messages routed over it within one
-    /// transmitted batch since the last reset.
-    pub link_peak_demand: Vec<u64>,
     /// Per-kind message counts, indexed by [`MsgKind::index`].
     by_kind: [u64; MsgKind::COUNT],
     /// Per-kind wire bytes, indexed by [`MsgKind::index`].
@@ -41,8 +33,6 @@ impl NetStats {
     /// Record one delivered message.
     #[inline]
     pub fn record(&mut self, kind: MsgKind, bytes: u64) {
-        self.messages += 1;
-        self.bytes += bytes;
         self.by_kind[kind.index()] += 1;
         self.bytes_by_kind[kind.index()] += bytes;
     }
@@ -68,20 +58,19 @@ impl NetStats {
             .filter(|&(_, n, _)| n > 0)
     }
 
-    /// Size the per-link counters for a topology of `links` directed
-    /// links (idempotent; counters persist across transmissions).
-    pub fn ensure_links(&mut self, links: usize) {
-        if self.link_msgs.len() < links {
-            self.link_msgs.resize(links, 0);
-            self.link_bytes.resize(links, 0);
-            self.link_busy.resize(links, Cycles::ZERO);
-            self.link_peak_demand.resize(links, 0);
+    /// Zeroed counters for a topology of `links` directed links.
+    pub(crate) fn with_links(links: usize) -> Self {
+        Self {
+            link_msgs: vec![0; links],
+            link_bytes: vec![0; links],
+            link_busy: vec![Cycles::ZERO; links],
+            ..Self::default()
         }
     }
 
-    /// Reset all counters.
+    /// Reset all counters; the per-link ones keep their links.
     pub fn clear(&mut self) {
-        *self = NetStats::default();
+        *self = Self::with_links(self.link_msgs.len());
     }
 }
 
@@ -95,8 +84,6 @@ mod tests {
         s.record(MsgKind::PutData, 100);
         s.record(MsgKind::PutData, 50);
         s.record(MsgKind::Barrier, 8);
-        assert_eq!(s.messages, 3);
-        assert_eq!(s.bytes, 158);
         assert_eq!(s.count(MsgKind::PutData), 2);
         assert_eq!(s.count(MsgKind::Barrier), 1);
         assert_eq!(s.count(MsgKind::GetReply), 0);

@@ -52,14 +52,8 @@ impl FifoTimeline {
     }
 
     /// Number of servers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.free.len()
-    }
-
-    /// Whether the timeline has no servers at all (a stage that is
-    /// configured off).
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
     }
 
     /// Return every server to idle-at-zero and zero the busy totals.
@@ -182,7 +176,6 @@ mod tests {
     #[test]
     fn empty_timeline_is_a_configured_off_stage() {
         let t = FifoTimeline::new(0);
-        assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert_eq!(t.quiesce(), Cycles::ZERO);
     }

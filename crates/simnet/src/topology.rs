@@ -74,12 +74,6 @@ impl Routes {
         self.hop_latency
     }
 
-    /// The `(tail, head)` node pair of a directed link. Vertices
-    /// `>= p` are internal switches (the fat tree's core).
-    pub fn endpoints(&self, link: LinkId) -> (usize, usize) {
-        self.links[link as usize]
-    }
-
     /// Append every ordered pair's route in `(from, to)` order;
     /// `route(from, to, hops)` pushes the links of a pair `from != to`.
     fn fill(&mut self, mut route: impl FnMut(usize, usize, &mut Vec<LinkId>)) {
@@ -284,6 +278,15 @@ impl TopologyKind {
             }
         }
         Some(routes)
+    }
+}
+
+#[cfg(test)]
+impl Routes {
+    /// The `(tail, head)` node pair of a directed link. Vertices
+    /// `>= p` are internal switches (the fat tree's core).
+    fn endpoints(&self, link: LinkId) -> (usize, usize) {
+        self.links[link as usize]
     }
 }
 

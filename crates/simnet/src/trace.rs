@@ -47,21 +47,6 @@ impl Trace {
         }
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Retained events in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
     /// Consume the trace, returning retained events in recording order.
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events
@@ -95,9 +80,8 @@ mod tests {
         tr.record(ev(1.0));
         tr.record(ev(2.0));
         tr.record(ev(3.0));
-        assert_eq!(tr.len(), 2);
         assert_eq!(tr.dropped(), 1);
-        let departs: Vec<f64> = tr.iter().map(|e| e.depart.get()).collect();
+        let departs: Vec<f64> = tr.into_events().iter().map(|e| e.depart.get()).collect();
         assert_eq!(departs, vec![1.0, 2.0]);
     }
 
@@ -105,7 +89,7 @@ mod tests {
     fn zero_capacity_drops_everything() {
         let mut tr = Trace::with_capacity(0);
         tr.record(ev(1.0));
-        assert!(tr.is_empty());
         assert_eq!(tr.dropped(), 1);
+        assert!(tr.into_events().is_empty());
     }
 }

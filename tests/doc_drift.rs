@@ -4,9 +4,15 @@
 //! `type` or `union`) and a member declared there — a `fn member`, a
 //! `member:` field (or constant), or an enum variant. `Type::{a, b}`
 //! quotes two members, and `Type::prefix_*` any member so named.
+//!
+//! Quoted paths cannot drift either: a module path a workspace crate
+//! qualifies (`core::x`, `qsm_core::x` or `qsm::core::x`) names a
+//! module file of that crate or an item it declares, and a quoted
+//! `….rs` path is the tail of a file under `crates`, `src`, `tests`,
+//! `examples` or `benchmark/src`.
 //! Fenced code blocks are not quotes and are not checked.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 4] = ["README.md", "DESIGN.md", "TUTORIAL.md", "EXPERIMENTS.md"];
@@ -143,6 +149,20 @@ fn every_quoted_type_and_member_is_declared() {
     assert!(declared.types.contains("CommMatrix") && declared.members.contains("for_each_dirty"));
 
     let mut stale = Vec::new();
+    for (at, line) in doc_lines(root) {
+        for (ty, member) in quoted(&line) {
+            if !declared.types.contains(ty) || !declared.has_member(member) {
+                stale.push(format!("{at}: `{ty}::{member}`"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "quoted but not declared:\n{}", stale.join("\n"));
+}
+
+/// Every line of the documents outside fenced code blocks, each with
+/// its `doc:line` position.
+fn doc_lines(root: &Path) -> Vec<(String, String)> {
+    let mut out = Vec::new();
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
         let mut fenced = false;
@@ -150,15 +170,108 @@ fn every_quoted_type_and_member_is_declared() {
             if line.trim_start().starts_with("```") {
                 fenced = !fenced;
             }
-            if fenced {
-                continue;
-            }
-            for (ty, member) in quoted(line) {
-                if !declared.types.contains(ty) || !declared.has_member(member) {
-                    stale.push(format!("{doc}:{}: `{ty}::{member}`", n + 1));
-                }
+            if !fenced {
+                out.push((format!("{doc}:{}", n + 1), line.to_string()));
             }
         }
     }
-    assert!(stale.is_empty(), "quoted but not declared:\n{}", stale.join("\n"));
+    out
+}
+
+/// The workspace crates, by the short name `qsm_<name>` and
+/// `qsm::<name>` extend.
+const CRATES: [&str; 8] =
+    ["algorithms", "bench", "core", "membank", "models", "obs", "serve", "simnet"];
+
+/// Every `(crate, name)` a line's inline code quotes as a crate-qualified
+/// path — `core::x`, `qsm_core::x` or `qsm::core::x` — and every
+/// `….rs` path it quotes.
+fn quoted_paths(line: &str) -> (Vec<(&str, &str)>, Vec<&str>) {
+    let (mut modules, mut files) = (Vec::new(), Vec::new());
+    for span in line.split('`').skip(1).step_by(2) {
+        for (at, _) in idents(span).filter(|&(at, _)| !span[..at].ends_with("::")) {
+            let mut segs =
+                span[at..].split("::").map(|s| &s[..s.find(|c| !is_ident(c)).unwrap_or(s.len())]);
+            let (first, second) = (segs.next().unwrap_or(""), segs.next().unwrap_or(""));
+            let (krate, name) = match first.strip_prefix("qsm_") {
+                Some(krate) => (krate, second),
+                None if first == "qsm" => (second, segs.next().unwrap_or("")),
+                None => (first, second),
+            };
+            if CRATES.contains(&krate) && !name.is_empty() {
+                modules.push((krate, name));
+            }
+        }
+        let tokens = span.split(|c: char| c.is_whitespace() || "(),:;".contains(c));
+        files.extend(tokens.filter(|t| t.len() > 3 && t.ends_with(".rs")));
+    }
+    (modules, files)
+}
+
+/// The module files and declared item names of a crate's `src`.
+fn crate_names(src: &Path) -> BTreeSet<String> {
+    let mut files = Vec::new();
+    rust_files(src, &mut files);
+    let mut names = BTreeSet::new();
+    for file in &files {
+        let module = file.strip_prefix(src).unwrap().with_extension("");
+        names.extend(module.iter().map(|part| part.to_string_lossy().into_owned()));
+        let text = std::fs::read_to_string(file).unwrap();
+        let mut prev = "";
+        for (_, word) in idents(&text) {
+            let item = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union"];
+            if item.contains(&prev) {
+                names.insert(word.to_string());
+            }
+            prev = word;
+        }
+    }
+    names
+}
+
+#[test]
+fn the_path_scanner_sees_what_it_must() {
+    let line = "`core::spmd` and `qsm_bench::knobs()`, `qsm::models::nmin`, \
+                `simnet::config::CpuConfig`, `crate::obs`, `std::core::x`, \
+                `tests/sim_on_pool.rs`, `sim_timer.rs::tests`, `a.rs` and `Cycles`";
+    let (modules, files) = quoted_paths(line);
+    assert_eq!(
+        modules,
+        [("core", "spmd"), ("bench", "knobs"), ("models", "nmin"), ("simnet", "config")]
+    );
+    assert_eq!(files, ["tests/sim_on_pool.rs", "sim_timer.rs", "a.rs"]);
+}
+
+#[test]
+fn every_quoted_module_path_and_file_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let names: BTreeMap<&str, BTreeSet<String>> = CRATES
+        .iter()
+        .map(|&c| (c, crate_names(&root.join("crates").join(c).join("src"))))
+        .collect();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut sources);
+    }
+    let sources: Vec<String> = sources
+        .iter()
+        .map(|f| f.strip_prefix(root).unwrap().to_string_lossy().into_owned())
+        .collect();
+
+    let mut stale = Vec::new();
+    for (at, line) in doc_lines(root) {
+        let (modules, files) = quoted_paths(&line);
+        for (krate, name) in modules {
+            if !names[krate].contains(name) {
+                stale.push(format!("{at}: `{krate}::{name}`"));
+            }
+        }
+        for file in files {
+            let tail = format!("/{file}");
+            if !sources.iter().any(|s| s == file || s.ends_with(&tail)) {
+                stale.push(format!("{at}: `{file}`"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "quoted but not in the tree:\n{}", stale.join("\n"));
 }

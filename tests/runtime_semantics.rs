@@ -220,8 +220,9 @@ fn concurrent_puts_record_kappa() {
 #[test]
 fn per_processor_rngs_differ_and_reproduce() {
     use rand::Rng;
-    for m in machines(4) {
-        let seeded = m.with_seed(42);
+    let machines: [AnyMachine; 2] =
+        [machine(4).with_seed(42).into(), ThreadMachine::new(4).with_seed(42).into()];
+    for seeded in machines {
         let draw = || seeded.run(|ctx| ctx.rng().gen::<u64>()).outputs;
         let a = draw();
         let b = draw();
@@ -238,9 +239,9 @@ fn rng_streams_identical_across_backends() {
     // The per-processor RNG derives from (machine seed, proc id)
     // only, so the two backends hand programs identical randomness.
     use rand::Rng;
-    let draw = |m: AnyMachine| m.with_seed(7).run(|ctx| ctx.rng().gen::<u64>()).outputs;
-    let [s, t] = machines(4);
-    assert_eq!(draw(s), draw(t));
+    let draw = |m: AnyMachine| m.run(|ctx| ctx.rng().gen::<u64>()).outputs;
+    let (s, t) = (machine(4).with_seed(7), ThreadMachine::new(4).with_seed(7));
+    assert_eq!(draw(s.into()), draw(t.into()));
 }
 
 #[test]
@@ -250,25 +251,6 @@ fn empty_program_runs_and_costs_nothing() {
         assert_eq!(run.outputs, vec![7; 4]);
         assert_eq!(run.num_phases(), 0);
         assert_eq!(run.total().get(), 0.0);
-    }
-}
-
-#[test]
-fn phase_table_renders_every_phase() {
-    for m in machines(2) {
-        let run = m.run(|ctx| {
-            let arr = ctx.register::<u64>("a", 4, Layout::Block);
-            ctx.sync();
-            ctx.charge(100);
-            ctx.put(&arr, (ctx.proc_id() + 1) % 2 * 2, &[1]);
-            ctx.sync();
-        });
-        let table = run.phase_table();
-        assert_eq!(table.lines().count(), 1 + run.num_phases());
-        assert!(table.lines().next().unwrap().contains("kappa"));
-        // Phase 1 row carries the charged ops and traffic.
-        let row1 = table.lines().nth(2).unwrap();
-        assert!(row1.contains("100"), "m_op missing from: {row1}");
     }
 }
 

@@ -136,10 +136,3 @@ fn histogram_rejects_zero_buckets() {
 fn histogram_seq_rejects_zero_buckets() {
     qsm::algorithms::histogram::histogram_seq(&[1, 2, 3], 0);
 }
-
-#[test]
-#[should_panic(expected = "matmul: a is 2×2 but b is 3×3")]
-fn matmul_rejects_matrices_of_different_dimensions() {
-    use qsm::algorithms::matmul::{run_on, Matrix};
-    run_on(&machine(2), &Matrix::random(2, 1), &Matrix::random(3, 2));
-}
