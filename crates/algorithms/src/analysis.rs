@@ -20,42 +20,10 @@
 //! per-phase constant (`o`, `l`, `L`) that QSM deliberately omits.
 
 use qsm_core::EffectiveCosts;
-use qsm_simnet::MachineConfig;
 
 /// The failure budget used for every "WHP" line (the paper derives
 /// bounds that hold for at least 90% of runs).
 pub const WHP_DELTA: f64 = 0.1;
-
-/// Effective model parameters for one machine configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EffectiveParams {
-    /// Processors.
-    pub p: usize,
-    /// Effective cycles per 4-byte word for put traffic.
-    pub g_put: f64,
-    /// Effective cycles per 4-byte word for get traffic.
-    pub g_get: f64,
-    /// Per-phase synchronization cost (measured empty sync).
-    pub l_sync: f64,
-}
-
-impl EffectiveParams {
-    /// Measure the effective parameters of `cfg` by running the
-    /// Table 3 microbenchmarks on the simulated machine.
-    pub fn measure(cfg: MachineConfig) -> Self {
-        Self::from_costs(cfg.p, EffectiveCosts::measure(cfg))
-    }
-
-    /// Assemble from pre-measured costs.
-    pub fn from_costs(p: usize, costs: EffectiveCosts) -> Self {
-        Self {
-            p,
-            g_put: costs.put_cycles_per_word,
-            g_get: costs.get_cycles_per_word,
-            l_sync: costs.empty_sync,
-        }
-    }
-}
 
 /// One prediction line evaluated at one problem size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +36,7 @@ pub struct Prediction {
 
 impl Prediction {
     /// Build from a QSM communication estimate and a phase count.
-    pub fn from_qsm(qsm: f64, phases: usize, params: &EffectiveParams) -> Self {
+    pub fn from_qsm(qsm: f64, phases: usize, params: &EffectiveCosts) -> Self {
         Self { qsm, bsp: qsm + phases as f64 * params.l_sync }
     }
 }
@@ -94,20 +62,19 @@ pub fn log2n(n: usize) -> f64 {
 }
 
 #[cfg(test)]
-impl EffectiveParams {
-    /// Idealized parameters for unit tests (g_put = g_get = g, L).
-    pub(crate) fn fixed(p: usize, g: f64, l_sync: f64) -> Self {
-        Self { p, g_put: g, g_get: g, l_sync }
-    }
+/// Idealized parameters for unit tests (g_put = g_get = g, L).
+pub(crate) fn fixed(p: usize, g: f64, l_sync: f64) -> EffectiveCosts {
+    EffectiveCosts { p, g_put: g, g_get: g, l_sync }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsm_simnet::MachineConfig;
 
     #[test]
     fn fixed_params_round_trip() {
-        let e = EffectiveParams::fixed(16, 140.0, 25_500.0);
+        let e = fixed(16, 140.0, 25_500.0);
         assert_eq!(e.p, 16);
         assert_eq!(e.g_put, 140.0);
         assert_eq!(e.g_get, 140.0);
@@ -115,7 +82,7 @@ mod tests {
 
     #[test]
     fn prediction_adds_l_per_phase() {
-        let e = EffectiveParams::fixed(16, 140.0, 1000.0);
+        let e = fixed(16, 140.0, 1000.0);
         let p = Prediction::from_qsm(5000.0, 5, &e);
         assert_eq!(p.qsm, 5000.0);
         assert_eq!(p.bsp, 10_000.0);
@@ -138,7 +105,7 @@ mod tests {
 
     #[test]
     fn measured_params_have_sane_ordering() {
-        let e = EffectiveParams::measure(MachineConfig::paper_default(4));
+        let e = EffectiveCosts::measure(MachineConfig::paper_default(4));
         assert!(e.g_get > e.g_put, "gets must cost more than puts");
         assert!(e.g_put > 12.0, "software gap above hardware gap (12 c/word)");
         assert!(e.l_sync > 0.0);

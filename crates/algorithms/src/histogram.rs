@@ -156,8 +156,8 @@ mod tests {
         // The whole point of owner-computes: no location is touched
         // twice in a phase.
         let run = run_on(&machine(4), &random_u32s(2000, 25), 64);
-        for ph in &run.run.profile.phases {
-            assert!(ph.kappa <= 1, "kappa = {}", ph.kappa);
+        for ph in &run.run.phases {
+            assert!(ph.profile.kappa <= 1, "kappa = {}", ph.profile.kappa);
         }
     }
 

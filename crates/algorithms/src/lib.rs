@@ -10,7 +10,7 @@
 //! Each algorithm module also carries its *analytical* side: the
 //! best-case, Chernoff WHP-bound, and measured-skew estimate lines
 //! the paper plots in Figures 1–3, priced with effective
-//! (software-inclusive) gaps from [`analysis::EffectiveParams`].
+//! (software-inclusive) gaps from [`qsm_core::EffectiveCosts`].
 //!
 //! Beyond the paper's three, [`histogram`] (owner-computes
 //! reduction) shows the library on a combining workload.
@@ -30,4 +30,4 @@ pub mod prefix;
 pub mod samplesort;
 pub mod seq;
 
-pub use analysis::{EffectiveParams, Prediction};
+pub use analysis::Prediction;

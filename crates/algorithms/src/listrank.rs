@@ -18,11 +18,11 @@
 //! Ranks are distances to the tail: `rank[tail] = 0`,
 //! `rank[e] = rank[succ[e]] + 1` on the original list.
 
-use qsm_core::{Ctx, GetTicket, Layout, Machine, RunResult, Word};
+use qsm_core::{Ctx, EffectiveCosts, GetTicket, Layout, Machine, RunResult, Word};
 use qsm_models::chernoff::binomial_upper_bound;
 use rand::Rng;
 
-use crate::analysis::{EffectiveParams, Prediction, WHP_DELTA};
+use crate::analysis::{Prediction, WHP_DELTA};
 use crate::collectives::Gather;
 use crate::gen::NIL;
 use crate::seq;
@@ -454,7 +454,7 @@ pub fn run_on<M: Machine>(machine: &M, succ: &[u64], pred: &[u64]) -> ListRankRu
 /// 1-word flip, removers (x/4) fetch a 2-word weight and write
 /// 4 + 2 words of splice/weight traffic; the matching expansion
 /// iteration fetches a 2-word rank per removed element.
-fn iter_comm(x: f64, rho: f64, params: &EffectiveParams) -> f64 {
+fn iter_comm(x: f64, rho: f64, params: &EffectiveCosts) -> f64 {
     let gets = x / 2.0 + 2.0 * (x / 4.0) + 2.0 * (x / 4.0);
     let puts = 6.0 * (x / 4.0);
     rho * (params.g_get * gets + params.g_put * puts)
@@ -462,7 +462,7 @@ fn iter_comm(x: f64, rho: f64, params: &EffectiveParams) -> f64 {
 
 /// Best-case prediction: no skew, `x_i = (n/p)(3/4)^(i-1)`,
 /// survivors `n·(3/4)^iters`.
-pub fn predict_best(n: usize, params: &EffectiveParams) -> Prediction {
+pub fn predict_best(n: usize, params: &EffectiveCosts) -> Prediction {
     let p = params.p as f64;
     let iters = iterations(params.p);
     let rho = (p - 1.0) / p;
@@ -483,7 +483,7 @@ pub fn predict_best(n: usize, params: &EffectiveParams) -> Prediction {
 /// WHP prediction: Chernoff upper bounds on every `x_i` (survival
 /// probability 3/4 per element, failure budget split across
 /// iterations and processors).
-pub fn predict_whp(n: usize, params: &EffectiveParams) -> Prediction {
+pub fn predict_whp(n: usize, params: &EffectiveCosts) -> Prediction {
     let p = params.p as f64;
     let iters = iterations(params.p);
     let rho = (p - 1.0) / p;
@@ -501,7 +501,7 @@ pub fn predict_whp(n: usize, params: &EffectiveParams) -> Prediction {
 }
 
 /// Estimate from the traffic actually measured in a run.
-pub fn predict_estimate(run: &ListRankRun, params: &EffectiveParams) -> Prediction {
+pub fn predict_estimate(run: &ListRankRun, params: &EffectiveCosts) -> Prediction {
     let p = params.p as f64;
     let mut comm = 0.0;
     for it in &run.iter_maxima {
@@ -581,7 +581,7 @@ mod tests {
 
     #[test]
     fn best_below_whp() {
-        let params = EffectiveParams::fixed(16, 140.0, 25_500.0);
+        let params = crate::analysis::fixed(16, 140.0, 25_500.0);
         for n in [1 << 12, 1 << 18] {
             assert!(predict_best(n, &params).qsm < predict_whp(n, &params).qsm);
         }
@@ -592,7 +592,7 @@ mod tests {
         let m = machine(8);
         let (succ, pred, _) = random_list(1 << 14, 9);
         let run = run_on(&m, &succ, &pred);
-        let params = EffectiveParams::measure(MachineConfig::paper_default(8));
+        let params = EffectiveCosts::measure(MachineConfig::paper_default(8));
         let est = predict_estimate(&run, &params);
         let measured = run.comm();
         // The estimate misses only the per-phase o/l/L constant, so it

@@ -9,9 +9,9 @@
 //! words (the paper's Figure 1 lines). No peer reads a block, so it
 //! is read in place and scanned into its part of the output (`Gather`).
 
-use qsm_core::{addr::block_range, Ctx, Layout, Machine, RunResult};
+use qsm_core::{addr::block_range, Ctx, EffectiveCosts, Layout, Machine, RunResult};
 
-use crate::analysis::{EffectiveParams, Prediction};
+use crate::analysis::Prediction;
 use crate::collectives::Gather;
 
 /// Number of setup phases (array registration + input distribution)
@@ -95,7 +95,7 @@ pub fn run_on<M: Machine>(machine: &M, input: &[u64]) -> PrefixRun {
 /// The paper's prediction for communication time: QSM charges
 /// `g(p-1)` per-processor remote words (×2 because our sums are
 /// 8-byte values), BSP adds one `L`.
-pub fn predict(params: &EffectiveParams) -> Prediction {
+pub fn predict(params: &EffectiveCosts) -> Prediction {
     let words = 2.0; // one u64 block total
     let qsm = params.g_put * (params.p as f64 - 1.0) * words;
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
@@ -159,7 +159,7 @@ mod tests {
         // sits lowest.
         let m = machine(16);
         let run = run_on(&m, &random_u64s(1 << 14, 5));
-        let params = EffectiveParams::measure(MachineConfig::paper_default(16));
+        let params = EffectiveCosts::measure(MachineConfig::paper_default(16));
         let pred = predict(&params);
         assert!(pred.qsm < pred.bsp);
         assert!(pred.bsp < run.comm(), "BSP {} !< measured {}", pred.bsp, run.comm());

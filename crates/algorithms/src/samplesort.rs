@@ -14,11 +14,11 @@
 //! it is staged, so keys are sampled and staged from the input in place;
 //! the sorted buckets go back into `ssort.staged`, which phase 4 has read.
 
-use qsm_core::{addr::block_range, Ctx, Layout, Machine, RunResult};
+use qsm_core::{addr::block_range, Ctx, EffectiveCosts, Layout, Machine, RunResult};
 use qsm_models::chernoff::sample_sort_bucket_bound;
 use rand::Rng;
 
-use crate::analysis::{log2n, EffectiveParams, Prediction, WHP_DELTA};
+use crate::analysis::{log2n, Prediction, WHP_DELTA};
 use crate::collectives::Gather;
 
 /// Number of setup phases (registration + input distribution)
@@ -273,7 +273,7 @@ pub fn run_on_with<M: Machine>(machine: &M, input: &[u32], c: f64) -> SampleSort
 /// The QSM communication formula with explicit load-balance inputs
 /// `B` and `r` (the paper's `4(p-1)g log n + 3(p-1)g + gBr + gB`,
 /// with each term priced by its primitive's effective gap).
-pub fn qsm_comm(n: usize, b: f64, r: f64, c: f64, params: &EffectiveParams) -> f64 {
+pub fn qsm_comm(n: usize, b: f64, r: f64, c: f64, params: &EffectiveCosts) -> f64 {
     let p = params.p as f64;
     let spp = samples_per_proc(n, c) as f64;
     let broadcasts =
@@ -283,7 +283,7 @@ pub fn qsm_comm(n: usize, b: f64, r: f64, c: f64, params: &EffectiveParams) -> f
 
 /// Best-case prediction: perfect balance (`B = n/p`,
 /// `r = (p-1)/p`).
-pub fn predict_best(n: usize, c: f64, params: &EffectiveParams) -> Prediction {
+pub fn predict_best(n: usize, c: f64, params: &EffectiveCosts) -> Prediction {
     let p = params.p as f64;
     let qsm = qsm_comm(n, n as f64 / p, (p - 1.0) / p, c, params);
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
@@ -293,7 +293,7 @@ pub fn predict_best(n: usize, c: f64, params: &EffectiveParams) -> Prediction {
 /// (the variance of pivot-cut buckets is governed by the sample
 /// count, not by multinomial balance; failure budget [`WHP_DELTA`]
 /// split over the `p` buckets) and the fully conservative `r = 1`.
-pub fn predict_whp(n: usize, c: f64, params: &EffectiveParams) -> Prediction {
+pub fn predict_whp(n: usize, c: f64, params: &EffectiveCosts) -> Prediction {
     let p = params.p;
     let spp = samples_per_proc(n, c);
     let b = sample_sort_bucket_bound(
@@ -311,7 +311,7 @@ pub fn predict_estimate(
     n: usize,
     run: &SampleSortRun,
     c: f64,
-    params: &EffectiveParams,
+    params: &EffectiveCosts,
 ) -> Prediction {
     let qsm = qsm_comm(n, run.b_max as f64, run.r_max, c, params);
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
@@ -423,7 +423,7 @@ mod tests {
 
     #[test]
     fn best_case_below_whp_bound() {
-        let params = EffectiveParams::fixed(16, 140.0, 25_500.0);
+        let params = crate::analysis::fixed(16, 140.0, 25_500.0);
         for n in [1 << 12, 1 << 16, 1 << 20] {
             let best = predict_best(n, 2.0, &params);
             let whp = predict_whp(n, 2.0, &params);
@@ -437,7 +437,7 @@ mod tests {
         // The WHP/Best ratio is governed by the oversampling rate
         // (c·log n samples per pivot gap): it stays a small constant
         // factor across the whole sweep rather than blowing up.
-        let params = EffectiveParams::fixed(16, 140.0, 25_500.0);
+        let params = crate::analysis::fixed(16, 140.0, 25_500.0);
         for n in [1 << 12, 1 << 16, 1 << 20] {
             let ratio = predict_whp(n, 2.0, &params).qsm / predict_best(n, 2.0, &params).qsm;
             assert!((1.0..3.0).contains(&ratio), "n={n}: band ratio {ratio}");
@@ -451,7 +451,7 @@ mod tests {
         let n = 1 << 15;
         let input = random_u32s(n, 29);
         let run = run_on(&m, &input);
-        let params = EffectiveParams::measure(MachineConfig::paper_default(8));
+        let params = EffectiveCosts::measure(MachineConfig::paper_default(8));
         let best = predict_best(n, DEFAULT_OVERSAMPLING, &params);
         let whp = predict_whp(n, DEFAULT_OVERSAMPLING, &params);
         let measured = run.comm();
@@ -472,7 +472,7 @@ mod tests {
         let m = machine(4);
         let input = random_u32s(4096, 31);
         let run = run_on(&m, &input);
-        let params = EffectiveParams::fixed(4, 140.0, 25_500.0);
+        let params = crate::analysis::fixed(4, 140.0, 25_500.0);
         let est = predict_estimate(4096, &run, DEFAULT_OVERSAMPLING, &params);
         let best = predict_best(4096, DEFAULT_OVERSAMPLING, &params);
         // Real skew can't beat perfect balance by definition of B.

@@ -34,29 +34,17 @@ use qsm_bench::obs::ObsSink;
 use qsm_bench::output::table;
 use qsm_bench::{knobs, RunCfg};
 use qsm_core::obs::ObsLevel;
-use qsm_core::{CostReport, Machine, PhaseRecord};
+use qsm_core::{Machine, PhaseRecord};
 use qsm_obs::{ObsData, SpanKind};
 use qsm_simnet::{Cycles, MachineConfig};
 
-fn run_algo<M: Machine>(
-    algo: &str,
-    machine: &M,
-    n: usize,
-    seed: u64,
-) -> (Vec<PhaseRecord>, CostReport) {
+fn run_algo<M: Machine>(algo: &str, machine: &M, n: usize, seed: u64) -> Vec<PhaseRecord> {
     match algo {
-        "prefix" => {
-            let r = prefix::run_on(machine, &gen::random_u64s(n, seed ^ 0xDA7A));
-            (r.run.phases, r.run.report)
-        }
-        "samplesort" => {
-            let r = samplesort::run_on(machine, &gen::random_u32s(n, seed ^ 0xDA7A));
-            (r.run.phases, r.run.report)
-        }
+        "prefix" => prefix::run_on(machine, &gen::random_u64s(n, seed ^ 0xDA7A)).run.phases,
+        "samplesort" => samplesort::run_on(machine, &gen::random_u32s(n, seed ^ 0xDA7A)).run.phases,
         "listrank" => {
             let (succ, pred, _) = gen::random_list(n, seed ^ 0xDA7A);
-            let r = listrank::run_on(machine, &succ, &pred);
-            (r.run.phases, r.run.report)
+            listrank::run_on(machine, &succ, &pred).run.phases
         }
         other => {
             eprintln!("unknown QSM_ALGO '{other}' (want prefix, samplesort, or listrank)");
@@ -210,7 +198,8 @@ fn main() {
     let unit = machine.time_unit();
 
     sink.discard(); // nothing of interest captured yet; start clean
-    let (phases, report) = run_algo(algo, &machine, n, 0x1998_0021);
+    let phases = run_algo(algo, &machine, n, 0x1998_0021);
+    let report = machine.make_report(&phases);
     let data = sink.recorder().take().unwrap_or_else(|| {
         eprintln!("explain requires the observability recorder; another one is installed");
         std::process::exit(1);

@@ -17,7 +17,7 @@
 //! abstract away. The observed bank-κ and bank-wait columns are what
 //! explains the measured split.
 
-use qsm_core::{Layout, SimMachine};
+use qsm_core::{Layout, Machine, SimMachine};
 use qsm_membank::{platform, Pattern};
 use qsm_simnet::{BankModel, MachineConfig};
 
@@ -116,12 +116,13 @@ fn measure(pattern: Pattern, w: usize, seed: u64) -> Measured {
         }
     });
     let data = &run.phases[1];
+    let report = machine.make_report(&run.phases);
     Measured {
         comm: data.timing.comm.get(),
         bank_kappa: data.bank_kappa,
         bank_wait: data.bank_wait.get(),
-        qsm_pred: run.report.qsm_comm,
-        sqsm_pred: run.report.sqsm_comm,
+        qsm_pred: report.qsm_comm,
+        sqsm_pred: report.sqsm_comm,
     }
 }
 

@@ -26,7 +26,7 @@
 //! dropped from the artifact instead of killing the run.
 
 use qsm_algorithms::{gen, samplesort};
-use qsm_core::SimMachine;
+use qsm_core::{Machine, SimMachine};
 use qsm_simnet::{FaultConfig, MachineConfig};
 
 use crate::output::{csv, table, us_at_400mhz};
@@ -48,8 +48,8 @@ pub fn run(cfg: &RunCfg) -> Report {
     let points = crate::sweep::map_surviving(cfg.p, DROP_PROBS.to_vec(), |_, drop_prob| {
         let machine_cfg =
             MachineConfig::paper_default(cfg.p).with_faults(FaultConfig::drops(seed, drop_prob));
-        let run = samplesort::run_on(&SimMachine::new(machine_cfg), &input);
-        let rep = &run.run.report;
+        let machine = SimMachine::new(machine_cfg);
+        let rep = machine.make_report(&samplesort::run_on(&machine, &input).run.phases);
         (
             drop_prob,
             rep.measured_comm.get(),

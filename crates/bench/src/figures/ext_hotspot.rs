@@ -15,8 +15,7 @@
 //! the hot-spot runs track the s-QSM line (linear in p) while the
 //! QSM line stays flat and underpredicts by a factor ≈ p.
 
-use qsm_algorithms::analysis::EffectiveParams;
-use qsm_core::{Layout, SimMachine};
+use qsm_core::{EffectiveCosts, Layout, SimMachine};
 use qsm_simnet::MachineConfig;
 
 use crate::output::{csv, table, us_at_400mhz};
@@ -61,7 +60,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     // Rows are fully independent per machine size — each one is its
     // own sweep point (calibration plus both measurements).
     let rows = crate::sweep::map(cfg.p, ps, |_, p| {
-        let params = EffectiveParams::measure(MachineConfig::paper_default(p));
+        let params = EffectiveCosts::measure(MachineConfig::paper_default(p));
         // Model lines (communication only, plus the per-phase L that
         // both share): QSM charges the issuer's words; s-QSM charges
         // the serialized queue at the memory module.

@@ -14,10 +14,9 @@
 //! prediction stays flat — quantifying exactly how far the model's
 //! identical-processors assumption stretches.
 
-use qsm_algorithms::analysis::EffectiveParams;
 use qsm_algorithms::samplesort::DEFAULT_OVERSAMPLING;
 use qsm_algorithms::{gen, samplesort};
-use qsm_core::SimMachine;
+use qsm_core::{EffectiveCosts, SimMachine};
 use qsm_simnet::MachineConfig;
 
 use crate::output::{csv, table, us_at_400mhz};
@@ -32,7 +31,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     crate::backend::warn_sim_only("ext_straggler");
     let n = if cfg.fast { 1 << 14 } else { 1 << 17 };
     let input = gen::random_u32s(n, 0x57A6);
-    let params = EffectiveParams::measure(MachineConfig::paper_default(cfg.p));
+    let params = EffectiveCosts::measure(MachineConfig::paper_default(cfg.p));
     // Each slowdown factor is an independent simulation of the same
     // input; the pred_drift column references factor 1.0's prediction,
     // so fan out the measurements and build the rows afterwards.
@@ -49,9 +48,9 @@ pub fn run(cfg: &RunCfg) -> Report {
         // neither does the prediction.
         let est = samplesort::predict_estimate(n, &run, DEFAULT_OVERSAMPLING, &params);
         let predicted = est.bsp
-            + run.run.profile.phases[samplesort::SETUP_PHASES..]
+            + run.run.phases[samplesort::SETUP_PHASES..]
                 .iter()
-                .map(|ph| ph.m_op as f64)
+                .map(|ph| ph.profile.m_op as f64)
                 .sum::<f64>();
         (factor, measured, predicted)
     });

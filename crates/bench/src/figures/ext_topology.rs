@@ -31,7 +31,7 @@
 //! is the price of that abstraction at fixed g, l, o.
 
 use qsm_algorithms::{gen, listrank, prefix, samplesort};
-use qsm_core::SimMachine;
+use qsm_core::{Machine, SimMachine};
 use qsm_simnet::{MachineConfig, TopologyKind};
 
 use crate::output::{csv, table, us_at_400mhz};
@@ -104,17 +104,18 @@ fn measure(algo: &str, topo: TopologyKind, n: usize, seed: u64) -> Measured {
         cfg = cfg.with_link_gap(gap);
     }
     let machine = SimMachine::new(cfg).with_seed(seed);
-    let report = match algo {
-        "prefix" => prefix::run_on(&machine, &gen::random_u64s(n, seed ^ 0xDA7A)).run.report,
+    let phases = match algo {
+        "prefix" => prefix::run_on(&machine, &gen::random_u64s(n, seed ^ 0xDA7A)).run.phases,
         "samplesort" => {
-            samplesort::run_on(&machine, &gen::random_u32s(n, seed ^ 0xDA7A)).run.report
+            samplesort::run_on(&machine, &gen::random_u32s(n, seed ^ 0xDA7A)).run.phases
         }
         "listrank" => {
             let (succ, pred, _) = gen::random_list(n / 4, seed ^ 0xDA7A);
-            listrank::run_on(&machine, &succ, &pred).run.report
+            listrank::run_on(&machine, &succ, &pred).run.phases
         }
         _ => unreachable!("ALGOS is fixed"),
     };
+    let report = machine.make_report(&phases);
     Measured {
         comm: report.measured_comm.get(),
         link_wait: report.link_wait.get(),

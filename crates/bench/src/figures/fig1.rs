@@ -7,8 +7,8 @@
 //! messages), QSM lowest — yet the absolute error stays small and
 //! the algorithm is efficient in practice.
 
-use qsm_algorithms::analysis::EffectiveParams;
 use qsm_algorithms::{gen, prefix};
+use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
@@ -27,7 +27,7 @@ pub fn run(cfg: &RunCfg) -> Report {
 pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
     crate::journal::set_figure("fig1", cfg);
     let machine_cfg = MachineConfig::paper_default(cfg.p);
-    let params = EffectiveParams::measure(machine_cfg);
+    let params = EffectiveCosts::measure(machine_cfg);
     let pred = prefix::predict(&params);
 
     // Each problem size is an independent measurement point: fan them

@@ -8,9 +8,10 @@
 //! estimate comes within ~10% of measured communication beyond
 //! roughly 125 000 elements (8 000 per processor).
 
-use qsm_algorithms::analysis::{relative_error, EffectiveParams};
+use qsm_algorithms::analysis::relative_error;
 use qsm_algorithms::gen;
 use qsm_algorithms::samplesort::{self, DEFAULT_OVERSAMPLING};
+use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
@@ -29,7 +30,7 @@ pub fn run(cfg: &RunCfg) -> Report {
 pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
     crate::journal::set_figure("fig2", cfg);
     let machine_cfg = MachineConfig::paper_default(cfg.p);
-    let params = EffectiveParams::measure(machine_cfg);
+    let params = EffectiveCosts::measure(machine_cfg);
 
     // Independent per size — fanned across the sweep pool with
     // (point, rep)-keyed seeds; rows return in size order.

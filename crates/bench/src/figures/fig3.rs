@@ -5,8 +5,9 @@
 //! estimate landing within ~15% of measured communication for
 //! n ≳ 60 000 (the BSP estimate slightly earlier).
 
-use qsm_algorithms::analysis::{relative_error, EffectiveParams};
+use qsm_algorithms::analysis::relative_error;
 use qsm_algorithms::{gen, listrank};
+use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
@@ -25,7 +26,7 @@ pub fn run(cfg: &RunCfg) -> Report {
 pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
     crate::journal::set_figure("fig3", cfg);
     let machine_cfg = MachineConfig::paper_default(cfg.p);
-    let params = EffectiveParams::measure(machine_cfg);
+    let params = EffectiveCosts::measure(machine_cfg);
 
     // Independent per size — fanned across the sweep pool with
     // (point, rep)-keyed seeds; rows return in size order.

@@ -7,8 +7,8 @@
 //! where the measured curve meets the WHP band moves right linearly
 //! in l.
 
-use qsm_algorithms::analysis::EffectiveParams;
 use qsm_algorithms::samplesort::{self, DEFAULT_OVERSAMPLING};
+use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
 use crate::figures::samplesort_comm;
@@ -30,7 +30,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     crate::backend::warn_sim_only("fig4");
     // Prediction lines use the default machine's effective costs:
     // QSM does not model latency, so its lines must not move.
-    let params = EffectiveParams::measure(MachineConfig::paper_default(cfg.p));
+    let params = EffectiveCosts::measure(MachineConfig::paper_default(cfg.p));
 
     // Flatten the (latency × size) grid into one sweep: every cell is
     // an independent measurement whose seed is keyed on its size

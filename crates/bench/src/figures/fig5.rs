@@ -7,7 +7,7 @@
 //! in l — the paper's pipelining condition `(l/g)·π ≪ W/p` made
 //! empirical.
 
-use qsm_algorithms::analysis::EffectiveParams;
+use qsm_core::EffectiveCosts;
 use qsm_models::nmin::{linear_fit, r_squared};
 use qsm_simnet::MachineConfig;
 
@@ -28,7 +28,7 @@ fn sweep(cfg: &RunCfg) -> Crossovers {
     // The prediction band comes from the default machine and is the
     // same for every latency; each latency's doubling scan is then an
     // independent sweep point.
-    let params = EffectiveParams::measure(MachineConfig::paper_default(cfg.p));
+    let params = EffectiveCosts::measure(MachineConfig::paper_default(cfg.p));
     crate::sweep::map(cfg.p, fig4::latencies(cfg.fast), |_, l| {
         let machine_cfg = MachineConfig::paper_default(cfg.p).with_latency(l);
         (l, samplesort_crossover(machine_cfg, cfg, &params))

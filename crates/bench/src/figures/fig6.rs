@@ -5,7 +5,7 @@
 //! instead of the latency. Expected shape: n_cross grows linearly in
 //! o (batching amortizes o over more data as n grows).
 
-use qsm_algorithms::analysis::EffectiveParams;
+use qsm_core::EffectiveCosts;
 use qsm_models::nmin::{linear_fit, r_squared};
 use qsm_simnet::MachineConfig;
 
@@ -33,7 +33,7 @@ pub fn crossovers(cfg: &RunCfg) -> Vec<(f64, Option<f64>)> {
 fn sweep(cfg: &RunCfg) -> Crossovers {
     // Same structure as fig5: one prediction band, independent
     // doubling scans per overhead value.
-    let params = EffectiveParams::measure(MachineConfig::paper_default(cfg.p));
+    let params = EffectiveCosts::measure(MachineConfig::paper_default(cfg.p));
     crate::sweep::map(cfg.p, overheads(cfg.fast), |_, o| {
         let machine_cfg = MachineConfig::paper_default(cfg.p).with_overhead(o);
         (o, samplesort_crossover(machine_cfg, cfg, &params))

@@ -40,9 +40,8 @@ pub mod table4;
 
 use std::sync::{Mutex, MutexGuard};
 
-use qsm_algorithms::analysis::EffectiveParams;
 use qsm_algorithms::{gen, samplesort};
-use qsm_core::SimMachine;
+use qsm_core::{EffectiveCosts, SimMachine};
 use qsm_simnet::MachineConfig;
 
 use crate::stats::{cross_interpolate, mean};
@@ -124,7 +123,7 @@ pub(crate) fn samplesort_comm(
 pub(crate) fn samplesort_crossover(
     machine_cfg: MachineConfig,
     cfg: &RunCfg,
-    params: &EffectiveParams,
+    params: &EffectiveCosts,
 ) -> Option<f64> {
     // Scan the sweep grid, then keep doubling past it (bounded) so
     // slow networks still resolve a crossover instead of reporting

@@ -64,8 +64,8 @@ pub fn run(cfg: &RunCfg) -> Report {
             "N/A".into(),
             format!(
                 "{:.0} cycles (16 processors) ({:.0} us)",
-                costs.empty_sync,
-                us_at_400mhz(costs.empty_sync)
+                costs.l_sync,
+                us_at_400mhz(costs.l_sync)
             ),
             format!("{PAPER_L:.0} cycles (64 us)"),
         ],
@@ -91,7 +91,7 @@ mod tests {
         let get = costs.get_cycles_per_byte();
         assert!((put - PAPER_PUT_CPB).abs() / PAPER_PUT_CPB < 0.25, "put = {put}");
         assert!((get - PAPER_GET_CPB).abs() / PAPER_GET_CPB < 0.25, "get = {get}");
-        assert!((costs.empty_sync - PAPER_L).abs() / PAPER_L < 0.25, "L = {}", costs.empty_sync);
+        assert!((costs.l_sync - PAPER_L).abs() / PAPER_L < 0.25, "L = {}", costs.l_sync);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! paper's `k`-coefficients so the *ordering and spread* can be
 //! compared.
 
-use qsm_algorithms::analysis::EffectiveParams;
+use qsm_core::EffectiveCosts;
 use qsm_models::machine::{paper_k_coefficients, table4_machines};
 use qsm_models::nmin::{linear_fit, NminModel};
 use qsm_simnet::MachineConfig;
@@ -27,7 +27,7 @@ pub fn fit_model(cfg: &RunCfg) -> Option<NminModel> {
 
     // Baseline crossover on the default machine.
     let machine_cfg = MachineConfig::paper_default(cfg.p);
-    let params = EffectiveParams::measure(machine_cfg);
+    let params = EffectiveCosts::measure(machine_cfg);
     let base_cross = samplesort_crossover(machine_cfg, cfg, &params)?;
 
     // Slopes from the two sweeps (per processor). Crossovers pinned

@@ -55,7 +55,7 @@ fn real_run_export_parses_and_comm_spans_sum_to_measured_comm() {
     let machine = SimMachine::new(MachineConfig::paper_default(8));
     let r = prefix::run_on(&machine, &gen::random_u64s(1 << 12, 7));
     let data = rec.take().expect("recorder is installed");
-    let measured = r.run.report.measured_comm.get();
+    let measured = r.run.comm().get();
     let sum: f64 =
         data.spans.iter().filter(|s| s.kind == SpanKind::PhaseComm).map(|s| s.dur.get()).sum();
     assert_eq!(sum, measured, "captured comm spans disagree with CostReport");

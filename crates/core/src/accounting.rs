@@ -94,22 +94,12 @@ impl CostReport {
     /// Assemble a report from phase records.
     pub fn build(cfg: &MachineConfig, phases: &[PhaseRecord], l_barrier: f64) -> Self {
         let models = ModelInputs::hardware(cfg, l_barrier);
-        Self::build_with_models(cfg.p, phases, models)
-    }
-
-    /// Assemble a report against explicit model parameters.
-    pub fn build_with_models(p: usize, phases: &[PhaseRecord], models: ModelInputs) -> Self {
-        let profile =
-            qsm_models::ProgramProfile { phases: phases.iter().map(|r| r.profile).collect() };
-        let measured_total: Cycles = phases.iter().map(|r| r.timing.elapsed).sum();
-        let measured_compute: Cycles = phases.iter().map(|r| r.timing.compute).sum();
-        let measured_comm: Cycles = phases.iter().map(|r| r.timing.comm).sum();
         Self {
-            p,
+            p: cfg.p,
             num_phases: phases.len(),
-            measured_total,
-            measured_compute,
-            measured_comm,
+            measured_total: phases.iter().map(|r| r.timing.elapsed).sum(),
+            measured_compute: phases.iter().map(|r| r.timing.compute).sum(),
+            measured_comm: phases.iter().map(|r| r.timing.comm).sum(),
             data_msgs: phases.iter().map(|r| r.data_msgs).sum(),
             payload_bytes: phases.iter().map(|r| r.payload_bytes).sum(),
             retries: phases.iter().map(|r| r.retries).sum(),
@@ -119,10 +109,10 @@ impl CostReport {
             link_wait: phases.iter().map(|r| r.link_wait).sum(),
             link_util: phases.iter().map(|r| r.link_util).fold(0.0, f64::max),
             models,
-            qsm_comm: profile.qsm_comm_cost(&models.qsm),
-            sqsm_comm: profile.sqsm_comm_cost(&models.sqsm),
-            bsp_comm: profile.bsp_comm_cost(&models.bsp),
-            logp_comm: profile.logp_comm_cost(&models.logp),
+            qsm_comm: phases.iter().map(|r| models.qsm.phase_comm_cost(&r.profile)).sum(),
+            sqsm_comm: phases.iter().map(|r| models.sqsm.phase_comm_cost(&r.profile)).sum(),
+            bsp_comm: phases.iter().map(|r| models.bsp.phase_comm_cost(&r.profile)).sum(),
+            logp_comm: phases.iter().map(|r| models.logp.phase_comm_cost(&r.profile)).sum(),
             measured_unit: "cycles",
         }
     }
@@ -269,15 +259,6 @@ mod tests {
         for needle in ["QSM", "s-QSM", "BSP", "LogP", "measured", "phases = 1"] {
             assert!(s.contains(needle), "missing {needle} in:\n{s}");
         }
-    }
-
-    #[test]
-    fn build_with_models_matches_build() {
-        let cfg = MachineConfig::paper_default(4);
-        let phases = vec![record(10, 20, 300.0)];
-        let a = CostReport::build(&cfg, &phases, 777.0);
-        let b = CostReport::build_with_models(4, &phases, ModelInputs::hardware(&cfg, 777.0));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! attribute only (see DESIGN.md §2 for why this substitution is
 //! behaviour-preserving).
 
+use qsm_simnet::fault::mix64;
+
 /// Identifier of a registered shared array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
@@ -102,15 +104,6 @@ pub fn block_range(len: usize, p: usize, proc: usize) -> std::ops::Range<usize> 
 /// global index `idx`.
 pub fn block_owner(len: usize, p: usize, idx: usize) -> usize {
     BlockGeom::new(len, p).owner(idx)
-}
-
-/// Deterministic 64-bit mix (splitmix64 finalizer) used for hashed
-/// layout; good avalanche, trivially reproducible.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Cost owner of `idx` in array `id` under `layout`.

@@ -31,27 +31,30 @@ use crate::sim_runtime::SimMachine;
 /// distinct machines: a linear scan, and nothing is ever evicted.
 static MEMO: Mutex<Vec<(MachineConfig, usize, EffectiveCosts)>> = Mutex::new(Vec::new());
 
-/// Software-inclusive network costs observed on a machine.
+/// Software-inclusive network costs observed on a machine: the
+/// effective model parameters every algorithm's prediction lines use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EffectiveCosts {
+    /// Processors.
+    pub p: usize,
     /// Marginal cycles per 4-byte word for scattered single-word puts.
-    pub put_cycles_per_word: f64,
+    pub g_put: f64,
     /// Marginal cycles per 4-byte word for scattered single-word gets.
-    pub get_cycles_per_word: f64,
+    pub g_get: f64,
     /// Cost of an empty `sync()` (plan + barrier): the effective
     /// per-phase synchronization cost `L`.
-    pub empty_sync: f64,
+    pub l_sync: f64,
 }
 
 impl EffectiveCosts {
     /// Cycles per byte for puts (Table 3 units).
     pub fn put_cycles_per_byte(&self) -> f64 {
-        self.put_cycles_per_word / 4.0
+        self.g_put / 4.0
     }
 
     /// Cycles per byte for gets (Table 3 units).
     pub fn get_cycles_per_byte(&self) -> f64 {
-        self.get_cycles_per_word / 4.0
+        self.g_get / 4.0
     }
 
     /// Measure with the default stream length (8192 words/processor).
@@ -90,28 +93,18 @@ impl EffectiveCosts {
     #[doc(hidden)]
     pub fn measure_uncached(cfg: MachineConfig, words: usize) -> Self {
         assert!(words > 0);
-        let p = cfg.p;
         let machine = SimMachine::new(cfg);
-
-        let empty_sync = machine.empty_sync_cost().get();
-        if p == 1 {
-            // Degenerate machine: everything is local; report the
-            // library's self-path costs.
-            let comm = Self::put_phase_comm(&machine, words);
-            let get_comm = Self::get_phase_comm(&machine, words);
-            return Self {
-                put_cycles_per_word: comm / words as f64,
-                get_cycles_per_word: get_comm / words as f64,
-                empty_sync,
-            };
-        }
-
+        let l_sync = machine.empty_sync_cost().get();
+        // A one-processor machine's traffic is all library self-path:
+        // no synchronization cost to take off.
+        let l = if cfg.p == 1 { 0.0 } else { l_sync };
         let put_comm = Self::put_phase_comm(&machine, words);
         let get_comm = Self::get_phase_comm(&machine, words);
         Self {
-            put_cycles_per_word: ((put_comm - empty_sync) / words as f64).max(0.0),
-            get_cycles_per_word: ((get_comm - empty_sync) / words as f64).max(0.0),
-            empty_sync,
+            p: cfg.p,
+            g_put: ((put_comm - l) / words as f64).max(0.0),
+            g_get: ((get_comm - l) / words as f64).max(0.0),
+            l_sync,
         }
     }
 
@@ -229,7 +222,7 @@ mod tests {
     fn empty_sync_matches_machine_measure() {
         let cfg = MachineConfig::paper_default(8);
         let costs = EffectiveCosts::measure_with(cfg, 512);
-        assert_eq!(costs.empty_sync, SimMachine::new(cfg).empty_sync_cost().get());
+        assert_eq!(costs.l_sync, SimMachine::new(cfg).empty_sync_cost().get());
     }
 
     #[test]
@@ -238,8 +231,8 @@ mod tests {
         // get path (request + serve + apply, all on one CPU) still
         // costlier than the put path.
         let costs = EffectiveCosts::measure_with(MachineConfig::paper_default(1), 256);
-        assert!(costs.put_cycles_per_word > 0.0);
-        assert!(costs.get_cycles_per_word > costs.put_cycles_per_word);
+        assert!(costs.g_put > 0.0);
+        assert!(costs.g_get > costs.g_put);
     }
 
     #[test]
@@ -252,9 +245,9 @@ mod tests {
         let light = heavy.with_software(sw);
         let a = EffectiveCosts::measure_with(heavy, 1024);
         let b = EffectiveCosts::measure_with(light, 1024);
-        assert!(b.put_cycles_per_word < a.put_cycles_per_word);
+        assert!(b.g_put < a.g_put);
         // Get path untouched: within a few percent.
-        let rel = (a.get_cycles_per_word - b.get_cycles_per_word).abs() / a.get_cycles_per_word;
+        let rel = (a.g_get - b.g_get).abs() / a.g_get;
         assert!(rel < 0.1, "get path should be unaffected: {rel}");
     }
 }

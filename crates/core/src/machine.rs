@@ -1,20 +1,88 @@
 //! The backend abstraction: one engine, many machines.
 //!
-//! Every QSM backend is a [`Machine`]: a small configuration value
-//! that knows how many processors it has, how to build the
-//! [`PhaseTimer`] that prices each phase, and how to assemble the
-//! final [`CostReport`]. The run loop and its pipeline —
-//! **plan → exchange → price → record** — live once in
-//! `crate::engine` and are shared by every backend, so the simulated
-//! and native machines produce the same [`PhaseRecord`] stream, the
-//! same profile, and feed the same observability recorder. That is
-//! the paper's methodology in code: identical programs, identical
-//! measured quantities, different machines.
+//! There is exactly one pipeline and one run loop; "simulated" vs
+//! "native" is a strategy object — the timer — and nothing else (see
+//! DESIGN.md, "The SPMD engine"). Every QSM backend is a [`Machine`]:
+//! a small configuration value that knows how many processors it has,
+//! how to build the [`PhaseTimer`] that prices each phase, and how to
+//! assemble a [`CostReport`] from a run's phases. Backends today:
+//! [`SimMachine`] (simulated cycles on the `qsm-simnet` model) and
+//! [`ThreadMachine`] (the host's cores, wall-clock nanoseconds). A
+//! backend implements
 //!
-//! Backends today: [`SimMachine`] (simulated cycles on the
-//! `qsm-simnet` model) and [`ThreadMachine`] (the host's cores,
-//! wall-clock nanoseconds). [`AnyMachine`] wraps both behind one
-//! runtime-selectable value (e.g. from `QSM_BACKEND`).
+//! ```text
+//! trait Machine {
+//!     fn nprocs(&self) -> usize;
+//!     fn seed(&self) -> u64;                       // per-proc RNG streams
+//!     fn backend_name(&self) -> &'static str;      // "sim" | "threads"
+//!     fn time_unit(&self) -> &'static str;         // "cycles" | "ns"
+//!     fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer>;
+//!     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport;
+//!     fn run<R, F>(&self, program: F) -> RunResult<R> { engine::run(self, program) }
+//! }
+//!
+//! trait PhaseTimer {
+//!     // timing + this phase's retries, drops, bank and link wait, link util
+//!     fn price(&mut self, charged: &[u64], matrix: &CommMatrix,
+//!              arrivals: &[Instant]) -> PhasePrice;
+//!     // + defaulted per-run queries: bank_model, link_count, spmd_span_epoch
+//! }
+//! ```
+//!
+//! The engine (`crate::engine`) holds the timer as the
+//! `Box<dyn PhaseTimer>` the machine hands it, so [`AnyMachine`] (the
+//! `QSM_BACKEND`-selected backend) only forwards
+//! [`Machine::make_timer`] to the machine it wraps: one dynamic
+//! dispatch per timer call on every path.
+//! `core/tests/third_party_machine.rs` implements both traits from
+//! outside the crate.
+//!
+//! Everything else — worker threads, the sync rendezvous, semantics
+//! checks, metering, observability — is shared. Per `sync()` the
+//! engine's driver runs four explicit stages:
+//!
+//! ```text
+//!   workers ──publish ops + store pointer──▶ exchange-area slots
+//!                                    │  barrier 1
+//!        ┌───────────┬───────────────┼───────────────┬───────────┐
+//!        │  plan     │  exchange     │  price        │  record   │
+//!        │  (leader) │  (every       │  (leader)     │  (leader) │
+//!        │  validate │  worker)      │  Machine::    │  metrics, │
+//!        │  collect- │  serve own    │  Timer::price │  spans,   │
+//!        │  iveness, │  gets; after  │  (SimTimer:   │  κ track, │
+//!        │  sum the  │  barrier 2    │  simnet cost; │  Phase-   │
+//!        │  CommMat- │  apply puts   │  WallTimer:   │  Record   │
+//!        │  rix view │  to own block │  wall split)  │  append   │
+//!        └───────────┴───────────────┴───────────────┴───────────┘
+//!                                    │
+//!   workers compute the next phase while the leader prices this one
+//! ```
+//!
+//! Only the **price** stage differs per backend:
+//! [`SimTimer`](crate::SimTimer) prices the plan all-to-all,
+//! latin-square exchange, and dissemination barrier on `qsm-simnet` and
+//! advances the simulated clock; [`WallTimer`](crate::WallTimer) splits
+//! real elapsed time at the last worker's `sync()` arrival (compute =
+//! release→last-arrival, comm = remainder). Because plan, exchange, and
+//! record are shared, both backends meter κ, h-relations, and message
+//! counts from the same [`CommMatrix`], feed the same process-global
+//! recorder (metrics + Perfetto), draw identical per-processor RNG
+//! streams from `(seed, proc_id)`, and return the same [`RunResult`]:
+//! each processor's output and one [`PhaseRecord`] per phase, sim in
+//! model cycles, threads in host nanoseconds. A caller that wants
+//! predictions asks the machine for them, [`Machine::make_report`] over
+//! `run.phases`: the [`CostReport`]'s measured columns are in the
+//! backend's unit ([`CostReport::measured_unit`] records which), its
+//! prediction columns always come from the model configuration.
+//! [`AnyMachine`] erases the two impls behind one value type so the
+//! bench sweeps and integration tests are written once and
+//! parameterized by `QSM_BACKEND`. `qsm-membank` mirrors the scheme one
+//! level down: its `BankBackend` trait (`sim.rs` queue simulator vs
+//! `native.rs` threaded atomics) sits under one generic microbenchmark
+//! loop that pre-draws the per-processor bank-target sequences, so both
+//! executors consume identical access streams. That is the paper's
+//! methodology in code: identical programs, identical measured
+//! quantities, different machines.
 
 use std::time::Instant;
 
@@ -26,7 +94,6 @@ use crate::ctx::Ctx;
 use crate::driver::{CommMatrix, PhasePrice, PhaseRecord};
 use crate::sim_runtime::SimMachine;
 use crate::thread_runtime::ThreadMachine;
-use qsm_models::ProgramProfile;
 
 /// Prices one phase of a run: the **price** stage of the pipeline.
 ///
@@ -130,21 +197,17 @@ pub struct RunResult<R> {
     pub outputs: Vec<R>,
     /// One record per phase, in execution order.
     pub phases: Vec<PhaseRecord>,
-    /// The model-facing profile (per-phase maxima).
-    pub profile: ProgramProfile,
-    /// Measured and predicted cost summary.
-    pub report: CostReport,
 }
 
 impl<R> RunResult<R> {
     /// Total measured time.
     pub fn total(&self) -> Cycles {
-        self.report.measured_total
+        self.phases.iter().map(|r| r.timing.elapsed).sum()
     }
 
     /// Total measured communication time (time inside `sync()`).
     pub fn comm(&self) -> Cycles {
-        self.report.measured_comm
+        self.phases.iter().map(|r| r.timing.comm).sum()
     }
 
     /// Number of phases executed.

@@ -84,5 +84,6 @@ impl Machine for SimMachine {
     }
 }
 
-/// Default machine seed (the paper's TR number and year).
-const DEFAULT_SEED: u64 = 0x1998_0021;
+/// Default machine seed of every backend (the paper's TR number and
+/// year).
+pub(crate) const DEFAULT_SEED: u64 = 0x1998_0021;

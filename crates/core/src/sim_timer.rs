@@ -49,10 +49,11 @@ pub struct SimTimer {
     prev_release_max: Cycles,
     rec: Recorder,
     phase_idx: u64,
-    /// Network statistics at the end of the previous phase, for
-    /// per-phase deltas: per-link busy time always, the rest only
-    /// when recording.
+    /// Network statistics at the end of the previous recorded phase,
+    /// for the per-phase deltas `record_phase` emits.
     prev_stats: NetStats,
+    /// Every link's busy total at the end of the previous phase.
+    prev_link_busy: Vec<Cycles>,
     // --- pooled per-phase scratch ---
     local_finish: Vec<Cycles>,
     /// The phase's barrier release times, which become the next
@@ -92,6 +93,7 @@ impl SimTimer {
         if rec.is_full() {
             net.enable_trace(PHASE_TRACE_CAP);
         }
+        let links = net.link_count();
         Self {
             net,
             cfg,
@@ -100,6 +102,7 @@ impl SimTimer {
             rec,
             phase_idx: 0,
             prev_stats: NetStats::default(),
+            prev_link_busy: vec![Cycles::ZERO; links],
             local_finish: Vec::with_capacity(cfg.p),
             release: Vec::with_capacity(cfg.p),
             cpu: Vec::with_capacity(cfg.p),
@@ -320,7 +323,7 @@ impl SimTimer {
         // --- Metrics (commutative; byte-stable across QSM_JOBS) ---
         // Per-kind network traffic as a delta against the previous
         // phase's statistics.
-        let stats = self.net.stats().clone();
+        let stats = *self.net.stats();
         for (kind, msgs, bytes) in stats.by_kind() {
             let (msgs_name, bytes_name) = kind_counter_names(kind);
             self.rec.add(msgs_name, msgs - self.prev_stats.count(kind));
@@ -330,12 +333,8 @@ impl SimTimer {
         // emitting conditionally keeps flat-wire metrics dumps
         // byte-identical to pre-topology builds.
         if self.net.link_count() > 0 {
-            let fwd_msgs =
-                stats.link_msgs.iter().sum::<u64>() - self.prev_stats.link_msgs.iter().sum::<u64>();
-            let fwd_bytes = stats.link_bytes.iter().sum::<u64>()
-                - self.prev_stats.link_bytes.iter().sum::<u64>();
-            self.rec.add("link_fwd_msgs", fwd_msgs);
-            self.rec.add("link_fwd_bytes", fwd_bytes);
+            self.rec.add("link_fwd_msgs", stats.link_msgs - self.prev_stats.link_msgs);
+            self.rec.add("link_fwd_bytes", stats.link_bytes - self.prev_stats.link_bytes);
         }
         self.prev_stats = stats;
         // Fault counters only when faults actually fired, so the
@@ -677,16 +676,14 @@ impl PhaseTimer for SimTimer {
             // Per-link busy deltas against the previous phase, as a
             // fraction of the phase's elapsed time; the hottest is the
             // phase's record, every one a full-level counter sample.
-            let busy = &self.net.stats().link_busy;
-            let prev = &mut self.prev_stats.link_busy;
-            prev.resize(busy.len(), Cycles::ZERO);
             self.link_utils.clear();
-            if elapsed > Cycles::ZERO {
-                let utils =
-                    busy.iter().zip(prev.iter()).map(|(&b, &p)| (b - p).get() / elapsed.get());
-                self.link_utils.extend(utils);
+            for (l, prev) in self.prev_link_busy.iter_mut().enumerate() {
+                let busy = self.net.link_busy_total(l);
+                if elapsed > Cycles::ZERO {
+                    self.link_utils.push((busy - *prev).get() / elapsed.get());
+                }
+                *prev = busy;
             }
-            prev.copy_from_slice(busy);
             out.link_util = self.link_utils.iter().copied().fold(0.0, f64::max);
         }
         if self.rec.is_enabled() {

@@ -9,7 +9,7 @@
 //! once runs unmodified on both, produces the same
 //! [`crate::PhaseRecord`] stream (κ and message accounting come from
 //! the same `CommMatrix` metering), feeds the same observability
-//! recorder, and yields a [`crate::CostReport`]. This is the
+//! recorder, and makes a [`crate::CostReport`]. This is the
 //! workspace's "run on actual parallel hardware" backend (the
 //! paper's NOW/SMP role), which the repo benchmark times.
 //!
@@ -21,7 +21,7 @@
 //! exchange processing plus barrier — exactly the quantity the
 //! simulated backend prices with its network model.
 //!
-//! The [`crate::CostReport`] attached to a native run predicts with
+//! The [`crate::CostReport`] a native machine makes predicts with
 //! the machine's *model configuration* (default:
 //! `MachineConfig::paper_default(p)`), so predicted columns are in
 //! simulated cycles while measured columns are host nanoseconds;
@@ -38,6 +38,7 @@ use crate::accounting::CostReport;
 use crate::ctx::Ctx;
 use crate::driver::{CommMatrix, PhasePrice, PhaseRecord, PhaseTiming};
 use crate::machine::{Machine, PhaseTimer, RunResult};
+use crate::sim_runtime::DEFAULT_SEED;
 use crate::sim_timer::empty_sync_cost;
 
 /// Wall-clock timer: phases are priced by elapsed real time, split
@@ -140,7 +141,7 @@ impl ThreadMachine {
     /// Create a `p`-processor machine.
     pub fn new(p: usize) -> Self {
         assert!(p >= 1);
-        Self { p, seed: 0x1998_0021, model_cfg: MachineConfig::paper_default(p) }
+        Self { p, seed: DEFAULT_SEED, model_cfg: MachineConfig::paper_default(p) }
     }
 
     /// Replace the RNG seed.

@@ -17,7 +17,7 @@ use qsm_simnet::{MachineConfig, SoftwareConfig};
 const WORDS: usize = 256;
 
 fn bits(c: EffectiveCosts) -> [u64; 3] {
-    [c.put_cycles_per_word, c.get_cycles_per_word, c.empty_sync].map(f64::to_bits)
+    [c.g_put, c.g_get, c.l_sync].map(f64::to_bits)
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn one_software_field_or_the_stream_length_is_a_different_key() {
 
     let a = EffectiveCosts::measure_with(base, WORDS);
     let b = EffectiveCosts::measure_with(heavy, WORDS);
-    assert!(b.put_cycles_per_word > a.put_cycles_per_word, "{b:?} was served {a:?}'s entry");
+    assert!(b.g_put > a.g_put, "{b:?} was served {a:?}'s entry");
     assert_eq!(bits(b), bits(EffectiveCosts::measure_uncached(heavy, WORDS)));
 
     let longer = EffectiveCosts::measure_with(base, 2 * WORDS);

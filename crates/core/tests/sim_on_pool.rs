@@ -1,8 +1,9 @@
 //! The simulated machine on the resident pool and the SPMD exchange:
 //! no thread per run, concurrent runs that neither deadlock nor
 //! disturb each other's simulated results, no per-phase memory growth,
-//! no allocation in an empty phase and no per-run state quadratic in
-//! `p`, and the diagnostics a misused phase contract always had.
+//! no allocation in an empty phase, a warm run that allocates only its
+//! own state, none of it quadratic in `p`, and the diagnostics a
+//! misused phase contract always had.
 //!
 //! An integration test so that it owns its process: the pool's spawn
 //! counter and the counting allocator below are process-global. The
@@ -219,6 +220,23 @@ fn an_empty_phase_allocates_nothing() {
         assert_eq!(allocs_in_empty_phases(&machine(p)), 0, "sim, p = {p}");
         assert_eq!(allocs_in_empty_phases(&ThreadMachine::new(p)), 0, "threads, p = {p}");
     }
+}
+
+/// What a warm one-phase run allocates, start to end: its processors'
+/// contexts, outputs and phase records, and no second machine. At
+/// p = 64 that reads 367 allocations, on one carrier or several; it
+/// read 721 while every run built its cost report, pricing an empty
+/// `sync()` on a fresh timer and network for the report's `L` (a
+/// 4 032-message plan batch). The slack is for the test harness.
+#[test]
+fn a_warm_one_phase_run_allocates_only_its_own_state() {
+    let _serial = serial();
+    let m = machine(64);
+    m.run(|ctx| ctx.sync());
+    let before = ALLOCS.load(Ordering::Relaxed);
+    m.run(|ctx| ctx.sync());
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(allocs <= 400, "a warm one-phase run at p = 64 allocated {allocs} times");
 }
 
 /// Live heap a run of `m` has grown by when processor 0 reaches its

@@ -41,4 +41,4 @@ pub mod phase;
 
 pub use machine::MachineSpec;
 pub use params::{BspParams, LogPParams, QsmParams, SQsmParams};
-pub use phase::{PhaseProfile, ProgramProfile};
+pub use phase::PhaseProfile;

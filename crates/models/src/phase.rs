@@ -2,11 +2,9 @@
 //! evaluated against.
 //!
 //! The runtime (in `qsm-core`) measures one [`PhaseProfile`] per
-//! bulk-synchronous phase; a whole program run yields a
-//! [`ProgramProfile`]. The models in [`crate::params`] turn profiles
-//! into predicted cycle counts.
-
-use crate::params::{BspParams, LogPParams, QsmParams, SQsmParams};
+//! bulk-synchronous phase; a program's prediction is the sum of a
+//! model's per-phase cost over its phases. The models in
+//! [`crate::params`] turn profiles into predicted cycle counts.
 
 /// Maxima, across processors, of the quantities a single
 /// bulk-synchronous phase is charged for.
@@ -46,45 +44,6 @@ impl PhaseProfile {
     }
 }
 
-/// The sequence of phase profiles produced by one program run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProgramProfile {
-    /// One entry per bulk-synchronous phase, in execution order.
-    pub phases: Vec<PhaseProfile>,
-}
-
-impl ProgramProfile {
-    /// Predicted communication time under QSM.
-    pub fn qsm_comm_cost(&self, q: &QsmParams) -> f64 {
-        self.phases.iter().map(|p| q.phase_comm_cost(p)).sum()
-    }
-
-    /// Predicted total time under s-QSM.
-    pub fn sqsm_cost(&self, q: &SQsmParams) -> f64 {
-        self.phases.iter().map(|p| q.phase_cost(p)).sum()
-    }
-
-    /// Predicted communication time under s-QSM.
-    pub fn sqsm_comm_cost(&self, q: &SQsmParams) -> f64 {
-        self.phases.iter().map(|p| q.phase_comm_cost(p)).sum()
-    }
-
-    /// Predicted total time under BSP.
-    pub fn bsp_cost(&self, b: &BspParams) -> f64 {
-        self.phases.iter().map(|p| b.phase_cost(p)).sum()
-    }
-
-    /// Predicted communication time under BSP.
-    pub fn bsp_comm_cost(&self, b: &BspParams) -> f64 {
-        self.phases.iter().map(|p| b.phase_comm_cost(p)).sum()
-    }
-
-    /// Predicted communication time under LogP.
-    pub fn logp_comm_cost(&self, lp: &LogPParams) -> f64 {
-        self.phases.iter().map(|p| lp.phase_comm_cost(p)).sum()
-    }
-}
-
 #[cfg(test)]
 impl PhaseProfile {
     /// A phase that only computes locally.
@@ -94,42 +53,9 @@ impl PhaseProfile {
 }
 
 #[cfg(test)]
-impl ProgramProfile {
-    /// Create an empty profile.
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of phases π.
-    fn num_phases(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Append a phase.
-    fn push(&mut self, ph: PhaseProfile) {
-        self.phases.push(ph);
-    }
-
-    /// Total words of communication `W` (sum over phases of the
-    /// busiest processor's remote words).
-    fn total_comm_words(&self) -> u64 {
-        self.phases.iter().map(|p| p.m_rw).sum()
-    }
-
-    /// Total local operation count of the busiest processor per phase.
-    fn total_local_ops(&self) -> u64 {
-        self.phases.iter().map(|p| p.m_op).sum()
-    }
-
-    /// Predicted total time under QSM.
-    fn qsm_cost(&self, q: &QsmParams) -> f64 {
-        self.phases.iter().map(|p| q.phase_cost(p)).sum()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{BspParams, QsmParams};
 
     #[test]
     fn merge_max_is_componentwise() {
@@ -142,24 +68,22 @@ mod tests {
     #[test]
     fn program_costs_sum_over_phases() {
         let q = QsmParams::new(4, 2.0);
-        let mut prog = ProgramProfile::new();
-        prog.push(PhaseProfile::local_only(100));
-        prog.push(PhaseProfile { m_op: 0, m_rw: 50, kappa: 0, h_in: 50, h_out: 50, msgs: 3 });
-        assert_eq!(prog.qsm_cost(&q), 100.0 + 100.0);
-        assert_eq!(prog.qsm_comm_cost(&q), 100.0);
-        assert_eq!(prog.num_phases(), 2);
-        assert_eq!(prog.total_comm_words(), 50);
-        assert_eq!(prog.total_local_ops(), 100);
+        let prog = [
+            PhaseProfile::local_only(100),
+            PhaseProfile { m_op: 0, m_rw: 50, kappa: 0, h_in: 50, h_out: 50, msgs: 3 },
+        ];
+        assert_eq!(prog.iter().map(|ph| q.phase_cost(ph)).sum::<f64>(), 100.0 + 100.0);
+        assert_eq!(prog.iter().map(|ph| q.phase_comm_cost(ph)).sum::<f64>(), 100.0);
+        assert_eq!(prog.len(), 2);
+        assert_eq!(prog.iter().map(|ph| ph.m_rw).sum::<u64>(), 50);
+        assert_eq!(prog.iter().map(|ph| ph.m_op).sum::<u64>(), 100);
     }
 
     #[test]
     fn bsp_charges_l_per_phase_even_when_idle() {
         let b = BspParams::new(4, 2.0, 10.0);
-        let mut prog = ProgramProfile::new();
-        for _ in 0..7 {
-            prog.push(PhaseProfile::default());
-        }
-        assert_eq!(prog.bsp_comm_cost(&b), 70.0);
+        let prog = [PhaseProfile::default(); 7];
+        assert_eq!(prog.iter().map(|ph| b.phase_comm_cost(ph)).sum::<f64>(), 70.0);
     }
 
     #[test]
@@ -180,6 +104,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::params::{BspParams, LogPParams, QsmParams, SQsmParams};
     use proptest::prelude::*;
 
     proptest! {

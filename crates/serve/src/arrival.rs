@@ -14,24 +14,10 @@
 //!   any existing arrival, so extra load can only add queueing delay
 //!   to the shared prefix (the monotonicity the knee tests assert).
 
+use qsm_simnet::fault::{mix64, unit};
 use qsm_simnet::time::Cycles;
 
 use crate::config::ServiceConfig;
-
-/// SplitMix64 finalizer: a high-quality 64-bit mixing function.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from a 64-bit hash (53 mantissa bits).
-#[inline]
-fn unit(z: u64) -> f64 {
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// One fully derived transaction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,13 +41,13 @@ pub struct Txn {
 /// The per-transaction key every field of transaction `i` draws from.
 #[inline]
 fn txn_key(cfg: &ServiceConfig, i: u64) -> u64 {
-    cfg.seed.wrapping_add(mix(i))
+    cfg.seed.wrapping_add(mix64(i))
 }
 
 /// When transaction `i` arrives: [`txn`]`(cfg, i).arrival`, without
 /// deriving the other fields (what ordering the stream needs).
 pub fn arrival_time(cfg: &ServiceConfig, i: u64) -> Cycles {
-    Cycles::new(unit(mix(txn_key(cfg, i))) * cfg.window)
+    Cycles::new(unit(mix64(txn_key(cfg, i))) * cfg.window)
 }
 
 /// The offered transactions' indices in `(arrival_time, i)` order:
@@ -121,14 +107,14 @@ pub(crate) fn txn_at(cfg: &ServiceConfig, i: u64, arrival: Cycles) -> Txn {
     // Independent draws: re-key the index stream per field so no two
     // fields share a hash.
     let key = txn_key(cfg, i);
-    let client = mix(key ^ 0x00C1_1E57) % cfg.clients;
-    let origin = (mix(client.wrapping_add(cfg.seed)) % p as u64) as usize;
-    let shard_hash = mix(key ^ 0x0005_1AAD);
+    let client = mix64(key ^ 0x00C1_1E57) % cfg.clients;
+    let origin = (mix64(client.wrapping_add(cfg.seed)) % p as u64) as usize;
+    let shard_hash = mix64(key ^ 0x0005_1AAD);
     let shard = (shard_hash % cfg.shards as u64) as usize;
     let node = shard % p;
     let banks = cfg.machine.net.banks.map_or(1, |b| b.banks_per_node);
     let bank = ((shard_hash >> 32) % banks as u64) as u32;
-    let is_get = unit(mix(key ^ 0x9E7)) < cfg.get_fraction;
+    let is_get = unit(mix64(key ^ 0x9E7)) < cfg.get_fraction;
     Txn { arrival, origin, shard, node, bank, is_get }
 }
 

@@ -59,13 +59,19 @@ impl Fabric {
         self.link_free.len()
     }
 
+    /// Cycles link `l` has spent serializing traffic since the last
+    /// reset.
+    pub(crate) fn busy_total(&self, l: usize) -> Cycles {
+        self.link_free.busy_total(l)
+    }
+
     /// Reset every link timeline to idle-at-zero.
     pub(crate) fn reset(&mut self) {
         self.link_free.reset();
     }
 
     /// Forward one transmitted batch through the link pipeline in
-    /// deterministic `(depart, src, input index)` order. Per-link
+    /// deterministic `(depart, src, input index)` order. Link
     /// counters accumulate into `stats`.
     pub(crate) fn forward(
         &mut self,
@@ -105,15 +111,14 @@ impl Fabric {
         let occupy = Cycles::new(self.link_gap * m.bytes as f64);
         let mut at = d.depart;
         let mut wait = Cycles::ZERO;
-        for &l in self.routes.route(m.src, m.dst) {
-            let l = l as usize;
-            let slot = self.link_free.serve(l, at, occupy);
+        let route = self.routes.route(m.src, m.dst);
+        for &l in route {
+            let slot = self.link_free.serve(l as usize, at, occupy);
             wait += slot.start - at;
             at = slot.done + self.hop_latency;
-            stats.link_msgs[l] += 1;
-            stats.link_bytes[l] += m.bytes;
-            stats.link_busy[l] += occupy;
         }
+        stats.link_msgs += route.len() as u64;
+        stats.link_bytes += route.len() as u64 * m.bytes;
         d.arrive = at;
         d.link_wait = wait;
     }

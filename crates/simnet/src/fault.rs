@@ -33,9 +33,11 @@
 
 use crate::time::Cycles;
 
-/// SplitMix64 finalizer: a high-quality 64-bit mixing function.
+/// SplitMix64 finalizer: a high-quality 64-bit mixing function. Every
+/// keyed draw of the workspace (fault decisions, the serving layer's
+/// arrivals, hashed array layout) derives from it.
 #[inline]
-fn mix(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -44,7 +46,7 @@ fn mix(mut z: u64) -> u64 {
 
 /// A uniform draw in `[0, 1)` from a 64-bit hash (53 mantissa bits).
 #[inline]
-fn unit(z: u64) -> f64 {
+pub fn unit(z: u64) -> f64 {
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -103,7 +105,7 @@ impl FaultConfig {
         if self.drop_prob <= 0.0 {
             return false;
         }
-        unit(mix(self.seed ^ seq.wrapping_mul(0xA24B_AED4_963E_E407))) < self.drop_prob
+        unit(mix64(self.seed ^ seq.wrapping_mul(0xA24B_AED4_963E_E407))) < self.drop_prob
     }
 
     /// Fault key for resend `attempt` (≥ 1) of the message whose

@@ -103,7 +103,7 @@ impl Network {
             p,
             send_free: FifoTimeline::new(p),
             recv_free: FifoTimeline::new(p),
-            stats: NetStats::with_links(fabric.as_ref().map_or(0, Fabric::links)),
+            stats: NetStats::default(),
             fabric,
             bank_free: FifoTimeline::new(bank_slots),
             trace: None,
@@ -207,6 +207,14 @@ impl Network {
         );
         let slot = node * bk.banks_per_node + bank as usize;
         self.bank_free.serve(slot, ready, bk.service(bytes))
+    }
+
+    /// Cycles directed link `l` of the routing stage has spent
+    /// serializing traffic since the last reset — the numerator of its
+    /// utilization over any elapsed window. Panics on the flat wire,
+    /// which has no links.
+    pub fn link_busy_total(&self, l: usize) -> Cycles {
+        self.fabric.as_ref().expect("the flat wire has no links").busy_total(l)
     }
 
     /// Accumulated statistics.
@@ -907,7 +915,7 @@ mod tests {
         let mut plain = net(4);
         assert_eq!(transmit(&mut flat, &msgs), transmit(&mut plain, &msgs));
         assert_eq!(flat.stats(), plain.stats());
-        assert!(flat.stats().link_msgs.is_empty());
+        assert_eq!(flat.stats().link_msgs, 0);
     }
 
     #[test]
@@ -924,8 +932,9 @@ mod tests {
         assert_eq!(d[1].arrive.get(), 11_000.0);
         assert_eq!(d[0].link_wait, Cycles::ZERO);
         assert_eq!(d[1].link_wait.get(), 3000.0);
-        assert_eq!(n.stats().link_msgs, vec![2]);
-        assert_eq!(n.stats().link_bytes, vec![2000]);
+        assert_eq!(n.stats().link_msgs, 2);
+        assert_eq!(n.stats().link_bytes, 2000);
+        assert_eq!(n.link_busy_total(0).get(), 6000.0);
     }
 
     #[test]
@@ -973,9 +982,9 @@ mod tests {
         transmit(&mut n, &msgs);
         let topo = TopologyKind::torus(4).build(4, 1600.0).expect("torus routes");
         let total_hops: u64 = msgs.iter().map(|m| topo.route(m.src, m.dst).len() as u64).sum();
-        assert_eq!(n.stats().link_msgs.iter().sum::<u64>(), total_hops);
-        assert_eq!(n.stats().link_bytes.iter().sum::<u64>(), 64 * total_hops);
-        assert!(n.stats().link_busy.iter().any(|&b| b > Cycles::ZERO));
+        assert_eq!(n.stats().link_msgs, total_hops);
+        assert_eq!(n.stats().link_bytes, 64 * total_hops);
+        assert!((0..n.link_count()).any(|l| n.link_busy_total(l) > Cycles::ZERO));
     }
 
     #[test]
@@ -1010,9 +1019,9 @@ mod tests {
     #[test]
     fn reused_network_replays_exactly_after_reset() {
         // Regression (reset audit): run the same batch twice around a
-        // reset — deliveries, stats (including per-link counters),
-        // and drop flags must all replay bit-exactly, with nothing
-        // stale surviving the reset.
+        // reset — deliveries, stats (including the link counters), link
+        // busy totals and drop flags must all replay bit-exactly, with
+        // nothing stale surviving the reset.
         let cfg = NetConfig {
             topology: TopologyKind::torus(4),
             faults: Some(FaultConfig::drops(7, 0.3)),
@@ -1024,18 +1033,23 @@ mod tests {
         let mut d1 = Vec::new();
         n.transmit_into_faulty(&msgs, &mut d1);
         let drops1 = n.last_dropped().to_vec();
-        let stats1 = n.stats().clone();
-        assert!(stats1.link_msgs.iter().sum::<u64>() > 0);
+        let stats1 = *n.stats();
+        assert!(stats1.link_msgs > 0);
+        let busy =
+            |n: &Network| (0..n.link_count()).map(|l| n.link_busy_total(l)).collect::<Vec<_>>();
+        let busy1 = busy(&n);
 
         n.reset();
         assert!(n.last_dropped().is_empty(), "drop flags must not survive reset");
         assert_eq!(n.stats(), Network::new(4, cfg).stats(), "stats must read as a new network's");
+        assert_eq!(busy(&n), busy(&Network::new(4, cfg)));
 
         let mut d2 = Vec::new();
         n.transmit_into_faulty(&msgs, &mut d2);
         assert_eq!(d1, d2);
         assert_eq!(drops1, n.last_dropped());
         assert_eq!(&stats1, n.stats());
+        assert_eq!(busy1, busy(&n));
     }
 }
 
@@ -1105,7 +1119,7 @@ mod proptests {
         let mut n = Network::new(p, cfg);
         let mut d = Vec::new();
         n.transmit_into_faulty(msgs, &mut d);
-        (d, n.last_dropped().to_vec(), n.stats().clone())
+        (d, n.last_dropped().to_vec(), *n.stats())
     }
 
     proptest! {

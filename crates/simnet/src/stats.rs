@@ -1,7 +1,6 @@
 //! Aggregate network statistics.
 
 use crate::message::MsgKind;
-use crate::time::Cycles;
 
 /// Counters accumulated by a [`crate::network::Network`] across all
 /// transmissions since the last reset.
@@ -10,19 +9,16 @@ use crate::time::Cycles;
 /// discriminant — no hashing on the per-message hot path, and
 /// iteration order ([`NetStats::by_kind`]) is the declaration order,
 /// so dumps are deterministic.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetStats {
     /// Transmissions lost to fault injection: never delivered, so in
     /// no per-kind count. Always 0 on a fault-free network.
     pub dropped: u64,
-    /// Messages forwarded over each directed link of the topology
-    /// stage (empty — no links — on the flat contention-free wire).
-    pub link_msgs: Vec<u64>,
-    /// Wire bytes forwarded over each directed link.
-    pub link_bytes: Vec<u64>,
-    /// Cycles each directed link spent occupied serializing traffic
-    /// (its utilization numerator; divide by elapsed time).
-    pub link_busy: Vec<Cycles>,
+    /// Messages forwarded over the links of the topology stage, a
+    /// message once per hop (0 on the flat contention-free wire).
+    pub link_msgs: u64,
+    /// Wire bytes forwarded over the links, a message's once per hop.
+    pub link_bytes: u64,
     /// Per-kind message counts, indexed by [`MsgKind::index`].
     by_kind: [u64; MsgKind::COUNT],
     /// Per-kind wire bytes, indexed by [`MsgKind::index`].
@@ -58,19 +54,9 @@ impl NetStats {
             .filter(|&(_, n, _)| n > 0)
     }
 
-    /// Zeroed counters for a topology of `links` directed links.
-    pub(crate) fn with_links(links: usize) -> Self {
-        Self {
-            link_msgs: vec![0; links],
-            link_bytes: vec![0; links],
-            link_busy: vec![Cycles::ZERO; links],
-            ..Self::default()
-        }
-    }
-
-    /// Reset all counters; the per-link ones keep their links.
+    /// Reset all counters.
     pub fn clear(&mut self) {
-        *self = Self::with_links(self.link_msgs.len());
+        *self = Self::default();
     }
 }
 

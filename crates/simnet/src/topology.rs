@@ -382,7 +382,7 @@ mod tests {
     }
 
     /// Link ids are observable — trace lanes are `link_util/<id>` and
-    /// `NetStats::link_*` is indexed by id — so their numbering is
+    /// `Network::link_busy_total` takes an id — so their numbering is
     /// pinned: line and grid links are numbered at first use in
     /// `(from, to)` order, the fat tree's arithmetically.
     #[test]

@@ -10,7 +10,6 @@
 //! accuracy threshold moves, and extrapolate the minimum problem
 //! size across the paper's Table 4 architectures.
 
-use qsm::algorithms::analysis::EffectiveParams;
 use qsm::algorithms::gen;
 use qsm::algorithms::prefix;
 use qsm::core::{EffectiveCosts, SimMachine};
@@ -39,14 +38,13 @@ fn main() {
         cfg.net.gap_per_byte
     );
     println!("  get  {:.1} cycles/byte", costs.get_cycles_per_byte());
-    println!("  empty sync L = {:.0} cycles", costs.empty_sync);
+    println!("  empty sync L = {:.0} cycles", costs.l_sync);
 
     // 2. Sanity: run an algorithm and compare model vs measured.
     let machine = SimMachine::new(cfg);
     let input = gen::random_u64s(1 << 16, 7);
     let run = prefix::run_on(&machine, &input);
-    let params = EffectiveParams::from_costs(cfg.p, costs);
-    let pred = prefix::predict(&params);
+    let pred = prefix::predict(&costs);
     println!("\nprefix sums at n = 65536:");
     println!(
         "  measured comm {:.0} cycles; QSM predicts {:.0}, BSP predicts {:.0}",

@@ -13,9 +13,8 @@
 //! randomized QSM algorithm and verify against sequential pointer
 //! chasing.
 
-use qsm::algorithms::analysis::EffectiveParams;
 use qsm::algorithms::{gen, listrank, seq};
-use qsm::core::SimMachine;
+use qsm::core::{EffectiveCosts, SimMachine};
 use qsm::simnet::MachineConfig;
 
 fn main() {
@@ -50,7 +49,7 @@ fn main() {
         }
     }
 
-    let params = EffectiveParams::measure(cfg);
+    let params = EffectiveCosts::measure(cfg);
     let est = listrank::predict_estimate(&run, &params);
     println!(
         "\n  QSM estimate {:.1} us, BSP estimate {:.1} us, measured {:.1} us",

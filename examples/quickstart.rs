@@ -10,7 +10,7 @@
 //! and combines the partials through shared memory in one
 //! bulk-synchronous phase.
 
-use qsm::core::{Layout, SimMachine};
+use qsm::core::{Layout, Machine, SimMachine};
 use qsm::simnet::MachineConfig;
 
 fn main() {
@@ -64,9 +64,9 @@ fn main() {
 
     println!("dot product of {n} elements on 16 simulated processors");
     println!("every processor agrees: {}\n", run.outputs[0]);
-    println!("{}", run.report);
+    println!("{}", machine.make_report(&run.phases));
     println!("per-phase profile (maxima across processors):");
-    for (k, ph) in run.profile.phases.iter().enumerate() {
+    for (k, ph) in run.phases.iter().map(|r| r.profile).enumerate() {
         println!(
             "  phase {k}: m_op = {:>6}, m_rw = {:>4} words, kappa = {}, messages = {}",
             ph.m_op, ph.m_rw, ph.kappa, ph.msgs

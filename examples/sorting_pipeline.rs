@@ -13,10 +13,9 @@
 //! model whether the problem size is in the regime where the simple
 //! QSM analysis can be trusted (the paper's n_min discussion).
 
-use qsm::algorithms::analysis::EffectiveParams;
 use qsm::algorithms::samplesort::{self, DEFAULT_OVERSAMPLING};
 use qsm::algorithms::{gen, seq};
-use qsm::core::SimMachine;
+use qsm::core::{EffectiveCosts, SimMachine};
 use qsm::simnet::MachineConfig;
 
 fn main() {
@@ -43,7 +42,7 @@ fn main() {
     );
 
     // Compare against the paper's analysis lines.
-    let params = EffectiveParams::measure(cfg);
+    let params = EffectiveCosts::measure(cfg);
     let best = samplesort::predict_best(n, DEFAULT_OVERSAMPLING, &params);
     let whp = samplesort::predict_whp(n, DEFAULT_OVERSAMPLING, &params);
     let est = samplesort::predict_estimate(n, &run, DEFAULT_OVERSAMPLING, &params);

@@ -27,7 +27,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use qsm::core::{Layout, SimMachine};
+//! use qsm::core::{Layout, Machine, SimMachine};
 //! use qsm::simnet::MachineConfig;
 //!
 //! // A 4-processor simulated machine with the paper's default
@@ -49,7 +49,7 @@
 //! });
 //!
 //! assert_eq!(run.outputs, vec![1, 2, 3, 0]);
-//! println!("{}", run.report); // measured + predicted cycle counts
+//! println!("{}", machine.make_report(&run.phases)); // measured + predicted cycle counts
 //! ```
 
 pub use qsm_algorithms as algorithms;

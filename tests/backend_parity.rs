@@ -9,7 +9,7 @@
 
 use qsm::algorithms::{gen, prefix};
 use qsm::core::obs::{self, ObsLevel, Recorder, SpanKind};
-use qsm::core::ThreadMachine;
+use qsm::core::{Machine, ThreadMachine};
 use qsm::membank::Pattern;
 
 #[test]
@@ -21,11 +21,12 @@ fn thread_machine_feeds_the_shared_recorder_path() {
     assert!(rec.is_full(), "install must win in this fresh process");
 
     let input = gen::random_u64s(4096, 1);
-    let r = prefix::run_on(&ThreadMachine::new(4), &input);
+    let machine = ThreadMachine::new(4);
+    let r = prefix::run_on(&machine, &input);
 
     // The same CostReport every backend assembles: measured values in
     // host nanoseconds, predictions against the model machine.
-    let report = &r.run.report;
+    let report = machine.make_report(&r.run.phases);
     assert_eq!(report.measured_unit, "ns");
     assert_eq!(report.p, 4);
     assert!(report.measured_total.get() > 0.0);

@@ -13,7 +13,8 @@ fn samplesort_runs_are_bit_identical() {
     let go = || {
         let m = SimMachine::new(MachineConfig::paper_default(8)).with_seed(99);
         let r = samplesort::run_on(&m, &input);
-        (r.output.clone(), r.b_max, r.comm(), r.run.profile.clone())
+        let profiles: Vec<_> = r.run.phases.iter().map(|ph| ph.profile).collect();
+        (r.output.clone(), r.b_max, r.comm(), profiles)
     };
     let a = go();
     let b = go();
@@ -69,7 +70,7 @@ fn machine_clock_is_deterministic_under_load() {
                 ctx.sync();
             }
         });
-        run.report.measured_total
+        run.total()
     };
     assert_eq!(go(), go());
 }

@@ -6,7 +6,7 @@
 //! programs, Table 3 calibration, and the ordering of the analysis
 //! lines.
 
-use qsm::algorithms::analysis::{relative_error, EffectiveParams};
+use qsm::algorithms::analysis::relative_error;
 use qsm::algorithms::{gen, listrank, prefix, samplesort};
 use qsm::core::{EffectiveCosts, SimMachine};
 use qsm::simnet::MachineConfig;
@@ -17,13 +17,13 @@ fn table3_calibration_matches_paper() {
     // Paper: 35 c/B put, 287 c/B get, 25 500 cycle empty sync.
     assert!((costs.put_cycles_per_byte() - 35.0).abs() < 9.0, "{}", costs.put_cycles_per_byte());
     assert!((costs.get_cycles_per_byte() - 287.0).abs() < 70.0, "{}", costs.get_cycles_per_byte());
-    assert!((costs.empty_sync - 25_500.0).abs() < 6_000.0, "{}", costs.empty_sync);
+    assert!((costs.l_sync - 25_500.0).abs() < 6_000.0, "{}", costs.l_sync);
 }
 
 #[test]
 fn samplesort_estimate_error_shrinks_with_n() {
     let cfg = MachineConfig::paper_default(8);
-    let params = EffectiveParams::measure(cfg);
+    let params = EffectiveCosts::measure(cfg);
     // Average over a few seeds: a single draw's error at any one n is
     // dominated by pivot-sampling luck, which made the bare
     // two-point comparison flaky.
@@ -58,7 +58,7 @@ fn samplesort_estimate_error_shrinks_with_n() {
 fn listrank_estimate_error_small_at_large_n() {
     // Paper: QSM within 15% of measured comm for n >= 60k.
     let cfg = MachineConfig::paper_default(8);
-    let params = EffectiveParams::measure(cfg);
+    let params = EffectiveCosts::measure(cfg);
     let n = 1 << 16;
     let m = SimMachine::new(cfg);
     let (succ, pred, _) = gen::random_list(n, 2);
@@ -123,7 +123,7 @@ fn small_problems_are_latency_sensitive() {
 fn prefix_prediction_error_is_large_relative_small_absolute() {
     // Figure 1's finding, both halves.
     let cfg = MachineConfig::paper_default(16);
-    let params = EffectiveParams::measure(cfg);
+    let params = EffectiveCosts::measure(cfg);
     let m = SimMachine::new(cfg);
     let n = 1 << 20;
     let input = gen::random_u64s(n, 6);

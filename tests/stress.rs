@@ -134,8 +134,7 @@ fn stress_runs_are_cycle_deterministic() {
                     ctx.sync();
                 }
             })
-            .report
-            .measured_total
+            .total()
     };
     assert_eq!(go(), go());
 }
