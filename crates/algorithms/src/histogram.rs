@@ -87,7 +87,7 @@ pub struct HistogramRun {
 impl HistogramRun {
     /// Measured communication cycles over the algorithm's phases.
     pub fn comm(&self) -> f64 {
-        self.run.phases[SETUP_PHASES..].iter().map(|r| r.timing.comm.get()).sum()
+        crate::measured(&self.run, SETUP_PHASES, |t| t.comm)
     }
 }
 

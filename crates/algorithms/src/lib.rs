@@ -31,3 +31,13 @@ pub mod samplesort;
 pub mod seq;
 
 pub use analysis::Prediction;
+
+use qsm_core::{PhaseTiming, RunResult};
+use qsm_simnet::Cycles;
+
+/// Cycles summed over a kernel run's measured phases, those after its
+/// first `setup` (array registration and input distribution): what
+/// each kernel's `comm()` and `total()` report.
+fn measured<R>(run: &RunResult<R>, setup: usize, cycles: fn(&PhaseTiming) -> Cycles) -> f64 {
+    run.phases[setup..].iter().map(|r| cycles(&r.timing).get()).sum()
+}

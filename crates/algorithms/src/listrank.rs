@@ -395,10 +395,6 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
 pub struct ListRankRun {
     /// Final ranks (distance to tail) for all `n` elements.
     pub ranks: Vec<u64>,
-    /// Per-iteration maxima across processors.
-    pub iter_maxima: Vec<IterStats>,
-    /// Total survivors shipped to processor 0.
-    pub survivors: u64,
     /// The raw run.
     pub run: RunResult<ProcOutcome>,
 }
@@ -406,34 +402,42 @@ pub struct ListRankRun {
 impl ListRankRun {
     /// Measured communication cycles over the algorithm's phases.
     pub fn comm(&self) -> f64 {
-        self.run.phases[SETUP_PHASES..].iter().map(|r| r.timing.comm.get()).sum()
+        crate::measured(&self.run, SETUP_PHASES, |t| t.comm)
     }
 
     /// Measured total cycles over the algorithm's phases.
     pub fn total(&self) -> f64 {
-        self.run.phases[SETUP_PHASES..].iter().map(|r| r.timing.elapsed.get()).sum()
+        crate::measured(&self.run, SETUP_PHASES, |t| t.elapsed)
     }
 
     /// Number of measured phases π.
     pub fn phases(&self) -> usize {
         self.run.num_phases() - SETUP_PHASES
     }
-}
 
-fn iter_maxima(outcomes: &[ProcOutcome]) -> Vec<IterStats> {
-    let iters = outcomes.first().map(|o| o.iters.len()).unwrap_or(0);
-    (0..iters)
-        .map(|i| {
-            let mut m = IterStats::default();
-            for o in outcomes {
-                m.active = m.active.max(o.iters[i].active);
-                m.get_words = m.get_words.max(o.iters[i].get_words);
-                m.put_words = m.put_words.max(o.iters[i].put_words);
-                m.expansion_get_words = m.expansion_get_words.max(o.iters[i].expansion_get_words);
-            }
-            m
-        })
-        .collect()
+    /// Per-iteration maxima across processors.
+    pub fn iter_maxima(&self) -> Vec<IterStats> {
+        let outcomes = &self.run.outputs;
+        let iters = outcomes.first().map(|o| o.iters.len()).unwrap_or(0);
+        (0..iters)
+            .map(|i| {
+                let mut m = IterStats::default();
+                for o in outcomes {
+                    m.active = m.active.max(o.iters[i].active);
+                    m.get_words = m.get_words.max(o.iters[i].get_words);
+                    m.put_words = m.put_words.max(o.iters[i].put_words);
+                    m.expansion_get_words =
+                        m.expansion_get_words.max(o.iters[i].expansion_get_words);
+                }
+                m
+            })
+            .collect()
+    }
+
+    /// Total survivors shipped to processor 0.
+    pub fn survivors(&self) -> u64 {
+        self.run.outputs.iter().map(|o| o.survivors).sum()
+    }
 }
 
 /// Run on any [`Machine`] backend. Panics if `succ` and `pred` differ
@@ -444,9 +448,7 @@ pub fn run_on<M: Machine>(machine: &M, succ: &[u64], pred: &[u64]) -> ListRankRu
     let mut ranks = vec![0; n]; // untouched pages: the workers fault them in
     let out = Gather::new(&mut ranks, machine.nprocs());
     let run = machine.run(|ctx| program(ctx, succ, pred, &out));
-    let iter_maxima = iter_maxima(&run.outputs);
-    let survivors = run.outputs.iter().map(|o| o.survivors).sum();
-    ListRankRun { ranks, iter_maxima, survivors, run }
+    ListRankRun { ranks, run }
 }
 
 /// Expected per-iteration remote traffic for `x` active elements per
@@ -463,37 +465,35 @@ fn iter_comm(x: f64, rho: f64, params: &EffectiveCosts) -> f64 {
 /// Best-case prediction: no skew, `x_i = (n/p)(3/4)^(i-1)`,
 /// survivors `n·(3/4)^iters`.
 pub fn predict_best(n: usize, params: &EffectiveCosts) -> Prediction {
-    let p = params.p as f64;
-    let iters = iterations(params.p);
-    let rho = (p - 1.0) / p;
-    let mut x = n as f64 / p;
-    let mut comm = 0.0;
-    for _ in 0..iters {
-        comm += iter_comm(x, rho, params);
-        x *= 0.75;
-    }
-    // Finish: survivors shipped (6 words each) + processor 0's rank
-    // scatter (2 words each, z = p·x of them) + count all-gather.
-    let z = p * x;
-    comm += params.g_put * (6.0 * x + 2.0 * z * rho + 2.0 * (p - 1.0));
-    let phases = 4 * iters + 4 + iters + 1;
-    Prediction::from_qsm(comm, phases, params)
+    predict_shrinking(n, params, |x| x * 0.75)
 }
 
 /// WHP prediction: Chernoff upper bounds on every `x_i` (survival
 /// probability 3/4 per element, failure budget split across
 /// iterations and processors).
 pub fn predict_whp(n: usize, params: &EffectiveCosts) -> Prediction {
+    let delta = WHP_DELTA / ((iterations(params.p).max(1) as f64) * params.p as f64);
+    predict_shrinking(n, params, |x| binomial_upper_bound(x.ceil() as u64, 0.75, delta))
+}
+
+/// The Best and WHP lines: `x = n/p` active elements per processor,
+/// `survivors(x)` of them after each iteration.
+fn predict_shrinking(
+    n: usize,
+    params: &EffectiveCosts,
+    survivors: impl Fn(f64) -> f64,
+) -> Prediction {
     let p = params.p as f64;
     let iters = iterations(params.p);
     let rho = (p - 1.0) / p;
-    let delta = WHP_DELTA / ((iters.max(1) as f64) * p);
     let mut x = n as f64 / p;
     let mut comm = 0.0;
     for _ in 0..iters {
         comm += iter_comm(x, rho, params);
-        x = binomial_upper_bound(x.ceil() as u64, 0.75, delta);
+        x = survivors(x);
     }
+    // Finish: survivors shipped (6 words each) + processor 0's rank
+    // scatter (2 words each, z = p·x of them) + count all-gather.
     let z = p * x;
     comm += params.g_put * (6.0 * x + 2.0 * z * rho + 2.0 * (p - 1.0));
     let phases = 4 * iters + 4 + iters + 1;
@@ -504,7 +504,7 @@ pub fn predict_whp(n: usize, params: &EffectiveCosts) -> Prediction {
 pub fn predict_estimate(run: &ListRankRun, params: &EffectiveCosts) -> Prediction {
     let p = params.p as f64;
     let mut comm = 0.0;
-    for it in &run.iter_maxima {
+    for it in &run.iter_maxima() {
         comm += params.g_get * (it.get_words + it.expansion_get_words) as f64
             + params.g_put * it.put_words as f64;
     }
@@ -558,13 +558,14 @@ mod tests {
         let (succ, pred, _) = random_list(n, 7);
         let run = run_on(&machine(8), &succ, &pred);
         assert!(
-            (run.survivors as usize) < n / 4,
+            (run.survivors() as usize) < n / 4,
             "survivors {} should be far below n {n}",
-            run.survivors
+            run.survivors()
         );
         // Active counts decrease geometrically-ish.
-        let first = run.iter_maxima[0].active;
-        let last = run.iter_maxima.last().unwrap().active;
+        let maxima = run.iter_maxima();
+        let first = maxima[0].active;
+        let last = maxima.last().unwrap().active;
         assert!(last < first / 4);
     }
 

@@ -75,12 +75,12 @@ pub struct PrefixRun {
 impl PrefixRun {
     /// Measured communication cycles over the algorithm's phases.
     pub fn comm(&self) -> f64 {
-        self.run.phases[SETUP_PHASES..].iter().map(|r| r.timing.comm.get()).sum()
+        crate::measured(&self.run, SETUP_PHASES, |t| t.comm)
     }
 
     /// Measured total cycles over the algorithm's phases.
     pub fn total(&self) -> f64 {
-        self.run.phases[SETUP_PHASES..].iter().map(|r| r.timing.elapsed.get()).sum()
+        crate::measured(&self.run, SETUP_PHASES, |t| t.elapsed)
     }
 }
 

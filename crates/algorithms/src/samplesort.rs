@@ -226,10 +226,6 @@ fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcO
 pub struct SampleSortRun {
     /// The sorted output.
     pub output: Vec<u32>,
-    /// Largest bucket size `B`.
-    pub b_max: u64,
-    /// Largest remote fraction `r` of any bucket.
-    pub r_max: f64,
     /// The raw run (phases `SETUP_PHASES..` are the measured five).
     pub run: RunResult<ProcOutcome>,
 }
@@ -237,23 +233,28 @@ pub struct SampleSortRun {
 impl SampleSortRun {
     /// Measured communication cycles over the five algorithm phases.
     pub fn comm(&self) -> f64 {
-        self.run.phases[SETUP_PHASES..].iter().map(|r| r.timing.comm.get()).sum()
+        crate::measured(&self.run, SETUP_PHASES, |t| t.comm)
     }
 
     /// Measured total cycles over the five algorithm phases.
     pub fn total(&self) -> f64 {
-        self.run.phases[SETUP_PHASES..].iter().map(|r| r.timing.elapsed.get()).sum()
+        crate::measured(&self.run, SETUP_PHASES, |t| t.elapsed)
     }
-}
 
-fn skews(outcomes: &[ProcOutcome]) -> (u64, f64) {
-    let b_max = outcomes.iter().map(|o| o.bucket_size).max().unwrap_or(0);
-    let r_max = outcomes
-        .iter()
-        .filter(|o| o.bucket_size > 0)
-        .map(|o| (o.bucket_size - o.own_contribution) as f64 / o.bucket_size as f64)
-        .fold(0.0f64, f64::max);
-    (b_max, r_max)
+    /// Largest bucket size `B`.
+    pub fn b_max(&self) -> u64 {
+        self.run.outputs.iter().map(|o| o.bucket_size).max().unwrap_or(0)
+    }
+
+    /// Largest remote fraction `r` of any bucket.
+    pub fn r_max(&self) -> f64 {
+        self.run
+            .outputs
+            .iter()
+            .filter(|o| o.bucket_size > 0)
+            .map(|o| (o.bucket_size - o.own_contribution) as f64 / o.bucket_size as f64)
+            .fold(0.0f64, f64::max)
+    }
 }
 
 /// Run on any [`Machine`] backend with the default oversampling.
@@ -266,8 +267,7 @@ pub fn run_on_with<M: Machine>(machine: &M, input: &[u32], c: f64) -> SampleSort
     let mut output = vec![0; input.len()]; // untouched pages: the workers fault them in
     let out = Gather::new(&mut output, machine.nprocs());
     let run = machine.run(|ctx| program(ctx, input, c, &out));
-    let (b_max, r_max) = skews(&run.outputs);
-    SampleSortRun { output, b_max, r_max, run }
+    SampleSortRun { output, run }
 }
 
 /// The QSM communication formula with explicit load-balance inputs
@@ -313,7 +313,7 @@ pub fn predict_estimate(
     c: f64,
     params: &EffectiveCosts,
 ) -> Prediction {
-    let qsm = qsm_comm(n, run.b_max as f64, run.r_max, c, params);
+    let qsm = qsm_comm(n, run.b_max() as f64, run.r_max(), c, params);
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
 }
 
@@ -345,7 +345,7 @@ mod tests {
         for n in [3000, 1 << 16] {
             let input: Vec<u32> = (0..n).map(|i| (i % 7) as u32).collect();
             let run = run_on(&machine(4), &input);
-            assert!(n < RADIX_MIN || run.b_max >= RADIX_MIN as u64);
+            assert!(n < RADIX_MIN || run.b_max() >= RADIX_MIN as u64);
             assert_eq!(run.output, seq::sorted(&input), "n={n}");
         }
     }
@@ -355,7 +355,7 @@ mod tests {
         for n in [2000, 1 << 16] {
             let input = nearly_sorted_u32s(n, 3);
             let run = run_on(&machine(8), &input);
-            assert!(n < RADIX_MIN || run.b_max >= RADIX_MIN as u64);
+            assert!(n < RADIX_MIN || run.b_max() >= RADIX_MIN as u64);
             assert_eq!(run.output, seq::sorted(&input), "n={n}");
         }
     }
@@ -414,11 +414,11 @@ mod tests {
         let input = random_u32s(8192, 11);
         let run = run_on(&machine(8), &input);
         // B at least the average, at most all of n.
-        assert!(run.b_max >= (8192 / 8) as u64);
-        assert!(run.b_max < 8192);
-        assert!((0.0..=1.0).contains(&run.r_max));
+        assert!(run.b_max() >= (8192 / 8) as u64);
+        assert!(run.b_max() < 8192);
+        assert!((0.0..=1.0).contains(&run.r_max()));
         // With random data almost everything is remote.
-        assert!(run.r_max > 0.5);
+        assert!(run.r_max() > 0.5);
     }
 
     #[test]

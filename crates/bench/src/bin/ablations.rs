@@ -1,8 +1,5 @@
 //! Runs the runtime design-choice ablations (exchange schedule,
 //! randomized layout).
 fn main() {
-    let obs = qsm_bench::obs::ObsSink::from_env();
-    let cfg = qsm_bench::RunCfg::from_env();
-    qsm_bench::figures::ablations::run(&cfg).emit();
-    obs.finalize();
+    qsm_bench::run_figures(&[qsm_bench::figures::ablations::run]);
 }

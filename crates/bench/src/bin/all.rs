@@ -1,27 +1,23 @@
 //! Regenerates every table and figure of the paper in sequence.
-//! `QSM_FAST=1` for a quick smoke pass. Exits nonzero (after running
-//! everything it can) if any graceful sweep dropped points.
+//! `QSM_FAST=1` for a quick smoke pass.
 fn main() {
-    let obs = qsm_bench::obs::ObsSink::from_env();
-    let cfg = qsm_bench::RunCfg::from_env();
-    eprintln!("running all experiments with {cfg:?} ...");
-    qsm_bench::figures::table3::run(&cfg).emit();
-    qsm_bench::figures::fig1::run(&cfg).emit();
-    qsm_bench::figures::fig2::run(&cfg).emit();
-    qsm_bench::figures::fig3::run(&cfg).emit();
-    qsm_bench::figures::fig4::run(&cfg).emit();
-    qsm_bench::figures::fig5::run(&cfg).emit();
-    qsm_bench::figures::fig6::run(&cfg).emit();
-    qsm_bench::figures::fig7::run(&cfg).emit();
-    qsm_bench::figures::table4::run(&cfg).emit();
-    qsm_bench::figures::ablations::run(&cfg).emit();
-    qsm_bench::figures::ext_fabric::run(&cfg).emit();
-    qsm_bench::figures::ext_straggler::run(&cfg).emit();
-    qsm_bench::figures::ext_hotspot::run(&cfg).emit();
-    qsm_bench::figures::ext_faults::run(&cfg).emit();
-    qsm_bench::figures::ext_banks::run(&cfg).emit();
-    qsm_bench::figures::ext_topology::run(&cfg).emit();
-    qsm_bench::figures::ext_service::run(&cfg).emit();
-    obs.finalize();
-    qsm_bench::sweep::exit_if_degraded();
+    qsm_bench::run_figures(&[
+        qsm_bench::figures::table3::run,
+        qsm_bench::figures::fig1::run,
+        qsm_bench::figures::fig2::run,
+        qsm_bench::figures::fig3::run,
+        qsm_bench::figures::fig4::run,
+        qsm_bench::figures::fig5::run,
+        qsm_bench::figures::fig6::run,
+        qsm_bench::figures::fig7::run,
+        qsm_bench::figures::table4::run,
+        qsm_bench::figures::ablations::run,
+        qsm_bench::figures::ext_fabric::run,
+        qsm_bench::figures::ext_straggler::run,
+        qsm_bench::figures::ext_hotspot::run,
+        qsm_bench::figures::ext_faults::run,
+        qsm_bench::figures::ext_banks::run,
+        qsm_bench::figures::ext_topology::run,
+        qsm_bench::figures::ext_service::run,
+    ]);
 }

@@ -29,7 +29,7 @@
 //! `QSM_METRICS=path.json` outputs. The header prints every knob that
 //! decides a result, resolved.
 
-use qsm_algorithms::{gen, listrank, prefix, samplesort};
+use qsm_bench::figures::run_kernel;
 use qsm_bench::obs::ObsSink;
 use qsm_bench::output::table;
 use qsm_bench::{knobs, RunCfg};
@@ -37,21 +37,6 @@ use qsm_core::obs::ObsLevel;
 use qsm_core::{Machine, PhaseRecord};
 use qsm_obs::{ObsData, SpanKind};
 use qsm_simnet::{Cycles, MachineConfig};
-
-fn run_algo<M: Machine>(algo: &str, machine: &M, n: usize, seed: u64) -> Vec<PhaseRecord> {
-    match algo {
-        "prefix" => prefix::run_on(machine, &gen::random_u64s(n, seed ^ 0xDA7A)).run.phases,
-        "samplesort" => samplesort::run_on(machine, &gen::random_u32s(n, seed ^ 0xDA7A)).run.phases,
-        "listrank" => {
-            let (succ, pred, _) = gen::random_list(n, seed ^ 0xDA7A);
-            listrank::run_on(machine, &succ, &pred).run.phases
-        }
-        other => {
-            eprintln!("unknown QSM_ALGO '{other}' (want prefix, samplesort, or listrank)");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// `QSM_ALGO=service`: one open-loop serving run at
 /// `QSM_SERVICE_LOAD`% of the utilization model's predicted capacity
@@ -198,7 +183,10 @@ fn main() {
     let unit = machine.time_unit();
 
     sink.discard(); // nothing of interest captured yet; start clean
-    let phases = run_algo(algo, &machine, n, 0x1998_0021);
+    let Some(phases) = run_kernel(algo, &machine, n, 0x1998_0021) else {
+        eprintln!("unknown QSM_ALGO '{algo}' (want prefix, samplesort, or listrank)");
+        std::process::exit(2);
+    };
     let report = machine.make_report(&phases);
     let data = sink.recorder().take().unwrap_or_else(|| {
         eprintln!("explain requires the observability recorder; another one is installed");

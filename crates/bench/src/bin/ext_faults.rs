@@ -1,9 +1,5 @@
 //! Runs the fault-injection (message loss + retry protocol) extension
-//! experiment. Exits nonzero if the sweep had to drop points.
+//! experiment.
 fn main() {
-    let obs = qsm_bench::obs::ObsSink::from_env();
-    let cfg = qsm_bench::RunCfg::from_env();
-    qsm_bench::figures::ext_faults::run(&cfg).emit();
-    obs.finalize();
-    qsm_bench::sweep::exit_if_degraded();
+    qsm_bench::run_figures(&[qsm_bench::figures::ext_faults::run]);
 }

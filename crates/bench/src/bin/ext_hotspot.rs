@@ -1,7 +1,4 @@
 //! Runs the hot-spot contention extension experiment (QSM vs s-QSM).
 fn main() {
-    let obs = qsm_bench::obs::ObsSink::from_env();
-    let cfg = qsm_bench::RunCfg::from_env();
-    qsm_bench::figures::ext_hotspot::run(&cfg).emit();
-    obs.finalize();
+    qsm_bench::run_figures(&[qsm_bench::figures::ext_hotspot::run]);
 }

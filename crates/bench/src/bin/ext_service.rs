@@ -1,7 +1,4 @@
 //! Runs the open-loop serving extension experiment.
 fn main() {
-    let obs = qsm_bench::obs::ObsSink::from_env();
-    let cfg = qsm_bench::RunCfg::from_env();
-    qsm_bench::figures::ext_service::run(&cfg).emit();
-    obs.finalize();
+    qsm_bench::run_figures(&[qsm_bench::figures::ext_service::run]);
 }

@@ -1,7 +1,4 @@
 //! Runs the routed multi-hop fabric topology extension experiment.
 fn main() {
-    let obs = qsm_bench::obs::ObsSink::from_env();
-    let cfg = qsm_bench::RunCfg::from_env();
-    qsm_bench::figures::ext_topology::run(&cfg).emit();
-    obs.finalize();
+    qsm_bench::run_figures(&[qsm_bench::figures::ext_topology::run]);
 }

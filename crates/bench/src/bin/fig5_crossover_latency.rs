@@ -1,7 +1,4 @@
 //! Regenerates the paper's fig5 (see module docs for the expected shape).
 fn main() {
-    let obs = qsm_bench::obs::ObsSink::from_env();
-    let cfg = qsm_bench::RunCfg::from_env();
-    qsm_bench::figures::fig5::run(&cfg).emit();
-    obs.finalize();
+    qsm_bench::run_figures(&[qsm_bench::figures::fig5::run]);
 }

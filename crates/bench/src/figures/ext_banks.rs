@@ -22,7 +22,7 @@ use qsm_membank::{platform, Pattern};
 use qsm_simnet::{BankModel, MachineConfig};
 
 use crate::output::{csv, table, us_at_400mhz};
-use crate::replay::Replay;
+use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Processors (= nodes) in the simulated machine.
@@ -34,33 +34,14 @@ const BANKS: usize = 8;
 /// node-local offset and its global index agree on the bank.
 const SLAB: usize = 4096;
 
-/// What one pattern's pipeline run produced.
-struct Measured {
-    comm: f64,
-    bank_kappa: u64,
-    bank_wait: f64,
-    qsm_pred: f64,
-    sqsm_pred: f64,
-}
-
-// Journal round-trip by field order, so a crashed bank sweep can be
-// resumed (`QSM_RESUME=1`) with replayed rows bit-exact.
-impl Replay for Measured {
-    fn encode(&self, out: &mut Vec<String>) {
-        self.comm.encode(out);
-        self.bank_kappa.encode(out);
-        self.bank_wait.encode(out);
-        self.qsm_pred.encode(out);
-        self.sqsm_pred.encode(out);
-    }
-    fn decode(it: &mut std::slice::Iter<'_, String>) -> Option<Self> {
-        Some(Measured {
-            comm: f64::decode(it)?,
-            bank_kappa: u64::decode(it)?,
-            bank_wait: f64::decode(it)?,
-            qsm_pred: f64::decode(it)?,
-            sqsm_pred: f64::decode(it)?,
-        })
+replay_struct! {
+    /// What one pattern's pipeline run produced.
+    struct Measured {
+        comm: f64,
+        bank_kappa: u64,
+        bank_wait: f64,
+        qsm_pred: f64,
+        sqsm_pred: f64,
     }
 }
 

@@ -35,58 +35,27 @@ use qsm_simnet::{BankModel, MachineConfig};
 
 use crate::knobs::DEFAULT_BANK_SERVICE;
 use crate::output::{csv, table, us_at_400mhz};
-use crate::replay::Replay;
+use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Offered-load points swept (evenly spaced up to the knob's max).
 pub const LOAD_POINTS: usize = 8;
 
-/// What one offered-load point produced (the engine outcome reduced
-/// to the scalars the figure reports).
-struct Measured {
-    offered: u64,
-    completed: u64,
-    rejected: u64,
-    retries: u64,
-    elapsed: f64,
-    p50: f64,
-    p99: f64,
-    p999: f64,
-    send_util: f64,
-    recv_util: f64,
-    bank_util: f64,
-}
-
-// Journal round-trip by field order, so a crashed load sweep resumes
-// (`QSM_RESUME=1`) with replayed rows bit-exact.
-impl Replay for Measured {
-    fn encode(&self, out: &mut Vec<String>) {
-        self.offered.encode(out);
-        self.completed.encode(out);
-        self.rejected.encode(out);
-        self.retries.encode(out);
-        self.elapsed.encode(out);
-        self.p50.encode(out);
-        self.p99.encode(out);
-        self.p999.encode(out);
-        self.send_util.encode(out);
-        self.recv_util.encode(out);
-        self.bank_util.encode(out);
-    }
-    fn decode(it: &mut std::slice::Iter<'_, String>) -> Option<Self> {
-        Some(Measured {
-            offered: u64::decode(it)?,
-            completed: u64::decode(it)?,
-            rejected: u64::decode(it)?,
-            retries: u64::decode(it)?,
-            elapsed: f64::decode(it)?,
-            p50: f64::decode(it)?,
-            p99: f64::decode(it)?,
-            p999: f64::decode(it)?,
-            send_util: f64::decode(it)?,
-            recv_util: f64::decode(it)?,
-            bank_util: f64::decode(it)?,
-        })
+replay_struct! {
+    /// What one offered-load point produced (the engine outcome reduced
+    /// to the scalars the figure reports).
+    struct Measured {
+        offered: u64,
+        completed: u64,
+        rejected: u64,
+        retries: u64,
+        elapsed: f64,
+        p50: f64,
+        p99: f64,
+        p999: f64,
+        send_util: f64,
+        recv_util: f64,
+        bank_util: f64,
     }
 }
 

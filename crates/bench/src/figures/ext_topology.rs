@@ -30,12 +30,11 @@
 //! the machine detail the model abstracts away, and the drift column
 //! is the price of that abstraction at fixed g, l, o.
 
-use qsm_algorithms::{gen, listrank, prefix, samplesort};
 use qsm_core::{Machine, SimMachine};
 use qsm_simnet::{MachineConfig, TopologyKind};
 
 use crate::output::{csv, table, us_at_400mhz};
-use crate::replay::Replay;
+use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Topologies swept, in increasing-diameter order (flat first as the
@@ -67,30 +66,13 @@ const P: usize = 16;
 /// [`crate::knobs::DEFAULT_BANK_SERVICE`].
 pub const LINK_GAP_FACTOR: f64 = 4.0;
 
-/// What one (algorithm, topology) pipeline run produced.
-struct Measured {
-    comm: f64,
-    link_wait: f64,
-    link_util: f64,
-    qsm_pred: f64,
-}
-
-// Journal round-trip by field order, so a crashed topology sweep can
-// be resumed (`QSM_RESUME=1`) with replayed rows bit-exact.
-impl Replay for Measured {
-    fn encode(&self, out: &mut Vec<String>) {
-        self.comm.encode(out);
-        self.link_wait.encode(out);
-        self.link_util.encode(out);
-        self.qsm_pred.encode(out);
-    }
-    fn decode(it: &mut std::slice::Iter<'_, String>) -> Option<Self> {
-        Some(Measured {
-            comm: f64::decode(it)?,
-            link_wait: f64::decode(it)?,
-            link_util: f64::decode(it)?,
-            qsm_pred: f64::decode(it)?,
-        })
+replay_struct! {
+    /// What one (algorithm, topology) pipeline run produced.
+    struct Measured {
+        comm: f64,
+        link_wait: f64,
+        link_util: f64,
+        qsm_pred: f64,
     }
 }
 
@@ -104,17 +86,8 @@ fn measure(algo: &str, topo: TopologyKind, n: usize, seed: u64) -> Measured {
         cfg = cfg.with_link_gap(gap);
     }
     let machine = SimMachine::new(cfg).with_seed(seed);
-    let phases = match algo {
-        "prefix" => prefix::run_on(&machine, &gen::random_u64s(n, seed ^ 0xDA7A)).run.phases,
-        "samplesort" => {
-            samplesort::run_on(&machine, &gen::random_u32s(n, seed ^ 0xDA7A)).run.phases
-        }
-        "listrank" => {
-            let (succ, pred, _) = gen::random_list(n / 4, seed ^ 0xDA7A);
-            listrank::run_on(&machine, &succ, &pred).run.phases
-        }
-        _ => unreachable!("ALGOS is fixed"),
-    };
+    let n = if algo == "listrank" { n / 4 } else { n };
+    let phases = super::run_kernel(algo, &machine, n, seed).expect("ALGOS are kernels");
     let report = machine.make_report(&phases);
     Measured {
         comm: report.measured_comm.get(),

@@ -8,15 +8,10 @@
 //! estimate comes within ~10% of measured communication beyond
 //! roughly 125 000 elements (8 000 per processor).
 
-use qsm_algorithms::analysis::relative_error;
 use qsm_algorithms::gen;
 use qsm_algorithms::samplesort::{self, DEFAULT_OVERSAMPLING};
-use qsm_core::EffectiveCosts;
-use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
-use crate::output::{csv, table, us_at_400mhz};
-use crate::stats::mean;
 use crate::{Report, RunCfg};
 
 /// Run the experiment on the `QSM_BACKEND`-selected backend.
@@ -28,58 +23,18 @@ pub fn run(cfg: &RunCfg) -> Report {
 /// the backend's time (converted to µs); the analysis lines (Best,
 /// WHP, estimates) are always in the paper machine's simulated µs.
 pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
-    crate::journal::set_figure("fig2", cfg);
-    let machine_cfg = MachineConfig::paper_default(cfg.p);
-    let params = EffectiveCosts::measure(machine_cfg);
-
-    // Independent per size — fanned across the sweep pool with
-    // (point, rep)-keyed seeds; rows return in size order.
-    let rows = crate::sweep::map(cfg.p, cfg.sizes(), |point, n| {
-        let mut totals = Vec::new();
-        let mut comms = Vec::new();
-        let mut ests = Vec::new();
-        for rep in 0..cfg.reps {
-            let seed = cfg.seed(point, rep);
-            let machine = backend.machine(machine_cfg, seed);
-            let input = gen::random_u32s(n, seed ^ 0xDA7A);
-            let r = samplesort::run_on(&machine, &input);
-            totals.push(r.total());
-            comms.push(r.comm());
-            ests.push(samplesort::predict_estimate(n, &r, DEFAULT_OVERSAMPLING, &params));
-        }
-        let best = samplesort::predict_best(n, DEFAULT_OVERSAMPLING, &params);
-        let whp = samplesort::predict_whp(n, DEFAULT_OVERSAMPLING, &params);
-        let comm = mean(&comms);
-        let qsm_est = mean(&ests.iter().map(|e| e.qsm).collect::<Vec<_>>());
-        let bsp_est = mean(&ests.iter().map(|e| e.bsp).collect::<Vec<_>>());
-        vec![
-            n.to_string(),
-            format!("{:.1}", backend.us(mean(&totals))),
-            format!("{:.1}", backend.us(comm)),
-            format!("{:.1}", us_at_400mhz(best.qsm)),
-            format!("{:.1}", us_at_400mhz(whp.qsm)),
-            format!("{:.1}", us_at_400mhz(qsm_est)),
-            format!("{:.1}", us_at_400mhz(bsp_est)),
-            format!("{:.1}", 100.0 * relative_error(comm, qsm_est)),
-        ]
-    });
-
-    let headers = [
-        "n",
-        "total_us",
-        "comm_us",
-        "best_qsm_us",
-        "whp_qsm_us",
-        "qsm_est_us",
-        "bsp_est_us",
-        "qsm_est_err_pct",
-    ];
-    Report {
-        id: "fig2",
-        title: "sample sort: measured vs Best/WHP/QSM-est/BSP-est (p=16)",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    let c = DEFAULT_OVERSAMPLING;
+    super::estimate_sweep(
+        "fig2",
+        "sample sort: measured vs Best/WHP/QSM-est/BSP-est (p=16)",
+        cfg,
+        backend,
+        |machine, n, seed, params| {
+            let r = samplesort::run_on(machine, &gen::random_u32s(n, seed));
+            (r.total(), r.comm(), samplesort::predict_estimate(n, &r, c, params))
+        },
+        |n, params| (samplesort::predict_best(n, c, params), samplesort::predict_whp(n, c, params)),
+    )
 }
 
 #[cfg(test)]

@@ -5,14 +5,9 @@
 //! estimate landing within ~15% of measured communication for
 //! n ≳ 60 000 (the BSP estimate slightly earlier).
 
-use qsm_algorithms::analysis::relative_error;
 use qsm_algorithms::{gen, listrank};
-use qsm_core::EffectiveCosts;
-use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
-use crate::output::{csv, table, us_at_400mhz};
-use crate::stats::mean;
 use crate::{Report, RunCfg};
 
 /// Run the experiment on the `QSM_BACKEND`-selected backend.
@@ -24,60 +19,18 @@ pub fn run(cfg: &RunCfg) -> Report {
 /// the backend's time (converted to µs); the analysis lines (Best,
 /// WHP, estimates) are always in the paper machine's simulated µs.
 pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
-    crate::journal::set_figure("fig3", cfg);
-    let machine_cfg = MachineConfig::paper_default(cfg.p);
-    let params = EffectiveCosts::measure(machine_cfg);
-
-    // Independent per size — fanned across the sweep pool with
-    // (point, rep)-keyed seeds; rows return in size order.
-    let rows = crate::sweep::map(cfg.p, cfg.sizes(), |point, n| {
-        let mut totals = Vec::new();
-        let mut comms = Vec::new();
-        let mut est_qsm = Vec::new();
-        let mut est_bsp = Vec::new();
-        for rep in 0..cfg.reps {
-            let seed = cfg.seed(point, rep);
-            let machine = backend.machine(machine_cfg, seed);
-            let (succ, pred, _head) = gen::random_list(n, seed ^ 0xDA7A);
-            let r = listrank::run_on(&machine, &succ, &pred);
-            totals.push(r.total());
-            comms.push(r.comm());
-            let est = listrank::predict_estimate(&r, &params);
-            est_qsm.push(est.qsm);
-            est_bsp.push(est.bsp);
-        }
-        let best = listrank::predict_best(n, &params);
-        let whp = listrank::predict_whp(n, &params);
-        let comm = mean(&comms);
-        let qsm_est = mean(&est_qsm);
-        vec![
-            n.to_string(),
-            format!("{:.1}", backend.us(mean(&totals))),
-            format!("{:.1}", backend.us(comm)),
-            format!("{:.1}", us_at_400mhz(best.qsm)),
-            format!("{:.1}", us_at_400mhz(whp.qsm)),
-            format!("{:.1}", us_at_400mhz(qsm_est)),
-            format!("{:.1}", us_at_400mhz(mean(&est_bsp))),
-            format!("{:.1}", 100.0 * relative_error(comm, qsm_est)),
-        ]
-    });
-
-    let headers = [
-        "n",
-        "total_us",
-        "comm_us",
-        "best_qsm_us",
-        "whp_qsm_us",
-        "qsm_est_us",
-        "bsp_est_us",
-        "qsm_est_err_pct",
-    ];
-    Report {
-        id: "fig3",
-        title: "list ranking: measured vs Best/WHP/QSM-est/BSP-est (p=16)",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    super::estimate_sweep(
+        "fig3",
+        "list ranking: measured vs Best/WHP/QSM-est/BSP-est (p=16)",
+        cfg,
+        backend,
+        |machine, n, seed, params| {
+            let (succ, pred, _head) = gen::random_list(n, seed);
+            let r = listrank::run_on(machine, &succ, &pred);
+            (r.total(), r.comm(), listrank::predict_estimate(&r, params))
+        },
+        |n, params| (listrank::predict_best(n, params), listrank::predict_whp(n, params)),
+    )
 }
 
 #[cfg(test)]

@@ -40,12 +40,103 @@ pub mod table4;
 
 use std::sync::{Mutex, MutexGuard};
 
-use qsm_algorithms::{gen, samplesort};
-use qsm_core::{EffectiveCosts, SimMachine};
+use qsm_algorithms::analysis::relative_error;
+use qsm_algorithms::{gen, listrank, prefix, samplesort, Prediction};
+use qsm_core::{AnyMachine, EffectiveCosts, Machine, PhaseRecord, SimMachine};
 use qsm_simnet::MachineConfig;
 
+use crate::backend::Backend;
+use crate::output::{csv, table, us_at_400mhz};
 use crate::stats::{cross_interpolate, mean};
-use crate::RunCfg;
+use crate::{Report, RunCfg};
+
+/// Run one of the paper's three kernels, by name, on `machine`: `n`
+/// elements (list nodes for `listrank`) drawn from `seed ^ 0xDA7A`,
+/// the input seed every figure uses. Returns the run's phases, or
+/// `None` for a name other than `prefix`, `samplesort` and
+/// `listrank`.
+pub fn run_kernel<M: Machine>(
+    algo: &str,
+    machine: &M,
+    n: usize,
+    seed: u64,
+) -> Option<Vec<PhaseRecord>> {
+    let seed = seed ^ 0xDA7A;
+    Some(match algo {
+        "prefix" => prefix::run_on(machine, &gen::random_u64s(n, seed)).run.phases,
+        "samplesort" => samplesort::run_on(machine, &gen::random_u32s(n, seed)).run.phases,
+        "listrank" => {
+            let (succ, pred, _) = gen::random_list(n, seed);
+            listrank::run_on(machine, &succ, &pred).run.phases
+        }
+        _ => return None,
+    })
+}
+
+/// The sweep behind Figures 2 and 3: at every size, `reps` runs of a
+/// kernel on `backend` with (point, rep)-keyed seeds, their mean
+/// measured total and communication time beside the analysis lines.
+/// `kernel(machine, n, input seed, costs)` runs once and returns its
+/// measured total, its communication and the estimate priced from its
+/// own measured traffic; `bounds(n, costs)` gives the Best and WHP
+/// lines. Measured columns are in the backend's time (converted to
+/// µs); the analysis lines are always in the paper machine's
+/// simulated µs.
+pub(crate) fn estimate_sweep(
+    id: &'static str,
+    title: &'static str,
+    cfg: &RunCfg,
+    backend: Backend,
+    kernel: impl Fn(&AnyMachine, usize, u64, &EffectiveCosts) -> (f64, f64, Prediction) + Sync,
+    bounds: impl Fn(usize, &EffectiveCosts) -> (Prediction, Prediction) + Sync,
+) -> Report {
+    crate::journal::set_figure(id, cfg);
+    let machine_cfg = MachineConfig::paper_default(cfg.p);
+    let params = EffectiveCosts::measure(machine_cfg);
+
+    // Independent per size — fanned across the sweep pool; rows return
+    // in size order.
+    let rows = crate::sweep::map(cfg.p, cfg.sizes(), |point, n| {
+        let mut totals = Vec::new();
+        let mut comms = Vec::new();
+        let mut est_qsm = Vec::new();
+        let mut est_bsp = Vec::new();
+        for rep in 0..cfg.reps {
+            let seed = cfg.seed(point, rep);
+            let machine = backend.machine(machine_cfg, seed);
+            let (total, comm, est) = kernel(&machine, n, seed ^ 0xDA7A, &params);
+            totals.push(total);
+            comms.push(comm);
+            est_qsm.push(est.qsm);
+            est_bsp.push(est.bsp);
+        }
+        let (best, whp) = bounds(n, &params);
+        let comm = mean(&comms);
+        let qsm_est = mean(&est_qsm);
+        vec![
+            n.to_string(),
+            format!("{:.1}", backend.us(mean(&totals))),
+            format!("{:.1}", backend.us(comm)),
+            format!("{:.1}", us_at_400mhz(best.qsm)),
+            format!("{:.1}", us_at_400mhz(whp.qsm)),
+            format!("{:.1}", us_at_400mhz(qsm_est)),
+            format!("{:.1}", us_at_400mhz(mean(&est_bsp))),
+            format!("{:.1}", 100.0 * relative_error(comm, qsm_est)),
+        ]
+    });
+
+    let headers = [
+        "n",
+        "total_us",
+        "comm_us",
+        "best_qsm_us",
+        "whp_qsm_us",
+        "qsm_est_us",
+        "bsp_est_us",
+        "qsm_est_err_pct",
+    ];
+    Report { id, title, text: table(&headers, &rows), csv: csv(&headers, &rows) }
+}
 
 /// The points of a crossover sweep: `(swept value, n_cross)`, `None`
 /// where the crossover lies beyond the sweep.

@@ -11,8 +11,11 @@
 //!   journal a work ledger (a future PR can distribute one sweep
 //!   across processes by treating an unclaimed point as available),
 //!   and `claim` records without a matching completion pinpoint
-//!   where a crashed run died.
-//! * `sweep_point` — appended when the point completes:
+//!   where a crashed run died. Replayed points never claim, so the
+//!   claim count is exactly the work each (re)run performed.
+//! * `sweep_point` — appended when the point completes, `status`
+//!   `ok` or `failed` (then `error` carries the panic message and
+//!   there is no `result`):
 //!
 //! ```json
 //! {"v":1,"kind":"sweep_point","figure":"fig1","backend":"sim",
@@ -33,11 +36,20 @@
 //! records whose fingerprint matches its own configuration
 //! bit-exactly, and re-runs everything else (failed points,
 //! unfinished points, and — on any fingerprint mismatch — the whole
-//! sweep, so a stale journal can never poison an artifact). Every
-//! line is written durably (see
-//! [`qsm_obs::RunJournal`]: flush + `sync_data`, opt out with
-//! `QSM_JOURNAL_SYNC=0`), so the ledger survives exactly the crashes
-//! it exists for.
+//! sweep, so a stale journal can never poison an artifact).
+//!
+//! The fingerprint is derived, not listed. When it was a hand-written
+//! list, `QSM_BANK_SERVICE` counted only under `QSM_BANKS`, so a stale
+//! `ext_banks` journal replayed into a default run; this crate's
+//! `tests/sweep_resume.rs` pins that case. `QSM_PANIC_POINT` stays
+//! outside it, like every knob outside `ResultKnobs`: the kill drill
+//! must not change the identity of the sweep it kills, or a resume
+//! could never match the killed run's records.
+//!
+//! Every line is written durably (see [`qsm_obs::RunJournal`]: flush +
+//! `sync_data`, opt out with `QSM_JOURNAL_SYNC=0`; whole-line
+//! appends; a torn final line left by a crash is terminated on
+//! reopen), so the ledger survives exactly the crashes it exists for.
 //!
 //! Records carry `"v"` and `"kind"` so readers skip what they do not
 //! understand. Unlike the metrics dump, the journal is *not*

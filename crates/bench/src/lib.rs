@@ -1,21 +1,61 @@
 //! # qsm-bench — the experiment harness
 //!
-//! One module per table and figure of the paper's evaluation, each
-//! regenerating the same rows/series the paper reports (on our
-//! simulated substrate — see DESIGN.md for the substitution notes and
-//! EXPERIMENTS.md for paper-vs-measured comparisons). Every module is
-//! exposed both as a library function (used by the `all` binary and
-//! the integration tests) and as a standalone binary:
+//! One module per table and figure of the paper's evaluation
+//! ([`figures`]), each regenerating the rows/series the paper reports
+//! as an aligned text table and a CSV (on our simulated substrate —
+//! see DESIGN.md for the substitution notes and EXPERIMENTS.md for
+//! paper-vs-measured comparisons). A figure is the library function
+//! `figures::<id>::run(&RunCfg) -> Report`, which the integration
+//! tests and the `benchmark/` crate call; each binary in `src/bin` is
+//! one call of [`run_figures`] — `all` with the 17 figures in order,
+//! the others with their one:
 //!
 //! ```text
 //! cargo run --release -p qsm-bench --bin fig2_samplesort
 //! QSM_FAST=1 cargo run --release -p qsm-bench --bin all
 //! ```
 //!
-//! Every `QSM_*` environment knob is parsed once, by [`knobs()`]: see
-//! [`knobs::Knobs`] for what each selects and README for the table.
-//! The `explain` binary prints a phase-by-phase measured-vs-predicted
-//! breakdown for one algorithm configuration.
+//! The one other binary, `explain`, prints the instrumented
+//! phase-by-phase measured-vs-predicted breakdown of one algorithm
+//! run; it picks the kernel through [`figures::run_kernel`], as
+//! `ext_topology` does. Host performance is measured by the
+//! standalone `benchmark/` crate (see `benchmark/README.md`).
+//!
+//! ## Knobs
+//!
+//! [`mod@knobs`] is the only code in the workspace that reads the
+//! environment, and the workspace's `tests/code_layout.rs` fails on
+//! an environment read anywhere else and on any code or test that
+//! writes it: [`knobs()`] parses every `QSM_*` variable once per
+//! process and every reader takes its field from the result.
+//! [`Knobs::NAMES`](knobs::Knobs::NAMES) lists the 24 knobs, and
+//! `tests/knob_names.rs` holds the documents to that list. The
+//! [`ResultKnobs`](knobs::ResultKnobs) — backend, banks, bank
+//! service, topology, link gap, fault seed and the four
+//! `QSM_SERVICE_*` knobs — decide a result; the rest decide only how
+//! a run goes (workers, progress, the panic drill, output paths, the
+//! journal, `explain`'s selection). Figures take their [`RunCfg`]
+//! (`QSM_FAST`, `QSM_REPS`) as a parameter and read the rest
+//! ambiently, since `figures::*::run(&RunCfg)` is the benchmark's
+//! fixed entry point. Tests that need other knobs either call
+//! [`Knobs::parse`](knobs::Knobs::parse) over a map or run a binary as
+//! a subprocess; none mutates its own environment.
+//!
+//! ## Around a figure
+//!
+//! * [`sweep`] fans a figure's independent points across a `QSM_JOBS`
+//!   worker pool and reassembles them in input order, so tables are
+//!   byte-identical to a serial run; it reports progress under
+//!   `QSM_PROGRESS=1` and keeps the [`journal`] under `QSM_RUN_LOG`,
+//!   the per-point ledger `QSM_RESUME=1` resumes from (its schema is
+//!   in the [`journal`] docs, each point's result encoded by
+//!   [`replay::Replay`]).
+//! * [`backend`] resolves `QSM_BACKEND=sim|threads` into a
+//!   [`qsm_core::AnyMachine`] factory ([`backend::Backend::machine`]):
+//!   figures 1–3 and `explain` honour it; the machine-configuration
+//!   sweeps warn and stay on sim.
+//! * [`obs`] installs the global recorder from `QSM_TRACE` /
+//!   `QSM_METRICS` and writes the artifacts when the binary ends.
 
 #![deny(missing_docs)]
 
@@ -31,6 +71,22 @@ pub mod stats;
 pub mod sweep;
 
 pub use knobs::knobs;
+
+/// Run `figures` in order under the environment's [`RunCfg`], with
+/// the `QSM_TRACE` / `QSM_METRICS` capture around them: each prints
+/// its report and writes its CSV ([`Report::emit`]). Exits nonzero
+/// after the last one if any sweep dropped points
+/// ([`sweep::exit_if_degraded`]). Every figure binary is one call of
+/// this: `all` with the whole list, the others with their one figure.
+pub fn run_figures(figures: &[fn(&RunCfg) -> Report]) {
+    let obs = obs::ObsSink::from_env();
+    let cfg = RunCfg::from_env();
+    for run in figures {
+        run(&cfg).emit();
+    }
+    obs.finalize();
+    sweep::exit_if_degraded();
+}
 
 /// Common sweep configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,8 +18,8 @@
 //! Implementations exist for the primitive types, `String`,
 //! `Option<T>`, `Vec<T>`, and tuples up to arity 8 — which covers
 //! every figure module's sweep result; a figure introducing a result
-//! struct implements the two methods by field order (see
-//! `figures::ext_topology` for the idiom).
+//! struct declares it through `replay_struct!`, which implements
+//! the two methods by field order.
 //!
 //! Decoding is total-or-nothing: [`Replay::decode_fields`] rejects
 //! both truncated and over-long field lists, so a record written by
@@ -52,6 +52,28 @@ pub trait Replay: Sized {
         it.next().is_none().then_some(v)
     }
 }
+
+/// Declare a sweep-point result struct together with its [`Replay`]
+/// by field order, so a crashed sweep resumes (`QSM_RESUME=1`) with
+/// replayed rows bit-exact.
+macro_rules! replay_struct {
+    ($(#[$attr:meta])* struct $name:ident { $($field:ident: $ty:ty,)+ }) => {
+        $(#[$attr])*
+        struct $name {
+            $($field: $ty,)+
+        }
+
+        impl $crate::replay::Replay for $name {
+            fn encode(&self, out: &mut Vec<String>) {
+                $($crate::replay::Replay::encode(&self.$field, out);)+
+            }
+            fn decode(it: &mut std::slice::Iter<'_, String>) -> Option<Self> {
+                Some($name { $($field: <$ty as $crate::replay::Replay>::decode(it)?,)+ })
+            }
+        }
+    };
+}
+pub(crate) use replay_struct;
 
 macro_rules! replay_int {
     ($($t:ty),*) => {$(

@@ -87,11 +87,9 @@ impl EffectiveCosts {
         costs
     }
 
-    /// [`EffectiveCosts::measure_with`] without the per-process memo:
-    /// always runs the microbenchmark (what a timing of the calibration
-    /// must call; a memo hit costs nothing).
-    #[doc(hidden)]
-    pub fn measure_uncached(cfg: MachineConfig, words: usize) -> Self {
+    /// The microbenchmark behind [`EffectiveCosts::measure_with`],
+    /// run every call.
+    fn measure_uncached(cfg: MachineConfig, words: usize) -> Self {
         assert!(words > 0);
         let machine = SimMachine::new(cfg);
         let l_sync = machine.empty_sync_cost().get();
@@ -170,6 +168,19 @@ fn unobserved(machine: &SimMachine, program: impl Fn(&mut Ctx) + Send + Sync) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_remembered_entry_is_the_measurement_of_its_key() {
+        let bits = |c: EffectiveCosts| [c.g_put, c.g_get, c.l_sync].map(f64::to_bits);
+        let base = MachineConfig::paper_default(3);
+        let mut sw = qsm_simnet::SoftwareConfig::calibrated();
+        sw.put_marshal *= 2.0;
+        for (cfg, words) in [(base, 96), (base.with_software(sw), 96), (base, 192)] {
+            let fresh = bits(EffectiveCosts::measure_uncached(cfg, words));
+            assert_eq!(bits(EffectiveCosts::measure_with(cfg, words)), fresh);
+            assert_eq!(bits(EffectiveCosts::measure_with(cfg, words)), fresh, "a hit");
+        }
+    }
 
     #[test]
     fn slots_are_disjoint_across_sources() {

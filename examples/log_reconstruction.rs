@@ -40,11 +40,12 @@ fn main() {
     println!("  head fragment: {head}; phases: {}", run.phases());
     println!("  total  {:>10.1} us", us(run.total()));
     println!("  comm   {:>10.1} us", us(run.comm()));
-    println!("  survivors shipped to node 0: {} of {n}", run.survivors);
+    println!("  survivors shipped to node 0: {} of {n}", run.survivors());
 
     println!("\n  contraction trace (max active fragments on any node):");
-    for (i, it) in run.iter_maxima.iter().enumerate() {
-        if i % 4 == 0 || i + 1 == run.iter_maxima.len() {
+    let maxima = run.iter_maxima();
+    for (i, it) in maxima.iter().enumerate() {
+        if i % 4 == 0 || i + 1 == maxima.len() {
             println!("    iteration {i:>2}: {:>6} active", it.active);
         }
     }

@@ -36,9 +36,9 @@ fn main() {
     println!("  comm   {:>10.1} us", us(run.comm()));
     println!(
         "  load balance: largest bucket B = {} ({:.2}x the n/p average), remote fraction r = {:.3}",
-        run.b_max,
-        run.b_max as f64 / (n as f64 / p as f64),
-        run.r_max
+        run.b_max(),
+        run.b_max() as f64 / (n as f64 / p as f64),
+        run.r_max()
     );
 
     // Compare against the paper's analysis lines.

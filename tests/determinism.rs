@@ -14,7 +14,7 @@ fn samplesort_runs_are_bit_identical() {
         let m = SimMachine::new(MachineConfig::paper_default(8)).with_seed(99);
         let r = samplesort::run_on(&m, &input);
         let profiles: Vec<_> = r.run.phases.iter().map(|ph| ph.profile).collect();
-        (r.output.clone(), r.b_max, r.comm(), profiles)
+        (r.output.clone(), r.b_max(), r.comm(), profiles)
     };
     let a = go();
     let b = go();
@@ -30,7 +30,7 @@ fn listrank_runs_are_bit_identical() {
     let go = || {
         let m = SimMachine::new(MachineConfig::paper_default(8)).with_seed(7);
         let r = listrank::run_on(&m, &succ, &pred);
-        (r.ranks.clone(), r.survivors, r.comm())
+        (r.ranks.clone(), r.survivors(), r.comm())
     };
     assert_eq!(go(), go());
 }
@@ -49,7 +49,7 @@ fn different_seeds_change_randomized_behavior_not_results() {
     // ... but different random samples -> (almost surely) different
     // load balance and timing.
     assert!(
-        a.b_max != b.b_max || a.comm() != b.comm(),
+        a.b_max() != b.b_max() || a.comm() != b.comm(),
         "different seeds should perturb the randomized algorithm"
     );
 }

@@ -11,6 +11,10 @@
 //! `….rs` path is the tail of a file under `crates`, `src`, `tests`,
 //! `examples` or `benchmark/src`.
 //! Fenced code blocks are not quotes and are not checked.
+//!
+//! Named binaries cannot drift: every `--bin X` and `target/release/X`
+//! in those documents and the verify skill, fenced blocks included, is
+//! a file `crates/bench/src/bin/X.rs` or the benchmark's own binary.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -274,4 +278,46 @@ fn every_quoted_module_path_and_file_exists() {
         }
     }
     assert!(stale.is_empty(), "quoted but not in the tree:\n{}", stale.join("\n"));
+}
+
+/// Every binary a line names as `--bin X` or `target/release/X`.
+fn named_binaries(line: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for marker in ["--bin ", "--bin=", "target/release/"] {
+        for (at, _) in line.match_indices(marker) {
+            let rest = &line[at + marker.len()..];
+            let len = rest.find(|c: char| !is_ident(c) && c != '-').unwrap_or(rest.len());
+            if len > 0 {
+                out.push(&rest[..len]);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn the_binary_scanner_sees_what_it_must() {
+    let line = "cargo run -p qsm-bench --bin fig1_prefix; `./target/release/explain` and \
+                benchmark/target/release/qsm-benchmark, `--bin <name>`, `target/release/`";
+    assert_eq!(named_binaries(line), ["fig1_prefix", "explain", "qsm-benchmark"]);
+}
+
+#[test]
+fn every_named_binary_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("benchmark/Cargo.toml")).unwrap();
+    assert!(manifest.contains("name = \"qsm-benchmark\""), "the benchmark binary was renamed");
+    let bin = root.join("crates/bench/src/bin");
+    let mut missing = Vec::new();
+    for doc in DOCS.iter().chain([&".claude/skills/verify/SKILL.md"]) {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (n, line) in text.lines().enumerate() {
+            for name in named_binaries(line) {
+                if name != "qsm-benchmark" && !bin.join(format!("{name}.rs")).is_file() {
+                    missing.push(format!("{doc}:{}: `{name}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(missing.is_empty(), "named but not built:\n{}", missing.join("\n"));
 }

@@ -44,7 +44,7 @@ fn samplesort_agrees(p: usize) {
     assert_eq!(checksum(s.output.iter().map(|&v| v as u64)), expect, "sim sort wrong (p={p})");
     assert_eq!(checksum(t.output.iter().map(|&v| v as u64)), expect, "threads sort wrong (p={p})");
     // Same seeds → same sample draws → identical bucket skew.
-    assert_eq!(s.b_max, t.b_max, "bucket skew diverged (p={p})");
+    assert_eq!(s.b_max(), t.b_max(), "bucket skew diverged (p={p})");
 }
 
 fn listrank_agrees(p: usize) {
