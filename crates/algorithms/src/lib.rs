@@ -12,11 +12,47 @@
 //! the paper plots in Figures 1–3, priced with effective
 //! (software-inclusive) gaps from [`qsm_core::EffectiveCosts`].
 //!
-//! Beyond the paper's three, [`histogram`] (owner-computes
-//! reduction) shows the library on a combining workload.
+//! ## Modules
 //!
-//! [`seq`] holds the sequential oracles, [`gen`] the workload
-//! generators, and [`collectives`] small reusable building blocks.
+//! * [`prefix`] — Appendix `parallelprefix`: local prefix, broadcast
+//!   of the per-processor sums, offset fixup. QSM comm `g(p-1)`, BSP
+//!   `g(p-1) + L`.
+//! * [`samplesort`] — Appendix `samplesort`: five phases, oversampling
+//!   factor `c·log n`, `p-1` pivots, bucket redistribution, local sort,
+//!   write-back; the skews `B` and `r` it measures price the QSM and
+//!   BSP estimates.
+//! * [`listrank`] — Appendix `listrank`: random-mate elimination for
+//!   `4·log₂ p` iterations, the survivors ranked on processor 0, and
+//!   re-insertion in reverse; estimates priced from the measured
+//!   per-iteration survivor counts.
+//! * [`histogram`] — (beyond the paper) owner-computes combining, the
+//!   idiomatic QSM answer to concurrent increments (κ stays 1).
+//! * [`analysis`] — the machinery of the prediction lines (best case,
+//!   WHP bound, QSM and BSP estimates) on the effective gaps
+//!   [`qsm_core::EffectiveCosts`] measures.
+//! * [`collectives`] — `Gather`, how a block-distributed result leaves
+//!   the machine.
+//! * [`seq`] — the sequential oracles and baselines.
+//! * [`gen`] — the seeded workload generators: uniform arrays and
+//!   random-permutation linked lists.
+//!
+//! ## Which arrays a kernel registers
+//!
+//! A kernel registers a shared array only for data that another
+//! processor reads or writes. Data that only its owner reads is read
+//! in place from the caller's slice at `addr::block_range(n, p, me)`,
+//! the block a `Layout::Block` array of `n` elements would give it:
+//!
+//! | kernel | registers | reads in place |
+//! |---|---|---|
+//! | `prefix` | `prefix.sums` (`p × p`: every processor puts its block total into every row) | its block of the input; the sums are computed in its part of the output |
+//! | `samplesort` | `ssort.staged` (`n`: bucket owners get its runs in phase 4; phase 5 puts the sorted buckets back into it, and it is gathered), `ssort.samples`, `ssort.counts`, `ssort.btotals` | its block of the input, sampled in phase 2 and staged from in phase 3 |
+//! | `listrank` | `lr.succ`, `lr.pred`, `lr.weight`, `lr.flip`, `lr.rank`, `lr.counts`, the survivor arrays | nothing: peers read or write every `n`-element array |
+//! | `histogram` | `hist.parts` (owners receive partial counts) | its block of the input |
+//!
+//! Every kernel keeps its setup phase and every `ctx.charge`, so its
+//! phase count and every `PhaseRecord` are those the model lines are
+//! drawn for; `tests/kernel_goldens.rs` pins them.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

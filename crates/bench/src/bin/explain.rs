@@ -50,8 +50,7 @@ fn explain_service() {
     let base = qsm_bench::figures::ext_service::base_config(&cfg);
 
     let load_pct = knobs().result.service_load;
-    let capacity = qsm_serve::predict(&base.clone().with_offered(1)).capacity;
-    let offered = (capacity * base.window * load_pct as f64 / 100.0).round() as usize;
+    let offered = qsm_bench::figures::ext_service::offered_at(&base, load_pct);
     let svc = base.with_offered(offered);
     let pred = qsm_serve::predict(&svc);
     let out = qsm_serve::run(&svc, sink.recorder());

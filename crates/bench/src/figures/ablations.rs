@@ -1,4 +1,5 @@
-//! Ablations of the runtime's design choices (DESIGN.md §3).
+//! Ablations of the runtime's design choices: the exchange order
+//! `qsm_core` prices a phase with, and the layouts of [`qsm_core::addr`].
 //!
 //! The QSM contract makes the *runtime* responsible for hiding `l`,
 //! `o`, and layout effects. Two of its levers are ablated here:

@@ -81,16 +81,16 @@ fn measure(pattern: Pattern, w: usize, seed: u64) -> Measured {
     let machine =
         SimMachine::new(MachineConfig::paper_default(P).with_banks(banks)).with_seed(seed);
     let run = machine.run(move |ctx| {
-        use rand::SeedableRng;
         let p = ctx.nprocs();
         let arr = ctx.register::<u32>("banked", p * SLAB, Layout::Block);
         ctx.sync();
         let me = ctx.proc_id();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(
-            seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let tickets: Vec<_> =
-            (0..w).map(|k| ctx.get(&arr, target_index(pattern, me, p, k, &mut rng), 1)).collect();
+        let tickets: Vec<_> = (0..w)
+            .map(|k| {
+                let i = target_index(pattern, me, p, k, ctx.rng());
+                ctx.get(&arr, i, 1)
+            })
+            .collect();
         ctx.sync();
         for t in tickets {
             let _ = ctx.take(t);

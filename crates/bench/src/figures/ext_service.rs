@@ -84,18 +84,24 @@ pub fn base_config(cfg: &RunCfg) -> ServiceConfig {
     }
 }
 
+/// The transactions `base` offers over its window at `pct`% of the
+/// utilization model's predicted capacity. Capacity does not depend
+/// on the offered load, so the model is probed at one transaction.
+pub fn offered_at(base: &ServiceConfig, pct: usize) -> usize {
+    let capacity = model::predict(&base.clone().with_offered(1)).capacity;
+    (capacity * base.window * pct as f64 / 100.0).round() as usize
+}
+
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
     crate::journal::set_figure("ext_service", cfg);
     crate::backend::warn_sim_only("ext_service");
     let base = base_config(cfg);
-    // Capacity is load-independent; probe it once to place the grid.
-    let capacity = model::predict(&base.clone().with_offered(1)).capacity;
     let max_pct = crate::knobs().result.service_load;
     let pcts: Vec<usize> = (1..=LOAD_POINTS).map(|k| max_pct * k / LOAD_POINTS).collect();
 
     let measured = crate::sweep::map(cfg.p, pcts.clone(), |_, pct| {
-        let offered = (capacity * base.window * pct as f64 / 100.0).round() as usize;
+        let offered = offered_at(&base, pct);
         let out = qsm_serve::run(&base.clone().with_offered(offered), &qsm_core::obs::recorder());
         Measured {
             offered: out.offered,

@@ -43,6 +43,7 @@ use std::sync::{Mutex, MutexGuard};
 use qsm_algorithms::analysis::relative_error;
 use qsm_algorithms::{gen, listrank, prefix, samplesort, Prediction};
 use qsm_core::{AnyMachine, EffectiveCosts, Machine, PhaseRecord, SimMachine};
+use qsm_models::nmin::{linear_fit, r_squared};
 use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
@@ -142,48 +143,91 @@ pub(crate) fn estimate_sweep(
 /// where the crossover lies beyond the sweep.
 pub(crate) type Crossovers = Vec<(f64, Option<f64>)>;
 
-/// What one crossover figure (`fig5`, `fig6`) swept so far in this
-/// process, for `table4`, which fits its model to the same points.
-/// The points are a pure function of the [`RunCfg`] (the machines are
-/// `paper_default` variants and every seed derives from the config),
-/// and a process sweeps a handful of configs: a linear scan, nothing
-/// evicted, in the manner of `qsm_core::calibrate`'s memo.
-pub(crate) struct CrossoverMemo(Mutex<Vec<(RunCfg, Crossovers)>>);
+/// A crossover figure (Figures 5 and 6): for each value of one
+/// machine parameter, the problem size at which measured sample-sort
+/// communication enters the [Best, WHP] band, with a linear fit of
+/// n_cross against the parameter. The prediction band comes from the
+/// default machine and is the same for every value; each value's
+/// doubling scan ([`samplesort_crossover`]) is an independent sweep
+/// point.
+pub(crate) struct CrossoverFigure {
+    id: &'static str,
+    title: &'static str,
+    /// The swept values, fast or full.
+    values: fn(bool) -> Vec<f64>,
+    /// The paper machine with one swept value installed.
+    vary: fn(MachineConfig, f64) -> MachineConfig,
+    /// The swept column's CSV header.
+    header: &'static str,
+    /// The parameter's symbol in the fit line.
+    symbol: char,
+    /// What this figure swept so far in this process, for `table4`,
+    /// which fits its model to the same points. The points are a pure
+    /// function of the [`RunCfg`] (the machines are `paper_default`
+    /// variants and every seed derives from the config), and a process
+    /// sweeps a handful of configs: a linear scan, nothing evicted, in
+    /// the manner of `qsm_core::calibrate`'s memo.
+    swept: Mutex<Vec<(RunCfg, Crossovers)>>,
+}
 
-impl CrossoverMemo {
-    pub(crate) const fn new() -> Self {
-        Self(Mutex::new(Vec::new()))
+impl CrossoverFigure {
+    /// The crossover points for every value: those [`Self::run`] swept
+    /// earlier in this process (`all` reaches `table4` after both
+    /// figures), or of a sweep made now.
+    pub(crate) fn crossovers(&self, cfg: &RunCfg) -> Crossovers {
+        let remembered = self.swept().iter().find(|(c, _)| c == cfg).map(|(_, pts)| pts.clone());
+        remembered.unwrap_or_else(|| self.sweep(cfg))
     }
 
-    /// A push cannot tear the table, so a poisoned lock is recovered.
-    fn table(&self) -> MutexGuard<'_, Vec<(RunCfg, Crossovers)>> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Sweep, and leave the points for later readers. The figure's own
-    /// `run` calls this and never reads the memo: a figure that is run
-    /// does its work, so its journal, its progress lines and its
-    /// timing are those of a sweep whatever the process ran before.
-    /// The lock is not held across the sweep.
-    pub(crate) fn sweep(&self, cfg: &RunCfg, sweep: impl FnOnce() -> Crossovers) -> Crossovers {
-        let points = sweep();
-        let mut table = self.table();
-        if !table.iter().any(|(c, _)| c == cfg) {
-            table.push((cfg.clone(), points.clone()));
+    /// Sweep, and leave the points for later readers. [`Self::run`]
+    /// calls this and never reads the memo: a figure that is run does
+    /// its work, so its journal, its progress lines and its timing are
+    /// those of a sweep whatever the process ran before. The lock is
+    /// not held across the sweep.
+    fn sweep(&self, cfg: &RunCfg) -> Crossovers {
+        let params = EffectiveCosts::measure(MachineConfig::paper_default(cfg.p));
+        let points = crate::sweep::map(cfg.p, (self.values)(cfg.fast), |_, x| {
+            let machine_cfg = (self.vary)(MachineConfig::paper_default(cfg.p), x);
+            (x, samplesort_crossover(machine_cfg, cfg, &params))
+        });
+        let mut swept = self.swept();
+        if !swept.iter().any(|(c, _)| c == cfg) {
+            swept.push((cfg.clone(), points.clone()));
         }
         points
     }
 
-    /// The points of an earlier sweep at `cfg`, or of one made now.
-    pub(crate) fn get_or_sweep(
-        &self,
-        cfg: &RunCfg,
-        sweep: impl FnOnce() -> Crossovers,
-    ) -> Crossovers {
-        if let Some((_, points)) = self.table().iter().find(|(c, _)| c == cfg) {
-            return points.clone();
+    /// A push cannot tear the memo, so a poisoned lock is recovered.
+    fn swept(&self) -> MutexGuard<'_, Vec<(RunCfg, Crossovers)>> {
+        self.swept.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Run the experiment.
+    pub(crate) fn run(&self, cfg: &RunCfg) -> Report {
+        crate::journal::set_figure(self.id, cfg);
+        crate::backend::warn_sim_only(self.id);
+        let points = self.sweep(cfg);
+        let rows: Vec<Vec<String>> = points
+            .iter()
+            .map(|(x, cross)| match cross {
+                Some(n) => {
+                    vec![format!("{x:.0}"), format!("{n:.0}"), format!("{:.0}", n / cfg.p as f64)]
+                }
+                None => vec![format!("{x:.0}"), "beyond sweep".into(), "-".into()],
+            })
+            .collect();
+        let fit_pts: Vec<(f64, f64)> = points.iter().filter_map(|&(x, n)| Some((x, n?))).collect();
+        let headers = [self.header, "n_cross", "n_cross_per_proc"];
+        let mut text = table(&headers, &rows);
+        if fit_pts.len() >= 2 {
+            let (slope, intercept) = linear_fit(&fit_pts);
+            let r2 = r_squared(&fit_pts, slope, intercept);
+            text.push_str(&format!(
+                "\nlinear fit: n_cross = {slope:.2}·{} + {intercept:.0}   (R² = {r2:.3})\n",
+                self.symbol
+            ));
         }
-        self.sweep(cfg, sweep)
+        Report { id: self.id, title: self.title, text, csv: csv(&headers, &rows) }
     }
 }
 
@@ -243,28 +287,41 @@ pub(crate) fn samplesort_crossover(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
 
     #[test]
     fn memo_serves_readers_but_never_the_figure_itself() {
-        let memo = CrossoverMemo::new();
-        let cfg = RunCfg::fast();
-        let sweeps = std::cell::Cell::new(0u32);
-        let sweep = || {
-            sweeps.set(sweeps.get() + 1);
-            vec![(sweeps.get() as f64, None)]
+        // Counts the sweeps: each asks for the values once, and gets
+        // none, so that it runs nothing.
+        static SWEEPS: AtomicUsize = AtomicUsize::new(0);
+        let figure = CrossoverFigure {
+            id: "memo",
+            title: "memo",
+            values: |_| {
+                SWEEPS.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            },
+            vary: |machine, _| machine,
+            header: "x",
+            symbol: 'x',
+            swept: Mutex::new(Vec::new()),
         };
+        let sweeps = || SWEEPS.load(Ordering::Relaxed);
+        let cfg = RunCfg::fast();
         // A reader with nothing remembered sweeps; the next one does not.
-        assert_eq!(memo.get_or_sweep(&cfg, sweep), vec![(1.0, None)]);
-        assert_eq!(memo.get_or_sweep(&cfg, sweep), vec![(1.0, None)]);
-        assert_eq!(sweeps.get(), 1);
+        figure.crossovers(&cfg);
+        figure.crossovers(&cfg);
+        assert_eq!(sweeps(), 1);
         // The figure's own run sweeps regardless, and readers keep the
-        // first remembered points (equal, for a real sweep).
-        assert_eq!(memo.sweep(&cfg, sweep), vec![(2.0, None)]);
-        assert_eq!(memo.get_or_sweep(&cfg, sweep), vec![(1.0, None)]);
+        // remembered points.
+        figure.run(&cfg);
+        assert_eq!(sweeps(), 2);
+        figure.crossovers(&cfg);
+        assert_eq!(sweeps(), 2);
         // Every field of the config is in the key.
-        let other = RunCfg { reps: cfg.reps + 1, ..cfg.clone() };
-        assert_eq!(memo.get_or_sweep(&other, sweep), vec![(3.0, None)]);
-        assert_eq!(sweeps.get(), 3);
+        figure.crossovers(&RunCfg { reps: cfg.reps + 1, ..cfg.clone() });
+        assert_eq!(sweeps(), 3);
     }
 }

@@ -46,8 +46,8 @@ pub fn fit_model(cfg: &RunCfg) -> Option<NminModel> {
             all
         }
     };
-    let l_pts = resolve(fig5::crossovers(cfg));
-    let o_pts = resolve(fig6::crossovers(cfg));
+    let l_pts = resolve(fig5::FIGURE.crossovers(cfg));
+    let o_pts = resolve(fig6::FIGURE.crossovers(cfg));
     if l_pts.len() < 2 || o_pts.len() < 2 {
         return None;
     }

@@ -109,17 +109,16 @@ impl ResultKnobs {
     pub fn topology_at(&self, p: usize) -> Option<TopologyKind> {
         let v = self.topology.as_deref()?;
         let kind = topology_kind(v, p)?;
-        if let TopologyKind::Mesh2d { rows, cols } | TopologyKind::Torus2d { rows, cols } = kind {
-            if rows == 0 || cols == 0 || rows * cols != p {
-                static WARNED: Once = Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring QSM_TOPOLOGY={v:?}: grid {rows}x{cols} does not \
-                         tile p = {p} nodes; using the flat wire"
-                    )
-                });
-                return None;
-            }
+        if !kind.tiles(p) {
+            static WARNED: Once = Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "warning: ignoring QSM_TOPOLOGY={v:?}: grid {} does not tile p = {p} \
+                     nodes; using the flat wire",
+                    kind.params()
+                )
+            });
+            return None;
         }
         Some(kind)
     }

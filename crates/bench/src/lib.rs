@@ -41,21 +41,30 @@
 //! [`Knobs::parse`](knobs::Knobs::parse) over a map or run a binary as
 //! a subprocess; none mutates its own environment.
 //!
-//! ## Around a figure
+//! ## Modules
 //!
-//! * [`sweep`] fans a figure's independent points across a `QSM_JOBS`
+//! * [`figures`] — one module per table and figure, and what several
+//!   of them share: the kernels by name, the estimate sweep of
+//!   Figures 2–3 and the crossover figure of Figures 5–6.
+//! * [`mod@knobs`] — every `QSM_*` variable, parsed once (above).
+//! * [`sweep`] — fans a figure's independent points across a `QSM_JOBS`
 //!   worker pool and reassembles them in input order, so tables are
 //!   byte-identical to a serial run; it reports progress under
-//!   `QSM_PROGRESS=1` and keeps the [`journal`] under `QSM_RUN_LOG`,
-//!   the per-point ledger `QSM_RESUME=1` resumes from (its schema is
-//!   in the [`journal`] docs, each point's result encoded by
-//!   [`replay::Replay`]).
-//! * [`backend`] resolves `QSM_BACKEND=sim|threads` into a
+//!   `QSM_PROGRESS=1` and keeps the journal under `QSM_RUN_LOG`.
+//! * [`journal`] — the run journal's schema and the per-point ledger
+//!   `QSM_RESUME=1` resumes from.
+//! * [`replay`] — each point's result encoded losslessly for the
+//!   journal, and decoded on resume.
+//! * `jsonl` — the small JSON parser the resume path reads the journal
+//!   with.
+//! * [`backend`] — resolves `QSM_BACKEND=sim|threads` into a
 //!   [`qsm_core::AnyMachine`] factory ([`backend::Backend::machine`]):
 //!   figures 1–3 and `explain` honour it; the machine-configuration
 //!   sweeps warn and stay on sim.
-//! * [`obs`] installs the global recorder from `QSM_TRACE` /
+//! * [`obs`] — installs the global recorder from `QSM_TRACE` /
 //!   `QSM_METRICS` and writes the artifacts when the binary ends.
+//! * [`output`] — text-table and CSV rendering.
+//! * [`stats`] — small statistics helpers for repeated measurements.
 
 #![deny(missing_docs)]
 

@@ -47,7 +47,6 @@
 //! fingerprint-mismatched points — are executed.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -189,19 +188,19 @@ where
     // a correctness dependency.
     // (The knobs warn when a resume was asked for with no usable
     // journal, instead of silently re-running everything.)
-    let mut replayed: HashMap<usize, T> = HashMap::new();
+    let mut results: Vec<Mutex<Option<Result<T, PointPanic>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    let mut replayed = 0;
     if knobs.resume {
         for (i, fields) in crate::journal::load_replay(n) {
             if let Some(v) = T::decode_fields(&fields) {
-                replayed.insert(i, v);
+                results[i] = Mutex::new(Some(Ok(v)));
+                replayed += 1;
             }
         }
-        eprintln!(
-            "[sweep] resume: replaying {}/{n} completed points from the run journal",
-            replayed.len()
-        );
+        eprintln!("[sweep] resume: replaying {replayed}/{n} completed points from the run journal");
     }
-    let progress = Progress::new(knobs.progress, n - replayed.len(), workers);
+    let progress = Progress::new(knobs.progress, n - replayed, workers);
     let drill = knobs.panic_point;
     let run_point = |i: usize, item: I| {
         // Timing and tally snapshots only when someone consumes them
@@ -246,51 +245,37 @@ where
         }
         result
     };
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| match replayed.remove(&i) {
-                Some(t) => Ok(t),
-                None => run_point(i, item),
-            })
-            .collect();
-    }
-
     // Work-stealing over the index space: a shared cursor hands out
     // the next pending point, each slot's item moves to exactly one
     // worker, and the result lands back in the slot of the same
     // index. No ordering assumptions anywhere — only the final
     // index-ordered drain. Worker closures cannot unwind (every point
     // runs inside `catch_unwind`), so the slot locks are never
-    // poisoned.
+    // poisoned. The calling thread is one of the workers: alone, it
+    // takes the points in input order and nothing is spawned.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let results: Vec<Mutex<Option<Result<T, PointPanic>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    // Replayed points are pre-filled results; workers skip them.
-    for (i, t) in replayed {
-        *results[i].lock().expect("sweep result lock poisoned") = Some(Ok(t));
-    }
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if results[i].lock().expect("sweep result lock poisoned").is_some() {
-                    continue; // replayed from the journal
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("sweep item lock poisoned")
-                    .take()
-                    .expect("sweep item taken twice");
-                let out = run_point(i, item);
-                *results[i].lock().expect("sweep result lock poisoned") = Some(out);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        if results[i].lock().expect("sweep result lock poisoned").is_some() {
+            continue; // replayed from the journal
+        }
+        let item = slots[i]
+            .lock()
+            .expect("sweep item lock poisoned")
+            .take()
+            .expect("sweep item taken twice");
+        let out = run_point(i, item);
+        *results[i].lock().expect("sweep result lock poisoned") = Some(out);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     results
         .into_iter()
@@ -319,23 +304,14 @@ where
     T: Send + Replay,
     F: Fn(usize, I) -> T + Sync,
 {
-    let mut out = Vec::new();
-    let mut first_failure: Option<PointPanic> = None;
-    for r in try_map(knobs(), p_sim, items, f) {
-        match r {
-            Ok(t) => out.push(t),
-            Err(p) => {
-                if first_failure.is_none() {
-                    first_failure = Some(p);
-                }
-            }
+    // Every point has run; the first failure in input order is raised.
+    match try_map(knobs(), p_sim, items, f).into_iter().collect() {
+        Ok(out) => out,
+        Err(p) => {
+            eprintln!("error: sweep point {} panicked: {}", p.index, p.message);
+            std::panic::resume_unwind(p.payload)
         }
     }
-    if let Some(p) = first_failure {
-        eprintln!("error: sweep point {} panicked: {}", p.index, p.message);
-        std::panic::resume_unwind(p.payload);
-    }
-    out
 }
 
 /// Like [`map`], but degrade gracefully: failed points are dropped

@@ -11,10 +11,14 @@
 //! algorithm prediction lines use as their effective gap.
 //!
 //! The measurement is a pure function of `(MachineConfig, words)`, so
-//! it is taken once per key per process (`MEMO`). The runs behind it
-//! are unobserved — a disabled recorder, outside the fault tally — so
-//! whether a call hit the memo or measured leaves no trace in any
-//! artifact.
+//! it is taken once per key per process (`MEMO`: a `Mutex<Vec<_>>`
+//! scanned with `==`, since the config has `f64` fields and a process
+//! calibrates a handful of machines; never evicted, and not held
+//! across a measurement). The runs behind it are unobserved — a
+//! disabled recorder, outside the fault tally — so whether a call hit
+//! the memo or measured leaves no trace in any artifact, which keeps
+//! `QSM_METRICS` dumps independent of `QSM_JOBS` when sweep workers
+//! race to calibrate.
 
 use std::sync::Mutex;
 

@@ -26,6 +26,18 @@
 //! cleared and reused from phase to phase. It is the same code for the
 //! simulated and the native machine; only the [`PhaseTimer`] handed to
 //! the price stage differs.
+//!
+//! The κ sweep is the per-word part of a phase's metering, so it is
+//! spread over the owners: between the barriers every worker sweeps
+//! the runs that all `p` outboxes hold for *its* block
+//! ([`OwnerKappa`], array by array in id order), and the leader takes
+//! the maximum. A run never leaves its owner's block, so that maximum
+//! is what one sweep over everything finds (the unit tests proptest it
+//! against a per-operation oracle with every traffic cell). A
+//! location both read and written panics on the processor that stores
+//! it; when two owners hold a conflict, the lowest processor's is
+//! reported on every run, since a barrier crossing that completed
+//! counts for every worker in it (`tests/sim_on_pool.rs`).
 
 use std::time::Instant;
 

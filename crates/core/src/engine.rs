@@ -20,7 +20,26 @@
 //! simulated time advances on the leader while the processors of the
 //! other carriers are already computing the next phase; on the threads
 //! machine it reads the host clock. Nothing else differs between
-//! backends, and no simulated number depends on `k`.
+//! backends, and no simulated number depends on `k`: the unit tests
+//! run kernels and drawn put / get / register programs on 1, 2, 3 and
+//! `p` carriers and compare every [`PhaseRecord`](crate::PhaseRecord),
+//! and `tests/scale_agreement.rs` checks sim and threads outputs equal
+//! at n = 2^20 and p = 8 and 64.
+//!
+//! ### Observability
+//!
+//! A simulated run's trace is the timer's, in simulated cycles. A
+//! timer that opts in through `PhaseTimer::spmd_span_epoch` (the wall
+//! clock's) hands each worker a lane instead: one cursor advances
+//! through the stages of every phase and emits a span per stage, so
+//! consecutive spans share their boundary instant and a lane tiles its
+//! timeline exactly (`crates/bench/tests/perfetto_threads.rs` asserts
+//! equality). Spans are buffered per worker and flushed after the last
+//! phase is priced. Everything that depends on the host — barrier
+//! waits, utilization, the barrier's backoff counts, and the pool's
+//! spawns and placements, which depend on what the process ran before
+//! — is recorded at `Full` level only, so `Metrics` dumps stay
+//! byte-stable across `QSM_JOBS` and process history.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;

@@ -51,6 +51,63 @@
 //! assert_eq!(rotate(&sim), vec![10, 20, 30, 0]);
 //! assert_eq!(rotate(&sim), rotate(&threads));
 //! ```
+//!
+//! The crate reads no environment variable: every `QSM_*` knob is the
+//! harness's, parsed once in `qsm-bench`.
+//!
+//! ## Modules
+//!
+//! The programming surface:
+//!
+//! * [`ctx`] — [`Ctx`], what a program sees: `proc_id`, `nprocs`,
+//!   `charge`, `register`, `put`, `get`, `take`, the local windows and
+//!   `sync()`, with bulk-synchrony checked at run time.
+//! * [`shmem`] — [`SharedArray`] handles and [`shmem::ArrayInfo`], an
+//!   array's metadata with its block partition.
+//! * [`addr`] — [`ArrayId`], [`Layout`] (block or hashed cost owner)
+//!   and `BlockGeom`, the block partition of one array,
+//!   divided once.
+//! * [`word`] — the sealed [`Word`] element types and the two casts
+//!   between packed storage words and `[T]`.
+//! * [`ops`] — what a processor queues in a phase: the
+//!   `Outbox` and [`GetTicket`].
+//!
+//! The engine every backend runs on:
+//!
+//! * `engine` — the one run loop: leases the carriers, hosts the
+//!   processors, and assembles the [`RunResult`] (the processors'
+//!   outputs and the phase records, nothing derived from them).
+//! * `fiber` — a stack per hosted processor and the user-space switch
+//!   between them: how `p` processors ride on `min(p, cores)` threads.
+//! * [`pool`] — the process-global pool of resident worker threads a
+//!   run leases its carriers from.
+//! * `spmd` — the exchange area every `sync()` rendezvouses in, the
+//!   two-level barrier, and the exchange stage (serve own gets, κ of
+//!   own block, apply own puts). All the `unsafe` of reading a peer's
+//!   publication lives here.
+//! * `driver` — the backend-independent plan → price → record stages
+//!   over the workers' published rows, and the κ sweep; assembles
+//!   each phase's [`PhaseRecord`] from one [`CommMatrix`].
+//! * [`machine`] — the [`Machine`] and [`PhaseTimer`] backend traits
+//!   and [`AnyMachine`], the two-variant enum the harness selects with
+//!   `QSM_BACKEND`.
+//!
+//! The backends and what surrounds a run:
+//!
+//! * [`sim_runtime`] / `sim_timer` — [`SimMachine`], whose
+//!   [`SimTimer`] prices plan, exchange and barrier on `qsm-simnet`
+//!   and runs the delivery protocol over a lossy network.
+//! * [`thread_runtime`] — [`ThreadMachine`], the same engine on the
+//!   host's cores, priced by [`WallTimer`] in nanoseconds.
+//! * [`accounting`] — [`CostReport`]: measured times beside the QSM,
+//!   s-QSM, BSP and LogP predictions of `qsm-models`.
+//! * [`calibrate`] — [`EffectiveCosts`]: the Table 3 microbenchmarks
+//!   (observed put and get gap, empty `sync()`), once per machine per
+//!   process.
+//! * [`obs`] — the process-global recorder slot: a harness installs a
+//!   recorder once and every run emits into it.
+//! * [`tally`] — per-thread fault totals of the runs a thread started,
+//!   for the sweep journal.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -1,8 +1,9 @@
 //! The backend abstraction: one engine, many machines.
 //!
 //! There is exactly one pipeline and one run loop; "simulated" vs
-//! "native" is a strategy object — the timer — and nothing else (see
-//! DESIGN.md, "The SPMD engine"). Every QSM backend is a [`Machine`]:
+//! "native" is a strategy object — the timer — and nothing else (the
+//! run loop is the private `engine` module's, the exchange `spmd`'s).
+//! Every QSM backend is a [`Machine`]:
 //! a small configuration value that knows how many processors it has,
 //! how to build the [`PhaseTimer`] that prices each phase, and how to
 //! assemble a [`CostReport`] from a run's phases. Backends today:

@@ -17,6 +17,25 @@
 //! buckets, an owner sweeps (κ) and applies only the buckets addressed
 //! to it, and the leader reads the rows where they lie; nobody walks a
 //! flat list.
+//!
+//! ### Host memory
+//!
+//! A run is 24 bytes, `(array, len, global start, arena offset)`,
+//! with a tag bit of the offset saying which arena. Both kinds of
+//! operation add to the requester's row by *cost* owner, with the
+//! `(owner, bank)` cells when banks are on, which is all the metering
+//! a `Hashed` array needs. A row is O(p) cells, sized by a processor's
+//! first operation and cleared through its dirty-cell list, so what a
+//! run holds quadratic in `p` is the rows alone (at p = 256 with four
+//! banks, `tests/sim_on_pool.rs` reads 0.2 MiB live), and the leader
+//! keeps no matrix and of the arrays only a live bit each. Per-sync
+//! state is dense by [`ArrayId`] (ids are assigned densely and never
+//! reused) and recycled across phases, and a segment never moves: its
+//! worker owns its block of every array for the whole run. None of
+//! this can move a simulated number: the metered events keep their
+//! order (the latin-square exchange, the transmit sort keys,
+//! processor-then-issue put application, sorted-id κ sweeps), and the
+//! dirty lists skip only cells that moved no message.
 
 use std::marker::PhantomData;
 

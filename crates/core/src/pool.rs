@@ -24,6 +24,13 @@
 //! sender back only after all `p` of its jobs signalled completion.
 //! A run also never waits for a worker — what is not idle is spawned —
 //! so leasing cannot deadlock either.
+//!
+//! Leasing is the only way a processor is placed: there is no resident
+//! cap, no per-run thread and no core pinning. A resident never exits,
+//! so its processor stacks live as long as the process. Steady state
+//! spawns nothing per run, and nothing per phase ever
+//! (`tests/worker_pool.rs` and `crates/core/tests/sim_on_pool.rs`
+//! assert both on [`spawned_workers`]).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -8,7 +8,25 @@
 //! modeled: the CPU (marshalling, applying, serving — the *software*
 //! costs that make the observed gap an order of magnitude above the
 //! hardware gap, cf. Table 3), and the send/receive NIC engines
-//! simulated by [`qsm_simnet::Network`].
+//! simulated by [`qsm_simnet::Network`]. Every buffer a phase fills is
+//! pooled on the timer, so an empty phase allocates nothing.
+//!
+//! ### The delivery protocol
+//!
+//! The models price communication on a reliable network, so the
+//! runtime provides one on top of the lossy one: [`transmit_reliably`]
+//! sends each data batch through the faulty path and resends what was
+//! lost, by the rule [`FaultConfig::resend_ready`] states once for
+//! every caller; giving up is a panic naming the message here (the
+//! sweep executor catches it) and a `timed_out` count in `qsm-serve`.
+//! Resend drop decisions are keyed on `(primary sequence, attempt)`,
+//! not drawn from the stream, so retry traffic never shifts a later
+//! phase's schedule between runs that differ only in drop probability:
+//! the drop set at a lower probability is a subset of the set at a
+//! higher one across whole runs. Retry and loss counts reach the
+//! [`PhasePrice`] (and so `CostReport`'s `retries` / `dropped_msgs`),
+//! metrics counters of the same names, and `RetryRound` spans. With
+//! `faults: None` the protocol is exactly the reliable path.
 
 use qsm_obs::{Recorder, Span, SpanKind};
 use qsm_simnet::barrier::{self, BarrierScratch};

@@ -71,7 +71,8 @@
 //! private [`SpmdAborted`] marker. All workers then meet at an exit
 //! rendezvous — no worker's `Ctx` (and thus no published store) is
 //! dropped while a peer could still read it — and the engine re-raises
-//! the first real payload.
+//! the lowest-numbered processor's real payload, with the message it
+//! always had (`tests/sim_on_pool.rs` pins three verbatim).
 
 use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};

@@ -14,6 +14,16 @@
 //! invalid bit pattern, no wider and no more aligned than a `u64`.
 //! Cost accounting converts element counts into the paper's 4-byte
 //! word units via [`Word::BYTES`].
+//!
+//! The exchange stage knows an array's width
+//! ([`ArrayInfo::elem_bytes`](crate::shmem::ArrayInfo::elem_bytes)),
+//! not its type, and copies element ranges through the 4- or the
+//! 8-byte lane (`copy_packed`); a range may start mid-word and end on
+//! another owner (`tests/packed_exchange.rs` holds random programs over
+//! all five types, on both machines, to a plain `Vec<T>`). Array ids
+//! restart in every run, so each typed access checks the handle's
+//! width against the array's and panics rather than reinterpret. Host
+//! copies are never charged, so none of this moves a simulated number.
 
 mod sealed {
     pub trait Sealed {}

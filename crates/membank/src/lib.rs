@@ -8,7 +8,9 @@
 //! (worst case), and [`pattern::Pattern::NoConflict`] (hand-placed
 //! ideal) — on four platforms.
 //!
-//! This crate provides:
+//! ## Modules
+//!
+//! * [`pattern`] — the three access patterns.
 //! * [`platform`] — queue-parameter profiles of the four platforms
 //!   (Sun E5000 natively and under BSPlib, an Ethernet NOW under
 //!   BSPlib, and a Cray T3E with `shmem`).
@@ -16,8 +18,9 @@
 //!   per-processor target drawing plus the [`BankBackend`] trait the
 //!   two executors implement (the membank counterpart of qsm-core's
 //!   `Machine` unification).
-//! * [`sim`] — the closed-loop bank-queue simulator backend that
-//!   regenerates Figure 7's panels.
+//! * [`sim`] — the closed-loop backend that regenerates Figure 7's
+//!   panels through the `qsm-simnet` bank stage, so the workspace has
+//!   exactly one bank-queue model.
 //! * [`native`] — the same microbenchmark on the host machine, with
 //!   padded atomics as banks, for a real-hardware data point.
 

@@ -29,6 +29,23 @@
 //! point of the paper — and of this crate's layout — is that QSM has
 //! only two architectural parameters (`p`, `g`) while still tracking
 //! machines well for reasonable problem sizes.
+//!
+//! ## Modules
+//!
+//! * [`params`] — [`QsmParams`], [`SQsmParams`], [`BspParams`] and
+//!   [`LogPParams`]: each model's parameters and its cost of one phase
+//!   given `(m_op, m_rw, κ, h, msgs)`.
+//! * [`phase`] — [`PhaseProfile`], the per-processor maxima measured
+//!   for one phase; a program's prediction under a model is the sum of
+//!   that model's per-phase cost over its phases.
+//! * [`machine`] — [`MachineSpec`], the rows of Table 4 (default
+//!   simulation, Berkeley NOW, Pentium-II/TCP, Cray T3E, Intel
+//!   Paragon, Meiko CS-2) with their cycle-unit conversions.
+//! * [`chernoff`] — the binomial tail bounds behind the WHP analyses
+//!   of sample sort and list ranking (maximum bucket size `B`,
+//!   off-processor fraction `r`, per-phase survivor counts).
+//! * [`nmin`] — the Table 4 extrapolation: the minimal `n/p` for QSM
+//!   accuracy as a linear function of `l`, `o` and `p`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -221,7 +221,7 @@ impl ServiceOutcome {
 }
 
 /// Wire bytes of each leg under `cfg` (request, reply), per op kind.
-fn leg_bytes(cfg: &ServiceConfig, is_get: bool) -> (u64, u64) {
+pub(crate) fn leg_bytes(cfg: &ServiceConfig, is_get: bool) -> (u64, u64) {
     let sw = &cfg.machine.sw;
     let hdr = sw.msg_header_bytes + sw.item_header_bytes;
     if is_get {

@@ -9,7 +9,17 @@
 //! across the machine's nodes, at an *offered load* that does not
 //! care whether the machine is keeping up.
 //!
-//! * [`config::ServiceConfig`] — the scenario: client population,
+//! The headline experiment (`ext_service` in `qsm-bench`) sweeps
+//! offered load through the saturation knee: below it, throughput
+//! tracks the offered load and the utilization model is accurate;
+//! above it, throughput plateaus at the predicted capacity while
+//! open-loop latency grows without bound — the regime where QSM's
+//! contention-free account of communication stops describing the
+//! machine.
+//!
+//! ## Modules
+//!
+//! * [`config`] — [`ServiceConfig`], the scenario: client population,
 //!   shard count, value size, get/put mix, arrival window, offered
 //!   load, optional admission control.
 //! * [`arrival`] — the seeded arrival process. Transaction `i` is a
@@ -22,17 +32,11 @@
 //!   sends on its FIFO lanes, replies and retries in its heap) drives
 //!   the *same* staged delivery pipeline ([`qsm_simnet::Network`]) the
 //!   batch experiments use, message by message, with keyed fault
-//!   retries and per-transaction latency measurement.
+//!   retries and per-transaction latency measurement. Host cost per
+//!   transaction is independent of `p`.
 //! * [`model`] — utilization-model predictions (`ρ_send`, `ρ_recv`,
-//!   `ρ_bank`, capacity) to plot against the measurements.
-//!
-//! The headline experiment (`ext_service` in `qsm-bench`) sweeps
-//! offered load through the saturation knee: below it, throughput
-//! tracks the offered load and the utilization model is accurate;
-//! above it, throughput plateaus at the predicted capacity while
-//! open-loop latency grows without bound — the regime where QSM's
-//! contention-free account of communication stops describing the
-//! machine.
+//!   `ρ_bank`, capacity) to plot against the measurements, from the
+//!   engine's own leg sizes and the same `NetConfig` arithmetic.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -13,7 +13,8 @@
 //! ρ_bank = λ/p · E[bank work per txn] / banks_per_node
 //! ```
 //!
-//! (expectations over the get/put mix). The knee prediction is then
+//! (expectations over the get/put mix, each leg as many bytes as the
+//! engine sends, `engine::leg_bytes`). The knee prediction is then
 //! the M/D/1-flavored capacity bound: throughput tracks the offered
 //! load while `ρ_max < 1` and plateaus at `λ / ρ_max` beyond it —
 //! an open-loop system cannot complete work faster than its busiest
@@ -22,6 +23,7 @@
 //! the knee) is exactly the contention the QSM model abstracts away.
 
 use crate::config::ServiceConfig;
+use crate::engine::leg_bytes;
 
 /// Model-predicted utilizations and throughput at one offered load.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,18 +67,14 @@ impl Prediction {
 /// offered load.
 pub fn predict(cfg: &ServiceConfig) -> Prediction {
     let net = &cfg.machine.net;
-    let sw = &cfg.machine.sw;
     let p = cfg.machine.p as f64;
     let lambda = cfg.offered as f64 / cfg.window;
     let per_node = lambda / p;
 
     let gf = cfg.get_fraction;
     let pf = 1.0 - gf;
-    let hdr = sw.msg_header_bytes + sw.item_header_bytes;
-    let get_req = hdr;
-    let get_rep = hdr + cfg.value_bytes;
-    let put_req = hdr + cfg.value_bytes;
-    let put_ack = sw.msg_header_bytes;
+    let (get_req, get_rep) = leg_bytes(cfg, true);
+    let (put_req, put_ack) = leg_bytes(cfg, false);
 
     // Each transaction's two legs touch one send engine and one
     // receive engine apiece; under uniform hashing both land on a

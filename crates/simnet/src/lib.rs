@@ -5,31 +5,8 @@
 //! Armadillo's network model — a configurable gap (bandwidth),
 //! latency, and per-message overhead, with **no network contention**
 //! — plus a fixed CPU configuration used to convert local work into
-//! cycles. `qsm-simnet` implements exactly that surface:
-//!
-//! * [`time::Cycles`] — simulated time in processor clock cycles.
-//! * [`config::MachineConfig`] — the simulated machine: processor
-//!   count, network parameters (Table 3), CPU parameters (Table 2's
-//!   400 MHz node reduced to a cycles-per-operation rate), and the
-//!   shared-memory library's software cost constants.
-//! * [`network::Network`] — per-node send/receive engines with busy
-//!   timelines; [`network::Network::send_one`] delivers one message
-//!   and [`network::Network::transmit_into`] a batch, each reporting
-//!   when a message becomes visible to the receiving node's software.
-//! * [`barrier`] — a dissemination barrier built *out of simulated
-//!   messages*, so that the measured barrier cost `L` (the paper
-//!   reports 25 500 cycles at p = 16) emerges from `l`, `o`, and
-//!   per-round software cost rather than being configured directly.
-//! * [`event::EventQueue`] — the deterministic `(time, insertion)`
-//!   priority queue under the `qsm-serve` timeline: events are ordered
-//!   by one integer key computed at the push ([`event::event_key`]),
-//!   and a caller whose events come presorted can hint them onto FIFO
-//!   lanes that bypass the heap without changing the pop order.
-//! * [`timeline::FifoTimeline`] — the FIFO service-timeline primitive
-//!   every stage above is expressed on, with the busy/backlog
-//!   accounting that lets an *open-loop* caller (the `qsm-serve`
-//!   transaction engine) drive the same delivery pipeline from a
-//!   seeded arrival stream instead of a phase plan.
+//! cycles. `qsm-simnet` implements exactly that surface, plus three
+//! opt-in stages the workspace's own experiments add.
 //!
 //! The network model, per message of `b` bytes from `s` to `d`:
 //!
@@ -55,11 +32,65 @@
 //! table, and every inter-node message is forwarded hop-by-hop along
 //! its route, each directed link a FIFO serializing at the link gap,
 //! each hop adding the topology's share of the wire latency (the
-//! internal `fabric` stage). The default `Flat` topology builds no
+//! `fabric` stage). The default `Flat` topology builds no
 //! table and has no link stage at all — the `arrive` line above is
 //! the exact arithmetic — and the machine-wide shared fabric
 //! ([`config::MachineConfig::with_fabric`]) is the one-link table, so
 //! there is a single congestion code path.
+//!
+//! The third is message loss ([`config::NetConfig::faults`], see
+//! [`fault`]): a lost message still holds its sender's NIC and the
+//! links, but never reaches the receive engine. The exchange
+//! destination order ([`config::ExchangeOrder`]) is selectable too,
+//! for the scheduling ablation. Every optional stage is an `Option` whose `None` arm is
+//! the exact original arithmetic, so a disabled config is
+//! byte-identical to a build without the feature.
+//!
+//! ## Modules
+//!
+//! * [`time`] — [`Cycles`], simulated time in processor clock cycles
+//!   (an `f64` newtype, total-ordered, never NaN).
+//! * [`config`] — [`MachineConfig`], the simulated machine: processor
+//!   count, network parameters (Table 3), CPU parameters (Table 2's
+//!   400 MHz node reduced to a cycles-per-operation rate), the
+//!   shared-memory library's software costs, and the presets
+//!   (the paper's default: g = 3 cycles/byte, o = 400, l = 1600).
+//! * [`message`] — [`message::Injection`], what a sender hands the
+//!   network, and [`message::MsgKind`], its statistics class.
+//! * [`network`] — [`Network`], the three-stage delivery pipeline:
+//!   [`Network::send_one`] delivers one message and
+//!   [`Network::transmit_into`] a batch, each reporting when a message
+//!   becomes visible to the receiving node's software.
+//! * [`timeline`] — [`timeline::FifoTimeline`], the one FIFO resource
+//!   every stage is expressed on (send NIC, receive engine, link,
+//!   bank), so the batch exchange and the open-loop `qsm-serve` engine
+//!   price a message through the same arithmetic.
+//! * `fabric` — the route stage: walks a message over its route's
+//!   links, each a FIFO at the link gap, each hop adding the
+//!   topology's share of the wire latency.
+//! * [`topology`] — [`TopologyKind`], the `Copy` description a
+//!   [`NetConfig`] carries, and [`topology::Routes`], the route table
+//!   it builds.
+//! * [`barrier`] — the dissemination barrier built *out of simulated
+//!   messages*, so the measured barrier cost `L` (25 500 cycles at
+//!   p = 16 in the paper) emerges from `l`, `o` and per-round software
+//!   cost. It fills caller-owned buffers that the runtime keeps across
+//!   phases. Table 3's L row is a whole empty `sync()` (plan exchange
+//!   and barrier), priced by `qsm_core`'s `SimMachine::empty_sync_cost`.
+//! * [`fault`] — deterministic message loss and the resend rule the
+//!   delivery loops above this crate share.
+//! * [`stats`] — [`NetStats`]: message and byte counts per kind, drops,
+//!   and the link stage's message and byte totals. A resource's busy
+//!   time is its timeline's ([`Network::send_busy_total`],
+//!   [`Network::link_busy_total`]).
+//! * [`trace`] — optional bounded event capture (the first `cap`
+//!   events, the rest counted as dropped), drained every phase into
+//!   the recorder's wire stream.
+//! * [`event`] — [`event::EventQueue`], the deterministic
+//!   `(time, insertion)` priority queue under the `qsm-serve`
+//!   timeline: one integer key per event ([`event::event_key`]), and
+//!   FIFO lanes that presorted pushes can bypass the heap on without
+//!   changing the pop order.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -17,7 +17,15 @@
 //! ([`Network::transmit_into`] and friends) loops the same functions
 //! in each stage's deterministic order. Host cost: O(route length)
 //! per message, O(n log n) per batch of n for the orderings, nothing
-//! per node or per link — the ordering scratch is touched-only.
+//! per node or per link — the ordering scratch is touched-only: one
+//! pooled index queue per node, emptied as it is drained, and the
+//! nodes the batch named. A one-message batch takes `send_one`'s path.
+//!
+//! Every contention point is a [`FifoTimeline`], and the `Network`
+//! exposes what an open-loop caller (`qsm-serve`) needs of them: the
+//! backlog probes ([`Network::send_backlog`],
+//! [`Network::bank_backlog`]), each resource's busy total, and the
+//! single-message [`Network::bank_service`].
 //!
 //! Like the paper's simulator, the *default* network models **no
 //! internal contention**: the route stage is absent, messages from

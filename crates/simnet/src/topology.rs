@@ -218,14 +218,23 @@ impl TopologyKind {
         }
     }
 
-    /// Validate the description against a `p`-node machine.
-    pub fn validate(&self, p: usize) {
+    /// Whether the description fits a `p`-node machine: a grid's axes
+    /// must be positive and tile `p` exactly; every other kind fits
+    /// any `p`.
+    pub fn tiles(&self, p: usize) -> bool {
         match *self {
             TopologyKind::Mesh2d { rows, cols } | TopologyKind::Torus2d { rows, cols } => {
-                assert!(rows >= 1 && cols >= 1, "grid axes must be positive");
-                assert!(rows * cols == p, "grid {rows}x{cols} does not tile p = {p} nodes",);
+                rows >= 1 && cols >= 1 && rows * cols == p
             }
-            _ => {}
+            _ => true,
+        }
+    }
+
+    /// Validate the description against a `p`-node machine.
+    pub fn validate(&self, p: usize) {
+        if let TopologyKind::Mesh2d { rows, cols } | TopologyKind::Torus2d { rows, cols } = *self {
+            assert!(rows >= 1 && cols >= 1, "grid axes must be positive");
+            assert!(self.tiles(p), "grid {rows}x{cols} does not tile p = {p} nodes");
         }
     }
 

@@ -24,6 +24,14 @@
 //!   microbenchmark with per-machine bank-queue simulators and a
 //!   native threaded variant.
 //!
+//! The package's `examples/` drive that API end to end (quickstart,
+//! a sample-sort pipeline, log reconstruction as a list-ranking
+//! workload, analytics, a custom-machine what-if, the membank probe,
+//! and the per-phase and page-fault cost probes), and its `tests/`
+//! hold the cross-crate integration tests. The open-loop serving layer
+//! (`qsm-serve`) and the experiment harness (`qsm-bench`) are crates of
+//! their own, not re-exported here.
+//!
 //! ## Quickstart
 //!
 //! ```

@@ -1,77 +1,92 @@
-//! DESIGN.md's per-crate module lists match the source tree.
-//!
-//! Under each `` ### `crates/X` `` heading, a bullet that opens with
-//! `` `file.rs` `` (or `` `a.rs` / `b.rs` ``) names a module of
-//! `crates/X/src`: the file must exist, and a section that bullets any
-//! file must bullet every one but `lib.rs`. A section without such
-//! bullets (a crate described in prose) is not checked.
+//! Each crate's design lives in its rustdoc, and its `lib.rs` names
+//! every module: under the `## Modules` heading of the crate's `//!`
+//! docs, each bullet opens with the modules it describes —
+//! `` [`name`] ``, `` [`mod@name`] ``, or `` `name` `` for a private
+//! module, several joined by ` / ` before the bullet's ` — ` dash.
+//! Every module file of `crates/X/src` (a `name.rs` beside `lib.rs`,
+//! or a `name/mod.rs`) must be named there exactly once, and every
+//! name must be such a file.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// The `name.rs` tokens a bullet opens with: the backticked ones
-/// before its ` — ` dash.
-fn bulleted_files(line: &str) -> Vec<&str> {
-    let Some(item) = line.strip_prefix("* ").or_else(|| line.strip_prefix("- ")) else {
-        return Vec::new();
-    };
+/// The module names a bullet opens with: the backticked tokens before
+/// its ` — ` dash, links or not.
+fn bulleted_modules(line: &str) -> Vec<&str> {
+    let Some(item) = line.strip_prefix("* ") else { return Vec::new() };
     let head = item.split(" — ").next().unwrap_or(item);
-    let is_file = |t: &&str| t.len() > 3 && t.ends_with(".rs") && !t.contains(['/', ' ']);
-    head.split('`').skip(1).step_by(2).filter(is_file).collect()
+    head.split('`').skip(1).step_by(2).map(|t| t.strip_prefix("mod@").unwrap_or(t)).collect()
 }
 
-/// `(crate directory, bulleted files)` per `` ### `crates/X` `` section.
-fn sections(design: &str) -> Vec<(String, Vec<String>)> {
-    let mut out: Vec<(String, Vec<String>)> = Vec::new();
-    let mut open = false;
-    for line in design.lines() {
-        if line.starts_with("## ") || line.starts_with("### ") {
-            let dir = line.strip_prefix("### `crates/").and_then(|r| r.split('`').next());
-            open = dir.is_some();
-            if let Some(dir) = dir {
-                out.push((dir.to_string(), Vec::new()));
-            }
-        } else if open {
-            let files = &mut out.last_mut().expect("an open section").1;
-            files.extend(bulleted_files(line).into_iter().map(str::to_string));
+/// Every module name the bullets of `lib`'s `## Modules` section open
+/// with, in order; `None` when its `//!` docs have no such section.
+fn inventory(lib: &str) -> Option<Vec<&str>> {
+    let docs = lib.lines().map_while(|l| l.strip_prefix("//!")).map(|l| l.trim_start());
+    let mut section = docs.skip_while(|l| *l != "## Modules");
+    section.next()?;
+    Some(section.take_while(|l| !l.starts_with('#')).flat_map(bulleted_modules).collect())
+}
+
+/// The modules of a crate's `src`, by the files that define them.
+fn module_files(src: &Path) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for entry in std::fs::read_dir(src).unwrap_or_else(|e| panic!("{}: {e}", src.display())) {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_stem().expect("file name").to_string_lossy().into_owned();
+        let is_module = if path.is_dir() {
+            path.join("mod.rs").is_file()
+        } else {
+            path.extension().is_some_and(|x| x == "rs") && name != "lib"
+        };
+        if is_module {
+            out.insert(name);
         }
     }
     out
 }
 
 #[test]
-fn bullets_open_on_file_names_only() {
-    assert_eq!(bulleted_files("* `a.rs` / `b_c.rs` — uses `d.rs`"), ["a.rs", "b_c.rs"]);
-    assert_eq!(bulleted_files("* `bin/x.rs` — a binary"), Vec::<&str>::new());
-    assert_eq!(bulleted_files("  `a.rs` — a continuation"), Vec::<&str>::new());
-    assert_eq!(bulleted_files("* `Cycles` (f64 newtype)"), Vec::<&str>::new());
+fn bullets_open_on_module_names_only() {
+    assert_eq!(bulleted_modules("* [`a`] / `b_c` — uses [`d`] and `e`"), ["a", "b_c"]);
+    assert_eq!(bulleted_modules("* [`mod@knobs`] — the knobs"), ["knobs"]);
+    assert_eq!(bulleted_modules("  [`a`] — a continuation"), Vec::<&str>::new());
+    let lib = "//! # x\n//!\n//! * [`before`] — not listed\n//!\n//! ## Modules\n//!\n\
+               //! Prose.\n//!\n//! * [`a`] — one\n//!   [`b`] — continued\n//! * `c` — two\n\
+               //!\n//! ## Next\n//!\n//! * [`after`] — not listed\n\npub mod a;\n";
+    assert_eq!(inventory(lib), Some(vec!["a", "c"]));
+    assert_eq!(inventory("//! # x\n//!\n//! * [`a`] — no section\n"), None);
 }
 
 #[test]
 fn design_module_lists_match_the_crates() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
-    let sections = sections(&design);
-    assert!(sections.len() >= 8, "found {} crate sections", sections.len());
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut problems = Vec::new();
-    for (dir, bulleted) in sections {
-        if bulleted.is_empty() {
+    let mut checked = 0;
+    for krate in std::fs::read_dir(&crates).expect("crates/") {
+        let src = krate.expect("dir entry").path().join("src");
+        let dir = src.parent().and_then(Path::file_name).unwrap().to_string_lossy().into_owned();
+        let lib = std::fs::read_to_string(src.join("lib.rs")).expect("lib.rs");
+        let Some(named) = inventory(&lib) else {
+            problems.push(format!("crates/{dir}: lib.rs has no `## Modules` section"));
             continue;
+        };
+        checked += 1;
+        let on_disk = module_files(&src);
+        let mut times: BTreeMap<&str, usize> = BTreeMap::new();
+        for name in named {
+            *times.entry(name).or_default() += 1;
         }
-        let src = root.join("crates").join(&dir).join("src");
-        let on_disk: BTreeSet<String> = std::fs::read_dir(&src)
-            .unwrap_or_else(|e| panic!("{}: {e}", src.display()))
-            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
-            .filter(|name| name.ends_with(".rs") && name != "lib.rs")
-            .collect();
-        let bulleted: BTreeSet<String> = bulleted.into_iter().collect();
-        for missing in bulleted.difference(&on_disk) {
-            problems
-                .push(format!("crates/{dir}: DESIGN.md bullets `{missing}`, which does not exist"));
+        for (name, &n) in &times {
+            if !on_disk.contains(*name) {
+                problems.push(format!("crates/{dir}: lib.rs lists `{name}`, which is no module"));
+            } else if n > 1 {
+                problems.push(format!("crates/{dir}: lib.rs lists `{name}` {n} times"));
+            }
         }
-        for unlisted in on_disk.difference(&bulleted) {
-            problems.push(format!("crates/{dir}: `{unlisted}` has no DESIGN.md bullet"));
+        for module in on_disk.iter().filter(|m| !times.contains_key(m.as_str())) {
+            problems.push(format!("crates/{dir}: `{module}` is not in lib.rs's module list"));
         }
     }
-    assert!(problems.is_empty(), "DESIGN.md module lists are stale:\n{}", problems.join("\n"));
+    assert!(checked >= 8, "found {checked} crate inventories");
+    assert!(problems.is_empty(), "module inventories are stale:\n{}", problems.join("\n"));
 }

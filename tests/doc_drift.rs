@@ -15,6 +15,10 @@
 //! Named binaries cannot drift: every `--bin X` and `target/release/X`
 //! in those documents and the verify skill, fenced blocks included, is
 //! a file `crates/bench/src/bin/X.rs` or the benchmark's own binary.
+//!
+//! History stays out: no line of those documents, and no comment in
+//! `crates/*/src`, names a pull request by number (`PR <n>`); what
+//! changed when is CHANGES.md's.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -320,4 +324,57 @@ fn every_named_binary_exists() {
         }
     }
     assert!(missing.is_empty(), "named but not built:\n{}", missing.join("\n"));
+}
+
+/// Whether `line` names a pull request by number: `PR` or `PRs`, a
+/// space, then digits, optionally after a `#`.
+fn names_a_pr(line: &str) -> bool {
+    idents(line).any(|(at, word)| {
+        let rest = &line[at + word.len()..];
+        matches!(word, "PR" | "PRs")
+            && rest.strip_prefix(' ').is_some_and(|r| {
+                r.trim_start_matches('#').starts_with(|c: char| c.is_ascii_digit())
+            })
+    })
+}
+
+#[test]
+fn the_pr_scanner_sees_what_it_must() {
+    // Assembled, so that this file does not name a pull request itself.
+    let pr = |before: &str, after: &str| format!("{before}PR{after}");
+    let named =
+        [pr("until ", " 15 the loop"), pr("", "s 16, 19 and 22"), pr("(", " #7)"), pr("", " 3")];
+    for line in named {
+        assert!(names_a_pr(&line), "{line}");
+    }
+    let not_named =
+        [pr("a ", " that owns it"), pr("S", " 3"), pr("", "-3"), pr("", "IME 4"), pr("", ": 5")];
+    for line in not_named.iter().map(String::as_str).chain(["PR"]) {
+        assert!(!names_a_pr(line), "{line}");
+    }
+}
+
+#[test]
+fn no_document_or_source_comment_names_a_pr() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut named = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (n, line) in text.lines().enumerate().filter(|(_, l)| names_a_pr(l)) {
+            named.push(format!("{doc}:{}: {}", n + 1, line.trim()));
+        }
+    }
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        rust_files(&krate.unwrap().path().join("src"), &mut files);
+    }
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let comments = text.lines().enumerate().filter(|(_, l)| l.trim_start().starts_with("//"));
+        for (n, line) in comments.filter(|(_, l)| names_a_pr(l)) {
+            let at = file.strip_prefix(root).unwrap().display();
+            named.push(format!("{at}:{}: {}", n + 1, line.trim()));
+        }
+    }
+    assert!(named.is_empty(), "history belongs in CHANGES.md:\n{}", named.join("\n"));
 }
