@@ -134,26 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn service_knobs_compose_through_the_strict_parser() {
-        let service = |[load, clients, shards, admission]: [&str; 4]| {
-            let k = parse(&[
-                ("QSM_SERVICE_LOAD", load),
-                ("QSM_SERVICE_CLIENTS", clients),
-                ("QSM_SERVICE_SHARDS", shards),
-                ("QSM_SERVICE_ADMISSION", admission),
-            ]);
-            (k.service_load, k.service_clients, k.service_shards, k.service_admission)
-        };
-        // Explicit values land; zero means "default" (or "off" for
-        // admission), matching every other QSM_* disable convention.
-        assert_eq!(service(["120", "5000", "16", "30000"]), (120, 5_000, 16, Some(30_000.0)));
-        let defaults = (200, 1_000_000, 64, None);
-        assert_eq!(service(["0", "0", "0", "0"]), defaults);
-        // Garbage warns and behaves as unset rather than panicking.
-        assert_eq!(service(["a lot", "-3", "4.5", ""]), defaults);
-    }
-
-    #[test]
     fn topology_knob_parses_every_shape() {
         let topo = |v: &str, p| parse(&[("QSM_TOPOLOGY", v)]).topology_at(p);
         assert_eq!(parse(&[]).topology, None);

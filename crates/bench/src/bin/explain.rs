@@ -16,8 +16,8 @@
 //! follows.
 //!
 //! `QSM_ALGO=service` switches to the open-loop serving scenario
-//! instead: one run of the `ext_service` workload at
-//! `QSM_SERVICE_LOAD`% of predicted capacity, printing each node's
+//! instead: one run of the `ext_service` workload at the top of its
+//! sweep (200% of predicted capacity), printing each node's
 //! observed NIC/bank busy fraction next to the utilization model's
 //! prediction, the latency percentiles, and the predicted bottleneck.
 //!
@@ -29,6 +29,7 @@
 //! `QSM_METRICS=path.json` outputs. The header prints every knob that
 //! decides a result, resolved.
 
+use qsm_bench::figures::ext_service::MAX_LOAD_PCT;
 use qsm_bench::figures::run_kernel;
 use qsm_bench::obs::ObsSink;
 use qsm_bench::output::table;
@@ -39,7 +40,7 @@ use qsm_obs::{ObsData, SpanKind};
 use qsm_simnet::{Cycles, MachineConfig};
 
 /// `QSM_ALGO=service`: one open-loop serving run at
-/// `QSM_SERVICE_LOAD`% of the utilization model's predicted capacity
+/// [`MAX_LOAD_PCT`]% of the utilization model's predicted capacity
 /// (the same scenario the `ext_service` figure sweeps), with the
 /// measured per-node busy fractions printed beside the model's
 /// per-resource ρ so a disagreement is visible node by node.
@@ -49,8 +50,7 @@ fn explain_service() {
     let cfg = RunCfg { p, reps: 1, ..RunCfg::from_env() };
     let base = qsm_bench::figures::ext_service::base_config(&cfg);
 
-    let load_pct = knobs().result.service_load;
-    let offered = qsm_bench::figures::ext_service::offered_at(&base, load_pct);
+    let offered = qsm_bench::figures::ext_service::offered_at(&base, MAX_LOAD_PCT);
     let svc = base.with_offered(offered);
     let pred = qsm_serve::predict(&svc);
     let out = qsm_serve::run(&svc, sink.recorder());
@@ -60,7 +60,7 @@ fn explain_service() {
     let mean = qsm_serve::ServiceOutcome::mean_util;
     println!("== explain — service, p = {p}, backend = sim ==");
     println!(
-        "(offered = {offered} txns at {load_pct}% of predicted capacity over a {:.0}-cycle \
+        "(offered = {offered} txns at {MAX_LOAD_PCT}% of predicted capacity over a {:.0}-cycle \
          window; utilization = busy cycles / elapsed; predictions are the open-loop model's \
          per-resource ρ, capped at 100%)",
         svc.window

@@ -7,8 +7,8 @@
 //! process (`qsm-serve`) offers get/put transactions from a large
 //! logical client population, hash-sharded across the machine's
 //! nodes, at [`LOAD_POINTS`] evenly spaced offered loads up to
-//! `QSM_SERVICE_LOAD`% of the utilization model's predicted capacity
-//! (default 200%, so the sweep straddles the knee).
+//! [`MAX_LOAD_PCT`]% of the utilization model's predicted capacity, so
+//! the sweep straddles the knee.
 //!
 //! Expected shape — the classic throughput-vs-offered-load knee:
 //!
@@ -24,11 +24,10 @@
 //!   one thing the QSM cost model abstracts away, is the entire
 //!   story on the far side of ρ = 1.
 //!
-//! `QSM_SERVICE_ADMISSION=cycles` adds admission control: arrivals
-//! whose origin NIC or destination bank already has more than that
-//! many cycles of committed backlog are rejected at the door, which
-//! caps the tail at the cost of completed work (the standard
-//! load-shedding trade; compare the `rejected` column).
+//! The sweep runs open-loop: every arrival is admitted, which is what
+//! lets the tail grow past the knee. (Admission control —
+//! [`ServiceConfig::with_admission`] — caps the tail at the cost of
+//! completed work; `qsm-serve`'s tests and examples cover it.)
 
 use qsm_serve::{model, ServiceConfig};
 use qsm_simnet::{BankModel, MachineConfig};
@@ -38,8 +37,12 @@ use crate::output::{csv, table, us_at_400mhz};
 use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
-/// Offered-load points swept (evenly spaced up to the knob's max).
+/// Offered-load points swept (evenly spaced up to [`MAX_LOAD_PCT`]).
 pub const LOAD_POINTS: usize = 8;
+
+/// The top of the sweep, as a percentage of predicted capacity; also
+/// the single point `explain`'s service mode runs.
+pub const MAX_LOAD_PCT: usize = 200;
 
 replay_struct! {
     /// What one offered-load point produced (the engine outcome reduced
@@ -59,11 +62,11 @@ replay_struct! {
     }
 }
 
-/// The serving scenario under the run configuration and the
-/// `QSM_SERVICE_*` knobs (offered load is set per sweep point). The
-/// machine always carries a bank model — `QSM_BANKS` wins if set,
-/// else the serving default of 4 banks/node at
-/// [`DEFAULT_BANK_SERVICE`] c/B — because a machine whose memory
+/// The serving scenario under the run configuration, with
+/// [`ServiceConfig::new`]'s population and sharding (offered load is
+/// set per sweep point). The machine always carries a bank model —
+/// `QSM_BANKS` wins if set, else the serving default of 4 banks/node
+/// at [`DEFAULT_BANK_SERVICE`] c/B — because a machine whose memory
 /// system is free can only ever knee on its NICs.
 pub fn base_config(cfg: &RunCfg) -> ServiceConfig {
     let knobs = &crate::knobs().result;
@@ -74,14 +77,7 @@ pub fn base_config(cfg: &RunCfg) -> ServiceConfig {
     });
     let machine = MachineConfig::paper_default(cfg.p).with_banks(banks);
     let window = if cfg.fast { (1u64 << 18) as f64 } else { (1u64 << 20) as f64 };
-    let sc = ServiceConfig::new(machine)
-        .with_window(window)
-        .with_clients(knobs.service_clients)
-        .with_shards(knobs.service_shards * cfg.p);
-    match knobs.service_admission {
-        Some(b) => sc.with_admission(b),
-        None => sc,
-    }
+    ServiceConfig::new(machine).with_window(window)
 }
 
 /// The transactions `base` offers over its window at `pct`% of the
@@ -97,8 +93,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     crate::journal::set_figure("ext_service", cfg);
     crate::backend::warn_sim_only("ext_service");
     let base = base_config(cfg);
-    let max_pct = crate::knobs().result.service_load;
-    let pcts: Vec<usize> = (1..=LOAD_POINTS).map(|k| max_pct * k / LOAD_POINTS).collect();
+    let pcts: Vec<usize> = (1..=LOAD_POINTS).map(|k| MAX_LOAD_PCT * k / LOAD_POINTS).collect();
 
     let measured = crate::sweep::map(cfg.p, pcts.clone(), |_, pct| {
         let offered = offered_at(&base, pct);

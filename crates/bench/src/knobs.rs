@@ -40,8 +40,6 @@ pub struct Knobs {
     pub result: ResultKnobs,
     /// `QSM_JOBS`: sweep workers (default: cores / p, see [`crate::sweep`]).
     pub jobs: Option<usize>,
-    /// `QSM_PROGRESS`: per-point durations and an ETA on stderr.
-    pub progress: bool,
     /// `QSM_PANIC_POINT`: the point every sweep fails on purpose.
     pub panic_point: Option<usize>,
     /// `QSM_RESULTS_DIR`: where CSV artifacts go (default `results`).
@@ -54,8 +52,6 @@ pub struct Knobs {
     pub run_log: Option<PathBuf>,
     /// `QSM_RESUME`, when there is a run journal to resume from.
     pub resume: bool,
-    /// `QSM_JOURNAL_SYNC`: `sync_data` every journal record (default on).
-    pub journal_sync: bool,
     /// `QSM_ALGO`: what `explain` runs (default `prefix`).
     pub algo: String,
     /// `QSM_P`: `explain`'s processor count (default 8).
@@ -81,16 +77,6 @@ pub struct ResultKnobs {
     pub link_gap: Option<f64>,
     /// `QSM_FAULT_SEED`: `ext_faults`' drop schedule (default 0x5EED_FA17).
     pub fault_seed: u64,
-    /// `QSM_SERVICE_LOAD`: `ext_service`'s top offered load, percent of
-    /// predicted capacity (default 200, so the sweep straddles the knee).
-    pub service_load: usize,
-    /// `QSM_SERVICE_CLIENTS`: logical client population (default 10⁶).
-    pub service_clients: u64,
-    /// `QSM_SERVICE_SHARDS`: hash shards per node (default 64).
-    pub service_shards: usize,
-    /// `QSM_SERVICE_ADMISSION`: admission backlog limit in cycles
-    /// (`None`, the default, runs open-loop).
-    pub service_admission: Option<f64>,
 }
 
 impl ResultKnobs {
@@ -144,7 +130,7 @@ impl ResultKnobs {
 
 impl Knobs {
     /// Every knob's name.
-    pub const NAMES: [&'static str; 24] = [
+    pub const NAMES: [&'static str; 18] = [
         "QSM_FAST",
         "QSM_REPS",
         "QSM_BACKEND",
@@ -153,19 +139,13 @@ impl Knobs {
         "QSM_TOPOLOGY",
         "QSM_LINK_GAP",
         "QSM_FAULT_SEED",
-        "QSM_SERVICE_LOAD",
-        "QSM_SERVICE_CLIENTS",
-        "QSM_SERVICE_SHARDS",
-        "QSM_SERVICE_ADMISSION",
         "QSM_JOBS",
-        "QSM_PROGRESS",
         "QSM_PANIC_POINT",
         "QSM_RESULTS_DIR",
         "QSM_TRACE",
         "QSM_METRICS",
         "QSM_RUN_LOG",
         "QSM_RESUME",
-        "QSM_JOURNAL_SYNC",
         "QSM_ALGO",
         "QSM_P",
         "QSM_N",
@@ -183,7 +163,6 @@ impl Knobs {
             let hint = "expected a non-negative integer";
             parsed(name, get(name), hint, "using the default", |v| v.parse::<usize>().ok())
         };
-        let positive = |name: &str| number(name).filter(|&v| v > 0);
         let path = |name: &str, what: &str| writable(name, what, get(name));
 
         let fast = flag("QSM_FAST", false);
@@ -233,20 +212,14 @@ impl Knobs {
                 topology: topology.flatten(),
                 link_gap,
                 fault_seed: number("QSM_FAULT_SEED").map_or(0x5EED_FA17, |n| n as u64),
-                service_load: positive("QSM_SERVICE_LOAD").unwrap_or(200),
-                service_clients: positive("QSM_SERVICE_CLIENTS").unwrap_or(1_000_000) as u64,
-                service_shards: positive("QSM_SERVICE_SHARDS").unwrap_or(64),
-                service_admission: positive("QSM_SERVICE_ADMISSION").map(|v| v as f64),
             },
             jobs: number("QSM_JOBS"),
-            progress: flag("QSM_PROGRESS", false),
             panic_point: number("QSM_PANIC_POINT"),
             results_dir: PathBuf::from(get("QSM_RESULTS_DIR").unwrap_or("results")),
             trace: path("QSM_TRACE", "trace"),
             metrics: path("QSM_METRICS", "metrics"),
             resume: resume && run_log.is_some(),
             run_log,
-            journal_sync: flag("QSM_JOURNAL_SYNC", true),
             algo: get("QSM_ALGO").unwrap_or("prefix").to_string(),
             p: number("QSM_P").unwrap_or(8),
             n: number("QSM_N").unwrap_or(1 << 16),
@@ -353,18 +326,15 @@ pub(crate) mod tests {
         let r = &k.result;
         assert_eq!((r.backend, r.banks, r.bank_service), (Backend::Sim, 0, DEFAULT_BANK_SERVICE));
         assert_eq!((r.topology.as_deref(), r.link_gap, r.fault_seed), (None, None, 0x5EED_FA17));
-        assert_eq!((r.service_load, r.service_clients, r.service_shards), (200, 1_000_000, 64));
-        assert_eq!(r.service_admission, None);
-        assert_eq!((k.jobs, k.panic_point, k.progress, k.resume), (None, None, false, false));
-        assert!(k.journal_sync);
+        assert_eq!((k.jobs, k.panic_point, k.resume), (None, None, false));
         assert_eq!(k.results_dir, PathBuf::from("results"));
         assert_eq!((k.trace, k.metrics, k.run_log), (None, None, None));
         assert_eq!((k.algo.as_str(), k.p, k.n), ("prefix", 8, 65536));
         // A boolean is on at anything but `0`; fast mode drops to one rep.
         let log = temp("defaults.jsonl");
-        let k = parse(&[("QSM_FAST", ""), ("QSM_JOURNAL_SYNC", "0"), ("QSM_RESUME", "yes")]);
+        let k = parse(&[("QSM_FAST", ""), ("QSM_RESUME", "yes")]);
         assert_eq!(k.run, RunCfg { p: 16, reps: 1, fast: true });
-        assert!(!k.journal_sync);
+        assert!(!parse(&[("QSM_FAST", "0")]).run.fast);
         assert!(!k.resume, "nothing to resume from without a run journal");
         assert!(parse(&[("QSM_RESUME", "yes"), ("QSM_RUN_LOG", &log)]).resume);
         let _ = std::fs::remove_file(log);
@@ -402,28 +372,22 @@ pub(crate) mod tests {
     fn the_fingerprint_hashes_exactly_the_result_knobs() {
         let (trace, metrics, log, log2) =
             (temp("t.json"), temp("m.json"), temp("run.jsonl"), temp("run2.jsonl"));
-        let changes: [(&str, &str, bool); 24] = [
+        let changes: [(&str, &str, bool); 18] = [
             ("QSM_BACKEND", "threads", true),
             ("QSM_BANKS", "4", true),
             ("QSM_BANK_SERVICE", "40", true),
             ("QSM_TOPOLOGY", "torus", true),
             ("QSM_LINK_GAP", "100", true),
             ("QSM_FAULT_SEED", "12345", true),
-            ("QSM_SERVICE_LOAD", "150", true),
-            ("QSM_SERVICE_CLIENTS", "5000", true),
-            ("QSM_SERVICE_SHARDS", "16", true),
-            ("QSM_SERVICE_ADMISSION", "30000", true),
             ("QSM_FAST", "1", false),
             ("QSM_REPS", "5", false),
             ("QSM_JOBS", "4", false),
-            ("QSM_PROGRESS", "1", false),
             ("QSM_PANIC_POINT", "3", false),
             ("QSM_RESULTS_DIR", "elsewhere", false),
             ("QSM_TRACE", &trace, false),
             ("QSM_METRICS", &metrics, false),
             ("QSM_RUN_LOG", &log2, false),
             ("QSM_RESUME", "1", false),
-            ("QSM_JOURNAL_SYNC", "0", false),
             ("QSM_ALGO", "listrank", false),
             ("QSM_P", "4", false),
             ("QSM_N", "1024", false),
@@ -435,7 +399,7 @@ pub(crate) mod tests {
         assert_eq!(names, all, "every knob is exercised");
 
         let cfg = RunCfg::fast();
-        let fp = |k: &Knobs| crate::journal::fingerprint("fig1", &cfg, 10, &k.result);
+        let fp = |k: &Knobs| crate::journal::tests::fingerprint("fig1", &cfg, 10, &k.result);
         // A run journal in the base, so that `QSM_RESUME` takes effect.
         let base = parse(&[("QSM_RUN_LOG", &log)]);
         for (name, value, decides) in changes {

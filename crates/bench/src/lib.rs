@@ -28,13 +28,12 @@
 //! an environment read anywhere else and on any code or test that
 //! writes it: [`knobs()`] parses every `QSM_*` variable once per
 //! process and every reader takes its field from the result.
-//! [`Knobs::NAMES`](knobs::Knobs::NAMES) lists the 24 knobs, and
+//! [`Knobs::NAMES`](knobs::Knobs::NAMES) lists the 18 knobs, and
 //! `tests/knob_names.rs` holds the documents to that list. The
 //! [`ResultKnobs`](knobs::ResultKnobs) — backend, banks, bank
-//! service, topology, link gap, fault seed and the four
-//! `QSM_SERVICE_*` knobs — decide a result; the rest decide only how
-//! a run goes (workers, progress, the panic drill, output paths, the
-//! journal, `explain`'s selection). Figures take their [`RunCfg`]
+//! service, topology, link gap and fault seed — decide a result; the
+//! rest decide only how a run goes (workers, the panic drill, output
+//! paths, the journal, `explain`'s selection). Figures take their [`RunCfg`]
 //! (`QSM_FAST`, `QSM_REPS`) as a parameter and read the rest
 //! ambiently, since `figures::*::run(&RunCfg)` is the benchmark's
 //! fixed entry point. Tests that need other knobs either call
@@ -49,14 +48,12 @@
 //! * [`mod@knobs`] — every `QSM_*` variable, parsed once (above).
 //! * [`sweep`] — fans a figure's independent points across a `QSM_JOBS`
 //!   worker pool and reassembles them in input order, so tables are
-//!   byte-identical to a serial run; it reports progress under
-//!   `QSM_PROGRESS=1` and keeps the journal under `QSM_RUN_LOG`.
-//! * [`journal`] — the run journal's schema and the per-point ledger
-//!   `QSM_RESUME=1` resumes from.
+//!   byte-identical to a serial run; it keeps the journal under
+//!   `QSM_RUN_LOG`.
+//! * [`journal`] — the run journal's record, its writer and the reader
+//!   of the per-point ledger `QSM_RESUME=1` resumes from.
 //! * [`replay`] — each point's result encoded losslessly for the
 //!   journal, and decoded on resume.
-//! * `jsonl` — the small JSON parser the resume path reads the journal
-//!   with.
 //! * [`backend`] — resolves `QSM_BACKEND=sim|threads` into a
 //!   [`qsm_core::AnyMachine`] factory ([`backend::Backend::machine`]):
 //!   figures 1–3 and `explain` honour it; the machine-configuration
@@ -71,7 +68,6 @@
 pub mod backend;
 pub mod figures;
 pub mod journal;
-mod jsonl;
 pub mod knobs;
 pub mod obs;
 pub mod output;

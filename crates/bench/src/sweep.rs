@@ -27,19 +27,12 @@
 //! point `i` of every sweep (a drill for the degradation and
 //! crash-resume paths, used by the CI smoke jobs).
 //!
-//! With `QSM_PROGRESS=1` each completed point reports its wall-clock
-//! duration, the sweep's running completion count, and an ETA
-//! extrapolated from the mean duration of the points completed so far
-//! (divided by the worker count, since that many points run at once)
-//! on stderr — stdout (tables) and the CSV artifacts are untouched,
-//! so progress output never perturbs the deterministic results.
-//!
 //! With `QSM_RUN_LOG=path.jsonl` (see [`crate::journal`]) the
 //! executor additionally keeps a durable per-point ledger: a
 //! `sweep_claim` record when a point starts and a `sweep_point`
-//! record — duration, per-point fault-tally deltas, the
-//! [`Replay`]-encoded result, and ok/failed status — when it
-//! completes. Setting `QSM_RESUME=1` on a rerun turns that ledger
+//! record — duration, the [`Replay`]-encoded result, and ok/failed
+//! status — when it completes; the durations are the way to watch a
+//! long sweep. Setting `QSM_RESUME=1` on a rerun turns that ledger
 //! into a checkpoint: points whose `ok` record matches the current
 //! configuration fingerprint are *replayed* from the journal
 //! (bit-exact, so every downstream artifact is byte-identical to an
@@ -48,7 +41,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -64,46 +57,6 @@ fn jobs(knob: Option<usize>, p_sim: usize) -> usize {
     }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     (cores / p_sim.max(1)).max(1)
-}
-
-/// Per-point duration/progress telemetry for one sweep, reporting to
-/// stderr when `enabled` (the `QSM_PROGRESS` knob). Inactive it is a
-/// single boolean test per completed point.
-struct Progress {
-    enabled: bool,
-    total: usize,
-    /// Worker-pool size, for ETA extrapolation: `workers` points
-    /// complete concurrently, so the remaining wall time is roughly
-    /// `avg_point_ms * remaining / workers`.
-    workers: usize,
-    done: AtomicUsize,
-    /// Sum of completed-point durations, in microseconds.
-    spent_us: AtomicU64,
-}
-
-impl Progress {
-    fn new(enabled: bool, total: usize, workers: usize) -> Self {
-        Self { enabled, total, workers, done: AtomicUsize::new(0), spent_us: AtomicU64::new(0) }
-    }
-
-    /// Report point `i`'s completion (taking `ms`) with a running ETA
-    /// extrapolated from the mean duration of the completed points.
-    fn note(&self, i: usize, ms: f64) {
-        let add_us = (ms * 1e3) as u64;
-        let spent_us = self.spent_us.fetch_add(add_us, Ordering::Relaxed) + add_us;
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let remaining = self.total.saturating_sub(done);
-        if remaining == 0 {
-            eprintln!("[sweep {done}/{}] point {i} finished in {ms:.1} ms", self.total);
-        } else {
-            let avg_ms = spent_us as f64 / 1e3 / done as f64;
-            let eta_s = avg_ms * remaining as f64 / self.workers.max(1) as f64 / 1e3;
-            eprintln!(
-                "[sweep {done}/{}] point {i} finished in {ms:.1} ms (eta {eta_s:.1} s)",
-                self.total
-            );
-        }
-    }
 }
 
 /// A sweep point that panicked, with the original payload preserved
@@ -168,7 +121,7 @@ pub fn exit_if_degraded() {
 /// order: `out[i]` is point `i`'s result or its captured panic. The
 /// machinery shared by [`map`] and [`map_surviving`], which hand it
 /// the process's [`knobs()`]: `knobs` sizes the pool and switches
-/// progress, the panic drill and resume.
+/// the panic drill and resume.
 ///
 /// With an active run journal and `QSM_RESUME=1`, points already
 /// completed under the same configuration fingerprint are replayed
@@ -181,7 +134,6 @@ where
 {
     let n = items.len();
     let workers = jobs(knobs.jobs, p_sim).min(n.max(1));
-    let journal_on = crate::journal::active();
     // Resume: decode every replayable completed point before spending
     // any work. A record that fails to decode (schema drift from an
     // older build) is simply re-run — replay is an optimization, never
@@ -200,19 +152,16 @@ where
         }
         eprintln!("[sweep] resume: replaying {replayed}/{n} completed points from the run journal");
     }
-    let progress = Progress::new(knobs.progress, n - replayed, workers);
     let drill = knobs.panic_point;
     let run_point = |i: usize, item: I| {
-        // Timing and tally snapshots only when someone consumes them
-        // (`QSM_PROGRESS` or `QSM_RUN_LOG`); the default path stays a
-        // bare catch_unwind around `f`.
-        let start = (progress.enabled || journal_on).then(Instant::now);
-        let tally0 = journal_on.then(qsm_core::tally::snapshot);
-        if journal_on {
-            // Claim the point before running it: a claim without a
-            // matching completion marks where a crashed run died.
+        // With a journal, claim the point before running it (a claim
+        // without a matching completion marks where a crashed run
+        // died) and time it; the default path stays a bare
+        // catch_unwind around `f`.
+        let start = crate::journal::active().then(|| {
             crate::journal::record_claim(i, n);
-        }
+            Instant::now()
+        });
         let result = catch_unwind(AssertUnwindSafe(|| {
             if Some(i) == drill {
                 panic!("artificial failure injected by QSM_PANIC_POINT={i}");
@@ -224,23 +173,13 @@ where
             message: panic_message(&payload),
             payload,
         });
-        let ms = start.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3);
-        if progress.enabled {
-            progress.note(i, ms);
-        }
-        if let Some((r0, d0)) = tally0 {
-            // The point ran entirely on this thread, so the calling
-            // thread's tally delta is exactly this point's fault count.
-            let (r1, d1) = qsm_core::tally::snapshot();
+        if let Some(start) = start {
             crate::journal::record_point(&crate::journal::PointRecord {
                 index: i,
                 total: n,
                 jobs: workers,
-                duration_ms: ms,
-                retries: r1.wrapping_sub(r0),
-                dropped_msgs: d1.wrapping_sub(d0),
-                result: result.as_ref().ok().map(Replay::encode_fields),
-                error: result.as_ref().err().map(|p| p.message.as_str()),
+                duration_ms: start.elapsed().as_secs_f64() * 1e3,
+                outcome: result.as_ref().map(Replay::encode_fields).map_err(|p| p.message.as_str()),
             });
         }
         result

@@ -108,6 +108,84 @@ fn killed_sweep_resumes_to_a_byte_identical_csv_in_parallel() {
     kill_and_resume_roundtrip("4");
 }
 
+/// A crash can tear the journal itself. After a killed run, cut its
+/// journal at a seeded random byte inside one of its `sweep_point`
+/// records — at least the record's closing brace goes — and resume:
+/// the torn record must read as nothing, so exactly the points with no
+/// complete `ok` record before the cut re-run, and the CSV is still
+/// byte-identical to the uninterrupted run.
+fn torn_journal_roundtrip(jobs: &str) {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let tag = format!("torn-j{jobs}");
+    let clean_dir = fresh_dir(&format!("{tag}-clean"));
+    let crash_dir = fresh_dir(&format!("{tag}-crash"));
+    let out = run_ext_topology(&clean_dir, &[("QSM_JOBS", jobs)]);
+    assert!(out.status.success(), "clean run failed: {}", String::from_utf8_lossy(&out.stderr));
+    let clean_csv = std::fs::read(csv(&clean_dir)).unwrap();
+    let killed = crash_dir.join("killed.jsonl");
+    let out = run_ext_topology(
+        &crash_dir,
+        &[("QSM_JOBS", jobs), ("QSM_RUN_LOG", killed.to_str().unwrap()), ("QSM_PANIC_POINT", "7")],
+    );
+    assert!(!out.status.success(), "the killed run must exit nonzero");
+    let ledger = std::fs::read_to_string(&killed).unwrap();
+
+    // Each `sweep_point` record as (first byte, its newline).
+    let mut records = Vec::new();
+    let mut start = 0;
+    for line in ledger.split_inclusive('\n') {
+        if line.contains("\"kind\":\"sweep_point\"") {
+            records.push((start, start + line.len() - 1));
+        }
+        start += line.len();
+    }
+    assert_eq!(records.len(), 15);
+    let mut rng = SmallRng::seed_from_u64(0x7024_0000 + jobs.parse::<u64>().unwrap());
+    for case in 0..6 {
+        let (start, end) = records[rng.gen_range(0..records.len())];
+        let cut = rng.gen_range(start + 1..end);
+        let intact = &ledger[..start];
+        let ok: std::collections::BTreeSet<&str> = intact
+            .lines()
+            .filter(|l| l.contains("\"status\":\"ok\""))
+            .map(|l| l.split("\"point\":").nth(1).unwrap().split(',').next().unwrap())
+            .collect();
+
+        let dir = crash_dir.join(format!("case{case}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("run.jsonl");
+        std::fs::write(&journal, &ledger.as_bytes()[..cut]).unwrap();
+        let out = run_ext_topology(
+            &dir,
+            &[("QSM_JOBS", jobs), ("QSM_RUN_LOG", journal.to_str().unwrap()), ("QSM_RESUME", "1")],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "resume after a cut at byte {cut} failed: {stderr}");
+        assert!(
+            stderr.contains(&format!("resume: replaying {}/15 completed points", ok.len())),
+            "a cut at byte {cut} leaves {} ok records, got:\n{stderr}",
+            ok.len()
+        );
+        assert_eq!(std::fs::read(csv(&dir)).unwrap(), clean_csv, "cut at byte {cut} (jobs={jobs})");
+        let after = String::from_utf8_lossy(&std::fs::read(&journal).unwrap()).into_owned();
+        let claims = |s: &str| count_occurrences(s, "\"kind\":\"sweep_claim\"");
+        assert_eq!(
+            claims(&after) - claims(intact),
+            15 - ok.len(),
+            "a cut at byte {cut} re-runs exactly the points without an ok record before it"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+#[test]
+fn torn_journal_resumes_to_a_byte_identical_csv() {
+    torn_journal_roundtrip("1");
+    torn_journal_roundtrip("4");
+}
+
 /// A complete journal from a configuration that differs from the
 /// default in one knob that decides a result (`knob`), resumed under
 /// the default: every record has a stale fingerprint, so nothing may

@@ -15,10 +15,9 @@
 //! scanned with `==`, since the config has `f64` fields and a process
 //! calibrates a handful of machines; never evicted, and not held
 //! across a measurement). The runs behind it are unobserved — a
-//! disabled recorder, outside the fault tally — so whether a call hit
-//! the memo or measured leaves no trace in any artifact, which keeps
-//! `QSM_METRICS` dumps independent of `QSM_JOBS` when sweep workers
-//! race to calibrate.
+//! disabled recorder — so whether a call hit the memo or measured
+//! leaves no trace in any artifact, which keeps `QSM_METRICS` dumps
+//! independent of `QSM_JOBS` when sweep workers race to calibrate.
 
 use std::sync::Mutex;
 
@@ -163,8 +162,8 @@ impl EffectiveCosts {
     }
 }
 
-/// A calibration run: on a disabled recorder and outside the fault
-/// tally, whatever the harness installed.
+/// A calibration run: on a disabled recorder, whatever the harness
+/// installed.
 fn unobserved(machine: &SimMachine, program: impl Fn(&mut Ctx) + Send + Sync) -> RunResult<()> {
     crate::engine::run_with(machine, program, Recorder::disabled())
 }

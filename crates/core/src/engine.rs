@@ -51,28 +51,19 @@ use crate::driver::Driver;
 use crate::machine::{Machine, RunResult};
 
 /// Run `program` on every processor of `machine` and price the run,
-/// observed by the ambient recorder and the calling thread's tally.
+/// observed by the ambient recorder.
 pub(crate) fn run<M, R, F>(machine: &M, program: F) -> RunResult<R>
 where
     M: Machine,
     R: Send,
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
-    // Ambient observability: emit into whatever recorder the harness
-    // installed (disabled — and free — by default).
-    let result = run_with(machine, program, crate::obs::recorder());
-    // Fold fault totals into the calling thread's tally (the thread
-    // that called `Machine::run`, which is what lets the bench sweep
-    // scope per-point deltas).
-    let (retries, drops) =
-        result.phases.iter().fold((0u64, 0u64), |(r, d), ph| (r + ph.retries, d + ph.dropped_msgs));
-    crate::tally::note_run(retries, drops);
-    result
+    run_with(machine, program, crate::obs::recorder())
 }
 
-/// [`run`] against an explicit recorder and outside the tally: the
-/// run touches no ambient state, so calibration (`crate::calibrate`)
-/// passes a disabled recorder and leaves no mark on any artifact.
+/// [`run`] against an explicit recorder: the run touches no ambient
+/// state, so calibration (`crate::calibrate`) passes a disabled
+/// recorder and leaves no mark on any artifact.
 pub(crate) fn run_with<M, R, F>(machine: &M, program: F, rec: Recorder) -> RunResult<R>
 where
     M: Machine,

@@ -106,8 +106,6 @@
 //!   process.
 //! * [`obs`] — the process-global recorder slot: a harness installs a
 //!   recorder once and every run emits into it.
-//! * [`tally`] — per-thread fault totals of the runs a thread started,
-//!   for the sweep journal.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -135,7 +133,6 @@ pub mod sim_runtime;
 mod sim_timer;
 #[allow(unsafe_code)]
 mod spmd;
-pub mod tally;
 pub mod thread_runtime;
 #[allow(unsafe_code)]
 pub mod word;

@@ -15,10 +15,9 @@
 //! [`crate::SimMachine::empty_sync_cost`] prices its empty phase on a
 //! timer of its own with a disabled recorder, and the microbenchmark
 //! runs of [`crate::calibrate`] enter the engine with a disabled
-//! recorder instead of the ambient one (and outside
-//! [`crate::tally`]). Since [`crate::calibrate`] remembers its
-//! results per process, anything else would make a capture depend on
-//! which figure happened to calibrate first.
+//! recorder instead of the ambient one. Since [`crate::calibrate`]
+//! remembers its results per process, anything else would make a
+//! capture depend on which figure happened to calibrate first.
 
 use std::sync::OnceLock;
 

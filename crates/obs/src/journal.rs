@@ -9,9 +9,9 @@
 //! (`QSM_RESUME`) depends on: a completed point whose record only
 //! reached the OS page cache would be silently re-run (or worse,
 //! half-parsed) after the very crashes the journal exists to
-//! survive. The opener may skip the per-record `sync_data` (the
-//! harness's `QSM_JOURNAL_SYNC=0`, for tests and throwaway telemetry
-//! runs where page-cache durability is enough).
+//! survive. The opener may skip the per-record `sync_data` (for tests
+//! and probes where page-cache durability is enough); the harness's
+//! run journal never does.
 //!
 //! The file is opened in append mode; several processes sharing one
 //! journal interleave whole lines, never fragments (POSIX `O_APPEND`
@@ -24,7 +24,8 @@
 //! the torn tail.
 //!
 //! This module only writes lines; composing the JSON record is the
-//! caller's job ([`json_escape`] covers embedded strings). Records
+//! caller's job ([`json_escape`] covers embedded strings, and
+//! [`json_unescape`] reads them back). Records
 //! should be self-describing — carry a `"kind"` and a `"v"` version
 //! field — so readers can skip what they do not understand.
 
@@ -119,6 +120,35 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The string a JSON string literal's inside `s` encodes: the inverse
+/// of [`json_escape`], accepting exactly the escapes it writes. `None`
+/// on any other escape.
+pub fn json_unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                '"' => '"',
+                '\\' => '\\',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let mut code = 0;
+                    for _ in 0..4 {
+                        code = code * 16 + chars.next()?.to_digit(16)?;
+                    }
+                    char::from_u32(code)?
+                }
+                _ => return None,
+            },
+            c => c,
+        });
+    }
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,5 +239,16 @@ mod tests {
         assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         assert_eq!(json_escape("plain"), "plain");
+    }
+
+    #[test]
+    fn json_unescape_inverts_json_escape() {
+        for s in ["", "plain", r#"a"b\c"#, "line\nbreak\r\ttab", "\u{1}\u{1f}é→", "\\u0041"] {
+            assert_eq!(json_unescape(&json_escape(s)).as_deref(), Some(s), "{s:?}");
+        }
+        assert_eq!(json_unescape(r"\u00e9"), Some("é".to_string()));
+        for bad in [r"\", r"\x", r"\/", r"\u12", r"\u+123", r"\ud800"] {
+            assert_eq!(json_unescape(bad), None, "{bad:?}");
+        }
     }
 }

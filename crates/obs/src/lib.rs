@@ -51,7 +51,7 @@ pub mod perfetto;
 pub mod recorder;
 pub mod span;
 
-pub use journal::{json_escape, read_complete_lines, RunJournal};
+pub use journal::{json_escape, json_unescape, read_complete_lines, RunJournal};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{ObsData, ObsLevel, Recorder, WireEvent};
 pub use span::{CounterSample, Span, SpanKind};

@@ -83,18 +83,6 @@ impl ServiceConfig {
         self.validated()
     }
 
-    /// Builder: set the logical client population.
-    pub fn with_clients(mut self, clients: u64) -> Self {
-        self.clients = clients;
-        self.validated()
-    }
-
-    /// Builder: set the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self.validated()
-    }
-
     /// Builder: enable admission control at `backlog` cycles.
     pub fn with_admission(mut self, backlog: f64) -> Self {
         self.admission_backlog = Some(backlog);
@@ -159,7 +147,9 @@ mod tests {
     #[test]
     #[should_panic]
     fn too_few_shards_rejected() {
-        let _ = ServiceConfig::new(MachineConfig::paper_default(8)).with_shards(4);
+        let mut c = ServiceConfig::new(MachineConfig::paper_default(8));
+        c.shards = 4;
+        c.validate();
     }
 
     #[test]
@@ -171,7 +161,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least one client")]
     fn zero_clients_rejected() {
-        let _ = ServiceConfig::new(MachineConfig::paper_default(2)).with_clients(0);
+        let mut c = ServiceConfig::new(MachineConfig::paper_default(2));
+        c.clients = 0;
+        c.validate();
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn knob_names() -> BTreeSet<&'static str> {
     let start = src.find("pub const NAMES").expect("Knobs::NAMES");
     let list = &src[start..start + src[start..].find("];").unwrap()];
     let names: BTreeSet<&str> = list.split('"').skip(1).step_by(2).collect();
-    assert_eq!(names.len(), 24, "{names:?}");
+    assert_eq!(names.len(), 18, "{names:?}");
     names
 }
 
@@ -42,7 +42,7 @@ fn every_documented_knob_exists() {
     for path in DOCS {
         let text = doc(path);
         for name in quoted(&text) {
-            // `QSM_SERVICE_*` names a family of knobs.
+            // A name ending in `_` (`QSM_BANK_*`, say) names a family of knobs.
             let known = match name.strip_suffix('_') {
                 Some(prefix) => knobs.iter().any(|k| k.starts_with(prefix)),
                 None => knobs.contains(name),
