@@ -1,12 +1,13 @@
 //! Sample sort (Appendix: `samplesort`).
 //!
 //! The 5-phase randomized QSM algorithm with oversampling: every
-//! processor broadcasts `c·log n` random samples, all processors sort
-//! the combined sample redundantly and agree on `p-1` pivots, local
-//! elements are staged into contiguous per-bucket runs, bucket owners
-//! fetch their runs from every contributor, sort locally, and write
-//! the result back. Runs in `O(g·p·log n + g·n/p)` time and exactly
-//! five phases (whp) for `p ≤ sqrt(n / log n)`.
+//! processor broadcasts `c·log n` random samples (`c` is
+//! [`OVERSAMPLING`]), all processors sort the combined sample
+//! redundantly and agree on `p-1` pivots, local elements are staged
+//! into contiguous per-bucket runs, bucket owners fetch their runs
+//! from every contributor, sort locally, and write the result back.
+//! Runs in `O(g·p·log n + g·n/p)` time and exactly five phases (whp)
+//! for `p ≤ sqrt(n / log n)`.
 //!
 //! The run reports the two load-balance quantities of the paper's
 //! analysis: `B` (largest bucket) and `r` (largest fraction of a
@@ -28,8 +29,8 @@ pub const SETUP_PHASES: usize = 2;
 /// The paper's phase count for this algorithm.
 pub const PAPER_PHASES: usize = 5;
 
-/// Default oversampling constant `c` in `c·log n` samples/processor.
-pub const DEFAULT_OVERSAMPLING: f64 = 2.0;
+/// The oversampling constant `c` in `c·log n` samples/processor.
+pub const OVERSAMPLING: f64 = 2.0;
 
 /// Per-processor outcome: the skew measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,8 +43,8 @@ pub struct ProcOutcome {
 }
 
 /// Samples per processor for problem size `n`.
-pub fn samples_per_proc(n: usize, c: f64) -> usize {
-    ((c * log2n(n)).ceil() as usize).max(1)
+pub fn samples_per_proc(n: usize) -> usize {
+    ((OVERSAMPLING * log2n(n)).ceil() as usize).max(1)
 }
 
 /// Below this many keys [`radix_sort`] is `sort_unstable`: its passes
@@ -83,11 +84,11 @@ fn radix_sort(keys: &mut Vec<u32>) {
     }
 }
 
-fn program(ctx: &mut Ctx, input: &[u32], c: f64, out: &Gather<'_, u32>) -> ProcOutcome {
+fn program(ctx: &mut Ctx, input: &[u32], out: &Gather<'_, u32>) -> ProcOutcome {
     let n = input.len();
     let p = ctx.nprocs();
     let me = ctx.proc_id();
-    let spp = samples_per_proc(n, c);
+    let spp = samples_per_proc(n);
     let sample_total = p * spp;
     let my_range = block_range(n, p, me);
     let local = &input[my_range.clone()];
@@ -257,25 +258,20 @@ impl SampleSortRun {
     }
 }
 
-/// Run on any [`Machine`] backend with the default oversampling.
+/// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, input: &[u32]) -> SampleSortRun {
-    run_on_with(machine, input, DEFAULT_OVERSAMPLING)
-}
-
-/// Run on any [`Machine`] backend with oversampling constant `c`.
-pub fn run_on_with<M: Machine>(machine: &M, input: &[u32], c: f64) -> SampleSortRun {
     let mut output = vec![0; input.len()]; // untouched pages: the workers fault them in
     let out = Gather::new(&mut output, machine.nprocs());
-    let run = machine.run(|ctx| program(ctx, input, c, &out));
+    let run = machine.run(|ctx| program(ctx, input, &out));
     SampleSortRun { output, run }
 }
 
 /// The QSM communication formula with explicit load-balance inputs
 /// `B` and `r` (the paper's `4(p-1)g log n + 3(p-1)g + gBr + gB`,
 /// with each term priced by its primitive's effective gap).
-pub fn qsm_comm(n: usize, b: f64, r: f64, c: f64, params: &EffectiveCosts) -> f64 {
+pub fn qsm_comm(n: usize, b: f64, r: f64, params: &EffectiveCosts) -> f64 {
     let p = params.p as f64;
-    let spp = samples_per_proc(n, c) as f64;
+    let spp = samples_per_proc(n) as f64;
     let broadcasts =
         (p - 1.0) * (spp /* samples (u32) */ + 4.0 /* counts (2 u64) */ + 2.0/* btotal */);
     params.g_put * (broadcasts + b) + params.g_get * (b * r)
@@ -283,9 +279,9 @@ pub fn qsm_comm(n: usize, b: f64, r: f64, c: f64, params: &EffectiveCosts) -> f6
 
 /// Best-case prediction: perfect balance (`B = n/p`,
 /// `r = (p-1)/p`).
-pub fn predict_best(n: usize, c: f64, params: &EffectiveCosts) -> Prediction {
+pub fn predict_best(n: usize, params: &EffectiveCosts) -> Prediction {
     let p = params.p as f64;
-    let qsm = qsm_comm(n, n as f64 / p, (p - 1.0) / p, c, params);
+    let qsm = qsm_comm(n, n as f64 / p, (p - 1.0) / p, params);
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
 }
 
@@ -293,27 +289,22 @@ pub fn predict_best(n: usize, c: f64, params: &EffectiveCosts) -> Prediction {
 /// (the variance of pivot-cut buckets is governed by the sample
 /// count, not by multinomial balance; failure budget [`WHP_DELTA`]
 /// split over the `p` buckets) and the fully conservative `r = 1`.
-pub fn predict_whp(n: usize, c: f64, params: &EffectiveCosts) -> Prediction {
+pub fn predict_whp(n: usize, params: &EffectiveCosts) -> Prediction {
     let p = params.p;
-    let spp = samples_per_proc(n, c);
+    let spp = samples_per_proc(n);
     let b = sample_sort_bucket_bound(
         n as u64,
         (p * spp) as u64,
         spp as u64,
         WHP_DELTA / (2.0 * p as f64),
     );
-    let qsm = qsm_comm(n, b, 1.0, c, params);
+    let qsm = qsm_comm(n, b, 1.0, params);
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
 }
 
 /// Estimate using the skews actually measured in a run.
-pub fn predict_estimate(
-    n: usize,
-    run: &SampleSortRun,
-    c: f64,
-    params: &EffectiveCosts,
-) -> Prediction {
-    let qsm = qsm_comm(n, run.b_max() as f64, run.r_max(), c, params);
+pub fn predict_estimate(n: usize, run: &SampleSortRun, params: &EffectiveCosts) -> Prediction {
+    let qsm = qsm_comm(n, run.b_max() as f64, run.r_max(), params);
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
 }
 
@@ -425,8 +416,8 @@ mod tests {
     fn best_case_below_whp_bound() {
         let params = crate::analysis::fixed(16, 140.0, 25_500.0);
         for n in [1 << 12, 1 << 16, 1 << 20] {
-            let best = predict_best(n, 2.0, &params);
-            let whp = predict_whp(n, 2.0, &params);
+            let best = predict_best(n, &params);
+            let whp = predict_whp(n, &params);
             assert!(best.qsm < whp.qsm, "n={n}");
             assert!(best.bsp < whp.bsp, "n={n}");
         }
@@ -439,7 +430,7 @@ mod tests {
         // factor across the whole sweep rather than blowing up.
         let params = crate::analysis::fixed(16, 140.0, 25_500.0);
         for n in [1 << 12, 1 << 16, 1 << 20] {
-            let ratio = predict_whp(n, 2.0, &params).qsm / predict_best(n, 2.0, &params).qsm;
+            let ratio = predict_whp(n, &params).qsm / predict_best(n, &params).qsm;
             assert!((1.0..3.0).contains(&ratio), "n={n}: band ratio {ratio}");
         }
     }
@@ -452,8 +443,8 @@ mod tests {
         let input = random_u32s(n, 29);
         let run = run_on(&m, &input);
         let params = EffectiveCosts::measure(MachineConfig::paper_default(8));
-        let best = predict_best(n, DEFAULT_OVERSAMPLING, &params);
-        let whp = predict_whp(n, DEFAULT_OVERSAMPLING, &params);
+        let best = predict_best(n, &params);
+        let whp = predict_whp(n, &params);
         let measured = run.comm();
         assert!(
             measured > best.qsm,
@@ -473,8 +464,8 @@ mod tests {
         let input = random_u32s(4096, 31);
         let run = run_on(&m, &input);
         let params = crate::analysis::fixed(4, 140.0, 25_500.0);
-        let est = predict_estimate(4096, &run, DEFAULT_OVERSAMPLING, &params);
-        let best = predict_best(4096, DEFAULT_OVERSAMPLING, &params);
+        let est = predict_estimate(4096, &run, &params);
+        let best = predict_best(4096, &params);
         // Real skew can't beat perfect balance by definition of B.
         assert!(est.qsm >= best.qsm * 0.99);
     }

@@ -10,7 +10,7 @@
 //! backend was requested.
 
 use qsm_core::{AnyMachine, SimMachine, ThreadMachine};
-use qsm_simnet::{CpuConfig, MachineConfig};
+use qsm_simnet::{MachineConfig, CLOCK_HZ};
 
 use crate::knobs::knobs;
 
@@ -56,7 +56,7 @@ impl Backend {
     /// observability timestamps.
     pub fn clock_hz(self) -> f64 {
         match self {
-            Backend::Sim => CpuConfig::default_1998().clock_hz,
+            Backend::Sim => CLOCK_HZ,
             Backend::Threads => 1e9,
         }
     }
@@ -117,18 +117,14 @@ mod tests {
 
     #[test]
     fn bank_knobs_compose_through_the_strict_parser() {
-        // Unset or zero banks keep the model off, whatever the
-        // service knob says.
+        // Unset or zero banks keep the model off.
         assert_eq!(parse(&[]).bank_model(), None);
-        assert_eq!(parse(&[("QSM_BANK_SERVICE", "7")]).bank_model(), None);
-        assert_eq!(parse(&[("QSM_BANKS", "0"), ("QSM_BANK_SERVICE", "7")]).bank_model(), None);
-        // Enabled: banks count and service rate land in the model.
+        assert_eq!(parse(&[("QSM_BANKS", "0")]).bank_model(), None);
+        // Enabled: the bank count lands in the model.
         let b = parse(&[("QSM_BANKS", "8")]).bank_model().unwrap();
         assert_eq!(b.banks_per_node, 8);
         assert_eq!(b.service_per_byte, DEFAULT_BANK_SERVICE as f64);
         assert_eq!(b.service_fixed, 0.0);
-        let b = parse(&[("QSM_BANKS", "4"), ("QSM_BANK_SERVICE", "30")]).bank_model();
-        assert_eq!(b.unwrap().service_per_byte, 30.0);
         // A garbage value warns and behaves as unset.
         assert_eq!(parse(&[("QSM_BANKS", "lots")]).bank_model(), None);
     }
@@ -141,25 +137,22 @@ mod tests {
         assert_eq!(topo("flat", 16), None);
         assert_eq!(topo(" line ", 16), Some(TopologyKind::Line));
         assert_eq!(topo("fattree", 16), Some(TopologyKind::FatTree));
-        // Bare grid names tile p into the squarest factorization.
+        // Grid names tile p into the squarest factorization.
         assert_eq!(topo("mesh", 16), Some(TopologyKind::Mesh2d { rows: 4, cols: 4 }));
         assert_eq!(topo("torus2d", 8), Some(TopologyKind::Torus2d { rows: 2, cols: 4 }));
-        // Explicit axes win, and must tile p.
-        assert_eq!(topo("torus:2x8", 16), Some(TopologyKind::Torus2d { rows: 2, cols: 8 }));
-        assert_eq!(topo("mesh:3x3", 16), None);
         // Garbage warns and falls back to the flat wire.
         assert_eq!(topo("hypercube", 16), None);
-        assert_eq!(topo("mesh:4by4", 16), None);
+        assert_eq!(topo("mesh:4x4", 16), None);
     }
 
     #[test]
     fn topology_knob_installs_the_link_stage() {
-        // A routed topology lands in a config that chose none, with the
-        // link gap; a config that chose its own fabric keeps it.
-        let knobs = parse(&[("QSM_TOPOLOGY", "line"), ("QSM_LINK_GAP", "100")]);
+        // A routed topology lands in a config that chose none; a config
+        // that chose its own fabric keeps it.
+        let knobs = parse(&[("QSM_TOPOLOGY", "line")]);
         let plain = MachineConfig::paper_default(16);
         let routed = knobs.apply(plain);
-        assert_eq!(routed, plain.with_topology(TopologyKind::Line).with_link_gap(100.0));
+        assert_eq!(routed, plain.with_topology(TopologyKind::Line));
         let fabric = plain.with_fabric(3.0);
         assert_eq!(knobs.apply(fabric), fabric);
         assert_eq!(parse(&[]).apply(plain), plain);

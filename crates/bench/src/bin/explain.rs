@@ -26,15 +26,14 @@
 //! `QSM_BACKEND=sim|threads` (default `sim`; measured columns switch
 //! from simulated cycles to host nanoseconds, model columns stay in
 //! cycles), plus the usual `QSM_TRACE=path.json` /
-//! `QSM_METRICS=path.json` outputs. The header prints every knob that
-//! decides a result, resolved.
+//! `QSM_METRICS=path.json` outputs. The header prints the knobs that
+//! decide a result (backend, `QSM_BANKS`, `QSM_TOPOLOGY`), resolved.
 
 use qsm_bench::figures::ext_service::MAX_LOAD_PCT;
 use qsm_bench::figures::run_kernel;
 use qsm_bench::obs::ObsSink;
 use qsm_bench::output::table;
 use qsm_bench::{knobs, RunCfg};
-use qsm_core::obs::ObsLevel;
 use qsm_core::{Machine, PhaseRecord};
 use qsm_obs::{ObsData, SpanKind};
 use qsm_simnet::{Cycles, MachineConfig};
@@ -176,7 +175,7 @@ fn main() {
     }
     // Full level regardless of QSM_TRACE: the table itself needs the
     // per-processor spans.
-    let sink = ObsSink::with_level(Some(ObsLevel::Full));
+    let sink = ObsSink::full();
     let (p, n) = (knobs().p, knobs().n);
     let machine = knobs().result.backend.machine(MachineConfig::paper_default(p), 0x1998_0021);
     let unit = machine.time_unit();

@@ -21,14 +21,15 @@ use qsm_core::{Layout, Machine, SimMachine};
 use qsm_membank::{platform, Pattern};
 use qsm_simnet::{BankModel, MachineConfig};
 
+use crate::knobs::DEFAULT_BANK_SERVICE;
 use crate::output::{csv, table, us_at_400mhz};
 use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Processors (= nodes) in the simulated machine.
 const P: usize = 8;
-/// Banks per node. Fixed (the patterns are built around it); the
-/// service rate stays tunable via `QSM_BANK_SERVICE`.
+/// Banks per node, each serving [`DEFAULT_BANK_SERVICE`] cycles per
+/// byte. Fixed: the patterns are built around it.
 const BANKS: usize = 8;
 /// Words of the shared array per node. A multiple of [`BANKS`], so a
 /// node-local offset and its global index agree on the bank.
@@ -76,7 +77,7 @@ fn measure(pattern: Pattern, w: usize, seed: u64) -> Measured {
     let banks = BankModel {
         banks_per_node: BANKS,
         service_fixed: 0.0,
-        service_per_byte: crate::knobs().result.bank_service as f64,
+        service_per_byte: DEFAULT_BANK_SERVICE as f64,
     };
     let machine =
         SimMachine::new(MachineConfig::paper_default(P).with_banks(banks)).with_seed(seed);
@@ -125,9 +126,8 @@ pub fn run(cfg: &RunCfg) -> Report {
     let w = if cfg.fast { 64 } else { 256 };
     let accesses = if cfg.fast { 2_000 } else { 20_000 }; // fig7's counts
     let patterns = Pattern::all().to_vec();
-    let measured = crate::sweep::map(cfg.p, patterns.clone(), |point, pat| {
-        measure(pat, w, cfg.seed(point, 0))
-    });
+    let measured =
+        crate::sweep::map(P, patterns.clone(), |point, pat| measure(pat, w, cfg.seed(point, 0)));
     let closed = closed_loop_ratios(accesses);
     let noc_comm = measured[patterns
         .iter()

@@ -14,7 +14,6 @@
 //! prediction stays flat — quantifying exactly how far the model's
 //! identical-processors assumption stretches.
 
-use qsm_algorithms::samplesort::DEFAULT_OVERSAMPLING;
 use qsm_algorithms::{gen, samplesort};
 use qsm_core::{EffectiveCosts, SimMachine};
 use qsm_simnet::MachineConfig;
@@ -46,7 +45,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         // skews plus local work at nominal (homogeneous) speed —
         // operation *counts* don't change with the straggler, so
         // neither does the prediction.
-        let est = samplesort::predict_estimate(n, &run, DEFAULT_OVERSAMPLING, &params);
+        let est = samplesort::predict_estimate(n, &run, &params);
         let predicted = est.bsp
             + run.run.phases[samplesort::SETUP_PHASES..]
                 .iter()

@@ -11,13 +11,12 @@
 //! `l` of pure latency — what changes is link sharing, not the
 //! latency budget).
 //!
-//! Links are provisioned at [`LINK_GAP_FACTOR`]× the wire gap
-//! (override: `QSM_LINK_GAP`). At the NIC's own 3 c/B the fabric is
-//! invisible: the paper's software costs (Table 3's effective gap,
-//! ~35 c/B) throttle every endpoint far below wire speed, so no link
-//! ever queues — topology-blindness is *justified* for a
-//! full-bandwidth fabric, exactly the Brewer & Kuszmaul argument the
-//! paper leans on. The interesting regime is a fabric provisioned
+//! Links are provisioned at [`LINK_GAP_FACTOR`]× the wire gap. At
+//! the NIC's own 3 c/B the fabric is invisible: the paper's software
+//! costs (Table 3's effective gap, ~35 c/B) throttle every endpoint
+//! far below wire speed, so no link ever queues — topology-blindness
+//! is *justified* for a full-bandwidth fabric, exactly the Brewer &
+//! Kuszmaul argument the paper leans on. The interesting regime is a fabric provisioned
 //! below the software's effective bandwidth (the same reasoning that
 //! sets the bank-model service rate): there, link sharing bites.
 //!
@@ -54,15 +53,14 @@ const ALGOS: [&str; 3] = ["prefix", "samplesort", "listrank"];
 
 /// Processors (= fabric nodes). Pinned to the paper's default
 /// machine size so the grids are square 4×4 (a 2×4 grid is too
-/// degenerate for the topologies to separate); `QSM_P` scales the
-/// sweep's parallelism but not this machine.
+/// degenerate for the topologies to separate).
 const P: usize = 16;
 
-/// Per-link gap as a multiple of the wire gap when `QSM_LINK_GAP` is
-/// unset: 4×, so the fabric drains slower than the endpoints'
-/// software can feed it and link sharing actually queues (a link at
-/// or above the software's effective bandwidth can never be the
-/// bottleneck — see the module docs). The same rationale as
+/// Per-link gap as a multiple of the wire gap: 4×, so the fabric
+/// drains slower than the endpoints' software can feed it and link
+/// sharing actually queues (a link at or above the software's
+/// effective bandwidth can never be the bottleneck — see the module
+/// docs). The same rationale as
 /// [`crate::knobs::DEFAULT_BANK_SERVICE`].
 pub const LINK_GAP_FACTOR: f64 = 4.0;
 
@@ -82,8 +80,7 @@ replay_struct! {
 fn measure(algo: &str, topo: TopologyKind, n: usize, seed: u64) -> Measured {
     let mut cfg = MachineConfig::paper_default(P).with_topology(topo);
     if topo != TopologyKind::Flat {
-        let gap = crate::knobs().result.link_gap.unwrap_or(cfg.net.gap_per_byte * LINK_GAP_FACTOR);
-        cfg = cfg.with_link_gap(gap);
+        cfg = cfg.with_link_gap(cfg.net.gap_per_byte * LINK_GAP_FACTOR);
     }
     let machine = SimMachine::new(cfg).with_seed(seed);
     let n = if algo == "listrank" { n / 4 } else { n };

@@ -9,7 +9,7 @@
 //! roughly 125 000 elements (8 000 per processor).
 
 use qsm_algorithms::gen;
-use qsm_algorithms::samplesort::{self, DEFAULT_OVERSAMPLING};
+use qsm_algorithms::samplesort;
 
 use crate::backend::Backend;
 use crate::{Report, RunCfg};
@@ -23,7 +23,6 @@ pub fn run(cfg: &RunCfg) -> Report {
 /// the backend's time (converted to µs); the analysis lines (Best,
 /// WHP, estimates) are always in the paper machine's simulated µs.
 pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
-    let c = DEFAULT_OVERSAMPLING;
     super::estimate_sweep(
         "fig2",
         "sample sort: measured vs Best/WHP/QSM-est/BSP-est (p=16)",
@@ -31,9 +30,9 @@ pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
         backend,
         |machine, n, seed, params| {
             let r = samplesort::run_on(machine, &gen::random_u32s(n, seed));
-            (r.total(), r.comm(), samplesort::predict_estimate(n, &r, c, params))
+            (r.total(), r.comm(), samplesort::predict_estimate(n, &r, params))
         },
-        |n, params| (samplesort::predict_best(n, c, params), samplesort::predict_whp(n, c, params)),
+        |n, params| (samplesort::predict_best(n, params), samplesort::predict_whp(n, params)),
     )
 }
 

@@ -7,7 +7,7 @@
 //! where the measured curve meets the WHP band moves right linearly
 //! in l.
 
-use qsm_algorithms::samplesort::{self, DEFAULT_OVERSAMPLING};
+use qsm_algorithms::samplesort;
 use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
@@ -45,8 +45,8 @@ pub fn run(cfg: &RunCfg) -> Report {
     let rows = crate::sweep::map(cfg.p, grid, |_, (l, point, n)| {
         let machine_cfg = MachineConfig::paper_default(cfg.p).with_latency(l);
         let comm = samplesort_comm(machine_cfg, n, cfg, point);
-        let best = samplesort::predict_best(n, DEFAULT_OVERSAMPLING, &params);
-        let whp = samplesort::predict_whp(n, DEFAULT_OVERSAMPLING, &params);
+        let best = samplesort::predict_best(n, &params);
+        let whp = samplesort::predict_whp(n, &params);
         vec![
             format!("{l:.0}"),
             n.to_string(),

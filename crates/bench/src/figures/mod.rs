@@ -272,7 +272,7 @@ pub(crate) fn samplesort_crossover(
     let mut prev: Option<(f64, f64)> = None; // (n, measured - whp)
     for (point, n) in sizes.into_iter().enumerate() {
         let measured = samplesort_comm(machine_cfg, n, cfg, point);
-        let whp = samplesort::predict_whp(n, samplesort::DEFAULT_OVERSAMPLING, params).qsm;
+        let whp = samplesort::predict_whp(n, params).qsm;
         let diff = measured - whp;
         if diff <= 0.0 {
             return Some(match prev {

@@ -13,7 +13,7 @@
 //! compared.
 
 use qsm_core::EffectiveCosts;
-use qsm_models::machine::{paper_k_coefficients, table4_machines};
+use qsm_models::machine::table4_machines;
 use qsm_models::nmin::{linear_fit, NminModel};
 use qsm_simnet::MachineConfig;
 
@@ -61,18 +61,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     crate::journal::set_figure("table4", cfg);
     crate::backend::warn_sim_only("table4");
     let model = fit_model(cfg);
-    let paper_k: std::collections::HashMap<&str, f64> =
-        paper_k_coefficients().into_iter().collect();
 
     let mut rows = Vec::new();
     for m in table4_machines() {
         let (nmin_pp, nmin) = match &model {
             Some(mdl) => (format!("{:.0}", mdl.nmin_per_p(&m)), format!("{:.0}", mdl.nmin(&m))),
             None => ("-".into(), "-".into()),
-        };
-        let paper = match m.paper_nmin_per_p {
-            Some(v) => format!("{v:.0}"),
-            None => paper_k.get(m.name).map(|k| format!("k*{k:.0}")).unwrap_or_default(),
         };
         rows.push(vec![
             m.name.to_string(),
@@ -82,7 +76,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             format!("{}", m.g_per_byte),
             nmin_pp,
             nmin,
-            paper,
+            m.paper_nmin_per_p.to_string(),
         ]);
     }
     let headers = [

@@ -18,11 +18,10 @@
 //!   there is no `result`):
 //!
 //! ```json
-//! {"v":2,"kind":"sweep_point","figure":"fig1","fingerprint":"c455a763c4e322c0",
+//! {"v":2,"kind":"sweep_point","figure":"fig1","fingerprint":"71363281d2395a49",
 //!  "point":0,"total":5,"config":"fig1|RunCfg { p: 16, reps: 1, fast: true }|
-//!  total=5|schema=2|0.1.0|ResultKnobs { backend: Sim, banks: 0, bank_service:
-//!  12, topology: None, link_gap: None, fault_seed: 1592654359 }","jobs":1,
-//!  "duration_ms":0.781,"result":["6","4096","158.6","154.1","0.0","10.5","72.9"],
+//!  total=5|schema=2|0.1.0|ResultKnobs { backend: Sim, banks: 0, topology: None
+//!  }","jobs":1,"duration_ms":0.781,"result":["6","4096","158.6","154.1","0.0","10.5","72.9"],
 //!  "status":"ok"}
 //! ```
 //!
@@ -39,10 +38,10 @@
 //! points, unfinished points, and — on any fingerprint mismatch — the
 //! whole sweep, so a stale journal can never poison an artifact).
 //!
-//! The fingerprint is derived, not listed. When it was a hand-written
-//! list, `QSM_BANK_SERVICE` counted only under `QSM_BANKS`, so a stale
-//! `ext_banks` journal replayed into a default run; this crate's
-//! `tests/sweep_resume.rs` pins that case. `QSM_PANIC_POINT` stays
+//! The fingerprint is derived, not listed: a hand-written list once
+//! counted a knob only under another, so a stale journal replayed into
+//! a default run; this crate's `tests/sweep_resume.rs` pins that a
+//! journal written under a different result knob replays nothing. `QSM_PANIC_POINT` stays
 //! outside it, like every knob outside `ResultKnobs`: the kill drill
 //! must not change the identity of the sweep it kills, or a resume
 //! could never match the killed run's records.

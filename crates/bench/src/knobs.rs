@@ -12,29 +12,30 @@
 //! a result; the run journal's fingerprint hashes its `Debug` form, so
 //! a knob added there joins the fingerprint by construction. The rest
 //! decide how many workers run, where output goes and what `explain`
-//! runs, never what a figure's rows are. `QSM_FAST` and `QSM_REPS`
-//! make up [`Knobs::run`], the [`RunCfg`] every figure is handed.
+//! runs, never what a figure's rows are. `QSM_FAST` makes up
+//! [`Knobs::run`], the [`RunCfg`] every figure is handed.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Once, OnceLock};
+use std::sync::OnceLock;
 
 use qsm_simnet::{BankModel, MachineConfig, TopologyKind};
 
 use crate::backend::Backend;
 use crate::RunCfg;
 
-/// Cycles of bank service per wire byte when `QSM_BANK_SERVICE` is
-/// unset: 4× the wire gap, so a bank drains slower than the NIC
-/// ingests and same-bank pileups actually queue (a bank at or below
-/// the wire rate can never be the bottleneck behind a 3 c/B NIC).
+/// Cycles of bank service per wire byte, in the bank model `QSM_BANKS`
+/// installs and in `ext_banks`' and `ext_service`'s: 4× the wire gap,
+/// so a bank drains slower than the NIC ingests and same-bank pileups
+/// actually queue (a bank at or below the wire rate can never be the
+/// bottleneck behind a 3 c/B NIC).
 pub const DEFAULT_BANK_SERVICE: usize = 12;
 
 /// Every knob of the harness, parsed (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Knobs {
-    /// `QSM_FAST` (smaller sweeps) and `QSM_REPS` (repetitions per
-    /// point; default 3, 1 in fast mode), at the paper's `p = 16`.
+    /// `QSM_FAST` (smaller sweeps, one repetition per point instead of
+    /// three), at the paper's `p = 16`.
     pub run: RunCfg,
     /// The knobs that decide a result.
     pub result: ResultKnobs,
@@ -67,62 +68,39 @@ pub struct ResultKnobs {
     pub backend: Backend,
     /// `QSM_BANKS`: FIFO banks per node (default 0: bank-free).
     pub banks: usize,
-    /// `QSM_BANK_SERVICE`: bank cycles per byte ([`DEFAULT_BANK_SERVICE`]).
-    pub bank_service: usize,
     /// `QSM_TOPOLOGY` as written — `line`, `fattree`, `mesh`/`mesh2d`
-    /// or `torus`/`torus2d` with optional `:RxC` axes; `None` is the
-    /// flat wire. [`ResultKnobs::topology_at`] resolves it.
+    /// or `torus`/`torus2d`; `None` is the flat wire.
+    /// [`ResultKnobs::topology_at`] resolves it.
     pub topology: Option<String>,
-    /// `QSM_LINK_GAP`: link cycles per byte (default: the NIC gap).
-    pub link_gap: Option<f64>,
-    /// `QSM_FAULT_SEED`: `ext_faults`' drop schedule (default 0x5EED_FA17).
-    pub fault_seed: u64,
 }
 
 impl ResultKnobs {
-    /// The bank model `QSM_BANKS` selects (`None` when it is `0`).
+    /// The bank model `QSM_BANKS` selects (`None` when it is `0`),
+    /// serving [`DEFAULT_BANK_SERVICE`] cycles per byte.
     pub fn bank_model(&self) -> Option<BankModel> {
         (self.banks > 0).then_some(BankModel {
             banks_per_node: self.banks,
             service_fixed: 0.0,
-            service_per_byte: self.bank_service as f64,
+            service_per_byte: DEFAULT_BANK_SERVICE as f64,
         })
     }
 
-    /// The routed topology on a `p`-node machine: a bare grid name tiles
-    /// `p` as squarely as it can, and explicit axes that do not tile it
-    /// give the flat wire (`None`, after one warning per process).
+    /// The routed topology on a `p`-node machine: a grid name tiles `p`
+    /// as squarely as it can.
     pub fn topology_at(&self, p: usize) -> Option<TopologyKind> {
-        let v = self.topology.as_deref()?;
-        let kind = topology_kind(v, p)?;
-        if !kind.tiles(p) {
-            static WARNED: Once = Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: ignoring QSM_TOPOLOGY={v:?}: grid {} does not tile p = {p} \
-                     nodes; using the flat wire",
-                    kind.params()
-                )
-            });
-            return None;
-        }
-        Some(kind)
+        topology_kind(self.topology.as_deref()?, p)
     }
 
     /// `cfg` with the bank model and routed topology these knobs select
     /// installed where `cfg` chose none: a config that chose its own
-    /// bank model or fabric wins. The link gap applies only with a
-    /// topology the knobs installed.
+    /// bank model or fabric wins. The knobs' links run at the NIC gap.
     pub fn apply(&self, cfg: MachineConfig) -> MachineConfig {
         let cfg = match (self.bank_model(), cfg.net.banks) {
             (Some(b), None) => cfg.with_banks(b),
             _ => cfg,
         };
         match (self.topology_at(cfg.p), cfg.net.topology) {
-            (Some(t), TopologyKind::Flat) => {
-                let cfg = cfg.with_topology(t);
-                self.link_gap.map_or(cfg, |g| cfg.with_link_gap(g))
-            }
+            (Some(t), TopologyKind::Flat) => cfg.with_topology(t),
             _ => cfg,
         }
     }
@@ -130,15 +108,11 @@ impl ResultKnobs {
 
 impl Knobs {
     /// Every knob's name.
-    pub const NAMES: [&'static str; 18] = [
+    pub const NAMES: [&'static str; 14] = [
         "QSM_FAST",
-        "QSM_REPS",
         "QSM_BACKEND",
         "QSM_BANKS",
-        "QSM_BANK_SERVICE",
         "QSM_TOPOLOGY",
-        "QSM_LINK_GAP",
-        "QSM_FAULT_SEED",
         "QSM_JOBS",
         "QSM_PANIC_POINT",
         "QSM_RESULTS_DIR",
@@ -177,16 +151,9 @@ impl Knobs {
         let topology = parsed(
             "QSM_TOPOLOGY",
             get("QSM_TOPOLOGY"),
-            "want flat, line, mesh[:RxC], torus[:RxC], or fattree",
+            "want flat, line, mesh, torus, or fattree",
             "using the flat wire",
             |v| Some((topology_kind(v, 1)? != TopologyKind::Flat).then(|| v.to_string())),
-        );
-        let link_gap = parsed(
-            "QSM_LINK_GAP",
-            get("QSM_LINK_GAP"),
-            "expected a non-negative number of cycles per byte",
-            "using the NIC gap",
-            |v| v.parse::<f64>().ok().filter(|g| g.is_finite() && *g >= 0.0),
         );
         if let Some(dir) = get("QSM_RUN_LOG").and_then(|p| Path::new(p).parent()) {
             let _ = std::fs::create_dir_all(dir);
@@ -200,18 +167,11 @@ impl Knobs {
             );
         }
         Knobs {
-            run: RunCfg {
-                p: 16,
-                reps: number("QSM_REPS").unwrap_or(if fast { 1 } else { 3 }),
-                fast,
-            },
+            run: RunCfg { p: 16, reps: if fast { 1 } else { 3 }, fast },
             result: ResultKnobs {
                 backend,
                 banks: number("QSM_BANKS").unwrap_or(0),
-                bank_service: number("QSM_BANK_SERVICE").unwrap_or(DEFAULT_BANK_SERVICE),
                 topology: topology.flatten(),
-                link_gap,
-                fault_seed: number("QSM_FAULT_SEED").map_or(0x5EED_FA17, |n| n as u64),
             },
             jobs: number("QSM_JOBS"),
             panic_point: number("QSM_PANIC_POINT"),
@@ -261,28 +221,14 @@ fn parsed<T>(
     value
 }
 
-/// `QSM_TOPOLOGY`'s grammar, on a `p`-node machine.
+/// `QSM_TOPOLOGY`'s names, on a `p`-node machine.
 fn topology_kind(v: &str, p: usize) -> Option<TopologyKind> {
-    let (name, dims) = match v.split_once(':') {
-        Some((n, d)) => (n.trim(), Some(d.trim())),
-        None => (v, None),
-    };
-    let axes = |d: &str| -> Option<(usize, usize)> {
-        let (r, c) = d.split_once('x')?;
-        Some((r.trim().parse().ok()?, c.trim().parse().ok()?))
-    };
-    match (name, dims) {
-        ("flat", None) => Some(TopologyKind::Flat),
-        ("line", None) => Some(TopologyKind::Line),
-        ("fattree", None) => Some(TopologyKind::FatTree),
-        ("mesh" | "mesh2d", None) => Some(TopologyKind::mesh(p)),
-        ("torus" | "torus2d", None) => Some(TopologyKind::torus(p)),
-        ("mesh" | "mesh2d", Some(d)) => {
-            axes(d).map(|(rows, cols)| TopologyKind::Mesh2d { rows, cols })
-        }
-        ("torus" | "torus2d", Some(d)) => {
-            axes(d).map(|(rows, cols)| TopologyKind::Torus2d { rows, cols })
-        }
+    match v {
+        "flat" => Some(TopologyKind::Flat),
+        "line" => Some(TopologyKind::Line),
+        "fattree" => Some(TopologyKind::FatTree),
+        "mesh" | "mesh2d" => Some(TopologyKind::mesh(p)),
+        "torus" | "torus2d" => Some(TopologyKind::torus(p)),
         _ => None,
     }
 }
@@ -324,8 +270,7 @@ pub(crate) mod tests {
         let k = parse(&[]);
         assert_eq!(k.run, RunCfg { p: 16, reps: 3, fast: false });
         let r = &k.result;
-        assert_eq!((r.backend, r.banks, r.bank_service), (Backend::Sim, 0, DEFAULT_BANK_SERVICE));
-        assert_eq!((r.topology.as_deref(), r.link_gap, r.fault_seed), (None, None, 0x5EED_FA17));
+        assert_eq!((r.backend, r.banks, r.topology.as_deref()), (Backend::Sim, 0, None));
         assert_eq!((k.jobs, k.panic_point, k.resume), (None, None, false));
         assert_eq!(k.results_dir, PathBuf::from("results"));
         assert_eq!((k.trace, k.metrics, k.run_log), (None, None, None));
@@ -372,15 +317,11 @@ pub(crate) mod tests {
     fn the_fingerprint_hashes_exactly_the_result_knobs() {
         let (trace, metrics, log, log2) =
             (temp("t.json"), temp("m.json"), temp("run.jsonl"), temp("run2.jsonl"));
-        let changes: [(&str, &str, bool); 18] = [
+        let changes: [(&str, &str, bool); 14] = [
             ("QSM_BACKEND", "threads", true),
             ("QSM_BANKS", "4", true),
-            ("QSM_BANK_SERVICE", "40", true),
             ("QSM_TOPOLOGY", "torus", true),
-            ("QSM_LINK_GAP", "100", true),
-            ("QSM_FAULT_SEED", "12345", true),
             ("QSM_FAST", "1", false),
-            ("QSM_REPS", "5", false),
             ("QSM_JOBS", "4", false),
             ("QSM_PANIC_POINT", "3", false),
             ("QSM_RESULTS_DIR", "elsewhere", false),

@@ -28,15 +28,14 @@
 //! an environment read anywhere else and on any code or test that
 //! writes it: [`knobs()`] parses every `QSM_*` variable once per
 //! process and every reader takes its field from the result.
-//! [`Knobs::NAMES`](knobs::Knobs::NAMES) lists the 18 knobs, and
+//! [`Knobs::NAMES`](knobs::Knobs::NAMES) lists the 14 knobs, and
 //! `tests/knob_names.rs` holds the documents to that list. The
-//! [`ResultKnobs`](knobs::ResultKnobs) — backend, banks, bank
-//! service, topology, link gap and fault seed — decide a result; the
-//! rest decide only how a run goes (workers, the panic drill, output
-//! paths, the journal, `explain`'s selection). Figures take their [`RunCfg`]
-//! (`QSM_FAST`, `QSM_REPS`) as a parameter and read the rest
-//! ambiently, since `figures::*::run(&RunCfg)` is the benchmark's
-//! fixed entry point. Tests that need other knobs either call
+//! [`ResultKnobs`](knobs::ResultKnobs) — backend, banks and topology —
+//! decide a result; the rest decide only how a run goes (workers, the
+//! panic drill, output paths, the journal, `explain`'s selection).
+//! Figures take their [`RunCfg`] (`QSM_FAST`) as a parameter and read
+//! the rest ambiently, since `figures::*::run(&RunCfg)` is the
+//! benchmark's fixed entry point. Tests that need other knobs either call
 //! [`Knobs::parse`](knobs::Knobs::parse) over a map or run a binary as
 //! a subprocess; none mutates its own environment.
 //!
@@ -98,14 +97,14 @@ pub fn run_figures(figures: &[fn(&RunCfg) -> Report]) {
 pub struct RunCfg {
     /// Simulated processors (paper default: 16).
     pub p: usize,
-    /// Repetitions per measurement point.
+    /// Repetitions per measurement point (3; 1 in fast mode).
     pub reps: usize,
     /// Fast mode: smaller maximum problem sizes.
     pub fast: bool,
 }
 
 impl RunCfg {
-    /// The configuration `QSM_FAST` and `QSM_REPS` select.
+    /// The configuration `QSM_FAST` selects.
     pub fn from_env() -> Self {
         knobs().run.clone()
     }
@@ -190,16 +189,5 @@ mod tests {
         let cfg = RunCfg::fast();
         assert_ne!(cfg.seed(0, 0), cfg.seed(0, 1));
         assert_ne!(cfg.seed(0, 0), cfg.seed(1, 0));
-    }
-
-    #[test]
-    fn usize_knobs_parse_strictly_but_warn_not_panic() {
-        // `QSM_REPS` sets the repetitions; a typo warns and leaves the
-        // mode's default rather than panicking.
-        let reps =
-            |fast, reps| knobs::tests::parse(&[("QSM_FAST", fast), ("QSM_REPS", reps)]).run.reps;
-        assert_eq!(reps("0", "8"), 8);
-        assert_eq!(reps("0", "abc"), 3);
-        assert_eq!(reps("1", "abc"), 1);
     }
 }

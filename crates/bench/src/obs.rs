@@ -38,35 +38,30 @@ impl ObsSink {
     /// Read `QSM_TRACE` / `QSM_METRICS` and install a recorder of the
     /// matching level (or none). Call once, at binary start.
     pub fn from_env() -> Self {
-        Self::with_level(None)
+        let knobs = crate::knobs();
+        if knobs.trace.is_some() {
+            Self::install(ObsLevel::Full)
+        } else if knobs.metrics.is_some() {
+            Self::install(ObsLevel::Metrics)
+        } else {
+            Self { rec: Recorder::disabled() }
+        }
     }
 
-    /// Like [`ObsSink::from_env`] but the recorder is at least
-    /// `floor`, even when no output path is requested. Used by
-    /// `explain`, whose phase table needs Full-level spans regardless
-    /// of whether a trace file was asked for.
-    pub fn with_level(floor: Option<ObsLevel>) -> Self {
-        let knobs = crate::knobs();
-        let level = if knobs.trace.is_some() || floor == Some(ObsLevel::Full) {
-            Some(ObsLevel::Full)
-        } else if knobs.metrics.is_some() || floor.is_some() {
-            Some(ObsLevel::Metrics)
-        } else {
-            None
-        };
-        let rec = match level {
-            Some(level) => {
-                // Timestamps carry the backend's time unit: simulated
-                // cycles at the model clock, or host nanoseconds.
-                let rec = Recorder::new(level, knobs.result.backend.clock_hz());
-                obs::install(rec.clone());
-                // If another recorder won the install race (tests), emit
-                // into the live one so finalize sees the real capture.
-                obs::recorder()
-            }
-            None => Recorder::disabled(),
-        };
-        Self { rec }
+    /// A Full-level recorder, whatever `QSM_TRACE` / `QSM_METRICS`
+    /// say; they still decide what is written. Used by `explain`, whose
+    /// phase table needs the Full-level spans.
+    pub fn full() -> Self {
+        Self::install(ObsLevel::Full)
+    }
+
+    fn install(level: ObsLevel) -> Self {
+        // Timestamps carry the backend's time unit: simulated cycles
+        // at the model clock, or host nanoseconds.
+        obs::install(Recorder::new(level, crate::knobs().result.backend.clock_hz()));
+        // If another recorder won the install race (tests), emit into
+        // the live one so finalize sees the real capture.
+        Self { rec: obs::recorder() }
     }
 
     /// The recorder runs will emit into (disabled when inactive).

@@ -75,7 +75,7 @@ pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Microseconds at the paper's 400 MHz clock.
+/// Microseconds at the paper's 400 MHz clock ([`qsm_simnet::CLOCK_HZ`]).
 pub fn us_at_400mhz(cycles: f64) -> f64 {
     cycles / 400.0
 }
@@ -108,6 +108,8 @@ mod tests {
     fn us_conversion() {
         assert_eq!(us_at_400mhz(400.0), 1.0);
         assert_eq!(us_at_400mhz(25_500.0), 63.75);
+        // The divisor is the simulated clock in MHz.
+        assert_eq!(qsm_simnet::CLOCK_HZ / 1e6, 400.0);
     }
 
     #[test]

@@ -292,8 +292,8 @@ mod tests {
 
     #[test]
     fn results_come_back_in_input_order() {
-        let out = map(1, (0..64).collect(), |i, x: i32| {
-            assert_eq!(i as i32, x);
+        let out = map(1, (0..64).collect(), |i, x: u64| {
+            assert_eq!(i as u64, x);
             x * 10
         });
         assert_eq!(out, (0..64).map(|x| x * 10).collect::<Vec<_>>());
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn empty_grid_is_fine() {
-        let out: Vec<i32> = map(1, Vec::<i32>::new(), |_, x| x);
+        let out: Vec<u64> = map(1, Vec::<u64>::new(), |_, x| x);
         assert!(out.is_empty());
     }
 
@@ -332,7 +332,7 @@ mod tests {
     fn try_map_captures_panics_per_point() {
         for jobs in ["1", "4"] {
             let knobs = knobs_with(&[("QSM_JOBS", jobs)]);
-            let results = try_map(&knobs, 1, (0..8).collect(), |_, x: i32| {
+            let results = try_map(&knobs, 1, (0..8).collect(), |_, x: u64| {
                 if x % 3 == 1 {
                     panic!("boom at {x}");
                 }
@@ -347,7 +347,7 @@ mod tests {
                     assert_eq!(p.message, format!("boom at {i}"));
                     assert_eq!(p.payload.downcast_ref::<String>(), Some(&p.message));
                 } else {
-                    assert_eq!(*r.as_ref().unwrap(), (i as i32) * 2);
+                    assert_eq!(*r.as_ref().unwrap(), (i as u64) * 2);
                 }
             }
         }
@@ -358,9 +358,9 @@ mod tests {
         // A typed payload (not a string) must come back downcastable:
         // the original Box<dyn Any>, not a summary of it.
         #[derive(Debug, PartialEq)]
-        struct Custom(u32);
+        struct Custom(u64);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            map(1, (0..6).collect(), |_, x: u32| {
+            map(1, (0..6).collect(), |_, x: u64| {
                 if x >= 2 {
                     std::panic::panic_any(Custom(x));
                 }
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn map_surviving_drops_failures_and_registers_them() {
         let before = failed_points();
-        let out = map_surviving(1, (0..10).collect(), |_, x: i32| {
+        let out = map_surviving(1, (0..10).collect(), |_, x: u64| {
             if x == 4 || x == 7 {
                 panic!("unstable point {x}");
             }

@@ -20,27 +20,20 @@ fn an_unparseable_processor_count_warns_and_runs_at_the_default() {
 
 #[test]
 fn unusable_values_warn_once_each_and_the_run_goes_on() {
-    let knobs = [
-        ("QSM_N", "4096"),
-        ("QSM_TOPOLOGY", "bogus"),
-        ("QSM_LINK_GAP", "-1"),
-        ("QSM_TRACE", "/dev/null/t.json"),
-    ];
+    let knobs = [("QSM_N", "4096"), ("QSM_TOPOLOGY", "bogus"), ("QSM_TRACE", "/dev/null/t.json")];
     let out = run_bin(env!("CARGO_BIN_EXE_explain"), &knobs);
     let err = stderr(&out);
     assert!(out.status.success(), "{err}");
     for warning in [
-        "warning: ignoring unparseable QSM_TOPOLOGY=\"bogus\" (want flat, line, mesh[:RxC], \
-         torus[:RxC], or fattree); using the flat wire",
-        "warning: ignoring unparseable QSM_LINK_GAP=\"-1\" (expected a non-negative number of \
-         cycles per byte); using the NIC gap",
+        "warning: ignoring unparseable QSM_TOPOLOGY=\"bogus\" (want flat, line, mesh, torus, \
+         or fattree); using the flat wire",
         "warning: ignoring unusable QSM_TRACE=\"/dev/null/t.json\" (cannot open for writing: ",
     ] {
         assert_eq!(err.matches(warning).count(), 1, "{warning}\nstderr:\n{err}");
     }
-    // The header prints the resolved knobs: the flat wire, the NIC gap.
+    // The header prints the resolved knobs: the flat wire.
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("topology: None, link_gap: None"), "stdout:\n{stdout}");
+    assert!(stdout.contains("banks: 0, topology: None }"), "stdout:\n{stdout}");
 }
 
 #[test]

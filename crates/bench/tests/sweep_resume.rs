@@ -234,19 +234,7 @@ fn stale_journal_roundtrip(figure: &str, exe: &str, knob: (&str, &str), points: 
 
 #[test]
 fn stale_journal_is_fully_rerun_never_replayed() {
-    // The link gap changes every non-flat row of `ext_topology`.
-    stale_journal_roundtrip(
-        "ext_topology",
-        env!("CARGO_BIN_EXE_ext_topology"),
-        ("QSM_LINK_GAP", "100"),
-        15,
-    );
-    // `ext_banks` pins its bank count but reads the service rate, which
-    // the fingerprint once saw only when `QSM_BANKS` was set.
-    stale_journal_roundtrip(
-        "ext_banks",
-        env!("CARGO_BIN_EXE_ext_banks"),
-        ("QSM_BANK_SERVICE", "40"),
-        3,
-    );
+    // Figure 1 builds its machine through `ResultKnobs::apply`, so a
+    // bank model moves every one of its rows.
+    stale_journal_roundtrip("fig1", env!("CARGO_BIN_EXE_fig1_prefix"), ("QSM_BANKS", "4"), 5);
 }

@@ -674,11 +674,9 @@ impl PhaseTimer for SimTimer {
         let mut local_finish = std::mem::take(&mut self.local_finish);
         local_finish.clear();
         local_finish.extend(
-            charged
-                .iter()
-                .zip(&self.phase_start)
-                .enumerate()
-                .map(|(i, (&ops, &start))| start + self.cfg.cpu.ops(ops) * self.cfg.cpu_factor(i)),
+            charged.iter().zip(&self.phase_start).enumerate().map(|(i, (&ops, &start))| {
+                start + Cycles::new(ops as f64) * self.cfg.cpu_factor(i)
+            }),
         );
         let mut release = std::mem::take(&mut self.release);
         self.simulate_exchange(&local_finish, matrix, &mut out, &mut release);
@@ -686,7 +684,7 @@ impl PhaseTimer for SimTimer {
         let compute = charged
             .iter()
             .enumerate()
-            .map(|(i, &ops)| self.cfg.cpu.ops(ops) * self.cfg.cpu_factor(i))
+            .map(|(i, &ops)| Cycles::new(ops as f64) * self.cfg.cpu_factor(i))
             .fold(Cycles::ZERO, Cycles::max);
         let elapsed = release_max - self.prev_release_max;
         let comm = elapsed - compute;
@@ -867,7 +865,7 @@ mod tests {
     fn observed_timer_emits_spans_wire_and_metrics() {
         use qsm_obs::{ObsLevel, SpanKind};
         let cfg = MachineConfig::paper_default(4);
-        let rec = Recorder::new(ObsLevel::Full, cfg.cpu.clock_hz);
+        let rec = Recorder::new(ObsLevel::Full, qsm_simnet::CLOCK_HZ);
         let mut t = SimTimer::with_recorder(cfg, rec.clone());
         let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 40))));
         let timing = t.price(&[1_000; 4], &CommMatrix::new(&m, 0), &[]).timing;
@@ -905,7 +903,7 @@ mod tests {
         // The recorder must never perturb simulated time.
         let cfg = MachineConfig::paper_default(8);
         let mut plain = SimTimer::new(cfg);
-        let rec = Recorder::new(qsm_obs::ObsLevel::Full, cfg.cpu.clock_hz);
+        let rec = Recorder::new(qsm_obs::ObsLevel::Full, qsm_simnet::CLOCK_HZ);
         let mut observed = SimTimer::with_recorder(cfg, rec);
         let rows = metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, gets(50, 200))));
         let m = CommMatrix::new(&rows, 0);
@@ -1001,7 +999,7 @@ mod tests {
         use qsm_obs::{ObsLevel, SpanKind};
         use qsm_simnet::FaultConfig;
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(21, 0.4));
-        let rec = Recorder::new(ObsLevel::Full, cfg.cpu.clock_hz);
+        let rec = Recorder::new(ObsLevel::Full, qsm_simnet::CLOCK_HZ);
         let mut t = SimTimer::with_recorder(cfg, rec.clone());
         let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(40, 160))));
         let price = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);

@@ -24,10 +24,11 @@ pub struct MachineSpec {
     /// than measured in the cited sources (shown parenthesized in the
     /// paper).
     pub estimated: bool,
-    /// The paper's `n_min/p` entry when it is an absolute number
-    /// (only the default-simulation row); extrapolated rows are `None`
-    /// because they carry the software-implementation factor `k`.
-    pub paper_nmin_per_p: Option<f64>,
+    /// The paper's `n_min/p` entry as printed: an absolute number on
+    /// the default-simulation row, `k*N` on the extrapolated rows,
+    /// which carry the software-implementation factor `k`; empty for a
+    /// machine the paper does not list.
+    pub paper_nmin_per_p: &'static str,
 }
 
 /// The default simulated machine of Table 3/Table 4 row 1:
@@ -40,7 +41,7 @@ pub fn default_simulation() -> MachineSpec {
         o: 400.0,
         g_per_byte: 3.0,
         estimated: false,
-        paper_nmin_per_p: Some(8000.0),
+        paper_nmin_per_p: "8000",
     }
 }
 
@@ -53,7 +54,7 @@ pub fn berkeley_now() -> MachineSpec {
         o: 481.0,
         g_per_byte: 4.3,
         estimated: false,
-        paper_nmin_per_p: None, // paper: k * 4640
+        paper_nmin_per_p: "k*4640",
     }
 }
 
@@ -66,7 +67,7 @@ pub fn pentium_ii_tcp() -> MachineSpec {
         o: 150_000.0,
         g_per_byte: 24.0,
         estimated: true,
-        paper_nmin_per_p: None, // paper: k * 325000
+        paper_nmin_per_p: "k*325000",
     }
 }
 
@@ -79,7 +80,7 @@ pub fn cray_t3e() -> MachineSpec {
         o: 50.0,
         g_per_byte: 1.6,
         estimated: true,
-        paper_nmin_per_p: None, // paper: k * 1558
+        paper_nmin_per_p: "k*1558",
     }
 }
 
@@ -92,7 +93,7 @@ pub fn intel_paragon() -> MachineSpec {
         o: 90.0,
         g_per_byte: 0.35,
         estimated: true,
-        paper_nmin_per_p: None, // paper: k * 15429
+        paper_nmin_per_p: "k*15429",
     }
 }
 
@@ -105,7 +106,7 @@ pub fn meiko_cs2() -> MachineSpec {
         o: 112.0,
         g_per_byte: 1.4,
         estimated: true,
-        paper_nmin_per_p: None, // paper: k * 5325
+        paper_nmin_per_p: "k*5325",
     }
 }
 
@@ -118,19 +119,6 @@ pub fn table4_machines() -> Vec<MachineSpec> {
         cray_t3e(),
         intel_paragon(),
         meiko_cs2(),
-    ]
-}
-
-/// The paper's `n_min/p` coefficients for the five extrapolated rows
-/// (the multiplier of the software factor `k`), used as reference
-/// values in EXPERIMENTS.md comparisons.
-pub fn paper_k_coefficients() -> Vec<(&'static str, f64)> {
-    vec![
-        ("Berkeley NOW", 4640.0),
-        ("300MHz Pentium-II TCP/IP, 100Mb Switched Ethernet", 325_000.0),
-        ("CRAY T3E", 1558.0),
-        ("Intel Paragon", 15_429.0),
-        ("Meiko CS-2", 5325.0),
     ]
 }
 
@@ -153,7 +141,7 @@ mod tests {
         assert_eq!(m.l, 1600.0);
         assert_eq!(m.o, 400.0);
         assert_eq!(m.g_per_byte, 3.0);
-        assert_eq!(m.paper_nmin_per_p, Some(8000.0));
+        assert_eq!(m.paper_nmin_per_p, "8000");
     }
 
     #[test]
@@ -165,10 +153,9 @@ mod tests {
 
     #[test]
     fn k_coefficients_cover_extrapolated_rows() {
-        let ks = paper_k_coefficients();
-        assert_eq!(ks.len(), 5);
-        for (name, k) in &ks {
-            assert!(*k > 0.0, "{name} coefficient must be positive");
+        for m in &table4_machines()[1..] {
+            let k = m.paper_nmin_per_p.strip_prefix("k*").expect(m.name);
+            assert!(k.parse::<f64>().unwrap() > 0.0, "{} coefficient must be positive", m.name);
         }
     }
 }

@@ -17,7 +17,7 @@
 use qsm_simnet::fault::{mix64, unit};
 use qsm_simnet::time::Cycles;
 
-use crate::config::ServiceConfig;
+use crate::config::{ServiceConfig, CLIENTS, SHARDS_PER_NODE};
 
 /// One fully derived transaction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,10 +107,10 @@ pub(crate) fn txn_at(cfg: &ServiceConfig, i: u64, arrival: Cycles) -> Txn {
     // Independent draws: re-key the index stream per field so no two
     // fields share a hash.
     let key = txn_key(cfg, i);
-    let client = mix64(key ^ 0x00C1_1E57) % cfg.clients;
+    let client = mix64(key ^ 0x00C1_1E57) % CLIENTS;
     let origin = (mix64(client.wrapping_add(cfg.seed)) % p as u64) as usize;
     let shard_hash = mix64(key ^ 0x0005_1AAD);
-    let shard = (shard_hash % cfg.shards as u64) as usize;
+    let shard = (shard_hash % (p * SHARDS_PER_NODE) as u64) as usize;
     let node = shard % p;
     let banks = cfg.machine.net.banks.map_or(1, |b| b.banks_per_node);
     let bank = ((shard_hash >> 32) % banks as u64) as u32;
@@ -164,7 +164,7 @@ mod tests {
         let n = 4096;
         for i in 0..n {
             let t = txn(&c, i);
-            assert!(t.origin < p && t.node < p && t.shard < c.shards);
+            assert!(t.origin < p && t.node < p && t.shard < p * SHARDS_PER_NODE);
             assert_eq!(t.node, t.shard % p);
             origin_seen[t.origin] = true;
             node_seen[t.node] = true;

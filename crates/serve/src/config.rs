@@ -2,8 +2,18 @@
 
 use qsm_simnet::MachineConfig;
 
-/// One serving scenario: a population of logical clients issuing
-/// get/put transactions against values hash-sharded across the
+/// Logical client population; clients are hashed onto origin nodes.
+/// Millions of clients map onto `p` nodes — the client id only seeds
+/// the hash, so the population costs nothing.
+pub const CLIENTS: u64 = 1_000_000;
+
+/// Hash shards per node: the key space is partitioned into
+/// `p · SHARDS_PER_NODE` shards, and shard `s` lives on node `s % p`,
+/// so every node serves.
+pub const SHARDS_PER_NODE: usize = 64;
+
+/// One serving scenario: a population of [`CLIENTS`] logical clients
+/// issuing get/put transactions against values hash-sharded across the
 /// machine's nodes, at a fixed offered load over a fixed arrival
 /// window.
 ///
@@ -23,13 +33,6 @@ pub struct ServiceConfig {
     /// exponential backoff of
     /// [`qsm_simnet::FaultConfig::retry_timeout`].
     pub machine: MachineConfig,
-    /// Logical client population; clients are hashed onto origin
-    /// nodes. Millions of clients map onto `p` nodes — the client id
-    /// only seeds the hash, so the population costs nothing.
-    pub clients: u64,
-    /// Hash shards the key space is partitioned into; shard `s` lives
-    /// on node `s % p`. Must be at least `p` so every node serves.
-    pub shards: usize,
     /// Stored value size in bytes (the payload a get returns and a
     /// put carries).
     pub value_bytes: u64,
@@ -53,14 +56,11 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A serving scenario over `machine` with the defaults the
-    /// `ext_service` experiment sweeps: a million clients, 64 shards
-    /// per node, 256-byte values, 7/8 gets, no admission control.
+    /// `ext_service` experiment sweeps: 256-byte values, 7/8 gets, no
+    /// admission control.
     pub fn new(machine: MachineConfig) -> Self {
-        let shards = machine.p * 64;
         Self {
             machine,
-            clients: 1_000_000,
-            shards,
             value_bytes: 256,
             get_fraction: 0.875,
             window: (1u64 << 21) as f64,
@@ -103,18 +103,11 @@ impl ServiceConfig {
     /// Check invariants; panics on an unusable configuration. (The
     /// engine carries an index in 32 bits, a node in 16, a bank in 8.)
     pub fn validate(&self) {
-        assert!(self.clients >= 1, "need at least one client");
         let (p, offered) = (self.machine.p, self.offered);
         assert!(p <= 1 << 16, "p must be at most 65 536: {p}");
         let banks = self.machine.net.banks.map_or(1, |b| b.banks_per_node);
         assert!(banks <= 1 << 8, "banks_per_node must be at most 256: {banks}");
         assert!(offered <= u32::MAX as usize, "offered must be at most u32::MAX: {offered}");
-        assert!(
-            self.shards >= self.machine.p,
-            "shards ({}) must cover every node (p = {})",
-            self.shards,
-            self.machine.p
-        );
         assert!(
             (0.0..=1.0).contains(&self.get_fraction),
             "get_fraction must be a fraction: {}",
@@ -139,16 +132,7 @@ mod tests {
     #[test]
     fn defaults_are_valid_and_scale_shards_with_p() {
         let c = ServiceConfig::new(MachineConfig::paper_default(16));
-        assert_eq!(c.shards, 16 * 64);
         assert!(c.admission_backlog.is_none());
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic]
-    fn too_few_shards_rejected() {
-        let mut c = ServiceConfig::new(MachineConfig::paper_default(8));
-        c.shards = 4;
         c.validate();
     }
 
@@ -156,14 +140,6 @@ mod tests {
     #[should_panic]
     fn non_finite_window_rejected() {
         let _ = ServiceConfig::new(MachineConfig::paper_default(2)).with_window(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one client")]
-    fn zero_clients_rejected() {
-        let mut c = ServiceConfig::new(MachineConfig::paper_default(2));
-        c.clients = 0;
-        c.validate();
     }
 
     #[test]

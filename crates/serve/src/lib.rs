@@ -19,9 +19,9 @@
 //!
 //! ## Modules
 //!
-//! * [`config`] — [`ServiceConfig`], the scenario: client population,
-//!   shard count, value size, get/put mix, arrival window, offered
-//!   load, optional admission control.
+//! * [`config`] — [`ServiceConfig`], the scenario: value size, get/put
+//!   mix, arrival window, offered load, optional admission control;
+//!   and the client population and shards per node every scenario has.
 //! * [`arrival`] — the seeded arrival process. Transaction `i` is a
 //!   pure SplitMix64 function of `(seed, i)`, so runs replay exactly
 //!   and raising the load strictly extends the transaction stream.

@@ -5,9 +5,9 @@
 //! * [`NetConfig`] — the raw *hardware* network of Table 3
 //!   (gap = 3 cycles/byte, per-message overhead = 400 cycles,
 //!   latency = 1600 cycles by default).
-//! * [`CpuConfig`] — Table 2's node, reduced to a cycles-per-operation
-//!   rate at 400 MHz (the paper never varies CPU parameters, so the
-//!   superscalar pipeline is summarized by this single constant; see
+//! * Table 2's node, reduced to one local operation per cycle at
+//!   [`CLOCK_HZ`] (the paper never varies CPU parameters, so the
+//!   superscalar pipeline is summarized by this single rate; see
 //!   DESIGN.md for the substitution rationale).
 //! * [`SoftwareConfig`] — the shared-memory library's costs: per-item
 //!   marshal/apply/serve CPU work, per-item and per-message wire
@@ -171,29 +171,12 @@ impl NetConfig {
     }
 }
 
-/// Node CPU parameters (Table 2, collapsed).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuConfig {
-    /// Cycles charged per abstract local operation.
-    pub cycles_per_op: f64,
-    /// Clock rate, Hz (used only for cycle↔second conversion in
-    /// reports).
-    pub clock_hz: f64,
-}
-
-impl CpuConfig {
-    /// The paper's 1998 node: 400 MHz, 4-issue superscalar; sustained
-    /// throughput on the memory-bound loops of these algorithms is
-    /// roughly one useful operation per cycle.
-    pub fn default_1998() -> Self {
-        Self { cycles_per_op: 1.0, clock_hz: 400e6 }
-    }
-
-    /// Cycles for `n` local operations.
-    pub fn ops(&self, n: u64) -> Cycles {
-        Cycles::new(self.cycles_per_op * n as f64)
-    }
-}
+/// The node clock, Hz: the paper's 1998 node (Table 2) runs at
+/// 400 MHz, 4-issue superscalar; sustained throughput on the
+/// memory-bound loops of these algorithms is roughly one useful
+/// operation per cycle, so a local operation is charged one cycle.
+/// Used only for cycle↔second conversion in reports.
+pub const CLOCK_HZ: f64 = 400e6;
 
 /// Shared-memory library software costs.
 ///
@@ -265,8 +248,6 @@ pub struct MachineConfig {
     pub p: usize,
     /// Network hardware.
     pub net: NetConfig,
-    /// Node CPU.
-    pub cpu: CpuConfig,
     /// Shared-memory library costs.
     pub sw: SoftwareConfig,
     /// Optional heterogeneity: `(node, factor)` makes one node's CPU
@@ -286,7 +267,6 @@ impl MachineConfig {
         Self {
             p,
             net: NetConfig::paper_default(),
-            cpu: CpuConfig::default_1998(),
             sw: SoftwareConfig::calibrated(),
             straggler: None,
         }
@@ -406,7 +386,6 @@ mod tests {
         assert_eq!(m.net.gap_per_byte, 3.0);
         assert_eq!(m.net.send_overhead, 400.0);
         assert_eq!(m.net.latency, 1600.0);
-        assert_eq!(m.cpu.clock_hz, 400e6);
     }
 
     #[test]
@@ -423,14 +402,6 @@ mod tests {
         assert_eq!(m.net.send_overhead, 50.0);
         assert_eq!(m.net.recv_overhead, 50.0);
         assert_eq!(m.net.gap_per_byte, 3.0);
-    }
-
-    #[test]
-    fn cpu_ops_scale_linearly() {
-        let c = CpuConfig::default_1998();
-        assert_eq!(c.ops(1000).get(), 1000.0);
-        let slow = CpuConfig { cycles_per_op: 2.5, clock_hz: 400e6 };
-        assert_eq!(slow.ops(4).get(), 10.0);
     }
 
     #[test]

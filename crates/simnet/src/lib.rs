@@ -108,7 +108,7 @@ pub mod timeline;
 pub mod topology;
 pub mod trace;
 
-pub use config::{BankModel, CpuConfig, ExchangeOrder, MachineConfig, NetConfig, SoftwareConfig};
+pub use config::{BankModel, ExchangeOrder, MachineConfig, NetConfig, SoftwareConfig, CLOCK_HZ};
 pub use fault::FaultConfig;
 pub use message::{Injection, MsgKind};
 pub use network::{Delivery, Network};

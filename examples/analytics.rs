@@ -14,7 +14,7 @@
 
 use qsm::algorithms::{gen, histogram, prefix, samplesort, seq};
 use qsm::core::SimMachine;
-use qsm::simnet::MachineConfig;
+use qsm::simnet::{MachineConfig, CLOCK_HZ};
 
 fn main() {
     let p = 16;
@@ -22,7 +22,7 @@ fn main() {
     let buckets = 128;
     let cfg = MachineConfig::paper_default(p);
     let machine = SimMachine::new(cfg);
-    let us = |cycles: f64| cycles / (cfg.cpu.clock_hz / 1e6);
+    let us = |cycles: f64| cycles / (CLOCK_HZ / 1e6);
 
     // Latency samples in microseconds (uniform noise in [0, 100ms)
     // stands in for a production distribution).

@@ -63,7 +63,7 @@ fn main() {
         o: cfg.net.send_overhead,
         g_per_byte: cfg.net.gap_per_byte,
         estimated: false,
-        paper_nmin_per_p: None,
+        paper_nmin_per_p: "",
     };
     let model = NminModel::fit(&this_machine, 600.0, 0.03, 0.18);
     println!("\nextrapolated minimum problem size per processor (illustrative slopes):");

@@ -15,7 +15,7 @@
 
 use qsm::algorithms::{gen, listrank, seq};
 use qsm::core::{EffectiveCosts, SimMachine};
-use qsm::simnet::MachineConfig;
+use qsm::simnet::{MachineConfig, CLOCK_HZ};
 
 fn main() {
     let p = 16;
@@ -36,7 +36,7 @@ fn main() {
     let first = run.ranks.iter().position(|&r| r == (n - 1) as u64).unwrap();
     assert_eq!(first, head);
 
-    let us = |cycles: f64| cycles / (cfg.cpu.clock_hz / 1e6);
+    let us = |cycles: f64| cycles / (CLOCK_HZ / 1e6);
     println!("  head fragment: {head}; phases: {}", run.phases());
     println!("  total  {:>10.1} us", us(run.total()));
     println!("  comm   {:>10.1} us", us(run.comm()));

@@ -13,10 +13,10 @@
 //! model whether the problem size is in the regime where the simple
 //! QSM analysis can be trusted (the paper's n_min discussion).
 
-use qsm::algorithms::samplesort::{self, DEFAULT_OVERSAMPLING};
+use qsm::algorithms::samplesort;
 use qsm::algorithms::{gen, seq};
 use qsm::core::{EffectiveCosts, SimMachine};
-use qsm::simnet::MachineConfig;
+use qsm::simnet::{MachineConfig, CLOCK_HZ};
 
 fn main() {
     let p = 16;
@@ -31,7 +31,7 @@ fn main() {
     let run = samplesort::run_on(&machine, &events);
     assert_eq!(run.output, seq::sorted(&events), "sorted output must match the oracle");
 
-    let us = |cycles: f64| cycles / (cfg.cpu.clock_hz / 1e6);
+    let us = |cycles: f64| cycles / (CLOCK_HZ / 1e6);
     println!("  total  {:>10.1} us", us(run.total()));
     println!("  comm   {:>10.1} us", us(run.comm()));
     println!(
@@ -43,9 +43,9 @@ fn main() {
 
     // Compare against the paper's analysis lines.
     let params = EffectiveCosts::measure(cfg);
-    let best = samplesort::predict_best(n, DEFAULT_OVERSAMPLING, &params);
-    let whp = samplesort::predict_whp(n, DEFAULT_OVERSAMPLING, &params);
-    let est = samplesort::predict_estimate(n, &run, DEFAULT_OVERSAMPLING, &params);
+    let best = samplesort::predict_best(n, &params);
+    let whp = samplesort::predict_whp(n, &params);
+    let est = samplesort::predict_estimate(n, &run, &params);
     println!("\n  predicted communication (effective gaps, cycles -> us):");
     println!("    best case    {:>10.1} us", us(best.qsm));
     println!("    measured     {:>10.1} us", us(run.comm()));

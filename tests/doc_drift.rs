@@ -240,7 +240,7 @@ fn crate_names(src: &Path) -> BTreeSet<String> {
 #[test]
 fn the_path_scanner_sees_what_it_must() {
     let line = "`core::spmd` and `qsm_bench::knobs()`, `qsm::models::nmin`, \
-                `simnet::config::CpuConfig`, `crate::obs`, `std::core::x`, \
+                `simnet::config::NetConfig`, `crate::obs`, `std::core::x`, \
                 `tests/sim_on_pool.rs`, `sim_timer.rs::tests`, `a.rs` and `Cycles`";
     let (modules, files) = quoted_paths(line);
     assert_eq!(

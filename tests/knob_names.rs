@@ -27,7 +27,7 @@ fn knob_names() -> BTreeSet<&'static str> {
     let start = src.find("pub const NAMES").expect("Knobs::NAMES");
     let list = &src[start..start + src[start..].find("];").unwrap()];
     let names: BTreeSet<&str> = list.split('"').skip(1).step_by(2).collect();
-    assert_eq!(names.len(), 18, "{names:?}");
+    assert_eq!(names.len(), 14, "{names:?}");
     names
 }
 
