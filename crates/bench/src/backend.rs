@@ -25,14 +25,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Short stable name (matches [`qsm_core::Machine::backend_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Threads => "threads",
-        }
-    }
-
     /// Build the machine for one measurement run. On the threads
     /// backend, `cfg` becomes the reference machine its
     /// [`qsm_core::CostReport`] predictions are computed against.
@@ -107,11 +99,11 @@ mod tests {
     #[test]
     fn machines_carry_backend_identity() {
         let cfg = MachineConfig::paper_default(4);
-        for b in [Backend::Sim, Backend::Threads] {
+        for (b, name) in [(Backend::Sim, "sim"), (Backend::Threads, "threads")] {
             let m = b.machine(cfg, 7);
             assert_eq!(m.nprocs(), 4);
             assert_eq!(m.seed(), 7);
-            assert_eq!(m.backend_name(), b.name());
+            assert_eq!(m.backend_name(), name);
         }
     }
 

@@ -20,7 +20,7 @@
 use qsm_core::{Layout, SimMachine};
 use qsm_simnet::{ExchangeOrder, MachineConfig};
 
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::{Report, RunCfg};
 
 /// Communication time of a balanced all-to-all of `words` words per
@@ -67,7 +67,6 @@ fn skewed_comm(p: usize, words: usize, layout: Layout) -> f64 {
 
 /// Run both ablations.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ablations", cfg);
     crate::backend::warn_sim_only("ablations");
     let words = if cfg.fast { 2_000 } else { 20_000 };
     let p = cfg.p;
@@ -102,7 +101,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         Job::Skew(Layout::Hashed),
         Job::Skew(Layout::Block),
     ];
-    let times = crate::sweep::map(p, jobs, |_, job| match job {
+    let times = crate::sweep::map("ablations", cfg, p, jobs, |_, job| match job {
         Job::A2a(mc, order) => all_to_all_comm(mc, words, order),
         Job::Skew(layout) => skewed_comm(p, words, layout),
     });
@@ -139,12 +138,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     ]);
 
     let headers = ["ablation", "variant", "comm_us", "vs_baseline"];
-    Report {
-        id: "ablations",
-        title: "runtime design-choice ablations: exchange schedule and randomized layout",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ablations",
+        "runtime design-choice ablations: exchange schedule and randomized layout",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use qsm_membank::{platform, Pattern};
 use qsm_simnet::{BankModel, MachineConfig};
 
 use crate::knobs::DEFAULT_BANK_SERVICE;
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
@@ -121,13 +121,13 @@ fn closed_loop_ratios(accesses: usize) -> Vec<(Pattern, f64)> {
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ext_banks", cfg);
     crate::backend::warn_sim_only("ext_banks");
     let w = if cfg.fast { 64 } else { 256 };
     let accesses = if cfg.fast { 2_000 } else { 20_000 }; // fig7's counts
     let patterns = Pattern::all().to_vec();
-    let measured =
-        crate::sweep::map(P, patterns.clone(), |point, pat| measure(pat, w, cfg.seed(point, 0)));
+    let measured = crate::sweep::map("ext_banks", cfg, P, patterns.clone(), |point, pat| {
+        measure(pat, w, cfg.seed(point, 0))
+    });
     let closed = closed_loop_ratios(accesses);
     let noc_comm = measured[patterns
         .iter()
@@ -164,12 +164,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         "qsm_pred_us",
         "sqsm_pred_us",
     ];
-    Report {
-        id: "ext_banks",
-        title: "extension: bank contention through the get/put/sync pipeline",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ext_banks",
+        "extension: bank contention through the get/put/sync pipeline",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

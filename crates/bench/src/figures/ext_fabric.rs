@@ -18,7 +18,7 @@ use qsm_algorithms::{gen, samplesort};
 use qsm_core::SimMachine;
 use qsm_simnet::MachineConfig;
 
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::{Report, RunCfg};
 
 /// Fabric gaps swept, in cycles/byte machine-wide (plus the no-fabric
@@ -36,7 +36,6 @@ pub fn fabric_gaps(p: usize) -> Vec<Option<f64>> {
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ext_fabric", cfg);
     crate::backend::warn_sim_only("ext_fabric");
     let n = if cfg.fast { 1 << 14 } else { 1 << 17 };
     let input = gen::random_u32s(n, 0xFAB);
@@ -44,7 +43,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     // same input; the baseline row is simply the first result, so
     // ratios are computed after the fan-out.
     let gaps = fabric_gaps(cfg.p);
-    let comms = crate::sweep::map(cfg.p, gaps.clone(), |_, fabric| {
+    let comms = crate::sweep::map("ext_fabric", cfg, cfg.p, gaps.clone(), |_, fabric| {
         let mut machine_cfg = MachineConfig::paper_default(cfg.p);
         if let Some(f) = fabric {
             machine_cfg = machine_cfg.with_fabric(f);
@@ -64,12 +63,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         })
         .collect();
     let headers = ["fabric_gap_cyc_per_byte", "comm_us", "vs_no_fabric"];
-    Report {
-        id: "ext_fabric",
-        title: "extension: shared-fabric contention vs sample-sort communication",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ext_fabric",
+        "extension: shared-fabric contention vs sample-sort communication",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@ use qsm_algorithms::{gen, samplesort};
 use qsm_core::{Machine, SimMachine};
 use qsm_simnet::{FaultConfig, MachineConfig};
 
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
+use crate::sweep::map_surviving;
 use crate::{Report, RunCfg};
 
 /// The seed of every point's drop schedule.
@@ -40,14 +41,13 @@ pub const DROP_PROBS: [f64; 6] = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2];
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ext_faults", cfg);
     crate::backend::warn_sim_only("ext_faults");
     let n = if cfg.fast { 1 << 14 } else { 1 << 17 };
     let input = gen::random_u32s(n, 0xFA17);
     // Each drop probability is an independent simulation of the same
     // input under the same fault seed; rows are self-contained, so a
     // failed point degrades the artifact instead of losing it.
-    let points = crate::sweep::map_surviving(cfg.p, DROP_PROBS.to_vec(), |_, drop_prob| {
+    let points = map_surviving("ext_faults", cfg, cfg.p, DROP_PROBS.to_vec(), |_, drop_prob| {
         let machine_cfg = MachineConfig::paper_default(cfg.p)
             .with_faults(FaultConfig::drops(FAULT_SEED, drop_prob));
         let machine = SimMachine::new(machine_cfg);
@@ -87,12 +87,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         "retries",
         "dropped_msgs",
     ];
-    Report {
-        id: "ext_faults",
-        title: "extension: message loss + retry protocol vs the reliable-network assumption",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ext_faults",
+        "extension: message loss + retry protocol vs the reliable-network assumption",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

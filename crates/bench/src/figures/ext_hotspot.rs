@@ -18,7 +18,7 @@
 use qsm_core::{EffectiveCosts, Layout, SimMachine};
 use qsm_simnet::MachineConfig;
 
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::{Report, RunCfg};
 
 /// Gets issued per processor.
@@ -54,12 +54,11 @@ fn measure(p: usize, hot: bool) -> f64 {
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ext_hotspot", cfg);
     crate::backend::warn_sim_only("ext_hotspot");
     let ps: Vec<usize> = if cfg.fast { vec![2, 4, 8] } else { vec![2, 4, 8, 16] };
     // Rows are fully independent per machine size — each one is its
     // own sweep point (calibration plus both measurements).
-    let rows = crate::sweep::map(cfg.p, ps, |_, p| {
+    let rows = crate::sweep::map("ext_hotspot", cfg, cfg.p, ps, |_, p| {
         let params = EffectiveCosts::measure(MachineConfig::paper_default(p));
         // Model lines (communication only, plus the per-phase L that
         // both share): QSM charges the issuer's words; s-QSM charges
@@ -78,12 +77,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         ]
     });
     let headers = ["p", "spread_us", "hotspot_us", "qsm_pred_us", "sqsm_pred_us", "hot_vs_sqsm"];
-    Report {
-        id: "ext_hotspot",
-        title: "extension: hot-spot gets — s-QSM's g*kappa term vs QSM's kappa",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ext_hotspot",
+        "extension: hot-spot gets — s-QSM's g*kappa term vs QSM's kappa",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use qsm_serve::{model, ServiceConfig};
 use qsm_simnet::{BankModel, MachineConfig};
 
 use crate::knobs::DEFAULT_BANK_SERVICE;
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
@@ -90,12 +90,11 @@ pub fn offered_at(base: &ServiceConfig, pct: usize) -> usize {
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ext_service", cfg);
     crate::backend::warn_sim_only("ext_service");
     let base = base_config(cfg);
     let pcts: Vec<usize> = (1..=LOAD_POINTS).map(|k| MAX_LOAD_PCT * k / LOAD_POINTS).collect();
 
-    let measured = crate::sweep::map(cfg.p, pcts.clone(), |_, pct| {
+    let measured = crate::sweep::map("ext_service", cfg, cfg.p, pcts.clone(), |_, pct| {
         let offered = offered_at(&base, pct);
         let out = qsm_serve::run(&base.clone().with_offered(offered), &qsm_core::obs::recorder());
         Measured {
@@ -161,12 +160,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         "rejected",
         "retries",
     ];
-    Report {
-        id: "ext_service",
-        title: "extension: open-loop serving — throughput knee vs the utilization model",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ext_service",
+        "extension: open-loop serving — throughput knee vs the utilization model",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

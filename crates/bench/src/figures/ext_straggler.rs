@@ -18,7 +18,7 @@ use qsm_algorithms::{gen, samplesort};
 use qsm_core::{EffectiveCosts, SimMachine};
 use qsm_simnet::MachineConfig;
 
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::{Report, RunCfg};
 
 /// Straggler slowdown factors swept.
@@ -26,7 +26,6 @@ pub const FACTORS: [f64; 5] = [1.0, 1.5, 2.0, 4.0, 8.0];
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ext_straggler", cfg);
     crate::backend::warn_sim_only("ext_straggler");
     let n = if cfg.fast { 1 << 14 } else { 1 << 17 };
     let input = gen::random_u32s(n, 0x57A6);
@@ -34,7 +33,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     // Each slowdown factor is an independent simulation of the same
     // input; the pred_drift column references factor 1.0's prediction,
     // so fan out the measurements and build the rows afterwards.
-    let points = crate::sweep::map(cfg.p, FACTORS.to_vec(), |_, factor| {
+    let points = crate::sweep::map("ext_straggler", cfg, cfg.p, FACTORS.to_vec(), |_, factor| {
         let mut machine_cfg = MachineConfig::paper_default(cfg.p);
         if factor > 1.0 {
             machine_cfg = machine_cfg.with_straggler(0, factor);
@@ -68,12 +67,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         .collect();
     let headers =
         ["straggler_factor", "measured_us", "model_pred_us", "pred_drift", "measured_over_pred"];
-    Report {
-        id: "ext_straggler",
-        title: "extension: one slow node vs the identical-processors assumption",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ext_straggler",
+        "extension: one slow node vs the identical-processors assumption",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 use qsm_core::{Machine, SimMachine};
 use qsm_simnet::{MachineConfig, TopologyKind};
 
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
@@ -96,14 +96,14 @@ fn measure(algo: &str, topo: TopologyKind, n: usize, seed: u64) -> Measured {
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("ext_topology", cfg);
     crate::backend::warn_sim_only("ext_topology");
     let n = if cfg.fast { 1 << 13 } else { 1 << 16 };
     let topos = topologies(P);
     let items: Vec<(&'static str, TopologyKind)> =
         ALGOS.iter().flat_map(|&algo| topos.iter().map(move |&t| (algo, t))).collect();
-    let measured =
-        crate::sweep::map(P, items.clone(), |_, (algo, topo)| measure(algo, topo, n, 0x7090));
+    let measured = crate::sweep::map("ext_topology", cfg, P, items.clone(), |_, (algo, topo)| {
+        measure(algo, topo, n, 0x7090)
+    });
     let rows: Vec<Vec<String>> = items
         .iter()
         .zip(&measured)
@@ -136,12 +136,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         "max_link_util_pct",
         "qsm_pred_us",
     ];
-    Report {
-        id: "ext_topology",
-        title: "extension: routed multi-hop fabrics vs the flat wire at fixed g, l, o",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "ext_topology",
+        "extension: routed multi-hop fabrics vs the flat wire at fixed g, l, o",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::stats::{mean, rel_stddev_pct};
 use crate::{Report, RunCfg};
 
@@ -25,7 +25,6 @@ pub fn run(cfg: &RunCfg) -> Report {
 /// the backend's time (converted to µs); the model prediction columns
 /// are always in the paper machine's simulated µs.
 pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
-    crate::journal::set_figure("fig1", cfg);
     let machine_cfg = MachineConfig::paper_default(cfg.p);
     let params = EffectiveCosts::measure(machine_cfg);
     let pred = prefix::predict(&params);
@@ -34,7 +33,7 @@ pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
     // across the sweep pool. Seeds stay keyed on (point, rep) and
     // results come back in size order, so the table is byte-identical
     // to a serial run.
-    let rows = crate::sweep::map(cfg.p, cfg.sizes(), |point, n| {
+    let rows = crate::sweep::map("fig1", cfg, cfg.p, cfg.sizes(), |point, n| {
         let mut totals = Vec::new();
         let mut comms = Vec::new();
         for rep in 0..cfg.reps {
@@ -56,12 +55,12 @@ pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
     });
 
     let headers = ["n", "total_us", "comm_us", "comm_sd_pct", "qsm_pred_us", "bsp_pred_us"];
-    Report {
-        id: "fig1",
-        title: "prefix sums: measured vs QSM/BSP predicted (p=16, 400MHz)",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "fig1",
+        "prefix sums: measured vs QSM/BSP predicted (p=16, 400MHz)",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
 use crate::figures::samplesort_comm;
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::{Report, RunCfg};
 
 /// Latency values swept (cycles).
@@ -26,7 +26,6 @@ pub fn latencies(fast: bool) -> Vec<f64> {
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("fig4", cfg);
     crate::backend::warn_sim_only("fig4");
     // Prediction lines use the default machine's effective costs:
     // QSM does not model latency, so its lines must not move.
@@ -42,7 +41,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             grid.push((l, point, n));
         }
     }
-    let rows = crate::sweep::map(cfg.p, grid, |_, (l, point, n)| {
+    let rows = crate::sweep::map("fig4", cfg, cfg.p, grid, |_, (l, point, n)| {
         let machine_cfg = MachineConfig::paper_default(cfg.p).with_latency(l);
         let comm = samplesort_comm(machine_cfg, n, cfg, point);
         let best = samplesort::predict_best(n, &params);
@@ -57,12 +56,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     });
 
     let headers = ["latency_cyc", "n", "comm_us", "best_qsm_us", "whp_qsm_us"];
-    Report {
-        id: "fig4",
-        title: "sample sort comm vs n as latency varies (QSM lines constant)",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "fig4",
+        "sample sort comm vs n as latency varies (QSM lines constant)",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

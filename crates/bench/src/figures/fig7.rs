@@ -10,7 +10,6 @@
 
 use qsm_membank::{platform, run_all, NativeBank, Pattern, Sample, SimBank};
 
-use crate::output::{csv, table};
 use crate::{Report, RunCfg};
 
 /// Append one panel of (pattern, sample) rows, normalized against
@@ -38,7 +37,6 @@ fn push_panel(
 /// microbenchmark loop; only the [`qsm_membank::BankBackend`]
 /// differs.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("fig7", cfg);
     let accesses = if cfg.fast { 2_000 } else { 20_000 };
     let mut rows = Vec::new();
     for m in platform::figure7_machines() {
@@ -53,12 +51,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     push_panel(&mut rows, &format!("host ({threads} threads; native atomics)"), &native, 1);
 
     let headers = ["platform", "pattern", "avg_ns", "queue_ns", "vs_noconflict"];
-    Report {
-        id: "fig7",
-        title: "memory-bank contention: Random/Conflict/NoConflict across platforms",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "fig7",
+        "memory-bank contention: Random/Conflict/NoConflict across platforms",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

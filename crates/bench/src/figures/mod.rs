@@ -47,7 +47,7 @@ use qsm_models::nmin::{linear_fit, r_squared};
 use qsm_simnet::MachineConfig;
 
 use crate::backend::Backend;
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::stats::{cross_interpolate, mean};
 use crate::{Report, RunCfg};
 
@@ -91,13 +91,12 @@ pub(crate) fn estimate_sweep(
     kernel: impl Fn(&AnyMachine, usize, u64, &EffectiveCosts) -> (f64, f64, Prediction) + Sync,
     bounds: impl Fn(usize, &EffectiveCosts) -> (Prediction, Prediction) + Sync,
 ) -> Report {
-    crate::journal::set_figure(id, cfg);
     let machine_cfg = MachineConfig::paper_default(cfg.p);
     let params = EffectiveCosts::measure(machine_cfg);
 
     // Independent per size — fanned across the sweep pool; rows return
     // in size order.
-    let rows = crate::sweep::map(cfg.p, cfg.sizes(), |point, n| {
+    let rows = crate::sweep::map(id, cfg, cfg.p, cfg.sizes(), |point, n| {
         let mut totals = Vec::new();
         let mut comms = Vec::new();
         let mut est_qsm = Vec::new();
@@ -136,7 +135,7 @@ pub(crate) fn estimate_sweep(
         "bsp_est_us",
         "qsm_est_err_pct",
     ];
-    Report { id, title, text: table(&headers, &rows), csv: csv(&headers, &rows) }
+    Report::table(id, title, &headers, &rows)
 }
 
 /// The points of a crossover sweep: `(swept value, n_cross)`, `None`
@@ -182,11 +181,13 @@ impl CrossoverFigure {
     /// Sweep, and leave the points for later readers. [`Self::run`]
     /// calls this and never reads the memo: a figure that is run does
     /// its work, so its journal, its progress lines and its timing are
-    /// those of a sweep whatever the process ran before. The lock is
-    /// not held across the sweep.
+    /// those of a sweep whatever the process ran before. Whoever asks,
+    /// the sweep is this figure's: `table4` run alone journals and
+    /// replays these points under the fingerprint the figure's own run
+    /// writes. The lock is not held across the sweep.
     fn sweep(&self, cfg: &RunCfg) -> Crossovers {
         let params = EffectiveCosts::measure(MachineConfig::paper_default(cfg.p));
-        let points = crate::sweep::map(cfg.p, (self.values)(cfg.fast), |_, x| {
+        let points = crate::sweep::map(self.id, cfg, cfg.p, (self.values)(cfg.fast), |_, x| {
             let machine_cfg = (self.vary)(MachineConfig::paper_default(cfg.p), x);
             (x, samplesort_crossover(machine_cfg, cfg, &params))
         });
@@ -204,7 +205,6 @@ impl CrossoverFigure {
 
     /// Run the experiment.
     pub(crate) fn run(&self, cfg: &RunCfg) -> Report {
-        crate::journal::set_figure(self.id, cfg);
         crate::backend::warn_sim_only(self.id);
         let points = self.sweep(cfg);
         let rows: Vec<Vec<String>> = points
@@ -218,16 +218,16 @@ impl CrossoverFigure {
             .collect();
         let fit_pts: Vec<(f64, f64)> = points.iter().filter_map(|&(x, n)| Some((x, n?))).collect();
         let headers = [self.header, "n_cross", "n_cross_per_proc"];
-        let mut text = table(&headers, &rows);
+        let mut report = Report::table(self.id, self.title, &headers, &rows);
         if fit_pts.len() >= 2 {
             let (slope, intercept) = linear_fit(&fit_pts);
             let r2 = r_squared(&fit_pts, slope, intercept);
-            text.push_str(&format!(
+            report.text.push_str(&format!(
                 "\nlinear fit: n_cross = {slope:.2}·{} + {intercept:.0}   (R² = {r2:.3})\n",
                 self.symbol
             ));
         }
-        Report { id: self.id, title: self.title, text, csv: csv(&headers, &rows) }
+        report
     }
 }
 

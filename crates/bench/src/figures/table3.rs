@@ -10,7 +10,7 @@
 use qsm_core::EffectiveCosts;
 use qsm_simnet::MachineConfig;
 
-use crate::output::{csv, table, us_at_400mhz};
+use crate::output::us_at_400mhz;
 use crate::{Report, RunCfg};
 
 /// Paper reference values for the observed rows.
@@ -21,12 +21,10 @@ pub const PAPER_GET_CPB: f64 = 287.0;
 pub const PAPER_L: f64 = 25_500.0;
 
 /// Run the experiment.
-pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("table3", cfg);
+pub fn run(_cfg: &RunCfg) -> Report {
     crate::backend::warn_sim_only("table3");
     let machine_cfg = MachineConfig::paper_default(16); // Table 3 is p=16
     let costs = EffectiveCosts::measure(machine_cfg);
-    let _ = cfg;
 
     let rows = vec![
         vec![
@@ -72,12 +70,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     ];
 
     let headers = ["parameter", "hardware setting", "observed (HW+SW)", "paper observed"];
-    Report {
-        id: "table3",
-        title: "raw hardware vs measured network performance (simulated library)",
-        text: table(&headers, &rows),
-        csv: csv(&headers, &rows),
-    }
+    Report::table(
+        "table3",
+        "raw hardware vs measured network performance (simulated library)",
+        &headers,
+        &rows,
+    )
 }
 
 #[cfg(test)]

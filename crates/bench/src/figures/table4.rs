@@ -18,7 +18,6 @@ use qsm_models::nmin::{linear_fit, NminModel};
 use qsm_simnet::MachineConfig;
 
 use crate::figures::{fig5, fig6, samplesort_crossover};
-use crate::output::{csv, table};
 use crate::{Report, RunCfg};
 
 /// Fit the extrapolation model from the crossover sweeps.
@@ -58,7 +57,6 @@ pub fn fit_model(cfg: &RunCfg) -> Option<NminModel> {
 
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
-    crate::journal::set_figure("table4", cfg);
     crate::backend::warn_sim_only("table4");
     let model = fit_model(cfg);
 
@@ -89,21 +87,21 @@ pub fn run(cfg: &RunCfg) -> Report {
         "nmin",
         "paper_nmin_per_p",
     ];
-    let mut text = table(&headers, &rows);
+    let mut report = Report::table(
+        "table4",
+        "minimum problem size for QSM accuracy, extrapolated across architectures",
+        &headers,
+        &rows,
+    );
     if let Some(mdl) = &model {
-        text.push_str(&format!(
+        report.text.push_str(&format!(
             "\nfitted model: n_min/p = {:.3}·l + {:.3}·o + {:.0}, scaled by g_ref/g\n",
             mdl.slope_l, mdl.slope_o, mdl.intercept
         ));
     } else {
-        text.push_str("\n(no crossovers found in sweep; model not fitted)\n");
+        report.text.push_str("\n(no crossovers found in sweep; model not fitted)\n");
     }
-    Report {
-        id: "table4",
-        title: "minimum problem size for QSM accuracy, extrapolated across architectures",
-        text,
-        csv: csv(&headers, &rows),
-    }
+    report
 }
 
 #[cfg(test)]

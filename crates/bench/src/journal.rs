@@ -2,17 +2,21 @@
 //! `QSM_RESUME` checkpoint ledger built on it.
 //!
 //! With `QSM_RUN_LOG=path.jsonl` set, the sweep executor appends
-//! self-describing JSON records to the journal. Two record kinds
+//! self-describing JSON records to the journal. A record's `figure`
+//! is the owner of its sweep, which every call of [`crate::sweep::map`]
+//! names: whichever binary runs a sweep, its points are filed under
+//! that figure (`table4` run alone journals its crossover sweeps as
+//! `fig5` and `fig6`), so two sweeps never share a fingerprint by
+//! running in one binary. Each sweep opens a `SweepLog` that
+//! computes its configuration and fingerprint once. Two record kinds
 //! cover each measurement point's lifecycle:
 //!
 //! * `sweep_claim` — appended when a worker *starts* a point, before
 //!   any work: `{"v":2,"kind":"sweep_claim","figure":"fig1",
-//!   "fingerprint":"…","point":3,"total":10}`. The claim makes the
-//!   journal a work ledger (a future PR can distribute one sweep
-//!   across processes by treating an unclaimed point as available),
-//!   and `claim` records without a matching completion pinpoint
-//!   where a crashed run died. Replayed points never claim, so the
-//!   claim count is exactly the work each (re)run performed.
+//!   "fingerprint":"…","point":3,"total":10}`. A `claim` record
+//!   without a matching completion pinpoints where a crashed run
+//!   died. Replayed points never claim, so the claim count is exactly
+//!   the work each (re)run performed.
 //! * `sweep_point` — appended when the point completes, `status`
 //!   `ok` or `failed` (then `error` carries the panic message and
 //!   there is no `result`):
@@ -67,7 +71,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use qsm_obs::{json_escape, json_unescape, read_complete_lines, RunJournal};
 
@@ -78,10 +82,9 @@ use crate::RunCfg;
 /// of the fingerprint.
 const SCHEMA: u32 = 2;
 
-/// Figure and run configuration the next records are attributed to.
-static CTX: Mutex<(&str, RunCfg)> = Mutex::new(("?", RunCfg { p: 0, reps: 0, fast: false }));
 static JOURNAL: OnceLock<Option<(RunJournal, PathBuf)>> = OnceLock::new();
 
+/// The process's journal file and its path, opened on first use.
 fn journal() -> Option<&'static (RunJournal, PathBuf)> {
     JOURNAL
         .get_or_init(|| {
@@ -102,19 +105,6 @@ fn journal() -> Option<&'static (RunJournal, PathBuf)> {
             }
         })
         .as_ref()
-}
-
-/// Whether a journal is active (decides if the sweep executor times
-/// its points).
-pub(crate) fn active() -> bool {
-    journal().is_some()
-}
-
-/// Attribute subsequent sweep points to `figure` under `cfg`. Each
-/// figure's entry point calls this before running its sweeps; a
-/// binary running several figures (`all`) just re-points the context.
-pub fn set_figure(figure: &'static str, cfg: &RunCfg) {
-    *CTX.lock().unwrap_or_else(|e| e.into_inner()) = (figure, cfg.clone());
 }
 
 /// FNV-1a over `s` — a stable, dependency-free content hash for the
@@ -149,12 +139,6 @@ fn hash(config: &str) -> String {
     format!("{:016x}", fnv1a(config))
 }
 
-/// The current sweep's figure and [`config`].
-fn current(total: usize) -> (&'static str, String) {
-    let (figure, cfg) = CTX.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    (figure, config(figure, &cfg, total, &knobs().result))
-}
-
 /// A value of a journal record.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
@@ -163,25 +147,6 @@ enum Value {
     Num(f64),
     /// The point's encoded result.
     List(Vec<String>),
-}
-
-/// The opening fields of a record of `kind` for point `index` of a
-/// sweep of `figure` under `config`.
-fn head(
-    kind: &str,
-    figure: &str,
-    config: &str,
-    index: usize,
-    total: usize,
-) -> Vec<(&'static str, Value)> {
-    vec![
-        ("v", Value::Num(SCHEMA.into())),
-        ("kind", Value::Str(kind.into())),
-        ("figure", Value::Str(figure.into())),
-        ("fingerprint", Value::Str(hash(config))),
-        ("point", Value::Num(index as f64)),
-        ("total", Value::Num(total as f64)),
-    ]
 }
 
 /// `fields` as one JSON object, in order.
@@ -249,97 +214,129 @@ fn parse(line: &str) -> Option<Vec<(String, Value)>> {
     }
 }
 
+/// The journal of one sweep: the owner, [`config`] and fingerprint
+/// every record of the sweep carries, computed once when the sweep
+/// opens it, and the sweep's worker count.
+pub(crate) struct SweepLog {
+    figure: &'static str,
+    config: String,
+    fingerprint: String,
+    total: usize,
+    jobs: usize,
+}
+
+impl SweepLog {
+    /// The journal of a `total`-point sweep owned by `figure` under
+    /// `cfg`, run by `jobs` workers, or `None` when no journal is
+    /// active.
+    pub(crate) fn open(
+        figure: &'static str,
+        cfg: &RunCfg,
+        total: usize,
+        jobs: usize,
+    ) -> Option<Self> {
+        journal()?;
+        let config = config(figure, cfg, total, &knobs().result);
+        Some(SweepLog { figure, fingerprint: hash(&config), config, total, jobs })
+    }
+
+    /// The opening fields of a record of `kind` for point `index`.
+    fn head(&self, kind: &str, index: usize) -> Vec<(&'static str, Value)> {
+        vec![
+            ("v", Value::Num(SCHEMA.into())),
+            ("kind", Value::Str(kind.into())),
+            ("figure", Value::Str(self.figure.into())),
+            ("fingerprint", Value::Str(self.fingerprint.clone())),
+            ("point", Value::Num(index as f64)),
+            ("total", Value::Num(self.total as f64)),
+        ]
+    }
+
+    /// Append a work-claim record for point `index`. Written *before*
+    /// the point runs: a claim without a later completion marks where
+    /// a crashed run died.
+    pub(crate) fn claim(&self, index: usize) {
+        append(&self.head("sweep_claim", index));
+    }
+
+    /// Append point `index`'s completion after `duration_ms`: its
+    /// [`crate::replay::Replay`]-encoded result, or the panic message
+    /// of a failed point.
+    pub(crate) fn point(&self, index: usize, duration_ms: f64, outcome: Result<Vec<String>, &str>) {
+        append(&self.point_fields(index, duration_ms, outcome));
+    }
+
+    /// The fields of [`Self::point`]'s record, in the order they are
+    /// written.
+    fn point_fields(
+        &self,
+        index: usize,
+        duration_ms: f64,
+        outcome: Result<Vec<String>, &str>,
+    ) -> Vec<(&'static str, Value)> {
+        let mut fields = self.head("sweep_point", index);
+        fields.push(("config", Value::Str(self.config.clone())));
+        fields.push(("jobs", Value::Num(self.jobs as f64)));
+        fields.push(("duration_ms", Value::Num((duration_ms * 1e3).round() / 1e3)));
+        match outcome {
+            Ok(result) => {
+                fields.push(("result", Value::List(result)));
+                fields.push(("status", Value::Str("ok".into())));
+            }
+            Err(msg) => {
+                fields.push(("status", Value::Str("failed".into())));
+                fields.push(("error", Value::Str(msg.into())));
+            }
+        }
+        fields
+    }
+
+    /// The replayable results of this sweep: every journaled
+    /// `sweep_point` record that completed `ok`, carries a `result`,
+    /// and matches this sweep's fingerprint and point count. Keyed by
+    /// point index; when a point was journaled more than once (a sweep
+    /// resumed twice, or rerun into the same ledger) the latest record
+    /// wins. Unparseable lines — including a crash's quarantined torn
+    /// tail — are skipped, never fatal.
+    pub(crate) fn replay(&self) -> HashMap<usize, Vec<String>> {
+        let mut out = HashMap::new();
+        let Some((_, path)) = journal() else { return out };
+        let lines = match read_complete_lines(path) {
+            Ok(lines) => lines,
+            Err(e) => {
+                eprintln!("warning: cannot read QSM_RUN_LOG for resume: {e}");
+                return out;
+            }
+        };
+        for rec in lines.iter().filter_map(|line| parse(line)) {
+            let get = |key: &str| rec.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let is = |key: &str, want: &str| matches!(get(key), Some(Value::Str(s)) if s == want);
+            let count = |key: &str| match get(key) {
+                Some(&Value::Num(n)) if n.fract() == 0.0 => Some(n as usize),
+                _ => None,
+            };
+            let (Some(point), Some(Value::List(result))) = (count("point"), get("result")) else {
+                continue;
+            };
+            if is("kind", "sweep_point")
+                && is("status", "ok")
+                && is("fingerprint", &self.fingerprint)
+                && count("total") == Some(self.total)
+                && point < self.total
+            {
+                out.insert(point, result.clone());
+            }
+        }
+        out
+    }
+}
+
 /// Append `fields` as one record (no-op when inactive).
 fn append(fields: &[(&str, Value)]) {
     let Some((journal, _)) = journal() else { return };
     if let Err(e) = journal.append(&render(fields)) {
         eprintln!("warning: cannot append to QSM_RUN_LOG: {e}");
     }
-}
-
-/// Append a work-claim record for point `index` of a `total`-point
-/// sweep (no-op when inactive). Written *before* the point runs: a
-/// claim without a later completion marks where a crashed run died.
-pub(crate) fn record_claim(index: usize, total: usize) {
-    let (figure, config) = current(total);
-    append(&head("sweep_claim", figure, &config, index, total));
-}
-
-/// One completed sweep point, reported by the executor.
-pub(crate) struct PointRecord<'a> {
-    pub index: usize,
-    pub total: usize,
-    pub jobs: usize,
-    pub duration_ms: f64,
-    /// The point's [`crate::replay::Replay`]-encoded result, or the
-    /// panic message of a failed point.
-    pub outcome: Result<Vec<String>, &'a str>,
-}
-
-/// The fields of `rec`'s `sweep_point` record in a sweep of `figure`
-/// under `config`, in the order they are written.
-fn point_fields(figure: &str, config: String, rec: &PointRecord<'_>) -> Vec<(&'static str, Value)> {
-    let mut fields = head("sweep_point", figure, &config, rec.index, rec.total);
-    fields.push(("config", Value::Str(config)));
-    fields.push(("jobs", Value::Num(rec.jobs as f64)));
-    fields.push(("duration_ms", Value::Num((rec.duration_ms * 1e3).round() / 1e3)));
-    match &rec.outcome {
-        Ok(result) => {
-            fields.push(("result", Value::List(result.clone())));
-            fields.push(("status", Value::Str("ok".into())));
-        }
-        Err(msg) => {
-            fields.push(("status", Value::Str("failed".into())));
-            fields.push(("error", Value::Str(msg.to_string())));
-        }
-    }
-    fields
-}
-
-/// Append `rec` to the journal (no-op when inactive).
-pub(crate) fn record_point(rec: &PointRecord<'_>) {
-    let (figure, config) = current(rec.total);
-    append(&point_fields(figure, config, rec));
-}
-
-/// Load the replayable results for the current figure's `total`-point
-/// sweep: every journaled `sweep_point` record that completed `ok`,
-/// carries a `result`, and matches this run's fingerprint. Keyed by
-/// point index; when a point was journaled more than once (a sweep
-/// resumed twice, or rerun into the same ledger) the latest record
-/// wins. Unparseable lines — including a crash's quarantined torn
-/// tail — are skipped, never fatal.
-pub(crate) fn load_replay(total: usize) -> HashMap<usize, Vec<String>> {
-    let mut out = HashMap::new();
-    let Some((_, path)) = journal() else { return out };
-    let lines = match read_complete_lines(path) {
-        Ok(lines) => lines,
-        Err(e) => {
-            eprintln!("warning: cannot read QSM_RUN_LOG for resume: {e}");
-            return out;
-        }
-    };
-    let want = hash(&current(total).1);
-    for rec in lines.iter().filter_map(|line| parse(line)) {
-        let get = |key: &str| rec.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let is = |key: &str, want: &str| matches!(get(key), Some(Value::Str(s)) if s == want);
-        let count = |key: &str| match get(key) {
-            Some(&Value::Num(n)) if n.fract() == 0.0 => Some(n as usize),
-            _ => None,
-        };
-        let (Some(point), Some(Value::List(result))) = (count("point"), get("result")) else {
-            continue;
-        };
-        if is("kind", "sweep_point")
-            && is("status", "ok")
-            && is("fingerprint", &want)
-            && count("total") == Some(total)
-            && point < total
-        {
-            out.insert(point, result.clone());
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -371,24 +368,29 @@ pub(crate) mod tests {
         assert_ne!(a, fingerprint("fig1", &more_reps, 10, &knobs), "reps");
     }
 
-    /// Records as `record_claim` and `record_point` render them, with
-    /// results and errors that need every escape and non-ASCII text.
+    /// Records as [`SweepLog::claim`] and [`SweepLog::point`] render
+    /// them, with results and errors that need every escape and
+    /// non-ASCII text.
     fn records() -> Vec<Vec<(&'static str, Value)>> {
         let config = config("fig1", &RunCfg::fast(), 10, &crate::knobs::tests::parse(&[]).result);
-        let point = |outcome: Result<&[&str], &'static str>| PointRecord {
-            index: 3,
+        let log = |figure| SweepLog {
+            figure,
+            fingerprint: hash(&config),
+            config: config.clone(),
             total: 10,
             jobs: 4,
-            duration_ms: 12.345_678,
-            outcome: outcome.map(|r| r.iter().map(|s| s.to_string()).collect()),
+        };
+        let point = |figure, outcome: Result<&[&str], &'static str>| {
+            let outcome = outcome.map(|r| r.iter().map(|s| s.to_string()).collect());
+            log(figure).point_fields(3, 12.345_678, outcome)
         };
         let tricky =
             ["65536", "1.5", "-0.0", "x\"y", "back\\slash", "tab\tnl\ncr\r\u{1}", "κ→∞", ""];
         vec![
-            head("sweep_claim", "fig1", &config, 3, 10),
-            point_fields("fig1", config.clone(), &point(Ok(&tricky))),
-            point_fields("fig1", config.clone(), &point(Ok(&[]))),
-            point_fields("ext\"q", config.clone(), &point(Err("boom \"at\" 3\n\u{7f}é"))),
+            log("fig1").head("sweep_claim", 3),
+            point("fig1", Ok(&tricky)),
+            point("fig1", Ok(&[])),
+            point("ext\"q", Err("boom \"at\" 3\n\u{7f}é")),
         ]
     }
 

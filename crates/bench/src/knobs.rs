@@ -137,6 +137,14 @@ impl Knobs {
             let hint = "expected a non-negative integer";
             parsed(name, get(name), hint, "using the default", |v| v.parse::<usize>().ok())
         };
+        // `explain` builds no machine of 0 processors and no list of 0
+        // nodes: there, 0 is no more usable than garbage.
+        let positive = |name: &str| {
+            let hint = "expected a positive integer";
+            parsed(name, get(name), hint, "using the default", |v| {
+                v.parse().ok().filter(|&n| n > 0)
+            })
+        };
         let path = |name: &str, what: &str| writable(name, what, get(name));
 
         let fast = flag("QSM_FAST", false);
@@ -181,8 +189,8 @@ impl Knobs {
             resume: resume && run_log.is_some(),
             run_log,
             algo: get("QSM_ALGO").unwrap_or("prefix").to_string(),
-            p: number("QSM_P").unwrap_or(8),
-            n: number("QSM_N").unwrap_or(1 << 16),
+            p: positive("QSM_P").unwrap_or(8),
+            n: positive("QSM_N").unwrap_or(1 << 16),
         }
     }
 }
@@ -295,6 +303,12 @@ pub(crate) mod tests {
         // Garbage and negative numbers warn and fall back to the default.
         assert_eq!(jobs("abc"), None);
         assert_eq!(jobs("-3"), None);
+        // `explain` cannot build a machine of no processors or a list
+        // of no nodes.
+        let p = |v: &str| parse(&[("QSM_P", v)]).p;
+        assert_eq!((p("4"), p("0"), p("-1")), (4, 8, 8));
+        let n = |v: &str| parse(&[("QSM_N", v)]).n;
+        assert_eq!((n("1024"), n("0")), (1024, 65536));
     }
 
     #[test]

@@ -50,7 +50,9 @@
 //!   byte-identical to a serial run; it keeps the journal under
 //!   `QSM_RUN_LOG`.
 //! * [`journal`] — the run journal's record, its writer and the reader
-//!   of the per-point ledger `QSM_RESUME=1` resumes from.
+//!   of the per-point ledger `QSM_RESUME=1` resumes from, each sweep's
+//!   records filed under the figure the sweep's caller names as its
+//!   owner.
 //! * [`replay`] — each point's result encoded losslessly for the
 //!   journal, and decoded on resume.
 //! * [`backend`] — resolves `QSM_BACKEND=sim|threads` into a
@@ -59,7 +61,8 @@
 //!   sweeps warn and stay on sim.
 //! * [`obs`] — installs the global recorder from `QSM_TRACE` /
 //!   `QSM_METRICS` and writes the artifacts when the binary ends.
-//! * [`output`] — text-table and CSV rendering.
+//! * [`output`] — text-table and CSV rendering, which a figure reaches
+//!   through [`Report::table`].
 //! * [`stats`] — small statistics helpers for repeated measurements.
 
 #![deny(missing_docs)]
@@ -135,6 +138,17 @@ pub struct Report {
 }
 
 impl Report {
+    /// A report whose text and CSV are both `headers` over `rows`
+    /// ([`output::table`], [`output::csv`]).
+    pub fn table(
+        id: &'static str,
+        title: &'static str,
+        headers: &[&str],
+        rows: &[Vec<String>],
+    ) -> Self {
+        Report { id, title, text: output::table(headers, rows), csv: output::csv(headers, rows) }
+    }
+
     /// Print the report and persist the CSV under
     /// `QSM_RESULTS_DIR/<id>.csv`. IO errors are reported, not fatal.
     pub fn emit(&self) {

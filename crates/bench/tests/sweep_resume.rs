@@ -8,11 +8,13 @@
 //! byte-identical to an uninterrupted run, and (b) re-execute *only*
 //! the unfinished point — asserted via journal record counts, since
 //! every executed point leaves a `sweep_claim` record and every
-//! replayed one does not.
+//! replayed one does not. A resume replays a sweep's points only into
+//! that sweep: a stale configuration replays nothing, and `table4`'s
+//! crossover sweeps replay as the figures that own them.
 //!
-//! Everything runs in subprocesses (`CARGO_BIN_EXE_ext_topology`)
-//! with a fully scrubbed-and-explicit `QSM_*` environment: a process
-//! parses its knobs once.
+//! Everything runs in subprocesses (`CARGO_BIN_EXE_ext_topology` and
+//! the other figure binaries) with a fully scrubbed-and-explicit
+//! `QSM_*` environment: a process parses its knobs once.
 
 mod common;
 
@@ -237,4 +239,85 @@ fn stale_journal_is_fully_rerun_never_replayed() {
     // Figure 1 builds its machine through `ResultKnobs::apply`, so a
     // bank model moves every one of its rows.
     stale_journal_roundtrip("fig1", env!("CARGO_BIN_EXE_fig1_prefix"), ("QSM_BANKS", "4"), 5);
+}
+
+/// The `(figure, fingerprint)` of every `sweep_point` record in `ledger`.
+fn owners(ledger: &str) -> std::collections::BTreeSet<(String, String)> {
+    let field = |line: &str, key: &str| {
+        let rest = line.split(&format!("\"{key}\":\"")).nth(1).unwrap();
+        rest.split('"').next().unwrap().to_string()
+    };
+    ledger
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"sweep_point\""))
+        .map(|l| (field(l, "figure"), field(l, "fingerprint")))
+        .collect()
+}
+
+/// Table 4 run alone sweeps the crossovers of Figures 5 and 6 itself.
+/// Those sweeps stay the figures': they are journaled as `fig5` and
+/// `fig6` under the fingerprints the figure binaries write, so a
+/// resumed `table4` replays each fit from its own points — from its
+/// own journal or from one the two figure binaries wrote — and its
+/// CSV is the clean run's. Filed under one owner, the two three-point
+/// sweeps once shared a fingerprint and the latency fit replayed the
+/// overhead points.
+#[test]
+fn table4_resumes_its_crossovers_as_the_figures_that_own_them() {
+    let table4 = env!("CARGO_BIN_EXE_table4_nmin");
+    let csv_of = |dir: &Path| dir.join("results").join("table4.csv");
+    let clean_dir = fresh_dir("table4-clean");
+    let dir = fresh_dir("table4-journal");
+    let figures_dir = fresh_dir("table4-figures");
+
+    let out = run_fast(table4, &clean_dir, &[("QSM_JOBS", "1")]);
+    assert!(out.status.success(), "clean run failed: {}", String::from_utf8_lossy(&out.stderr));
+    let clean_csv = std::fs::read_to_string(csv_of(&clean_dir)).unwrap();
+
+    // A journaled run, then a resume over its journal.
+    let journal = dir.join("run.jsonl");
+    let journal_s = journal.to_str().unwrap();
+    let out = run_fast(table4, &dir, &[("QSM_JOBS", "1"), ("QSM_RUN_LOG", journal_s)]);
+    assert!(out.status.success());
+    let out = run_fast(
+        table4,
+        &dir,
+        &[("QSM_JOBS", "1"), ("QSM_RUN_LOG", journal_s), ("QSM_RESUME", "1")],
+    );
+    assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(std::fs::read_to_string(csv_of(&dir)).unwrap(), clean_csv, "resumed Table 4");
+    let table4_owners = owners(&std::fs::read_to_string(&journal).unwrap());
+
+    // The figure binaries write the same owners and fingerprints.
+    let figures_journal = figures_dir.join("run.jsonl");
+    let figures_s = figures_journal.to_str().unwrap();
+    for exe in [
+        env!("CARGO_BIN_EXE_fig5_crossover_latency"),
+        env!("CARGO_BIN_EXE_fig6_crossover_overhead"),
+    ] {
+        let out = run_fast(exe, &figures_dir, &[("QSM_JOBS", "1"), ("QSM_RUN_LOG", figures_s)]);
+        assert!(out.status.success(), "{exe}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let ledger = std::fs::read_to_string(&figures_journal).unwrap();
+    let figure_owners = owners(&ledger);
+    let names: Vec<&str> = figure_owners.iter().map(|(f, _)| f.as_str()).collect();
+    assert_eq!(names, ["fig5", "fig6"], "one fingerprint per figure");
+    assert_eq!(table4_owners, figure_owners);
+
+    // Table 4 resumed over the figures' journal replays all six points.
+    let out = run_fast(
+        table4,
+        &figures_dir,
+        &[("QSM_JOBS", "1"), ("QSM_RUN_LOG", figures_s), ("QSM_RESUME", "1")],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resume failed: {stderr}");
+    assert_eq!(count_occurrences(&stderr, "resume: replaying 3/3 completed points"), 2, "{stderr}");
+    let claims = |s: &str| count_occurrences(s, "\"kind\":\"sweep_claim\"");
+    assert_eq!(claims(&std::fs::read_to_string(&figures_journal).unwrap()), claims(&ledger));
+    assert_eq!(std::fs::read_to_string(csv_of(&figures_dir)).unwrap(), clean_csv);
+
+    for d in [clean_dir, dir, figures_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

@@ -145,11 +145,6 @@ impl Ctx {
         self.nprocs
     }
 
-    /// Index of the current phase (incremented by every [`Ctx::sync`]).
-    pub fn phase(&self) -> u64 {
-        self.phase
-    }
-
     /// Charge `ops` local operations to the current phase (the QSM
     /// `m_op` term).
     pub fn charge(&mut self, ops: u64) {
