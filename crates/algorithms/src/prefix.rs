@@ -86,7 +86,7 @@ impl PrefixRun {
 
 /// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, input: &[u64]) -> PrefixRun {
-    let mut output = vec![0; input.len()]; // untouched pages: the workers fault them in
+    let mut output = qsm_core::zeroed_output(input.len()); // untouched pages: the workers fault them in
     let out = Gather::new(&mut output, machine.nprocs());
     let run = machine.run(|ctx| program(ctx, input, &out));
     PrefixRun { output, run }

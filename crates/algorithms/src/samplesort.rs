@@ -48,25 +48,51 @@ pub fn samples_per_proc(n: usize) -> usize {
 }
 
 /// Below this many keys [`radix_sort`] is `sort_unstable`: its passes
-/// over 4 × 256 counters cost more than the comparisons they save.
+/// over 4 × 256 counters cost more than the comparisons they save. From
+/// it up to [`SPLIT_MIN`] a bucket and its scratch fit a core's 2 MiB
+/// L2, and the LSD passes run over the whole bucket.
 const RADIX_MIN: usize = 4096;
+
+/// From this many keys on, [`radix_sort`] splits the bucket before its
+/// passes ([`split_sort`]): the bucket and its scratch hold 4 MiB, more
+/// than L2, so each pass over it misses there. Measured on a two-core
+/// x86-64 host (2 MiB L2), random keys, split time over plain LSD: 1.3–7
+/// at 2¹²–2¹⁷ keys (the pieces are too small to repay the extra
+/// scatter), 1.0–1.2 at 2¹⁸, 0.9–1.1 at 2¹⁹, 0.7–0.9 at 2²⁰ and 0.5–0.8
+/// at 2²¹–2²². A `samplesort` bucket at n = 2²² is 2²⁰ keys at p = 4
+/// (split) and 2¹⁸ at p = 16 (not).
+const SPLIT_MIN: usize = 1 << 19;
 
 /// Sort `keys` ascending. Compute is charged (`4·B·log B`), never
 /// timed, so the host sorts however is fastest: LSD radix sort on
-/// bytes, all four histograms filled in one pass, and no pass for a
-/// byte every key shares (a bucket's keys often share their top one).
+/// bytes ([`lsd`]), first split into cache-sized pieces
+/// ([`split_sort`]) when the bucket and its scratch overflow L2.
 fn radix_sort(keys: &mut Vec<u32>) {
     let n = keys.len();
     if n < RADIX_MIN {
         return keys.sort_unstable();
     }
+    let mut scratch = vec![0u32; n];
+    if n >= SPLIT_MIN {
+        split_sort(keys, &mut scratch);
+    } else if lsd(keys, &mut scratch) {
+        std::mem::swap(keys, &mut scratch);
+    }
+}
+
+/// LSD radix passes on bytes between `keys` and `scratch` (as long),
+/// all four histograms filled in one pass, and no pass for a byte
+/// every key shares (a bucket's keys often share their top one).
+/// Returns whether the sorted keys ended in `scratch`.
+fn lsd(keys: &mut [u32], scratch: &mut [u32]) -> bool {
+    let n = keys.len();
     let mut counts = [[0usize; 256]; 4];
     for &k in keys.iter() {
         for (byte, count) in k.to_le_bytes().into_iter().zip(&mut counts) {
             count[byte as usize] += 1;
         }
     }
-    let mut scratch = vec![0u32; n];
+    let (mut from, mut to, mut moved) = (keys, scratch, false);
     for (shift, count) in (0..32).step_by(8).zip(&mut counts) {
         if count.contains(&n) {
             continue;
@@ -75,12 +101,45 @@ fn radix_sort(keys: &mut Vec<u32>) {
         for c in count.iter_mut() {
             at += std::mem::replace(c, at);
         }
-        for &k in keys.iter() {
+        for &k in from.iter() {
             let slot = &mut count[(k >> shift) as usize & 0xff];
-            scratch[*slot] = k;
+            to[*slot] = k;
             *slot += 1;
         }
-        std::mem::swap(keys, &mut scratch);
+        (from, to, moved) = (to, from, !moved);
+    }
+    moved
+}
+
+/// Sort `keys` with `scratch` (as long) in up to 256 pieces: one
+/// scatter of `key − min` into `scratch` by the top 8 bits in which
+/// that varies, then [`lsd`] over each piece and its copy back, `min`
+/// added, while the piece is in cache.
+fn split_sort(keys: &mut [u32], scratch: &mut [u32]) {
+    let (min, max) = keys.iter().fold((u32::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let shift = (32 - max.saturating_sub(min).leading_zeros()).saturating_sub(8);
+    let piece_of = |k: u32| ((k - min) >> shift) as usize;
+    let mut ends = [0usize; 256];
+    for &k in keys.iter() {
+        ends[piece_of(k)] += 1;
+    }
+    let mut at = 0;
+    for end in &mut ends {
+        at += std::mem::replace(end, at);
+    }
+    for &k in keys.iter() {
+        let slot = &mut ends[piece_of(k)];
+        scratch[*slot] = k - min;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for end in ends {
+        let (piece, spare) = (&mut scratch[start..end], &mut keys[start..end]);
+        if !lsd(piece, spare) {
+            spare.copy_from_slice(piece);
+        }
+        spare.iter_mut().for_each(|k| *k += min);
+        start = end;
     }
 }
 
@@ -260,7 +319,7 @@ impl SampleSortRun {
 
 /// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, input: &[u32]) -> SampleSortRun {
-    let mut output = vec![0; input.len()]; // untouched pages: the workers fault them in
+    let mut output = qsm_core::zeroed_output(input.len()); // untouched pages: the workers fault them in
     let out = Gather::new(&mut output, machine.nprocs());
     let run = machine.run(|ctx| program(ctx, input, &out));
     SampleSortRun { output, run }
@@ -383,6 +442,51 @@ mod tests {
             want.sort_unstable();
             radix_sort(&mut keys);
             prop_assert!(keys == want, "len {} mask {:#010x} order {}", keys.len(), mask, order);
+        }
+
+        /// `split_sort` alone, whose pieces do not depend on how many
+        /// keys there are, so short inputs reach every shape: keys
+        /// `min + r` for `r` below `2^width`, every width 0–32 (0 is
+        /// one repeated key, under 8 a piece per value), or `r` one of
+        /// five values (heavy duplicates), with `0` and `u32::MAX` at
+        /// times added.
+        #[test]
+        fn split_sort_matches_sort_unstable(
+            len in 0usize..3000,
+            width in 0u32..=32,
+            min in any::<u32>(),
+            few in any::<bool>(),
+            extremes in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let below = ((1u64 << width) - 1) as u32;
+            let r = |k: u32| (if few { k % 5 } else { k }) & below;
+            let mut keys: Vec<u32> =
+                random_u32s(len, seed).iter().map(|&k| min.saturating_add(r(k))).collect();
+            if extremes {
+                keys.extend([0, u32::MAX]);
+            }
+            let mut want = keys.clone();
+            want.sort_unstable();
+            split_sort(&mut keys, &mut vec![0; want.len()]);
+            prop_assert!(keys == want, "len {} width {} min {} few {}", keys.len(), width, min, few);
+        }
+    }
+
+    /// At `SPLIT_MIN` and a key either side: random keys, a 3-bit
+    /// span of heavy duplicates, the full 32 bits, and one key.
+    #[test]
+    fn radix_sort_splits_at_its_threshold() {
+        for n in [SPLIT_MIN - 1, SPLIT_MIN, SPLIT_MIN + 1] {
+            let random = random_u32s(n, n as u64);
+            let duplicates = (0..n).map(|i| (i % 7) as u32).collect();
+            let mut extremes = random_u32s(n - 2, 3);
+            extremes.extend([u32::MAX, 0]);
+            for mut keys in [random, duplicates, extremes, vec![9; n]] {
+                let want = seq::sorted(&keys);
+                radix_sort(&mut keys);
+                assert!(keys == want, "n={n}");
+            }
         }
     }
 

@@ -142,6 +142,21 @@ pub(crate) fn estimate_sweep(
 /// where the crossover lies beyond the sweep.
 pub(crate) type Crossovers = Vec<(f64, Option<f64>)>;
 
+/// The points a line through a crossover sweep rests on, for the
+/// figure's printed fit and `table4`'s slopes alike, and how many of
+/// them are resolved. A crossover at the sweep's smallest size is a
+/// floor, not a measurement ([`samplesort_crossover`] returns that size
+/// when communication is already under the WHP line there), and would
+/// bias a slope toward zero: floors are left out while two resolved
+/// points remain, and kept otherwise, so that a fast sweep still fits.
+pub(crate) fn fit_points(points: &Crossovers, cfg: &RunCfg) -> (Vec<(f64, f64)>, usize) {
+    let floor = cfg.sizes()[0] as f64;
+    let found: Vec<(f64, f64)> = points.iter().filter_map(|&(x, n)| Some((x, n?))).collect();
+    let resolved: Vec<(f64, f64)> = found.iter().copied().filter(|&(_, n)| n > floor).collect();
+    let count = resolved.len();
+    (if count >= 2 { resolved } else { found }, count)
+}
+
 /// A crossover figure (Figures 5 and 6): for each value of one
 /// machine parameter, the problem size at which measured sample-sort
 /// communication enters the [Best, WHP] band, with a linear fit of
@@ -216,15 +231,19 @@ impl CrossoverFigure {
                 None => vec![format!("{x:.0}"), "beyond sweep".into(), "-".into()],
             })
             .collect();
-        let fit_pts: Vec<(f64, f64)> = points.iter().filter_map(|&(x, n)| Some((x, n?))).collect();
+        let (fit_pts, resolved) = fit_points(&points, cfg);
         let headers = [self.header, "n_cross", "n_cross_per_proc"];
         let mut report = Report::table(self.id, self.title, &headers, &rows);
         if fit_pts.len() >= 2 {
             let (slope, intercept) = linear_fit(&fit_pts);
             let r2 = r_squared(&fit_pts, slope, intercept);
+            let sign = if intercept < 0.0 { '−' } else { '+' };
             report.text.push_str(&format!(
-                "\nlinear fit: n_cross = {slope:.2}·{} + {intercept:.0}   (R² = {r2:.3})\n",
-                self.symbol
+                "\nlinear fit: n_cross = {slope:.2}·{} {sign} {:.0}   (R² = {r2:.3}; over {} points, \
+                 {resolved} of them resolved)\n",
+                self.symbol,
+                intercept.abs(),
+                fit_pts.len()
             ));
         }
         report
@@ -290,6 +309,21 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
+
+    #[test]
+    fn a_fit_leaves_out_floors_while_two_resolved_points_remain() {
+        // Figure 5's points as EXPERIMENTS.md lists them: three at the
+        // sweep's smallest size, 4 096, and one beyond the sweep.
+        let cfg = RunCfg::fast();
+        let (floor, a, b) = (Some(4096.0), Some(12_961.0), Some(51_911.0));
+        let pts = vec![(400.0, floor), (1600.0, floor), (6400.0, floor), (25_600.0, a)];
+        let with = |tail: Crossovers| [pts.clone(), tail].concat();
+        let (fit, resolved) = fit_points(&with(vec![(102_400.0, b), (409_600.0, None)]), &cfg);
+        assert_eq!((fit, resolved), (vec![(25_600.0, 12_961.0), (102_400.0, 51_911.0)], 2));
+        // One resolved point: the floors stay, so that the line exists.
+        let (fit, resolved) = fit_points(&with(vec![(102_400.0, None)]), &cfg);
+        assert_eq!((fit.len(), resolved), (4, 1));
+    }
 
     #[test]
     fn memo_serves_readers_but_never_the_figure_itself() {

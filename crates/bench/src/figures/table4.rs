@@ -17,7 +17,7 @@ use qsm_models::machine::table4_machines;
 use qsm_models::nmin::{linear_fit, NminModel};
 use qsm_simnet::MachineConfig;
 
-use crate::figures::{fig5, fig6, samplesort_crossover};
+use crate::figures::{fig5, fig6, fit_points, samplesort_crossover, Crossovers};
 use crate::{Report, RunCfg};
 
 /// Fit the extrapolation model from the crossover sweeps.
@@ -29,24 +29,12 @@ pub fn fit_model(cfg: &RunCfg) -> Option<NminModel> {
     let params = EffectiveCosts::measure(machine_cfg);
     let base_cross = samplesort_crossover(machine_cfg, cfg, &params)?;
 
-    // Slopes from the two sweeps (per processor). Crossovers pinned
-    // at the smallest swept size are floors, not measurements — they
-    // would bias the slope toward zero, so drop them when enough
-    // resolved points remain.
-    let floor = *cfg.sizes().first().unwrap() as f64;
-    let resolve = |pts: Vec<(f64, Option<f64>)>| -> Vec<(f64, f64)> {
-        let all: Vec<(f64, f64)> =
-            pts.into_iter().filter_map(|(x, c)| c.map(|n| (x, n / cfg.p as f64))).collect();
-        let unfloored: Vec<(f64, f64)> =
-            all.iter().copied().filter(|&(_, n)| n > floor / cfg.p as f64).collect();
-        if unfloored.len() >= 2 {
-            unfloored
-        } else {
-            all
-        }
+    // Slopes from the two sweeps, per processor.
+    let per_proc = |pts: Crossovers| -> Vec<(f64, f64)> {
+        fit_points(&pts, cfg).0.into_iter().map(|(x, n)| (x, n / cfg.p as f64)).collect()
     };
-    let l_pts = resolve(fig5::FIGURE.crossovers(cfg));
-    let o_pts = resolve(fig6::FIGURE.crossovers(cfg));
+    let l_pts = per_proc(fig5::FIGURE.crossovers(cfg));
+    let o_pts = per_proc(fig6::FIGURE.crossovers(cfg));
     if l_pts.len() < 2 || o_pts.len() < 2 {
         return None;
     }

@@ -79,6 +79,8 @@
 //!   outputs and the phase records, nothing derived from them).
 //! * `fiber` — a stack per hosted processor and the user-space switch
 //!   between them: how `p` processors ride on `min(p, cores)` threads.
+//!   Beside them, [`zeroed_output`]: a kernel's result buffer, advised
+//!   onto 2 MiB pages.
 //! * [`pool`] — the process-global pool of resident worker threads a
 //!   run leases its carriers from.
 //! * `spmd` — the exchange area every `sync()` rendezvouses in, the
@@ -142,6 +144,7 @@ pub use addr::{ArrayId, Layout};
 pub use calibrate::EffectiveCosts;
 pub use ctx::Ctx;
 pub use driver::{CommMatrix, PairTraffic, PhasePrice, PhaseRecord, PhaseTiming};
+pub use fiber::zeroed_output;
 pub use machine::{AnyMachine, Machine, PhaseTimer, RunResult};
 pub use ops::GetTicket;
 pub use shmem::SharedArray;

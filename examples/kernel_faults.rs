@@ -12,12 +12,19 @@
 //! fault count here before believing the time. `peak MiB` is the
 //! process's resident high-water mark during the run alone (`VmHWM`,
 //! reset before it), so the benchmark's `peak_rss_mb` traces to one
-//! kernel. In steady state (rounds 1–2, two-core x86-64 host) `prefix`
-//! takes one fault a page of its 64 MiB output (16 385; the workers
-//! take them, `collectives::Gather`) and sets the peak, 318.5 MiB;
-//! `samplesort` takes up to 1 k faults in round 1 and under 100 in
-//! round 2, `listrank` none. Linux only: elsewhere the counters print
-//! as `-`.
+//! kernel. `huge MiB` is the process's `AnonHugePages`
+//! (`/proc/self/smaps_rollup`) while the run's output is still held,
+//! and the header line prints the host's transparent huge page mode.
+//!
+//! In steady state (rounds 1–2, two-core x86-64 host, mode `madvise`)
+//! `prefix` takes 544 faults a run, the workers' (`collectives::Gather`):
+//! its 64 MiB output is advised onto 2 MiB pages
+//! (`qsm_core::zeroed_output`), so 31 faults map 62 MiB (`huge MiB`
+//! 62.0) and the rest are its unaligned head and tail. Under mode
+//! `never` it takes one a 4 KiB page, 16 385, and `huge MiB` reads 0.
+//! It sets the peak, 318.5 MiB. `samplesort` takes up to 1 k faults in
+//! round 1 and under 100 in round 2, `listrank` none. Linux only:
+//! elsewhere the counters print as `-`.
 
 use std::time::Instant;
 
@@ -40,10 +47,17 @@ fn reset_peak() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// A `/proc/self/status` line such as `VmRSS:`, in MiB.
-fn status_mib(field: &str) -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kib: f64 = status
+/// The host's transparent huge page mode, the bracketed word of
+/// `always [madvise] never`.
+fn thp_mode() -> Option<String> {
+    let modes = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled").ok()?;
+    Some(modes.split_once('[')?.1.split_once(']')?.0.to_string())
+}
+
+/// A line of a `/proc/self` file, such as `VmRSS:` of `status`, in MiB.
+fn proc_mib(file: &str, field: &str) -> Option<f64> {
+    let text = std::fs::read_to_string(format!("/proc/self/{file}")).ok()?;
+    let kib: f64 = text
         .lines()
         .find_map(|l| l.strip_prefix(field))?
         .split_whitespace()
@@ -71,14 +85,16 @@ fn measure<T: PartialEq>(
     let got = run();
     let ms = start.elapsed().as_secs_f64() * 1e3;
     let faults = minor_faults().zip(faults).map(|(after, before)| after - before);
-    let peak = if reset { status_mib("VmHWM:") } else { None };
+    let peak = if reset { proc_mib("status", "VmHWM:") } else { None };
+    let huge = proc_mib("smaps_rollup", "AnonHugePages:");
     assert!(got == want, "{kernel} on {backend} differs from the sequential oracle");
     let mib = |m: Option<f64>| or_dash(m.map(|m| format!("{m:.1}")));
     println!(
-        "{round:>5} {kernel:<11} {backend:<8} {ms:>9.1} {:>13} {:>9} {:>9}",
+        "{round:>5} {kernel:<11} {backend:<8} {ms:>9.1} {:>13} {:>9} {:>9} {:>9}",
         or_dash(faults),
         mib(peak),
-        mib(status_mib("VmRSS:"))
+        mib(proc_mib("status", "VmRSS:")),
+        mib(huge)
     );
 }
 
@@ -121,10 +137,11 @@ fn main() {
     let sim = SimMachine::new(MachineConfig::paper_default(16)).with_seed(SEED);
     let threads = ThreadMachine::new(4).with_seed(SEED);
 
-    println!("round 0 is the warm-up: workers spawn and the allocator's arenas grow in it\n");
+    println!("round 0 is the warm-up: workers spawn and the allocator's arenas grow in it");
+    println!("transparent huge pages: {}\n", or_dash(thp_mode()));
     println!(
-        "{:>5} {:<11} {:<8} {:>9} {:>13} {:>9} {:>9}",
-        "round", "kernel", "backend", "ms", "minor faults", "peak MiB", "RSS MiB"
+        "{:>5} {:<11} {:<8} {:>9} {:>13} {:>9} {:>9} {:>9}",
+        "round", "kernel", "backend", "ms", "minor faults", "peak MiB", "RSS MiB", "huge MiB"
     );
     for round in 0..=2 {
         kernels(round, "sim", &sim, &inputs);
