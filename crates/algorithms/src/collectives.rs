@@ -11,14 +11,17 @@
 //! output to one thread: at n = 2²³ the 64 MiB vector is 16 385 page
 //! faults taken one at a time while every worker is parked, 45 of a
 //! `prefix` run's 58 ms on a two-core host. So `run_on` allocates the
-//! output with [`qsm_core::zeroed_output`] (mapped, untouched, and
-//! from 32 MiB up advised onto 2 MiB pages, so the 64 MiB take 544
-//! faults instead of 16 385), `Gather` splits it into
+//! output with [`qsm_core::zeroed_output`] (from 32 MiB up a fresh
+//! mapping nothing has touched, advised onto 2 MiB pages, so the
+//! 64 MiB take 544 faults instead of 16 385), `Gather` splits it into
 //! `p` disjoint parts, each behind its own `Mutex` so that `&Gather` is
 //! `Sync` in safe code, and a program's last act is one
 //! `copy_from_slice` per worker under a lock nobody else takes
-//! (`prefix` scans straight into its part). The faults run on every
-//! core, and the run's outcome carries only statistics
+//! (`prefix` scans straight into its part). From 32 MiB up the faults
+//! run on every core; a smaller output may be a reused heap chunk
+//! that `calloc` zeroes on the calling thread first, as `samplesort`'s
+//! 16 MiB one at the benchmark's size is (0–119 of its 4 096 pages
+//! fault a run). The run's outcome carries only statistics
 //! (`tests/result_memory.rs` bounds the peak heap of a run, and what
 //! outlives it). `histogram` returns a few KiB of computed pieces and
 //! keeps `outputs.concat()`.
@@ -30,8 +33,8 @@ use qsm_core::addr::block_range;
 /// A block-distributed result on its way out of the machine: the
 /// caller's output vector, split at `block_range`. Each worker fills
 /// its own part (`write` after its last `sync()`, or computes in it), so
-/// the first touch of the output's pages runs on every core, and no
-/// per-block `Vec` exists in between.
+/// the first touch of an untouched output's pages runs on every core,
+/// and no per-block `Vec` exists in between.
 pub(crate) struct Gather<'a, T>(Vec<Mutex<&'a mut [T]>>);
 
 impl<'a, T: Copy> Gather<'a, T> {

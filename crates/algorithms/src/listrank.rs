@@ -445,7 +445,7 @@ impl ListRankRun {
 pub fn run_on<M: Machine>(machine: &M, succ: &[u64], pred: &[u64]) -> ListRankRun {
     let (n, n_pred) = (succ.len(), pred.len());
     assert!(n == n_pred, "listrank: succ has {n} elements but pred has {n_pred}");
-    let mut ranks = qsm_core::zeroed_output(n); // untouched pages: the workers fault them in
+    let mut ranks = qsm_core::zeroed_output(n); // from 32 MiB up, untouched pages the workers fault in
     let out = Gather::new(&mut ranks, machine.nprocs());
     let run = machine.run(|ctx| program(ctx, succ, pred, &out));
     ListRankRun { ranks, run }

@@ -319,7 +319,7 @@ impl SampleSortRun {
 
 /// Run on any [`Machine`] backend.
 pub fn run_on<M: Machine>(machine: &M, input: &[u32]) -> SampleSortRun {
-    let mut output = qsm_core::zeroed_output(input.len()); // untouched pages: the workers fault them in
+    let mut output = qsm_core::zeroed_output(input.len()); // from 32 MiB up, untouched pages the workers fault in
     let out = Gather::new(&mut output, machine.nprocs());
     let run = machine.run(|ctx| program(ctx, input, &out));
     SampleSortRun { output, run }

@@ -65,6 +65,17 @@ fn skewed_comm(p: usize, words: usize, layout: Layout) -> f64 {
     run.phases[1].timing.comm.get()
 }
 
+/// The lean library on a `p`-processor Table 3 machine: per-word
+/// software costs cut to a few cycles, so the network dominates.
+fn lean_library(p: usize) -> MachineConfig {
+    let mut sw = qsm_simnet::SoftwareConfig::calibrated();
+    sw.put_marshal = 4.0;
+    sw.put_apply = 4.0;
+    sw.copy_per_word_send = 1.0;
+    sw.copy_per_word_recv = 1.0;
+    MachineConfig::paper_default(p).with_software(sw)
+}
+
 /// Run both ablations.
 pub fn run(cfg: &RunCfg) -> Report {
     crate::backend::warn_sim_only("ablations");
@@ -76,12 +87,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     // per-word software cost) exposes the network, where the
     // schedule matters most.
     let calibrated = MachineConfig::paper_default(p);
-    let mut lean_sw = qsm_simnet::SoftwareConfig::calibrated();
-    lean_sw.put_marshal = 4.0;
-    lean_sw.put_apply = 4.0;
-    lean_sw.copy_per_word_send = 1.0;
-    lean_sw.copy_per_word_recv = 1.0;
-    let lean = MachineConfig::paper_default(p).with_software(lean_sw);
+    let lean = lean_library(p);
 
     // All six measurements are independent simulations; fan them
     // across the sweep pool and assemble the table (whose rows
@@ -160,12 +166,7 @@ mod tests {
         assert!(sweep > 1.05 * latin, "naive sweep {sweep} should exceed latin square {latin}");
         // Lean library: the network dominates and the hot receiver
         // hurts badly.
-        let mut sw = qsm_simnet::SoftwareConfig::calibrated();
-        sw.put_marshal = 4.0;
-        sw.put_apply = 4.0;
-        sw.copy_per_word_send = 1.0;
-        sw.copy_per_word_recv = 1.0;
-        let lean = MachineConfig::paper_default(8).with_software(sw);
+        let lean = lean_library(8);
         let latin = all_to_all_comm(lean, 4_000, ExchangeOrder::LatinSquare);
         let sweep = all_to_all_comm(lean, 4_000, ExchangeOrder::DirectSweep);
         assert!(

@@ -65,14 +65,19 @@ pub(crate) use imp::pause;
 pub(crate) const HUGE_OUTPUT_MIN: usize = 32 << 20;
 
 /// A kernel's result buffer: `n` zeros from the allocator's zeroed
-/// memory (`vec![0; n]`), for the workers that fill it to fault in
-/// (`qsm-algorithms`' `Gather`). From 32 MiB (`HUGE_OUTPUT_MIN`) up
-/// that is a fresh mapping nothing has touched, and the whole 2 MiB
-/// pages inside it are advised `MADV_HUGEPAGE`, so that a first touch
-/// there maps 2 MiB at once. A 4 KiB first-touch fault costs ≈ 2.5 µs
-/// on a two-core x86-64 host, and `prefix`'s 64 MiB output took 16 385
-/// of them a run; advised, it takes 544: 31 huge ones, and the small
-/// ones of its unaligned head and tail.
+/// memory (`vec![0; n]`), which the workers fill (`qsm-algorithms`'
+/// `Gather`). From 32 MiB (`HUGE_OUTPUT_MIN`) up that is a fresh
+/// mapping nothing has touched, so the workers fault it in, and the
+/// whole 2 MiB pages inside it are advised `MADV_HUGEPAGE`, so that a
+/// first touch there maps 2 MiB at once. Below it the allocator may
+/// hand out a reused heap chunk, which `calloc` zeroes on the calling
+/// thread while the workers wait: `samplesort`'s 16 MiB output at the
+/// benchmark's size takes 0–119 faults a run for its 4 096 pages.
+///
+/// A 4 KiB first-touch fault costs ≈ 2.5 µs on a two-core x86-64
+/// host, and `prefix`'s 64 MiB output took 16 385 of them a run;
+/// advised, it takes 544: 31 huge ones, and the small ones of its
+/// unaligned head and tail.
 ///
 /// Advice only: where it is refused (transparent huge pages `never`, a
 /// kernel without them, another OS, Miri) the buffer is the same and

@@ -30,7 +30,9 @@
 
 use qsm_obs::{Recorder, Span, SpanKind};
 use qsm_simnet::barrier::{self, BarrierScratch};
-use qsm_simnet::config::ExchangeOrder;
+use qsm_simnet::config::{
+    wire_bytes, ExchangeOrder, GET_APPLY, GET_REQUEST, GET_SERVE, PLAN_ENTRY_COST, SYNC_FIXED,
+};
 use qsm_simnet::{
     Cycles, Delivery, FaultConfig, Injection, MachineConfig, MsgKind, NetStats, Network,
 };
@@ -156,14 +158,14 @@ impl SimTimer {
         let p = self.cfg.p;
         let sw = self.cfg.sw;
         self.cpu.clear();
-        self.cpu.extend(local_finish.iter().map(|&t| t + Cycles::new(sw.sync_fixed)));
+        self.cpu.extend(local_finish.iter().map(|&t| t + Cycles::new(SYNC_FIXED)));
 
         if p > 1 {
             // --- Plan distribution: all-to-all of pair counts ---
             for c in self.cpu.iter_mut() {
-                *c += Cycles::new(sw.plan_entry_cost * p as f64);
+                *c += Cycles::new(PLAN_ENTRY_COST * p as f64);
             }
-            let plan_bytes = sw.msg_header_bytes + PLAN_ENTRY_BYTES;
+            let plan_bytes = wire_bytes(0, PLAN_ENTRY_BYTES);
             self.plan_msgs.clear();
             for r in 1..p {
                 for (i, &ready) in self.cpu.iter().enumerate() {
@@ -270,11 +272,9 @@ impl SimTimer {
                         sw.put_apply * meta.words as f64 + sw.copy_per_word_recv * meta.words as f64
                     }
                     MsgKind::GetRequest => {
-                        let serve = sw.get_serve * meta.words as f64
+                        let serve = GET_SERVE * meta.words as f64
                             + sw.copy_per_word_send * meta.words as f64;
-                        let bytes = sw.msg_header_bytes
-                            + sw.item_header_bytes * meta.words
-                            + meta.reply_payload_bytes;
+                        let bytes = wire_bytes(meta.words, meta.reply_payload_bytes);
                         let ready = start + Cycles::new(serve);
                         replies.push(Injection::new(dst, m.src, bytes, ready, MsgKind::GetReply));
                         reply_metas.push(meta);
@@ -308,7 +308,7 @@ impl SimTimer {
                     &self.reply_metas,
                     &mut self.cpu,
                     |_, _, meta, _| {
-                        sw.get_apply * meta.words as f64 + sw.copy_per_word_recv * meta.words as f64
+                        GET_APPLY * meta.words as f64 + sw.copy_per_word_recv * meta.words as f64
                     },
                 );
             }
@@ -319,7 +319,7 @@ impl SimTimer {
         for i in 0..p {
             self.barrier_enter.push(self.cpu[i].max(self.net.send_free_at(i)));
         }
-        barrier::dissemination(&mut self.net, &sw, &self.barrier_enter, release, &mut self.barrier);
+        barrier::dissemination(&mut self.net, &self.barrier_enter, release, &mut self.barrier);
     }
 
     /// Emit this phase's spans, counter samples, wire events, and
@@ -490,9 +490,7 @@ fn inject_pair(
         let marshal = sw.put_marshal * traffic.put_words as f64
             + sw.copy_per_word_send * traffic.put_words as f64;
         cpu[i] += Cycles::new(marshal);
-        let bytes = sw.msg_header_bytes
-            + sw.item_header_bytes * traffic.put_words
-            + traffic.put_payload_bytes;
+        let bytes = wire_bytes(traffic.put_words, traffic.put_payload_bytes);
         let mut m = Injection::new(i, dst, bytes, cpu[i], MsgKind::PutData);
         if let Some(b) = bank {
             m = m.with_bank(b);
@@ -501,9 +499,8 @@ fn inject_pair(
         metas.push(MsgMeta { words: traffic.put_words, reply_payload_bytes: 0 });
     }
     if traffic.get_words > 0 {
-        let marshal = sw.get_request * traffic.get_words as f64;
-        cpu[i] += Cycles::new(marshal);
-        let bytes = sw.msg_header_bytes + sw.item_header_bytes * traffic.get_words;
+        cpu[i] += Cycles::new(GET_REQUEST * traffic.get_words as f64);
+        let bytes = wire_bytes(traffic.get_words, 0);
         let mut m = Injection::new(i, dst, bytes, cpu[i], MsgKind::GetRequest);
         if let Some(b) = bank {
             m = m.with_bank(b);

@@ -29,13 +29,13 @@
 //! get:  arrive ── marshal ──> request (headers) ──wire──> shard node
 //!         └ admission check       │ drop? retry w/ backoff
 //!                                 v
-//!                         visible + get_serve ──> bank reads value
+//!                         visible + GET_SERVE ──> bank reads value
 //!                                 │                (bank_service)
 //!                                 v
 //!               reply (headers + value) ──wire──> origin
 //!                                 │ drop? retry
 //!                                 v
-//!                         visible + get_apply  =  COMPLETE
+//!                         visible + GET_APPLY  =  COMPLETE
 //!
 //! put:  arrive ── marshal ──> request (headers + value, bank-tagged)
 //!                                 │   the pipeline prices the bank
@@ -53,6 +53,7 @@
 //! many retries any other transaction needed.
 
 use qsm_obs::{Histogram, Recorder};
+use qsm_simnet::config::{wire_bytes, GET_APPLY, GET_REQUEST, GET_SERVE};
 use qsm_simnet::event::EventQueue;
 use qsm_simnet::time::Cycles;
 use qsm_simnet::{FaultConfig, Injection, MsgKind, Network};
@@ -222,14 +223,12 @@ impl ServiceOutcome {
 
 /// Wire bytes of each leg under `cfg` (request, reply), per op kind.
 pub(crate) fn leg_bytes(cfg: &ServiceConfig, is_get: bool) -> (u64, u64) {
-    let sw = &cfg.machine.sw;
-    let hdr = sw.msg_header_bytes + sw.item_header_bytes;
     if is_get {
         // Header-only request; the value rides the reply.
-        (hdr, hdr + cfg.value_bytes)
+        (wire_bytes(1, 0), wire_bytes(1, cfg.value_bytes))
     } else {
         // The value rides the request; header-only ack.
-        (hdr + cfg.value_bytes, sw.msg_header_bytes)
+        (wire_bytes(1, cfg.value_bytes), wire_bytes(0, 0))
     }
 }
 
@@ -284,7 +283,7 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
                     }
                 }
                 out.admitted += 1;
-                let marshal = if t.is_get { sw.get_request } else { sw.put_marshal };
+                let marshal = if t.is_get { GET_REQUEST } else { sw.put_marshal };
                 events.push_first(t.is_get, now + Cycles::new(marshal), Send::first(i, &t));
             }
             Ev::Send(send) => {
@@ -331,7 +330,7 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
                     (Leg::Request, true) => {
                         // Shard node looks the item up, then its bank
                         // streams the value out.
-                        let served = d.visible + Cycles::new(sw.get_serve);
+                        let served = d.visible + Cycles::new(GET_SERVE);
                         let read =
                             net.bank_service(node, send.bank.into(), served, cfg.value_bytes);
                         events.sends.push(read.done, reply);
@@ -341,7 +340,7 @@ fn run_events(cfg: &ServiceConfig, obs: &Recorder, events: &mut Events) -> Servi
                     }
                     (Leg::Reply, is_get) => {
                         let done =
-                            if is_get { d.visible + Cycles::new(sw.get_apply) } else { d.visible };
+                            if is_get { d.visible + Cycles::new(GET_APPLY) } else { d.visible };
                         out.completed += 1;
                         last_completion = last_completion.max(done);
                         let arrival = arrival::arrival_time(cfg, u64::from(i));

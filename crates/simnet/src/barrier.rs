@@ -9,7 +9,7 @@
 //! node `(i + 2^r) mod p` and proceeds once it has both finished its
 //! own send and ingested the token addressed to it.
 
-use crate::config::SoftwareConfig;
+use crate::config::{wire_bytes, BARRIER_ROUND_SW};
 use crate::message::{Injection, MsgKind};
 use crate::network::{Delivery, Network};
 use crate::time::Cycles;
@@ -32,7 +32,6 @@ pub struct BarrierScratch {
 /// entry never releases anyone earlier.
 pub fn dissemination(
     net: &mut Network,
-    sw: &SoftwareConfig,
     enter: &[Cycles],
     release: &mut Vec<Cycles>,
     scratch: &mut BarrierScratch,
@@ -45,8 +44,8 @@ pub fn dissemination(
         return;
     }
     let rounds = usize::BITS as usize - (p - 1).leading_zeros() as usize; // ceil(log2 p)
-    let bytes = BARRIER_TOKEN_BYTES + sw.msg_header_bytes;
-    let round_sw = Cycles::new(sw.barrier_round_sw);
+    let bytes = wire_bytes(0, BARRIER_TOKEN_BYTES);
+    let round_sw = Cycles::new(BARRIER_ROUND_SW);
     // `release[i]` is when node `i` is ready for the next round.
     release.extend(enter.iter().map(|&t| t + round_sw));
     let BarrierScratch { msgs, deliveries } = scratch;
@@ -75,40 +74,40 @@ mod tests {
     use crate::config::NetConfig;
 
     /// Each node's release from a barrier entered at `enter`.
-    fn released(net: &mut Network, sw: &SoftwareConfig, enter: &[Cycles]) -> Vec<Cycles> {
+    fn released(net: &mut Network, enter: &[Cycles]) -> Vec<Cycles> {
         let mut release = Vec::new();
-        dissemination(net, sw, enter, &mut release, &mut BarrierScratch::default());
+        dissemination(net, enter, &mut release, &mut BarrierScratch::default());
         release
     }
 
     /// The cost of a barrier entered by all nodes at once on an idle
     /// machine (without the plan exchange `qsm-core` adds for a full
     /// empty `sync()`).
-    fn measure_barrier(net: &mut Network, sw: &SoftwareConfig) -> Cycles {
+    fn measure_barrier(net: &mut Network) -> Cycles {
         net.reset();
         let enter = vec![Cycles::ZERO; net.nprocs()];
-        let exit = released(net, sw, &enter);
+        let exit = released(net, &enter);
         net.reset();
         exit.into_iter().fold(Cycles::ZERO, Cycles::max)
     }
 
-    fn setup(p: usize) -> (Network, SoftwareConfig) {
-        (Network::new(p, NetConfig::paper_default()), SoftwareConfig::calibrated())
+    fn setup(p: usize) -> Network {
+        Network::new(p, NetConfig::paper_default())
     }
 
     #[test]
     fn single_node_barrier_is_free() {
-        let (mut net, sw) = setup(1);
-        let out = released(&mut net, &sw, &[Cycles::new(42.0)]);
+        let mut net = setup(1);
+        let out = released(&mut net, &[Cycles::new(42.0)]);
         assert_eq!(out, vec![Cycles::new(42.0)]);
     }
 
     #[test]
     fn no_node_released_before_last_entry() {
         // Correctness property of any barrier: release >= every entry.
-        let (mut net, sw) = setup(8);
+        let mut net = setup(8);
         let enter: Vec<Cycles> = (0..8).map(|i| Cycles::new(i as f64 * 1000.0)).collect();
-        let out = released(&mut net, &sw, &enter);
+        let out = released(&mut net, &enter);
         let last_entry = Cycles::new(7000.0);
         for t in &out {
             assert!(*t >= last_entry, "{t} released before {last_entry}");
@@ -118,11 +117,10 @@ mod tests {
     #[test]
     fn rounds_scale_logarithmically() {
         // Barrier cost at 2 nodes ~ 1 round; at 16 nodes ~ 4 rounds.
-        let sw = SoftwareConfig::calibrated();
         let mut n2 = Network::new(2, NetConfig::paper_default());
         let mut n16 = Network::new(16, NetConfig::paper_default());
-        let t2 = measure_barrier(&mut n2, &sw).get();
-        let t16 = measure_barrier(&mut n16, &sw).get();
+        let t2 = measure_barrier(&mut n2).get();
+        let t16 = measure_barrier(&mut n16).get();
         // One initial software charge plus one chain segment per
         // round: expect t16/t2 a bit above 3 (exactly 4 rounds vs 1).
         let ratio = t16 / t2;
@@ -131,12 +129,12 @@ mod tests {
 
     #[test]
     fn delaying_one_entry_delays_release() {
-        let (mut net, sw) = setup(4);
-        let base = released(&mut net, &sw, &[Cycles::ZERO; 4]);
+        let mut net = setup(4);
+        let base = released(&mut net, &[Cycles::ZERO; 4]);
         net.reset();
         let mut enter = vec![Cycles::ZERO; 4];
         enter[2] = Cycles::new(1e6);
-        let delayed = released(&mut net, &sw, &enter);
+        let delayed = released(&mut net, &enter);
         for (b, d) in base.iter().zip(&delayed) {
             assert!(d >= b);
         }
@@ -145,21 +143,20 @@ mod tests {
 
     #[test]
     fn latency_dominates_barrier_on_slow_networks() {
-        let sw = SoftwareConfig::calibrated();
         let fast = NetConfig { latency: 100.0, ..NetConfig::paper_default() };
         let slow = NetConfig { latency: 100_000.0, ..NetConfig::paper_default() };
         let mut nf = Network::new(16, fast);
         let mut ns = Network::new(16, slow);
-        let tf = measure_barrier(&mut nf, &sw).get();
-        let ts = measure_barrier(&mut ns, &sw).get();
+        let tf = measure_barrier(&mut nf).get();
+        let ts = measure_barrier(&mut ns).get();
         // 4 rounds of ~100k latency each.
         assert!(ts > tf + 4.0 * 99_000.0);
     }
 
     #[test]
     fn non_power_of_two_is_supported() {
-        let (mut net, sw) = setup(7);
-        let out = released(&mut net, &sw, &[Cycles::ZERO; 7]);
+        let mut net = setup(7);
+        let out = released(&mut net, &[Cycles::ZERO; 7]);
         assert_eq!(out.len(), 7);
         // ceil(log2 7) = 3 rounds; everyone must end strictly later
         // than 3 x (latency) at the very least.
@@ -173,17 +170,14 @@ mod tests {
         // Barrier tokens go through the same transmit path as data,
         // so an enabled trace must capture every leg: p tokens per
         // round x ceil(log2 p) rounds, all tagged MsgKind::Barrier.
-        let (mut net, sw) = setup(8);
+        let mut net = setup(8);
         net.enable_trace(1024);
-        released(&mut net, &sw, &[Cycles::ZERO; 8]);
+        released(&mut net, &[Cycles::ZERO; 8]);
         let events = net.take_trace().unwrap().into_events();
         assert_eq!(events.len(), 8 * 3, "8 nodes x ceil(log2 8) rounds");
         assert!(events.iter().all(|e| e.kind == MsgKind::Barrier));
         assert_eq!(net.stats().count(MsgKind::Barrier), 24);
-        assert_eq!(
-            net.stats().bytes_of(MsgKind::Barrier),
-            24 * (BARRIER_TOKEN_BYTES + sw.msg_header_bytes)
-        );
+        assert_eq!(net.stats().bytes_of(MsgKind::Barrier), 24 * wire_bytes(0, BARRIER_TOKEN_BYTES));
     }
 
     #[test]
@@ -191,9 +185,8 @@ mod tests {
         // Table 3: ~25 500 cycles at p = 16 for a full empty sync();
         // the bare barrier (without the plan all-to-all that qsm-core
         // adds) must land meaningfully below that but same order.
-        let sw = SoftwareConfig::calibrated();
         let mut net = Network::new(16, NetConfig::paper_default());
-        let t = measure_barrier(&mut net, &sw).get();
+        let t = measure_barrier(&mut net).get();
         assert!((10_000.0..26_000.0).contains(&t), "barrier = {t}");
     }
 }

@@ -53,7 +53,8 @@
 //! * [`config`] — [`MachineConfig`], the simulated machine: processor
 //!   count, network parameters (Table 3), CPU parameters (Table 2's
 //!   400 MHz node reduced to a cycles-per-operation rate), the
-//!   shared-memory library's software costs, and the presets
+//!   shared-memory library's software costs and wire format
+//!   ([`config::wire_bytes`]), and the presets
 //!   (the paper's default: g = 3 cycles/byte, o = 400, l = 1600).
 //! * [`message`] — [`message::Injection`], what a sender hands the
 //!   network, and [`message::MsgKind`], its statistics class.

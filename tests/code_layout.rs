@@ -12,6 +12,9 @@
 //!
 //! And a vendored stand-in (`vendor/*`) lives only as long as some
 //! package depends on it.
+//!
+//! And the settable values (ROADMAP item 2) are pinned: a new setting
+//! moves the pin on purpose, or not at all.
 
 use std::path::{Path, PathBuf};
 
@@ -90,6 +93,87 @@ fn lines_with(files: &[PathBuf], needles: &[String]) -> String {
         }
     }
     report
+}
+
+/// A file's non-test lines: those before its first column-0
+/// `#[cfg(test)]`.
+fn non_test(src: &str) -> impl Iterator<Item = &str> {
+    src.lines().take_while(|line| !line.starts_with("#[cfg(test)]"))
+}
+
+/// The structs whose `pub` fields are settings.
+const CONFIG_STRUCTS: [&str; 7] = [
+    "ResultKnobs",
+    "MachineConfig",
+    "NetConfig",
+    "SoftwareConfig",
+    "BankModel",
+    "FaultConfig",
+    "ServiceConfig",
+];
+
+/// The settable values of `sources`' non-test lines: the entries of
+/// `Knobs::NAMES`, the `pub` fields of each of [`CONFIG_STRUCTS`] (in
+/// its order) and the `pub fn with_*` builders.
+fn settable_values(sources: &[String]) -> (usize, [usize; 7], usize) {
+    let (mut names, mut fields, mut builders) = (0, [0; 7], 0);
+    for src in sources {
+        let (mut in_names, mut in_struct) = (false, None);
+        for line in non_test(src) {
+            if line.contains("pub const NAMES") {
+                in_names = true;
+            } else if in_names && line.trim() == "];" {
+                in_names = false;
+            } else if in_names && line.contains("\"QSM_") {
+                names += 1;
+            }
+            let header = |t: &&str| line.strip_prefix("pub struct ") == Some(&format!("{t} {{"));
+            if let Some(t) = CONFIG_STRUCTS.iter().position(header) {
+                in_struct = Some(t);
+            } else if line.starts_with('}') {
+                in_struct = None;
+            } else if let Some(t) = in_struct {
+                let field = line.strip_prefix("    pub ").and_then(|rest| rest.split_once(':'));
+                let is_name = |name: &str| {
+                    !name.is_empty()
+                        && name.bytes().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_'))
+                };
+                fields[t] += field.is_some_and(|(name, _)| is_name(name)) as usize;
+            }
+            builders += line.trim_start().starts_with("pub fn with_") as usize;
+        }
+    }
+    (names, fields, builders)
+}
+
+#[test]
+fn settable_values_are_pinned() {
+    let sources: Vec<String> =
+        crate_files(&["src"]).iter().map(|f| std::fs::read_to_string(f).unwrap()).collect();
+    let (names, fields, builders) = settable_values(&sources);
+    let total = names + fields.iter().sum::<usize>() + builders;
+    let per_struct: Vec<String> =
+        CONFIG_STRUCTS.iter().zip(fields).map(|(t, n)| format!("{t} {n}")).collect();
+    assert_eq!(
+        total,
+        73,
+        "settable values: knobs {names}, fields {} ({}), builders {builders}. A new setting \
+         needs two callers outside tests that want different values; one with a single value \
+         in use is a constant. Move the pin with the reading in ROADMAP item 2.",
+        fields.iter().sum::<usize>(),
+        per_struct.join(", ")
+    );
+}
+
+#[test]
+fn settable_values_count_what_they_must() {
+    let src = "pub struct NetConfig {\n    /// Doc.\n    pub gap: f64,\n    pub(crate) hidden: u8,\n    \
+               pub topology_2: Kind,\n}\n\npub struct Other {\n    pub x: u8,\n}\n\
+               impl K {\n    pub const NAMES: [&str; 2] = [\n        \"QSM_A\",\n        \"QSM_B\",\n    ];\n\
+               \n    pub fn with_gap(self) -> Self {}\n    fn with_private() {}\n}\n\n\
+               #[cfg(test)]\nmod tests {\n    pub fn with_test() {}\n}\n";
+    let (names, fields, builders) = settable_values(&[src.to_string()]);
+    assert_eq!((names, fields.iter().sum::<usize>(), fields[2], builders), (2, 2, 2, 1));
 }
 
 #[test]

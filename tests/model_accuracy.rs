@@ -18,6 +18,12 @@ fn table3_calibration_matches_paper() {
     assert!((costs.put_cycles_per_byte() - 35.0).abs() < 9.0, "{}", costs.put_cycles_per_byte());
     assert!((costs.get_cycles_per_byte() - 287.0).abs() < 70.0, "{}", costs.get_cycles_per_byte());
     assert!((costs.l_sync - 25_500.0).abs() < 6_000.0, "{}", costs.l_sync);
+    // The calibration's own readings, as `table3` prints them: a
+    // mistyped cost constant fails here by name.
+    let put = format!("{:.1}", costs.put_cycles_per_byte());
+    let get = format!("{:.1}", costs.get_cycles_per_byte());
+    assert_eq!([put.as_str(), get.as_str()], ["35.0", "287.0"], "put / get cycles per byte");
+    assert_eq!(format!("{:.0}", costs.l_sync), "24944", "empty sync() at p = 16");
 }
 
 #[test]
