@@ -77,13 +77,9 @@
 //! prediction columns always come from the model configuration.
 //! [`AnyMachine`] erases the two impls behind one value type so the
 //! bench sweeps and integration tests are written once and
-//! parameterized by `QSM_BACKEND`. `qsm-membank` mirrors the scheme one
-//! level down: its `BankBackend` trait (`sim.rs` queue simulator vs
-//! `native.rs` threaded atomics) sits under one generic microbenchmark
-//! loop that pre-draws the per-processor bank-target sequences, so both
-//! executors consume identical access streams. That is the paper's
-//! methodology in code: identical programs, identical measured
-//! quantities, different machines.
+//! parameterized by `QSM_BACKEND`. That is the paper's methodology in
+//! code: identical programs, identical measured quantities, different
+//! machines.
 
 use std::time::Instant;
 

@@ -14,27 +14,18 @@
 //! * [`platform`] — queue-parameter profiles of the four platforms
 //!   (Sun E5000 natively and under BSPlib, an Ethernet NOW under
 //!   BSPlib, and a Cray T3E with `shmem`).
-//! * [`microbench`] — the generic microbenchmark loop: deterministic
-//!   per-processor target drawing plus the [`BankBackend`] trait the
-//!   two executors implement (the membank counterpart of qsm-core's
-//!   `Machine` unification).
-//! * [`sim`] — the closed-loop backend that regenerates Figure 7's
+//! * [`sim`] — the microbenchmark itself: deterministic per-processor
+//!   target drawing and the closed loop that regenerates Figure 7's
 //!   panels through the `qsm-simnet` bank stage, so the workspace has
 //!   exactly one bank-queue model.
-//! * [`native`] — the same microbenchmark on the host machine, with
-//!   padded atomics as banks, for a real-hardware data point.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod microbench;
-pub mod native;
 pub mod pattern;
 pub mod platform;
 pub mod sim;
 
-pub use microbench::{run_all, run_pattern, BankBackend, Sample};
-pub use native::NativeBank;
 pub use pattern::Pattern;
 pub use platform::BankMachine;
-pub use sim::{simulate_all, SimBank};
+pub use sim::{simulate_all, Sample};

@@ -7,150 +7,134 @@
 //! The reported metric is the average wall time per access at steady
 //! state, exactly what Figure 7 plots.
 //!
-//! [`SimBank`] is the [`BankBackend`] half of this: the shared
-//! microbenchmark loop in [`crate::microbench`] draws the per-access
-//! bank targets, and this backend prices them through the
-//! `qsm-simnet` destination-bank stage — the same FIFO queues the
-//! full-machine simulator uses — as an adapter rather than a private
-//! queue loop. Each bank is a one-bank simnet node (`procs + b` for
-//! bank `b`); an access is a zero-byte message whose send overhead is
-//! the issue cost, whose latency is the transit, and whose
-//! [`qsm_simnet::Delivery::bank_wait`] is the access's queuing time.
-//! The round-by-round transmit preserves the closed-loop issue
-//! discipline, and the arithmetic maps term for term onto the old
-//! loop: a one-bank node has `bank_free ≥ recv_free` at all times,
-//! so service starts at `max(arrive, bank_free)` in both — Figure
-//! 7's per-access times (`avg_ns` and every ratio) are bit-identical
-//! to the deleted private loop. The `avg_queue_ns` *diagnostic*
-//! differs by up to ~1.6% on Random: wait spent behind the node's
-//! in-order message ingestion is now attributed to the NIC rather
-//! than the bank (`bank_wait` starts at `max(arrive, recv_free)`,
-//! the old loop's `queue` started at `arrive`). [`simulate_all`] is
-//! one Figure 7 panel through that loop.
+//! Each processor draws its bank targets from its own deterministic
+//! RNG, one [`Pattern::target_bank`] draw per access in issue order.
+//! The accesses are priced through the `qsm-simnet` destination-bank
+//! stage — the same FIFO queues the full-machine simulator uses — as
+//! an adapter rather than a private queue loop. Each bank is a
+//! one-bank simnet node (`procs + b` for bank `b`); an access is a
+//! zero-byte message whose send overhead is the issue cost, whose
+//! latency is the transit, and whose [`qsm_simnet::Delivery::bank_wait`]
+//! is the access's queuing time. The round-by-round transmit preserves
+//! the closed-loop issue discipline, and the arithmetic maps term for
+//! term onto the old loop: a one-bank node has `bank_free ≥ recv_free`
+//! at all times, so service starts at `max(arrive, bank_free)` in both
+//! — Figure 7's per-access times (`avg_ns` and every ratio) are
+//! bit-identical to the deleted private loop. The `avg_queue_ns`
+//! *diagnostic* differs by up to ~1.6% on Random: wait spent behind the
+//! node's in-order message ingestion is now attributed to the NIC
+//! rather than the bank (`bank_wait` starts at `max(arrive, recv_free)`,
+//! the old loop's `queue` started at `arrive`). [`simulate_all`] is one
+//! Figure 7 panel through that loop.
 
 use qsm_simnet::{BankModel, Cycles, Delivery, Injection, MsgKind, NetConfig, Network};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
-use crate::microbench::{run_all, BankBackend, Sample};
 use crate::pattern::Pattern;
 use crate::platform::BankMachine;
 
-/// The queue simulator as a [`BankBackend`]: a platform profile plus
-/// the seed its per-processor target RNGs derive from.
-#[derive(Debug, Clone, Copy)]
-pub struct SimBank<'a> {
-    /// The platform profile being simulated.
-    pub machine: &'a BankMachine,
-    /// Seed shared by the per-processor target RNGs.
-    pub seed: u64,
+/// Per-access averages of one pattern on one platform.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sample {
+    /// Average nanoseconds per access across all processors.
+    pub avg_ns: f64,
+    /// Average nanoseconds an access spent queued at a bank.
+    pub avg_queue_ns: f64,
 }
 
-impl BankBackend for SimBank<'_> {
-    fn procs(&self) -> usize {
-        self.machine.procs
-    }
+/// One pattern on one platform, `accesses` accesses per processor.
+fn simulate_pattern(m: &BankMachine, pattern: Pattern, accesses: usize, seed: u64) -> Sample {
+    assert!(accesses >= 10, "too few accesses for a meaningful average");
+    let p = m.procs;
+    let warmup = accesses / 10;
+    let mut rngs: Vec<SmallRng> = (0..p)
+        .map(|i| SmallRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect();
 
-    fn banks(&self) -> usize {
-        self.machine.banks
-    }
+    // One simnet node per processor plus one single-bank node per
+    // memory bank. An access is a zero-byte message: its send
+    // overhead is the per-access issue cost, the wire latency the
+    // one-way transit, and the bank stage's fixed service time the
+    // bank occupancy. Receive ingestion is free (zero overhead,
+    // zero gap), so a message reaches its bank FIFO exactly at
+    // `issue + overhead + transit` — the old loop's arrival term.
+    let cfg = NetConfig {
+        gap_per_byte: 0.0,
+        send_overhead: m.overhead_ns,
+        recv_overhead: 0.0,
+        latency: m.transit_ns,
+        topology: qsm_simnet::TopologyKind::Flat,
+        link_gap_per_byte: None,
+        faults: None,
+        banks: Some(BankModel::per_message(1, m.bank_service_ns)),
+    };
+    let mut net = Network::new(p + m.banks, cfg);
+    let transit = Cycles::new(m.transit_ns);
 
-    fn rng_seed(&self, proc: usize) -> u64 {
-        self.seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
+    let mut proc_time = vec![Cycles::ZERO; p];
+    let mut msgs: Vec<Injection> = Vec::with_capacity(p);
+    let mut deliveries: Vec<Delivery> = Vec::new();
+    let mut order: Vec<(Cycles, usize)> = Vec::with_capacity(p);
+    let mut measured_time = 0.0f64;
+    let mut measured_queue = 0.0f64;
+    let mut measured_count = 0u64;
 
-    fn execute(&self, targets: &[Vec<usize>]) -> Sample {
-        let m = self.machine;
-        let p = m.procs;
-        let accesses = targets.first().map_or(0, Vec::len);
-        assert!(accesses >= 10, "too few accesses for a meaningful average");
-        let warmup = accesses / 10;
-
-        // One simnet node per processor plus one single-bank node per
-        // memory bank. An access is a zero-byte message: its send
-        // overhead is the per-access issue cost, the wire latency the
-        // one-way transit, and the bank stage's fixed service time the
-        // bank occupancy. Receive ingestion is free (zero overhead,
-        // zero gap), so a message reaches its bank FIFO exactly at
-        // `issue + overhead + transit` — the old loop's arrival term.
-        let cfg = NetConfig {
-            gap_per_byte: 0.0,
-            send_overhead: m.overhead_ns,
-            recv_overhead: 0.0,
-            latency: m.transit_ns,
-            topology: qsm_simnet::TopologyKind::Flat,
-            link_gap_per_byte: None,
-            faults: None,
-            banks: Some(BankModel::per_message(1, m.bank_service_ns)),
-        };
-        let mut net = Network::new(p + m.banks, cfg);
-        let transit = Cycles::new(m.transit_ns);
-
-        let mut proc_time = vec![Cycles::ZERO; p];
-        let mut msgs: Vec<Injection> = Vec::with_capacity(p);
-        let mut deliveries: Vec<Delivery> = Vec::new();
-        let mut order: Vec<(Cycles, usize)> = Vec::with_capacity(p);
-        let mut measured_time = 0.0f64;
-        let mut measured_queue = 0.0f64;
-        let mut measured_count = 0u64;
-
-        // Round-robin issue order approximates concurrent progress
-        // while staying deterministic: every processor's `k`-th access
-        // is transmitted (and fully served) before any `k+1`-th one,
-        // as in the original closed loop. `k` walks every processor's
-        // target row in lockstep, so an iterator over one row won't do.
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..accesses {
-            msgs.clear();
-            for (i, t) in proc_time.iter().enumerate() {
-                let bank = targets[i][k];
-                msgs.push(Injection::new(i, p + bank, 0, *t, MsgKind::Other).with_bank(0));
-            }
-            net.transmit_into(&msgs, &mut deliveries);
-            // Account in the same (arrival, processor) order the old
-            // loop served accesses in, so the f64 accumulators round
-            // identically.
-            order.clear();
-            order.extend(deliveries.iter().enumerate().map(|(i, d)| (d.arrive, i)));
-            order.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(_, i) in order.iter() {
-                let complete = deliveries[i].visible + transit;
-                if k >= warmup {
-                    measured_time += (complete - proc_time[i]).get();
-                    measured_queue += deliveries[i].bank_wait.get();
-                    measured_count += 1;
-                }
-                proc_time[i] = complete;
-            }
+    // Round-robin issue order approximates concurrent progress while
+    // staying deterministic: every processor's `k`-th access is
+    // transmitted (and fully served) before any `k+1`-th one, as in
+    // the original closed loop.
+    for k in 0..accesses {
+        msgs.clear();
+        for (i, (t, rng)) in proc_time.iter().zip(&mut rngs).enumerate() {
+            let bank = pattern.target_bank(i, m.banks, rng);
+            msgs.push(Injection::new(i, p + bank, 0, *t, MsgKind::Other).with_bank(0));
         }
-
-        Sample {
-            avg_ns: measured_time / measured_count as f64,
-            avg_queue_ns: Some(measured_queue / measured_count as f64),
+        net.transmit_into(&msgs, &mut deliveries);
+        // Account in the same (arrival, processor) order the old loop
+        // served accesses in, so the f64 accumulators round
+        // identically.
+        order.clear();
+        order.extend(deliveries.iter().enumerate().map(|(i, d)| (d.arrive, i)));
+        order.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        for &(_, i) in order.iter() {
+            let complete = deliveries[i].visible + transit;
+            if k >= warmup {
+                measured_time += (complete - proc_time[i]).get();
+                measured_queue += deliveries[i].bank_wait.get();
+                measured_count += 1;
+            }
+            proc_time[i] = complete;
         }
+    }
+
+    Sample {
+        avg_ns: measured_time / measured_count as f64,
+        avg_queue_ns: measured_queue / measured_count as f64,
     }
 }
 
 /// Simulate all three patterns on one machine (Figure 7, one panel),
-/// `accesses` accesses per processor each.
+/// `accesses` accesses per processor each, in the paper's order.
 ///
 /// The simulation is deterministic for a given seed. A short warmup
 /// (10% of the accesses) is excluded from the averages so queues
 /// reach steady state first.
 pub fn simulate_all(machine: &BankMachine, accesses: usize, seed: u64) -> Vec<(Pattern, Sample)> {
-    run_all(&SimBank { machine, seed }, accesses)
+    Pattern::all().iter().map(|&p| (p, simulate_pattern(machine, p, accesses, seed))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::microbench::run_pattern;
     use crate::platform as machine;
 
     const N: usize = 4000;
 
     /// `(avg_ns, avg_queue_ns)` of one pattern on one machine.
     fn simulate(m: &BankMachine, pattern: Pattern, accesses: usize, seed: u64) -> (f64, f64) {
-        let s = run_pattern(&SimBank { machine: m, seed }, pattern, accesses);
-        (s.avg_ns, s.avg_queue_ns.expect("the simulator observes queueing"))
+        let s = simulate_pattern(m, pattern, accesses, seed);
+        (s.avg_ns, s.avg_queue_ns)
     }
 
     #[test]
@@ -239,6 +223,13 @@ mod tests {
             queue > 0.2 * wq_theory && queue < 5.0 * wq_theory,
             "queue {queue} vs M/D/1 approx {wq_theory}"
         );
+    }
+
+    #[test]
+    fn simulate_all_reports_patterns_in_paper_order() {
+        let rs = simulate_all(&machine::smp_native(), 10, 1);
+        let order: Vec<Pattern> = rs.iter().map(|(p, _)| *p).collect();
+        assert_eq!(order, Pattern::all().to_vec());
     }
 
     #[test]

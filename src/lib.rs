@@ -21,8 +21,7 @@
 //!   sample sort, list ranking) with their analytical prediction
 //!   lines (best case, Chernoff WHP bound, measured-skew estimates).
 //! * [`membank`] — the Section 4 memory-bank contention
-//!   microbenchmark with per-machine bank-queue simulators and a
-//!   native threaded variant.
+//!   microbenchmark with per-machine bank-queue simulators.
 //!
 //! The package's `examples/` drive that API end to end (quickstart,
 //! a sample-sort pipeline, log reconstruction as a list-ranking

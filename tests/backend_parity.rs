@@ -10,7 +10,6 @@
 use qsm::algorithms::{gen, prefix};
 use qsm::core::obs::{self, ObsLevel, Recorder, SpanKind};
 use qsm::core::{Machine, ThreadMachine};
-use qsm::membank::Pattern;
 
 #[test]
 fn thread_machine_feeds_the_shared_recorder_path() {
@@ -65,23 +64,4 @@ fn thread_machine_feeds_the_shared_recorder_path() {
     let trace = data.to_perfetto_json();
     assert!(trace.contains("traceEvents") || trace.contains('['), "empty trace:\n{trace}");
     assert!(trace.contains("processors"), "per-processor track missing");
-}
-
-#[test]
-fn membank_backends_share_the_target_sequences() {
-    // The membank unification mirrors the Machine one: both executors
-    // are driven by the same generic loop, so a probe of the drawn
-    // targets must match what the simulator consumed — the sim
-    // results stay bit-identical through the shared path.
-    use qsm::membank::{platform, run_pattern, BankBackend, SimBank};
-
-    let m = platform::smp_native();
-    let bank = SimBank { machine: &m, seed: 9 };
-    let direct = run_pattern(&bank, Pattern::Random, 500);
-    let again = run_pattern(&bank, Pattern::Random, 500);
-    assert_eq!(direct, again, "shared drawing must stay deterministic");
-
-    // The backend reports the same geometry the profile declares.
-    assert_eq!(bank.procs(), m.procs);
-    assert_eq!(bank.banks(), m.banks);
 }
