@@ -108,27 +108,18 @@ fn measure(pattern: Pattern, w: usize, seed: u64) -> Measured {
     }
 }
 
-/// Closed-loop Figure 7 ratios (pattern time over NoConflict time)
-/// on the SMP-NATIVE profile with Figure 7's own seed and access
-/// count — the exact numbers that figure reports, so the pipeline's
-/// `vs_noconflict` column reads directly against them.
-fn closed_loop_ratios(accesses: usize) -> Vec<(Pattern, f64)> {
-    let results = qsm_membank::simulate_all(&platform::smp_native(), accesses, 0x1998);
-    let noc =
-        results.iter().find(|r| r.0 == Pattern::NoConflict).expect("all patterns ran").1.avg_ns;
-    results.iter().map(|(p, s)| (*p, s.avg_ns / noc)).collect()
-}
-
 /// Run the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
     crate::backend::warn_sim_only("ext_banks");
     let w = if cfg.fast { 64 } else { 256 };
-    let accesses = if cfg.fast { 2_000 } else { 20_000 }; // fig7's counts
     let patterns = Pattern::all().to_vec();
     let measured = crate::sweep::map("ext_banks", cfg, P, patterns.clone(), |point, pat| {
         measure(pat, w, cfg.seed(point, 0))
     });
-    let closed = closed_loop_ratios(accesses);
+    // Figure 7's own SMP-NATIVE panel: the exact ratios that figure
+    // reports, so the pipeline's `vs_noconflict` column reads directly
+    // against them.
+    let closed = super::fig7::panel(&platform::smp_native(), cfg.fast);
     let noc_comm = measured[patterns
         .iter()
         .position(|&p| p == Pattern::NoConflict)
@@ -139,7 +130,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         .zip(&measured)
         .map(|(&pat, m)| {
             let closed_ratio =
-                closed.iter().find(|(p, _)| *p == pat).expect("closed loop ran all patterns").1;
+                closed.iter().find(|(p, ..)| *p == pat).expect("closed loop ran all patterns").2;
             vec![
                 pat.label().to_string(),
                 format!("{:.1}", us_at_400mhz(m.comm)),

@@ -39,7 +39,7 @@ pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
         for rep in 0..cfg.reps {
             let seed = cfg.seed(point, rep);
             let machine = backend.machine(machine_cfg, seed);
-            let input = gen::random_u64s(n, seed ^ 0xDA7A);
+            let input = gen::random_u64s(n, super::input_seed(seed));
             let run = prefix::run_on(&machine, &input);
             totals.push(run.total());
             comms.push(run.comm());

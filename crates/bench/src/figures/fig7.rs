@@ -7,31 +7,33 @@
 //! randomized layout QSM assumes forgoes a little performance to
 //! avoid a catastrophic worst case.
 
-use qsm_membank::{platform, simulate_all, Pattern, Sample};
+use qsm_membank::platform::{self, BankMachine};
+use qsm_membank::{simulate_all, Pattern, Sample};
 
 use crate::{Report, RunCfg};
 
-/// Append one panel of (pattern, sample) rows, normalized against
-/// the panel's NoConflict time.
-fn push_panel(rows: &mut Vec<Vec<String>>, platform: &str, samples: &[(Pattern, Sample)]) {
+/// One platform's panel under Figure 7's seed and access count: each
+/// pattern's sample beside its time over the panel's NoConflict time.
+pub(crate) fn panel(m: &BankMachine, fast: bool) -> Vec<(Pattern, Sample, f64)> {
+    let accesses = if fast { 2_000 } else { 20_000 };
+    let samples = simulate_all(m, accesses, 0x1998);
     let noc = samples.iter().find(|(p, _)| *p == Pattern::NoConflict).unwrap().1.avg_ns;
-    for (p, s) in samples {
-        rows.push(vec![
-            platform.to_string(),
-            p.label().to_string(),
-            format!("{:.0}", s.avg_ns),
-            format!("{:.0}", s.avg_queue_ns),
-            format!("{:.2}", s.avg_ns / noc),
-        ]);
-    }
+    samples.into_iter().map(|(p, s)| (p, s, s.avg_ns / noc)).collect()
 }
 
 /// Run the experiment: one simulated panel per platform.
 pub fn run(cfg: &RunCfg) -> Report {
-    let accesses = if cfg.fast { 2_000 } else { 20_000 };
     let mut rows = Vec::new();
     for m in platform::figure7_machines() {
-        push_panel(&mut rows, m.name, &simulate_all(&m, accesses, 0x1998));
+        for (p, s, ratio) in panel(&m, cfg.fast) {
+            rows.push(vec![
+                m.name.to_string(),
+                p.label().to_string(),
+                format!("{:.0}", s.avg_ns),
+                format!("{:.0}", s.avg_queue_ns),
+                format!("{ratio:.2}"),
+            ]);
+        }
     }
 
     let headers = ["platform", "pattern", "avg_ns", "queue_ns", "vs_noconflict"];

@@ -51,18 +51,23 @@ use crate::output::us_at_400mhz;
 use crate::stats::{cross_interpolate, mean};
 use crate::{Report, RunCfg};
 
+/// The seed every figure draws a kernel's input from, given the
+/// run's machine seed.
+pub(crate) fn input_seed(seed: u64) -> u64 {
+    seed ^ 0xDA7A
+}
+
 /// Run one of the paper's three kernels, by name, on `machine`: `n`
-/// elements (list nodes for `listrank`) drawn from `seed ^ 0xDA7A`,
-/// the input seed every figure uses. Returns the run's phases, or
-/// `None` for a name other than `prefix`, `samplesort` and
-/// `listrank`.
+/// elements (list nodes for `listrank`) drawn from `input_seed(seed)`.
+/// Returns the run's phases, or `None` for a name other than
+/// `prefix`, `samplesort` and `listrank`.
 pub fn run_kernel<M: Machine>(
     algo: &str,
     machine: &M,
     n: usize,
     seed: u64,
 ) -> Option<Vec<PhaseRecord>> {
-    let seed = seed ^ 0xDA7A;
+    let seed = input_seed(seed);
     Some(match algo {
         "prefix" => prefix::run_on(machine, &gen::random_u64s(n, seed)).run.phases,
         "samplesort" => samplesort::run_on(machine, &gen::random_u32s(n, seed)).run.phases,
@@ -104,7 +109,7 @@ pub(crate) fn estimate_sweep(
         for rep in 0..cfg.reps {
             let seed = cfg.seed(point, rep);
             let machine = backend.machine(machine_cfg, seed);
-            let (total, comm, est) = kernel(&machine, n, seed ^ 0xDA7A, &params);
+            let (total, comm, est) = kernel(&machine, n, input_seed(seed), &params);
             totals.push(total);
             comms.push(comm);
             est_qsm.push(est.qsm);
@@ -262,7 +267,7 @@ pub(crate) fn samplesort_comm(
         .map(|rep| {
             let seed = cfg.seed(point, rep);
             let machine = SimMachine::new(machine_cfg).with_seed(seed);
-            let input = gen::random_u32s(n, seed ^ 0xDA7A);
+            let input = gen::random_u32s(n, input_seed(seed));
             samplesort::run_on(&machine, &input).comm()
         })
         .collect();

@@ -91,8 +91,14 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Assemble a report from phase records.
-    pub fn build(cfg: &MachineConfig, phases: &[PhaseRecord], l_barrier: f64) -> Self {
+    /// Assemble a report from phase records measured in `unit`,
+    /// predicting with `cfg` and a per-phase barrier cost `l_barrier`.
+    pub fn build(
+        cfg: &MachineConfig,
+        phases: &[PhaseRecord],
+        l_barrier: f64,
+        unit: &'static str,
+    ) -> Self {
         let models = ModelInputs::hardware(cfg, l_barrier);
         Self {
             p: cfg.p,
@@ -113,15 +119,8 @@ impl CostReport {
             sqsm_comm: phases.iter().map(|r| models.sqsm.phase_comm_cost(&r.profile)).sum(),
             bsp_comm: phases.iter().map(|r| models.bsp.phase_comm_cost(&r.profile)).sum(),
             logp_comm: phases.iter().map(|r| models.logp.phase_comm_cost(&r.profile)).sum(),
-            measured_unit: "cycles",
+            measured_unit: unit,
         }
-    }
-
-    /// Relabel the measured columns' unit (wall-clock backends
-    /// measure in nanoseconds but predict in model cycles).
-    pub fn with_measured_unit(mut self, unit: &'static str) -> Self {
-        self.measured_unit = unit;
-        self
     }
 
     /// Relative error of a prediction against the measured
@@ -223,7 +222,7 @@ mod tests {
     fn totals_sum_over_phases() {
         let cfg = MachineConfig::paper_default(4);
         let phases = vec![record(100, 10, 500.0), record(200, 20, 700.0)];
-        let rep = CostReport::build(&cfg, &phases, 25_500.0);
+        let rep = CostReport::build(&cfg, &phases, 25_500.0, "cycles");
         assert_eq!(rep.num_phases, 2);
         assert_eq!(rep.measured_total.get(), 1500.0);
         assert_eq!(rep.measured_compute.get(), 300.0);
@@ -236,7 +235,7 @@ mod tests {
     fn qsm_prediction_uses_word_gap() {
         let cfg = MachineConfig::paper_default(4); // g = 3 c/B = 12 c/word
         let phases = vec![record(0, 100, 5000.0)];
-        let rep = CostReport::build(&cfg, &phases, 25_500.0);
+        let rep = CostReport::build(&cfg, &phases, 25_500.0, "cycles");
         assert_eq!(rep.qsm_comm, 1200.0);
         // BSP adds L per phase.
         assert_eq!(rep.bsp_comm, 1200.0 + 25_500.0);
@@ -246,7 +245,7 @@ mod tests {
     fn underprediction_sign_convention() {
         let cfg = MachineConfig::paper_default(4);
         let phases = vec![record(0, 100, 2400.0)];
-        let rep = CostReport::build(&cfg, &phases, 0.0);
+        let rep = CostReport::build(&cfg, &phases, 0.0, "cycles");
         // predicted 1200 vs measured 2400 -> 50% underprediction.
         assert!((rep.comm_underprediction(rep.qsm_comm) - 0.5).abs() < 1e-12);
     }
@@ -254,7 +253,7 @@ mod tests {
     #[test]
     fn display_renders_all_models() {
         let cfg = MachineConfig::paper_default(4);
-        let rep = CostReport::build(&cfg, &[record(10, 10, 100.0)], 100.0);
+        let rep = CostReport::build(&cfg, &[record(10, 10, 100.0)], 100.0, "cycles");
         let s = rep.to_string();
         for needle in ["QSM", "s-QSM", "BSP", "LogP", "measured", "phases = 1"] {
             assert!(s.contains(needle), "missing {needle} in:\n{s}");
@@ -266,7 +265,7 @@ mod tests {
         let cfg = MachineConfig::paper_default(4);
         let mut rec = record(10, 0, 0.0);
         rec.timing.comm = Cycles::ZERO;
-        let rep = CostReport::build(&cfg, &[rec], 0.0);
+        let rep = CostReport::build(&cfg, &[rec], 0.0, "cycles");
         assert_eq!(rep.comm_underprediction(123.0), 0.0);
     }
 }

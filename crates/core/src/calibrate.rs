@@ -95,7 +95,7 @@ impl EffectiveCosts {
     fn measure_uncached(cfg: MachineConfig, words: usize) -> Self {
         assert!(words > 0);
         let machine = SimMachine::new(cfg);
-        let l_sync = machine.empty_sync_cost().get();
+        let l_sync = crate::sim_timer::empty_sync_cost(cfg).get();
         // A one-processor machine's traffic is all library self-path:
         // no synchronization cost to take off.
         let l = if cfg.p == 1 { 0.0 } else { l_sync };
@@ -171,6 +171,7 @@ fn unobserved(machine: &SimMachine, program: impl Fn(&mut Ctx) + Send + Sync) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machine;
 
     #[test]
     fn a_remembered_entry_is_the_measurement_of_its_key() {
@@ -236,7 +237,8 @@ mod tests {
     fn empty_sync_matches_machine_measure() {
         let cfg = MachineConfig::paper_default(8);
         let costs = EffectiveCosts::measure_with(cfg, 512);
-        assert_eq!(costs.l_sync, SimMachine::new(cfg).empty_sync_cost().get());
+        let report = SimMachine::new(cfg).make_report(&[]);
+        assert_eq!(costs.l_sync, report.models.bsp.l_barrier);
     }
 
     #[test]

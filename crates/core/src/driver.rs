@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use qsm_models::PhaseProfile;
 use qsm_obs::{Recorder, SpanKind};
-use qsm_simnet::Cycles;
+use qsm_simnet::{BankModel, Cycles};
 
 use crate::addr::ArrayId;
 use crate::machine::PhaseTimer;
@@ -418,15 +418,15 @@ impl Driver {
     }
 
     /// Once-per-run initialization: switch on bank metering when the
-    /// backend's machine models destination banks, so bank-free runs
-    /// meter no bank cells. The engine calls this before the first
-    /// phase.
-    pub(crate) fn begin_run(&mut self, timer: &dyn PhaseTimer) {
-        if let Some(bm) = timer.bank_model() {
+    /// machine models destination banks, so bank-free runs meter no
+    /// bank cells, and per-link metrics over its `links` fabric links.
+    /// The engine calls this before the first phase.
+    pub(crate) fn begin_run(&mut self, banks: Option<BankModel>, links: usize) {
+        if let Some(bm) = banks {
             self.banks = bm.banks_per_node;
             self.bank_load = vec![0; self.p * self.banks];
         }
-        self.links = timer.link_count();
+        self.links = links;
     }
 
     /// **Stage 1 — plan.** Validate collective registration calls and

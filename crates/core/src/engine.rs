@@ -86,7 +86,7 @@ pub(crate) fn run_on_carriers<M: Machine, R: Send>(
     let k = if crate::fiber::HOSTS { k.clamp(1, p) } else { p };
     let mut driver = Driver::new(p, rec.clone());
     let mut timer = machine.make_timer(rec.clone());
-    driver.begin_run(timer.as_ref());
+    driver.begin_run(machine.config().net.banks, timer.link_count());
     // Full-level capture: a timer that opts in (the wall-clock one)
     // hands over its epoch and the workers emit their own per-lane
     // spans against it (compute / barrier legs / serve / apply plus

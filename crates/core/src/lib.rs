@@ -97,10 +97,11 @@
 //! The backends and what surrounds a run:
 //!
 //! * [`sim_runtime`] / `sim_timer` — [`SimMachine`], whose
-//!   [`SimTimer`] prices plan, exchange and barrier on `qsm-simnet`
+//!   `SimTimer` prices plan, exchange and barrier on `qsm-simnet`
 //!   and runs the delivery protocol over a lossy network.
 //! * [`thread_runtime`] — [`ThreadMachine`], the same engine on the
-//!   host's cores, priced by [`WallTimer`] in nanoseconds.
+//!   host's cores, priced by [`thread_runtime::WallTimer`] in
+//!   nanoseconds.
 //! * [`accounting`] — [`CostReport`]: measured times beside the QSM,
 //!   s-QSM, BSP and LogP predictions of `qsm-models`.
 //! * [`calibrate`] — [`EffectiveCosts`]: the Table 3 microbenchmarks
@@ -149,6 +150,5 @@ pub use machine::{AnyMachine, Machine, PhaseTimer, RunResult};
 pub use ops::GetTicket;
 pub use shmem::SharedArray;
 pub use sim_runtime::SimMachine;
-pub use sim_timer::SimTimer;
-pub use thread_runtime::{ThreadMachine, WallTimer};
+pub use thread_runtime::ThreadMachine;
 pub use word::Word;

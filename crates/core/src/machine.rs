@@ -4,37 +4,18 @@
 //! "native" is a strategy object — the timer — and nothing else (the
 //! run loop is the private `engine` module's, the exchange `spmd`'s).
 //! Every QSM backend is a [`Machine`]:
-//! a small configuration value that knows how many processors it has,
-//! how to build the [`PhaseTimer`] that prices each phase, and how to
-//! assemble a [`CostReport`] from a run's phases. Backends today:
+//! a small configuration value whose [`MachineConfig`] is its
+//! parameter set — the trait derives the processor count, the bank
+//! model the driver meters and the [`CostReport`] from it — plus the
+//! [`PhaseTimer`] that prices each phase. Backends today:
 //! [`SimMachine`] (simulated cycles on the `qsm-simnet` model) and
-//! [`ThreadMachine`] (the host's cores, wall-clock nanoseconds). A
-//! backend implements
-//!
-//! ```text
-//! trait Machine {
-//!     fn nprocs(&self) -> usize;
-//!     fn seed(&self) -> u64;                       // per-proc RNG streams
-//!     fn backend_name(&self) -> &'static str;      // "sim" | "threads"
-//!     fn time_unit(&self) -> &'static str;         // "cycles" | "ns"
-//!     fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer>;
-//!     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport;
-//!     fn run<R, F>(&self, program: F) -> RunResult<R> { engine::run(self, program) }
-//! }
-//!
-//! trait PhaseTimer {
-//!     // timing + this phase's retries, drops, bank and link wait, link util
-//!     fn price(&mut self, charged: &[u64], matrix: &CommMatrix,
-//!              arrivals: &[Instant]) -> PhasePrice;
-//!     // + defaulted per-run queries: bank_model, link_count, spmd_span_epoch
-//! }
-//! ```
+//! [`ThreadMachine`] (the host's cores, wall-clock nanoseconds).
 //!
 //! The engine (`crate::engine`) holds the timer as the
 //! `Box<dyn PhaseTimer>` the machine hands it, so [`AnyMachine`] (the
 //! `QSM_BACKEND`-selected backend) only forwards
-//! [`Machine::make_timer`] to the machine it wraps: one dynamic
-//! dispatch per timer call on every path.
+//! [`Machine::config`] and [`Machine::make_timer`] to the machine it
+//! wraps: one dynamic dispatch per timer call on every path.
 //! `core/tests/third_party_machine.rs` implements both traits from
 //! outside the crate.
 //!
@@ -60,9 +41,9 @@
 //! ```
 //!
 //! Only the **price** stage differs per backend:
-//! [`SimTimer`](crate::SimTimer) prices the plan all-to-all,
-//! latin-square exchange, and dissemination barrier on `qsm-simnet` and
-//! advances the simulated clock; [`WallTimer`](crate::WallTimer) splits
+//! the private `SimTimer` prices the plan all-to-all, latin-square
+//! exchange, and dissemination barrier on `qsm-simnet` and advances
+//! the simulated clock; [`crate::thread_runtime::WallTimer`] splits
 //! real elapsed time at the last worker's `sync()` arrival (compute =
 //! release→last-arrival, comm = remainder). Because plan, exchange, and
 //! record are shared, both backends meter κ, h-relations, and message
@@ -84,12 +65,13 @@
 use std::time::Instant;
 
 use qsm_obs::Recorder;
-use qsm_simnet::Cycles;
+use qsm_simnet::{Cycles, MachineConfig};
 
 use crate::accounting::CostReport;
 use crate::ctx::Ctx;
 use crate::driver::{CommMatrix, PhasePrice, PhaseRecord};
 use crate::sim_runtime::SimMachine;
+use crate::sim_timer::empty_sync_cost;
 use crate::thread_runtime::ThreadMachine;
 
 /// Prices one phase of a run: the **price** stage of the pipeline.
@@ -108,25 +90,17 @@ pub trait PhaseTimer: Send {
     /// split compute from communication with it; simulated backends
     /// ignore it). `arrivals` is empty when no run is behind the
     /// phase: every [`Machine::make_report`] prices an empty `sync()`
-    /// that way ([`SimMachine::empty_sync_cost`]), as do unit tests.
+    /// that way (the BSP `L`, [`crate::EffectiveCosts::l_sync`]), as do
+    /// unit tests.
     /// Returns everything the backend knows about the phase: its
     /// timing, plus the fault, bank and link counters of backends
     /// that simulate them.
     fn price(&mut self, charged: &[u64], matrix: &CommMatrix, arrivals: &[Instant]) -> PhasePrice;
 
-    /// The destination-bank model this backend's machine is
-    /// configured with, if any. The driver queries it once per run to
-    /// switch on per-bank traffic metering (observed bank-κ); `None`
-    /// (the default) keeps the bank layer entirely off.
-    fn bank_model(&self) -> Option<qsm_simnet::BankModel> {
-        None
-    }
-
     /// Number of directed fabric links the backend's machine routes
     /// messages over — zero on the flat contention-free wire and on
     /// backends that do not simulate the fabric. The driver queries
-    /// it once per run to switch on per-link metrics, mirroring
-    /// [`PhaseTimer::bank_model`].
+    /// it once per run to switch on per-link metrics.
     fn link_count(&self) -> usize {
         0
     }
@@ -150,8 +124,17 @@ pub trait PhaseTimer: Send {
 /// workers through the shared engine. See the crate-level example
 /// for a program running unmodified on both backends.
 pub trait Machine {
+    /// The machine's parameter set: the simulated machine itself on
+    /// [`SimMachine`], the reference machine the predictions use on
+    /// [`ThreadMachine`]. Its bank model switches on per-bank metering
+    /// (observed bank-κ) on every backend; wall-clock timing itself is
+    /// never adjusted by it.
+    fn config(&self) -> MachineConfig;
+
     /// Number of processors.
-    fn nprocs(&self) -> usize;
+    fn nprocs(&self) -> usize {
+        self.config().p
+    }
 
     /// Seed for the per-processor deterministic RNGs.
     fn seed(&self) -> u64;
@@ -169,8 +152,13 @@ pub trait Machine {
     /// configuration + counters, never borrows).
     fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer>;
 
-    /// Assemble the run's cost report from its phase records.
-    fn make_report(&self, phases: &[PhaseRecord]) -> CostReport;
+    /// Assemble the run's cost report from its phase records: the
+    /// measured columns in [`Machine::time_unit`], the predictions
+    /// from [`Machine::config`] with BSP's `L` its empty `sync()`.
+    fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {
+        let cfg = self.config();
+        CostReport::build(&cfg, phases, empty_sync_cost(cfg).get(), self.time_unit())
+    }
 
     /// Run `program` on every processor and price the run.
     fn run<R, F>(&self, program: F) -> RunResult<R>
@@ -239,10 +227,10 @@ impl From<ThreadMachine> for AnyMachine {
 }
 
 impl Machine for AnyMachine {
-    fn nprocs(&self) -> usize {
+    fn config(&self) -> MachineConfig {
         match self {
-            AnyMachine::Sim(m) => m.nprocs(),
-            AnyMachine::Threads(m) => m.nprocs(),
+            AnyMachine::Sim(m) => m.config(),
+            AnyMachine::Threads(m) => m.config(),
         }
     }
 
@@ -271,13 +259,6 @@ impl Machine for AnyMachine {
         match self {
             AnyMachine::Sim(m) => m.make_timer(rec),
             AnyMachine::Threads(m) => m.make_timer(rec),
-        }
-    }
-
-    fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {
-        match self {
-            AnyMachine::Sim(m) => m.make_report(phases),
-            AnyMachine::Threads(m) => m.make_report(phases),
         }
     }
 }

@@ -12,8 +12,9 @@
 //! return — the zero-overhead default.
 //!
 //! Calibration never contaminates the capture of the run under study:
-//! [`crate::SimMachine::empty_sync_cost`] prices its empty phase on a
-//! timer of its own with a disabled recorder, and the microbenchmark
+//! the empty `sync()` behind BSP's `L` ([`crate::EffectiveCosts::l_sync`],
+//! [`crate::Machine::make_report`]) is priced on a timer of its own
+//! with a disabled recorder, and the microbenchmark
 //! runs of [`crate::calibrate`] enter the engine with a disabled
 //! recorder instead of the ambient one. Since [`crate::calibrate`]
 //! remembers its results per process, anything else would make a

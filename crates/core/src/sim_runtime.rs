@@ -12,13 +12,11 @@
 //! so results are bit-exact reproducible for a given machine seed.
 
 use qsm_obs::Recorder;
-use qsm_simnet::{Cycles, MachineConfig};
+use qsm_simnet::MachineConfig;
 
-use crate::accounting::CostReport;
 use crate::ctx::Ctx;
-use crate::driver::PhaseRecord;
 use crate::machine::{Machine, PhaseTimer};
-use crate::sim_timer::{empty_sync_cost, SimTimer};
+use crate::sim_timer::SimTimer;
 
 pub use crate::machine::RunResult;
 
@@ -41,11 +39,6 @@ impl SimMachine {
         self
     }
 
-    /// Cost of an empty `sync()` on this machine (the BSP `L`).
-    pub fn empty_sync_cost(&self) -> Cycles {
-        empty_sync_cost(self.cfg)
-    }
-
     /// Run `program` on every simulated processor and price the run.
     /// Equivalent to the generic [`Machine::run`]; kept inherent so
     /// callers need no trait import.
@@ -59,8 +52,8 @@ impl SimMachine {
 }
 
 impl Machine for SimMachine {
-    fn nprocs(&self) -> usize {
-        self.cfg.p
+    fn config(&self) -> MachineConfig {
+        self.cfg
     }
 
     fn seed(&self) -> u64 {
@@ -76,11 +69,7 @@ impl Machine for SimMachine {
     }
 
     fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer> {
-        Box::new(SimTimer::with_recorder(self.cfg, rec))
-    }
-
-    fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {
-        CostReport::build(&self.cfg, phases, self.empty_sync_cost().get())
+        Box::new(SimTimer::new(self.cfg, rec))
     }
 }
 

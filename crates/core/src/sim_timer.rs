@@ -101,14 +101,10 @@ pub struct SimTimer {
 }
 
 impl SimTimer {
-    /// A fresh, unobserved machine at time zero.
-    pub fn new(cfg: MachineConfig) -> Self {
-        Self::with_recorder(cfg, Recorder::disabled())
-    }
-
-    /// A fresh machine emitting into `rec`. At full level the network
-    /// trace is enabled and drained into the recorder every phase.
-    pub fn with_recorder(cfg: MachineConfig, rec: Recorder) -> Self {
+    /// A fresh machine at time zero, emitting into `rec`. At full
+    /// level the network trace is enabled and drained into the
+    /// recorder every phase.
+    pub fn new(cfg: MachineConfig, rec: Recorder) -> Self {
         let mut net = Network::new(cfg.p, cfg.net);
         if rec.is_full() {
             net.enable_trace(PHASE_TRACE_CAP);
@@ -710,10 +706,6 @@ impl PhaseTimer for SimTimer {
         out
     }
 
-    fn bank_model(&self) -> Option<qsm_simnet::BankModel> {
-        self.cfg.net.banks
-    }
-
     fn link_count(&self) -> usize {
         self.net.link_count()
     }
@@ -737,7 +729,7 @@ fn kind_counter_names(kind: MsgKind) -> (&'static str, &'static str) {
 /// on a fresh machine: the Table 3 "synchronization barrier L"
 /// microbenchmark, and the `L` used by BSP predictions.
 pub(crate) fn empty_sync_cost(cfg: MachineConfig) -> Cycles {
-    let mut timer = SimTimer::new(cfg);
+    let mut timer = SimTimer::new(cfg, Recorder::disabled());
     let charged = vec![0u64; cfg.p];
     timer.price(&charged, &CommMatrix::new(&[], 0), &[]).timing.elapsed
 }
@@ -773,7 +765,7 @@ mod tests {
     }
 
     fn timing(cfg: MachineConfig, charged: &[u64], rows: &[Slot]) -> PhaseTiming {
-        let mut t = SimTimer::new(cfg);
+        let mut t = SimTimer::new(cfg, Recorder::disabled());
         t.price(charged, &CommMatrix::new(rows, 0), &[]).timing
     }
 
@@ -846,7 +838,7 @@ mod tests {
     #[test]
     fn clock_advances_monotonically_across_phases() {
         let cfg = MachineConfig::paper_default(4);
-        let mut t = SimTimer::new(cfg);
+        let mut t = SimTimer::new(cfg, Recorder::disabled());
         let m = CommMatrix::new(&[], 0);
         let mut now = Cycles::ZERO;
         for k in 1..5u64 {
@@ -863,7 +855,7 @@ mod tests {
         use qsm_obs::{ObsLevel, SpanKind};
         let cfg = MachineConfig::paper_default(4);
         let rec = Recorder::new(ObsLevel::Full, qsm_simnet::CLOCK_HZ);
-        let mut t = SimTimer::with_recorder(cfg, rec.clone());
+        let mut t = SimTimer::new(cfg, rec.clone());
         let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 40))));
         let timing = t.price(&[1_000; 4], &CommMatrix::new(&m, 0), &[]).timing;
         let data = rec.take().unwrap();
@@ -899,9 +891,9 @@ mod tests {
     fn unobserved_timer_timing_is_identical_to_observed() {
         // The recorder must never perturb simulated time.
         let cfg = MachineConfig::paper_default(8);
-        let mut plain = SimTimer::new(cfg);
+        let mut plain = SimTimer::new(cfg, Recorder::disabled());
         let rec = Recorder::new(qsm_obs::ObsLevel::Full, qsm_simnet::CLOCK_HZ);
-        let mut observed = SimTimer::with_recorder(cfg, rec);
+        let mut observed = SimTimer::new(cfg, rec);
         let rows = metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, gets(50, 200))));
         let m = CommMatrix::new(&rows, 0);
         for k in 1..4u64 {
@@ -917,8 +909,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(8);
         let rows = metered(8, 0, (0..8).map(|i| (i, (i + 1) % 8, None, puts(100, 400))));
         let m = CommMatrix::new(&rows, 0);
-        let mut a = SimTimer::new(cfg);
-        let mut b = SimTimer::new(cfg);
+        let mut a = SimTimer::new(cfg, Recorder::disabled());
+        let mut b = SimTimer::new(cfg, Recorder::disabled());
         for k in 1..4u64 {
             let price = a.price(&[k * 100; 8], &m, &[]);
             assert_eq!(price, b.price(&[k * 100; 8], &m, &[]));
@@ -942,8 +934,8 @@ mod tests {
             }),
         );
         let m = CommMatrix::new(&rows, 0);
-        let mut clean = SimTimer::new(base);
-        let mut faulty = SimTimer::new(faulted);
+        let mut clean = SimTimer::new(base, Recorder::disabled());
+        let mut faulty = SimTimer::new(faulted, Recorder::disabled());
         let p_clean = clean.price(&[0; 4], &m, &[]);
         let p_faulty = faulty.price(&[0; 4], &m, &[]);
         let (retries, drops) = (p_faulty.retries, p_faulty.dropped_msgs);
@@ -964,7 +956,7 @@ mod tests {
         use qsm_simnet::FaultConfig;
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(7, 0.3));
         let run = || {
-            let mut t = SimTimer::new(cfg);
+            let mut t = SimTimer::new(cfg, Recorder::disabled());
             let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(30, 120))));
             let m = CommMatrix::new(&rows, 0);
             let mut out = Vec::new();
@@ -983,7 +975,7 @@ mod tests {
         // max_attempts 1 means a single loss exhausts the budget.
         let fc = FaultConfig { max_attempts: 1, ..FaultConfig::drops(3, 0.9) };
         let cfg = MachineConfig::paper_default(4).with_faults(fc);
-        let mut t = SimTimer::new(cfg);
+        let mut t = SimTimer::new(cfg, Recorder::disabled());
         let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 40))));
         let m = CommMatrix::new(&rows, 0);
         for _ in 0..20 {
@@ -997,7 +989,7 @@ mod tests {
         use qsm_simnet::FaultConfig;
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(21, 0.4));
         let rec = Recorder::new(ObsLevel::Full, qsm_simnet::CLOCK_HZ);
-        let mut t = SimTimer::with_recorder(cfg, rec.clone());
+        let mut t = SimTimer::new(cfg, rec.clone());
         let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(40, 160))));
         let price = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
         let (retries, drops) = (price.retries, price.dropped_msgs);
@@ -1024,12 +1016,11 @@ mod tests {
         let cfg = MachineConfig::paper_default(4);
         let banked = banked_puts_to_zero(|i| i, 500);
         let plain = metered(4, 0, (0..4).map(|i| (i, 0, None, puts(500, 2000))));
-        let mut a = SimTimer::new(cfg);
-        let mut b = SimTimer::new(cfg);
+        let mut a = SimTimer::new(cfg, Recorder::disabled());
+        let mut b = SimTimer::new(cfg, Recorder::disabled());
         let price = a.price(&[0; 4], &CommMatrix::new(&banked, 4), &[]);
         assert_eq!(price, b.price(&[0; 4], &CommMatrix::new(&plain, 0), &[]));
         assert_eq!(price.bank_wait, Cycles::ZERO);
-        assert_eq!(a.bank_model(), None);
     }
 
     #[test]
@@ -1044,8 +1035,8 @@ mod tests {
         });
         let conflict = banked_puts_to_zero(|_| 0, 500);
         let spread = banked_puts_to_zero(|i| i, 500);
-        let mut tc = SimTimer::new(cfg);
-        let mut ts = SimTimer::new(cfg);
+        let mut tc = SimTimer::new(cfg, Recorder::disabled());
+        let mut ts = SimTimer::new(cfg, Recorder::disabled());
         let conflicted = tc.price(&[0; 4], &CommMatrix::new(&conflict, 4), &[]);
         let spread_out = ts.price(&[0; 4], &CommMatrix::new(&spread, 4), &[]);
         let (conflict_comm, spread_comm) = (conflicted.timing.comm, spread_out.timing.comm);
@@ -1056,7 +1047,6 @@ mod tests {
         assert!(conflicted.bank_wait > Cycles::ZERO);
         // Distinct banks drain in parallel: nothing queues.
         assert_eq!(spread_out.bank_wait, Cycles::ZERO);
-        assert_eq!(tc.bank_model(), Some(cfg.net.banks.unwrap()));
     }
 
     #[test]
@@ -1065,7 +1055,7 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(2, 50_000.0));
         let c = gets(50, 200);
         let m = metered(4, 2, (1..4).flat_map(|i| [(i, 0, None, c), (i, 0, Some(0), c)]));
-        let mut t = SimTimer::new(cfg);
+        let mut t = SimTimer::new(cfg, Recorder::disabled());
         let price = t.price(&[0; 4], &CommMatrix::new(&m, 2), &[]);
         assert!(price.timing.comm > Cycles::ZERO);
         // Three get requests collide on bank 0 of node 0: the second
@@ -1079,7 +1069,7 @@ mod tests {
         use qsm_simnet::BankModel;
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(4, 50_000.0));
         let conflict = banked_puts_to_zero(|_| 0, 100);
-        let mut t = SimTimer::new(cfg);
+        let mut t = SimTimer::new(cfg, Recorder::disabled());
         assert!(t.price(&[0; 4], &CommMatrix::new(&conflict, 4), &[]).bank_wait > Cycles::ZERO);
         assert_eq!(t.price(&[100; 4], &CommMatrix::new(&[], 0), &[]).bank_wait, Cycles::ZERO);
     }
@@ -1096,7 +1086,7 @@ mod tests {
             .with_banks(BankModel::per_message(4, service))
             .with_faults(FaultConfig::drops(0xBA2C, 0.5));
         let puts = banked_puts_to_zero(|i| i, 100);
-        let mut t = SimTimer::new(cfg);
+        let mut t = SimTimer::new(cfg, Recorder::disabled());
         let phases = 8;
         let mut retries = 0;
         for _ in 0..phases {
@@ -1115,7 +1105,7 @@ mod tests {
         let cfg =
             MachineConfig::paper_default(4).with_topology(TopologyKind::Line).with_link_gap(100.0);
         let m = metered(4, 0, (1..4).map(|i| (i, 0, None, puts(500, 2000))));
-        let mut t = SimTimer::new(cfg);
+        let mut t = SimTimer::new(cfg, Recorder::disabled());
         let loaded = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
         assert!(loaded.link_wait > Cycles::ZERO, "converging line traffic must queue at links");
         assert!(loaded.link_util > 0.0);

@@ -11,7 +11,9 @@
 //! the same `CommMatrix` metering), feeds the same observability
 //! recorder, and makes a [`crate::CostReport`]. This is the
 //! workspace's "run on actual parallel hardware" backend (the
-//! paper's NOW/SMP role), which the repo benchmark times.
+//! paper's NOW/SMP role), which the repo benchmark times. Its
+//! [`WallTimer`] is the only part of it that differs from the
+//! simulated machine.
 //!
 //! Timing units: the [`crate::PhaseTiming`] fields are
 //! **nanoseconds** here (the `Cycles` newtype is reused as a plain
@@ -21,12 +23,13 @@
 //! exchange processing plus barrier — exactly the quantity the
 //! simulated backend prices with its network model.
 //!
-//! The [`crate::CostReport`] a native machine makes predicts with
-//! the machine's *model configuration* (default:
-//! `MachineConfig::paper_default(p)`), so predicted columns are in
-//! simulated cycles while measured columns are host nanoseconds;
-//! they share phase structure and traffic, not a unit. Use
-//! [`ThreadMachine::with_model_config`] to predict against a
+//! A native machine's [`Machine::config`] is its *model
+//! configuration* (default: `MachineConfig::paper_default(p)`): the
+//! [`crate::CostReport`] predicts with it, so predicted columns are in
+//! simulated cycles while measured columns are host nanoseconds (they
+//! share phase structure and traffic, not a unit), and its bank model
+//! switches on the same bank-κ metering as on the simulated machine.
+//! Use [`ThreadMachine::with_model_config`] to predict against a
 //! different reference machine.
 
 use std::time::Instant;
@@ -34,12 +37,10 @@ use std::time::Instant;
 use qsm_obs::Recorder;
 use qsm_simnet::{Cycles, MachineConfig};
 
-use crate::accounting::CostReport;
 use crate::ctx::Ctx;
-use crate::driver::{CommMatrix, PhasePrice, PhaseRecord, PhaseTiming};
+use crate::driver::{CommMatrix, PhasePrice, PhaseTiming};
 use crate::machine::{Machine, PhaseTimer, RunResult};
 use crate::sim_runtime::DEFAULT_SEED;
-use crate::sim_timer::empty_sync_cost;
 
 /// Wall-clock timer: phases are priced by elapsed real time, split
 /// at the last worker's `sync()` arrival.
@@ -47,11 +48,6 @@ pub struct WallTimer {
     run_start: Instant,
     last_release: Instant,
     rec: Recorder,
-    /// Bank model of the machine's reference configuration: reported
-    /// to the driver so per-bank traffic metering (observed bank-κ)
-    /// also runs on the native backend. Wall-clock timing itself is
-    /// never adjusted — real hardware queues for real.
-    banks: Option<qsm_simnet::BankModel>,
     /// Scratch for batching message-size observations under one
     /// recorder lock (reused across phases).
     msg_sizes: Vec<u64>,
@@ -63,13 +59,7 @@ impl WallTimer {
     /// Time zero is "now".
     pub fn with_recorder(rec: Recorder) -> Self {
         let now = Instant::now();
-        Self { run_start: now, last_release: now, rec, banks: None, msg_sizes: Vec::new() }
-    }
-
-    /// Report `banks` to the driver as this machine's bank model.
-    pub fn with_banks(mut self, banks: Option<qsm_simnet::BankModel>) -> Self {
-        self.banks = banks;
-        self
+        Self { run_start: now, last_release: now, rec, msg_sizes: Vec::new() }
     }
 }
 
@@ -117,10 +107,6 @@ impl PhaseTimer for WallTimer {
         .into()
     }
 
-    fn bank_model(&self) -> Option<qsm_simnet::BankModel> {
-        self.banks
-    }
-
     /// The native backend opts in: hand the SPMD workers the run
     /// epoch so their spans share this timer's timeline (machine
     /// track and worker lanes line up in the trace).
@@ -132,7 +118,6 @@ impl PhaseTimer for WallTimer {
 /// A native (host-core) QSM machine.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadMachine {
-    p: usize,
     seed: u64,
     model_cfg: MachineConfig,
 }
@@ -141,7 +126,7 @@ impl ThreadMachine {
     /// Create a `p`-processor machine.
     pub fn new(p: usize) -> Self {
         assert!(p >= 1);
-        Self { p, seed: DEFAULT_SEED, model_cfg: MachineConfig::paper_default(p) }
+        Self { seed: DEFAULT_SEED, model_cfg: MachineConfig::paper_default(p) }
     }
 
     /// Replace the RNG seed.
@@ -150,19 +135,14 @@ impl ThreadMachine {
         self
     }
 
-    /// Replace the reference machine the [`CostReport`] predictions
-    /// are computed against (default: the paper machine at this
+    /// Replace the reference machine the [`crate::CostReport`]
+    /// predictions are computed against (default: the paper machine at this
     /// processor count). Predictions stay in that machine's cycles;
     /// measured values stay in host nanoseconds.
     pub fn with_model_config(mut self, cfg: MachineConfig) -> Self {
-        assert_eq!(cfg.p, self.p, "model config processor count must match the machine");
+        assert_eq!(cfg.p, self.model_cfg.p, "model config processor count must match the machine");
         self.model_cfg = cfg;
         self
-    }
-
-    /// Number of threads.
-    pub fn nprocs(&self) -> usize {
-        self.p
     }
 
     /// Run `program` on every thread. Equivalent to the generic
@@ -178,8 +158,8 @@ impl ThreadMachine {
 }
 
 impl Machine for ThreadMachine {
-    fn nprocs(&self) -> usize {
-        self.p
+    fn config(&self) -> MachineConfig {
+        self.model_cfg
     }
 
     fn seed(&self) -> u64 {
@@ -195,12 +175,7 @@ impl Machine for ThreadMachine {
     }
 
     fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer> {
-        Box::new(WallTimer::with_recorder(rec).with_banks(self.model_cfg.net.banks))
-    }
-
-    fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {
-        CostReport::build(&self.model_cfg, phases, empty_sync_cost(self.model_cfg).get())
-            .with_measured_unit("ns")
+        Box::new(WallTimer::with_recorder(rec))
     }
 }
 
@@ -241,13 +216,12 @@ mod tests {
         let m = ThreadMachine::new(2).with_model_config(
             MachineConfig::paper_default(2).with_banks(BankModel::per_message(4, 100.0)),
         );
-        let mut t = m.make_timer(Recorder::disabled());
-        assert_eq!(t.bank_model().unwrap().banks_per_node, 4);
+        assert_eq!(m.config().net.banks.unwrap().banks_per_node, 4);
         // Real hardware queues for real: no simulated bank wait.
+        let mut t = m.make_timer(Recorder::disabled());
         assert_eq!(t.price(&[0, 0], &CommMatrix::new(&[], 0), &[]).bank_wait, Cycles::ZERO);
         // Without banks on the model config, the default stays off.
-        let t = ThreadMachine::new(2).make_timer(Recorder::disabled());
-        assert_eq!(t.bank_model(), None);
+        assert_eq!(ThreadMachine::new(2).config().net.banks, None);
     }
 
     #[test]

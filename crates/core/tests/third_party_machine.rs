@@ -29,8 +29,8 @@ struct UnitMachine {
 }
 
 impl Machine for UnitMachine {
-    fn nprocs(&self) -> usize {
-        self.p
+    fn config(&self) -> MachineConfig {
+        MachineConfig::paper_default(self.p)
     }
     fn seed(&self) -> u64 {
         1
@@ -45,7 +45,7 @@ impl Machine for UnitMachine {
         Box::new(UnitTimer)
     }
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {
-        CostReport::build(&MachineConfig::paper_default(self.p), phases, 0.0)
+        CostReport::build(&self.config(), phases, 0.0, self.time_unit())
     }
 }
 

@@ -77,7 +77,7 @@
 //!   p = 16 in the paper) emerges from `l`, `o` and per-round software
 //!   cost. It fills caller-owned buffers that the runtime keeps across
 //!   phases. Table 3's L row is a whole empty `sync()` (plan exchange
-//!   and barrier), priced by `qsm_core`'s `SimMachine::empty_sync_cost`.
+//!   and barrier), which `qsm_core` reads as `EffectiveCosts::l_sync`.
 //! * [`fault`] — deterministic message loss and the resend rule the
 //!   delivery loops above this crate share.
 //! * [`stats`] — [`NetStats`]: message and byte counts per kind, drops,
