@@ -1,9 +1,13 @@
-//! Collectives. The paper's algorithms hand-roll their communication
-//! to keep phase counts explicit, so what is shared is the last step
-//! of every kernel: `Gather`, which takes a block-distributed result
-//! out of the machine. The tests keep board-based all-gather,
-//! broadcast, gather and reduce helpers that exercise the same
-//! issue-then-`sync()`-then-read idiom.
+//! Collectives, and the access rule every kernel shares. The paper's
+//! algorithms hand-roll their communication to keep phase counts
+//! explicit, so what is shared is the rule that prices one access and
+//! the last step of every kernel. `Fetch` (a read) and `store` (a
+//! write) touch an element in place, free, when the caller's block
+//! holds it, and otherwise issue a `get` or a `put` and return the
+//! words it moves (`Word::words`, the 4-byte unit the runtime meters
+//! by). `Gather` takes a block-distributed result out of the machine.
+//! The tests keep board-based all-gather, broadcast, gather and reduce
+//! helpers that exercise the same issue-then-`sync()`-then-read idiom.
 //!
 //! Returning each block through `RunResult::outputs` and concatenating
 //! them on the calling thread would copy the result twice, keep a
@@ -29,6 +33,64 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use qsm_core::addr::block_range;
+use qsm_core::{Ctx, GetTicket, SharedArray, Word};
+
+/// One element of a shared array on its way to the reader: read in
+/// place when the reader's block holds it, else a get in flight.
+pub(crate) enum Fetch<T: Word> {
+    Local(T),
+    Remote(GetTicket<T>),
+}
+
+impl<T: Word> Fetch<T> {
+    /// Element `idx` of `arr`: read now when this processor owns it,
+    /// else requested with a one-element `get` (served by the next
+    /// `sync()`).
+    pub(crate) fn of(ctx: &mut Ctx, arr: &SharedArray<T>, idx: usize) -> Self {
+        let mine = ctx.local_range(arr);
+        if mine.contains(&idx) {
+            Self::Local(ctx.local(arr)[idx - mine.start])
+        } else {
+            Self::Remote(ctx.get(arr, idx, 1))
+        }
+    }
+
+    /// Words this read moves: the element's for a get, 0 in place.
+    pub(crate) fn remote_words(&self) -> u64 {
+        match self {
+            Self::Local(_) => 0,
+            Self::Remote(_) => T::words(),
+        }
+    }
+
+    /// The element, redeeming a get's ticket through `scratch` (which
+    /// keeps its allocation from one ticket to the next).
+    pub(crate) fn value(self, ctx: &mut Ctx, scratch: &mut Vec<T>) -> T {
+        match self {
+            Self::Local(v) => v,
+            Self::Remote(ticket) => {
+                scratch.clear();
+                ctx.take_into(ticket, scratch);
+                scratch[0]
+            }
+        }
+    }
+}
+
+/// Store `data` at `start..start + data.len()` of `arr`: a local write
+/// when this processor's block holds the whole range, else a `put`
+/// (which splits at the owners' boundaries). Returns the words the put
+/// moves, 0 for a local write.
+pub(crate) fn store<T: Word>(ctx: &mut Ctx, arr: &SharedArray<T>, start: usize, data: &[T]) -> u64 {
+    let mine = ctx.local_range(arr);
+    if mine.start <= start && start + data.len() <= mine.end {
+        ctx.local_write(arr, start, data);
+        0
+    } else {
+        ctx.put(arr, start, data);
+        data.len() as u64 * T::words()
+    }
+}
 
 /// A block-distributed result on its way out of the machine: the
 /// caller's output vector, split at `block_range`. Each worker fills
@@ -71,7 +133,7 @@ impl<'a, T: Copy> Gather<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsm_core::{Ctx, Layout, SharedArray, SimMachine, Word};
+    use qsm_core::{Layout, Machine, SimMachine, ThreadMachine};
     use qsm_simnet::MachineConfig;
 
     fn machine(p: usize) -> SimMachine {
@@ -92,11 +154,7 @@ mod tests {
         let p = ctx.nprocs();
         let me = ctx.proc_id();
         for j in 0..p {
-            if j == me {
-                ctx.local_write(board, me * p + me, &[value]);
-            } else {
-                ctx.put(board, j * p + me, &[value]);
-            }
+            store(ctx, board, j * p + me, &[value]);
         }
     }
 
@@ -117,11 +175,7 @@ mod tests {
             return;
         }
         for j in 0..p {
-            if j == me {
-                ctx.local_write(board, me * p + root, &[value]);
-            } else {
-                ctx.put(board, j * p + root, &[value]);
-            }
+            store(ctx, board, j * p + root, &[value]);
         }
     }
 
@@ -160,11 +214,7 @@ mod tests {
     fn gather_issue<T: Word>(ctx: &mut Ctx, board: &SharedArray<T>, root: usize, value: T) {
         let p = ctx.nprocs();
         let me = ctx.proc_id();
-        if me == root {
-            ctx.local_write(board, root * p + me, &[value]);
-        } else {
-            ctx.put(board, root * p + me, &[value]);
-        }
+        store(ctx, board, root * p + me, &[value]);
     }
 
     /// Read half of a gather: the root obtains all `p` contributions in
@@ -224,6 +274,65 @@ mod tests {
         gather.write(0, &[1, 2]);
         gather.part(1).copy_from_slice(&[3, 4]);
         assert_eq!(out, [1, 2, 3, 4]);
+    }
+
+    /// On p = 3 over 10 elements (blocks 0..4, 4..7, 7..10), processor
+    /// 0 stores and reads at its last element and at the next block's
+    /// first, and sends one range across the 4 | 7 boundary; after the
+    /// sync every value is where it was stored.
+    fn access_rule_on<M: Machine>(machine: &M) {
+        let run = machine.run(|ctx| {
+            let a32 = ctx.register::<u32>("a32", 10, Layout::Block);
+            let a64 = ctx.register::<u64>("a64", 10, Layout::Block);
+            let af = ctx.register::<f64>("af", 10, Layout::Block);
+            ctx.sync();
+            let mut words = vec![];
+            if ctx.proc_id() == 0 {
+                words.push(store(ctx, &a32, 3, &[30]));
+                words.push(store(ctx, &a32, 4, &[40]));
+                words.push(store(ctx, &a64, 3, &[300]));
+                words.push(store(ctx, &a64, 4, &[400]));
+                words.push(store(ctx, &a64, 6, &[600, 700]));
+                words.push(store(ctx, &af, 0, &[0.5; 4]));
+                words.push(store(ctx, &af, 4, &[4.5]));
+            }
+            ctx.sync();
+            let (mut got32, mut got64) = (vec![], vec![]);
+            if ctx.proc_id() == 0 {
+                let narrow = [Fetch::of(ctx, &a32, 3), Fetch::of(ctx, &a32, 4)];
+                let wide = [Fetch::of(ctx, &a64, 3), Fetch::of(ctx, &a64, 4)];
+                words.extend(narrow.iter().map(Fetch::remote_words));
+                words.extend(wide.iter().map(Fetch::remote_words));
+                ctx.sync();
+                let (mut s32, mut s64) = (vec![], vec![]);
+                got32 = narrow.into_iter().map(|f| f.value(ctx, &mut s32)).collect();
+                got64 = wide.into_iter().map(|f| f.value(ctx, &mut s64)).collect();
+            } else {
+                ctx.sync();
+            }
+            let mine = ctx.local_range(&a64);
+            (words, got32, got64, mine.start, ctx.local_vec(&a64), ctx.local_vec(&af))
+        });
+        let (words, got32, got64, ..) = &run.outputs[0];
+        // Local at 3 and remote at 4; a u32 is one word, a u64 or an
+        // f64 two; 6..8 straddles blocks 1 and 2 and goes out as a put.
+        assert_eq!(*words, [0, 1, 0, 2, 4, 0, 2, 0, 1, 0, 2]);
+        assert_eq!(*got32, [30, 40]);
+        assert_eq!(*got64, [300, 400]);
+        let mut a64 = vec![0; 10];
+        let mut af = vec![0.0; 10];
+        for (_, _, _, start, w64, wf) in &run.outputs {
+            a64[*start..][..w64.len()].copy_from_slice(w64);
+            af[*start..][..wf.len()].copy_from_slice(wf);
+        }
+        assert_eq!(a64, [0, 0, 0, 300, 400, 0, 600, 700, 0, 0]);
+        assert_eq!(af, [0.5, 0.5, 0.5, 0.5, 4.5, 0.0, 0.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn the_access_rule_goes_remote_exactly_past_the_block() {
+        access_rule_on(&machine(3));
+        access_rule_on(&ThreadMachine::new(3));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 
 use qsm_core::{addr::block_range, Ctx, Layout, Machine, RunResult};
 
+use crate::collectives::store;
+
 /// Setup phases before the measured ones.
 pub const SETUP_PHASES: usize = 2;
 
@@ -46,10 +48,8 @@ fn program(ctx: &mut Ctx, input: &[u32], buckets: usize) -> Vec<u64> {
     for j in 0..p {
         let slice = &partial[j * bpp..(j + 1) * bpp];
         let slot = j * bpp * p + me * bpp;
-        if j == me {
-            ctx.local_write(&parts, slot, slice);
-        } else if slice.iter().any(|&c| c != 0) {
-            ctx.put(&parts, slot, slice);
+        if j == me || slice.iter().any(|&c| c != 0) {
+            store(ctx, &parts, slot, slice);
         }
     }
     ctx.sync();

@@ -30,8 +30,9 @@
 //! * [`analysis`] — the machinery of the prediction lines (best case,
 //!   WHP bound, QSM and BSP estimates) on the effective gaps
 //!   [`qsm_core::EffectiveCosts`] measures.
-//! * [`collectives`] — `Gather`, how a block-distributed result leaves
-//!   the machine.
+//! * [`collectives`] — `Fetch` and `store`, the access rule (in place
+//!   when the caller owns the element, else a get or a put), and
+//!   `Gather`, how a block-distributed result leaves the machine.
 //! * [`seq`] — the sequential oracles and baselines.
 //! * [`gen`] — the seeded workload generators: uniform arrays and
 //!   random-permutation linked lists.

@@ -18,12 +18,12 @@
 //! Ranks are distances to the tail: `rank[tail] = 0`,
 //! `rank[e] = rank[succ[e]] + 1` on the original list.
 
-use qsm_core::{Ctx, EffectiveCosts, GetTicket, Layout, Machine, RunResult, Word};
+use qsm_core::{Ctx, EffectiveCosts, Layout, Machine, RunResult};
 use qsm_models::chernoff::binomial_upper_bound;
 use rand::Rng;
 
 use crate::analysis::{Prediction, WHP_DELTA};
-use crate::collectives::Gather;
+use crate::collectives::{store, Fetch, Gather};
 use crate::gen::NIL;
 use crate::seq;
 
@@ -77,23 +77,11 @@ struct Removal {
     weight_at_removal: u64,
 }
 
-/// Redeem a one-element get through `scratch`, which keeps its
-/// allocation from one ticket to the next.
-fn take_one<T: Word>(ctx: &mut Ctx, ticket: GetTicket<T>, scratch: &mut Vec<T>) -> T {
-    scratch.clear();
-    ctx.take_into(ticket, scratch);
-    scratch[0]
-}
-
 /// A candidate of phase B: active element `k` and its successor's flip.
 struct Cand {
     k: usize,
     succ: usize,
-    flip: FlipSource,
-}
-enum FlipSource {
-    Local(u32),
-    Remote(GetTicket<u32>),
+    flip: Fetch<u32>,
 }
 
 /// A remover of phase C, waiting for its predecessor's weight.
@@ -102,11 +90,7 @@ struct Pending {
     succ: usize,
     pred: usize,
     weight: u64,
-    pred_weight: WeightSource,
-}
-enum WeightSource {
-    Local(u64),
-    Remote(GetTicket<u64>),
+    pred_weight: Fetch<u64>,
 }
 
 #[allow(clippy::too_many_lines)]
@@ -130,7 +114,6 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
     ctx.local_mut(&w_arr).fill(1);
     ctx.sync();
 
-    let is_local = |idx: usize| my.contains(&idx);
     // Every n-element array shares `my`: global index `idx` of a local
     // element is slot `at(idx)` of its window.
     let at = |idx: usize| idx - my.start;
@@ -168,12 +151,8 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
                 continue; // head and tail never remove themselves
             }
             let succ = sv as usize;
-            let flip = if is_local(succ) {
-                FlipSource::Local(ctx.local(&f_arr)[at(succ)])
-            } else {
-                stats.get_words += 1;
-                FlipSource::Remote(ctx.get(&f_arr, succ, 1))
-            };
+            let flip = Fetch::of(ctx, &f_arr, succ);
+            stats.get_words += flip.remote_words();
             cands.push(Cand { k, succ, flip });
         }
         ctx.charge(4 * active.len() as u64); // pointer loads + tests
@@ -182,11 +161,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         // Phase C: removers splice themselves out and fetch their
         // predecessor's weight.
         for c in cands.drain(..) {
-            let succ_flip = match c.flip {
-                FlipSource::Local(v) => v,
-                FlipSource::Remote(t) => take_one(ctx, t, &mut flip_of),
-            };
-            if succ_flip != 0 {
+            if c.flip.value(ctx, &mut flip_of) != 0 {
                 continue;
             }
             let e = active[c.k];
@@ -194,24 +169,10 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
             let weight = ctx.local(&w_arr)[at(e)];
             let succ = c.succ;
             // Splice: S[pred] = succ, P[succ] = pred.
-            if is_local(pred) {
-                ctx.local_mut(&s_arr)[at(pred)] = succ as u64;
-            } else {
-                stats.put_words += 2;
-                ctx.put(&s_arr, pred, &[succ as u64]);
-            }
-            if is_local(succ) {
-                ctx.local_mut(&p_arr)[at(succ)] = pred as u64;
-            } else {
-                stats.put_words += 2;
-                ctx.put(&p_arr, succ, &[pred as u64]);
-            }
-            let pred_weight = if is_local(pred) {
-                WeightSource::Local(ctx.local(&w_arr)[at(pred)])
-            } else {
-                stats.get_words += 2;
-                WeightSource::Remote(ctx.get(&w_arr, pred, 1))
-            };
+            stats.put_words += store(ctx, &s_arr, pred, &[succ as u64]);
+            stats.put_words += store(ctx, &p_arr, succ, &[pred as u64]);
+            let pred_weight = Fetch::of(ctx, &w_arr, pred);
+            stats.get_words += pred_weight.remote_words();
             pend.push(Pending { k: c.k, succ, pred, weight, pred_weight });
         }
         ctx.charge(8 * pend.len() as u64); // splice bookkeeping
@@ -222,17 +183,8 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         keep.clear();
         keep.resize(active.len(), true);
         for q in pend.drain(..) {
-            let old = match q.pred_weight {
-                WeightSource::Local(v) => v,
-                WeightSource::Remote(t) => take_one(ctx, t, &mut word_of),
-            };
-            let new = old + q.weight;
-            if is_local(q.pred) {
-                ctx.local_mut(&w_arr)[at(q.pred)] = new;
-            } else {
-                stats.put_words += 2;
-                ctx.put(&w_arr, q.pred, &[new]);
-            }
+            let new = q.pred_weight.value(ctx, &mut word_of) + q.weight;
+            stats.put_words += store(ctx, &w_arr, q.pred, &[new]);
             removed_now.push(Removal {
                 elem: active[q.k],
                 succ_at_removal: q.succ,
@@ -260,12 +212,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
 
     // Phase E: all-gather survivor counts.
     for j in 0..p {
-        if j == me {
-            ctx.local_write(&cnts, me * p + me, &[active.len() as u64]);
-        } else {
-            finish_words += 2;
-            ctx.put(&cnts, j * p + me, &[active.len() as u64]);
-        }
+        finish_words += store(ctx, &cnts, j * p + me, &[active.len() as u64]);
     }
     ctx.charge(p as u64);
     ctx.sync();
@@ -292,17 +239,8 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         ship_id.push(e as u64);
     }
     ctx.charge(3 * active.len() as u64);
-    if !active.is_empty() {
-        if me == 0 {
-            ctx.local_write(&svr_s, my_off, &ship_s);
-            ctx.local_write(&svr_w, my_off, &ship_w);
-            ctx.local_write(&svr_id, my_off, &ship_id);
-        } else {
-            finish_words += 6 * active.len() as u64;
-            ctx.put(&svr_s, my_off, &ship_s);
-            ctx.put(&svr_w, my_off, &ship_w);
-            ctx.put(&svr_id, my_off, &ship_id);
-        }
+    for (arr, ship) in [(&svr_s, &ship_s), (&svr_w, &ship_w), (&svr_id, &ship_id)] {
+        finish_words += store(ctx, arr, my_off, ship);
     }
     ctx.sync();
 
@@ -333,56 +271,35 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         }
         let ranks = seq::weighted_list_ranks(&csucc, &sv_w, head);
         ctx.charge(12 * z as u64); // index map + sequential chase
-        for k in 0..z {
-            let e = sv_id[k] as usize;
-            if is_local(e) {
-                ctx.local_mut(&rank_arr)[at(e)] = ranks[k];
-            } else {
-                finish_words += 2;
-                ctx.put(&rank_arr, e, &[ranks[k]]);
-            }
+        for (&e, &rank) in sv_id.iter().zip(&ranks) {
+            finish_words += store(ctx, &rank_arr, e as usize, &[rank]);
         }
         ctx.charge(z as u64);
     }
     ctx.sync();
 
     // --- Expansion: reverse iteration order, one phase each. ---
-    enum RankSource {
-        Local(usize),
-        Remote(GetTicket<u64>),
-    }
-    let mut pending: Vec<(usize, u64, RankSource)> = Vec::new();
-    for it in (0..iters).rev() {
+    let mut pending: Vec<(usize, u64, Fetch<u64>)> = Vec::new();
+    for it in (0..=iters).rev() {
         // Resolve the previous batch (its successors' ranks are now
         // written locally or delivered by the past sync), then issue
-        // gets for this batch; the sync at the end serves them from
-        // the post-write state.
-        for (elem, weight, src) in pending.drain(..) {
-            let succ_rank = match src {
-                RankSource::Local(s) => ctx.local(&rank_arr)[at(s)],
-                RankSource::Remote(t) => take_one(ctx, t, &mut word_of),
-            };
-            ctx.local_mut(&rank_arr)[at(elem)] = succ_rank + weight;
+        // reads for this batch (none in the last pass); the sync at the
+        // end serves the gets from the post-write state. A local
+        // successor's rank is final when it is read here: elements
+        // removed in one iteration are never adjacent, so an earlier
+        // batch ranked it.
+        for (elem, weight, succ_rank) in pending.drain(..) {
+            ctx.local_mut(&rank_arr)[at(elem)] = succ_rank.value(ctx, &mut word_of) + weight;
         }
+        let Some(it) = it.checked_sub(1) else { break };
         let batch = &removed_log[it];
         for r in batch {
-            let src = if is_local(r.succ_at_removal) {
-                RankSource::Local(r.succ_at_removal)
-            } else {
-                iter_stats[it].expansion_get_words += 2;
-                RankSource::Remote(ctx.get(&rank_arr, r.succ_at_removal, 1))
-            };
-            pending.push((r.elem, r.weight_at_removal, src));
+            let succ_rank = Fetch::of(ctx, &rank_arr, r.succ_at_removal);
+            iter_stats[it].expansion_get_words += succ_rank.remote_words();
+            pending.push((r.elem, r.weight_at_removal, succ_rank));
         }
         ctx.charge(6 * batch.len() as u64);
         ctx.sync();
-    }
-    for (elem, weight, src) in pending.drain(..) {
-        let succ_rank = match src {
-            RankSource::Local(s) => ctx.local(&rank_arr)[at(s)],
-            RankSource::Remote(t) => take_one(ctx, t, &mut word_of),
-        };
-        ctx.local_mut(&rank_arr)[at(elem)] = succ_rank + weight;
     }
     ctx.sync();
 

@@ -12,7 +12,7 @@
 use qsm_core::{addr::block_range, Ctx, EffectiveCosts, Layout, Machine, RunResult};
 
 use crate::analysis::Prediction;
-use crate::collectives::Gather;
+use crate::collectives::{store, Gather};
 
 /// Number of setup phases (array registration + input distribution)
 /// that precede the measured phases.
@@ -44,11 +44,8 @@ fn program(ctx: &mut Ctx, input: &[u64], out: &Gather<'_, u64>) {
     // the Table 2 node (memory-bound streaming loop).
     ctx.charge(4 * block.len() as u64);
     for j in 0..p {
-        if j != me {
-            ctx.put(&sums, j * p + me, &[acc]);
-        }
+        store(ctx, &sums, j * p + me, &[acc]);
     }
-    ctx.local_write(&sums, me * p + me, &[acc]);
     ctx.sync();
 
     // Step 3 (measured): add the offset from preceding processors.

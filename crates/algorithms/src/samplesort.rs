@@ -20,7 +20,7 @@ use qsm_models::chernoff::sample_sort_bucket_bound;
 use rand::Rng;
 
 use crate::analysis::{log2n, Prediction, WHP_DELTA};
-use crate::collectives::Gather;
+use crate::collectives::{store, Gather};
 
 /// Number of setup phases (registration + input distribution)
 /// preceding the five measured phases.
@@ -177,12 +177,7 @@ fn program(ctx: &mut Ctx, input: &[u32], out: &Gather<'_, u32>) -> ProcOutcome {
     }
     ctx.charge(10 * spp as u64); // rng + load per sample
     for j in 0..p {
-        let slot = j * sample_total + me * spp;
-        if j == me {
-            ctx.local_write(&samples, slot, &my_samples);
-        } else {
-            ctx.put(&samples, slot, &my_samples);
-        }
+        store(ctx, &samples, j * sample_total + me * spp, &my_samples);
     }
     ctx.sync();
 
@@ -227,13 +222,7 @@ fn program(ctx: &mut Ctx, input: &[u32], out: &Gather<'_, u32>) -> ProcOutcome {
 
     // Tell bucket owner i where my contribution lives.
     for i in 0..p {
-        let entry = [bucket_len[i] as u64, run_start[i] as u64];
-        let slot = i * 2 * p + 2 * me;
-        if i == me {
-            ctx.local_write(&counts, slot, &entry);
-        } else {
-            ctx.put(&counts, slot, &entry);
-        }
+        store(ctx, &counts, i * 2 * p + 2 * me, &[bucket_len[i] as u64, run_start[i] as u64]);
     }
     ctx.sync();
 
@@ -253,11 +242,7 @@ fn program(ctx: &mut Ctx, input: &[u32], out: &Gather<'_, u32>) -> ProcOutcome {
     }
     let own_contribution = bucket.len() as u64;
     for j in 0..p {
-        if j == me {
-            ctx.local_write(&btotals, me * p + me, &[bucket_size]);
-        } else {
-            ctx.put(&btotals, j * p + me, &[bucket_size]);
-        }
+        store(ctx, &btotals, j * p + me, &[bucket_size]);
     }
     ctx.sync();
 

@@ -180,7 +180,6 @@ fn main() {
     let machine = knobs().result.backend.machine(MachineConfig::paper_default(p), 0x1998_0021);
     let unit = machine.time_unit();
 
-    sink.discard(); // nothing of interest captured yet; start clean
     let Some(phases) = run_kernel(algo, &machine, n, 0x1998_0021) else {
         eprintln!("unknown QSM_ALGO '{algo}' (want prefix, samplesort, or listrank)");
         std::process::exit(2);

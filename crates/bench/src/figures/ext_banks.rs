@@ -19,17 +19,17 @@
 
 use qsm_core::{Layout, Machine, SimMachine};
 use qsm_membank::{platform, Pattern};
-use qsm_simnet::{BankModel, MachineConfig};
+use qsm_simnet::MachineConfig;
 
-use crate::knobs::DEFAULT_BANK_SERVICE;
+use crate::knobs::bank_model;
 use crate::output::us_at_400mhz;
 use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Processors (= nodes) in the simulated machine.
 const P: usize = 8;
-/// Banks per node, each serving [`DEFAULT_BANK_SERVICE`] cycles per
-/// byte. Fixed: the patterns are built around it.
+/// Banks per node, each serving the harness's [`bank_model`]. Fixed:
+/// the patterns are built around it.
 const BANKS: usize = 8;
 /// Words of the shared array per node. A multiple of [`BANKS`], so a
 /// node-local offset and its global index agree on the bank.
@@ -74,13 +74,8 @@ fn target_index(
 /// Run `w` single-word gets per processor under `pattern` on a
 /// banked paper-default machine and pull the data phase's numbers.
 fn measure(pattern: Pattern, w: usize, seed: u64) -> Measured {
-    let banks = BankModel {
-        banks_per_node: BANKS,
-        service_fixed: 0.0,
-        service_per_byte: DEFAULT_BANK_SERVICE as f64,
-    };
-    let machine =
-        SimMachine::new(MachineConfig::paper_default(P).with_banks(banks)).with_seed(seed);
+    let machine = SimMachine::new(MachineConfig::paper_default(P).with_banks(bank_model(BANKS)))
+        .with_seed(seed);
     let run = machine.run(move |ctx| {
         let p = ctx.nprocs();
         let arr = ctx.register::<u32>("banked", p * SLAB, Layout::Block);

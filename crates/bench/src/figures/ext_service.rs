@@ -30,9 +30,9 @@
 //! completed work; `qsm-serve`'s tests and examples cover it.)
 
 use qsm_serve::{model, ServiceConfig};
-use qsm_simnet::{BankModel, MachineConfig};
+use qsm_simnet::MachineConfig;
 
-use crate::knobs::DEFAULT_BANK_SERVICE;
+use crate::knobs::bank_model;
 use crate::output::us_at_400mhz;
 use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
@@ -65,16 +65,12 @@ replay_struct! {
 /// The serving scenario under the run configuration, with
 /// [`ServiceConfig::new`]'s population and sharding (offered load is
 /// set per sweep point). The machine always carries a bank model —
-/// `QSM_BANKS` wins if set, else the serving default of 4 banks/node
-/// at [`DEFAULT_BANK_SERVICE`] c/B — because a machine whose memory
-/// system is free can only ever knee on its NICs.
+/// `QSM_BANKS` wins if set, else the serving default, a [`bank_model`]
+/// of 4 banks/node — because a machine whose memory system is free can
+/// only ever knee on its NICs.
 pub fn base_config(cfg: &RunCfg) -> ServiceConfig {
     let knobs = &crate::knobs().result;
-    let banks = knobs.bank_model().unwrap_or(BankModel {
-        banks_per_node: 4,
-        service_fixed: 0.0,
-        service_per_byte: DEFAULT_BANK_SERVICE as f64,
-    });
+    let banks = knobs.bank_model().unwrap_or_else(|| bank_model(4));
     let machine = MachineConfig::paper_default(cfg.p).with_banks(banks);
     let window = if cfg.fast { (1u64 << 18) as f64 } else { (1u64 << 20) as f64 };
     ServiceConfig::new(machine).with_window(window)

@@ -31,6 +31,16 @@ use crate::RunCfg;
 /// bottleneck behind a 3 c/B NIC).
 pub const DEFAULT_BANK_SERVICE: usize = 12;
 
+/// The harness's bank model: `banks` FIFO banks per node, each serving
+/// [`DEFAULT_BANK_SERVICE`] cycles per byte and nothing per access.
+pub fn bank_model(banks: usize) -> BankModel {
+    BankModel {
+        banks_per_node: banks,
+        service_fixed: 0.0,
+        service_per_byte: DEFAULT_BANK_SERVICE as f64,
+    }
+}
+
 /// Every knob of the harness, parsed (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Knobs {
@@ -75,14 +85,10 @@ pub struct ResultKnobs {
 }
 
 impl ResultKnobs {
-    /// The bank model `QSM_BANKS` selects (`None` when it is `0`),
-    /// serving [`DEFAULT_BANK_SERVICE`] cycles per byte.
+    /// The bank model `QSM_BANKS` selects (`None` when it is `0`):
+    /// [`bank_model`] of that many banks.
     pub fn bank_model(&self) -> Option<BankModel> {
-        (self.banks > 0).then_some(BankModel {
-            banks_per_node: self.banks,
-            service_fixed: 0.0,
-            service_per_byte: DEFAULT_BANK_SERVICE as f64,
-        })
+        (self.banks > 0).then(|| bank_model(self.banks))
     }
 
     /// The routed topology on a `p`-node machine: a grid name tiles `p`

@@ -69,13 +69,6 @@ impl ObsSink {
         &self.rec
     }
 
-    /// Drop everything captured so far. Used to discard calibration
-    /// runs ([`qsm_core::EffectiveCosts`] measurement executes real
-    /// simulated programs) before the run of interest.
-    pub fn discard(&self) {
-        let _ = self.rec.take();
-    }
-
     /// Drain the recorder and write the requested artifacts.
     pub fn finalize(self) {
         let Some(data) = self.rec.take() else { return };

@@ -57,7 +57,7 @@ impl WallTimer {
     /// A fresh timer emitting metrics into `rec` (its per-processor
     /// spans come from the workers, against [`PhaseTimer::spmd_span_epoch`]).
     /// Time zero is "now".
-    pub fn with_recorder(rec: Recorder) -> Self {
+    pub fn new(rec: Recorder) -> Self {
         let now = Instant::now();
         Self { run_start: now, last_release: now, rec, msg_sizes: Vec::new() }
     }
@@ -175,7 +175,7 @@ impl Machine for ThreadMachine {
     }
 
     fn make_timer(&self, rec: Recorder) -> Box<dyn PhaseTimer> {
-        Box::new(WallTimer::with_recorder(rec))
+        Box::new(WallTimer::new(rec))
     }
 }
 
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn wall_timer_splits_compute_at_last_arrival() {
-        let mut t = WallTimer::with_recorder(Recorder::disabled());
+        let mut t = WallTimer::new(Recorder::disabled());
         let release = t.last_release;
         std::thread::sleep(Duration::from_millis(5));
         let arrivals = [release + Duration::from_millis(2), Instant::now()];
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn wall_timer_with_no_arrivals_books_all_as_comm() {
-        let mut t = WallTimer::with_recorder(Recorder::disabled());
+        let mut t = WallTimer::new(Recorder::disabled());
         std::thread::sleep(Duration::from_millis(1));
         let timing = t.price(&[], &CommMatrix::new(&[], 0), &[]).timing;
         assert_eq!(timing.compute.get(), 0.0);
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn spmd_epoch_hands_over_the_timeline_and_suppresses_proc_spans() {
         let rec = Recorder::new(qsm_obs::ObsLevel::Full, 1e9);
-        let mut t = WallTimer::with_recorder(rec.clone());
+        let mut t = WallTimer::new(rec.clone());
         let epoch = t.spmd_span_epoch().expect("native timer opts in");
         assert_eq!(epoch, t.run_start, "workers must share the timer's epoch");
         let arrivals = [Instant::now(), Instant::now()];
