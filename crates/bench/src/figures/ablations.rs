@@ -107,7 +107,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         Job::Skew(Layout::Hashed),
         Job::Skew(Layout::Block),
     ];
-    let times = crate::sweep::map("ablations", cfg, p, jobs, |_, job| match job {
+    let times = crate::sweep::map(p, jobs, |_, job| match job {
         Job::A2a(mc, order) => all_to_all_comm(mc, words, order),
         Job::Skew(layout) => skewed_comm(p, words, layout),
     });

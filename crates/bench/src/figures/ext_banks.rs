@@ -23,7 +23,6 @@ use qsm_simnet::MachineConfig;
 
 use crate::knobs::bank_model;
 use crate::output::us_at_400mhz;
-use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Processors (= nodes) in the simulated machine.
@@ -35,15 +34,13 @@ const BANKS: usize = 8;
 /// node-local offset and its global index agree on the bank.
 const SLAB: usize = 4096;
 
-replay_struct! {
-    /// What one pattern's pipeline run produced.
-    struct Measured {
-        comm: f64,
-        bank_kappa: u64,
-        bank_wait: f64,
-        qsm_pred: f64,
-        sqsm_pred: f64,
-    }
+/// What one pattern's pipeline run produced.
+struct Measured {
+    comm: f64,
+    bank_kappa: u64,
+    bank_wait: f64,
+    qsm_pred: f64,
+    sqsm_pred: f64,
 }
 
 /// The global index of processor `me`'s `k`-th get under `pattern`.
@@ -108,9 +105,8 @@ pub fn run(cfg: &RunCfg) -> Report {
     crate::backend::warn_sim_only("ext_banks");
     let w = if cfg.fast { 64 } else { 256 };
     let patterns = Pattern::all().to_vec();
-    let measured = crate::sweep::map("ext_banks", cfg, P, patterns.clone(), |point, pat| {
-        measure(pat, w, cfg.seed(point, 0))
-    });
+    let measured =
+        crate::sweep::map(P, patterns.clone(), |point, pat| measure(pat, w, cfg.seed(point, 0)));
     // Figure 7's own SMP-NATIVE panel: the exact ratios that figure
     // reports, so the pipeline's `vs_noconflict` column reads directly
     // against them.

@@ -43,7 +43,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     // same input; the baseline row is simply the first result, so
     // ratios are computed after the fan-out.
     let gaps = fabric_gaps(cfg.p);
-    let comms = crate::sweep::map("ext_fabric", cfg, cfg.p, gaps.clone(), |_, fabric| {
+    let comms = crate::sweep::map(cfg.p, gaps.clone(), |_, fabric| {
         let mut machine_cfg = MachineConfig::paper_default(cfg.p);
         if let Some(f) = fabric {
             machine_cfg = machine_cfg.with_fabric(f);

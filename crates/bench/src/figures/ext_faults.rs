@@ -47,7 +47,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     // Each drop probability is an independent simulation of the same
     // input under the same fault seed; rows are self-contained, so a
     // failed point degrades the artifact instead of losing it.
-    let points = map_surviving("ext_faults", cfg, cfg.p, DROP_PROBS.to_vec(), |_, drop_prob| {
+    let points = map_surviving(cfg.p, DROP_PROBS.to_vec(), |_, drop_prob| {
         let machine_cfg = MachineConfig::paper_default(cfg.p)
             .with_faults(FaultConfig::drops(FAULT_SEED, drop_prob));
         let machine = SimMachine::new(machine_cfg);

@@ -58,7 +58,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     let ps: Vec<usize> = if cfg.fast { vec![2, 4, 8] } else { vec![2, 4, 8, 16] };
     // Rows are fully independent per machine size — each one is its
     // own sweep point (calibration plus both measurements).
-    let rows = crate::sweep::map("ext_hotspot", cfg, cfg.p, ps, |_, p| {
+    let rows = crate::sweep::map(cfg.p, ps, |_, p| {
         let params = EffectiveCosts::measure(MachineConfig::paper_default(p));
         // Model lines (communication only, plus the per-phase L that
         // both share): QSM charges the issuer's words; s-QSM charges

@@ -34,7 +34,6 @@ use qsm_simnet::MachineConfig;
 
 use crate::knobs::bank_model;
 use crate::output::us_at_400mhz;
-use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Offered-load points swept (evenly spaced up to [`MAX_LOAD_PCT`]).
@@ -44,22 +43,20 @@ pub const LOAD_POINTS: usize = 8;
 /// the single point `explain`'s service mode runs.
 pub const MAX_LOAD_PCT: usize = 200;
 
-replay_struct! {
-    /// What one offered-load point produced (the engine outcome reduced
-    /// to the scalars the figure reports).
-    struct Measured {
-        offered: u64,
-        completed: u64,
-        rejected: u64,
-        retries: u64,
-        elapsed: f64,
-        p50: f64,
-        p99: f64,
-        p999: f64,
-        send_util: f64,
-        recv_util: f64,
-        bank_util: f64,
-    }
+/// What one offered-load point produced (the engine outcome reduced
+/// to the scalars the figure reports).
+struct Measured {
+    offered: u64,
+    completed: u64,
+    rejected: u64,
+    retries: u64,
+    elapsed: f64,
+    p50: f64,
+    p99: f64,
+    p999: f64,
+    send_util: f64,
+    recv_util: f64,
+    bank_util: f64,
 }
 
 /// The serving scenario under the run configuration, with
@@ -90,7 +87,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     let base = base_config(cfg);
     let pcts: Vec<usize> = (1..=LOAD_POINTS).map(|k| MAX_LOAD_PCT * k / LOAD_POINTS).collect();
 
-    let measured = crate::sweep::map("ext_service", cfg, cfg.p, pcts.clone(), |_, pct| {
+    let measured = crate::sweep::map(cfg.p, pcts.clone(), |_, pct| {
         let offered = offered_at(&base, pct);
         let out = qsm_serve::run(&base.clone().with_offered(offered), &qsm_core::obs::recorder());
         Measured {

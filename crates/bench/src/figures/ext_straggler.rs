@@ -33,7 +33,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     // Each slowdown factor is an independent simulation of the same
     // input; the pred_drift column references factor 1.0's prediction,
     // so fan out the measurements and build the rows afterwards.
-    let points = crate::sweep::map("ext_straggler", cfg, cfg.p, FACTORS.to_vec(), |_, factor| {
+    let points = crate::sweep::map(cfg.p, FACTORS.to_vec(), |_, factor| {
         let mut machine_cfg = MachineConfig::paper_default(cfg.p);
         if factor > 1.0 {
             machine_cfg = machine_cfg.with_straggler(0, factor);

@@ -33,7 +33,6 @@ use qsm_core::{Machine, SimMachine};
 use qsm_simnet::{MachineConfig, TopologyKind};
 
 use crate::output::us_at_400mhz;
-use crate::replay::replay_struct;
 use crate::{Report, RunCfg};
 
 /// Topologies swept, in increasing-diameter order (flat first as the
@@ -64,14 +63,12 @@ const P: usize = 16;
 /// [`crate::knobs::DEFAULT_BANK_SERVICE`].
 pub const LINK_GAP_FACTOR: f64 = 4.0;
 
-replay_struct! {
-    /// What one (algorithm, topology) pipeline run produced.
-    struct Measured {
-        comm: f64,
-        link_wait: f64,
-        link_util: f64,
-        qsm_pred: f64,
-    }
+/// What one (algorithm, topology) pipeline run produced.
+struct Measured {
+    comm: f64,
+    link_wait: f64,
+    link_util: f64,
+    qsm_pred: f64,
 }
 
 /// Run one algorithm on a [`P`]-node paper-default machine carrying
@@ -101,9 +98,8 @@ pub fn run(cfg: &RunCfg) -> Report {
     let topos = topologies(P);
     let items: Vec<(&'static str, TopologyKind)> =
         ALGOS.iter().flat_map(|&algo| topos.iter().map(move |&t| (algo, t))).collect();
-    let measured = crate::sweep::map("ext_topology", cfg, P, items.clone(), |_, (algo, topo)| {
-        measure(algo, topo, n, 0x7090)
-    });
+    let measured =
+        crate::sweep::map(P, items.clone(), |_, (algo, topo)| measure(algo, topo, n, 0x7090));
     let rows: Vec<Vec<String>> = items
         .iter()
         .zip(&measured)

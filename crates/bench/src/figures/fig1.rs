@@ -33,7 +33,7 @@ pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
     // across the sweep pool. Seeds stay keyed on (point, rep) and
     // results come back in size order, so the table is byte-identical
     // to a serial run.
-    let rows = crate::sweep::map("fig1", cfg, cfg.p, cfg.sizes(), |point, n| {
+    let rows = crate::sweep::map(cfg.p, cfg.sizes(), |point, n| {
         let mut totals = Vec::new();
         let mut comms = Vec::new();
         for rep in 0..cfg.reps {

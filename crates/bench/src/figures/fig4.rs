@@ -41,7 +41,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             grid.push((l, point, n));
         }
     }
-    let rows = crate::sweep::map("fig4", cfg, cfg.p, grid, |_, (l, point, n)| {
+    let rows = crate::sweep::map(cfg.p, grid, |_, (l, point, n)| {
         let machine_cfg = MachineConfig::paper_default(cfg.p).with_latency(l);
         let comm = samplesort_comm(machine_cfg, n, cfg, point);
         let best = samplesort::predict_best(n, &params);

@@ -101,7 +101,7 @@ pub(crate) fn estimate_sweep(
 
     // Independent per size — fanned across the sweep pool; rows return
     // in size order.
-    let rows = crate::sweep::map(id, cfg, cfg.p, cfg.sizes(), |point, n| {
+    let rows = crate::sweep::map(cfg.p, cfg.sizes(), |point, n| {
         let mut totals = Vec::new();
         let mut comms = Vec::new();
         let mut est_qsm = Vec::new();
@@ -200,14 +200,11 @@ impl CrossoverFigure {
 
     /// Sweep, and leave the points for later readers. [`Self::run`]
     /// calls this and never reads the memo: a figure that is run does
-    /// its work, so its journal, its progress lines and its timing are
-    /// those of a sweep whatever the process ran before. Whoever asks,
-    /// the sweep is this figure's: `table4` run alone journals and
-    /// replays these points under the fingerprint the figure's own run
-    /// writes. The lock is not held across the sweep.
+    /// its work, so its timing is that of a sweep whatever the process
+    /// ran before. The lock is not held across the sweep.
     fn sweep(&self, cfg: &RunCfg) -> Crossovers {
         let params = EffectiveCosts::measure(MachineConfig::paper_default(cfg.p));
-        let points = crate::sweep::map(self.id, cfg, cfg.p, (self.values)(cfg.fast), |_, x| {
+        let points = crate::sweep::map(cfg.p, (self.values)(cfg.fast), |_, x| {
             let machine_cfg = (self.vary)(MachineConfig::paper_default(cfg.p), x);
             (x, samplesort_crossover(machine_cfg, cfg, &params))
         });

@@ -4,19 +4,19 @@
 //! parses the process's `QSM_*` variables into one [`Knobs`] value on
 //! first use, and every reader takes its field from that value. Parsed
 //! once, a value it cannot use warns on stderr once and the default
-//! applies; only an unknown `QSM_BACKEND` is fatal (exit 2). Absent and
-//! blank values mean "the default"; a boolean knob is on when set to
+//! applies, and a `QSM_*` name that is no knob warns once and is
+//! ignored; only an unknown `QSM_BACKEND` is fatal (exit 2). Absent and
+//! blank values mean "the default"; `QSM_FAST` is on when set to
 //! anything but `0`.
 //!
 //! The knobs split in two. [`ResultKnobs`] holds the ones that decide
-//! a result; the run journal's fingerprint hashes its `Debug` form, so
-//! a knob added there joins the fingerprint by construction. The rest
-//! decide how many workers run, where output goes and what `explain`
-//! runs, never what a figure's rows are. `QSM_FAST` makes up
+//! a result, printed in `explain`'s header. The rest decide how many
+//! workers run, where output goes and what `explain` runs, never what
+//! a figure's rows are. `QSM_FAST` makes up
 //! [`Knobs::run`], the [`RunCfg`] every figure is handed.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use qsm_simnet::{BankModel, MachineConfig, TopologyKind};
@@ -59,10 +59,6 @@ pub struct Knobs {
     pub trace: Option<PathBuf>,
     /// `QSM_METRICS`: a writable path for the metrics dump.
     pub metrics: Option<PathBuf>,
-    /// `QSM_RUN_LOG`: a writable path for the run journal.
-    pub run_log: Option<PathBuf>,
-    /// `QSM_RESUME`, when there is a run journal to resume from.
-    pub resume: bool,
     /// `QSM_ALGO`: what `explain` runs (default `prefix`).
     pub algo: String,
     /// `QSM_P`: `explain`'s processor count (default 8).
@@ -114,7 +110,7 @@ impl ResultKnobs {
 
 impl Knobs {
     /// Every knob's name.
-    pub const NAMES: [&'static str; 14] = [
+    pub const NAMES: [&'static str; 12] = [
         "QSM_FAST",
         "QSM_BACKEND",
         "QSM_BANKS",
@@ -124,21 +120,26 @@ impl Knobs {
         "QSM_RESULTS_DIR",
         "QSM_TRACE",
         "QSM_METRICS",
-        "QSM_RUN_LOG",
-        "QSM_RESUME",
         "QSM_ALGO",
         "QSM_P",
         "QSM_N",
     ];
 
     /// Parse the knobs from `vars` (name → value), warning about every
-    /// value it cannot use and exiting with status 2 on an unknown
-    /// `QSM_BACKEND`. Probes each output path by opening it for
-    /// appending, after creating the run journal's directory (it often
-    /// lies in the results directory the run creates later).
+    /// value it cannot use and every `QSM_*` name that is no knob, and
+    /// exiting with status 2 on an unknown `QSM_BACKEND`. Probes each
+    /// output path by opening it for appending.
     pub fn parse(vars: &HashMap<String, String>) -> Knobs {
+        let mut unknown: Vec<&str> = vars
+            .keys()
+            .map(String::as_str)
+            .filter(|k| k.starts_with("QSM_") && !Self::NAMES.contains(k))
+            .collect();
+        unknown.sort_unstable();
+        for name in unknown {
+            eprintln!("warning: ignoring unknown knob {name}");
+        }
         let get = |name: &str| vars.get(name).map(String::as_str);
-        let flag = |name: &str, default: bool| get(name).map_or(default, |v| v != "0");
         let number = |name: &str| {
             let hint = "expected a non-negative integer";
             parsed(name, get(name), hint, "using the default", |v| v.parse::<usize>().ok())
@@ -153,7 +154,7 @@ impl Knobs {
         };
         let path = |name: &str, what: &str| writable(name, what, get(name));
 
-        let fast = flag("QSM_FAST", false);
+        let fast = get("QSM_FAST").is_some_and(|v| v != "0");
         let backend = match get("QSM_BACKEND").map(|v| (v, v.trim())) {
             None | Some((_, "" | "sim")) => Backend::Sim,
             Some((_, "threads")) => Backend::Threads,
@@ -169,17 +170,6 @@ impl Knobs {
             "using the flat wire",
             |v| Some((topology_kind(v, 1)? != TopologyKind::Flat).then(|| v.to_string())),
         );
-        if let Some(dir) = get("QSM_RUN_LOG").and_then(|p| Path::new(p).parent()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let run_log = path("QSM_RUN_LOG", "run journal");
-        let resume = flag("QSM_RESUME", false);
-        if resume && run_log.is_none() {
-            eprintln!(
-                "warning: QSM_RESUME is set but QSM_RUN_LOG is not usable; \
-                 nothing to resume from — running the full sweep"
-            );
-        }
         Knobs {
             run: RunCfg { p: 16, reps: if fast { 1 } else { 3 }, fast },
             result: ResultKnobs {
@@ -192,8 +182,6 @@ impl Knobs {
             results_dir: PathBuf::from(get("QSM_RESULTS_DIR").unwrap_or("results")),
             trace: path("QSM_TRACE", "trace"),
             metrics: path("QSM_METRICS", "metrics"),
-            resume: resume && run_log.is_some(),
-            run_log,
             algo: get("QSM_ALGO").unwrap_or("prefix").to_string(),
             p: positive("QSM_P").unwrap_or(8),
             n: positive("QSM_N").unwrap_or(1 << 16),
@@ -274,29 +262,21 @@ pub(crate) mod tests {
         Knobs::parse(&pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect())
     }
 
-    fn temp(tag: &str) -> String {
-        let path = std::env::temp_dir().join(format!("qsm-knobs-{}-{tag}", std::process::id()));
-        path.to_str().unwrap().to_string()
-    }
-
     #[test]
     fn defaults_are_the_documented_ones() {
         let k = parse(&[]);
         assert_eq!(k.run, RunCfg { p: 16, reps: 3, fast: false });
         let r = &k.result;
         assert_eq!((r.backend, r.banks, r.topology.as_deref()), (Backend::Sim, 0, None));
-        assert_eq!((k.jobs, k.panic_point, k.resume), (None, None, false));
+        assert_eq!((k.jobs, k.panic_point), (None, None));
         assert_eq!(k.results_dir, PathBuf::from("results"));
-        assert_eq!((k.trace, k.metrics, k.run_log), (None, None, None));
+        assert_eq!((k.trace, k.metrics), (None, None));
         assert_eq!((k.algo.as_str(), k.p, k.n), ("prefix", 8, 65536));
-        // A boolean is on at anything but `0`; fast mode drops to one rep.
-        let log = temp("defaults.jsonl");
-        let k = parse(&[("QSM_FAST", ""), ("QSM_RESUME", "yes")]);
+        // `QSM_FAST` is on at anything but `0`; fast mode drops to one rep.
+        let k = parse(&[("QSM_FAST", "")]);
         assert_eq!(k.run, RunCfg { p: 16, reps: 1, fast: true });
+        assert!(parse(&[("QSM_FAST", "yes")]).run.fast);
         assert!(!parse(&[("QSM_FAST", "0")]).run.fast);
-        assert!(!k.resume, "nothing to resume from without a run journal");
-        assert!(parse(&[("QSM_RESUME", "yes"), ("QSM_RUN_LOG", &log)]).resume);
-        let _ = std::fs::remove_file(log);
     }
 
     #[test]
@@ -315,61 +295,5 @@ pub(crate) mod tests {
         assert_eq!((p("4"), p("0"), p("-1")), (4, 8, 8));
         let n = |v: &str| parse(&[("QSM_N", v)]).n;
         assert_eq!((n("1024"), n("0")), (1024, 65536));
-    }
-
-    #[test]
-    fn run_log_gets_its_missing_parent_directories() {
-        // A journal pointed into a directory that does not exist yet
-        // must come up writable, not be disabled for the whole process.
-        let root = PathBuf::from(temp("nested"));
-        let _ = std::fs::remove_dir_all(&root);
-        let path = root.join("deeper").join("run.jsonl");
-        let k = parse(&[("QSM_RUN_LOG", path.to_str().unwrap())]);
-        assert_eq!(k.run_log, Some(path.clone()));
-        assert!(path.exists());
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    /// The fingerprint sees exactly the result group: a non-default
-    /// value of every result knob moves it, and of every other knob
-    /// leaves it alone (the run configuration is hashed separately).
-    #[test]
-    fn the_fingerprint_hashes_exactly_the_result_knobs() {
-        let (trace, metrics, log, log2) =
-            (temp("t.json"), temp("m.json"), temp("run.jsonl"), temp("run2.jsonl"));
-        let changes: [(&str, &str, bool); 14] = [
-            ("QSM_BACKEND", "threads", true),
-            ("QSM_BANKS", "4", true),
-            ("QSM_TOPOLOGY", "torus", true),
-            ("QSM_FAST", "1", false),
-            ("QSM_JOBS", "4", false),
-            ("QSM_PANIC_POINT", "3", false),
-            ("QSM_RESULTS_DIR", "elsewhere", false),
-            ("QSM_TRACE", &trace, false),
-            ("QSM_METRICS", &metrics, false),
-            ("QSM_RUN_LOG", &log2, false),
-            ("QSM_RESUME", "1", false),
-            ("QSM_ALGO", "listrank", false),
-            ("QSM_P", "4", false),
-            ("QSM_N", "1024", false),
-        ];
-        let mut names: Vec<&str> = changes.iter().map(|c| c.0).collect();
-        let mut all = Knobs::NAMES.to_vec();
-        names.sort_unstable();
-        all.sort_unstable();
-        assert_eq!(names, all, "every knob is exercised");
-
-        let cfg = RunCfg::fast();
-        let fp = |k: &Knobs| crate::journal::tests::fingerprint("fig1", &cfg, 10, &k.result);
-        // A run journal in the base, so that `QSM_RESUME` takes effect.
-        let base = parse(&[("QSM_RUN_LOG", &log)]);
-        for (name, value, decides) in changes {
-            let k = parse(&[("QSM_RUN_LOG", &log), (name, value)]);
-            assert_ne!(k, base, "{name}={value} must change some field");
-            assert_eq!(fp(&k) != fp(&base), decides, "{name}={value}");
-        }
-        for path in [trace, metrics, log, log2] {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }

@@ -28,11 +28,11 @@
 //! an environment read anywhere else and on any code or test that
 //! writes it: [`knobs()`] parses every `QSM_*` variable once per
 //! process and every reader takes its field from the result.
-//! [`Knobs::NAMES`](knobs::Knobs::NAMES) lists the 14 knobs, and
+//! [`Knobs::NAMES`](knobs::Knobs::NAMES) lists the 12 knobs, and
 //! `tests/knob_names.rs` holds the documents to that list. The
 //! [`ResultKnobs`](knobs::ResultKnobs) — backend, banks and topology —
 //! decide a result; the rest decide only how a run goes (workers, the
-//! panic drill, output paths, the journal, `explain`'s selection).
+//! panic drill, output paths, `explain`'s selection).
 //! Figures take their [`RunCfg`] (`QSM_FAST`) as a parameter and read
 //! the rest ambiently, since `figures::*::run(&RunCfg)` is the
 //! benchmark's fixed entry point. Tests that need other knobs either call
@@ -47,14 +47,7 @@
 //! * [`mod@knobs`] — every `QSM_*` variable, parsed once (above).
 //! * [`sweep`] — fans a figure's independent points across a `QSM_JOBS`
 //!   worker pool and reassembles them in input order, so tables are
-//!   byte-identical to a serial run; it keeps the journal under
-//!   `QSM_RUN_LOG`.
-//! * [`journal`] — the run journal's record, its writer and the reader
-//!   of the per-point ledger `QSM_RESUME=1` resumes from, each sweep's
-//!   records filed under the figure the sweep's caller names as its
-//!   owner.
-//! * [`replay`] — each point's result encoded losslessly for the
-//!   journal, and decoded on resume.
+//!   byte-identical to a serial run.
 //! * [`backend`] — resolves `QSM_BACKEND=sim|threads` into a
 //!   [`qsm_core::AnyMachine`] factory ([`backend::Backend::machine`]):
 //!   figures 1–3 and `explain` honour it; the machine-configuration
@@ -69,11 +62,9 @@
 
 pub mod backend;
 pub mod figures;
-pub mod journal;
 pub mod knobs;
 pub mod obs;
 pub mod output;
-pub mod replay;
 pub mod stats;
 pub mod sweep;
 

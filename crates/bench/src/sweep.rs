@@ -24,34 +24,14 @@
 //! process-wide failure registry, and lets the caller emit a partial
 //! artifact — binaries call [`exit_if_degraded`] last, so a degraded
 //! run still exits nonzero. `QSM_PANIC_POINT=i` artificially fails
-//! point `i` of every sweep (a drill for the degradation and
-//! crash-resume paths, used by the CI smoke jobs).
-//!
-//! Every sweep names its owner: the figure whose points it computes
-//! and that figure's [`RunCfg`], passed to [`map`] and
-//! [`map_surviving`] by the caller, never taken from process state.
-//! With `QSM_RUN_LOG=path.jsonl` (see [`crate::journal`]) the
-//! executor additionally keeps a durable per-point ledger under that
-//! owner: a `sweep_claim` record when a point starts and a
-//! `sweep_point` record — duration, the [`Replay`]-encoded result, and
-//! ok/failed status — when it completes; the durations are the way to
-//! watch a long sweep. Setting `QSM_RESUME=1` on a rerun turns that
-//! ledger into a checkpoint: points whose `ok` record matches the
-//! sweep's configuration fingerprint are *replayed* from the journal
-//! (bit-exact, so every downstream artifact is byte-identical to an
-//! uninterrupted run) and only the rest — failed, unfinished, or
-//! fingerprint-mismatched points — are executed.
+//! point `i` of every sweep (a drill for the degradation path).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use crate::journal::SweepLog;
 use crate::knobs::{knobs, Knobs};
-use crate::replay::Replay;
-use crate::RunCfg;
 
 /// Worker-pool size for sweeps whose points each simulate `p_sim`
 /// processors: the `QSM_JOBS` knob if set (minimum 1), else
@@ -126,57 +106,18 @@ pub fn exit_if_degraded() {
 /// order: `out[i]` is point `i`'s result or its captured panic. The
 /// machinery shared by [`map`] and [`map_surviving`], which hand it
 /// the process's [`knobs()`]: `knobs` sizes the pool and switches
-/// the panic drill and resume.
-///
-/// The sweep is journaled as `figure`'s under `cfg`: with an active
-/// run journal and `QSM_RESUME=1`, points already completed under the
-/// same configuration fingerprint are replayed from the journal
-/// instead of executed (see [`crate::journal`]).
-fn try_map<I, T, F>(
-    knobs: &Knobs,
-    figure: &'static str,
-    cfg: &RunCfg,
-    p_sim: usize,
-    items: Vec<I>,
-    f: F,
-) -> Vec<Result<T, PointPanic>>
+/// the panic drill.
+fn try_map<I, T, F>(knobs: &Knobs, p_sim: usize, items: Vec<I>, f: F) -> Vec<Result<T, PointPanic>>
 where
     I: Send,
-    T: Send + Replay,
+    T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
     let n = items.len();
     let workers = jobs(knobs.jobs, p_sim).min(n.max(1));
-    let log = SweepLog::open(figure, cfg, n, workers);
-    // Resume: decode every replayable completed point before spending
-    // any work. A record that fails to decode (schema drift from an
-    // older build) is simply re-run — replay is an optimization, never
-    // a correctness dependency.
-    // (The knobs warn when a resume was asked for with no usable
-    // journal, instead of silently re-running everything.)
-    let mut results: Vec<Mutex<Option<Result<T, PointPanic>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let mut replayed = 0;
-    if knobs.resume {
-        for (i, fields) in log.iter().flat_map(SweepLog::replay) {
-            if let Some(v) = T::decode_fields(&fields) {
-                results[i] = Mutex::new(Some(Ok(v)));
-                replayed += 1;
-            }
-        }
-        eprintln!("[sweep] resume: replaying {replayed}/{n} completed points from the run journal");
-    }
     let drill = knobs.panic_point;
     let run_point = |i: usize, item: I| {
-        // With a journal, claim the point before running it (a claim
-        // without a matching completion marks where a crashed run
-        // died) and time it; the default path stays a bare
-        // catch_unwind around `f`.
-        let timed = log.as_ref().map(|log| {
-            log.claim(i);
-            (log, Instant::now())
-        });
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        catch_unwind(AssertUnwindSafe(|| {
             if Some(i) == drill {
                 panic!("artificial failure injected by QSM_PANIC_POINT={i}");
             }
@@ -186,13 +127,7 @@ where
             index: i,
             message: panic_message(&payload),
             payload,
-        });
-        if let Some((log, start)) = timed {
-            let outcome = result.as_ref().map(Replay::encode_fields);
-            let duration_ms = start.elapsed().as_secs_f64() * 1e3;
-            log.point(i, duration_ms, outcome.map_err(|p| p.message.as_str()));
-        }
-        result
+        })
     };
     // Work-stealing over the index space: a shared cursor hands out
     // the next pending point, each slot's item moves to exactly one
@@ -204,13 +139,12 @@ where
     // takes the points in input order and nothing is spawned.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let results: Vec<Mutex<Option<Result<T, PointPanic>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
     let work = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
-        }
-        if results[i].lock().expect("sweep result lock poisoned").is_some() {
-            continue; // replayed from the journal
         }
         let item = slots[i]
             .lock()
@@ -240,23 +174,21 @@ where
 /// (default: cores / `p_sim`) worker threads and collect the results
 /// in input order. `f` receives `(index, item)`; any per-point seed
 /// must be derived from those (the figure modules use
-/// [`RunCfg::seed`]), never from shared mutable state. The run
-/// journal files the sweep's points under its owner: `figure`, run
-/// under `cfg`.
+/// [`crate::RunCfg::seed`]), never from shared mutable state.
 ///
 /// With one worker (or one item) the items are executed inline on the
 /// calling thread in input order — the serial executor. If any point
 /// panics, the remaining points still run to completion, then the
 /// **first** (lowest-index) failing point's original panic payload is
 /// re-raised on the calling thread.
-pub fn map<I, T, F>(figure: &'static str, cfg: &RunCfg, p_sim: usize, items: Vec<I>, f: F) -> Vec<T>
+pub fn map<I, T, F>(p_sim: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
-    T: Send + Replay,
+    T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
     // Every point has run; the first failure in input order is raised.
-    match try_map(knobs(), figure, cfg, p_sim, items, f).into_iter().collect() {
+    match try_map(knobs(), p_sim, items, f).into_iter().collect() {
         Ok(out) => out,
         Err(p) => {
             eprintln!("error: sweep point {} panicked: {}", p.index, p.message);
@@ -275,19 +207,13 @@ where
 /// `QSM_PANIC_POINT=i` (handled by the shared executor, so it also
 /// covers [`map`]-based sweeps) injects an artificial panic at point
 /// `i`, a drill for this degradation path.
-pub fn map_surviving<I, T, F>(
-    figure: &'static str,
-    cfg: &RunCfg,
-    p_sim: usize,
-    items: Vec<I>,
-    f: F,
-) -> Vec<(usize, T)>
+pub fn map_surviving<I, T, F>(p_sim: usize, items: Vec<I>, f: F) -> Vec<(usize, T)>
 where
     I: Send,
-    T: Send + Replay,
+    T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    let results = try_map(knobs(), figure, cfg, p_sim, items, f);
+    let results = try_map(knobs(), p_sim, items, f);
     let mut out = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
         match r {
@@ -310,7 +236,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_input_order() {
-        let out = map("test", &RunCfg::fast(), 1, (0..64).collect(), |i, x: u64| {
+        let out = map(1, (0..64).collect(), |i, x: u64| {
             assert_eq!(i as u64, x);
             x * 10
         });
@@ -319,7 +245,7 @@ mod tests {
 
     #[test]
     fn empty_grid_is_fine() {
-        let out: Vec<u64> = map("test", &RunCfg::fast(), 1, Vec::<u64>::new(), |_, x| x);
+        let out: Vec<u64> = map(1, Vec::<u64>::new(), |_, x| x);
         assert!(out.is_empty());
     }
 
@@ -333,10 +259,7 @@ mod tests {
         let serial: Vec<u64> = (0..40u64).map(|x| x.wrapping_mul(0x9E37)).collect();
         for jobs in ["1", "4"] {
             let knobs = knobs_with(&[("QSM_JOBS", jobs)]);
-            let parallel =
-                try_map(&knobs, "test", &RunCfg::fast(), 1, (0..40u64).collect(), |_, x| {
-                    x.wrapping_mul(0x9E37)
-                });
+            let parallel = try_map(&knobs, 1, (0..40u64).collect(), |_, x| x.wrapping_mul(0x9E37));
             assert_eq!(serial, parallel.into_iter().map(Result::unwrap).collect::<Vec<_>>());
         }
     }
@@ -353,13 +276,12 @@ mod tests {
     fn try_map_captures_panics_per_point() {
         for jobs in ["1", "4"] {
             let knobs = knobs_with(&[("QSM_JOBS", jobs)]);
-            let results =
-                try_map(&knobs, "test", &RunCfg::fast(), 1, (0..8).collect(), |_, x: u64| {
-                    if x % 3 == 1 {
-                        panic!("boom at {x}");
-                    }
-                    x * 2
-                });
+            let results = try_map(&knobs, 1, (0..8).collect(), |_, x: u64| {
+                if x % 3 == 1 {
+                    panic!("boom at {x}");
+                }
+                x * 2
+            });
             assert_eq!(results.len(), 8);
             for (i, r) in results.iter().enumerate() {
                 if i % 3 == 1 {
@@ -382,7 +304,7 @@ mod tests {
         #[derive(Debug, PartialEq)]
         struct Custom(u64);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            map("test", &RunCfg::fast(), 1, (0..6).collect(), |_, x: u64| {
+            map(1, (0..6).collect(), |_, x: u64| {
                 if x >= 2 {
                     std::panic::panic_any(Custom(x));
                 }
@@ -397,7 +319,7 @@ mod tests {
     #[test]
     fn map_surviving_drops_failures_and_registers_them() {
         let before = failed_points();
-        let out = map_surviving("test", &RunCfg::fast(), 1, (0..10).collect(), |_, x: u64| {
+        let out = map_surviving(1, (0..10).collect(), |_, x: u64| {
             if x == 4 || x == 7 {
                 panic!("unstable point {x}");
             }

@@ -1,12 +1,12 @@
 //! Knobs are parsed once per process: a value that does not parse
-//! warns on stderr exactly once and its default applies, and only an
-//! unknown backend stops the run. `explain` is the binary that reads
-//! the most of them. Subprocesses, so that the knobs it sees are
-//! exactly these.
+//! warns on stderr exactly once and its default applies, a `QSM_*`
+//! name that is no knob warns once and is ignored, and only an unknown
+//! backend stops the run. `explain` is the binary that reads the most
+//! of them. Subprocesses, so that the knobs it sees are exactly these.
 
 mod common;
 
-use common::{run_bin, stderr};
+use common::{fresh_dir, run_bin, run_figure, stderr};
 
 #[test]
 fn an_unparseable_processor_count_warns_and_runs_at_the_default() {
@@ -41,4 +41,17 @@ fn an_unknown_backend_exits_2() {
     let out = run_bin(env!("CARGO_BIN_EXE_explain"), &[("QSM_BACKEND", "gpu")]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown QSM_BACKEND 'gpu' (want sim or threads)"));
+}
+
+#[test]
+fn an_unknown_knob_warns_once_and_the_figure_still_runs() {
+    let dir = fresh_dir("unknown-knob");
+    let warning = "warning: ignoring unknown knob QSM_RESUME";
+    let out = run_figure(env!("CARGO_BIN_EXE_fig1_prefix"), &dir, &[("QSM_RESUME", "1")]);
+    assert_eq!(stderr(&out).matches(warning).count(), 1, "stderr:\n{}", stderr(&out));
+    assert!(dir.join("fig1.csv").exists());
+    // Only known knobs: no such line.
+    let out = run_figure(env!("CARGO_BIN_EXE_fig1_prefix"), &dir, &[("QSM_JOBS", "1")]);
+    assert!(!stderr(&out).contains("unknown knob"), "stderr:\n{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
 }

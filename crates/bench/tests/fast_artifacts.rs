@@ -59,3 +59,12 @@ fn every_fast_artifact_matches_its_pin() {
     assert!(moved.is_empty(), "{}", moved.join("\n"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fnv1a_matches_reference_vectors() {
+    // Published FNV-1a test vectors, so the pins are the function the
+    // file's doc names.
+    assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
+}

@@ -14,14 +14,13 @@ use common::{fresh_dir, read, run_bin, stderr};
 fn panicking_point_surfaces_its_own_payload_at_any_job_count() {
     for jobs in ["1", "4"] {
         let dir = fresh_dir(&format!("graceful-j{jobs}"));
-        let (results, log) = (dir.join("results"), dir.join("run.jsonl"));
+        let results = dir.join("results");
         let knobs = |panic_point| {
             [
                 ("QSM_FAST", "1"),
                 ("QSM_JOBS", jobs),
                 ("QSM_PANIC_POINT", panic_point),
                 ("QSM_RESULTS_DIR", results.to_str().unwrap()),
-                ("QSM_RUN_LOG", log.to_str().unwrap()),
             ]
         };
 
@@ -39,12 +38,6 @@ fn panicking_point_surfaces_its_own_payload_at_any_job_count() {
             "payload must be the point's own, got:\n{err}"
         );
         assert!(!err.contains("poisoned"), "must not surface lock poisoning:\n{err}");
-        let ledger = read(&log);
-        assert_eq!(
-            ledger.matches("\"status\":\"ok\"").count(),
-            2,
-            "surviving points must complete"
-        );
         assert!(!results.join("ext_banks.csv").exists());
 
         // `ext_faults` sweeps with `map_surviving`: it drops the point,

@@ -2,30 +2,22 @@
 //!
 //! A [`RunJournal`] turns a path into a line-oriented sink: every
 //! [`append`](RunJournal::append) call writes one line, flushes it,
-//! and (by default) `fdatasync`s the file, so a journal read mid-run
-//! — or after a crash, a kill, or power loss — contains a durable
-//! whole record for every append that returned `Ok`. That durability
-//! is the property the bench harness's resumable-sweep ledger
-//! (`QSM_RESUME`) depends on: a completed point whose record only
-//! reached the OS page cache would be silently re-run (or worse,
-//! half-parsed) after the very crashes the journal exists to
-//! survive. The opener may skip the per-record `sync_data` (for tests
-//! and probes where page-cache durability is enough); the harness's
-//! run journal never does.
+//! and (when opened so) `fdatasync`s the file, so a journal read
+//! mid-run — or after a crash, a kill, or power loss — contains a
+//! durable whole record for every append that returned `Ok`. Its one
+//! caller is the `benchmark/` crate's `obs.journal_append_us_*` probe,
+//! which times an append with and without the per-record `sync_data`.
 //!
 //! The file is opened in append mode; several processes sharing one
 //! journal interleave whole lines, never fragments (POSIX `O_APPEND`
 //! writes of a line-sized buffer). A crash *can* still leave a torn
-//! final line — the write itself was cut short — so reads go through
-//! [`read_complete_lines`], which returns only newline-terminated
-//! records and drops a trailing fragment. [`RunJournal::open_with`]
-//! additionally quarantines such a fragment by terminating it with a
-//! newline, so records appended after a crash never concatenate onto
-//! the torn tail.
+//! final line — the write itself was cut short — so
+//! [`RunJournal::open_with`] quarantines such a fragment by
+//! terminating it with a newline, and records appended after a crash
+//! never concatenate onto the torn tail.
 //!
 //! This module only writes lines; composing the JSON record is the
-//! caller's job ([`json_escape`] covers embedded strings, and
-//! [`json_unescape`] reads them back). Records
+//! caller's job ([`json_escape`] covers embedded strings). Records
 //! should be self-describing — carry a `"kind"` and a `"v"` version
 //! field — so readers can skip what they do not understand.
 
@@ -80,29 +72,6 @@ impl RunJournal {
     }
 }
 
-/// Read the journal at `path`, returning every *complete*
-/// (newline-terminated) line and silently dropping a torn final
-/// fragment — the state a crash mid-append leaves behind. Lines are
-/// lossily UTF-8 decoded; deciding whether a line is a usable record
-/// is the caller's job.
-pub fn read_complete_lines(path: &Path) -> std::io::Result<Vec<String>> {
-    let bytes = std::fs::read(path)?;
-    let mut out = Vec::new();
-    for chunk in bytes.split_inclusive(|&b| b == b'\n') {
-        if chunk.last() != Some(&b'\n') {
-            break; // torn final line: the crash cut the write short
-        }
-        let mut line = &chunk[..chunk.len() - 1];
-        if line.last() == Some(&b'\r') {
-            line = &line[..line.len() - 1];
-        }
-        if !line.is_empty() {
-            out.push(String::from_utf8_lossy(line).into_owned());
-        }
-    }
-    Ok(out)
-}
-
 /// Escape `s` for embedding inside a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -118,35 +87,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// The string a JSON string literal's inside `s` encodes: the inverse
-/// of [`json_escape`], accepting exactly the escapes it writes. `None`
-/// on any other escape.
-pub fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        out.push(match c {
-            '\\' => match chars.next()? {
-                '"' => '"',
-                '\\' => '\\',
-                'n' => '\n',
-                'r' => '\r',
-                't' => '\t',
-                'u' => {
-                    let mut code = 0;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    char::from_u32(code)?
-                }
-                _ => return None,
-            },
-            c => c,
-        });
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -181,29 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_parses_all_complete_records_after_a_torn_write() {
-        let path = temp_path("torn");
-        {
-            let j = RunJournal::open_with(&path, true).unwrap();
-            j.append(r#"{"v":1,"kind":"a"}"#).unwrap();
-            j.append(r#"{"v":1,"kind":"b"}"#).unwrap();
-            j.append(r#"{"v":1,"kind":"c"}"#).unwrap();
-        }
-        // Simulate a crash mid-append: truncate into the last record,
-        // leaving a newline-less fragment.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let cut = text.len() - 8;
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(cut as u64).unwrap();
-        drop(f);
-
-        // Every complete record survives; the fragment is dropped.
-        let lines = read_complete_lines(&path).unwrap();
-        assert_eq!(lines, vec![r#"{"v":1,"kind":"a"}"#, r#"{"v":1,"kind":"b"}"#]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn reopen_quarantines_a_torn_tail_before_appending() {
         let path = temp_path("quarantine");
         std::fs::write(&path, "{\"v\":1,\"kind\":\"a\"}\n{\"v\":1,\"ki").unwrap();
@@ -211,7 +128,8 @@ mod tests {
             let j = RunJournal::open_with(&path, true).unwrap();
             j.append(r#"{"v":1,"kind":"d"}"#).unwrap();
         }
-        let lines = read_complete_lines(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
         // The fragment sits alone on its own (unparseable) line; the
         // post-crash record is intact rather than glued onto it.
         assert_eq!(lines, vec![r#"{"v":1,"kind":"a"}"#, r#"{"v":1,"ki"#, r#"{"v":1,"kind":"d"}"#]);
@@ -224,7 +142,7 @@ mod tests {
         let j = RunJournal::open_with(&path, false).unwrap();
         j.append(r#"{"v":1,"kind":"x"}"#).unwrap();
         drop(j);
-        assert_eq!(read_complete_lines(&path).unwrap(), vec![r#"{"v":1,"kind":"x"}"#]);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":1,\"kind\":\"x\"}\n");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -239,16 +157,5 @@ mod tests {
         assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
-    fn json_unescape_inverts_json_escape() {
-        for s in ["", "plain", r#"a"b\c"#, "line\nbreak\r\ttab", "\u{1}\u{1f}é→", "\\u0041"] {
-            assert_eq!(json_unescape(&json_escape(s)).as_deref(), Some(s), "{s:?}");
-        }
-        assert_eq!(json_unescape(r"\u00e9"), Some("é".to_string()));
-        for bad in [r"\", r"\x", r"\/", r"\u12", r"\u+123", r"\ud800"] {
-            assert_eq!(json_unescape(bad), None, "{bad:?}");
-        }
     }
 }

@@ -37,10 +37,9 @@
 //!   fed by the `qsm-simnet` [`TraceEvent`] stream (barrier legs
 //!   included), and counter tracks for κ and per-destination queue
 //!   depth.
-//! * [`journal`] — [`RunJournal`], an append-only JSONL sink for
-//!   per-sweep-point run records (`QSM_RUN_LOG` in the bench harness):
-//!   one durable line per record, safe to tail mid-run and to replay
-//!   after a crash via [`read_complete_lines`].
+//! * [`journal`] — [`RunJournal`], an append-only JSONL sink: one
+//!   durable line per record, safe to tail mid-run; the `benchmark/`
+//!   crate times its appends.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -51,7 +50,7 @@ pub mod perfetto;
 pub mod recorder;
 pub mod span;
 
-pub use journal::{json_escape, json_unescape, read_complete_lines, RunJournal};
+pub use journal::{json_escape, RunJournal};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{ObsData, ObsLevel, Recorder, WireEvent};
 pub use span::{CounterSample, Span, SpanKind};

@@ -6,7 +6,7 @@
 //! evaluation order (the same keyed-determinism discipline as
 //! [`qsm_simnet::fault`]). Two consequences the experiments lean on:
 //!
-//! * **Replays are exact.** Any sweep point, resumed or re-run on any
+//! * **Replays are exact.** Any sweep point, re-run on any
 //!   `QSM_JOBS`, derives the identical transaction stream.
 //! * **Load is monotone by construction.** A run offering `n`
 //!   transactions sees exactly the first `n` of the infinite keyed

@@ -156,7 +156,7 @@ fn settable_values_are_pinned() {
         CONFIG_STRUCTS.iter().zip(fields).map(|(t, n)| format!("{t} {n}")).collect();
     assert_eq!(
         total,
-        69,
+        67,
         "settable values: knobs {names}, fields {} ({}), builders {builders}. A new setting \
          needs two callers outside tests that want different values; one with a single value \
          in use is a constant. Move the pin with the reading in ROADMAP item 2.",
