@@ -1,11 +1,12 @@
 //! Collectives, and the access rule every kernel shares. The paper's
 //! algorithms hand-roll their communication to keep phase counts
 //! explicit, so what is shared is the rule that prices one access and
-//! the last step of every kernel. `Fetch` (a read) and `store` (a
-//! write) touch an element in place, free, when the caller's block
-//! holds it, and otherwise issue a `get` or a `put` and return the
-//! words it moves (`Word::words`, the 4-byte unit the runtime meters
-//! by). `Gather` takes a block-distributed result out of the machine.
+//! the last step of every kernel. `Fetch` (a read of one element),
+//! `fetch_into` (a read of a range) and `store` (a write) touch the
+//! data in place, free, when the caller's block holds it, and otherwise
+//! issue a `get` or a `put`; `Fetch` and `store` return the words it
+//! moves (`Word::words`, the 4-byte unit the runtime meters by).
+//! `Gather` takes a block-distributed result out of the machine.
 //! The tests keep board-based all-gather, broadcast, gather and reduce
 //! helpers that exercise the same issue-then-`sync()`-then-read idiom.
 //!
@@ -47,11 +48,9 @@ impl<T: Word> Fetch<T> {
     /// else requested with a one-element `get` (served by the next
     /// `sync()`).
     pub(crate) fn of(ctx: &mut Ctx, arr: &SharedArray<T>, idx: usize) -> Self {
-        let mine = ctx.local_range(arr);
-        if mine.contains(&idx) {
-            Self::Local(ctx.local(arr)[idx - mine.start])
-        } else {
-            Self::Remote(ctx.get(arr, idx, 1))
+        match in_block(ctx, arr, idx, 1) {
+            Some(at) => Self::Local(ctx.local(arr)[at]),
+            None => Self::Remote(ctx.get(arr, idx, 1)),
         }
     }
 
@@ -77,13 +76,39 @@ impl<T: Word> Fetch<T> {
     }
 }
 
+/// Where `start..start + len` of `arr` begins in this processor's
+/// block, when the block holds the whole range.
+fn in_block<T: Word>(ctx: &Ctx, arr: &SharedArray<T>, start: usize, len: usize) -> Option<usize> {
+    let mine = ctx.local_range(arr);
+    (mine.start <= start && start + len <= mine.end).then(|| start - mine.start)
+}
+
+/// Read `start..start + len` of `arr`: appended to `out` now when this
+/// processor's block holds the whole range, else requested with a
+/// `get` (which splits at the owners' boundaries) whose ticket the next
+/// `sync()` serves.
+pub(crate) fn fetch_into<T: Word>(
+    ctx: &mut Ctx,
+    arr: &SharedArray<T>,
+    start: usize,
+    len: usize,
+    out: &mut Vec<T>,
+) -> Option<GetTicket<T>> {
+    match in_block(ctx, arr, start, len) {
+        Some(at) => {
+            out.extend_from_slice(&ctx.local(arr)[at..][..len]);
+            None
+        }
+        None => Some(ctx.get(arr, start, len)),
+    }
+}
+
 /// Store `data` at `start..start + data.len()` of `arr`: a local write
 /// when this processor's block holds the whole range, else a `put`
 /// (which splits at the owners' boundaries). Returns the words the put
 /// moves, 0 for a local write.
 pub(crate) fn store<T: Word>(ctx: &mut Ctx, arr: &SharedArray<T>, start: usize, data: &[T]) -> u64 {
-    let mine = ctx.local_range(arr);
-    if mine.start <= start && start + data.len() <= mine.end {
+    if in_block(ctx, arr, start, data.len()).is_some() {
         ctx.local_write(arr, start, data);
         0
     } else {
@@ -333,6 +358,38 @@ mod tests {
     fn the_access_rule_goes_remote_exactly_past_the_block() {
         access_rule_on(&machine(3));
         access_rule_on(&ThreadMachine::new(3));
+    }
+
+    /// On p = 3 over 10 elements (blocks 0..4, 4..7, 7..10), a range
+    /// read inside the caller's block extends the bucket at once; one
+    /// that crosses a boundary or lies past it is a get, served by the
+    /// next sync.
+    #[test]
+    fn a_range_read_is_local_exactly_inside_the_block() {
+        let run = machine(3).run(|ctx| {
+            let a = ctx.register::<u32>("a", 10, Layout::Block);
+            ctx.sync();
+            let mine = ctx.local_range(&a);
+            let values: Vec<u32> = mine.clone().map(|i| 10 * i as u32).collect();
+            ctx.local_write(&a, mine.start, &values);
+            ctx.sync();
+            let mut bucket = vec![];
+            let tickets: Vec<_> = if ctx.proc_id() == 0 {
+                [(1, 3), (0, 0), (3, 2), (4, 3)]
+                    .into_iter()
+                    .filter_map(|(start, len)| fetch_into(ctx, &a, start, len, &mut bucket))
+                    .collect()
+            } else {
+                vec![]
+            };
+            let (local, remote) = (bucket.clone(), tickets.len());
+            ctx.sync();
+            tickets.into_iter().for_each(|t| ctx.take_into(t, &mut bucket));
+            (local, remote, bucket)
+        });
+        let (local, remote, bucket) = &run.outputs[0];
+        assert_eq!((local.as_slice(), *remote), ([10, 20, 30].as_slice(), 2));
+        assert_eq!(*bucket, [10, 20, 30, 30, 40, 40, 50, 60]);
     }
 
     #[test]

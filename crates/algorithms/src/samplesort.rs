@@ -20,7 +20,7 @@ use qsm_models::chernoff::sample_sort_bucket_bound;
 use rand::Rng;
 
 use crate::analysis::{log2n, Prediction, WHP_DELTA};
-use crate::collectives::{store, Gather};
+use crate::collectives::{fetch_into, store, Gather};
 
 /// Number of setup phases (registration + input distribution)
 /// preceding the five measured phases.
@@ -231,14 +231,11 @@ fn program(ctx: &mut Ctx, input: &[u32], out: &Gather<'_, u32>) -> ProcOutcome {
     let bucket_size: u64 = my_counts.iter().step_by(2).sum();
     let mut tickets = Vec::with_capacity(p);
     let mut bucket: Vec<u32> = Vec::with_capacity(bucket_size as usize);
+    // My own run lands in the bucket now; the others' tickets follow
+    // it in `j` order.
     for j in 0..p {
-        let cnt = my_counts[2 * j] as usize;
-        let start = my_counts[2 * j + 1] as usize;
-        if j == me {
-            bucket.extend_from_slice(&ctx.local(&staged)[start - my_range.start..][..cnt]);
-        } else {
-            tickets.push(ctx.get(&staged, start, cnt));
-        }
+        let (cnt, start) = (my_counts[2 * j] as usize, my_counts[2 * j + 1] as usize);
+        tickets.extend(fetch_into(ctx, &staged, start, cnt, &mut bucket));
     }
     let own_contribution = bucket.len() as u64;
     for j in 0..p {

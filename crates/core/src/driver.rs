@@ -9,7 +9,7 @@
 //!
 //! 1. **plan** — validate collective calls and gather the metering:
 //!    the per-processor counters summed off the [`CommMatrix`], a view
-//!    over the `p` published rows (the leader walks dirty pairs, never
+//!    over the `p` published rows (the leader walks dirty cells, never
 //!    operations, and copies no row).
 //! 2. **exchange** — each worker serves its own gets from the peers'
 //!    frozen stores (the pre-put state), sweeps the runs bound for its
@@ -73,90 +73,57 @@ impl PairTraffic {
     }
 }
 
-/// What a pair, or one bank of it, reads when its source queued
-/// nothing there.
+/// What a cell reads when its source queued nothing there.
 static NO_TRAFFIC: PairTraffic =
     PairTraffic { put_words: 0, put_payload_bytes: 0, get_words: 0, get_reply_payload_bytes: 0 };
 
-/// The per-phase (source, cost-owner) traffic matrix: a read-only view
-/// over the rows the processors metered into their published outboxes
-/// as they queued (`crate::ops`), row `src` in processor `src`'s. A
-/// row is `banks + 1` cells an owner — the pair's total, then one per
-/// bank — and one that queued nothing reads zero. Each row lists its
-/// non-empty cells, so emptiness checks and whole-phase scans
-/// ([`CommMatrix::for_each_dirty`]) touch only the pairs a phase
-/// actually used instead of all `p²` cells. Most phases of real
-/// programs touch O(p) pairs.
+/// The per-phase (source, cost owner, bank) traffic matrix: a
+/// read-only view over the rows the processors metered into their
+/// published outboxes as they queued (`crate::ops`), row `src` in
+/// processor `src`'s. A row is one cell per `(owner, bank)`, one bank
+/// a node on a machine that models none, and one that queued nothing
+/// reads zero. Each row lists its non-empty cells, so emptiness checks
+/// and whole-phase scans ([`CommMatrix::for_each_dirty`]) touch only
+/// the cells a phase actually used instead of all `p²` pairs. Most
+/// phases of real programs touch O(p) pairs.
 #[derive(Clone)]
 pub struct CommMatrix<'a> {
     rows: &'a [Slot],
-    /// Banks per node the rows meter (0: no bank cells).
-    banks: usize,
 }
 
 impl<'a> CommMatrix<'a> {
-    /// The traffic `rows` published, metered for `banks` banks per
-    /// node; no rows at all is a phase that moved nothing.
-    pub(crate) fn new(rows: &'a [Slot], banks: usize) -> Self {
-        Self { rows, banks }
+    /// The traffic `rows` published; no rows at all is a phase that
+    /// moved nothing.
+    pub(crate) fn new(rows: &'a [Slot]) -> Self {
+        Self { rows }
     }
 
-    fn cell(&self, src: usize, idx: usize) -> &'a PairTraffic {
-        self.rows[src].outbox().cells.get(idx).unwrap_or(&NO_TRAFFIC)
+    /// Cells per owner: the banks per node the rows meter, one when
+    /// the machine models none.
+    pub fn banks(&self) -> usize {
+        self.rows.first().map_or(1, |slot| slot.outbox().banks())
     }
 
-    /// Traffic from `src` to owner `dst`.
-    pub fn at(&self, src: usize, dst: usize) -> &'a PairTraffic {
-        self.cell(src, dst * (self.banks + 1))
+    /// Traffic from `src` to bank `bank` of owner `dst`.
+    pub fn at(&self, src: usize, dst: usize, bank: usize) -> &'a PairTraffic {
+        let row = self.rows[src].outbox();
+        row.cells.get(dst * row.banks() + bank).unwrap_or(&NO_TRAFFIC)
     }
 
     /// True when the whole phase moved no data. Scans only the dirty
     /// cells, so a phase that queued nothing answers in O(p).
     pub fn is_empty(&self) -> bool {
-        self.dirty().all(|(_, _, _, c)| c.is_empty())
+        self.rows.iter().all(|slot| slot.outbox().cells().all(|(_, _, c)| c.is_empty()))
     }
 
-    /// Every non-empty cell, `(src, dst, bank, traffic)`, source by
-    /// source and within a row in first-touch order; a pair's total
-    /// has no bank.
-    fn dirty(&self) -> impl Iterator<Item = (usize, usize, Option<usize>, &'a PairTraffic)> {
-        self.rows.iter().enumerate().flat_map(|(src, slot)| {
-            slot.outbox().cells().map(move |(dst, bank, c)| (src, dst, bank, c))
-        })
-    }
-
-    /// Visit every dirty `(src, dst, traffic)` cell. Visit order is
-    /// source-major and first-touch within a row, which varies with
+    /// Visit every dirty `(src, dst, bank, traffic)` cell. Visit order
+    /// is source-major and first-touch within a row, which varies with
     /// program structure — use only for order-insensitive
     /// accumulation; ordered consumers (the exchange simulation) must
     /// index with [`CommMatrix::at`].
-    pub fn for_each_dirty(&self, mut visit: impl FnMut(usize, usize, &PairTraffic)) {
-        for (src, dst, bank, c) in self.dirty() {
-            if bank.is_none() {
-                visit(src, dst, c);
-            }
-        }
-    }
-
-    /// Banks per node the rows meter (0 when the machine models none).
-    pub fn banks(&self) -> usize {
-        self.banks
-    }
-
-    /// Traffic from `src` to bank `bank` of owner `dst` (requires a
-    /// bank model).
-    pub fn at_bank(&self, src: usize, dst: usize, bank: usize) -> &'a PairTraffic {
-        assert!(bank < self.banks, "bank {bank} of a matrix metering {} banks", self.banks);
-        self.cell(src, dst * (self.banks + 1) + 1 + bank)
-    }
-
-    /// Visit every dirty `(src, dst, bank, traffic)` cell of the banks,
-    /// in the order of [`CommMatrix::for_each_dirty`]
-    /// (order-insensitive accumulation only). No-op without a bank
-    /// model.
-    pub fn for_each_dirty_bank(&self, mut visit: impl FnMut(usize, usize, usize, &PairTraffic)) {
-        for (src, dst, bank, c) in self.dirty() {
-            if let Some(bank) = bank {
+    pub fn for_each_dirty(&self, mut visit: impl FnMut(usize, usize, usize, &PairTraffic)) {
+        for (src, slot) in self.rows.iter().enumerate() {
+            for (dst, bank, c) in slot.outbox().cells() {
                 visit(src, dst, bank, c);
             }
         }
@@ -209,7 +176,9 @@ pub struct PhaseRecord {
     pub profile: PhaseProfile,
     /// Measured timing.
     pub timing: PhaseTiming,
-    /// Total data messages in the exchange (excluding plan/barrier).
+    /// Data messages the exchange sends (excluding plan/barrier): per
+    /// `(pair, bank)` cell, a put-data message, and a get request with
+    /// its reply.
     pub data_msgs: u64,
     /// Total payload bytes moved (excluding headers).
     pub payload_bytes: u64,
@@ -417,9 +386,9 @@ impl Driver {
         }
     }
 
-    /// Once-per-run initialization: switch on bank metering when the
-    /// machine models destination banks, so bank-free runs meter no
-    /// bank cells, and per-link metrics over its `links` fabric links.
+    /// Once-per-run initialization: meter a cell per bank when the
+    /// machine models destination banks (bank-free runs meter one a
+    /// pair), and per-link metrics over its `links` fabric links.
     /// The engine calls this before the first phase.
     pub(crate) fn begin_run(&mut self, banks: Option<BankModel>, links: usize) {
         if let Some(bm) = banks {
@@ -461,21 +430,24 @@ impl Driver {
         }
 
         // --- Metering: per-proc counters off the workers' rows ---
-        let banks = this.banks;
-        let matrix = CommMatrix::new(inputs, banks);
         for (m_rw, input) in this.m_rw.iter_mut().zip(inputs) {
             *m_rw = input.outbox().m_rw;
         }
 
-        // h and message counts from the matrix; only dirty pairs
-        // contribute, and every accumulation is order-insensitive.
-        let mut data_msgs = 0u64;
-        let mut payload_bytes = 0u64;
+        // h, messages, payload and bank-κ in one pass over the dirty
+        // cells, a message per cell and kind as the exchange sends
+        // them; every accumulation is order-insensitive. Bank-κ is the
+        // heaviest word load any single (node, bank) serves this phase:
+        // put words written into it plus get words read out of it.
+        let banks = this.banks;
+        let (mut data_msgs, mut payload_bytes) = (0u64, 0u64);
         {
             let data_msgs_by = &mut this.data_msgs_by;
             let h_in_words = &mut this.h_in_words;
             let h_out_words = &mut this.h_out_words;
-            matrix.for_each_dirty(|src, dst, c| {
+            let load = &mut this.bank_load;
+            let touched = &mut this.bank_load_touched;
+            CommMatrix::new(inputs).for_each_dirty(|src, dst, bank, c| {
                 if c.put_words > 0 {
                     data_msgs_by[src] += 1;
                     data_msgs += 1;
@@ -491,31 +463,19 @@ impl Driver {
                 h_out_words[dst] += c.get_words;
                 h_in_words[src] += c.get_words;
                 payload_bytes += c.put_payload_bytes + c.get_reply_payload_bytes;
-            });
-        }
-
-        // Observed bank-κ: the heaviest word load any single
-        // (node, bank) serves this phase — put words written into it
-        // plus get words read out of it.
-        let mut bank_kappa = 0u64;
-        if banks > 0 {
-            let load = &mut this.bank_load;
-            let touched = &mut this.bank_load_touched;
-            matrix.for_each_dirty_bank(|_src, dst, bank, c| {
-                let words = c.put_words + c.get_words;
-                if words > 0 {
+                if banks > 0 {
                     let idx = dst * banks + bank;
                     if load[idx] == 0 {
                         touched.push(idx as u32);
                     }
-                    load[idx] += words;
+                    load[idx] += c.put_words + c.get_words;
                 }
             });
-            for &idx in touched.iter() {
-                bank_kappa = bank_kappa.max(load[idx as usize]);
-                load[idx as usize] = 0;
-            }
-            touched.clear();
+        }
+        let mut bank_kappa = 0u64;
+        for idx in this.bank_load_touched.drain(..) {
+            bank_kappa = bank_kappa.max(this.bank_load[idx as usize]);
+            this.bank_load[idx as usize] = 0;
         }
 
         PhasePlan { registered, unregs, bank_kappa, data_msgs, payload_bytes }
@@ -533,7 +493,7 @@ impl Driver {
         self.charged.extend(inputs.iter().map(Slot::charged));
         self.arrivals.clear();
         self.arrivals.extend(inputs.iter().map(Slot::arrived));
-        timer.price(&self.charged, &CommMatrix::new(inputs, self.banks), &self.arrivals)
+        timer.price(&self.charged, &CommMatrix::new(inputs), &self.arrivals)
     }
 
     /// **Stage 4 — record.** Emit observability counters/spans and
@@ -808,27 +768,25 @@ mod tests {
         len: usize,
     }
 
-    /// A dense traffic matrix, a row per source: `pairs[src][dst]`
-    /// and `banked[src][dst * banks + bank]`.
+    /// A dense traffic matrix, a row per source of one cell per
+    /// `(owner, bank)`: `cells[src][dst * banks.max(1) + bank]`.
     struct Dense {
-        pairs: Vec<Vec<PairTraffic>>,
-        banked: Vec<Vec<PairTraffic>>,
+        cells: Vec<Vec<PairTraffic>>,
     }
 
     /// The plan stage's metering as it was while the leader walked
-    /// every queued operation — the per-op loops, kept verbatim as the
-    /// oracle for rows metered at the sender and κ swept at the owner:
-    /// the traffic matrix, `m_rw`, and each array's whole access ranges.
+    /// every queued operation — the per-op loops, the matrix filled
+    /// element by element, as the oracle for rows metered at the sender
+    /// and κ swept at the owner: the traffic matrix, `m_rw`, and each
+    /// array's whole access ranges.
     fn meter_flat(
         p: usize,
         banks: usize,
         infos: &[ArrayInfo],
         ops: &[FlatOp],
     ) -> (Dense, Vec<u64>, Vec<AccessRanges>) {
-        let mut matrix = Dense {
-            pairs: vec![vec![PairTraffic::default(); p]; p],
-            banked: vec![vec![PairTraffic::default(); p * banks]; p],
-        };
+        let cells = banks.max(1);
+        let mut matrix = Dense { cells: vec![vec![PairTraffic::default(); p * cells]; p] };
         let mut m_rw = vec![0u64; p];
         let mut accesses: Vec<AccessRanges> =
             infos.iter().map(|_| AccessRanges::default()).collect();
@@ -846,27 +804,15 @@ mod tests {
                     c.get_reply_payload_bytes += n as u64 * info.elem_bytes;
                 }
             };
-            crate::addr::for_each_owner_run(
-                info.layout,
-                info.id,
-                info.len,
-                p,
-                op.start,
-                op.len,
-                |owner, s, l| {
-                    add(&mut matrix.pairs[src][owner], l);
-                    if banks > 0 {
-                        crate::addr::for_each_bank_run(
-                            info.layout,
-                            info.id,
-                            banks,
-                            s,
-                            l,
-                            |bank, cnt| add(&mut matrix.banked[src][owner * banks + bank], cnt),
-                        );
-                    }
-                },
-            );
+            for idx in op.start..op.start + op.len {
+                let owner = crate::addr::owner(info.layout, info.id, info.len, p, idx);
+                let bank = if banks > 0 {
+                    crate::addr::bank_of(info.layout, info.id, banks, idx)
+                } else {
+                    0
+                };
+                add(&mut matrix.cells[src][owner * cells + bank], 1);
+            }
             m_rw[src] += op.len as u64 * wpe;
         }
         (matrix, m_rw, accesses)
@@ -875,15 +821,16 @@ mod tests {
     /// Totals of a dense traffic matrix of `banks` banks, cell by cell
     /// over all of it: `(data_msgs, payload_bytes, bank_kappa)`.
     fn totals(m: &Dense, banks: usize) -> (u64, u64, u64) {
-        let p = m.pairs.len();
         let (mut msgs, mut bytes, mut bank_kappa) = (0, 0, 0);
-        for c in m.pairs.iter().flatten() {
+        for c in m.cells.iter().flatten() {
             msgs += u64::from(c.put_words > 0) + 2 * u64::from(c.get_words > 0);
             bytes += c.put_payload_bytes + c.get_reply_payload_bytes;
         }
-        for cell in 0..p * banks {
-            let load = m.banked.iter().map(|row| row[cell]).map(|c| c.put_words + c.get_words);
-            bank_kappa = bank_kappa.max(load.sum());
+        if banks > 0 {
+            for cell in 0..m.cells[0].len() {
+                let load = m.cells.iter().map(|row| row[cell]).map(|c| c.put_words + c.get_words);
+                bank_kappa = bank_kappa.max(load.sum());
+            }
         }
         (msgs, bytes, bank_kappa)
     }
@@ -957,13 +904,13 @@ mod tests {
             let slots: Vec<Slot> = outboxes.into_iter().map(Slot::publishing).collect();
             let plan = driver.plan_stage(&slots);
 
-            let matrix = CommMatrix::new(&slots, banks);
+            let matrix = CommMatrix::new(&slots);
+            let cells = banks.max(1);
+            prop_assert_eq!(matrix.banks(), cells);
             for (src, dst) in (0..p).flat_map(|src| (0..p).map(move |dst| (src, dst))) {
-                prop_assert_eq!(matrix.at(src, dst), &want.pairs[src][dst], "{}->{}", src, dst);
-                for bank in 0..banks {
-                    let want = &want.banked[src][dst * banks + bank];
-                    let got = matrix.at_bank(src, dst, bank);
-                    prop_assert_eq!(got, want, "{}->{} bank {}", src, dst, bank);
+                for bank in 0..cells {
+                    let want = &want.cells[src][dst * cells + bank];
+                    prop_assert_eq!(matrix.at(src, dst, bank), want, "{}->{} bank {}", src, dst, bank);
                 }
             }
             prop_assert_eq!(&driver.m_rw, &want_m_rw);
@@ -1006,12 +953,13 @@ mod tests {
         }
     }
 
-    /// A phase over p = 3 with 2 banks, as its processors published it:
-    /// blocks of 6 are 0..2, 2..4 and 4..6, and the bank of index i is
-    /// i % 2. Processor 1 queues nothing; the rows in `cleared` are
-    /// emptied for reuse before they are published.
-    fn published_rows(cleared: &[usize]) -> Vec<Slot> {
-        let (p, banks) = (3, 2);
+    /// A phase over p = 3 metering `banks` banks, as its processors
+    /// published it: blocks of 6 are 0..2, 2..4 and 4..6, and with 2
+    /// banks the bank of index i is i % 2. Processor 1 queues nothing;
+    /// the rows in `cleared` are emptied for reuse before they are
+    /// published.
+    fn published_rows(banks: usize, cleared: &[usize]) -> Vec<Slot> {
+        let p = 3;
         let reg =
             Registration { name: "a".into(), len: 6, elem_bytes: 4, layout: crate::Layout::Block };
         let a = ArrayInfo::new(ArrayId(0), reg, p);
@@ -1037,62 +985,47 @@ mod tests {
     /// its puts and gets metered, and zero where a row queued nothing.
     #[test]
     fn comm_matrix_indexing() {
-        let slots = published_rows(&[]);
-        let m = CommMatrix::new(&slots, 2);
+        let slots = published_rows(2, &[]);
+        let m = CommMatrix::new(&slots);
         let (put, get) = (put_traffic, get_traffic());
-        assert_eq!((m.at(0, 2), m.at_bank(0, 2, 1)), (&get, &get));
-        assert_eq!(
-            (m.at(0, 0), m.at_bank(0, 0, 1), m.at_bank(0, 0, 0)),
-            (&put(1), &put(1), &PairTraffic::default())
-        );
-        assert_eq!(
-            (m.at(2, 1), m.at_bank(2, 1, 0), m.at_bank(2, 1, 1)),
-            (&put(2), &put(1), &put(1))
-        );
-        assert_eq!(m.at(2, 2), &put(1));
+        assert_eq!(m.banks(), 2);
+        assert_eq!((m.at(0, 2, 1), m.at(0, 2, 0)), (&get, &PairTraffic::default()));
+        assert_eq!((m.at(0, 0, 1), m.at(0, 0, 0)), (&put(1), &PairTraffic::default()));
+        assert_eq!((m.at(2, 1, 0), m.at(2, 1, 1)), (&put(1), &put(1)));
+        assert_eq!((m.at(2, 2, 0), m.at(2, 2, 1)), (&put(1), &PairTraffic::default()));
         // Processor 1 queued nothing: its row was never sized.
-        assert!((0..3).all(|dst| m.at(1, dst).is_empty() && m.at_bank(1, dst, 1).is_empty()));
+        assert!((0..3).all(|dst| (0..2).all(|bank| m.at(1, dst, bank).is_empty())));
         assert!(!m.is_empty());
-        assert!(CommMatrix::new(&[], 0).is_empty(), "no rows: a phase that moved nothing");
+        // Bank-free, a pair is one cell.
+        let slots = published_rows(0, &[]);
+        let m = CommMatrix::new(&slots);
+        assert_eq!((m.banks(), m.at(2, 1, 0), m.at(0, 2, 0)), (1, &put(2), &get));
+        let none = CommMatrix::new(&[]);
+        assert!(none.is_empty(), "no rows: a phase that moved nothing");
+        assert_eq!(none.banks(), 1);
     }
 
-    /// The dirty walk visits the pair totals source by source, each row
-    /// in first-touch order; a row cleared for reuse reads zero and
-    /// drops out of it.
+    /// The dirty walk visits the cells source by source, each row in
+    /// first-touch order and bank by bank within a pair; a row cleared
+    /// for reuse reads zero and drops out of it.
     #[test]
     fn comm_matrix_dirty_list_tracks_and_clears() {
-        let totals = |cleared: &[usize]| {
-            let slots = published_rows(cleared);
-            let m = CommMatrix::new(&slots, 2);
+        let walk = |banks: usize, cleared: &[usize]| {
+            let slots = published_rows(banks, cleared);
+            let m = CommMatrix::new(&slots);
             let mut seen = Vec::new();
-            m.for_each_dirty(|src, dst, c| seen.push((src, dst, c.put_words + c.get_words)));
-            let row0_zero = (0..3).all(|dst| m.at(0, dst).is_empty());
-            (seen, row0_zero, m.is_empty())
-        };
-        assert_eq!(totals(&[]), (vec![(0, 2, 1), (0, 0, 1), (2, 1, 2), (2, 2, 1)], false, false));
-        assert_eq!(totals(&[0]), (vec![(2, 1, 2), (2, 2, 1)], true, false));
-        assert_eq!(totals(&[0, 2]), (vec![], true, true));
-    }
-
-    /// The bank cells walk in the order of the pair totals, bank by
-    /// bank within a pair; a row cleared for reuse leaves no bank cell.
-    #[test]
-    fn comm_matrix_bank_layer_tracks_and_clears() {
-        let banked = |cleared: &[usize]| {
-            let slots = published_rows(cleared);
-            let m = CommMatrix::new(&slots, 2);
-            let mut seen = Vec::new();
-            m.for_each_dirty_bank(|src, dst, bank, c| {
+            m.for_each_dirty(|src, dst, bank, c| {
                 seen.push((src, dst, bank, c.put_words + c.get_words))
             });
-            let row2_zero = (0..3).all(|dst| (0..2).all(|b| m.at_bank(2, dst, b).is_empty()));
-            (seen, row2_zero)
+            let row0_zero = (0..3).all(|dst| (0..m.banks()).all(|b| m.at(0, dst, b).is_empty()));
+            (seen, row0_zero, m.is_empty())
         };
-        assert_eq!(
-            banked(&[]),
-            (vec![(0, 2, 1, 1), (0, 0, 1, 1), (2, 1, 0, 1), (2, 1, 1, 1), (2, 2, 0, 1)], false)
-        );
-        assert_eq!(banked(&[2]), (vec![(0, 2, 1, 1), (0, 0, 1, 1)], true));
-        assert_eq!(banked(&[0, 2]), (vec![], true));
+        let banked = vec![(0, 2, 1, 1), (0, 0, 1, 1), (2, 1, 0, 1), (2, 1, 1, 1), (2, 2, 0, 1)];
+        assert_eq!(walk(2, &[]), (banked, false, false));
+        assert_eq!(walk(2, &[0]), (vec![(2, 1, 0, 1), (2, 1, 1, 1), (2, 2, 0, 1)], true, false));
+        assert_eq!(walk(2, &[0, 2]), (vec![], true, true));
+        let pairs = vec![(0, 2, 0, 1), (0, 0, 0, 1), (2, 1, 0, 2), (2, 2, 0, 1)];
+        assert_eq!(walk(0, &[]), (pairs, false, false));
+        assert_eq!(walk(0, &[0]), (vec![(2, 1, 0, 2), (2, 2, 0, 1)], true, false));
     }
 }

@@ -561,6 +561,58 @@ mod tests {
         }
     }
 
+    /// `program` on `m` under a metrics recorder: the data messages
+    /// its phase records count, and the put-data, get-request and
+    /// get-reply messages the network carried.
+    fn counted_and_sent(m: &SimMachine, program: impl Fn(&mut Ctx) + Send + Sync) -> (u64, u64) {
+        let rec = Recorder::new(qsm_obs::ObsLevel::Metrics, qsm_simnet::CLOCK_HZ);
+        let run = run_with(m, program, rec.clone());
+        let metrics = rec.take().expect("an enabled recorder").metrics;
+        let counted = run.phases.iter().map(|r| r.data_msgs).sum();
+        assert_eq!(metrics.counter("data_msgs"), counted);
+        let kinds = ["net_msgs_put_data", "net_msgs_get_request", "net_msgs_get_reply"];
+        (counted, kinds.iter().map(|kind| metrics.counter(kind)).sum())
+    }
+
+    /// Puts and gets of a hashed array, which scatter over owners and
+    /// banks element by element.
+    fn hashed(ctx: &mut Ctx) {
+        let me = ctx.proc_id();
+        let written = ctx.register::<u32>("written", 64, Layout::Hashed);
+        let read = ctx.register::<u64>("read", 64, Layout::Hashed);
+        ctx.sync();
+        ctx.put(&written, 7 * me, &[me as u32; 9]);
+        let ticket = ctx.get(&read, 11 * me % 50, 13);
+        ctx.sync();
+        ctx.take(ticket);
+    }
+
+    /// The messages a phase counts are the ones its exchange sends, one
+    /// per kind and (pair, bank) cell, with and without a bank model.
+    #[test]
+    fn a_phase_counts_the_messages_its_exchange_sends() {
+        use qsm_simnet::BankModel;
+        for banks in [None, Some(4)] {
+            let mut cfg = MachineConfig::paper_default(5);
+            if let Some(b) = banks {
+                cfg = cfg.with_banks(BankModel::per_message(b, 100.0));
+            }
+            let m = SimMachine::new(cfg);
+            let mut runs = vec![
+                counted_and_sent(&m, |ctx| drop(samplesort(ctx, 4096))),
+                counted_and_sent(&m, |ctx| drop(listrank(ctx, 4096))),
+                counted_and_sent(&m, hashed),
+            ];
+            runs.extend(
+                (0..4).map(|seed| counted_and_sent(&m, |ctx| drop(scripted(ctx, seed, 6)))),
+            );
+            for (k, (counted, sent)) in runs.into_iter().enumerate() {
+                assert!(sent > 0, "program {k} sent nothing");
+                assert_eq!(counted, sent, "program {k}, {banks:?} banks");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -22,18 +22,18 @@
 //!
 //! A run is 24 bytes, `(array, len, global start, arena offset)`,
 //! with a tag bit of the offset saying which arena. Both kinds of
-//! operation add to the requester's row by *cost* owner, with the
-//! `(owner, bank)` cells when banks are on, which is all the metering
-//! a `Hashed` array needs. A row is O(p) cells, sized by a processor's
-//! first operation and cleared through its dirty-cell list, so what a
-//! run holds quadratic in `p` is the rows alone (at p = 256 with four
-//! banks, `tests/sim_on_pool.rs` reads 0.2 MiB live), and the leader
-//! keeps no matrix and of the arrays only a live bit each. Per-sync
-//! state is dense by [`ArrayId`] (ids are assigned densely and never
-//! reused) and recycled across phases, and a segment never moves: its
-//! worker owns its block of every array for the whole run. None of
-//! this can move a simulated number: the metered events keep their
-//! order (the latin-square exchange, the transmit sort keys,
+//! operation add to the requester's row, one cell per `(cost owner,
+//! bank)` and one bank a node on a machine that models none, which is
+//! all the metering a `Hashed` array needs. A row is O(p) cells, sized
+//! by a processor's first operation and cleared through its dirty-cell
+//! list, so what a run holds quadratic in `p` is the rows alone (at
+//! p = 256 with four banks, `tests/sim_on_pool.rs` reads 0.2 MiB live),
+//! and the leader keeps no matrix and of the arrays only a live bit
+//! each. Per-sync state is dense by [`ArrayId`] (ids are assigned
+//! densely and never reused) and recycled across phases, and a segment
+//! never moves: its worker owns its block of every array for the whole
+//! run. None of this can move a simulated number: the metered events
+//! keep their order (the latin-square exchange, the transmit sort keys,
 //! processor-then-issue put application, sorted-id κ sweeps), and the
 //! dirty lists skip only cells that moved no message.
 
@@ -81,7 +81,8 @@ impl Run {
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
     p: usize,
-    /// Banks per node the run meters (0: no bank cells).
+    /// Cells per owner: the banks per node the run meters, one on a
+    /// machine that models none.
     banks: usize,
     /// `runs[dst]`: the runs in `dst`'s block of storage, in issue
     /// order; `touched` lists the non-empty buckets.
@@ -90,10 +91,10 @@ pub(crate) struct Outbox {
     /// Every put's elements, packed at its array's width; each put
     /// starts on a storage word.
     pub(crate) payload: Vec<u64>,
-    /// This processor's row of the traffic matrix by *cost* owner (all
-    /// the metering a `Hashed` array needs too), `banks + 1` cells an
-    /// owner: the pair's total, then one per bank; empty until the
-    /// first operation. `dirty` lists the non-empty cells.
+    /// This processor's row of the traffic matrix, one cell per
+    /// `(cost owner, bank)` (all the metering a `Hashed` array needs
+    /// too); empty until the first operation. `dirty` lists the
+    /// non-empty cells.
     pub(crate) cells: Vec<PairTraffic>,
     dirty: Vec<u32>,
     /// 4-byte words this processor read or wrote (the `m_rw` term).
@@ -101,9 +102,15 @@ pub(crate) struct Outbox {
 }
 
 impl Outbox {
-    /// An empty outbox of processor count `p`, metering `banks` banks.
+    /// An empty outbox of processor count `p`, metering `banks` banks
+    /// per node (0: the machine models none).
     pub(crate) fn new(p: usize, banks: usize) -> Self {
-        Self { p, banks, ..Self::default() }
+        Self { p, banks: banks.max(1), ..Self::default() }
+    }
+
+    /// Cells per owner in the row: the banks it meters, at least one.
+    pub(crate) fn banks(&self) -> usize {
+        self.banks
     }
 
     /// Queue a write of `data` at `start` of `info`'s array.
@@ -125,7 +132,7 @@ impl Outbox {
     fn push(&mut self, info: &ArrayInfo, start: usize, len: usize, src: usize) {
         if self.runs.is_empty() {
             self.runs.resize_with(self.p, Vec::new);
-            self.cells.resize(self.p * (self.banks + 1), PairTraffic::default());
+            self.cells.resize(self.p * self.banks, PairTraffic::default());
             self.touched.reserve(self.p);
             self.dirty.reserve(self.p);
         }
@@ -149,7 +156,8 @@ impl Outbox {
         self.m_rw += len as u64 * info.words_per_elem();
     }
 
-    /// Add the `l` elements at `s`, all of cost owner `dst`, to the row.
+    /// Add the `l` elements at `s`, all of cost owner `dst`, to its
+    /// bank cells of the row.
     fn meter(&mut self, info: &ArrayInfo, put: bool, dst: usize, s: usize, l: usize) {
         // The library is word-granular, as in the paper: every 4-byte
         // word carries its own item header and marshal/apply cost (this
@@ -169,11 +177,14 @@ impl Outbox {
                 cell.get_reply_payload_bytes += n as u64 * bytes;
             }
         };
-        let first = dst * (self.banks + 1);
-        add(first, l);
-        if self.banks > 0 {
+        let first = dst * self.banks;
+        // One bank takes the run whole; `for_each_bank_run` would walk
+        // a hashed run element by element.
+        if self.banks == 1 {
+            add(first, l);
+        } else {
             for_each_bank_run(info.layout, info.id, self.banks, s, l, |bank, n| {
-                add(first + 1 + bank, n)
+                add(first + bank, n)
             });
         }
     }
@@ -195,12 +206,11 @@ impl Outbox {
         self.runs.get(dst).map_or(&[], Vec::as_slice)
     }
 
-    /// The non-empty cells, as `(cost owner, bank, cell)`; a pair's
-    /// total has no bank.
-    pub(crate) fn cells(&self) -> impl Iterator<Item = (usize, Option<usize>, &PairTraffic)> {
+    /// The non-empty cells, as `(cost owner, bank, cell)`.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (usize, usize, &PairTraffic)> {
         self.dirty.iter().map(|&idx| {
-            let (dst, k) = (idx as usize / (self.banks + 1), idx as usize % (self.banks + 1));
-            (dst, k.checked_sub(1), &self.cells[idx as usize])
+            let idx = idx as usize;
+            (idx / self.banks, idx % self.banks, &self.cells[idx])
         })
     }
 }
@@ -237,11 +247,11 @@ impl<T: Word> GetTicket<T> {
 
 #[cfg(test)]
 impl Outbox {
-    /// Set the cell of owner `dst` — its bank `bank`, or the pair's
-    /// total — to `traffic`, as if queuing had metered it so.
-    pub(crate) fn meter_cell(&mut self, dst: usize, bank: Option<usize>, traffic: PairTraffic) {
-        self.cells.resize(self.p * (self.banks + 1), PairTraffic::default());
-        let idx = dst * (self.banks + 1) + bank.map_or(0, |b| 1 + b);
+    /// Set the cell of bank `bank` of owner `dst` to `traffic`, as if
+    /// queuing had metered it so.
+    pub(crate) fn meter_cell(&mut self, dst: usize, bank: usize, traffic: PairTraffic) {
+        self.cells.resize(self.p * self.banks, PairTraffic::default());
+        let idx = dst * self.banks + bank;
         if self.cells[idx].is_empty() {
             self.dirty.push(idx as u32);
         }
@@ -303,39 +313,30 @@ mod tests {
         for (layout, banks) in
             [(Layout::Block, 0), (Layout::Hashed, 0), (Layout::Block, 4), (Layout::Hashed, 4)]
         {
-            let (p, len) = (4, 50);
+            let (p, len, cells) = (4, 50, banks.max(1));
             let a = info(8, len, layout, p);
             let mut out = Outbox::new(p, banks);
             out.put(&a, 5, &[7u64; 30]);
             out.get(&a, 40, 10, 0);
             // Element by element: 8 bytes are two accounting words.
-            let mut want = vec![PairTraffic::default(); p];
-            let mut want_banks = vec![PairTraffic::default(); p * banks];
+            let mut want = vec![PairTraffic::default(); p * cells];
             for idx in (5..35).chain(40..50) {
-                let o = owner(layout, a.id, len, p, idx);
-                let bank = (banks > 0).then(|| o * banks + bank_of(layout, a.id, banks, idx));
-                for cell in [Some(&mut want[o]), bank.map(|b| &mut want_banks[b])] {
-                    let Some(cell) = cell else { continue };
-                    if idx < 35 {
-                        cell.put_words += 2;
-                        cell.put_payload_bytes += 8;
-                    } else {
-                        cell.get_words += 2;
-                        cell.get_reply_payload_bytes += 8;
-                    }
+                let bank = if banks > 0 { bank_of(layout, a.id, banks, idx) } else { 0 };
+                let cell = &mut want[owner(layout, a.id, len, p, idx) * cells + bank];
+                if idx < 35 {
+                    cell.put_words += 2;
+                    cell.put_payload_bytes += 8;
+                } else {
+                    cell.get_words += 2;
+                    cell.get_reply_payload_bytes += 8;
                 }
             }
-            let mut got = vec![PairTraffic::default(); p];
-            let mut got_banks = vec![PairTraffic::default(); p * banks];
+            let mut got = vec![PairTraffic::default(); p * cells];
             for (dst, bank, cell) in out.cells() {
-                match bank {
-                    None => got[dst] = *cell,
-                    Some(bank) => got_banks[dst * banks + bank] = *cell,
-                }
+                got[dst * cells + bank] = *cell;
             }
             assert_eq!(got, want, "{layout:?}, {banks} banks");
-            assert_eq!(got_banks, want_banks, "{layout:?}, {banks} banks");
-            let nonempty = want.iter().chain(&want_banks).filter(|c| !c.is_empty()).count();
+            let nonempty = want.iter().filter(|c| !c.is_empty()).count();
             assert_eq!(out.cells().count(), nonempty, "each dirty cell is listed once");
             assert_eq!(out.m_rw, 80);
             // Storage is the block partition whatever the cost layout.
@@ -359,7 +360,7 @@ mod tests {
         assert!((0..8).all(|dst| out.runs_for(dst).is_empty()));
         assert!(out.payload.is_empty());
         assert_eq!((out.cells().count(), out.m_rw), (0, 0));
-        assert_eq!(out.cells, vec![PairTraffic::default(); 8 * 3]);
+        assert_eq!(out.cells, vec![PairTraffic::default(); 8 * 2]);
         // Only bucket 1 was ever allocated, and refilling reuses it.
         assert!(out.runs.iter().enumerate().all(|(dst, b)| (b.capacity() > 0) == (dst == 1)));
         out.put(&a, 9, &[4u32]);

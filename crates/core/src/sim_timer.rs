@@ -193,13 +193,10 @@ impl SimTimer {
             self.metas.clear();
             self.round_bounds.clear();
             let track_rounds = self.rec.is_full();
-            // When the machine models destination banks *and* the
-            // driver metered per-bank traffic, each pair's exchange
-            // goes out as one message per touched bank (tagged so the
-            // network can queue it at that bank's FIFO) instead of one
-            // aggregate message. Without both, the aggregate path
-            // below is untouched.
-            let split_banks = if self.cfg.net.banks.is_some() { matrix.banks() } else { 0 };
+            // A pair's exchange goes out as one message per bank cell
+            // and kind; only under a bank model is it tagged, so the
+            // network queues it at that bank's FIFO.
+            let (banks, tag) = (matrix.banks(), self.cfg.net.banks.is_some());
             let cpu = &mut self.cpu;
             let data_msgs = &mut self.data_msgs;
             let metas = &mut self.metas;
@@ -212,22 +209,10 @@ impl SimTimer {
                         ExchangeOrder::LatinSquare => (i + r) % p,
                         ExchangeOrder::DirectSweep => r,
                     };
-                    if split_banks > 0 {
-                        for b in 0..split_banks {
-                            let traffic = *matrix.at_bank(i, dst, b);
-                            inject_pair(
-                                &sw,
-                                i,
-                                dst,
-                                traffic,
-                                Some(b as u32),
-                                cpu,
-                                data_msgs,
-                                metas,
-                            );
-                        }
-                    } else {
-                        inject_pair(&sw, i, dst, *matrix.at(i, dst), None, cpu, data_msgs, metas);
+                    for b in 0..banks {
+                        let bank = tag.then_some(b as u32);
+                        let traffic = *matrix.at(i, dst, b);
+                        inject_pair(&sw, i, dst, traffic, bank, cpu, data_msgs, metas);
                     }
                 }
                 if track_rounds && data_msgs.len() > round_lo {
@@ -465,12 +450,12 @@ impl SimTimer {
     }
 }
 
-/// Marshal one traffic cell (a pair's whole exchange, or one bank's
-/// slice of it) into data-plane injections: a put-data message and/or
-/// a get-request message, each paying its marshal cost on the
-/// sender's CPU before departing. `bank` tags the injections for the
-/// network's destination-bank stage; `None` leaves the pre-bank wire
-/// format — and arithmetic — exactly as it was.
+/// Marshal one traffic cell (one bank's slice of a pair's exchange)
+/// into data-plane injections: a put-data message and/or a
+/// get-request message, each paying its marshal cost on the sender's
+/// CPU before departing. `bank` tags the injections for the network's
+/// destination-bank stage; `None` leaves the pre-bank wire format —
+/// and arithmetic — exactly as it was.
 #[allow(clippy::too_many_arguments)]
 fn inject_pair(
     sw: &qsm_simnet::SoftwareConfig,
@@ -731,7 +716,7 @@ fn kind_counter_names(kind: MsgKind) -> (&'static str, &'static str) {
 pub(crate) fn empty_sync_cost(cfg: MachineConfig) -> Cycles {
     let mut timer = SimTimer::new(cfg, Recorder::disabled());
     let charged = vec![0u64; cfg.p];
-    timer.price(&charged, &CommMatrix::new(&[], 0), &[]).timing.elapsed
+    timer.price(&charged, &CommMatrix::new(&[]), &[]).timing.elapsed
 }
 
 #[cfg(test)]
@@ -741,13 +726,13 @@ mod tests {
     use crate::spmd::Slot;
 
     /// The published slots of `p` processors whose rows hold exactly
-    /// `cells`, each `(src, dst, bank, traffic)` (a pair's total has no
-    /// bank), metered for `banks` banks: a phase to price without
-    /// queuing an operation.
+    /// `cells`, each `(src, dst, bank, traffic)`, metered for `banks`
+    /// banks (0: a machine that models none, one cell a pair): a phase
+    /// to price without queuing an operation.
     fn metered(
         p: usize,
         banks: usize,
-        cells: impl IntoIterator<Item = (usize, usize, Option<usize>, PairTraffic)>,
+        cells: impl IntoIterator<Item = (usize, usize, usize, PairTraffic)>,
     ) -> Vec<Slot> {
         let mut rows: Vec<Outbox> = (0..p).map(|_| Outbox::new(p, banks)).collect();
         for (src, dst, bank, traffic) in cells {
@@ -766,7 +751,7 @@ mod tests {
 
     fn timing(cfg: MachineConfig, charged: &[u64], rows: &[Slot]) -> PhaseTiming {
         let mut t = SimTimer::new(cfg, Recorder::disabled());
-        t.price(charged, &CommMatrix::new(rows, 0), &[]).timing
+        t.price(charged, &CommMatrix::new(rows), &[]).timing
     }
 
     #[test]
@@ -795,9 +780,8 @@ mod tests {
     #[test]
     fn put_traffic_increases_comm_linearly_in_words() {
         let cfg = MachineConfig::paper_default(4);
-        let mk = |words: u64| {
-            metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(words, words * 4))))
-        };
+        let mk =
+            |words: u64| metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, 0, puts(words, words * 4))));
         let small = timing(cfg, &[0; 4], &mk(1_000)).comm.get();
         let large = timing(cfg, &[0; 4], &mk(10_000)).comm.get();
         let ratio = (large - small) / 9.0; // extra cost per 1000 words
@@ -810,7 +794,7 @@ mod tests {
     fn gets_cost_more_than_puts() {
         // Round trip + serve costs: the paper's 287 vs 35 cycles/byte.
         let cfg = MachineConfig::paper_default(4);
-        let mk = |traffic| metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, traffic)));
+        let mk = |traffic| metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, 0, traffic)));
         let tp = timing(cfg, &[0; 4], &mk(puts(1000, 4000))).comm.get();
         let tg = timing(cfg, &[0; 4], &mk(gets(1000, 4000))).comm.get();
         assert!(tg > 2.0 * tp, "get comm {tg} !>> put comm {tp}");
@@ -822,9 +806,8 @@ mod tests {
         // communication time by a constant, independent of volume.
         let base = MachineConfig::paper_default(8);
         let slow = base.with_latency(16_000.0);
-        let mk = |words: u64| {
-            metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, puts(words, words * 4))))
-        };
+        let mk =
+            |words: u64| metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, 0, puts(words, words * 4))));
         let d_small =
             timing(slow, &[0; 8], &mk(100)).comm.get() - timing(base, &[0; 8], &mk(100)).comm.get();
         let d_large = timing(slow, &[0; 8], &mk(100_000)).comm.get()
@@ -839,7 +822,7 @@ mod tests {
     fn clock_advances_monotonically_across_phases() {
         let cfg = MachineConfig::paper_default(4);
         let mut t = SimTimer::new(cfg, Recorder::disabled());
-        let m = CommMatrix::new(&[], 0);
+        let m = CommMatrix::new(&[]);
         let mut now = Cycles::ZERO;
         for k in 1..5u64 {
             let timing = t.price(&[k * 100; 4], &m, &[]).timing;
@@ -856,8 +839,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4);
         let rec = Recorder::new(ObsLevel::Full, qsm_simnet::CLOCK_HZ);
         let mut t = SimTimer::new(cfg, rec.clone());
-        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 40))));
-        let timing = t.price(&[1_000; 4], &CommMatrix::new(&m, 0), &[]).timing;
+        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, 0, puts(10, 40))));
+        let timing = t.price(&[1_000; 4], &CommMatrix::new(&m), &[]).timing;
         let data = rec.take().unwrap();
         // One compute / comm-busy / barrier-wait lane span per proc.
         for kind in [SpanKind::Compute, SpanKind::CommBusy, SpanKind::BarrierWait] {
@@ -894,8 +877,8 @@ mod tests {
         let mut plain = SimTimer::new(cfg, Recorder::disabled());
         let rec = Recorder::new(qsm_obs::ObsLevel::Full, qsm_simnet::CLOCK_HZ);
         let mut observed = SimTimer::new(cfg, rec);
-        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, None, gets(50, 200))));
-        let m = CommMatrix::new(&rows, 0);
+        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 3) % 8, 0, gets(50, 200))));
+        let m = CommMatrix::new(&rows);
         for k in 1..4u64 {
             let a = plain.price(&[k * 500; 8], &m, &[]);
             let b = observed.price(&[k * 500; 8], &m, &[]);
@@ -907,8 +890,8 @@ mod tests {
     fn fault_free_config_is_byte_identical_with_protocol_installed() {
         // `faults: None` must take the exact pre-protocol code path.
         let cfg = MachineConfig::paper_default(8);
-        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 1) % 8, None, puts(100, 400))));
-        let m = CommMatrix::new(&rows, 0);
+        let rows = metered(8, 0, (0..8).map(|i| (i, (i + 1) % 8, 0, puts(100, 400))));
+        let m = CommMatrix::new(&rows);
         let mut a = SimTimer::new(cfg, Recorder::disabled());
         let mut b = SimTimer::new(cfg, Recorder::disabled());
         for k in 1..4u64 {
@@ -930,10 +913,10 @@ mod tests {
             4,
             0,
             (0..4).flat_map(|i| {
-                [(i, (i + 1) % 4, None, puts(50, 200)), (i, (i + 2) % 4, None, gets(20, 80))]
+                [(i, (i + 1) % 4, 0, puts(50, 200)), (i, (i + 2) % 4, 0, gets(20, 80))]
             }),
         );
-        let m = CommMatrix::new(&rows, 0);
+        let m = CommMatrix::new(&rows);
         let mut clean = SimTimer::new(base, Recorder::disabled());
         let mut faulty = SimTimer::new(faulted, Recorder::disabled());
         let p_clean = clean.price(&[0; 4], &m, &[]);
@@ -957,8 +940,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(7, 0.3));
         let run = || {
             let mut t = SimTimer::new(cfg, Recorder::disabled());
-            let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(30, 120))));
-            let m = CommMatrix::new(&rows, 0);
+            let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, 0, puts(30, 120))));
+            let m = CommMatrix::new(&rows);
             let mut out = Vec::new();
             for k in 1..5u64 {
                 out.push(t.price(&[k * 100; 4], &m, &[]));
@@ -976,8 +959,8 @@ mod tests {
         let fc = FaultConfig { max_attempts: 1, ..FaultConfig::drops(3, 0.9) };
         let cfg = MachineConfig::paper_default(4).with_faults(fc);
         let mut t = SimTimer::new(cfg, Recorder::disabled());
-        let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(10, 40))));
-        let m = CommMatrix::new(&rows, 0);
+        let rows = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, 0, puts(10, 40))));
+        let m = CommMatrix::new(&rows);
         for _ in 0..20 {
             t.price(&[0; 4], &m, &[]);
         }
@@ -990,8 +973,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_faults(FaultConfig::drops(21, 0.4));
         let rec = Recorder::new(ObsLevel::Full, qsm_simnet::CLOCK_HZ);
         let mut t = SimTimer::new(cfg, rec.clone());
-        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, None, puts(40, 160))));
-        let price = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
+        let m = metered(4, 0, (0..4).map(|i| (i, (i + 1) % 4, 0, puts(40, 160))));
+        let price = t.price(&[0; 4], &CommMatrix::new(&m), &[]);
         let (retries, drops) = (price.retries, price.dropped_msgs);
         assert!(drops > 0);
         let data = rec.take().unwrap();
@@ -1001,26 +984,9 @@ mod tests {
     }
 
     /// `p = 4` rows of 4 banks with every processor putting `words`
-    /// words to processor 0, all landing in bank `bank(i)` (the pair's
-    /// total and its bank metered together, as queuing does).
+    /// words to processor 0, all landing in bank `bank(i)`.
     fn banked_puts_to_zero(bank: impl Fn(usize) -> usize, words: u64) -> Vec<Slot> {
-        let c = puts(words, words * 4);
-        metered(4, 4, (0..4).flat_map(|i| [(i, 0, None, c), (i, 0, Some(bank(i)), c)]))
-    }
-
-    #[test]
-    fn bank_layer_without_bank_model_prices_identically() {
-        // A matrix that metered per-bank traffic must price exactly
-        // like one that didn't when the machine has no bank model:
-        // the aggregate injection path is shared, banks untouched.
-        let cfg = MachineConfig::paper_default(4);
-        let banked = banked_puts_to_zero(|i| i, 500);
-        let plain = metered(4, 0, (0..4).map(|i| (i, 0, None, puts(500, 2000))));
-        let mut a = SimTimer::new(cfg, Recorder::disabled());
-        let mut b = SimTimer::new(cfg, Recorder::disabled());
-        let price = a.price(&[0; 4], &CommMatrix::new(&banked, 4), &[]);
-        assert_eq!(price, b.price(&[0; 4], &CommMatrix::new(&plain, 0), &[]));
-        assert_eq!(price.bank_wait, Cycles::ZERO);
+        metered(4, 4, (0..4).map(|i| (i, 0, bank(i), puts(words, words * 4))))
     }
 
     #[test]
@@ -1037,8 +1003,8 @@ mod tests {
         let spread = banked_puts_to_zero(|i| i, 500);
         let mut tc = SimTimer::new(cfg, Recorder::disabled());
         let mut ts = SimTimer::new(cfg, Recorder::disabled());
-        let conflicted = tc.price(&[0; 4], &CommMatrix::new(&conflict, 4), &[]);
-        let spread_out = ts.price(&[0; 4], &CommMatrix::new(&spread, 4), &[]);
+        let conflicted = tc.price(&[0; 4], &CommMatrix::new(&conflict), &[]);
+        let spread_out = ts.price(&[0; 4], &CommMatrix::new(&spread), &[]);
         let (conflict_comm, spread_comm) = (conflicted.timing.comm, spread_out.timing.comm);
         assert!(
             conflict_comm > spread_comm,
@@ -1054,9 +1020,9 @@ mod tests {
         use qsm_simnet::BankModel;
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(2, 50_000.0));
         let c = gets(50, 200);
-        let m = metered(4, 2, (1..4).flat_map(|i| [(i, 0, None, c), (i, 0, Some(0), c)]));
+        let m = metered(4, 2, (1..4).map(|i| (i, 0, 0, c)));
         let mut t = SimTimer::new(cfg, Recorder::disabled());
-        let price = t.price(&[0; 4], &CommMatrix::new(&m, 2), &[]);
+        let price = t.price(&[0; 4], &CommMatrix::new(&m), &[]);
         assert!(price.timing.comm > Cycles::ZERO);
         // Three get requests collide on bank 0 of node 0: the second
         // and third each queue behind ~50k cycles of service. The
@@ -1070,8 +1036,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4).with_banks(BankModel::per_message(4, 50_000.0));
         let conflict = banked_puts_to_zero(|_| 0, 100);
         let mut t = SimTimer::new(cfg, Recorder::disabled());
-        assert!(t.price(&[0; 4], &CommMatrix::new(&conflict, 4), &[]).bank_wait > Cycles::ZERO);
-        assert_eq!(t.price(&[100; 4], &CommMatrix::new(&[], 0), &[]).bank_wait, Cycles::ZERO);
+        assert!(t.price(&[0; 4], &CommMatrix::new(&conflict), &[]).bank_wait > Cycles::ZERO);
+        assert_eq!(t.price(&[100; 4], &CommMatrix::new(&[]), &[]).bank_wait, Cycles::ZERO);
     }
 
     #[test]
@@ -1090,7 +1056,7 @@ mod tests {
         let phases = 8;
         let mut retries = 0;
         for _ in 0..phases {
-            retries += t.price(&[0; 4], &CommMatrix::new(&puts, 4), &[]).retries;
+            retries += t.price(&[0; 4], &CommMatrix::new(&puts), &[]).retries;
         }
         assert!(retries > 0, "no put was resent at drop_prob 0.5");
         assert_eq!(t.net.bank_busy_total(0), Cycles::new(service * 4.0 * phases as f64));
@@ -1104,15 +1070,15 @@ mod tests {
         // phase after it must report a clean slate.
         let cfg =
             MachineConfig::paper_default(4).with_topology(TopologyKind::Line).with_link_gap(100.0);
-        let m = metered(4, 0, (1..4).map(|i| (i, 0, None, puts(500, 2000))));
+        let m = metered(4, 0, (1..4).map(|i| (i, 0, 0, puts(500, 2000))));
         let mut t = SimTimer::new(cfg, Recorder::disabled());
-        let loaded = t.price(&[0; 4], &CommMatrix::new(&m, 0), &[]);
+        let loaded = t.price(&[0; 4], &CommMatrix::new(&m), &[]);
         assert!(loaded.link_wait > Cycles::ZERO, "converging line traffic must queue at links");
         assert!(loaded.link_util > 0.0);
         // The next phase carries only the sync's own plan exchange:
         // its links stay warm (the plan messages route hop-by-hop
         // too) but the previous phase's queuing must not leak in.
-        let next = t.price(&[100; 4], &CommMatrix::new(&[], 0), &[]);
+        let next = t.price(&[100; 4], &CommMatrix::new(&[]), &[]);
         assert_eq!(next.link_wait, Cycles::ZERO);
         assert!(next.link_util < loaded.link_util, "util {} is phase-local", next.link_util);
     }
@@ -1120,8 +1086,8 @@ mod tests {
     #[test]
     fn self_traffic_pays_library_but_not_latency() {
         let cfg = MachineConfig::paper_default(2);
-        let own = metered(2, 0, [(0, 0, None, puts(100, 400))]);
-        let remote = metered(2, 0, [(0, 1, None, puts(100, 400))]);
+        let own = metered(2, 0, [(0, 0, 0, puts(100, 400))]);
+        let remote = metered(2, 0, [(0, 1, 0, puts(100, 400))]);
         let t_own = timing(cfg, &[0; 2], &own).comm.get();
         let t_remote = timing(cfg, &[0; 2], &remote).comm.get();
         assert!(t_own < t_remote, "self traffic {t_own} should undercut remote {t_remote}");

@@ -79,15 +79,16 @@ impl PhaseTimer for WallTimer {
             .min(elapsed);
 
         if self.rec.is_enabled() && !matrix.is_empty() {
-            // Message sizes as the SPMD exchange moves them: one put
-            // payload and one get reply per (src, dst) pair with
-            // traffic. Metered from the deterministic `CommMatrix`,
-            // so the histogram is byte-stable across job counts
-            // (granularity differs from the simulated backend, which
-            // records per wire message including headers).
+            // Message sizes by traffic cell: one put payload and one
+            // get reply per (src, dst, bank) cell with traffic, so per
+            // pair on a machine without a bank model. Metered from the
+            // deterministic `CommMatrix`, so the histogram is
+            // byte-stable across job counts (granularity differs from
+            // the simulated backend, which records per wire message
+            // including headers).
             self.msg_sizes.clear();
             let sizes = &mut self.msg_sizes;
-            matrix.for_each_dirty(|_src, _dst, t| {
+            matrix.for_each_dirty(|_src, _dst, _bank, t| {
                 if t.put_payload_bytes > 0 {
                     sizes.push(t.put_payload_bytes);
                 }
@@ -190,7 +191,7 @@ mod tests {
         let release = t.last_release;
         std::thread::sleep(Duration::from_millis(5));
         let arrivals = [release + Duration::from_millis(2), Instant::now()];
-        let timing = t.price(&[0, 0], &CommMatrix::new(&[], 0), &arrivals).timing;
+        let timing = t.price(&[0, 0], &CommMatrix::new(&[]), &arrivals).timing;
         assert!(timing.elapsed.get() > 0.0);
         assert!(timing.compute.get() > 0.0, "compute must not be booked as comm");
         assert!(timing.comm.get() >= 0.0);
@@ -205,7 +206,7 @@ mod tests {
     fn wall_timer_with_no_arrivals_books_all_as_comm() {
         let mut t = WallTimer::new(Recorder::disabled());
         std::thread::sleep(Duration::from_millis(1));
-        let timing = t.price(&[], &CommMatrix::new(&[], 0), &[]).timing;
+        let timing = t.price(&[], &CommMatrix::new(&[]), &[]).timing;
         assert_eq!(timing.compute.get(), 0.0);
         assert_eq!(timing.comm, timing.elapsed);
     }
@@ -219,7 +220,7 @@ mod tests {
         assert_eq!(m.config().net.banks.unwrap().banks_per_node, 4);
         // Real hardware queues for real: no simulated bank wait.
         let mut t = m.make_timer(Recorder::disabled());
-        assert_eq!(t.price(&[0, 0], &CommMatrix::new(&[], 0), &[]).bank_wait, Cycles::ZERO);
+        assert_eq!(t.price(&[0, 0], &CommMatrix::new(&[]), &[]).bank_wait, Cycles::ZERO);
         // Without banks on the model config, the default stays off.
         assert_eq!(ThreadMachine::new(2).config().net.banks, None);
     }
@@ -231,7 +232,7 @@ mod tests {
         let epoch = t.spmd_span_epoch().expect("native timer opts in");
         assert_eq!(epoch, t.run_start, "workers must share the timer's epoch");
         let arrivals = [Instant::now(), Instant::now()];
-        let _ = t.price(&[0, 0], &CommMatrix::new(&[], 0), &arrivals);
+        let _ = t.price(&[0, 0], &CommMatrix::new(&[]), &arrivals);
         let data = rec.take().unwrap();
         assert!(data.spans.is_empty(), "worker-side capture owns the lanes: {:?}", data.spans);
     }

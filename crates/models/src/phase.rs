@@ -23,7 +23,8 @@ pub struct PhaseProfile {
     /// Maximum number of words sent by any processor (BSP h-out).
     pub h_out: u64,
     /// Maximum number of network messages sent by any processor
-    /// (after batching; used by LogP).
+    /// (after batching: one per kind and (pair, bank) cell, one bank
+    /// a node without a bank model; used by LogP).
     pub msgs: u64,
 }
 
