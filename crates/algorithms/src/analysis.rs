@@ -8,8 +8,9 @@
 //!   optimistic lower line.
 //! * **WHP bound** — Chernoff bounds on the same quantities holding
 //!   with probability ≥ 0.9: a conservative upper line.
-//! * **QSM estimate** — the QSM formula evaluated with the *measured*
-//!   skews of the actual run.
+//! * **QSM estimate** — the QSM cost of the run that happened: each
+//!   measured phase's metered get and put words
+//!   (`PhaseProfile::{m_get, m_put}`), priced by [`estimate`].
 //! * **BSP estimate** — the same plus `π · L` synchronization cost.
 //!
 //! All lines are evaluated with *effective* (software-inclusive)
@@ -19,7 +20,7 @@
 //! the models track the slope of the measured lines while missing the
 //! per-phase constant (`o`, `l`, `L`) that QSM deliberately omits.
 
-use qsm_core::EffectiveCosts;
+use qsm_core::{EffectiveCosts, PhaseRecord};
 
 /// The failure budget used for every "WHP" line (the paper derives
 /// bounds that hold for at least 90% of runs).
@@ -39,6 +40,21 @@ impl Prediction {
     pub fn from_qsm(qsm: f64, phases: usize, params: &EffectiveCosts) -> Self {
         Self { qsm, bsp: qsm + phases as f64 * params.l_sync }
     }
+}
+
+/// The QSM and BSP estimates of a run from its measured `phases`: per
+/// phase, the get words metered for it priced at `g_get` plus its put
+/// words at `g_put`, summed; BSP adds `L` per phase. The maxima over
+/// processors are per kind, taken before pricing, as the kernels' own
+/// per-kind traffic tallies took them: the most get words any processor
+/// issued, and apart from them the most put words, which may be another
+/// processor's.
+pub fn estimate(phases: &[PhaseRecord], params: &EffectiveCosts) -> Prediction {
+    let words = |r: &PhaseRecord| {
+        params.g_get * r.profile.m_get as f64 + params.g_put * r.profile.m_put as f64
+    };
+    let qsm = phases.iter().map(words).fold(0.0, |sum, w| sum + w);
+    Prediction::from_qsm(qsm, phases.len(), params)
 }
 
 /// Relative error of `predicted` against `measured`

@@ -4,8 +4,7 @@
 //! the last step of every kernel. `Fetch` (a read of one element),
 //! `fetch_into` (a read of a range) and `store` (a write) touch the
 //! data in place, free, when the caller's block holds it, and otherwise
-//! issue a `get` or a `put`; `Fetch` and `store` return the words it
-//! moves (`Word::words`, the 4-byte unit the runtime meters by).
+//! issue a `get` or a `put`, whose words the runtime meters.
 //! `Gather` takes a block-distributed result out of the machine.
 //! The tests keep board-based all-gather, broadcast, gather and reduce
 //! helpers that exercise the same issue-then-`sync()`-then-read idiom.
@@ -54,14 +53,6 @@ impl<T: Word> Fetch<T> {
         }
     }
 
-    /// Words this read moves: the element's for a get, 0 in place.
-    pub(crate) fn remote_words(&self) -> u64 {
-        match self {
-            Self::Local(_) => 0,
-            Self::Remote(_) => T::words(),
-        }
-    }
-
     /// The element, redeeming a get's ticket through `scratch` (which
     /// keeps its allocation from one ticket to the next).
     pub(crate) fn value(self, ctx: &mut Ctx, scratch: &mut Vec<T>) -> T {
@@ -105,15 +96,12 @@ pub(crate) fn fetch_into<T: Word>(
 
 /// Store `data` at `start..start + data.len()` of `arr`: a local write
 /// when this processor's block holds the whole range, else a `put`
-/// (which splits at the owners' boundaries). Returns the words the put
-/// moves, 0 for a local write.
-pub(crate) fn store<T: Word>(ctx: &mut Ctx, arr: &SharedArray<T>, start: usize, data: &[T]) -> u64 {
+/// (which splits at the owners' boundaries).
+pub(crate) fn store<T: Word>(ctx: &mut Ctx, arr: &SharedArray<T>, start: usize, data: &[T]) {
     if in_block(ctx, arr, start, data.len()).is_some() {
         ctx.local_write(arr, start, data);
-        0
     } else {
         ctx.put(arr, start, data);
-        data.len() as u64 * T::words()
     }
 }
 
@@ -301,52 +289,59 @@ mod tests {
         assert_eq!(out, [1, 2, 3, 4]);
     }
 
+    /// Processor 0 runs `access`, everyone syncs: one phase, whose
+    /// metered words are `access`'s alone.
+    fn on_0<R>(ctx: &mut Ctx, access: impl FnOnce(&mut Ctx) -> R) -> Option<R> {
+        let r = (ctx.proc_id() == 0).then(|| access(ctx));
+        ctx.sync();
+        r
+    }
+
     /// On p = 3 over 10 elements (blocks 0..4, 4..7, 7..10), processor
     /// 0 stores and reads at its last element and at the next block's
-    /// first, and sends one range across the 4 | 7 boundary; after the
-    /// sync every value is where it was stored.
+    /// first, and sends one range across the 4 | 7 boundary, one
+    /// access a phase; after the syncs every value is where it was
+    /// stored.
     fn access_rule_on<M: Machine>(machine: &M) {
         let run = machine.run(|ctx| {
             let a32 = ctx.register::<u32>("a32", 10, Layout::Block);
             let a64 = ctx.register::<u64>("a64", 10, Layout::Block);
             let af = ctx.register::<f64>("af", 10, Layout::Block);
             ctx.sync();
-            let mut words = vec![];
-            if ctx.proc_id() == 0 {
-                words.push(store(ctx, &a32, 3, &[30]));
-                words.push(store(ctx, &a32, 4, &[40]));
-                words.push(store(ctx, &a64, 3, &[300]));
-                words.push(store(ctx, &a64, 4, &[400]));
-                words.push(store(ctx, &a64, 6, &[600, 700]));
-                words.push(store(ctx, &af, 0, &[0.5; 4]));
-                words.push(store(ctx, &af, 4, &[4.5]));
+            on_0(ctx, |ctx| store(ctx, &a32, 3, &[30]));
+            on_0(ctx, |ctx| store(ctx, &a32, 4, &[40]));
+            on_0(ctx, |ctx| store(ctx, &a64, 3, &[300]));
+            on_0(ctx, |ctx| store(ctx, &a64, 4, &[400]));
+            on_0(ctx, |ctx| store(ctx, &a64, 6, &[600, 700]));
+            on_0(ctx, |ctx| store(ctx, &af, 0, &[0.5; 4]));
+            on_0(ctx, |ctx| store(ctx, &af, 4, &[4.5]));
+            let (mut got32, mut got64, mut scratch32, mut scratch64) =
+                (vec![], vec![], vec![], vec![]);
+            for idx in [3, 4] {
+                let read = on_0(ctx, |ctx| Fetch::of(ctx, &a32, idx));
+                got32.extend(read.map(|f| f.value(ctx, &mut scratch32)));
             }
-            ctx.sync();
-            let (mut got32, mut got64) = (vec![], vec![]);
-            if ctx.proc_id() == 0 {
-                let narrow = [Fetch::of(ctx, &a32, 3), Fetch::of(ctx, &a32, 4)];
-                let wide = [Fetch::of(ctx, &a64, 3), Fetch::of(ctx, &a64, 4)];
-                words.extend(narrow.iter().map(Fetch::remote_words));
-                words.extend(wide.iter().map(Fetch::remote_words));
-                ctx.sync();
-                let (mut s32, mut s64) = (vec![], vec![]);
-                got32 = narrow.into_iter().map(|f| f.value(ctx, &mut s32)).collect();
-                got64 = wide.into_iter().map(|f| f.value(ctx, &mut s64)).collect();
-            } else {
-                ctx.sync();
+            for idx in [3, 4] {
+                let read = on_0(ctx, |ctx| Fetch::of(ctx, &a64, idx));
+                got64.extend(read.map(|f| f.value(ctx, &mut scratch64)));
             }
             let mine = ctx.local_range(&a64);
-            (words, got32, got64, mine.start, ctx.local_vec(&a64), ctx.local_vec(&af))
+            (got32, got64, mine.start, ctx.local_vec(&a64), ctx.local_vec(&af))
         });
-        let (words, got32, got64, ..) = &run.outputs[0];
-        // Local at 3 and remote at 4; a u32 is one word, a u64 or an
-        // f64 two; 6..8 straddles blocks 1 and 2 and goes out as a put.
-        assert_eq!(*words, [0, 1, 0, 2, 4, 0, 2, 0, 1, 0, 2]);
+        // Each access's words, read off its phase's meter: local at 3
+        // and remote at 4; a u32 is one word, a u64 or an f64 two;
+        // 6..8 straddles blocks 1 and 2 and goes out as a put.
+        let words: Vec<_> =
+            run.phases[1..12].iter().map(|r| (r.profile.m_put, r.profile.m_get)).collect();
+        let puts = [(0, 0), (1, 0), (0, 0), (2, 0), (4, 0), (0, 0), (2, 0)];
+        assert_eq!(words[..7], puts);
+        assert_eq!(words[7..], [(0, 0), (0, 1), (0, 0), (0, 2)]);
+        let (got32, got64, ..) = &run.outputs[0];
         assert_eq!(*got32, [30, 40]);
         assert_eq!(*got64, [300, 400]);
         let mut a64 = vec![0; 10];
         let mut af = vec![0.0; 10];
-        for (_, _, _, start, w64, wf) in &run.outputs {
+        for (_, _, start, w64, wf) in &run.outputs {
             a64[*start..][..w64.len()].copy_from_slice(w64);
             af[*start..][..wf.len()].copy_from_slice(wf);
         }

@@ -8,9 +8,11 @@
 //! simulated machine and the native thread machine.
 //!
 //! Each algorithm module also carries its *analytical* side: the
-//! best-case, Chernoff WHP-bound, and measured-skew estimate lines
-//! the paper plots in Figures 1–3, priced with effective
-//! (software-inclusive) gaps from [`qsm_core::EffectiveCosts`].
+//! best-case, Chernoff WHP-bound, and estimate lines the paper plots
+//! in Figures 1–3, priced with effective (software-inclusive) gaps
+//! from [`qsm_core::EffectiveCosts`]; an estimate prices the words the
+//! runtime metered in the run's measured phases
+//! ([`analysis::estimate`]).
 //!
 //! ## Modules
 //!
@@ -19,12 +21,10 @@
 //!   `g(p-1) + L`.
 //! * [`samplesort`] — Appendix `samplesort`: five phases, oversampling
 //!   factor `c·log n`, `p-1` pivots, bucket redistribution, local sort,
-//!   write-back; the skews `B` and `r` it measures price the QSM and
-//!   BSP estimates.
+//!   write-back; it reports the skews `B` and `r` it measured.
 //! * [`listrank`] — Appendix `listrank`: random-mate elimination for
 //!   `4·log₂ p` iterations, the survivors ranked on processor 0, and
-//!   re-insertion in reverse; estimates priced from the measured
-//!   per-iteration survivor counts.
+//!   re-insertion in reverse.
 //! * [`histogram`] — (beyond the paper) owner-computes combining, the
 //!   idiomatic QSM answer to concurrent increments (κ stays 1).
 //! * [`analysis`] — the machinery of the prediction lines (best case,

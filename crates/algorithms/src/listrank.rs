@@ -22,7 +22,7 @@ use qsm_core::{Ctx, EffectiveCosts, Layout, Machine, RunResult};
 use qsm_models::chernoff::binomial_upper_bound;
 use rand::Rng;
 
-use crate::analysis::{Prediction, WHP_DELTA};
+use crate::analysis::{estimate, Prediction, WHP_DELTA};
 use crate::collectives::{store, Fetch, Gather};
 use crate::gen::NIL;
 use crate::seq;
@@ -41,34 +41,6 @@ pub fn iterations(p: usize) -> usize {
     } else {
         ITER_C * (usize::BITS - (p - 1).leading_zeros()) as usize
     }
-}
-
-/// Per-iteration traffic measured on one processor (words are 4-byte
-/// accounting units).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IterStats {
-    /// Active elements at iteration start.
-    pub active: u64,
-    /// Words of remote get traffic (successor flips + predecessor
-    /// weights).
-    pub get_words: u64,
-    /// Words of remote put traffic (splices + weight write-backs).
-    pub put_words: u64,
-    /// Words of remote get traffic in the matching expansion
-    /// iteration.
-    pub expansion_get_words: u64,
-}
-
-/// Per-processor outcome of the parallel program.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProcOutcome {
-    /// Per-iteration traffic measurements.
-    pub iters: Vec<IterStats>,
-    /// Survivors this processor shipped to processor 0.
-    pub survivors: u64,
-    /// Remote words this processor moved in the finish stage
-    /// (survivor shipping; for processor 0 also rank scatter).
-    pub finish_words: u64,
 }
 
 struct Removal {
@@ -93,8 +65,10 @@ struct Pending {
     pred_weight: Fetch<u64>,
 }
 
+/// The QSM program: leaves this processor's ranks in its part of `out`
+/// and returns how many survivors it shipped to processor 0.
 #[allow(clippy::too_many_lines)]
-fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64>) -> ProcOutcome {
+fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64>) -> u64 {
     let n = succ_in.len();
     let p = ctx.nprocs();
     let me = ctx.proc_id();
@@ -119,7 +93,6 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
     let at = |idx: usize| idx - my.start;
     let mut active: Vec<usize> = my.clone().collect();
     let mut removed_log: Vec<Vec<Removal>> = Vec::with_capacity(iters);
-    let mut iter_stats: Vec<IterStats> = Vec::with_capacity(iters);
     // Kept across iterations and tickets, so that a steady iteration
     // allocates its removal log and nothing else.
     let (mut flips, mut cands, mut pend, mut keep) =
@@ -128,8 +101,6 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
 
     // --- Contraction: 4 phases per iteration. ---
     for _ in 0..iters {
-        let mut stats = IterStats { active: active.len() as u64, ..Default::default() };
-
         // Phase A: flip generation (local writes only).
         flips.clear();
         flips.extend(active.iter().map(|_| ctx.rng().gen_range(0..2u32)));
@@ -152,7 +123,6 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
             }
             let succ = sv as usize;
             let flip = Fetch::of(ctx, &f_arr, succ);
-            stats.get_words += flip.remote_words();
             cands.push(Cand { k, succ, flip });
         }
         ctx.charge(4 * active.len() as u64); // pointer loads + tests
@@ -169,10 +139,9 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
             let weight = ctx.local(&w_arr)[at(e)];
             let succ = c.succ;
             // Splice: S[pred] = succ, P[succ] = pred.
-            stats.put_words += store(ctx, &s_arr, pred, &[succ as u64]);
-            stats.put_words += store(ctx, &p_arr, succ, &[pred as u64]);
+            store(ctx, &s_arr, pred, &[succ as u64]);
+            store(ctx, &p_arr, succ, &[pred as u64]);
             let pred_weight = Fetch::of(ctx, &w_arr, pred);
-            stats.get_words += pred_weight.remote_words();
             pend.push(Pending { k: c.k, succ, pred, weight, pred_weight });
         }
         ctx.charge(8 * pend.len() as u64); // splice bookkeeping
@@ -184,7 +153,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         keep.resize(active.len(), true);
         for q in pend.drain(..) {
             let new = q.pred_weight.value(ctx, &mut word_of) + q.weight;
-            stats.put_words += store(ctx, &w_arr, q.pred, &[new]);
+            store(ctx, &w_arr, q.pred, &[new]);
             removed_now.push(Removal {
                 elem: active[q.k],
                 succ_at_removal: q.succ,
@@ -203,16 +172,13 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         }
         active.truncate(w);
         removed_log.push(removed_now);
-        iter_stats.push(stats);
         ctx.sync();
     }
 
     // --- Finish stage: ship survivors to processor 0. ---
-    let mut finish_words = 0u64;
-
     // Phase E: all-gather survivor counts.
     for j in 0..p {
-        finish_words += store(ctx, &cnts, j * p + me, &[active.len() as u64]);
+        store(ctx, &cnts, j * p + me, &[active.len() as u64]);
     }
     ctx.charge(p as u64);
     ctx.sync();
@@ -240,7 +206,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
     }
     ctx.charge(3 * active.len() as u64);
     for (arr, ship) in [(&svr_s, &ship_s), (&svr_w, &ship_w), (&svr_id, &ship_id)] {
-        finish_words += store(ctx, arr, my_off, ship);
+        store(ctx, arr, my_off, ship);
     }
     ctx.sync();
 
@@ -272,7 +238,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         let ranks = seq::weighted_list_ranks(&csucc, &sv_w, head);
         ctx.charge(12 * z as u64); // index map + sequential chase
         for (&e, &rank) in sv_id.iter().zip(&ranks) {
-            finish_words += store(ctx, &rank_arr, e as usize, &[rank]);
+            store(ctx, &rank_arr, e as usize, &[rank]);
         }
         ctx.charge(z as u64);
     }
@@ -295,7 +261,6 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
         let batch = &removed_log[it];
         for r in batch {
             let succ_rank = Fetch::of(ctx, &rank_arr, r.succ_at_removal);
-            iter_stats[it].expansion_get_words += succ_rank.remote_words();
             pending.push((r.elem, r.weight_at_removal, succ_rank));
         }
         ctx.charge(6 * batch.len() as u64);
@@ -304,7 +269,7 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
     ctx.sync();
 
     out.write(me, ctx.local(&rank_arr));
-    ProcOutcome { iters: iter_stats, survivors: active.len() as u64, finish_words }
+    active.len() as u64
 }
 
 /// Result of a list-ranking run on any backend.
@@ -312,8 +277,9 @@ fn program(ctx: &mut Ctx, succ_in: &[u64], pred_in: &[u64], out: &Gather<'_, u64
 pub struct ListRankRun {
     /// Final ranks (distance to tail) for all `n` elements.
     pub ranks: Vec<u64>,
-    /// The raw run.
-    pub run: RunResult<ProcOutcome>,
+    /// The raw run; each processor's output is the number of
+    /// survivors it shipped to processor 0.
+    pub run: RunResult<u64>,
 }
 
 impl ListRankRun {
@@ -332,28 +298,9 @@ impl ListRankRun {
         self.run.num_phases() - SETUP_PHASES
     }
 
-    /// Per-iteration maxima across processors.
-    pub fn iter_maxima(&self) -> Vec<IterStats> {
-        let outcomes = &self.run.outputs;
-        let iters = outcomes.first().map(|o| o.iters.len()).unwrap_or(0);
-        (0..iters)
-            .map(|i| {
-                let mut m = IterStats::default();
-                for o in outcomes {
-                    m.active = m.active.max(o.iters[i].active);
-                    m.get_words = m.get_words.max(o.iters[i].get_words);
-                    m.put_words = m.put_words.max(o.iters[i].put_words);
-                    m.expansion_get_words =
-                        m.expansion_get_words.max(o.iters[i].expansion_get_words);
-                }
-                m
-            })
-            .collect()
-    }
-
     /// Total survivors shipped to processor 0.
     pub fn survivors(&self) -> u64 {
-        self.run.outputs.iter().map(|o| o.survivors).sum()
+        self.run.outputs.iter().sum()
     }
 }
 
@@ -417,17 +364,10 @@ fn predict_shrinking(
     Prediction::from_qsm(comm, phases, params)
 }
 
-/// Estimate from the traffic actually measured in a run.
+/// The estimate of the run that happened: its measured phases' metered
+/// words, priced by [`estimate`].
 pub fn predict_estimate(run: &ListRankRun, params: &EffectiveCosts) -> Prediction {
-    let p = params.p as f64;
-    let mut comm = 0.0;
-    for it in &run.iter_maxima() {
-        comm += params.g_get * (it.get_words + it.expansion_get_words) as f64
-            + params.g_put * it.put_words as f64;
-    }
-    let finish = run.run.outputs.iter().map(|o| o.finish_words).max().unwrap_or(0);
-    comm += params.g_put * finish as f64 + params.g_put * 2.0 * (p - 1.0);
-    Prediction::from_qsm(comm, run.phases(), params)
+    estimate(&run.run.phases[SETUP_PHASES..], params)
 }
 
 #[cfg(test)]
@@ -479,11 +419,12 @@ mod tests {
             "survivors {} should be far below n {n}",
             run.survivors()
         );
-        // Active counts decrease geometrically-ish.
-        let maxima = run.iter_maxima();
-        let first = maxima[0].active;
-        let last = maxima.last().unwrap().active;
-        assert!(last < first / 4);
+        // Candidates reading a remote successor flip (phase B's metered
+        // get words) decrease geometrically-ish.
+        let contraction = run.run.phases[SETUP_PHASES..].chunks(4).take(iterations(8));
+        let flips: Vec<u64> = contraction.map(|it| it[1].profile.m_get).collect();
+        let (first, last) = (flips[0], *flips.last().unwrap());
+        assert!(last < first / 4, "phase B's remote flips {flips:?}");
     }
 
     #[test]

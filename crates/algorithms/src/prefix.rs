@@ -176,7 +176,20 @@ mod tests {
         let run = run_on(&m, &random_u64s(512, 7));
         // The broadcast phase moves (p-1) u64s = 6 words per proc.
         let bcast = &run.run.phases[SETUP_PHASES].profile;
-        assert_eq!(bcast.m_rw, 6);
+        assert_eq!((bcast.m_rw, bcast.m_put, bcast.m_get), (6, 6, 0));
         assert_eq!(bcast.kappa, 1);
+    }
+
+    /// Prefix realizes its analytic line on any input: the measured
+    /// phases' metered words, priced, are `predict`'s QSM term to the
+    /// bit.
+    #[test]
+    fn predict_is_the_metered_estimate() {
+        for p in [4, 16] {
+            let costs = EffectiveCosts::measure(MachineConfig::paper_default(p));
+            let run = run_on(&machine(p), &random_u64s(1 << 10, 8));
+            let est = crate::analysis::estimate(&run.run.phases[SETUP_PHASES..], &costs);
+            assert_eq!(est.qsm.to_bits(), predict(&costs).qsm.to_bits(), "p={p}");
+        }
     }
 }

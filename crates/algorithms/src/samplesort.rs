@@ -19,7 +19,7 @@ use qsm_core::{addr::block_range, Ctx, EffectiveCosts, Layout, Machine, RunResul
 use qsm_models::chernoff::sample_sort_bucket_bound;
 use rand::Rng;
 
-use crate::analysis::{log2n, Prediction, WHP_DELTA};
+use crate::analysis::{estimate, log2n, Prediction, WHP_DELTA};
 use crate::collectives::{fetch_into, store, Gather};
 
 /// Number of setup phases (registration + input distribution)
@@ -343,10 +343,10 @@ pub fn predict_whp(n: usize, params: &EffectiveCosts) -> Prediction {
     Prediction::from_qsm(qsm, PAPER_PHASES, params)
 }
 
-/// Estimate using the skews actually measured in a run.
-pub fn predict_estimate(n: usize, run: &SampleSortRun, params: &EffectiveCosts) -> Prediction {
-    let qsm = qsm_comm(n, run.b_max() as f64, run.r_max(), params);
-    Prediction::from_qsm(qsm, PAPER_PHASES, params)
+/// The estimate of the run that happened: its five measured phases'
+/// metered words, priced by [`estimate`].
+pub fn predict_estimate(run: &SampleSortRun, params: &EffectiveCosts) -> Prediction {
+    estimate(&run.run.phases[SETUP_PHASES..], params)
 }
 
 #[cfg(test)]
@@ -550,7 +550,7 @@ mod tests {
         let input = random_u32s(4096, 31);
         let run = run_on(&m, &input);
         let params = crate::analysis::fixed(4, 140.0, 25_500.0);
-        let est = predict_estimate(4096, &run, &params);
+        let est = predict_estimate(&run, &params);
         let best = predict_best(4096, &params);
         // Real skew can't beat perfect balance by definition of B.
         assert!(est.qsm >= best.qsm * 0.99);

@@ -15,6 +15,14 @@
 //! vector), so each test rebuilds the recorded shape: the gathered
 //! output split at `block_range`, inside a `ProcOutcome` of the old
 //! field names. The constants are the recorded ones.
+//!
+//! Two shapes have changed since and are rebuilt or re-pinned:
+//! `PhaseProfile` meters get and put words apart (`m_get`, `m_put`),
+//! which [`recorded_shape`] drops from the text so that every phase
+//! digest is the recorded one; and listrank's processors return only
+//! their survivor counts, so its four output digests were re-pinned
+//! when its per-iteration traffic tallies were deleted (the ranks and
+//! survivors they print are the same).
 
 use qsm_algorithms::{gen, listrank, prefix, samplesort};
 use qsm_core::addr::block_range;
@@ -43,11 +51,22 @@ const fn g(phases: usize, payload_bytes: u64, phases_digest: u64, outputs_digest
     Golden { phases, payload_bytes, phases_digest, outputs_digest }
 }
 
+/// The `Debug` text of `phases` in the shape they were recorded in,
+/// before a `PhaseProfile` carried `m_get` and `m_put`.
+fn recorded_shape(phases: &[PhaseRecord]) -> String {
+    let mut text = format!("{phases:?}");
+    while let Some(at) = text.find("m_get: ") {
+        let end = at + text[at..].find("kappa: ").expect("a profile prints kappa after m_put");
+        text.replace_range(at..end, "");
+    }
+    text
+}
+
 fn golden<R: std::fmt::Debug>(phases: &[PhaseRecord], outputs: &[R]) -> Golden {
     Golden {
         phases: phases.len(),
         payload_bytes: phases.iter().map(|r| r.payload_bytes).sum(),
-        phases_digest: fnv1a(&format!("{phases:?}")),
+        phases_digest: fnv1a(&recorded_shape(phases)),
         outputs_digest: fnv1a(&format!("{outputs:?}")),
     }
 }
@@ -121,19 +140,12 @@ fn listrank_is_unchanged_in_the_model() {
         #[allow(dead_code)] // read by `Debug` only
         struct ProcOutcome<'a> {
             local_ranks: &'a [u64],
-            iters: &'a [listrank::IterStats],
             survivors: u64,
-            finish_words: u64,
         }
         let r = listrank::run_on(m, &succ, &pred);
         let outputs: Vec<ProcOutcome> = blocks(&r.ranks, r.run.outputs.len())
             .zip(&r.run.outputs)
-            .map(|(local_ranks, o)| ProcOutcome {
-                local_ranks,
-                iters: &o.iters,
-                survivors: o.survivors,
-                finish_words: o.finish_words,
-            })
+            .map(|(local_ranks, &survivors)| ProcOutcome { local_ranks, survivors })
             .collect();
         golden(&r.run.phases, &outputs)
     });
@@ -157,8 +169,8 @@ const SAMPLESORT: [Golden; 4] = [
 /// `(bucket_size, own_contribution)` per processor at n = 16384, p = 4.
 const SAMPLESORT_BUCKETS: [(u64, u64); 4] = [(3712, 914), (4890, 1265), (4304, 1095), (3478, 876)];
 const LISTRANK: [Golden; 4] = [
-    g(47, 35036, 0x9186_1b88_631e_9aea, 0xbc5e_293a_1596_59a2),
-    g(87, 46688, 0x4380_1896_e4ad_effb, 0x2ddb_8564_2004_8a05),
-    g(47, 569064, 0xe064_71b4_b0c3_25f1, 0x01c4_1ae6_c3cb_9337),
-    g(87, 737772, 0x4bff_0e88_1d20_2f56, 0x13cc_d90b_1b77_8559),
+    g(47, 35036, 0x9186_1b88_631e_9aea, 0x1a3c_9e4c_c839_ea52),
+    g(87, 46688, 0x4380_1896_e4ad_effb, 0x17d8_1173_ac0b_c019),
+    g(47, 569064, 0xe064_71b4_b0c3_25f1, 0xce2e_fd72_c8ca_5120),
+    g(87, 737772, 0x4bff_0e88_1d20_2f56, 0x34a3_eaad_921b_535c),
 ];

@@ -44,7 +44,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         // skews plus local work at nominal (homogeneous) speed —
         // operation *counts* don't change with the straggler, so
         // neither does the prediction.
-        let est = samplesort::predict_estimate(n, &run, &params);
+        let est = samplesort::predict_estimate(&run, &params);
         let predicted = est.bsp
             + run.run.phases[samplesort::SETUP_PHASES..]
                 .iter()

@@ -2,8 +2,8 @@
 //!
 //! Measured total and communication time vs n, against four analysis
 //! lines: *Best case* (perfect balance), *WHP bound* (Chernoff, ≥90%
-//! of runs), *QSM estimate* (measured skews), and *BSP estimate*
-//! (QSM estimate + 5L). Expected shape: measured communication falls
+//! of runs), *QSM estimate* (the run's metered get and put words,
+//! priced), and *BSP estimate* (QSM estimate + 5L). Expected shape: measured communication falls
 //! inside the [Best, WHP] band except at small n, and the QSM
 //! estimate comes within ~10% of measured communication beyond
 //! roughly 125 000 elements (8 000 per processor).
@@ -30,7 +30,7 @@ pub fn run_with(cfg: &RunCfg, backend: Backend) -> Report {
         backend,
         |machine, n, seed, params| {
             let r = samplesort::run_on(machine, &gen::random_u32s(n, seed));
-            (r.total(), r.comm(), samplesort::predict_estimate(n, &r, params))
+            (r.total(), r.comm(), samplesort::predict_estimate(&r, params))
         },
         |n, params| (samplesort::predict_best(n, params), samplesort::predict_whp(n, params)),
     )

@@ -201,7 +201,15 @@ mod tests {
 
     fn record(m_op: u64, m_rw: u64, comm: f64) -> PhaseRecord {
         PhaseRecord {
-            profile: PhaseProfile { m_op, m_rw, kappa: 1, h_in: m_rw, h_out: m_rw, msgs: 1 },
+            profile: PhaseProfile {
+                m_op,
+                m_rw,
+                kappa: 1,
+                h_in: m_rw,
+                h_out: m_rw,
+                msgs: 1,
+                ..PhaseProfile::default()
+            },
             timing: PhaseTiming {
                 elapsed: Cycles::new(m_op as f64 + comm),
                 compute: Cycles::new(m_op as f64),

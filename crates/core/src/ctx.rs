@@ -468,7 +468,9 @@ mod tests {
         let (empty, full) = (ctx.get(&arr, 10, 0), ctx.get(&arr, 9, 1));
         assert!(empty.is_empty() && ctx.results[0].words.len() == 1);
         assert_eq!((0..3).map(|owner| ctx.queued.runs_for(owner).len()).sum::<usize>(), 1);
-        assert_eq!(ctx.queued.m_rw, 1);
+        let words: Vec<_> =
+            ctx.queued.cells().map(|(_, _, c)| (c.get_words, c.put_words)).collect();
+        assert_eq!(words, [(1, 0)], "the empty get meters nothing");
         assert!(ctx.take(empty).is_empty(), "in the phase that issued it");
         assert_eq!(ctx.results[0].outstanding, 1);
         drop(full);

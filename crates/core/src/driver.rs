@@ -332,7 +332,9 @@ pub(crate) struct Driver {
     now: Cycles,
     phase_idx: u64,
     // --- pooled per-phase scratch ---
-    m_rw: Vec<u64>,
+    /// Get and put words each processor issued, off its row's cells.
+    m_get: Vec<u64>,
+    m_put: Vec<u64>,
     h_in_words: Vec<u64>,
     h_out_words: Vec<u64>,
     data_msgs_by: Vec<u64>,
@@ -373,7 +375,8 @@ impl Driver {
             rec,
             now: Cycles::ZERO,
             phase_idx: 0,
-            m_rw: vec![0; p],
+            m_get: vec![0; p],
+            m_put: vec![0; p],
             h_in_words: vec![0; p],
             h_out_words: vec![0; p],
             data_msgs_by: vec![0; p],
@@ -400,9 +403,9 @@ impl Driver {
 
     /// **Stage 1 — plan.** Validate collective registration calls and
     /// gather the metering the workers did as they queued: the
-    /// per-processor h/message counters and bank-κ off their rows of
-    /// the traffic matrix, read where they were published. No data
-    /// moves yet. `inputs` is indexed by processor id.
+    /// per-processor word, h and message counters and bank-κ off their
+    /// rows of the traffic matrix, read where they were published. No
+    /// data moves yet. `inputs` is indexed by processor id.
     pub(crate) fn plan_stage(&mut self, inputs: &[Slot]) -> PhasePlan {
         let this = &mut *self;
         let p = this.p;
@@ -430,24 +433,23 @@ impl Driver {
         }
 
         // --- Metering: per-proc counters off the workers' rows ---
-        for (m_rw, input) in this.m_rw.iter_mut().zip(inputs) {
-            *m_rw = input.outbox().m_rw;
-        }
-
-        // h, messages, payload and bank-κ in one pass over the dirty
-        // cells, a message per cell and kind as the exchange sends
+        // Words, h, messages, payload and bank-κ in one pass over the
+        // dirty cells, a message per cell and kind as the exchange sends
         // them; every accumulation is order-insensitive. Bank-κ is the
         // heaviest word load any single (node, bank) serves this phase:
         // put words written into it plus get words read out of it.
         let banks = this.banks;
         let (mut data_msgs, mut payload_bytes) = (0u64, 0u64);
         {
+            let (m_get, m_put) = (&mut this.m_get, &mut this.m_put);
             let data_msgs_by = &mut this.data_msgs_by;
             let h_in_words = &mut this.h_in_words;
             let h_out_words = &mut this.h_out_words;
             let load = &mut this.bank_load;
             let touched = &mut this.bank_load_touched;
             CommMatrix::new(inputs).for_each_dirty(|src, dst, bank, c| {
+                m_get[src] += c.get_words;
+                m_put[src] += c.put_words;
                 if c.put_words > 0 {
                     data_msgs_by[src] += 1;
                     data_msgs += 1;
@@ -562,7 +564,9 @@ impl Driver {
         for i in 0..p {
             profile.merge_max(&PhaseProfile {
                 m_op: this.charged[i],
-                m_rw: this.m_rw[i],
+                m_rw: this.m_get[i] + this.m_put[i],
+                m_get: this.m_get[i],
+                m_put: this.m_put[i],
                 kappa: 0,
                 h_in: this.h_in_words[i],
                 h_out: this.h_out_words[i],
@@ -594,7 +598,8 @@ impl Driver {
         for id in &plan.unregs {
             self.live[id.0 as usize] = false;
         }
-        // `m_rw` is overwritten whole by the next plan.
+        self.m_get.fill(0);
+        self.m_put.fill(0);
         self.h_in_words.fill(0);
         self.h_out_words.fill(0);
         self.data_msgs_by.fill(0);
@@ -777,17 +782,17 @@ mod tests {
     /// The plan stage's metering as it was while the leader walked
     /// every queued operation — the per-op loops, the matrix filled
     /// element by element, as the oracle for rows metered at the sender
-    /// and κ swept at the owner: the traffic matrix, `m_rw`, and each
-    /// array's whole access ranges.
+    /// and κ swept at the owner: the traffic matrix, each source's get
+    /// and put words, and each array's whole access ranges.
     fn meter_flat(
         p: usize,
         banks: usize,
         infos: &[ArrayInfo],
         ops: &[FlatOp],
-    ) -> (Dense, Vec<u64>, Vec<AccessRanges>) {
+    ) -> (Dense, [Vec<u64>; 2], Vec<AccessRanges>) {
         let cells = banks.max(1);
         let mut matrix = Dense { cells: vec![vec![PairTraffic::default(); p * cells]; p] };
-        let mut m_rw = vec![0u64; p];
+        let (mut m_get, mut m_put) = (vec![0u64; p], vec![0u64; p]);
         let mut accesses: Vec<AccessRanges> =
             infos.iter().map(|_| AccessRanges::default()).collect();
         for op in ops {
@@ -813,9 +818,10 @@ mod tests {
                 };
                 add(&mut matrix.cells[src][owner * cells + bank], 1);
             }
-            m_rw[src] += op.len as u64 * wpe;
+            let words = if op.put { &mut m_put } else { &mut m_get };
+            words[src] += op.len as u64 * wpe;
         }
-        (matrix, m_rw, accesses)
+        (matrix, [m_get, m_put], accesses)
     }
 
     /// Totals of a dense traffic matrix of `banks` banks, cell by cell
@@ -873,7 +879,7 @@ mod tests {
                     ArrayInfo::new(ArrayId(k as u32), Registration { name, len, elem_bytes, layout }, p)
                 })
                 .collect();
-            let (want, want_m_rw, accesses) = meter_flat(p, banks, &infos, &ops);
+            let (want, [want_get, want_put], accesses) = meter_flat(p, banks, &infos, &ops);
 
             // The senders: each queues its own operations, in order.
             let mut outboxes: Vec<Outbox> = (0..p).map(|_| Outbox::new(p, banks)).collect();
@@ -913,7 +919,7 @@ mod tests {
                     prop_assert_eq!(matrix.at(src, dst, bank), want, "{}->{} bank {}", src, dst, bank);
                 }
             }
-            prop_assert_eq!(&driver.m_rw, &want_m_rw);
+            prop_assert_eq!((&driver.m_get, &driver.m_put), (&want_get, &want_put));
             let totals = totals(&want, banks);
             prop_assert_eq!((plan.data_msgs, plan.payload_bytes, plan.bank_kappa), totals);
 

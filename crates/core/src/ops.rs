@@ -97,8 +97,6 @@ pub(crate) struct Outbox {
     /// non-empty cells.
     pub(crate) cells: Vec<PairTraffic>,
     dirty: Vec<u32>,
-    /// 4-byte words this processor read or wrote (the `m_rw` term).
-    pub(crate) m_rw: u64,
 }
 
 impl Outbox {
@@ -153,7 +151,6 @@ impl Outbox {
                 self.meter(info, put, dst, s, l)
             });
         }
-        self.m_rw += len as u64 * info.words_per_elem();
     }
 
     /// Add the `l` elements at `s`, all of cost owner `dst`, to its
@@ -198,7 +195,6 @@ impl Outbox {
             self.cells[idx as usize] = PairTraffic::default();
         }
         self.payload.clear();
-        self.m_rw = 0;
     }
 
     /// The runs that land in `dst`'s block of storage, in issue order.
@@ -338,7 +334,6 @@ mod tests {
             assert_eq!(got, want, "{layout:?}, {banks} banks");
             let nonempty = want.iter().filter(|c| !c.is_empty()).count();
             assert_eq!(out.cells().count(), nonempty, "each dirty cell is listed once");
-            assert_eq!(out.m_rw, 80);
             // Storage is the block partition whatever the cost layout.
             for dst in 0..p {
                 for run in out.runs_for(dst) {
@@ -359,7 +354,7 @@ mod tests {
         out.clear();
         assert!((0..8).all(|dst| out.runs_for(dst).is_empty()));
         assert!(out.payload.is_empty());
-        assert_eq!((out.cells().count(), out.m_rw), (0, 0));
+        assert_eq!(out.cells().count(), 0);
         assert_eq!(out.cells, vec![PairTraffic::default(); 8 * 2]);
         // Only bucket 1 was ever allocated, and refilling reuses it.
         assert!(out.runs.iter().enumerate().all(|(dst, b)| (b.capacity() > 0) == (dst == 1)));

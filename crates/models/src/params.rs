@@ -170,6 +170,7 @@ mod tests {
             h_in: m_rw,
             h_out: m_rw,
             msgs: if m_rw > 0 { 1 } else { 0 },
+            ..PhaseProfile::default()
         }
     }
 
@@ -205,14 +206,22 @@ mod tests {
     #[test]
     fn bsp_uses_max_of_in_out_h() {
         let b = BspParams::new(4, 2.0, 0.0);
-        let phase = PhaseProfile { m_op: 0, m_rw: 7, kappa: 1, h_in: 3, h_out: 9, msgs: 2 };
+        let phase = PhaseProfile {
+            m_rw: 7,
+            kappa: 1,
+            h_in: 3,
+            h_out: 9,
+            msgs: 2,
+            ..PhaseProfile::default()
+        };
         assert_eq!(b.phase_comm_cost(&phase), 18.0);
     }
 
     #[test]
     fn logp_charges_overheads_per_message() {
         let lp = LogPParams::new(16, 1600.0, 400.0, 12.0);
-        let phase = PhaseProfile { m_op: 0, m_rw: 10, kappa: 1, h_in: 0, h_out: 10, msgs: 5 };
+        let phase =
+            PhaseProfile { m_rw: 10, kappa: 1, h_out: 10, msgs: 5, ..PhaseProfile::default() };
         // 2*400*5 + 12*10 + 1600
         assert_eq!(lp.phase_comm_cost(&phase), 4000.0 + 120.0 + 1600.0);
     }

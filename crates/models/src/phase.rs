@@ -13,8 +13,12 @@ pub struct PhaseProfile {
     /// Maximum number of local operations executed by any processor.
     pub m_op: u64,
     /// Maximum number of remote read/write *words* issued by any
-    /// processor.
+    /// processor: its get words plus its put words.
     pub m_rw: u64,
+    /// Maximum number of get words issued by any processor.
+    pub m_get: u64,
+    /// Maximum number of put words issued by any processor.
+    pub m_put: u64,
     /// Maximum number of accesses to any single shared-memory
     /// location (the QSM queuing contention κ).
     pub kappa: u64,
@@ -38,6 +42,8 @@ impl PhaseProfile {
     pub fn merge_max(&mut self, other: &PhaseProfile) {
         self.m_op = self.m_op.max(other.m_op);
         self.m_rw = self.m_rw.max(other.m_rw);
+        self.m_get = self.m_get.max(other.m_get);
+        self.m_put = self.m_put.max(other.m_put);
         self.kappa = self.kappa.max(other.kappa);
         self.h_in = self.h_in.max(other.h_in);
         self.h_out = self.h_out.max(other.h_out);
@@ -60,10 +66,38 @@ mod tests {
 
     #[test]
     fn merge_max_is_componentwise() {
-        let mut a = PhaseProfile { m_op: 1, m_rw: 9, kappa: 2, h_in: 3, h_out: 0, msgs: 4 };
-        let b = PhaseProfile { m_op: 5, m_rw: 2, kappa: 8, h_in: 1, h_out: 7, msgs: 0 };
+        let mut a = PhaseProfile {
+            m_op: 1,
+            m_rw: 9,
+            m_get: 9,
+            m_put: 0,
+            kappa: 2,
+            h_in: 3,
+            h_out: 0,
+            msgs: 4,
+        };
+        let b = PhaseProfile {
+            m_op: 5,
+            m_rw: 2,
+            m_get: 0,
+            m_put: 2,
+            kappa: 8,
+            h_in: 1,
+            h_out: 7,
+            msgs: 0,
+        };
         a.merge_max(&b);
-        assert_eq!(a, PhaseProfile { m_op: 5, m_rw: 9, kappa: 8, h_in: 3, h_out: 7, msgs: 4 });
+        let want = PhaseProfile {
+            m_op: 5,
+            m_rw: 9,
+            m_get: 9,
+            m_put: 2,
+            kappa: 8,
+            h_in: 3,
+            h_out: 7,
+            msgs: 4,
+        };
+        assert_eq!(a, want);
     }
 
     #[test]
@@ -71,7 +105,7 @@ mod tests {
         let q = QsmParams::new(4, 2.0);
         let prog = [
             PhaseProfile::local_only(100),
-            PhaseProfile { m_op: 0, m_rw: 50, kappa: 0, h_in: 50, h_out: 50, msgs: 3 },
+            PhaseProfile { m_rw: 50, h_in: 50, h_out: 50, msgs: 3, ..Default::default() },
         ];
         assert_eq!(prog.iter().map(|ph| q.phase_cost(ph)).sum::<f64>(), 100.0 + 100.0);
         assert_eq!(prog.iter().map(|ph| q.phase_comm_cost(ph)).sum::<f64>(), 100.0);
@@ -120,7 +154,8 @@ mod proptests {
             msgs in 0u64..10_000,
             bump in 1u64..1000,
         ) {
-            let base = PhaseProfile { m_op, m_rw, kappa, h_in: m_rw, h_out: m_rw, msgs };
+            let (h_in, h_out) = (m_rw, m_rw);
+            let base = PhaseProfile { m_op, m_rw, kappa, h_in, h_out, msgs, ..Default::default() };
             let q = QsmParams::new(16, 12.0);
             let s = SQsmParams::new(16, 12.0);
             let b = BspParams::new(16, 12.0, 25_500.0);
@@ -150,7 +185,8 @@ mod proptests {
             m_rw in 0u64..1_000_000,
             kappa in 0u64..1_000_000,
         ) {
-            let ph = PhaseProfile { m_op, m_rw, kappa, h_in: m_rw, h_out: m_rw, msgs: 1 };
+            let (h_in, h_out, msgs) = (m_rw, m_rw, 1);
+            let ph = PhaseProfile { m_op, m_rw, kappa, h_in, h_out, msgs, ..Default::default() };
             let q = QsmParams::new(16, 12.0);
             let s = SQsmParams::new(16, 12.0);
             let b = BspParams::new(16, 12.0, 25_500.0);

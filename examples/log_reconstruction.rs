@@ -42,11 +42,14 @@ fn main() {
     println!("  comm   {:>10.1} us", us(run.comm()));
     println!("  survivors shipped to node 0: {} of {n}", run.survivors());
 
-    println!("\n  contraction trace (max active fragments on any node):");
-    let maxima = run.iter_maxima();
-    for (i, it) in maxima.iter().enumerate() {
-        if i % 4 == 0 || i + 1 == maxima.len() {
-            println!("    iteration {i:>2}: {:>6} active", it.active);
+    // Each contraction iteration is four phases; in the second, every
+    // candidate reads its successor's coin flip, one word when remote.
+    println!("\n  contraction trace (most remote coin-flip reads on any node):");
+    let iters = listrank::iterations(p);
+    let contraction = run.run.phases[listrank::SETUP_PHASES..].chunks(4).take(iters);
+    for (i, phases) in contraction.enumerate() {
+        if i % 4 == 0 || i + 1 == iters {
+            println!("    iteration {i:>2}: {:>6} reads", phases[1].profile.m_get);
         }
     }
 

@@ -45,7 +45,7 @@ fn main() {
     let params = EffectiveCosts::measure(cfg);
     let best = samplesort::predict_best(n, &params);
     let whp = samplesort::predict_whp(n, &params);
-    let est = samplesort::predict_estimate(n, &run, &params);
+    let est = samplesort::predict_estimate(&run, &params);
     println!("\n  predicted communication (effective gaps, cycles -> us):");
     println!("    best case    {:>10.1} us", us(best.qsm));
     println!("    measured     {:>10.1} us", us(run.comm()));

@@ -41,7 +41,7 @@ fn samplesort_estimate_error_shrinks_with_n() {
                 let m = SimMachine::new(cfg).with_seed(n as u64 ^ seed);
                 let input = gen::random_u32s(n, seed);
                 let run = samplesort::run_on(&m, &input);
-                let est = samplesort::predict_estimate(n, &run, &params);
+                let est = samplesort::predict_estimate(&run, &params);
                 relative_error(run.comm(), est.qsm)
             })
             .sum();
